@@ -332,6 +332,12 @@ def _merge(ns) -> dict:
     return args
 
 
+def _validate(args):
+    """Reject settings no command can run with, before any work starts."""
+    if args["m_lim"] < 1:
+        raise CLIError(f"--m-lim must be >= 1, got {args['m_lim']}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="fleetroll",
                                      description="taxi fleet routing experiments")
@@ -383,6 +389,7 @@ def main(argv=None) -> int:
     if ns.command in ("gen-trips", "partition"):
         args["out"] = ns.out
     try:
+        _validate(args)
         return ns.func(args)
     except (CLIError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,14 +1,20 @@
 """Street network as a directed unit-weight graph with exact all-pairs distances.
 
-Nodes are 1-indexed. Distances are precomputed once per graph (BFS from every
-node) because the planners query them millions of times; the graph is immutable
-afterwards and safe to share across workers.
+Nodes are 1-indexed. Distances and next hops are precomputed once per graph
+(all-pairs shortest paths by scipy.sparse.csgraph, then one vectorised pass
+over the edges for the next-hop table) because the planners query them
+millions of times. Both are kept as nested lists for scalar lookups; the
+distances are also kept as a numpy array for building cost matrices by
+indexing. The graph is immutable afterwards and safe to share across workers.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from pathlib import Path
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 
 class GraphError(Exception):
@@ -58,11 +64,13 @@ class CityGraph:
             if any(self.sectors[v] < 1 for v in range(1, n + 1)):
                 raise GraphError("sector assignment must cover every node")
         if _precomputed is not None:
-            self.adj, self._dist = _precomputed
+            self.adj, self.dist_array, self._dist, self._next = _precomputed
         else:
             self.adj = self._build_adjacency()
-            self._dist = self._all_pairs_bfs()
-        self._next_cache: dict[tuple[int, int], int] = {}
+            # (n+1) x (n+1) tables; row and column 0 are unused padding.
+            self.dist_array = _all_pairs_distances(self.adj)
+            self._dist = self.dist_array.tolist()
+            self._next = _next_hop_table(self.adj, self.dist_array).tolist()
 
     def _build_adjacency(self):
         adj = [[] for _ in range(self.n + 1)]
@@ -78,25 +86,6 @@ class CityGraph:
             row.sort()
         return adj
 
-    def _all_pairs_bfs(self):
-        dist = [None] * (self.n + 1)
-        for src in range(1, self.n + 1):
-            row = [_UNREACHED] * (self.n + 1)
-            row[src] = 0
-            q = deque([src])
-            while q:
-                u = q.popleft()
-                du = row[u] + 1
-                for v in self.adj[u]:
-                    if row[v] == _UNREACHED:
-                        row[v] = du
-                        q.append(v)
-            for tgt in range(1, self.n + 1):
-                if row[tgt] == _UNREACHED:
-                    raise NotStronglyConnected(f"node {tgt} is unreachable from node {src}")
-            dist[src] = row
-        return dist
-
     def distance(self, i: int, j: int) -> int:
         return self._dist[i][j]
 
@@ -105,19 +94,10 @@ class CityGraph:
 
     def next_hop(self, i: int, j: int) -> int:
         """Neighbor of i on a shortest path to j; smallest index on ties."""
-        if i == j:
+        hop = self._next[i][j]
+        if not hop:  # only on the diagonal: the graph is strongly connected
             raise SameNode(f"next_hop({i}, {j}) undefined for identical nodes")
-        key = (i, j)
-        hop = self._next_cache.get(key)
-        if hop is not None:
-            return hop
-        want = self._dist[i][j] - 1
-        row = self._dist
-        for k in self.adj[i]:
-            if row[k][j] == want:
-                self._next_cache[key] = k
-                return k
-        raise GraphError(f"no shortest-path successor from {i} to {j}")  # unreachable
+        return hop
 
     def shortest_path(self, i: int, j: int) -> list[int]:
         """Node sequence from i to j inclusive, following next_hop."""
@@ -146,7 +126,7 @@ class CityGraph:
         else:
             sectors = list(assignment)
         g = CityGraph(self.n, self.edges, coords=self.coords, sectors=sectors,
-                      _precomputed=(self.adj, self._dist))
+                      _precomputed=(self.adj, self.dist_array, self._dist, self._next))
         return g
 
     def next_hop_in_partition(self, v_start: int, v_end: int) -> int:
@@ -172,6 +152,44 @@ class CityGraph:
         if best is None:
             raise GraphError(f"no shortest path from {v_start} enters sector {ke}")  # unreachable
         return best
+
+
+def _all_pairs_distances(adj):
+    """Hop distances between all node pairs, -1 in the padding row and column.
+
+    Raises NotStronglyConnected naming the first unreachable (source, target)
+    pair in row-major order.
+    """
+    n = len(adj) - 1
+    heads = np.repeat(np.arange(n), [len(adj[i]) for i in range(1, n + 1)])
+    tails = np.array([j - 1 for i in range(1, n + 1) for j in adj[i]], dtype=np.intp)
+    arcs = csr_matrix((np.ones(len(tails)), (heads, tails)), shape=(n, n))
+    hops = shortest_path(arcs, method="D", directed=True, unweighted=True)
+    unreached = np.argwhere(np.isinf(hops))
+    if len(unreached):
+        src, tgt = unreached[0] + 1
+        raise NotStronglyConnected(f"node {tgt} is unreachable from node {src}")
+    dist = np.full((n + 1, n + 1), _UNREACHED, dtype=np.int32)
+    dist[1:, 1:] = hops
+    return dist
+
+
+def _next_hop_table(adj, dist):
+    """nxt[i, j]: the smallest-index neighbor k of i with dist[k, j] = dist[i, j] - 1,
+    0 on the diagonal and in the padding.
+
+    Neighbor slots are visited from the last to the first, so the smallest
+    neighbor on a shortest path is written last. Work is O(|E| n).
+    """
+    nxt = np.zeros_like(dist)
+    want = dist - 1
+    degree = np.array([len(nbrs) for nbrs in adj])
+    for slot in range(int(degree.max()) - 1, -1, -1):
+        rows = np.flatnonzero(degree > slot)
+        nbr = np.array([adj[i][slot] for i in rows])
+        on_path = dist[nbr] == want[rows]
+        nxt[rows] = np.where(on_path, nbr[:, None], nxt[rows])
+    return nxt
 
 
 def build_graph(n: int, edges, coords=None) -> CityGraph:

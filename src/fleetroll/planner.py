@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .demand import certainty_equivalence_requests
 from .matching import AssignmentProblem, min_cost_assignment
@@ -89,8 +90,7 @@ def high_level_plan(state, graph, model, pspec, t_h, prev: HighLevelPlan,
     if not free or not pool:
         return HighLevelPlan(transit)
 
-    dist = graph._dist
-    cost = [[dist[loc][r.pickup] for r in pool] for _, loc in free]
+    cost = graph.dist_array[np.ix_([loc for _, loc in free], [r.pickup for r in pool])]
     k = min(len(free), len(pool))
     problem = AssignmentProblem(cost, row_ids=[l for l, _ in free],
                                 col_ids=list(range(len(pool))))
@@ -145,8 +145,7 @@ def low_level_plan(substate, inbound, graph, model, cfg: RolloutConfig, seed,
 
 
 def two_phase_control(state, graph, model, pspec, cfg: RolloutConfig,
-                      plan: HighLevelPlan, seed, sector_jobs: int = 1,
-                      sector_timing=None):
+                      plan: HighLevelPlan, seed, sector_timing=None):
     """One planning step: high-level rebalance, then all sector planners, then
     merge sector controls with the transit taxis' scheduled hops.
 
@@ -168,26 +167,13 @@ def two_phase_control(state, graph, model, pspec, cfg: RolloutConfig,
         for k in subs
     }
 
-    def plan_sector(k):
+    for k in sorted(subs):
         sub, ids = subs[k]
         t0 = time.perf_counter()
         ctrl = low_level_plan(sub, inbound_of[k], graph, model, cfg, seed,
                               taxi_keys=ids, sector_nodes=sector_nodes[k])
-        return ctrl, (time.perf_counter() - t0) * 1000.0
-
-    sectors = sorted(subs)
-    if sector_jobs > 1 and len(sectors) > 1:
-        with ThreadPoolExecutor(max_workers=sector_jobs) as pool:
-            timed = list(pool.map(plan_sector, sectors))
-    else:
-        timed = [plan_sector(k) for k in sectors]
-    results = [ctrl for ctrl, _ in timed]
-    if sector_timing is not None:
-        for k, (_, ms) in zip(sectors, timed):
-            sector_timing.append((state.clock, k, ms))
-
-    for k, ctrl in zip(sectors, results):
-        _, ids = subs[k]
+        if sector_timing is not None:
+            sector_timing.append((state.clock, k, (time.perf_counter() - t0) * 1000.0))
         for act, gid in zip(ctrl, ids):
             if actions[gid] is not None:
                 raise ConflictingControl(f"taxi {gid} received two controls")
@@ -205,14 +191,12 @@ class TwoPhasePolicy:
 
     name = "two-phase"
 
-    def __init__(self, graph, model, m: int, m_lim: int, cfg: RolloutConfig,
-                 sector_jobs: int = 1):
+    def __init__(self, graph, model, m: int, m_lim: int, cfg: RolloutConfig):
         self.K = math.ceil(m / m_lim)
         self.pspec = get_partitions(graph, model, m_lim, self.K)
         self.graph = graph.with_sectors(self.pspec.assignment)
         self.model = model
         self.cfg = cfg
-        self.sector_jobs = sector_jobs
         self._seed = None
         self.plan = HighLevelPlan()
         self.sector_timing = []
@@ -225,15 +209,14 @@ class TwoPhasePolicy:
     def control(self, state):
         ctrl, self.plan = two_phase_control(state, self.graph, self.model,
                                             self.pspec, self.cfg, self.plan,
-                                            self._seed, self.sector_jobs,
-                                            sector_timing=self.sector_timing)
+                                            self._seed, sector_timing=self.sector_timing)
         return ctrl, None
 
 
 def run_two_phase(graph, model, m: int, T: int, m_lim: int, cfg: RolloutConfig,
-                  seed: int, sector_jobs: int = 1):
+                  seed: int):
     """Convenience wrapper: build the two-phase policy and run one episode."""
     from .sim import run_episode
 
-    policy = TwoPhasePolicy(graph, model, m, m_lim, cfg, sector_jobs=sector_jobs)
+    policy = TwoPhasePolicy(graph, model, m, m_lim, cfg)
     return run_episode(policy.graph, model, policy, m, T, seed)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .matching import auction_match
 from .sim import MOVE, PICKUP, STAY, forced_hop_action, substream, NS_POLICY
 
@@ -26,19 +28,20 @@ def _match_free_to_requests(graph, free, requests):
     """Min-cost matching of free taxis to requests on approach distance.
 
     free: list of (taxi index, node); requests: list of Request. Returns
-    {taxi index: Request}. Distances are integers, so the auction epsilon
-    1/(k+1) makes every per-step matching exactly optimal.
+    {taxi index: Request}. The smaller side forms the rows of the cost
+    matrix, which is indexed out of the graph's distance array. Distances are
+    integers, so the epsilon 1/(k+1) makes every per-step matching exactly
+    optimal.
     """
     if not free or not requests:
         return {}
-    dist = graph._dist
+    locs = [loc for _, loc in free]
+    pickups = [r.pickup for r in requests]
     eps = 1.0 / (min(len(free), len(requests)) + 1)
     if len(free) <= len(requests):
-        cost = [[dist[loc][r.pickup] for r in requests] for _, loc in free]
-        cols = auction_match(cost, eps)
+        cols = auction_match(graph.dist_array[np.ix_(locs, pickups)], eps)
         return {free[i][0]: requests[j] for i, j in enumerate(cols)}
-    cost = [[dist[loc][r.pickup] for _, loc in free] for r in requests]
-    cols = auction_match(cost, eps)
+    cols = auction_match(graph.dist_array[np.ix_(pickups, locs)], eps)
     return {free[j][0]: requests[i] for i, j in enumerate(cols)}
 
 

@@ -100,7 +100,7 @@ def _ia_ra_lookahead_cost(state, joint, batches, graph, t_h, inbound=()):
     simulated in place on flat lists. This is the planner's hot loop: no state
     copies, no per-step control objects."""
     dist = graph._dist
-    next_hop = graph.next_hop
+    nxt = graph._next
     locs = list(state.locations)
     timers = list(state.timers)
     drops = {l: dropoff for l, (_, dropoff) in state.in_service.items()}
@@ -109,7 +109,7 @@ def _ia_ra_lookahead_cost(state, joint, batches, graph, t_h, inbound=()):
 
     for l, act in enumerate(joint):
         if timers[l] > 0:
-            locs[l] = next_hop(locs[l], drops[l])
+            locs[l] = nxt[locs[l]][drops[l]]
             timers[l] -= 1
             if timers[l] == 0:
                 del drops[l]
@@ -148,7 +148,7 @@ def _ia_ra_lookahead_cost(state, joint, batches, graph, t_h, inbound=()):
                         matched[free[b]] = reqs[a]
         for l in range(len(locs)):
             if timers[l] > 0:
-                locs[l] = next_hop(locs[l], drops[l])
+                locs[l] = nxt[locs[l]][drops[l]]
                 timers[l] -= 1
                 if timers[l] == 0:
                     del drops[l]
@@ -161,7 +161,7 @@ def _ia_ra_lookahead_cost(state, joint, batches, graph, t_h, inbound=()):
                         timers[l] = trip
                         drops[l] = req.dropoff
                 else:
-                    locs[l] = next_hop(locs[l], req.pickup)
+                    locs[l] = nxt[locs[l]][req.pickup]
         for req in batches[i]:
             outstanding[req.id] = req
         clock += 1

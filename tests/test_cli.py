@@ -141,3 +141,11 @@ def test_two_phase_sector_timing_file(tmp_path):
     rows = read_csv(out / "two-phase_m4_seed4.sector_timing.csv")
     assert rows[0] == ["t", "sector", "plan_ms"]
     assert len(rows) > 1
+
+
+def test_zero_m_lim_is_a_usage_error(tmp_path, capsys):
+    rc = main(["simulate", "--grid", "5", "--e-eta", "1", "--policy", "two-phase",
+               "--m", "4", "--m-lim", "0", "--out-dir", str(tmp_path / "z")])
+    assert rc != 0
+    err = capsys.readouterr().err
+    assert err == "error: --m-lim must be >= 1, got 0\n"

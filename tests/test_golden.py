@@ -33,7 +33,7 @@ GOLDEN = {
     "greedy": "add7de5eed1ad8517350f0032fc077aa0507bd2eb20998cb73dd73f4f9284dcd",
     "ia-commit": "da1f5f3ade5b2bc19e92e61de73f8b91ed57113805fc95f1d76d4d40f9833910",
     "ia-ra": "6df810618d20acc2e15f14eef77fc7104cd28f81d3fc3213c4bc2611a4eede9a",
-    "ia-ra-fleet": "925ed173c373b529343bb3241721fb5cafff367837176b150c5469998420c9fe",
+    "ia-ra-fleet": "5b12633b9e04793e45ce9c53af2533e6bbce2ff8cb002f11d5f0ea2a07708d77",
     "ia-ra-k10": "b043b1cd3301639d3835bdacd8d563293a4b482ce3dd2731adca051d21fe1c46",
     "random-ia": "ae03ba51d8ab215bb5cc1c712bc2710074d80832765aeeb12fa417bedc465b1e",
     "rollout": "7225c7cdb80bfe64d3f7f2fea36fa5ed162fb2190b97977bf51ac0fbcbeeff6c",

@@ -114,6 +114,49 @@ def test_random_graph_distance_and_walk(n, data):
                 assert g.distance(hop, tgt) == g.distance(src, tgt) - 1
 
 
+def smallest_successor(adj, i, dist_to_j):
+    """Independent oracle: the smallest neighbor of i one step closer to j."""
+    return min(k for k in adj[i] if dist_to_j[k] == dist_to_j[i] - 1)
+
+
+def assert_next_hop_table(graph):
+    adj = adjacency(graph)
+    reverse = {v: [] for v in adj}
+    for i, nbrs in adj.items():
+        for j in nbrs:
+            reverse[j].append(i)
+    for j in range(1, graph.n + 1):
+        dist_to_j = bfs_distance(graph.n, reverse, j)
+        for i in range(1, graph.n + 1):
+            if i != j:
+                assert graph.next_hop(i, j) == smallest_successor(adj, i, dist_to_j)
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_next_hop_table_is_smallest_shortest_successor_on_grids(k):
+    assert_next_hop_table(grid_graph(k))
+
+
+def test_next_hop_table_on_random_strong_digraph():
+    import random
+
+    rnd = random.Random(3)
+    for n in (7, 20, 45):
+        order = list(range(1, n + 1))
+        rnd.shuffle(order)
+        edges = [(order[v], order[(v + 1) % n]) for v in range(n)]  # shuffled ring
+        edges += [(rnd.randint(1, n), rnd.randint(1, n)) for _ in range(2 * n)]
+        g = build_graph(n, [(a, b) for a, b in edges if a != b])
+        assert_next_hop_table(g)
+
+
+def test_not_strongly_connected_names_an_unreachable_pair():
+    # 1..4 form a two-way path; node 5 can be entered from 4 but never left.
+    edges = [(v, v + 1) for v in range(1, 5)] + [(v + 1, v) for v in range(1, 4)]
+    with pytest.raises(NotStronglyConnected, match="node 1 is unreachable from node 5"):
+        build_graph(5, edges)
+
+
 def test_next_hop_in_partition_line():
     g = line_graph(4).with_sectors({1: 1, 2: 1, 3: 2, 4: 2})
     assert g.next_hop_in_partition(1, 4) == 3

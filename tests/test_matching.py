@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fleetroll.matching import (AssignmentProblem, MatchingError, TooLarge,
+from fleetroll.matching import (AUCTION_MAX_PAIRS, AssignmentProblem, MatchingError,
+                                TooLarge, _auction, auction_match,
                                 brute_force_assignment, min_cost_assignment)
 
 
@@ -104,3 +105,46 @@ def test_row_constant_shift(n, data):
     shifted = [list(r) for r in cost]
     shifted[row] = [c + shift for c in shifted[row]]
     assert solve(shifted).total_cost == solve(cost).total_cost + shift
+
+
+def _reference_total(cost):
+    """Optimal total by the auction alone, on the smaller side as rows."""
+    rows = cost if len(cost) <= len(cost[0]) else [list(c) for c in zip(*cost)]
+    cols = _auction(rows, 1.0 / (len(rows) + 1))
+    return sum(rows[i][j] for i, j in enumerate(cols))
+
+
+def test_large_matchings_match_auction_optimum():
+    # Above AUCTION_MAX_PAIRS the solver switches to linear_sum_assignment;
+    # its totals must equal the exact auction's, in both orientations and
+    # with heavy ties (costs drawn from 0..2).
+    assert AUCTION_MAX_PAIRS == 10
+    rng = np.random.default_rng(11)
+    for k in range(11, 41):
+        for top in (2, 40):
+            extra = int(rng.integers(0, 8))
+            for nr, nc in ((k, k + extra), (k + extra, k)):
+                cost = rng.integers(0, top + 1, size=(nr, nc)).tolist()
+                got = solve(cost)
+                assert len(got.pairs) == k
+                assert len({r for r, _ in got.pairs}) == k
+                assert len({c for _, c in got.pairs}) == k
+                assert got.total_cost == sum(cost[r][c] for r, c in got.pairs)
+                assert got.total_cost == _reference_total(cost), (k, nr, nc, top)
+
+
+def test_auction_match_accepts_lists_and_arrays_alike():
+    rng = np.random.default_rng(5)
+    for k in (3, 10, 11, 25):
+        cost = rng.integers(0, 4, size=(k, k + 3))
+        eps = 1.0 / (k + 1)
+        assert auction_match(cost, eps) == auction_match(cost.tolist(), eps)
+
+
+def test_small_matchings_keep_auction_pairings():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        k = int(rng.integers(1, AUCTION_MAX_PAIRS + 1))
+        cost = rng.integers(0, 3, size=(k, k + int(rng.integers(0, 4)))).tolist()
+        eps = 1.0 / (k + 1)
+        assert auction_match(cost, eps) == _auction(cost, eps)

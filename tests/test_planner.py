@@ -125,14 +125,6 @@ def test_two_phase_zero_demand_costs_nothing(grid5):
     assert tr.cost == 0
 
 
-def test_sector_jobs_do_not_change_results(grid5):
-    model = synthetic_model(grid5, 0.8, hotspot=7, hotspot_mass=0.3)
-    cfg = RolloutConfig(t_h=3, num_mc=3)
-    a = run_two_phase(grid5, model, 5, 40, 2, cfg, seed=8, sector_jobs=1)
-    b = run_two_phase(grid5, model, 5, 40, 2, cfg, seed=8, sector_jobs=3)
-    assert a.controls == b.controls and a.cost == b.cost
-
-
 def test_all_taxis_transiting_control_is_scheduled_hops():
     g, spec = two_sector_line()
     model = zero_model()

@@ -1,6 +1,7 @@
 import numpy as np
 
 from fleetroll.demand import DemandModel, Request, synthetic_model
+from fleetroll.graph import grid_graph
 from fleetroll.rollout import (LookaheadEstimate, RolloutConfig, RolloutPolicy,
                                _ia_ra_lookahead_cost, _lookahead_cost,
                                _sample_scenario, evaluate_candidate,
@@ -71,28 +72,34 @@ def test_lookahead_hand_rolled_line():
 
 
 def test_fast_path_matches_generic_path(grid5):
-    model = synthetic_model(grid5, 0.8)
+    grid8 = grid_graph(8)
     rng = np.random.default_rng(77)
-    for trial in range(200):
-        m = int(rng.integers(1, 6))
-        locs = [int(rng.integers(1, 26)) for _ in range(m)]
+    # Small fleets on 5x5, then fleets and request pools above
+    # AUCTION_MAX_PAIRS on 8x8, so both paths also solve their matchings by
+    # linear_sum_assignment.
+    small = (grid5, synthetic_model(grid5, 0.8), (1, 6), (0, 5), 0.3)
+    large = (grid8, synthetic_model(grid8, 6.0), (14, 25), (14, 30), 0.1)
+    for trial in range(240):
+        g, model, m_range, n_req, p_busy = small if trial < 200 else large
+        m = int(rng.integers(*m_range))
+        locs = [int(rng.integers(1, g.n + 1)) for _ in range(m)]
         timers = [0] * m
         in_service = {}
         outstanding = {}
-        for i in range(int(rng.integers(0, 5))):
-            outstanding[i + 1] = Request(i + 1, int(rng.integers(1, 26)),
-                                         int(rng.integers(1, 26)), 1)
+        for i in range(int(rng.integers(*n_req))):
+            outstanding[i + 1] = Request(i + 1, int(rng.integers(1, g.n + 1)),
+                                         int(rng.integers(1, g.n + 1)), 1)
         for l in range(m):
-            if rng.random() < 0.3:
-                drop = int(rng.integers(1, 26))
+            if rng.random() < p_busy:
+                drop = int(rng.integers(1, g.n + 1))
                 if drop != locs[l]:
-                    timers[l] = grid5.distance(locs[l], drop)
+                    timers[l] = g.distance(locs[l], drop)
                     in_service[l] = (100 + l, drop)
         s = FleetState(locs, timers, outstanding, in_service, 1)
-        joint, _ = ia_ra_control(s, grid5)
+        joint, _ = ia_ra_control(s, g)
         batches = _sample_scenario(model, 1, 5, substream(3, trial))
-        assert (_lookahead_cost(s, joint, batches, grid5, ia_ra_control, 5)
-                == _ia_ra_lookahead_cost(s, joint, batches, grid5, 5))
+        assert (_lookahead_cost(s, joint, batches, g, ia_ra_control, 5)
+                == _ia_ra_lookahead_cost(s, joint, batches, g, 5))
 
 
 def test_scenarios_zero_variance_on_deterministic_model():
