@@ -3,13 +3,15 @@
 Nodes are 1-indexed. Distances and next hops are precomputed once per graph
 (all-pairs shortest paths by scipy.sparse.csgraph, then one vectorised pass
 over the edges for the next-hop table) because the planners query them
-millions of times. Both are kept as nested lists for scalar lookups; the
-distances are also kept as a numpy array for building cost matrices by
-indexing. The graph is immutable afterwards and safe to share across workers.
+millions of times. Distances are kept as nested lists for scalar lookups and
+as a numpy array for building cost matrices by indexing; next hops as one
+compact `array` row per node. The graph is immutable afterwards and safe to
+share across workers.
 """
 
 from __future__ import annotations
 
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +72,10 @@ class CityGraph:
             # (n+1) x (n+1) tables; row and column 0 are unused padding.
             self.dist_array = _all_pairs_distances(self.adj)
             self._dist = self.dist_array.tolist()
-            self._next = _next_hop_table(self.adj, self.dist_array).tolist()
+            # Rows of unsigned shorts take a quarter of the memory of list rows.
+            code = "H" if n < 2 ** 16 else "I"
+            hops = _next_hop_table(self.adj, self.dist_array).astype(code)
+            self._next = [array(code, row.tobytes()) for row in hops]
 
     def _build_adjacency(self):
         adj = [[] for _ in range(self.n + 1)]
