@@ -116,8 +116,8 @@ def _reference_total(cost):
 
 def test_large_matchings_match_auction_optimum():
     # Above AUCTION_MAX_PAIRS the solver switches to linear_sum_assignment;
-    # its totals must equal the exact auction's, in both orientations and
-    # with heavy ties (costs drawn from 0..2).
+    # its totals must equal the exact auction's, in both orientations, with
+    # heavy ties (costs 0..2) and with few (costs 0..40).
     assert AUCTION_MAX_PAIRS == 10
     rng = np.random.default_rng(11)
     for k in range(11, 41):
