@@ -39,7 +39,6 @@ class Request:
     pickup: int
     dropoff: int
     arrival_time: int
-    picked_up: bool = False
 
 
 @dataclass(frozen=True)
@@ -65,28 +64,18 @@ class _Sampler:
 
     def __init__(self, pmf):
         items = sorted((k, p) for k, p in pmf.items() if p > 0)
-        self.values = [k for k, _ in items]
+        self.values = np.array([k for k, _ in items])
         cum = np.cumsum([p for _, p in items])
         cum[-1] = 1.0  # guard float drift at the top
         self.cum = cum
 
+    def values_at(self, us):
+        """Support values at the uniform draws `us` (a float or an array)."""
+        idx = np.searchsorted(self.cum, us, side="right")
+        return self.values[np.minimum(idx, len(self.values) - 1)]
+
     def draw(self, rng) -> int:
-        idx = int(np.searchsorted(self.cum, rng.random(), side="right"))
-        if idx >= len(self.values):
-            idx = len(self.values) - 1
-        return self.values[idx]
-
-    def draw_many(self, rng, n):
-        idx = np.searchsorted(self.cum, rng.random(n), side="right")
-        np.clip(idx, 0, len(self.values) - 1, out=idx)
-        values = self.values
-        return [values[i] for i in idx]
-
-    def value_at(self, u) -> int:
-        idx = int(np.searchsorted(self.cum, u, side="right"))
-        if idx >= len(self.values):
-            idx = len(self.values) - 1
-        return self.values[idx]
+        return int(self.values_at(rng.random()))
 
 
 class DemandModel:
@@ -116,7 +105,6 @@ class DemandModel:
             for v, pv in cond.items():
                 marginal[v] = marginal.get(v, 0.0) + pu * pv
         self.marginal_dropoff_pmf = dict(sorted(marginal.items()))
-        self.lrand_pmf = dict(self.marginal_dropoff_pmf)
         if initial_pmf is not None:
             _check_pmf(initial_pmf, "initial location pmf")
             self.initial_location_pmf = {int(v): float(p) for v, p in sorted(initial_pmf.items()) if p > 0}
@@ -128,7 +116,16 @@ class DemandModel:
         self._pickup_sampler = _Sampler(self.pickup_pmf)
         self._initial_sampler = _Sampler(self.initial_location_pmf)
         self._marginal_sampler = _Sampler(self.marginal_dropoff_pmf)
-        self._dropoff_samplers = {u: _Sampler(c) for u, c in self.dropoff_given_pickup.items()}
+        # One sampler per distinct conditional pmf, so that dropoffs can be
+        # drawn for many pickups with one inverse-CDF lookup per sampler.
+        keys = {u: tuple(c.items()) for u, c in self.dropoff_given_pickup.items()}
+        group = {k: g for g, k in enumerate(dict.fromkeys(keys.values()))}
+        self._dropoff_group_samplers = [_Sampler(dict(k)) for k in group]
+        self._dropoff_samplers = {u: self._dropoff_group_samplers[group[k]]
+                                  for u, k in keys.items()}
+        self._dropoff_group = np.zeros(max(self.pickup_pmf) + 1, dtype=np.intp)
+        for u in self.pickup_pmf:
+            self._dropoff_group[u] = group[keys[u]]
 
     def dropoff_pmf(self, pickup: int) -> dict:
         """Conditional dropoff pmf; unseen pickups fall back to the marginal."""
@@ -139,6 +136,19 @@ class DemandModel:
 
     def _dropoff_sampler(self, pickup):
         return self._dropoff_samplers.get(pickup, self._marginal_sampler)
+
+    def _dropoffs_at(self, pickups, us):
+        """Dropoffs for an array of sampled pickups at the uniform draws `us`,
+        one inverse-CDF lookup per distinct conditional pmf."""
+        samplers = self._dropoff_group_samplers
+        if len(samplers) == 1:
+            return samplers[0].values_at(us)
+        group = self._dropoff_group[pickups]
+        out = np.empty(len(pickups), dtype=samplers[0].values.dtype)
+        for g in np.unique(group):
+            mask = group == g
+            out[mask] = samplers[g].values_at(us[mask])
+        return out
 
 
 def sample_arrivals(model: DemandModel, rng) -> int:
@@ -229,7 +239,7 @@ def expectation_terms(model: DemandModel, graph) -> ExpectationTerms:
         )
 
     e_xi_rho = cross(model.initial_location_pmf, model.pickup_pmf)
-    e_lrand_rho = cross(model.lrand_pmf, model.pickup_pmf)
+    e_lrand_rho = cross(model.marginal_dropoff_pmf, model.pickup_pmf)
     e_rho_delta = sum(
         pu * sum(pv * dist[u][v] for v, pv in model.dropoff_pmf(u).items())
         for u, pu in model.pickup_pmf.items()

@@ -90,7 +90,8 @@ def high_level_plan(state, graph, model, pspec, t_h, prev: HighLevelPlan,
     if not free or not pool:
         return HighLevelPlan(transit)
 
-    cost = graph.dist_array[np.ix_([loc for _, loc in free], [r.pickup for r in pool])]
+    locs = np.array([loc for _, loc in free])
+    cost = graph.dist_array[locs[:, None], [r.pickup for r in pool]]
     k = min(len(free), len(pool))
     problem = AssignmentProblem(cost, row_ids=[l for l, _ in free],
                                 col_ids=list(range(len(pool))))

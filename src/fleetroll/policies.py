@@ -35,13 +35,13 @@ def _match_free_to_requests(graph, free, requests):
     """
     if not free or not requests:
         return {}
-    locs = [loc for _, loc in free]
-    pickups = [r.pickup for r in requests]
+    locs = np.array([loc for _, loc in free])
+    pickups = np.array([r.pickup for r in requests])
     eps = 1.0 / (min(len(free), len(requests)) + 1)
     if len(free) <= len(requests):
-        cols = auction_match(graph.dist_array[np.ix_(locs, pickups)], eps)
+        cols = auction_match(graph.dist_array[locs[:, None], pickups], eps)
         return {free[i][0]: requests[j] for i, j in enumerate(cols)}
-    cols = auction_match(graph.dist_array[np.ix_(pickups, locs)], eps)
+    cols = auction_match(graph.dist_array[pickups[:, None], locs], eps)
     return {free[j][0]: requests[i] for i, j in enumerate(cols)}
 
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .demand import Request
 from .matching import auction_match
 from .policies import greedy_control, ia_ra_control
@@ -46,31 +48,37 @@ class LookaheadEstimate:
     scenario_costs: list = field(default_factory=list)
 
 
-def _sample_scenario(model, clock, t_h, rng):
-    """Arrival batches for the candidate step plus t_h base-policy steps.
+def _sample_scenario(model, t_h, num_mc, rng):
+    """Arrival batches of num_mc scenarios, each for the candidate step plus
+    t_h base-policy steps.
 
-    Batch i carries requests stamped to appear at clock+1+i; ids are negative
-    and scenario-local, so they never collide with real request ids. Draws are
-    batched per scenario to keep the planning loop lean.
+    Batch i of a scenario holds (id, pickup, dropoff) tuples that appear i+1
+    steps after the planning step; ids are negative and scenario-local, so
+    they never collide with real request ids. All scenarios come from one
+    block of uniforms, read as num_mc sequential draws would consume it: per
+    scenario t_h+1 arrival counts, then one uniform per request for its
+    pickup, then one per request for its dropoff.
     """
-    counts = model._eta_sampler.draw_many(rng, t_h + 1)
-    total = sum(counts)
-    if total == 0:
-        return [[] for _ in range(t_h + 1)]
-    pickups = model._pickup_sampler.draw_many(rng, total)
-    us = rng.random(total)
-    batches = []
-    idx = 0
-    for i, c in enumerate(counts):
-        batch = []
-        for _ in range(c):
-            pu = pickups[idx]
-            do = model._dropoff_sampler(pu).value_at(us[idx])
-            batch.append(Request(id=-(idx + 1), pickup=pu, dropoff=do,
-                                 arrival_time=clock + 1 + i))
-            idx += 1
-        batches.append(batch)
-    return batches
+    steps = t_h + 1
+    eta = model._eta_sampler
+    block = rng.random(num_mc * steps * (1 + 2 * int(eta.values[-1])))
+    counts = eta.values_at(block)  # read as an arrival count at every offset
+    csum = [0] + np.cumsum(counts).tolist()
+    starts = [0]
+    for _ in range(num_mc - 1):
+        at = starts[-1]
+        starts.append(at + steps + 2 * (csum[at + steps] - csum[at]))
+    starts = np.array(starts)
+    per_step = counts[starts[:, None] + np.arange(steps)]
+    totals = per_step.sum(axis=1)
+    local = np.arange(totals.sum()) - np.repeat(np.cumsum(totals) - totals, totals)
+    pick_at = np.repeat(starts + steps, totals) + local
+    pickups = model._pickup_sampler.values_at(block[pick_at])
+    dropoffs = model._dropoffs_at(pickups, block[pick_at + np.repeat(totals, totals)])
+    reqs = list(zip((-1 - local).tolist(), pickups.tolist(), dropoffs.tolist()))
+    bounds = [0] + np.cumsum(per_step).tolist()
+    batches = [reqs[a:b] for a, b in zip(bounds, bounds[1:])]
+    return [batches[i:i + steps] for i in range(0, len(batches), steps)]
 
 
 def _lookahead_cost(state, joint, batches, graph, base_fn, t_h, inbound=()):
@@ -81,8 +89,11 @@ def _lookahead_cost(state, joint, batches, graph, base_fn, t_h, inbound=()):
     scheduled to enter this state's region; each becomes a free taxi in the
     simulated trajectory when its clock comes up.
     """
+    def arrivals(i, clock):
+        return [Request(rid, pu, do, clock + 1) for rid, pu, do in batches[i]]
+
     cost = len(state.outstanding)
-    cur = transition(state, joint, batches[0], graph)
+    cur = transition(state, joint, arrivals(0, state.clock), graph)
     cost += len(cur.outstanding)
     for i in range(1, t_h + 1):
         for when, node in inbound:
@@ -90,7 +101,7 @@ def _lookahead_cost(state, joint, batches, graph, base_fn, t_h, inbound=()):
                 cur = FleetState(cur.locations + [node], cur.timers + [0],
                                  cur.outstanding, cur.in_service, cur.clock)
         ctrl, _ = base_fn(cur, graph)
-        cur = transition(cur, ctrl, batches[i], graph)
+        cur = transition(cur, ctrl, arrivals(i, cur.clock), graph)
         cost += len(cur.outstanding)
     return cost
 
@@ -98,13 +109,16 @@ def _lookahead_cost(state, joint, batches, graph, base_fn, t_h, inbound=()):
 def _ia_ra_lookahead_cost(state, joint, batches, graph, t_h, inbound=()):
     """Same trajectory cost as _lookahead_cost with the IA-RA base policy,
     simulated in place on flat lists. This is the planner's hot loop: no state
-    copies, no per-step control objects."""
+    copies, no per-step control objects. Requests are (id, pickup, dropoff)
+    tuples, and each step's cost matrix is indexed out of the distance array
+    with the smaller side as rows, as in the IA-RA policy."""
     dist = graph._dist
+    dist_array = graph.dist_array
     nxt = graph._next
     locs = list(state.locations)
     timers = list(state.timers)
     drops = {l: dropoff for l, (_, dropoff) in state.in_service.items()}
-    outstanding = dict(state.outstanding)
+    outstanding = {rid: (rid, r.pickup, r.dropoff) for rid, r in state.outstanding.items()}
     cost = len(outstanding)
 
     for l, act in enumerate(joint):
@@ -116,13 +130,13 @@ def _ia_ra_lookahead_cost(state, joint, batches, graph, t_h, inbound=()):
         elif act[0] == MOVE:
             locs[l] = act[1]
         elif act[0] == PICKUP:
-            req = outstanding.pop(act[1])
-            trip = dist[req.pickup][req.dropoff]
+            _, pickup, dropoff = outstanding.pop(act[1])
+            trip = dist[pickup][dropoff]
             if trip > 0:
                 timers[l] = trip
-                drops[l] = req.dropoff
+                drops[l] = dropoff
     for req in batches[0]:
-        outstanding[req.id] = req
+        outstanding[req[0]] = req
     clock = state.clock + 1
     cost += len(outstanding)
 
@@ -137,14 +151,16 @@ def _ia_ra_lookahead_cost(state, joint, batches, graph, t_h, inbound=()):
             free = [l for l in range(len(locs)) if timers[l] == 0]
             if free:
                 reqs = [outstanding[rid] for rid in sorted(outstanding)]
+                at = np.array([locs[l] for l in free])
+                pickups = np.array([r[1] for r in reqs])
                 eps = 1.0 / (min(len(free), len(reqs)) + 1)
                 if len(free) <= len(reqs):
-                    rows = [[dist[locs[l]][r.pickup] for r in reqs] for l in free]
-                    for a, b in enumerate(auction_match(rows, eps)):
+                    cols = auction_match(dist_array[at[:, None], pickups], eps)
+                    for a, b in enumerate(cols):
                         matched[free[a]] = reqs[b]
                 else:
-                    rows = [[dist[locs[l]][r.pickup] for l in free] for r in reqs]
-                    for a, b in enumerate(auction_match(rows, eps)):
+                    cols = auction_match(dist_array[pickups[:, None], at], eps)
+                    for a, b in enumerate(cols):
                         matched[free[b]] = reqs[a]
         for l in range(len(locs)):
             if timers[l] > 0:
@@ -153,17 +169,17 @@ def _ia_ra_lookahead_cost(state, joint, batches, graph, t_h, inbound=()):
                 if timers[l] == 0:
                     del drops[l]
             elif l in matched:
-                req = matched[l]
-                if locs[l] == req.pickup:
-                    del outstanding[req.id]
-                    trip = dist[req.pickup][req.dropoff]
+                rid, pickup, dropoff = matched[l]
+                if locs[l] == pickup:
+                    del outstanding[rid]
+                    trip = dist[pickup][dropoff]
                     if trip > 0:
                         timers[l] = trip
-                        drops[l] = req.dropoff
+                        drops[l] = dropoff
                 else:
-                    locs[l] = nxt[locs[l]][req.pickup]
+                    locs[l] = nxt[locs[l]][pickup]
         for req in batches[i]:
-            outstanding[req.id] = req
+            outstanding[req[0]] = req
         clock += 1
         cost += len(outstanding)
     return cost
@@ -240,8 +256,7 @@ def one_at_a_time_control(state, graph, model, cfg: RolloutConfig, seed: int,
             chosen[l] = cands[0]
         else:
             rng = substream(seed, NS_LOOKAHEAD, state.clock, taxi_keys[l])
-            scenarios = [_sample_scenario(model, state.clock, cfg.t_h, rng)
-                         for _ in range(cfg.num_mc)]
+            scenarios = _sample_scenario(model, cfg.t_h, cfg.num_mc, rng)
             best_act, best_cost = None, math.inf
             for cand in cands:
                 joint = _compose_joint(chosen, cand, l, base_joint, claimed)
@@ -261,11 +276,9 @@ def one_at_a_time_control(state, graph, model, cfg: RolloutConfig, seed: int,
 def evaluate_candidate(state, joint_control, graph, model, cfg: RolloutConfig,
                        rng, inbound=()) -> LookaheadEstimate:
     """Monte-Carlo lookahead estimate of one joint control's cost."""
-    costs = []
-    for _ in range(cfg.num_mc):
-        batches = _sample_scenario(model, state.clock, cfg.t_h, rng)
-        costs.append(_trajectory_cost(state, joint_control, batches, graph,
-                                      cfg.base_policy, cfg.t_h, inbound))
+    costs = [_trajectory_cost(state, joint_control, batches, graph,
+                              cfg.base_policy, cfg.t_h, inbound)
+             for batches in _sample_scenario(model, cfg.t_h, cfg.num_mc, rng)]
     return LookaheadEstimate(sum(costs) / len(costs), costs)
 
 

@@ -55,7 +55,6 @@ def test_marginal_consistency(grid5):
             recomputed[v] = recomputed.get(v, 0.0) + pu * pv
     for v in recomputed:
         assert model.marginal_dropoff_pmf[v] == pytest.approx(recomputed[v], abs=1e-9)
-    assert model.lrand_pmf == model.marginal_dropoff_pmf
     assert sum(model.marginal_dropoff_pmf.values()) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -77,7 +76,7 @@ def test_sample_arrivals_mean():
 def test_sample_request_degenerate_and_fields():
     m = DemandModel({1: 1.0}, {3: 1.0}, {3: {5: 1.0}})
     r = sample_request(m, t=5, rng=substream(0, 0), req_id=9)
-    assert (r.pickup, r.dropoff, r.arrival_time, r.picked_up, r.id) == (3, 5, 5, False, 9)
+    assert (r.pickup, r.dropoff, r.arrival_time, r.id) == (3, 5, 5, 9)
 
 
 def test_sample_request_frequencies():
@@ -140,8 +139,8 @@ def test_expectation_terms_match_monte_carlo(grid5):
     terms = expectation_terms(model, grid5)
     rng = substream(5, 9)
     n = 20000
-    xi = model._initial_sampler.draw_many(rng, n)
-    rho = model._pickup_sampler.draw_many(rng, n)
+    xi = model._initial_sampler.values_at(rng.random(n)).tolist()
+    rho = model._pickup_sampler.values_at(rng.random(n)).tolist()
     samples = [grid5.distance(a, b) for a, b in zip(xi, rho)]
     mean = sum(samples) / n
     sd = math.sqrt(sum((s - mean) ** 2 for s in samples) / (n - 1))

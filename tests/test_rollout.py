@@ -1,6 +1,7 @@
 import numpy as np
 
-from fleetroll.demand import DemandModel, Request, synthetic_model
+from fleetroll.demand import (DemandModel, Request, estimate_from_trips, generate_trips,
+                             synthetic_model)
 from fleetroll.graph import grid_graph
 from fleetroll.rollout import (LookaheadEstimate, RolloutConfig, RolloutPolicy,
                                _ia_ra_lookahead_cost, _lookahead_cost,
@@ -97,9 +98,37 @@ def test_fast_path_matches_generic_path(grid5):
                     in_service[l] = (100 + l, drop)
         s = FleetState(locs, timers, outstanding, in_service, 1)
         joint, _ = ia_ra_control(s, g)
-        batches = _sample_scenario(model, 1, 5, substream(3, trial))
+        batches = _sample_scenario(model, 5, 1, substream(3, trial))[0]
         assert (_lookahead_cost(s, joint, batches, g, ia_ra_control, 5)
                 == _ia_ra_lookahead_cost(s, joint, batches, g, 5))
+
+
+def sequential_scenarios(model, t_h, num_mc, rng):
+    """Reference: num_mc scenarios drawn one request at a time. Each scenario
+    draws t_h+1 arrival counts, then every pickup, then every dropoff."""
+    out = []
+    for _ in range(num_mc):
+        counts = [model._eta_sampler.draw(rng) for _ in range(t_h + 1)]
+        pickups = [model._pickup_sampler.draw(rng) for _ in range(sum(counts))]
+        dropoffs = [model._dropoff_sampler(p).draw(rng) for p in pickups]
+        reqs = [(-(i + 1), p, d) for i, (p, d) in enumerate(zip(pickups, dropoffs))]
+        batches = []
+        for c in counts:
+            batches.append(reqs[:c])
+            reqs = reqs[c:]
+        out.append(batches)
+    return out
+
+
+def test_batched_scenarios_reproduce_sequential_draws(grid5):
+    synthetic = synthetic_model(grid5, 1.7, hotspot=7, hotspot_mass=0.3)
+    from_log = estimate_from_trips(generate_trips(synthetic, horizon=300, seed=8), grid5)
+    assert len(from_log._dropoff_group_samplers) > 1  # distinct conditionals
+    for model in (synthetic, from_log, zero_model()):
+        for trial, (t_h, num_mc) in enumerate([(1, 1), (4, 4), (5, 10), (10, 50)]):
+            got = _sample_scenario(model, t_h, num_mc, substream(21, trial))
+            want = sequential_scenarios(model, t_h, num_mc, substream(21, trial))
+            assert got == want
 
 
 def test_scenarios_zero_variance_on_deterministic_model():
