@@ -92,10 +92,9 @@ def high_level_plan(state, graph, model, pspec, t_h, prev: HighLevelPlan,
 
     locs = np.array([loc for _, loc in free])
     cost = graph.dist_array[locs[:, None], [r.pickup for r in pool]]
-    k = min(len(free), len(pool))
     problem = AssignmentProblem(cost, row_ids=[l for l, _ in free],
                                 col_ids=list(range(len(pool))))
-    matched = min_cost_assignment(problem, epsilon=1.0 / (k + 1))
+    matched = min_cost_assignment(problem)
     for taxi, col in matched.pairs:
         pickup = pool[col].pickup
         loc = state.locations[taxi]

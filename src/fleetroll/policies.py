@@ -29,19 +29,16 @@ def _match_free_to_requests(graph, free, requests):
 
     free: list of (taxi index, node); requests: list of Request. Returns
     {taxi index: Request}. The smaller side forms the rows of the cost
-    matrix, which is indexed out of the graph's distance array. Distances are
-    integers, so the epsilon 1/(k+1) makes every per-step matching exactly
-    optimal.
+    matrix, which is indexed out of the graph's distance array.
     """
     if not free or not requests:
         return {}
     locs = np.array([loc for _, loc in free])
     pickups = np.array([r.pickup for r in requests])
-    eps = 1.0 / (min(len(free), len(requests)) + 1)
     if len(free) <= len(requests):
-        cols = auction_match(graph.dist_array[locs[:, None], pickups], eps)
+        cols = auction_match(graph.dist_array[locs[:, None], pickups])
         return {free[i][0]: requests[j] for i, j in enumerate(cols)}
-    cols = auction_match(graph.dist_array[pickups[:, None], locs], eps)
+    cols = auction_match(graph.dist_array[pickups[:, None], locs])
     return {free[j][0]: requests[i] for i, j in enumerate(cols)}
 
 

@@ -153,13 +153,12 @@ def _ia_ra_lookahead_cost(state, joint, batches, graph, t_h, inbound=()):
                 reqs = [outstanding[rid] for rid in sorted(outstanding)]
                 at = np.array([locs[l] for l in free])
                 pickups = np.array([r[1] for r in reqs])
-                eps = 1.0 / (min(len(free), len(reqs)) + 1)
                 if len(free) <= len(reqs):
-                    cols = auction_match(dist_array[at[:, None], pickups], eps)
+                    cols = auction_match(dist_array[at[:, None], pickups])
                     for a, b in enumerate(cols):
                         matched[free[a]] = reqs[b]
                 else:
-                    cols = auction_match(dist_array[pickups[:, None], at], eps)
+                    cols = auction_match(dist_array[pickups[:, None], at])
                     for a, b in enumerate(cols):
                         matched[free[b]] = reqs[a]
         for l in range(len(locs)):

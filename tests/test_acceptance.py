@@ -53,9 +53,8 @@ def test_criterion_1_matching_oracle_equivalence():
         nr = int(rng.integers(1, 9))
         nc = int(rng.integers(1, 9))
         cost = rng.integers(0, 21, size=(nr, nc)).tolist()
-        k = min(nr, nc)
         exact = brute_force_assignment(AssignmentProblem(cost))
-        got = min_cost_assignment(AssignmentProblem(cost), epsilon=1.0 / (k + 1))
+        got = min_cost_assignment(AssignmentProblem(cost))
         assert got.total_cost == exact.total_cost, (i, cost)
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0

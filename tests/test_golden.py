@@ -34,7 +34,7 @@ GOLDEN = {
     "ia-commit": "da1f5f3ade5b2bc19e92e61de73f8b91ed57113805fc95f1d76d4d40f9833910",
     "ia-ra": "6df810618d20acc2e15f14eef77fc7104cd28f81d3fc3213c4bc2611a4eede9a",
     "ia-ra-fleet": "5b12633b9e04793e45ce9c53af2533e6bbce2ff8cb002f11d5f0ea2a07708d77",
-    "ia-ra-k10": "b043b1cd3301639d3835bdacd8d563293a4b482ce3dd2731adca051d21fe1c46",
+    "ia-ra-k10": "87beeaf4ca64db303a8952cdf544e099db36bd2a393745ea3c244f13fae677f2",
     "random-ia": "ae03ba51d8ab215bb5cc1c712bc2710074d80832765aeeb12fa417bedc465b1e",
     "rollout": "7225c7cdb80bfe64d3f7f2fea36fa5ed162fb2190b97977bf51ac0fbcbeeff6c",
     "two-phase": "3bb7ec66f0838e3df2ee0713b96bf5dbafcc04fca389b7f1b159d4b97c5a8a8b",

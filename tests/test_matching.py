@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fleetroll.matching import (AUCTION_MAX_PAIRS, AssignmentProblem, MatchingError,
-                                TooLarge, _auction, auction_match,
-                                brute_force_assignment, min_cost_assignment)
+from oracles import lp_transport_value
+
+from fleetroll.matching import (AssignmentProblem, MatchingError, TooLarge,
+                                auction_match, brute_force_assignment,
+                                min_cost_assignment)
 
 
-def solve(cost, eps=None):
-    p = AssignmentProblem([list(r) for r in cost])
-    k = min(p.shape)
-    if eps is None:
-        eps = 1.0 / (k + 1)
-    return min_cost_assignment(p, eps)
+def solve(cost):
+    return min_cost_assignment(AssignmentProblem([list(r) for r in cost]))
 
 
 def test_one_by_one():
@@ -39,17 +37,12 @@ def test_rectangular_more_rows_than_columns():
 
 
 def test_empty_problem():
-    assert min_cost_assignment(AssignmentProblem([]), 0.5).pairs == []
+    assert min_cost_assignment(AssignmentProblem([])).pairs == []
 
 
 def test_negative_cost_rejected():
     with pytest.raises(MatchingError):
         AssignmentProblem([[-1.0]])
-
-
-def test_bad_epsilon_rejected():
-    with pytest.raises(MatchingError):
-        min_cost_assignment(AssignmentProblem([[1]]), 0.0)
 
 
 def test_brute_force_single_row_argmin():
@@ -69,19 +62,24 @@ def test_brute_force_too_large():
 
 
 def test_auction_matches_brute_force_on_random_integer_costs():
+    # Costs 0..2 are almost all ties, 0..20 have few; every shape up to 8
+    # matched pairs, so both orientations (rows <= columns and rows > columns).
     rng = np.random.default_rng(2024)
-    for _ in range(300):
-        nr = int(rng.integers(1, 9))
-        nc = int(rng.integers(1, 9))
-        cost = rng.integers(0, 21, size=(nr, nc)).tolist()
-        exact = brute_force_assignment(AssignmentProblem(cost))
-        got = solve(cost)
-        assert got.total_cost == exact.total_cost, (cost, got, exact)
+    for top in (2, 20):
+        for _ in range(300):
+            nr = int(rng.integers(1, 9))
+            nc = int(rng.integers(1, 9))
+            cost = rng.integers(0, top + 1, size=(nr, nc)).tolist()
+            exact = brute_force_assignment(AssignmentProblem(cost))
+            got = solve(cost)
+            assert got.total_cost == exact.total_cost, (cost, got, exact)
+            assert got.total_cost == sum(cost[r][c] for r, c in got.pairs)
+            assert len({r for r, _ in got.pairs}) == len({c for _, c in got.pairs}) == min(nr, nc)
 
 
 def test_identity_mapping_of_ids():
     p = AssignmentProblem([[1, 5], [5, 1]], row_ids=[10, 20], col_ids=[7, 8])
-    a = min_cost_assignment(p, 0.3)
+    a = min_cost_assignment(p)
     assert a.pairs == [(10, 7), (20, 8)]
 
 
@@ -91,8 +89,7 @@ def test_scaling_costs_preserves_pairing(nr, nc, data):
     cost = [[data.draw(st.integers(0, 12)) for _ in range(nc)] for _ in range(nr)]
     scale = data.draw(st.sampled_from([2, 3, 5]))
     base = solve(cost)
-    scaled = solve([[scale * c for c in row] for row in cost],
-                   eps=scale * 1.0 / (min(nr, nc) + 1))
+    scaled = solve([[scale * c for c in row] for row in cost])
     assert scaled.total_cost == scale * base.total_cost
 
 
@@ -107,44 +104,30 @@ def test_row_constant_shift(n, data):
     assert solve(shifted).total_cost == solve(cost).total_cost + shift
 
 
-def _reference_total(cost):
-    """Optimal total by the auction alone, on the smaller side as rows."""
-    rows = cost if len(cost) <= len(cost[0]) else [list(c) for c in zip(*cost)]
-    cols = _auction(rows, 1.0 / (len(rows) + 1))
-    return sum(rows[i][j] for i, j in enumerate(cols))
-
-
-def test_large_matchings_match_auction_optimum():
-    # Above AUCTION_MAX_PAIRS the solver switches to linear_sum_assignment;
-    # its totals must equal the exact auction's, in both orientations, with
-    # heavy ties (costs 0..2) and with few (costs 0..40).
-    assert AUCTION_MAX_PAIRS == 10
+def test_large_matchings_match_lp_optimum():
+    # Above the brute-force limit the reference is the transportation LP
+    # (integral at integer supplies), with a zero-cost dummy source taking the
+    # unmatched side's surplus. Both orientations, heavy and few ties.
     rng = np.random.default_rng(11)
-    for k in range(11, 41):
+    for k in range(9, 41, 4):
         for top in (2, 40):
-            extra = int(rng.integers(0, 8))
+            extra = int(rng.integers(1, 8))
             for nr, nc in ((k, k + extra), (k + extra, k)):
                 cost = rng.integers(0, top + 1, size=(nr, nc)).tolist()
                 got = solve(cost)
                 assert len(got.pairs) == k
-                assert len({r for r, _ in got.pairs}) == k
-                assert len({c for _, c in got.pairs}) == k
+                assert len({r for r, _ in got.pairs}) == len({c for _, c in got.pairs}) == k
                 assert got.total_cost == sum(cost[r][c] for r, c in got.pairs)
-                assert got.total_cost == _reference_total(cost), (k, nr, nc, top)
+                rows = cost if nr < nc else [list(c) for c in zip(*cost)]
+                lp = lp_transport_value([1] * k + [extra], [1] * (k + extra),
+                                        rows + [[0] * (k + extra)])
+                assert got.total_cost == pytest.approx(lp, abs=1e-6), (k, nr, nc, top)
 
 
 def test_auction_match_accepts_lists_and_arrays_alike():
     rng = np.random.default_rng(5)
-    for k in (3, 10, 11, 25):
-        cost = rng.integers(0, 4, size=(k, k + 3))
-        eps = 1.0 / (k + 1)
-        assert auction_match(cost, eps) == auction_match(cost.tolist(), eps)
-
-
-def test_small_matchings_keep_auction_pairings():
-    rng = np.random.default_rng(8)
-    for _ in range(200):
-        k = int(rng.integers(1, AUCTION_MAX_PAIRS + 1))
-        cost = rng.integers(0, 3, size=(k, k + int(rng.integers(0, 4)))).tolist()
-        eps = 1.0 / (k + 1)
-        assert auction_match(cost, eps) == _auction(cost, eps)
+    for k in (1, 3, 8, 11, 25):
+        for top in (2, 20):
+            cost = rng.integers(0, top + 1, size=(k, k + int(rng.integers(0, 4))))
+            assert auction_match(cost) == auction_match(cost.tolist())
+            assert auction_match(cost) == auction_match(cost.astype(float))
