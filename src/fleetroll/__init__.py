@@ -1,6 +1,7 @@
 """fleetroll: discrete-time taxi fleet simulation, dispatch policies,
 two-phase multiagent rollout planning, and fleet-size stability analysis."""
 
+from .errors import FleetrollError
 from .graph import CityGraph, build_graph, grid_graph, load_graph, save_graph
 from .demand import (DemandModel, Request, estimate_from_trips, expectation_terms,
                      sample_arrivals, sample_request, certainty_equivalence_requests,

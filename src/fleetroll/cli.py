@@ -19,18 +19,19 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import demand, graph as graphmod
+from .errors import FleetrollError
 from .partition import get_partitions
 from .planner import TwoPhasePolicy
 from .policies import (GreedyPolicy, IACommitPolicy, IARAPolicy, RandomIAPolicy,
                        service_distance)
 from .rollout import RolloutConfig, RolloutPolicy
 from .sim import run_episode
-from .stability import compute_bounds, empirical_stability
+from .stability import MIN_TRACES, compute_bounds, empirical_stability
 
 POLICIES = ("greedy", "random-ia", "ia-commit", "ia-ra", "rollout", "two-phase")
 
 
-class CLIError(Exception):
+class CLIError(FleetrollError):
     pass
 
 
@@ -336,6 +337,10 @@ def _validate(args):
     """Reject settings no command can run with, before any work starts."""
     if args["m_lim"] < 1:
         raise CLIError(f"--m-lim must be >= 1, got {args['m_lim']}")
+    if args["seeds"] < 1:
+        raise CLIError(f"--seeds must be >= 1, got {args['seeds']}")
+    if args["verify"] and args["seeds"] < MIN_TRACES:
+        raise CLIError(f"--seeds must be >= {MIN_TRACES} with --verify, got {args['seeds']}")
 
 
 def main(argv=None) -> int:
@@ -391,7 +396,7 @@ def main(argv=None) -> int:
     try:
         _validate(args)
         return ns.func(args)
-    except (CLIError, FileNotFoundError) as exc:
+    except (FleetrollError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

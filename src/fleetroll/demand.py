@@ -14,10 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FleetrollError
+
 _SUM_TOL = 1e-9
 
 
-class DemandError(Exception):
+class DemandError(FleetrollError):
     pass
 
 

@@ -18,8 +18,10 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
+from .errors import FleetrollError
 
-class GraphError(Exception):
+
+class GraphError(FleetrollError):
     pass
 
 

@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .errors import FleetrollError
 
-class MatchingError(Exception):
+
+class MatchingError(FleetrollError):
     pass
 
 

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import FleetrollError
 
-class PartitionError(Exception):
+
+class PartitionError(FleetrollError):
     pass
 
 

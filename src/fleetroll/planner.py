@@ -21,13 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .demand import certainty_equivalence_requests
+from .errors import FleetrollError
 from .matching import AssignmentProblem, min_cost_assignment
 from .partition import get_partitions
 from .rollout import RolloutConfig, one_at_a_time_control
 from .sim import MOVE, NS_CE, FleetState, substream
 
 
-class PlannerError(Exception):
+class PlannerError(FleetrollError):
     pass
 
 

@@ -6,8 +6,14 @@ Taxis are processed in ascending id order. While taxi l is minimized, taxis
 before l are frozen at their already-chosen rollout controls and taxis after l
 follow the base policy's joint control for the current state. Each (step,
 taxi) pair gets its own seed-derived stream from which all of its scenarios
-are drawn up front, so candidates of one taxi share common random numbers and
-results never depend on evaluation order or parallelism.
+are drawn up front in one vectorized call, so candidates of one taxi share
+common random numbers and results never depend on evaluation order or
+parallelism.
+
+The IA-RA lookahead simulates each scenario on flat lists, holding scenario
+requests as (id, pickup, dropoff) tuples; every step's matching is one
+`auction_match` call (linear_sum_assignment) on a cost matrix indexed out of
+the graph's distance array.
 """
 
 from __future__ import annotations

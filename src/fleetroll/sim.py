@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .demand import sample_arrivals, sample_request
+from .errors import FleetrollError
 
 # Per-taxi actions. Free taxis may move to a neighbor, stay, or pick up a
 # co-located outstanding request; occupied taxis have exactly one control,
@@ -35,7 +36,7 @@ NS_LOOKAHEAD = 4
 NS_CE = 5
 
 
-class SimError(Exception):
+class SimError(FleetrollError):
     pass
 
 

@@ -22,11 +22,13 @@ import numpy as np
 from scipy import stats
 
 from .demand import expectation_terms
+from .errors import FleetrollError
 
 _SUM_TOL = 1e-9
+MIN_TRACES = 5  # fewest episode traces an empirical stability verdict accepts
 
 
-class StabilityError(Exception):
+class StabilityError(FleetrollError):
     pass
 
 
@@ -324,8 +326,8 @@ def empirical_stability(traces, window: int) -> StabilityVerdict:
     least-squares slope (one-sided p < 0.05); INCONCLUSIVE otherwise.
     """
     traces = list(traces)
-    if len(traces) < 5:
-        raise TooFewTraces(f"need at least 5 traces, got {len(traces)}")
+    if len(traces) < MIN_TRACES:
+        raise TooFewTraces(f"need at least {MIN_TRACES} traces, got {len(traces)}")
     series = np.array([t.outstanding_series() for t in traces], dtype=float)
     T = series.shape[1]
     if any(s.shape != (T,) for s in series):

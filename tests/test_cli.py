@@ -149,3 +149,27 @@ def test_zero_m_lim_is_a_usage_error(tmp_path, capsys):
     assert rc != 0
     err = capsys.readouterr().err
     assert err == "error: --m-lim must be >= 1, got 0\n"
+
+
+def test_trip_log_with_unknown_node_is_a_one_line_error(tmp_path, capsys):
+    trips = tmp_path / "bad.csv"
+    trips.write_text("t,pickup,dropoff\n1,99,3\n")
+    rc = main(["stability", "--grid", "4", "--trips", str(trips),
+               "--out-dir", str(tmp_path / "s")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: trip (1, 99, 3) references a node outside 1..16\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--policy", "greedy", "--m", "2", "--seeds", "0"],
+     "error: --seeds must be >= 1, got 0\n"),
+    (["stability", "--policy", "ia-ra", "--verify", "--m-sweep", "3", "--seeds", "2"],
+     "error: --seeds must be >= 5 with --verify, got 2\n"),
+])
+def test_too_few_seeds_is_a_usage_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    rc = main(argv + ["--grid", "4", "--e-eta", "1.0", "--T", "20", "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()  # rejected before any work
