@@ -66,18 +66,20 @@ class _Sampler:
 
     def __init__(self, pmf):
         items = sorted((k, p) for k, p in pmf.items() if p > 0)
-        self.values = np.array([k for k, _ in items])
+        self.values = [k for k, _ in items]
+        self._value_array = np.array(self.values)
         cum = np.cumsum([p for _, p in items])
         cum[-1] = 1.0  # guard float drift at the top
         self.cum = cum
 
-    def values_at(self, us):
-        """Support values at the uniform draws `us` (a float or an array)."""
-        idx = np.searchsorted(self.cum, us, side="right")
-        return self.values[np.minimum(idx, len(self.values) - 1)]
-
     def draw(self, rng) -> int:
-        return int(self.values_at(rng.random()))
+        idx = int(np.searchsorted(self.cum, rng.random(), side="right"))
+        return self.values[min(idx, len(self.values) - 1)]
+
+    def values_at(self, us):
+        """Support values at an array of uniform draws."""
+        idx = np.searchsorted(self.cum, us, side="right")
+        return self._value_array[np.minimum(idx, len(self.values) - 1)]
 
 
 class DemandModel:
@@ -146,7 +148,7 @@ class DemandModel:
         if len(samplers) == 1:
             return samplers[0].values_at(us)
         group = self._dropoff_group[pickups]
-        out = np.empty(len(pickups), dtype=samplers[0].values.dtype)
+        out = np.empty_like(pickups)
         for g in np.unique(group):
             mask = group == g
             out[mask] = samplers[g].values_at(us[mask])

@@ -34,11 +34,11 @@ def _match_free_to_requests(graph, free, requests):
     if not free or not requests:
         return {}
     locs = np.array([loc for _, loc in free])
-    pickups = np.array([r.pickup for r in requests])
+    approach = graph.dist_array[locs[:, None], np.array([r.pickup for r in requests])]
     if len(free) <= len(requests):
-        cols = auction_match(graph.dist_array[locs[:, None], pickups])
+        cols = auction_match(approach)
         return {free[i][0]: requests[j] for i, j in enumerate(cols)}
-    cols = auction_match(graph.dist_array[pickups[:, None], locs])
+    cols = auction_match(approach.T)
     return {free[j][0]: requests[i] for i, j in enumerate(cols)}
 
 

@@ -11,9 +11,10 @@ common random numbers and results never depend on evaluation order or
 parallelism.
 
 The IA-RA lookahead simulates each scenario on flat lists, holding scenario
-requests as (id, pickup, dropoff) tuples; every step's matching is one
-`auction_match` call (linear_sum_assignment) on a cost matrix indexed out of
-the graph's distance array.
+requests as (id, pickup, dropoff) tuples. Its matchings are those of
+linear_sum_assignment (`auction_match`), which it skips only where the answer
+is certain without a solve: a single row, a unique optimum read off the row
+minima, or the last step's matching while its taxis just move one hop closer.
 """
 
 from __future__ import annotations
@@ -67,24 +68,37 @@ def _sample_scenario(model, t_h, num_mc, rng):
     """
     steps = t_h + 1
     eta = model._eta_sampler
-    block = rng.random(num_mc * steps * (1 + 2 * int(eta.values[-1])))
-    counts = eta.values_at(block)  # read as an arrival count at every offset
-    csum = [0] + np.cumsum(counts).tolist()
-    starts = [0]
-    for _ in range(num_mc - 1):
-        at = starts[-1]
-        starts.append(at + steps + 2 * (csum[at + steps] - csum[at]))
-    starts = np.array(starts)
-    per_step = counts[starts[:, None] + np.arange(steps)]
-    totals = per_step.sum(axis=1)
-    local = np.arange(totals.sum()) - np.repeat(np.cumsum(totals) - totals, totals)
-    pick_at = np.repeat(starts + steps, totals) + local
-    pickups = model._pickup_sampler.values_at(block[pick_at])
-    dropoffs = model._dropoffs_at(pickups, block[pick_at + np.repeat(totals, totals)])
-    reqs = list(zip((-1 - local).tolist(), pickups.tolist(), dropoffs.tolist()))
-    bounds = [0] + np.cumsum(per_step).tolist()
-    batches = [reqs[a:b] for a, b in zip(bounds, bounds[1:])]
-    return [batches[i:i + steps] for i in range(0, len(batches), steps)]
+    block = rng.random(num_mc * steps * (1 + 2 * eta.values[-1]))
+    counts = eta.values_at(block).tolist()  # an arrival count read at every offset
+    layout, pick_at, drop_at = [], [], []
+    at = 0
+    for _ in range(num_mc):
+        per_step = counts[at:at + steps]
+        total = sum(per_step)
+        at += steps
+        pick_at.extend(range(at, at + total))
+        drop_at.extend(range(at + total, at + 2 * total))
+        at += 2 * total
+        layout.append(per_step)
+    us = block[pick_at + drop_at]
+    n = len(pick_at)
+    pickups = model._pickup_sampler.values_at(us[:n])
+    dropoffs = model._dropoffs_at(pickups, us[n:]).tolist()
+    pickups = pickups.tolist()
+    scenarios = []
+    first = 0
+    for per_step in layout:
+        total = sum(per_step)
+        reqs = list(zip(range(-1, -total - 1, -1), pickups[first:first + total],
+                        dropoffs[first:first + total]))
+        first += total
+        batches = []
+        at = 0
+        for c in per_step:
+            batches.append(reqs[at:at + c])
+            at += c
+        scenarios.append(batches)
+    return scenarios
 
 
 def _lookahead_cost(state, joint, batches, graph, base_fn, t_h, inbound=()):
@@ -116,8 +130,8 @@ def _ia_ra_lookahead_cost(state, joint, batches, graph, t_h, inbound=()):
     """Same trajectory cost as _lookahead_cost with the IA-RA base policy,
     simulated in place on flat lists. This is the planner's hot loop: no state
     copies, no per-step control objects. Requests are (id, pickup, dropoff)
-    tuples, and each step's cost matrix is indexed out of the distance array
-    with the smaller side as rows, as in the IA-RA policy."""
+    tuples, each step's matching comes from _match_step, and a taxi is
+    occupied exactly while it has an entry in `drops`."""
     dist = graph._dist
     dist_array = graph.dist_array
     nxt = graph._next
@@ -146,48 +160,103 @@ def _ia_ra_lookahead_cost(state, joint, batches, graph, t_h, inbound=()):
     clock = state.clock + 1
     cost += len(outstanding)
 
+    keep = False  # the last pairs are still the matching while nothing else changes
     for i in range(1, t_h + 1):
-        if inbound:
-            for when, node in inbound:
-                if when == clock:
-                    locs.append(node)
-                    timers.append(0)
-        matched = {}
-        if outstanding:
-            free = [l for l in range(len(locs)) if timers[l] == 0]
-            if free:
-                reqs = [outstanding[rid] for rid in sorted(outstanding)]
-                at = np.array([locs[l] for l in free])
-                pickups = np.array([r[1] for r in reqs])
-                if len(free) <= len(reqs):
-                    cols = auction_match(dist_array[at[:, None], pickups])
-                    for a, b in enumerate(cols):
-                        matched[free[a]] = reqs[b]
-                else:
-                    cols = auction_match(dist_array[pickups[:, None], at])
-                    for a, b in enumerate(cols):
-                        matched[free[b]] = reqs[a]
-        for l in range(len(locs)):
-            if timers[l] > 0:
-                locs[l] = nxt[locs[l]][drops[l]]
-                timers[l] -= 1
-                if timers[l] == 0:
-                    del drops[l]
-            elif l in matched:
-                rid, pickup, dropoff = matched[l]
-                if locs[l] == pickup:
-                    del outstanding[rid]
-                    trip = dist[pickup][dropoff]
-                    if trip > 0:
-                        timers[l] = trip
-                        drops[l] = dropoff
-                else:
-                    locs[l] = nxt[locs[l]][pickup]
-        for req in batches[i]:
-            outstanding[req[0]] = req
+        for when, node in inbound:
+            if when == clock:
+                locs.append(node)
+                timers.append(0)
+                keep = False
+        if not keep:
+            pairs = ()
+            if outstanding:
+                free = [l for l in range(len(locs)) if timers[l] == 0]
+                if free:
+                    pairs, keep = _match_step(free, sorted(outstanding.values()),
+                                              locs, dist, dist_array)
+        for l in list(drops):  # taxis occupied at the start of the step
+            locs[l] = nxt[locs[l]][drops[l]]
+            timers[l] -= 1
+            if timers[l] == 0:
+                del drops[l]
+                keep = False
+        for l, (rid, pickup, dropoff) in pairs:
+            if locs[l] == pickup:
+                del outstanding[rid]
+                keep = False
+                trip = dist[pickup][dropoff]
+                if trip > 0:
+                    timers[l] = trip
+                    drops[l] = dropoff
+            else:
+                locs[l] = nxt[locs[l]][pickup]
+        if batches[i]:
+            keep = False
+            for req in batches[i]:
+                outstanding[req[0]] = req
         clock += 1
         cost += len(outstanding)
     return cost
+
+
+# Lookahead matchings with at most this many cost cells are built as nested
+# lists from the distance rows, larger ones by indexing the distance array:
+# the measured crossover of the two builds, each followed by the same solve.
+_LIST_BUILD_MAX_CELLS = 16
+
+
+def _unique_row_minima(rows):
+    """Column of each row's minimum when every row has a single minimum and
+    no two rows share one: that assignment is then the unique optimum, which
+    every exact solver returns. None otherwise."""
+    cols = []
+    for row in rows:
+        best = min(row)
+        j = row.index(best)
+        if best in row[j + 1:]:
+            return None
+        cols.append(j)
+    return cols if len(set(cols)) == len(cols) else None
+
+
+def _match_step(free, reqs, locs, dist, dist_array):
+    """IA-RA (taxi, request) pairs of one lookahead step, matched as the IA-RA
+    policy matches them: requests by id, the smaller side as rows, solved by
+    auction_match. Also returns whether the pairs stay the matching of the
+    following steps as long as no taxi, request or pickup changes.
+
+    That holds when the optimum is unique, or has a single row: the matched
+    taxis each come one hop closer to their pickups, which lowers the
+    matching's total by the number of pairs and no other assignment's total
+    by more. A single row takes the nearest counterpart, the lowest index on
+    ties, as linear_sum_assignment does; a small problem whose rows each have
+    their own unique minimum is read off directly.
+    """
+    if len(free) == 1:
+        drow = dist[locs[free[0]]]
+        return [(free[0], min(reqs, key=lambda r: drow[r[1]]))], True
+    if len(reqs) == 1:
+        pickup = reqs[0][1]
+        return [(min(free, key=lambda l: dist[locs[l]][pickup]), reqs[0])], True
+    taxis_are_rows = len(free) <= len(reqs)
+    if len(free) * len(reqs) <= _LIST_BUILD_MAX_CELLS:
+        taxi_rows = [dist[locs[l]] for l in free]
+        if taxis_are_rows:
+            cost = [[drow[r[1]] for r in reqs] for drow in taxi_rows]
+        else:
+            cost = [[drow[r[1]] for drow in taxi_rows] for r in reqs]
+        cols = _unique_row_minima(cost)
+        unique = cols is not None
+        if not unique:
+            cols = auction_match(cost)
+    else:
+        at = np.array([locs[l] for l in free])
+        cost = dist_array[at[:, None], np.array([r[1] for r in reqs])]
+        cols = auction_match(cost if taxis_are_rows else cost.T)
+        unique = False
+    if taxis_are_rows:
+        return [(free[a], reqs[b]) for a, b in enumerate(cols)], unique
+    return [(free[b], reqs[a]) for a, b in enumerate(cols)], unique
 
 
 def _trajectory_cost(state, joint, batches, graph, base_policy, t_h, inbound=()):

@@ -8,7 +8,7 @@ from fleetroll.policies import (GreedyPolicy, IACommitPolicy, IARAPolicy,
                                 ia_ra_control, random_ia_control, service_distance)
 from fleetroll.sim import (MOVE, PICKUP, STAY, FleetState, run_episode, substream,
                            transition)
-from conftest import line_graph
+from conftest import line_graph, ring_graph
 
 
 def make_state(locs, outstanding=None, timers=None, in_service=None, clock=1):
@@ -83,6 +83,18 @@ def test_ia_ra_reassigns_when_closer_request_appears():
     ctrl2, a2 = ia_ra_control(s2, g)
     assert a2 == {2: 0, 1: 1}
     assert a2[1] != a1[1]  # reassignment happened
+
+
+def test_ia_ra_matches_on_taxi_to_pickup_distance_on_one_way_streets():
+    # Ring 1 -> 2 -> ... -> 5 -> 1; request at 3. More free taxis than
+    # requests, so the requests are the rows of the matching: the taxi at 2
+    # is one hop away, the taxi at 4 four hops (3 is one hop from 4 only
+    # against the one-way direction).
+    g = ring_graph(5)
+    s = make_state([4, 2], outstanding={1: req(1, 3, 5)})
+    ctrl, assigned = ia_ra_control(s, g)
+    assert assigned == {1: 1}
+    assert ctrl == [(STAY,), (MOVE, 3)]
 
 
 def test_ia_commit_keeps_initial_pairing():

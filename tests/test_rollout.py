@@ -1,15 +1,18 @@
+import itertools
+
 import numpy as np
 
 from fleetroll.demand import (DemandModel, Request, estimate_from_trips, generate_trips,
                              synthetic_model)
 from fleetroll.graph import grid_graph
+from fleetroll.matching import auction_match
 from fleetroll.rollout import (LookaheadEstimate, RolloutConfig, RolloutPolicy,
-                               _ia_ra_lookahead_cost, _lookahead_cost,
+                               _ia_ra_lookahead_cost, _lookahead_cost, _match_step,
                                _sample_scenario, evaluate_candidate,
                                one_at_a_time_control, rollout_policy_cost)
-from fleetroll.policies import ia_ra_control
+from fleetroll.policies import _match_free_to_requests, ia_ra_control
 from fleetroll.sim import (MOVE, PICKUP, STAY, FleetState, run_episode, substream)
-from conftest import line_graph
+from conftest import line_graph, ring_graph
 
 
 def zero_model():
@@ -75,13 +78,16 @@ def test_lookahead_hand_rolled_line():
 def test_fast_path_matches_generic_path(grid5):
     grid8 = grid_graph(8)
     rng = np.random.default_rng(77)
-    # Small fleets on 5x5, then fleets and request pools above
-    # AUCTION_MAX_PAIRS on 8x8, so both paths also solve their matchings by
-    # linear_sum_assignment.
+    # Small fleets on 5x5; fleets and request pools above 10 on 8x8, so the
+    # fast path also builds its larger matchings by array indexing; then a
+    # one-way ring, where taxi-to-pickup and pickup-to-taxi distances differ.
+    ring = ring_graph(12)
     small = (grid5, synthetic_model(grid5, 0.8), (1, 6), (0, 5), 0.3)
     large = (grid8, synthetic_model(grid8, 6.0), (14, 25), (14, 30), 0.1)
-    for trial in range(240):
-        g, model, m_range, n_req, p_busy = small if trial < 200 else large
+    one_way = (ring, synthetic_model(ring, 1.0), (1, 8), (0, 8), 0.2)
+    for trial in range(280):
+        g, model, m_range, n_req, p_busy = (small if trial < 200 else
+                                            large if trial < 240 else one_way)
         m = int(rng.integers(*m_range))
         locs = [int(rng.integers(1, g.n + 1)) for _ in range(m)]
         timers = [0] * m
@@ -101,6 +107,57 @@ def test_fast_path_matches_generic_path(grid5):
         batches = _sample_scenario(model, 5, 1, substream(3, trial))[0]
         assert (_lookahead_cost(s, joint, batches, g, ia_ra_control, 5)
                 == _ia_ra_lookahead_cost(s, joint, batches, g, 5))
+
+
+def test_single_row_matching_takes_the_lowest_index_minimum():
+    # The lookahead answers one-row matchings without a solver, relying on
+    # this rule of linear_sum_assignment: every row over {0, 1, 2}, n <= 7.
+    for n in range(1, 8):
+        for row in itertools.product(range(3), repeat=n):
+            assert auction_match([list(row)]) == [row.index(min(row))]
+
+
+def random_step(rng, g, n_free, n_req, pickup_nodes):
+    locs = [int(rng.integers(1, g.n + 1)) for _ in range(n_free + 2)]
+    free = sorted(rng.choice(len(locs), size=n_free, replace=False).tolist())
+    reqs = [(-i, int(rng.choice(pickup_nodes)), 1) for i in range(n_req, 0, -1)]
+    return free, reqs, locs
+
+
+def test_lookahead_matching_equals_the_ia_ra_policy(grid5):
+    # Every branch of the lookahead's matcher (one row, small list-built,
+    # array-built) against the IA-RA policy's matching, with many ties.
+    rng = np.random.default_rng(31)
+    for g in (grid5, ring_graph(12)):
+        for trial in range(600):
+            n_free, n_req = (int(x) for x in rng.integers(1, 9, size=2))
+            nodes = rng.integers(1, g.n + 1, size=int(rng.integers(1, 4)))
+            free, reqs, locs = random_step(rng, g, n_free, n_req, nodes)
+            pairs, _ = _match_step(free, reqs, locs, g._dist, g.dist_array)
+            want = _match_free_to_requests(
+                g, [(l, locs[l]) for l in free],
+                [Request(rid, pu, do, 1) for rid, pu, do in reqs])
+            assert {l: r[0] for l, r in pairs} == {l: r.id for l, r in want.items()}
+
+
+def test_matching_marked_stable_survives_one_hop_toward_each_pickup(grid5):
+    # When the matcher says its pairs stay the matching, moving every matched
+    # taxi one hop toward its pickup (and nothing else) keeps them the answer.
+    rng = np.random.default_rng(32)
+    checked = 0
+    for g in (grid5, ring_graph(12)):
+        for trial in range(1500):
+            n_free, n_req = (int(x) for x in rng.integers(1, 6, size=2))
+            nodes = rng.integers(1, g.n + 1, size=int(rng.integers(2, 6)))
+            free, reqs, locs = random_step(rng, g, n_free, n_req, nodes)
+            pairs, stable = _match_step(free, reqs, locs, g._dist, g.dist_array)
+            if not stable or any(locs[l] == r[1] for l, r in pairs):
+                continue
+            for l, r in pairs:
+                locs[l] = g.next_hop(locs[l], r[1])
+            assert _match_step(free, reqs, locs, g._dist, g.dist_array)[0] == pairs
+            checked += 1
+    assert checked > 500
 
 
 def sequential_scenarios(model, t_h, num_mc, rng):
