@@ -122,14 +122,16 @@ class DemandModel:
         self._marginal_sampler = _Sampler(self.marginal_dropoff_pmf)
         # One sampler per distinct conditional pmf, so that dropoffs can be
         # drawn for many pickups with one inverse-CDF lookup per sampler.
-        keys = {u: tuple(c.items()) for u, c in self.dropoff_given_pickup.items()}
-        group = {k: g for g, k in enumerate(dict.fromkeys(keys.values()))}
-        self._dropoff_group_samplers = [_Sampler(dict(k)) for k in group]
-        self._dropoff_samplers = {u: self._dropoff_group_samplers[group[k]]
-                                  for u, k in keys.items()}
-        self._dropoff_group = np.zeros(max(self.pickup_pmf) + 1, dtype=np.intp)
-        for u in self.pickup_pmf:
-            self._dropoff_group[u] = group[keys[u]]
+        group = {}  # conditional pmf as an items tuple -> sampler index
+        self._dropoff_group_samplers = []
+        self._dropoff_samplers = {}
+        self._dropoff_group = np.zeros(max(self.dropoff_given_pickup) + 1, dtype=np.intp)
+        for u, cond in self.dropoff_given_pickup.items():
+            g = group.setdefault(tuple(cond.items()), len(group))
+            if g == len(self._dropoff_group_samplers):
+                self._dropoff_group_samplers.append(_Sampler(cond))
+            self._dropoff_samplers[u] = self._dropoff_group_samplers[g]
+            self._dropoff_group[u] = g
 
     def dropoff_pmf(self, pickup: int) -> dict:
         """Conditional dropoff pmf; unseen pickups fall back to the marginal."""

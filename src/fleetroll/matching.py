@@ -1,9 +1,10 @@
 """Minimum-cost bipartite assignment of taxis to requests.
 
 `auction_match` is the one exact solver: every matching, from the rollout
-lookahead's few pairs to fleet-scale dispatch, goes to scipy's
+lookahead's few pairs to fleet-scale dispatch, is scipy's
 `linear_sum_assignment` (Crouse, IEEE TAES 2016). One algorithm at every size
-means one tie-break rule at every size. A brute-force enumerator is kept
+means one tie-break rule at every size; the rollout lookahead skips a solve
+only where it knows the answer without one. A brute-force enumerator is kept
 alongside as the test oracle.
 """
 
