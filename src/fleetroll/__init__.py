@@ -10,9 +10,9 @@ from .matching import AssignmentProblem, Assignment, min_cost_assignment, brute_
 from .sim import FleetState, EpisodeTrace, transition, stage_cost, run_episode
 from .policies import (GreedyPolicy, IARAPolicy, IACommitPolicy, RandomIAPolicy,
                        service_distance)
-from .rollout import RolloutConfig, RolloutPolicy, one_at_a_time_control, rollout_policy_cost
+from .rollout import RolloutConfig, RolloutPolicy, one_at_a_time_control
 from .partition import PartitionSpec, get_partitions
-from .planner import TwoPhasePolicy, run_two_phase, two_phase_control, high_level_plan
+from .planner import TwoPhasePolicy, two_phase_control, high_level_plan
 from .stability import (StabilityReport, compute_bounds, bounds_from_expectations,
                         wasserstein_discrete, empirical_stability)
 

@@ -46,26 +46,10 @@ class TransitRoute:
     def arrive_clock(self) -> int:
         return self.start_clock + len(self.path) - 1
 
-    def position(self, clock: int) -> int:
-        return self.path[clock - self.start_clock]
-
 
 @dataclass
 class HighLevelPlan:
     transit: dict = field(default_factory=dict)  # taxi id -> TransitRoute
-
-    @property
-    def high_level_taxis(self):
-        return sorted(self.transit)
-
-    def scheduled_hops(self, clock: int, sector_of) -> dict:
-        """(time, sector) slice of the schedule: taxi -> node at `clock`."""
-        out = {}
-        for taxi, route in self.transit.items():
-            if route.start_clock <= clock <= route.arrive_clock:
-                node = route.position(clock)
-                out.setdefault(sector_of(node), {})[taxi] = node
-        return out
 
 
 def high_level_plan(state, graph, model, pspec, t_h, prev: HighLevelPlan,
@@ -212,12 +196,3 @@ class TwoPhasePolicy:
                                             self.pspec, self.cfg, self.plan,
                                             self._seed, sector_timing=self.sector_timing)
         return ctrl, None
-
-
-def run_two_phase(graph, model, m: int, T: int, m_lim: int, cfg: RolloutConfig,
-                  seed: int):
-    """Convenience wrapper: build the two-phase policy and run one episode."""
-    from .sim import run_episode
-
-    policy = TwoPhasePolicy(graph, model, m, m_lim, cfg)
-    return run_episode(policy.graph, model, policy, m, T, seed)

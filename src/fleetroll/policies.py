@@ -28,8 +28,8 @@ def _match_free_to_requests(graph, free, requests):
     """Min-cost matching of free taxis to requests on approach distance.
 
     free: list of (taxi index, node); requests: list of Request. Returns
-    {taxi index: Request}. The smaller side forms the rows of the cost
-    matrix, which is indexed out of the graph's distance array.
+    {taxi index: Request}. Costs are taxi-to-pickup distances indexed out of
+    the graph's distance array; the smaller side forms the rows.
     """
     if not free or not requests:
         return {}

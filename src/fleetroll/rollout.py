@@ -20,7 +20,7 @@ minima, or the last step's matching while its taxis just move one hop closer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,12 +47,6 @@ class RolloutConfig:
             raise ValueError("t_h and num_mc must be >= 1")
         if self.base_policy not in BASE_CONTROLS:
             raise ValueError(f"unknown base policy '{self.base_policy}'")
-
-
-@dataclass
-class LookaheadEstimate:
-    mean: float
-    scenario_costs: list = field(default_factory=list)
 
 
 def _sample_scenario(model, t_h, num_mc, rng):
@@ -347,15 +341,6 @@ def one_at_a_time_control(state, graph, model, cfg: RolloutConfig, seed: int,
     return chosen
 
 
-def evaluate_candidate(state, joint_control, graph, model, cfg: RolloutConfig,
-                       rng, inbound=()) -> LookaheadEstimate:
-    """Monte-Carlo lookahead estimate of one joint control's cost."""
-    costs = [_trajectory_cost(state, joint_control, batches, graph,
-                              cfg.base_policy, cfg.t_h, inbound)
-             for batches in _sample_scenario(model, cfg.t_h, cfg.num_mc, rng)]
-    return LookaheadEstimate(sum(costs) / len(costs), costs)
-
-
 class RolloutPolicy:
     """Global one-at-a-time rollout over the whole map."""
 
@@ -373,23 +358,3 @@ class RolloutPolicy:
     def control(self, state):
         ctrl = one_at_a_time_control(state, self.graph, self.model, self.cfg, self._seed)
         return ctrl, None
-
-
-def rollout_policy_cost(graph, model, m, T, cfg: RolloutConfig, seeds):
-    """Mean and standard error of episode cost over the given seeds."""
-    from .sim import run_episode
-
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("at least one seed required")
-    costs = []
-    for s in seeds:
-        policy = RolloutPolicy(graph, model, cfg)
-        costs.append(run_episode(graph, model, policy, m, T, s).cost)
-    mean = sum(costs) / len(costs)
-    if len(costs) > 1:
-        var = sum((c - mean) ** 2 for c in costs) / (len(costs) - 1)
-        stderr = math.sqrt(var / len(costs))
-    else:
-        stderr = 0.0
-    return mean, stderr, costs

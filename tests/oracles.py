@@ -1,9 +1,15 @@
 """Independent test oracles shared by the unit and acceptance suites."""
 
 import itertools
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from scipy.optimize import linprog
+
+from fleetroll.planner import TwoPhasePolicy
+from fleetroll.rollout import RolloutPolicy, _sample_scenario, _trajectory_cost
+from fleetroll.sim import run_episode
 
 
 def lp_transport_value(a, b, cost):
@@ -99,3 +105,39 @@ def grid_aligned_pmf(rng, size, nodes):
     raw = (raw * (10 ** 6) // raw.sum())
     raw[0] += 10 ** 6 - raw.sum()
     return {n: int(x) / 10 ** 6 for n, x in zip(nodes, raw)}
+
+
+@dataclass
+class LookaheadEstimate:
+    mean: float
+    scenario_costs: list = field(default_factory=list)
+
+
+def evaluate_candidate(state, joint_control, graph, model, cfg, rng, inbound=()):
+    """Monte-Carlo lookahead estimate of one joint control's cost."""
+    costs = [_trajectory_cost(state, joint_control, batches, graph,
+                              cfg.base_policy, cfg.t_h, inbound)
+             for batches in _sample_scenario(model, cfg.t_h, cfg.num_mc, rng)]
+    return LookaheadEstimate(sum(costs) / len(costs), costs)
+
+
+def rollout_policy_cost(graph, model, m, T, cfg, seeds):
+    """Mean and standard error of global-rollout episode cost over the seeds."""
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("at least one seed required")
+    costs = [run_episode(graph, model, RolloutPolicy(graph, model, cfg), m, T, s).cost
+             for s in seeds]
+    mean = sum(costs) / len(costs)
+    if len(costs) > 1:
+        var = sum((c - mean) ** 2 for c in costs) / (len(costs) - 1)
+        stderr = math.sqrt(var / len(costs))
+    else:
+        stderr = 0.0
+    return mean, stderr, costs
+
+
+def run_two_phase(graph, model, m, T, m_lim, cfg, seed):
+    """Build the two-phase policy and run one episode."""
+    policy = TwoPhasePolicy(graph, model, m, m_lim, cfg)
+    return run_episode(policy.graph, model, policy, m, T, seed)

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import lp_transport_value
-
 from fleetroll.matching import (AssignmentProblem, MatchingError, TooLarge,
                                 auction_match, brute_force_assignment,
                                 min_cost_assignment)
+from oracles import lp_transport_value
 
 
 def solve(cost):

@@ -1,11 +1,11 @@
 from fleetroll.demand import DemandModel, Request, synthetic_model
 from fleetroll.partition import PartitionSpec
 from fleetroll.planner import (HighLevelPlan, TwoPhasePolicy, TransitRoute,
-                               high_level_plan, run_two_phase, split_state,
-                               two_phase_control)
+                               high_level_plan, split_state, two_phase_control)
 from fleetroll.rollout import RolloutConfig, RolloutPolicy
 from fleetroll.sim import MOVE, FleetState, run_episode
 from conftest import line_graph
+from oracles import run_two_phase
 
 
 def two_sector_line():

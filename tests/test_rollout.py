@@ -6,13 +6,13 @@ from fleetroll.demand import (DemandModel, Request, estimate_from_trips, generat
                              synthetic_model)
 from fleetroll.graph import grid_graph
 from fleetroll.matching import auction_match
-from fleetroll.rollout import (LookaheadEstimate, RolloutConfig, RolloutPolicy,
-                               _ia_ra_lookahead_cost, _lookahead_cost, _match_step,
-                               _sample_scenario, evaluate_candidate,
-                               one_at_a_time_control, rollout_policy_cost)
+from fleetroll.rollout import (RolloutConfig, RolloutPolicy, _ia_ra_lookahead_cost,
+                               _lookahead_cost, _match_step, _sample_scenario,
+                               one_at_a_time_control)
 from fleetroll.policies import _match_free_to_requests, ia_ra_control
 from fleetroll.sim import (MOVE, PICKUP, STAY, FleetState, run_episode, substream)
 from conftest import line_graph, ring_graph
+from oracles import LookaheadEstimate, evaluate_candidate, rollout_policy_cost
 
 
 def zero_model():
