@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,15 +72,14 @@ class _Sampler:
         cum = np.cumsum([p for _, p in items])
         cum[-1] = 1.0  # guard float drift at the top
         self.cum = cum
+        self.bounds = cum.tolist()  # for bisect; a uniform u < 1 indexes values
 
     def draw(self, rng) -> int:
-        idx = int(np.searchsorted(self.cum, rng.random(), side="right"))
-        return self.values[min(idx, len(self.values) - 1)]
+        return self.values[bisect_right(self.bounds, rng.random())]
 
     def values_at(self, us):
         """Support values at an array of uniform draws."""
-        idx = np.searchsorted(self.cum, us, side="right")
-        return self._value_array[np.minimum(idx, len(self.values) - 1)]
+        return self._value_array[np.searchsorted(self.cum, us, side="right")]
 
 
 class DemandModel:

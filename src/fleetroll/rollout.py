@@ -13,13 +13,14 @@ parallelism.
 The IA-RA lookahead simulates each scenario on flat lists, holding scenario
 requests as (id, pickup, dropoff) tuples. Its matchings are those of
 linear_sum_assignment (`auction_match`), which it skips only where the answer
-is certain without a solve: a single row, a unique optimum read off the row
-minima, or the last step's matching while its taxis just move one hop closer.
+is certain without a solve: a matching with a single row, and that matching
+again while its taxi just moves one hop closer.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,29 +56,31 @@ def _sample_scenario(model, t_h, num_mc, rng):
 
     Batch i of a scenario holds (id, pickup, dropoff) tuples that appear i+1
     steps after the planning step; ids are negative and scenario-local, so
-    they never collide with real request ids. All scenarios come from one
-    block of uniforms, read as num_mc sequential draws would consume it: per
-    scenario t_h+1 arrival counts, then one uniform per request for its
-    pickup, then one per request for its dropoff.
+    they never collide with real request ids. The uniforms are read as num_mc
+    sequential draws would consume them: per scenario t_h+1 arrival counts,
+    then one uniform per request for its pickup, then one per request for its
+    dropoff. They come in blocks sized from the mean arrival count, and a
+    scenario that runs past the end extends the block; PCG64 spends one output
+    per double, so the blocks hold exactly the draws of one longer call.
     """
     steps = t_h + 1
     eta = model._eta_sampler
-    block = rng.random(num_mc * steps * (1 + 2 * eta.values[-1]))
-    counts = eta.values_at(block).tolist()  # an arrival count read at every offset
-    layout, pick_at, drop_at = [], [], []
+    chunk = num_mc * steps * (1 + 2 * math.ceil(model.e_eta))
+    us = rng.random(chunk).tolist()
+    layout, pick_us, drop_us = [], [], []
     at = 0
     for _ in range(num_mc):
-        per_step = counts[at:at + steps]
+        per_step = [eta.values[bisect_right(eta.bounds, u)] for u in us[at:at + steps]]
         total = sum(per_step)
         at += steps
-        pick_at.extend(range(at, at + total))
-        drop_at.extend(range(at + total, at + 2 * total))
+        while len(us) < at + 2 * total + steps:  # these requests, the next counts
+            us += rng.random(chunk).tolist()
+        pick_us += us[at:at + total]
+        drop_us += us[at + total:at + 2 * total]
         at += 2 * total
         layout.append(per_step)
-    us = block[pick_at + drop_at]
-    n = len(pick_at)
-    pickups = model._pickup_sampler.values_at(us[:n])
-    dropoffs = model._dropoffs_at(pickups, us[n:]).tolist()
+    pickups = model._pickup_sampler.values_at(np.array(pick_us))
+    dropoffs = model._dropoffs_at(pickups, np.array(drop_us)).tolist()
     pickups = pickups.tolist()
     scenarios = []
     first = 0
@@ -154,7 +157,10 @@ def _ia_ra_lookahead_cost(state, joint, batches, graph, t_h, inbound=()):
     clock = state.clock + 1
     cost += len(outstanding)
 
-    keep = False  # the last pairs are still the matching while nothing else changes
+    # A single pair stays the matching while its taxi only moves one hop
+    # toward the pickup: its distance falls by one, any other pair's by at
+    # most one, so it stays the nearest and still wins its ties.
+    keep = False
     for i in range(1, t_h + 1):
         for when, node in inbound:
             if when == clock:
@@ -166,8 +172,9 @@ def _ia_ra_lookahead_cost(state, joint, batches, graph, t_h, inbound=()):
             if outstanding:
                 free = [l for l in range(len(locs)) if timers[l] == 0]
                 if free:
-                    pairs, keep = _match_step(free, sorted(outstanding.values()),
-                                              locs, dist, dist_array)
+                    pairs = _match_step(free, sorted(outstanding.values()),
+                                        locs, dist, dist_array)
+                    keep = len(pairs) == 1
         for l in list(drops):  # taxis occupied at the start of the step
             locs[l] = nxt[locs[l]][drops[l]]
             timers[l] -= 1
@@ -195,43 +202,22 @@ def _ia_ra_lookahead_cost(state, joint, batches, graph, t_h, inbound=()):
 
 # Lookahead matchings with at most this many cost cells are built as nested
 # lists from the distance rows, larger ones by indexing the distance array:
-# the measured crossover of the two builds, each followed by the same solve.
+# below it the list build is the cheaper, above it the array build.
 _LIST_BUILD_MAX_CELLS = 16
-
-
-def _unique_row_minima(rows):
-    """Column of each row's minimum when every row has a single minimum and
-    no two rows share one: that assignment is then the unique optimum, which
-    every exact solver returns. None otherwise."""
-    cols = []
-    for row in rows:
-        best = min(row)
-        j = row.index(best)
-        if best in row[j + 1:]:
-            return None
-        cols.append(j)
-    return cols if len(set(cols)) == len(cols) else None
 
 
 def _match_step(free, reqs, locs, dist, dist_array):
     """IA-RA (taxi, request) pairs of one lookahead step, matched as the IA-RA
     policy matches them: requests by id, the smaller side as rows, solved by
-    auction_match. Also returns whether the pairs stay the matching of the
-    following steps as long as no taxi, request or pickup changes.
-
-    That holds when the optimum is unique, or has a single row: the matched
-    taxis each come one hop closer to their pickups, which lowers the
-    matching's total by the number of pairs and no other assignment's total
-    by more. A single row takes the nearest counterpart, the lowest index on
-    ties, as linear_sum_assignment does; a small problem whose rows each have
-    their own unique minimum is read off directly.
-    """
+    auction_match. One taxi or one request is paired without a solve with
+    its nearest counterpart, the lowest index on ties, as
+    linear_sum_assignment pairs a single row."""
     if len(free) == 1:
         drow = dist[locs[free[0]]]
-        return [(free[0], min(reqs, key=lambda r: drow[r[1]]))], True
+        return [(free[0], min(reqs, key=lambda r: drow[r[1]]))]
     if len(reqs) == 1:
         pickup = reqs[0][1]
-        return [(min(free, key=lambda l: dist[locs[l]][pickup]), reqs[0])], True
+        return [(min(free, key=lambda l: dist[locs[l]][pickup]), reqs[0])]
     taxis_are_rows = len(free) <= len(reqs)
     if len(free) * len(reqs) <= _LIST_BUILD_MAX_CELLS:
         taxi_rows = [dist[locs[l]] for l in free]
@@ -239,18 +225,15 @@ def _match_step(free, reqs, locs, dist, dist_array):
             cost = [[drow[r[1]] for r in reqs] for drow in taxi_rows]
         else:
             cost = [[drow[r[1]] for drow in taxi_rows] for r in reqs]
-        cols = _unique_row_minima(cost)
-        unique = cols is not None
-        if not unique:
-            cols = auction_match(cost)
     else:
         at = np.array([locs[l] for l in free])
         cost = dist_array[at[:, None], np.array([r[1] for r in reqs])]
-        cols = auction_match(cost if taxis_are_rows else cost.T)
-        unique = False
+        if not taxis_are_rows:
+            cost = cost.T
+    cols = auction_match(cost)
     if taxis_are_rows:
-        return [(free[a], reqs[b]) for a, b in enumerate(cols)], unique
-    return [(free[b], reqs[a]) for a, b in enumerate(cols)], unique
+        return [(free[a], reqs[b]) for a, b in enumerate(cols)]
+    return [(free[b], reqs[a]) for a, b in enumerate(cols)]
 
 
 def _trajectory_cost(state, joint, batches, graph, base_policy, t_h, inbound=()):
