@@ -105,12 +105,13 @@ def test_row_constant_shift(n, data):
 
 def test_large_matchings_match_lp_optimum():
     # Above the brute-force limit the reference is the transportation LP
-    # (integral at integer supplies), with a zero-cost dummy source taking the
-    # unmatched side's surplus. Both orientations, heavy and few ties.
+    # (integral at integer supplies); a zero-cost dummy source takes the
+    # unmatched side's surplus when the problem is not square. Both
+    # orientations, heavy ties (costs 0..2) and few (costs 0..40).
     rng = np.random.default_rng(11)
-    for k in range(9, 41, 4):
+    for k in range(11, 41):
         for top in (2, 40):
-            extra = int(rng.integers(1, 8))
+            extra = int(rng.integers(0, 8))
             for nr, nc in ((k, k + extra), (k + extra, k)):
                 cost = rng.integers(0, top + 1, size=(nr, nc)).tolist()
                 got = solve(cost)
@@ -118,8 +119,11 @@ def test_large_matchings_match_lp_optimum():
                 assert len({r for r, _ in got.pairs}) == len({c for _, c in got.pairs}) == k
                 assert got.total_cost == sum(cost[r][c] for r, c in got.pairs)
                 rows = cost if nr < nc else [list(c) for c in zip(*cost)]
-                lp = lp_transport_value([1] * k + [extra], [1] * (k + extra),
-                                        rows + [[0] * (k + extra)])
+                supply = [1] * k
+                if extra:
+                    supply.append(extra)
+                    rows = rows + [[0] * (k + extra)]
+                lp = lp_transport_value(supply, [1] * (k + extra), rows)
                 assert got.total_cost == pytest.approx(lp, abs=1e-6), (k, nr, nc, top)
 
 
