@@ -335,10 +335,9 @@ def _merge(ns) -> dict:
 
 def _validate(args):
     """Reject settings no command can run with, before any work starts."""
-    if args["m_lim"] < 1:
-        raise CLIError(f"--m-lim must be >= 1, got {args['m_lim']}")
-    if args["seeds"] < 1:
-        raise CLIError(f"--seeds must be >= 1, got {args['seeds']}")
+    for flag in ("m_lim", "seeds", "t_h", "num_mc"):
+        if args[flag] < 1:
+            raise CLIError(f"--{flag.replace('_', '-')} must be >= 1, got {args[flag]}")
     if args["verify"] and args["seeds"] < MIN_TRACES:
         raise CLIError(f"--seeds must be >= {MIN_TRACES} with --verify, got {args['seeds']}")
 

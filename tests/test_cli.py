@@ -166,8 +166,12 @@ def test_trip_log_with_unknown_node_is_a_one_line_error(tmp_path, capsys):
      "error: --seeds must be >= 1, got 0\n"),
     (["stability", "--policy", "ia-ra", "--verify", "--m-sweep", "3", "--seeds", "2"],
      "error: --seeds must be >= 5 with --verify, got 2\n"),
+    (["simulate", "--policy", "rollout", "--m", "2", "--t-h", "0"],
+     "error: --t-h must be >= 1, got 0\n"),
+    (["simulate", "--policy", "rollout", "--m", "2", "--num-mc", "0"],
+     "error: --num-mc must be >= 1, got 0\n"),
 ])
-def test_too_few_seeds_is_a_usage_error(tmp_path, capsys, argv, message):
+def test_too_small_count_flag_is_a_usage_error(tmp_path, capsys, argv, message):
     out = tmp_path / "o"
     rc = main(argv + ["--grid", "4", "--e-eta", "1.0", "--T", "20", "--out-dir", str(out)])
     assert rc == 1
