@@ -5,6 +5,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
 from scipy.optimize import linprog
 
 from fleetroll.planner import TwoPhasePolicy
@@ -141,3 +142,66 @@ def run_two_phase(graph, model, m, T, m_lim, cfg, seed):
     """Build the two-phase policy and run one episode."""
     policy = TwoPhasePolicy(graph, model, m, m_lim, cfg)
     return run_episode(policy.graph, model, policy, m, T, seed)
+
+
+def _reference_bounds(pmf):
+    """Inverse-CDF bounds of a pmf as the samplers keep them: running sums over
+    the positive masses in ascending support order, the last one set to 1."""
+    bounds, total = [], 0.0
+    for _, p in sorted((k, p) for k, p in pmf.items() if p > 0):
+        total += p
+        bounds.append(total)
+    bounds[-1] = 1.0
+    return bounds
+
+
+def reference_model_tables(eta_pmf, pickup_pmf, dropoff_given_pickup, initial_pmf=None):
+    """A demand model's pmfs and sampler bounds, built entry by entry.
+
+    The marginal dropoff pmf adds pickup mass times conditional mass into one
+    running total per dropoff node, pickups ascending and each conditional
+    left to right. Returns a dict of the four pmfs, their bounds, and the
+    (support, bounds) of the dropoff sampler of every pickup.
+    """
+    def clean(pmf):
+        return {int(k): float(p) for k, p in sorted(pmf.items()) if p > 0}
+
+    pickup = clean(pickup_pmf)
+    conds = {int(u): clean(c) for u, c in dropoff_given_pickup.items()}
+    marginal = {}
+    for u, pu in pickup.items():
+        for v, pv in conds[u].items():
+            marginal[v] = marginal.get(v, 0.0) + pu * pv
+    marginal = dict(sorted(marginal.items()))
+    initial = clean(initial_pmf) if initial_pmf is not None else dict(marginal)
+    eta = {int(k): float(p) for k, p in sorted(eta_pmf.items())}
+    return {
+        "eta": eta, "pickup": pickup, "marginal": marginal, "initial": initial,
+        "eta_bounds": _reference_bounds(eta),
+        "pickup_bounds": _reference_bounds(pickup),
+        "marginal_bounds": _reference_bounds(marginal),
+        "initial_bounds": _reference_bounds(initial),
+        "dropoff": {u: (list(c), _reference_bounds(c)) for u, c in sorted(conds.items())},
+    }
+
+
+def expectation_terms_reference(model, graph):
+    """The three distance expectations of `expectation_terms` as nested
+    Python sums: pmf supports ascending, inner sums left to right."""
+    dist = graph._dist
+
+    def cross(pa, pb):
+        return sum(qa * sum(qb * dist[a][b] for b, qb in pb.items())
+                   for a, qa in pa.items())
+
+    return (cross(model.initial_location_pmf, model.pickup_pmf),
+            cross(model.marginal_dropoff_pmf, model.pickup_pmf),
+            sum(pu * sum(pv * dist[u][v] for v, pv in model.dropoff_pmf(u).items())
+                for u, pu in model.pickup_pmf.items()))
+
+
+def per_group_dropoffs(model, pickups, us):
+    """Dropoffs at uniform draws `us`, one inverse-CDF lookup per pickup's own
+    conditional sampler, as a reference for the batched lookup."""
+    return np.array([model._dropoff_sampler(p).values_at(u)
+                     for p, u in zip(pickups.tolist(), us)], dtype=pickups.dtype)

@@ -2,13 +2,16 @@ import math
 
 import pytest
 
+from fleetroll import demand
 from fleetroll.demand import (DemandModel, DomainMismatch, EmptyLog, InvalidNode,
                               certainty_equivalence_requests, estimate_from_trips,
                               expectation_terms, generate_trips, read_trip_log,
                               sample_arrivals, sample_request, synthetic_model,
                               write_trip_log)
+from fleetroll.graph import grid_graph
 from fleetroll.sim import substream
 from conftest import line_graph
+from oracles import expectation_terms_reference, reference_model_tables
 
 
 def test_degenerate_log_single_pair(grid3):
@@ -166,3 +169,76 @@ def test_trip_log_round_trip(tmp_path, grid5):
     path = tmp_path / "trips.csv"
     write_trip_log(rows, path)
     assert read_trip_log(path) == rows
+
+
+def built_with_reference(monkeypatch, make):
+    """The model `make()` builds, and the entry-by-entry reference tables of
+    the arguments it passed to DemandModel."""
+    seen = []
+
+    class Recording(DemandModel):
+        def __init__(self, *args, **kwargs):
+            seen.append((args, kwargs))
+            super().__init__(*args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(demand, "DemandModel", Recording)
+        model = make()
+    [(args, kwargs)] = seen
+    return model, reference_model_tables(*args, **kwargs)
+
+
+def model_tables(model):
+    def sampler(u):
+        s = model._dropoff_sampler(u)
+        return list(s.values), list(s.bounds)
+
+    return {
+        "eta": model.eta_pmf, "pickup": model.pickup_pmf,
+        "marginal": model.marginal_dropoff_pmf, "initial": model.initial_location_pmf,
+        "eta_bounds": list(model._eta_sampler.bounds),
+        "pickup_bounds": list(model._pickup_sampler.bounds),
+        "marginal_bounds": list(model._marginal_sampler.bounds),
+        "initial_bounds": list(model._initial_sampler.bounds),
+        "dropoff": {u: sampler(u) for u in sorted(model.dropoff_given_pickup)},
+    }
+
+
+def two_conditionals_model():
+    # Two distinct conditional objects shared by alternating pickups.
+    n = 30
+    near = {v: 1 / 7 for v in range(1, 8)}
+    far = {v: (v % 5 + 1) / 90 for v in range(10, 25)}
+    far[24] += 1 - sum(far.values())
+    pickup = {u: (u % 4 + 1) / 75 for u in range(1, n + 1)}
+    return demand.DemandModel({0: 0.25, 1: 0.5, 3: 0.25}, pickup,
+                       {u: near if u % 2 else far for u in range(1, n + 1)},
+                       initial_pmf={v: 1 / n for v in range(1, n + 1)})
+
+
+def test_model_tables_match_entry_by_entry_reference(monkeypatch):
+    g10, g15 = grid_graph(10), grid_graph(15)
+    trips = generate_trips(synthetic_model(g10, 1.5, hotspot=45, hotspot_mass=0.2),
+                           horizon=600, seed=3)
+    makers = [
+        lambda: synthetic_model(g10, 0.7),
+        lambda: synthetic_model(g15, 6.0, hotspot=113, hotspot_mass=0.3),
+        lambda: estimate_from_trips(trips, g10),
+        two_conditionals_model,
+    ]
+    for make in makers:
+        model, want = built_with_reference(monkeypatch, make)
+        got = model_tables(model)
+        for name in ("eta", "pickup", "marginal", "initial"):
+            assert list(got[name].items()) == list(want[name].items()), name
+        assert got == want
+
+
+def test_expectation_terms_equal_nested_python_sums():
+    g10, g15 = grid_graph(10), grid_graph(15)
+    hotspot = synthetic_model(g15, 6.0, hotspot=113, hotspot_mass=0.3)
+    from_log = estimate_from_trips(generate_trips(hotspot, horizon=150, seed=6), g15)
+    for model, g in ((hotspot, g15), (from_log, g15), (two_conditionals_model(), g10)):
+        terms = expectation_terms(model, g)
+        got = (terms.e_xi_rho, terms.e_lrand_rho, terms.e_rho_delta)
+        assert got == expectation_terms_reference(model, g)

@@ -1,5 +1,6 @@
-"""Golden trace digests: fixed seeds of every policy must reproduce their
-controls and stage costs byte for byte.
+"""Golden digests: fixed seeds of every policy must reproduce their controls
+and stage costs byte for byte, and fixed demand partitions their centers and
+node assignments.
 
 A refactor or a speed-up that is meant to keep behaviour leaves every digest
 here unchanged. Changing one is a behaviour change and is recorded with the
@@ -13,8 +14,8 @@ import hashlib
 import pytest
 
 from fleetroll import (GreedyPolicy, IACommitPolicy, IARAPolicy, RandomIAPolicy,
-                       RolloutConfig, RolloutPolicy, TwoPhasePolicy, grid_graph,
-                       run_episode, synthetic_model)
+                       RolloutConfig, RolloutPolicy, TwoPhasePolicy, get_partitions,
+                       grid_graph, run_episode, synthetic_model)
 
 # name -> (grid k, e_eta, hotspot, hotspot mass, policy, m, T, seed, t_h, num_mc, m_lim)
 CASES = {
@@ -27,6 +28,8 @@ CASES = {
     "two-phase": (6, 1.0, None, 0.0, "two-phase", 5, 12, 17, 3, 3, 2),
     # Fleet scale: most matchings have more than 10 pairs.
     "ia-ra-fleet": (15, 6.0, 113, 0.3, "ia-ra", 90, 30, 18, 0, 0, 0),
+    # Six sectors on a 20x20 metro, with transits between them.
+    "two-phase-metro": (20, 2.0, None, 0.0, "two-phase", 60, 10, 19, 2, 2, 10),
 }
 
 GOLDEN = {
@@ -38,6 +41,21 @@ GOLDEN = {
     "random-ia": "ae03ba51d8ab215bb5cc1c712bc2710074d80832765aeeb12fa417bedc465b1e",
     "rollout": "7225c7cdb80bfe64d3f7f2fea36fa5ed162fb2190b97977bf51ac0fbcbeeff6c",
     "two-phase": "3bb7ec66f0838e3df2ee0713b96bf5dbafcc04fca389b7f1b159d4b97c5a8a8b",
+    "two-phase-metro": "3867e629d7ae775e622ffebf49aa554234b7033628a8d21aead8f6033c0d13ea",
+}
+
+
+# name -> (grid k, hotspot, hotspot mass, K)
+PARTITION_CASES = {
+    "uniform-20-k6": (20, None, 0.0, 6),
+    "hotspot-15-k9": (15, 113, 0.3, 9),
+    "hotspot-30-k12": (30, 465, 0.3, 12),
+}
+
+PARTITION_GOLDEN = {
+    "hotspot-15-k9": "f5214a1fe266d213e5f3a1cbffda5efb391a952a7c03bd02de1bb1ac6fad9750",
+    "hotspot-30-k12": "3ef49995325971103e6ec3dcf8197178c2250c4a1b3a3de2ec295c05be6671d2",
+    "uniform-20-k6": "94ba481b27962e84ab99c1e007dc45fb7d814e5137e27f3fd6c1efdeb840f171",
 }
 
 
@@ -61,11 +79,28 @@ def trace_digest(name):
     return hashlib.sha256(repr((trace.controls, trace.stage_costs)).encode()).hexdigest()
 
 
+def partition_digest(name):
+    k, hotspot, mass, K = PARTITION_CASES[name]
+    graph = grid_graph(k)
+    model = synthetic_model(graph, 1.0, hotspot=hotspot, hotspot_mass=mass)
+    spec = get_partitions(graph, model, 1, K)
+    return hashlib.sha256(repr((spec.centers, spec.assignment)).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_trace_digest(name):
     assert trace_digest(name) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(PARTITION_CASES))
+def test_golden_partition_digest(name):
+    assert partition_digest(name) == PARTITION_GOLDEN[name]
+
+
 if __name__ == "__main__":
+    print("GOLDEN")
     for case in sorted(CASES):
         print(f'    "{case}": "{trace_digest(case)}",')
+    print("PARTITION_GOLDEN")
+    for case in sorted(PARTITION_CASES):
+        print(f'    "{case}": "{partition_digest(case)}",')

@@ -12,7 +12,8 @@ from fleetroll.rollout import (RolloutConfig, RolloutPolicy, _ia_ra_lookahead_co
 from fleetroll.policies import _match_free_to_requests, ia_ra_control
 from fleetroll.sim import (MOVE, PICKUP, STAY, FleetState, run_episode, substream)
 from conftest import line_graph, ring_graph
-from oracles import LookaheadEstimate, evaluate_candidate, rollout_policy_cost
+from oracles import (LookaheadEstimate, evaluate_candidate, per_group_dropoffs,
+                     rollout_policy_cost)
 
 
 def zero_model():
@@ -196,6 +197,28 @@ def test_batched_scenarios_reproduce_sequential_draws(grid5):
             got = _sample_scenario(model, t_h, num_mc, substream(21, trial))
             want = sequential_scenarios(model, t_h, num_mc, substream(21, trial))
             assert got == want
+
+
+def test_batched_dropoffs_equal_per_pickup_sampler_draws(grid5):
+    # Trip-log models keep one conditional pmf per pickup node; the batched
+    # dropoff lookup must give each pickup its own sampler's draw, also at
+    # uniforms that sit exactly on a CDF bound.
+    synthetic = synthetic_model(grid5, 1.7, hotspot=7, hotspot_mass=0.3)
+    from_log = estimate_from_trips(generate_trips(synthetic, horizon=300, seed=8), grid5)
+    bursty = estimate_from_trips([(1, 1 + i % 5, 1 + 3 * i % 25) for i in range(30)],
+                                 grid5, horizon=5)
+    assert len(from_log._dropoff_group_samplers) == 25
+    rng = np.random.default_rng(41)
+    for model in (from_log, bursty, synthetic):
+        support = np.array(sorted(model.pickup_pmf))
+        pickups = rng.choice(support, size=3000)
+        us = rng.random(3000)
+        on_bounds = [(u, b) for u in support.tolist()
+                     for b in model._dropoff_sampler(u).bounds[:-1]]
+        assert 0 < len(on_bounds) < 3000
+        pickups[:len(on_bounds)], us[:len(on_bounds)] = zip(*on_bounds)
+        assert np.array_equal(model._dropoffs_at(pickups, us),
+                              per_group_dropoffs(model, pickups, us))
 
 
 def test_scenarios_zero_variance_on_deterministic_model():
