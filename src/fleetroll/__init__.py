@@ -6,7 +6,7 @@ from .graph import CityGraph, build_graph, grid_graph, load_graph, save_graph
 from .demand import (DemandModel, Request, estimate_from_trips, expectation_terms,
                      sample_arrivals, sample_request, certainty_equivalence_requests,
                      synthetic_model)
-from .matching import AssignmentProblem, Assignment, min_cost_assignment, brute_force_assignment
+from .matching import AssignmentProblem, Assignment, min_cost_assignment
 from .sim import FleetState, EpisodeTrace, transition, stage_cost, run_episode
 from .policies import (GreedyPolicy, IARAPolicy, IACommitPolicy, RandomIAPolicy,
                        service_distance)

@@ -269,7 +269,7 @@ def cmd_partition(args):
     g = resolve_graph(args)
     model = resolve_model(g, args)
     K = math.ceil(args["m"] / args["m_lim"])
-    spec = get_partitions(g, model, args["m_lim"], K, seed=args["seed"])
+    spec = get_partitions(g, model, args["m_lim"], K)
     _write_csv(args["out"], spec.rows())
     print(f"wrote {K}-sector partition (centers {spec.centers}) to {args['out']}")
     return 0

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import FleetrollError
 
 _SUM_TOL = 1e-9
+_BLOCK_CELLS = 1 << 16  # cells per block of the marginal's running sums
 
 
 class DemandError(FleetrollError):
@@ -62,6 +63,11 @@ def _check_pmf(pmf, what):
         raise DemandError(f"{what}: masses sum to {total}, expected 1")
 
 
+def _positive(pmf):
+    """The positive masses of a pmf as floats, support ascending."""
+    return {int(k): float(p) for k, p in sorted(pmf.items()) if p > 0}
+
+
 class _Sampler:
     """Inverse-CDF sampler over a finite pmf, support sorted ascending."""
 
@@ -87,31 +93,50 @@ class DemandModel:
 
     The marginal dropoff pmf is derived at construction; the previous-dropoff
     location distribution equals it by construction, and the initial taxi
-    location distribution defaults to it unless overridden.
+    location distribution defaults to it unless overridden. Pickups may share
+    one conditional pmf object (as `synthetic_model` does): each distinct
+    object is validated, normalized and given a sampler once.
     """
 
     def __init__(self, eta_pmf, pickup_pmf, dropoff_given_pickup, initial_pmf=None):
         _check_pmf(eta_pmf, "eta pmf")
         _check_pmf(pickup_pmf, "pickup pmf")
-        for u, cond in dropoff_given_pickup.items():
-            _check_pmf(cond, f"dropoff pmf given pickup {u}")
         self.eta_pmf = {int(k): float(p) for k, p in sorted(eta_pmf.items())}
-        self.pickup_pmf = {int(v): float(p) for v, p in sorted(pickup_pmf.items()) if p > 0}
-        self.dropoff_given_pickup = {
-            int(u): {int(v): float(p) for v, p in sorted(cond.items()) if p > 0}
-            for u, cond in sorted(dropoff_given_pickup.items())
-        }
-        marginal: dict[int, float] = {}
-        for u, pu in self.pickup_pmf.items():
-            cond = self.dropoff_given_pickup.get(u)
-            if cond is None:
-                raise DemandError(f"pickup node {u} has mass but no dropoff pmf")
-            for v, pv in cond.items():
-                marginal[v] = marginal.get(v, 0.0) + pu * pv
-        self.marginal_dropoff_pmf = dict(sorted(marginal.items()))
+        self.pickup_pmf = _positive(pickup_pmf)
+        group_of = {}  # id of a conditional pmf object -> its group index
+        self._dropoff_pmfs = []  # distinct conditional pmfs, normalized
+        self.dropoff_given_pickup = {}
+        groups = []
+        for u, cond in sorted(dropoff_given_pickup.items()):
+            g = group_of.setdefault(id(cond), len(self._dropoff_pmfs))
+            if g == len(self._dropoff_pmfs):
+                _check_pmf(cond, f"dropoff pmf given pickup {u}")
+                self._dropoff_pmfs.append(_positive(cond))
+            self.dropoff_given_pickup[int(u)] = self._dropoff_pmfs[g]
+            groups.append(g)
+        self._dropoff_group = np.zeros(max(self.dropoff_given_pickup) + 1, dtype=np.intp)
+        self._dropoff_group[list(self.dropoff_given_pickup)] = groups
+        if missing := self.pickup_pmf.keys() - self.dropoff_given_pickup.keys():
+            raise DemandError(f"pickup node {min(missing)} has mass but no dropoff pmf")
+        samplers = [_Sampler(pmf) for pmf in self._dropoff_pmfs]
+        self._dropoff_group_samplers = samplers
+        self._dropoff_samplers = {u: samplers[g] for u, g in zip(self.dropoff_given_pickup, groups)}
+        # Every conditional pmf as one row of padded tables (support, masses,
+        # CDF), so that one lookup serves many pickups. Past its support a row
+        # holds a dummy node `top` with zero mass and a bound of +inf.
+        top = 1 + max(s.values[-1] for s in samplers)
+        shape = (len(samplers), max(len(s.values) for s in samplers))
+        self._dropoff_values = np.full(shape, top)
+        self._dropoff_cdf = np.full(shape, np.inf)
+        masses = np.zeros(shape)
+        for g, (pmf, s) in enumerate(zip(self._dropoff_pmfs, samplers)):
+            self._dropoff_values[g, :len(pmf)] = s.values
+            self._dropoff_cdf[g, :len(pmf)] = s.cum
+            masses[g, :len(pmf)] = list(pmf.values())
+        self.marginal_dropoff_pmf = self._marginal(masses, top)
         if initial_pmf is not None:
             _check_pmf(initial_pmf, "initial location pmf")
-            self.initial_location_pmf = {int(v): float(p) for v, p in sorted(initial_pmf.items()) if p > 0}
+            self.initial_location_pmf = _positive(initial_pmf)
         else:
             self.initial_location_pmf = dict(self.marginal_dropoff_pmf)
 
@@ -120,18 +145,25 @@ class DemandModel:
         self._pickup_sampler = _Sampler(self.pickup_pmf)
         self._initial_sampler = _Sampler(self.initial_location_pmf)
         self._marginal_sampler = _Sampler(self.marginal_dropoff_pmf)
-        # One sampler per distinct conditional pmf, so that dropoffs can be
-        # drawn for many pickups with one inverse-CDF lookup per sampler.
-        group = {}  # conditional pmf as an items tuple -> sampler index
-        self._dropoff_group_samplers = []
-        self._dropoff_samplers = {}
-        self._dropoff_group = np.zeros(max(self.dropoff_given_pickup) + 1, dtype=np.intp)
-        for u, cond in self.dropoff_given_pickup.items():
-            g = group.setdefault(tuple(cond.items()), len(group))
-            if g == len(self._dropoff_group_samplers):
-                self._dropoff_group_samplers.append(_Sampler(cond))
-            self._dropoff_samplers[u] = self._dropoff_group_samplers[g]
-            self._dropoff_group[u] = g
+
+    def _marginal(self, masses, top):
+        """Sum over pickups u of P(u) * P(v | u) per node v: pickups ascending,
+        each node's total a running sum, taken in blocks of bounded size."""
+        pu = np.fromiter(self.pickup_pmf.values(), dtype=float, count=len(self.pickup_pmf))
+        groups = self._dropoff_group[list(self.pickup_pmf)]
+        total = np.zeros(top + 1)
+        rows = max(1, _BLOCK_CELLS // (top + 1))
+        for at in range(0, len(pu), rows):
+            gs = groups[at:at + rows]
+            block = np.zeros((len(gs) + 1, top + 1))
+            block[0] = total
+            block[np.arange(1, len(gs) + 1)[:, None], self._dropoff_values[gs]] = (
+                pu[at:at + rows, None] * masses[gs])
+            total = np.cumsum(block, axis=0, out=block)[-1]
+        touched = np.zeros(top + 1, dtype=bool)
+        touched[self._dropoff_values[np.unique(groups)]] = True
+        nodes = np.flatnonzero(touched[:top])
+        return dict(zip(nodes.tolist(), total[nodes].tolist()))
 
     def dropoff_pmf(self, pickup: int) -> dict:
         """Conditional dropoff pmf; unseen pickups fall back to the marginal."""
@@ -144,17 +176,13 @@ class DemandModel:
         return self._dropoff_samplers.get(pickup, self._marginal_sampler)
 
     def _dropoffs_at(self, pickups, us):
-        """Dropoffs for an array of sampled pickups at the uniform draws `us`,
-        one inverse-CDF lookup per distinct conditional pmf."""
-        samplers = self._dropoff_group_samplers
-        if len(samplers) == 1:
-            return samplers[0].values_at(us)
+        """Dropoffs for an array of sampled pickups at the uniform draws `us`:
+        the number of bounds <= u in each pickup's CDF row indexes its support."""
+        if len(self._dropoff_group_samplers) == 1:
+            return self._dropoff_group_samplers[0].values_at(us)
         group = self._dropoff_group[pickups]
-        out = np.empty_like(pickups)
-        for g in np.unique(group):
-            mask = group == g
-            out[mask] = samplers[g].values_at(us[mask])
-        return out
+        index = (self._dropoff_cdf[group] <= us[:, None]).sum(axis=1)
+        return self._dropoff_values[group, index]
 
 
 def sample_arrivals(model: DemandModel, rng) -> int:
@@ -231,26 +259,31 @@ def expectation_terms(model: DemandModel, graph) -> ExpectationTerms:
 
     The initial-location and previous-dropoff terms treat taxi location and
     pickup as independent; the trip term uses the joint pickup/dropoff law.
+    Each is a nested sum, outer and inner supports ascending, accumulated
+    left to right.
     """
     for pmf in (model.pickup_pmf, model.marginal_dropoff_pmf, model.initial_location_pmf):
         for v in pmf:
             if not (1 <= v <= graph.n):
                 raise DomainMismatch(f"node {v} is outside the graph's 1..{graph.n}")
-    dist = graph._dist
+
+    def outer(pmf, inner):
+        masses = np.fromiter(pmf.values(), dtype=float, count=len(pmf))
+        return float(np.cumsum(masses * inner)[-1])
 
     def cross(pa, pb):
-        return sum(
-            qa * sum(qb * dist[a][b] for b, qb in pb.items())
-            for a, qa in pa.items()
-        )
+        return outer(pa, graph.weighted_distance_sums(list(pa), list(pb), list(pb.values())))
 
-    e_xi_rho = cross(model.initial_location_pmf, model.pickup_pmf)
-    e_lrand_rho = cross(model.marginal_dropoff_pmf, model.pickup_pmf)
-    e_rho_delta = sum(
-        pu * sum(pv * dist[u][v] for v, pv in model.dropoff_pmf(u).items())
-        for u, pu in model.pickup_pmf.items()
-    )
-    return ExpectationTerms(e_xi_rho, e_lrand_rho, e_rho_delta, model.e_eta)
+    pickups = np.array(list(model.pickup_pmf))
+    groups = model._dropoff_group[pickups]
+    trip = np.empty(len(pickups))
+    for g in np.unique(groups):
+        at = np.flatnonzero(groups == g)
+        cond = model._dropoff_pmfs[g]
+        trip[at] = graph.weighted_distance_sums(pickups[at], list(cond), list(cond.values()))
+    return ExpectationTerms(cross(model.initial_location_pmf, model.pickup_pmf),
+                            cross(model.marginal_dropoff_pmf, model.pickup_pmf),
+                            outer(model.pickup_pmf, trip), model.e_eta)
 
 
 def synthetic_model(graph, e_eta: float, hotspot: int | None = None,
@@ -278,7 +311,7 @@ def synthetic_model(graph, e_eta: float, hotspot: int | None = None,
     else:
         pickup_pmf = {v: 1.0 / n for v in range(1, n + 1)}
     uniform = {v: 1.0 / n for v in range(1, n + 1)}
-    dropoff_given_pickup = {u: dict(uniform) for u in range(1, n + 1)}
+    dropoff_given_pickup = {u: uniform for u in range(1, n + 1)}  # one shared pmf
     return DemandModel(eta_pmf, pickup_pmf, dropoff_given_pickup)
 
 

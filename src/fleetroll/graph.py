@@ -46,6 +46,7 @@ class SectorsUnassigned(GraphError):
 
 
 _UNREACHED = -1
+_BLOCK_CELLS = 1 << 16  # cells per block of a weighted distance sum
 
 
 class CityGraph:
@@ -105,6 +106,24 @@ class CityGraph:
         if not hop:  # only on the diagonal: the graph is strongly connected
             raise SameNode(f"next_hop({i}, {j}) undefined for identical nodes")
         return hop
+
+    def weighted_distance_sums(self, sources, targets, weights) -> np.ndarray:
+        """For each source s, the sum over j of weights[j] * distance(s, targets[j]);
+        `targets` is not empty.
+
+        Each sum is accumulated left to right over the targets, the same float
+        operations as a sequential Python `sum()` (3.11), so orderings built on
+        it are reproducible; rows are taken in blocks of bounded size.
+        """
+        sources = np.asarray(sources, dtype=np.intp)
+        targets = np.asarray(targets, dtype=np.intp)
+        weights = np.asarray(weights, dtype=float)
+        out = np.empty(len(sources))
+        rows = max(1, _BLOCK_CELLS // len(targets))
+        for at in range(0, len(sources), rows):
+            block = self.dist_array[sources[at:at + rows]][:, targets] * weights
+            out[at:at + rows] = np.cumsum(block, axis=1, out=block)[:, -1]
+        return out
 
     def shortest_path(self, i: int, j: int) -> list[int]:
         """Node sequence from i to j inclusive, following next_hop."""

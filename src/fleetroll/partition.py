@@ -7,13 +7,23 @@ node minimizing demand-weighted distance to the still-unserved demand.
 Phase 2 refines with weighted k-means on graph distance: assign nodes to the
 nearest center, recenter each sector at its pickup-weighted 1-medoid, repeat
 to a fixed point. High-demand regions end up with geographically smaller
-sectors. All ties break on the smallest node index, so the procedure is
-deterministic; the seed argument is accepted for interface symmetry only.
+sectors.
+
+Every score is a float sum of weight times distance, accumulated left to right
+over nodes in ascending order (`CityGraph.weighted_distance_sums`), and among
+equal scores the smallest node index wins; a tied incumbent medoid is kept.
+Candidates that tie in exact arithmetic can differ in the last bits of their
+sums, so exact symmetry does not make the smaller index win: with uniform
+demand on a 20x20 grid the four centre nodes all score 10 exactly, yet node
+191 opens first (node 190 sums to 9.999999999999996, the others to
+9.999999999999995). The procedure is deterministic either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import FleetrollError
 
@@ -49,31 +59,29 @@ class PartitionSpec:
 def _greedy_facility_location(graph, demand, K):
     """Open K centers one at a time; each absorbs its capacity (total/K) of the
     nearest unserved demand before the next center is scored."""
-    dist = graph._dist
-    capacity = sum(demand.values()) / K
-    unserved = dict(demand)
+    nodes = np.arange(1, graph.n + 1)
+    capacity = float(np.cumsum(demand[1:])[-1]) / K
+    unserved = demand[1:].tolist()
     centers = []
     for _ in range(K):
-        best, best_score = None, None
-        for c in range(1, graph.n + 1):
-            if c in centers:
-                continue
-            score = sum(w * dist[c][v] for v, w in unserved.items() if w > 0)
-            if best_score is None or score < best_score:
-                best, best_score = c, score
+        scores = graph.weighted_distance_sums(nodes, nodes, unserved)
+        scores[np.array(centers, dtype=np.intp) - 1] = np.inf
+        best = int(np.argmin(scores)) + 1
         centers.append(best)
         room = capacity
-        for v in sorted(unserved, key=lambda v: (dist[best][v], v)):
+        # nearest first, smaller node index on equal distance
+        for i in np.argsort(graph.dist_array[best, 1:], kind="stable").tolist():
             if room <= 0:
                 break
-            take = min(unserved[v], room)
-            unserved[v] -= take
+            take = min(unserved[i], room)
+            unserved[i] -= take
             room -= take
     return centers
 
 
 def _assign_to_centers(graph, centers):
-    """Nearest center per node, in two passes.
+    """Nearest center per node (sector ids in an array indexed by node, entry
+    0 unused), in two passes.
 
     Nodes strictly closest to one center go there outright; nodes equidistant
     to several centers are then handed (in ascending node order) to whichever
@@ -81,73 +89,60 @@ def _assign_to_centers(graph, centers):
     equal loads. Equidistant ties never change the distance objective, and
     splitting them evenly keeps symmetric instances balanced.
     """
-    dist = graph._dist
-    assignment = [0] * (graph.n + 1)
-    loads = [0] * len(centers)
-    tied = []
-    for v in range(1, graph.n + 1):
-        best_d = min(dist[c][v] for c in centers)
-        ks = [k for k, c in enumerate(centers, start=1) if dist[c][v] == best_d]
-        if len(ks) == 1:
-            assignment[v] = ks[0]
-            loads[ks[0] - 1] += 1
-        else:
-            tied.append((v, ks))
-    for v, ks in tied:
-        best_k = min(ks, key=lambda k: (loads[k - 1], centers[k - 1]))
-        assignment[v] = best_k
-        loads[best_k - 1] += 1
+    dist = graph.dist_array[centers, 1:]
+    nearest = dist == dist.min(axis=0)
+    assignment = np.zeros(graph.n + 1, dtype=np.intp)
+    assignment[1:] = nearest.argmax(axis=0) + 1
+    tied = np.flatnonzero(nearest.sum(axis=0) > 1)
+    assignment[tied + 1] = 0
+    loads = np.bincount(assignment, minlength=len(centers) + 1).tolist()
+    for i, row in zip(tied.tolist(), nearest[:, tied].T.tolist()):
+        ks = [k for k, hit in enumerate(row, start=1) if hit]
+        best_k = min(ks, key=lambda k: (loads[k], centers[k - 1]))
+        assignment[i + 1] = best_k
+        loads[best_k] += 1
     return assignment
 
 
-def _weighted_medoid(graph, nodes, weights, incumbent=None):
-    """Pickup-weighted 1-medoid of a sector: smallest node index on ties,
-    except that a tied incumbent center is kept (prevents tie oscillation)."""
-    dist = graph._dist
-    best, best_score = None, None
-    for c in nodes:
-        score = sum(weights.get(v, 0.0) * dist[c][v] for v in nodes)
-        if best_score is None or score < best_score or (score == best_score and c < best):
-            best, best_score = c, score
-    if incumbent is not None and incumbent in nodes:
-        inc_score = sum(weights.get(v, 0.0) * dist[incumbent][v] for v in nodes)
-        if inc_score <= best_score:
-            return incumbent
-    return best
+def _weighted_medoid(graph, nodes, weights, incumbent):
+    """Pickup-weighted 1-medoid of a sector (`nodes` ascending): smallest node
+    index on ties, except that a tied incumbent center is kept (prevents tie
+    oscillation)."""
+    scores = graph.weighted_distance_sums(nodes, nodes, weights[nodes])
+    best = int(np.argmin(scores))
+    inc = int(np.searchsorted(nodes, incumbent))  # a center is nearest to itself
+    return incumbent if scores[inc] <= scores[best] else int(nodes[best])
 
 
 def _objective(graph, centers, assignment, weights):
-    dist = graph._dist
-    return sum(weights.get(v, 0.0) * dist[centers[assignment[v] - 1]][v]
-               for v in range(1, graph.n + 1))
+    nodes = np.arange(1, graph.n + 1)
+    terms = weights[1:] * graph.dist_array[np.array(centers)[assignment[1:] - 1], nodes]
+    return float(np.cumsum(terms)[-1])  # left to right, like the scores
 
 
-def get_partitions(graph, model, m_lim: int, K: int, seed=None,
+def get_partitions(graph, model, m_lim: int, K: int,
                    max_iter: int = 100) -> PartitionSpec:
     """Partition the graph into K sectors sized inversely to pickup demand."""
     if K < 1 or m_lim < 1:
         raise PartitionError("K and m_lim must be >= 1")
     if K > graph.n:
         raise KExceedsNodes(f"cannot open {K} sectors on {graph.n} nodes")
-    weights = {v: model.pickup_pmf.get(v, 0.0) for v in range(1, graph.n + 1)}
+    weights = np.array([0.0] + [model.pickup_pmf.get(v, 0.0) for v in range(1, graph.n + 1)])
 
     centers = _greedy_facility_location(graph, weights, K)
     assignment = _assign_to_centers(graph, centers)
     obj = _objective(graph, centers, assignment, weights)
     for _ in range(max_iter):
-        new_centers = []
-        for k in range(1, K + 1):
-            nodes = [v for v in range(1, graph.n + 1) if assignment[v] == k]
-            new_centers.append(_weighted_medoid(graph, nodes, weights,
-                                                incumbent=centers[k - 1]))
+        new_centers = [_weighted_medoid(graph, np.flatnonzero(assignment == k), weights,
+                                        incumbent=centers[k - 1])
+                       for k in range(1, K + 1)]
         new_assignment = _assign_to_centers(graph, new_centers)
         new_obj = _objective(graph, new_centers, new_assignment, weights)
         assert new_obj <= obj + 1e-9, "k-means objective increased"
-        if new_centers == centers and new_assignment == assignment:
+        if new_centers == centers and np.array_equal(new_assignment, assignment):
             break
         centers, assignment, obj = new_centers, new_assignment, new_obj
 
-    for k in range(1, K + 1):
-        if not any(assignment[v] == k for v in range(1, graph.n + 1)):
-            raise PartitionError(f"sector {k} ended up empty")  # unreachable: centers self-assign
-    return PartitionSpec(K=K, m_lim=m_lim, centers=centers, assignment=assignment)
+    if (empty := np.flatnonzero(np.bincount(assignment, minlength=K + 1)[1:] == 0)).size:
+        raise PartitionError(f"sector {empty[0] + 1} ended up empty")  # unreachable: centers self-assign
+    return PartitionSpec(K=K, m_lim=m_lim, centers=centers, assignment=assignment.tolist())

@@ -52,8 +52,7 @@ class HighLevelPlan:
     transit: dict = field(default_factory=dict)  # taxi id -> TransitRoute
 
 
-def high_level_plan(state, graph, model, pspec, t_h, prev: HighLevelPlan,
-                    seed) -> HighLevelPlan:
+def high_level_plan(state, graph, model, t_h, prev: HighLevelPlan, seed) -> HighLevelPlan:
     """Re-balance taxis across sectors against current plus expected demand.
 
     Previously scheduled transits persist until arrival. Free taxis are
@@ -137,7 +136,7 @@ def two_phase_control(state, graph, model, pspec, cfg: RolloutConfig,
     When `sector_timing` is a list, one (t, sector, plan_ms) row is appended
     per sector planner call.
     """
-    plan = high_level_plan(state, graph, model, pspec, cfg.t_h, plan, seed)
+    plan = high_level_plan(state, graph, model, cfg.t_h, plan, seed)
 
     actions = [None] * state.m
     for taxi, route in plan.transit.items():

@@ -8,9 +8,53 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog
 
+from fleetroll.matching import Assignment, AssignmentProblem
 from fleetroll.planner import TwoPhasePolicy
 from fleetroll.rollout import RolloutPolicy, _sample_scenario, _trajectory_cost
 from fleetroll.sim import run_episode
+
+
+class TooLarge(ValueError):
+    pass
+
+
+_PERM_CACHE: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _permutations_array(n: int, k: int) -> np.ndarray:
+    key = (n, k)
+    arr = _PERM_CACHE.get(key)
+    if arr is None:
+        arr = np.array(list(itertools.permutations(range(n), k)), dtype=np.intp)
+        _PERM_CACHE[key] = arr
+    return arr
+
+
+def brute_force_assignment(problem: AssignmentProblem) -> Assignment:
+    """Exact optimum by enumerating all injections of the smaller side.
+
+    Only for min(rows, cols) <= 8. Returns the lexicographically smallest
+    optimal injection (enumeration order), so results are deterministic.
+    """
+    nr, nc = problem.shape
+    if nr == 0 or nc == 0:
+        return Assignment()
+    if min(nr, nc) > 8:
+        raise TooLarge(f"brute force limited to 8 matched pairs, got {min(nr, nc)}")
+    cost = np.asarray(problem.cost, dtype=float)
+    if nr <= nc:
+        perms = _permutations_array(nc, nr)  # column choice per row
+        totals = cost[np.arange(nr)[None, :], perms].sum(axis=1)
+        best = perms[int(np.argmin(totals))]
+        pairs = [(problem.row_ids[i], problem.col_ids[int(best[i])]) for i in range(nr)]
+    else:
+        perms = _permutations_array(nr, nc)  # row choice per column
+        totals = cost[perms, np.arange(nc)[None, :]].sum(axis=1)
+        best = perms[int(np.argmin(totals))]
+        pairs = [(problem.row_ids[int(best[j])], problem.col_ids[j]) for j in range(nc)]
+    pairs.sort()
+    total = float(totals.min())
+    return Assignment(pairs, total)
 
 
 def lp_transport_value(a, b, cost):

@@ -19,7 +19,7 @@ from scipy import stats
 
 import fleetroll as fr
 from fleetroll.cli import main as cli_main
-from fleetroll.matching import AssignmentProblem, brute_force_assignment, min_cost_assignment
+from fleetroll.matching import AssignmentProblem, min_cost_assignment
 from fleetroll.planner import TwoPhasePolicy
 from fleetroll.policies import (IACommitPolicy, IARAPolicy, RandomIAPolicy,
                                 service_distance)
@@ -27,7 +27,7 @@ from fleetroll.rollout import RolloutConfig, RolloutPolicy
 from fleetroll.sim import run_episode
 from fleetroll.stability import (bounds_from_expectations, compute_bounds,
                                  empirical_stability, wasserstein_discrete)
-from oracles import (grid_aligned_pmf, lp_transport_value,
+from oracles import (brute_force_assignment, grid_aligned_pmf, lp_transport_value,
                      vertex_enumeration_feasible, vertex_enumeration_value)
 
 

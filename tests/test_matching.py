@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fleetroll.matching import (AssignmentProblem, MatchingError, TooLarge,
-                                auction_match, brute_force_assignment,
+from fleetroll.matching import (AssignmentProblem, MatchingError, auction_match,
                                 min_cost_assignment)
-from oracles import lp_transport_value
+from oracles import TooLarge, brute_force_assignment, lp_transport_value
 
 
 def solve(cost):

@@ -103,6 +103,6 @@ def test_k_exceeds_nodes():
 
 def test_deterministic_given_inputs(grid5):
     model = synthetic_model(grid5, 1.0, hotspot=11, hotspot_mass=0.3)
-    a = get_partitions(grid5, model, m_lim=3, K=2, seed=1)
-    b = get_partitions(grid5, model, m_lim=3, K=2, seed=999)
+    a = get_partitions(grid5, model, m_lim=3, K=2)
+    b = get_partitions(grid5, model, m_lim=3, K=2)
     assert a.centers == b.centers and a.assignment == b.assignment

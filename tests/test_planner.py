@@ -27,18 +27,16 @@ def make_state(locs, outstanding=None, timers=None, in_service=None, clock=1):
 
 
 def test_high_level_same_sector_no_action():
-    g, spec = two_sector_line()
+    g, _ = two_sector_line()
     s = make_state([1], outstanding={1: Request(1, 2, 3, 1)})
-    plan = high_level_plan(s, g, zero_model(), spec, t_h=3,
-                           prev=HighLevelPlan(), seed=0)
+    plan = high_level_plan(s, g, zero_model(), t_h=3, prev=HighLevelPlan(), seed=0)
     assert plan.transit == {}
 
 
 def test_high_level_cross_sector_schedules_boundary_route():
-    g, spec = two_sector_line()
+    g, _ = two_sector_line()
     s = make_state([1], outstanding={1: Request(1, 4, 3, 1)})
-    plan = high_level_plan(s, g, zero_model(), spec, t_h=3,
-                           prev=HighLevelPlan(), seed=0)
+    plan = high_level_plan(s, g, zero_model(), t_h=3, prev=HighLevelPlan(), seed=0)
     assert 0 in plan.transit
     route = plan.transit[0]
     assert route.dest == 3                      # boundary entry of sector 2
@@ -48,13 +46,13 @@ def test_high_level_cross_sector_schedules_boundary_route():
 
 
 def test_high_level_no_free_taxis_keeps_plan():
-    g, spec = two_sector_line()
+    g, _ = two_sector_line()
     s = make_state([1], timers=[2], in_service={0: (7, 3)},
                    outstanding={1: Request(1, 4, 3, 1)})
     prev = HighLevelPlan({5: TransitRoute(dest=3, path=(2, 3), start_clock=0)})
     # taxi 5 does not exist in this tiny state; prune keys on locations only
     prev = HighLevelPlan()
-    plan = high_level_plan(s, g, zero_model(), spec, 3, prev, seed=0)
+    plan = high_level_plan(s, g, zero_model(), 3, prev, seed=0)
     assert plan.transit == {}
 
 
