@@ -108,12 +108,10 @@ class CityGraph:
         return hop
 
     def weighted_distance_sums(self, sources, targets, weights) -> np.ndarray:
-        """For each source s, the sum over j of weights[j] * distance(s, targets[j]);
-        `targets` is not empty.
-
-        Each sum is accumulated left to right over the targets, the same float
+        """For each source s, the sum over j of weights[j] * distance(s, targets[j]),
+        accumulated left to right over the (nonempty) targets: the same float
         operations as a sequential Python `sum()` (3.11), so orderings built on
-        it are reproducible; rows are taken in blocks of bounded size.
+        it are reproducible. Rows are taken in blocks of bounded size.
         """
         sources = np.asarray(sources, dtype=np.intp)
         targets = np.asarray(targets, dtype=np.intp)

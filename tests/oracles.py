@@ -244,8 +244,65 @@ def expectation_terms_reference(model, graph):
                 for u, pu in model.pickup_pmf.items()))
 
 
-def per_group_dropoffs(model, pickups, us):
+def per_pickup_dropoffs(model, pickups, us):
     """Dropoffs at uniform draws `us`, one inverse-CDF lookup per pickup's own
     conditional sampler, as a reference for the batched lookup."""
     return np.array([model._dropoff_sampler(p).values_at(u)
                      for p, u in zip(pickups.tolist(), us)], dtype=pickups.dtype)
+
+
+def reference_partition(graph, model, K, max_iter=100):
+    """(centers, assignment) of `get_partitions` computed with nested lists
+    and Python's `sum()`, one candidate at a time: greedy capacitated facility
+    location, then weighted k-medoid to a fixed point."""
+    dist = graph._dist
+    nodes = range(1, graph.n + 1)
+    weights = {v: model.pickup_pmf.get(v, 0.0) for v in nodes}
+
+    def score(c, vs):
+        return sum(weights[v] * dist[c][v] for v in vs)
+
+    capacity = sum(weights.values()) / K
+    unserved = dict(weights)
+    centers = []
+    for _ in range(K):
+        best = min((c for c in nodes if c not in centers), key=lambda c: (
+            sum(w * dist[c][v] for v, w in unserved.items() if w > 0), c))
+        centers.append(best)
+        room = capacity
+        for v in sorted(unserved, key=lambda v: (dist[best][v], v)):
+            if room <= 0:
+                break
+            take = min(unserved[v], room)
+            unserved[v] -= take
+            room -= take
+
+    def assign(centers):
+        assignment, loads, tied = [0] * (graph.n + 1), [0] * len(centers), []
+        for v in nodes:
+            best_d = min(dist[c][v] for c in centers)
+            ks = [k for k, c in enumerate(centers, start=1) if dist[c][v] == best_d]
+            if len(ks) == 1:
+                assignment[v] = ks[0]
+                loads[ks[0] - 1] += 1
+            else:
+                tied.append((v, ks))
+        for v, ks in tied:
+            k = min(ks, key=lambda k: (loads[k - 1], centers[k - 1]))
+            assignment[v] = k
+            loads[k - 1] += 1
+        return assignment
+
+    assignment = assign(centers)
+    for _ in range(max_iter):
+        new_centers = []
+        for k, incumbent in enumerate(centers, start=1):
+            sector = [v for v in nodes if assignment[v] == k]
+            best = min(sector, key=lambda c: (score(c, sector), c))
+            keep = incumbent in sector and score(incumbent, sector) <= score(best, sector)
+            new_centers.append(incumbent if keep else best)
+        new_assignment = assign(new_centers)
+        if (new_centers, new_assignment) == (centers, assignment):
+            break
+        centers, assignment = new_centers, new_assignment
+    return centers, assignment

@@ -1,9 +1,11 @@
 import pytest
 
-from fleetroll.demand import DemandModel, synthetic_model
+from fleetroll.demand import DemandModel, estimate_from_trips, generate_trips, synthetic_model
 from fleetroll.graph import grid_graph
 from fleetroll.partition import KExceedsNodes, get_partitions
 from fleetroll.sim import substream
+from conftest import ring_graph
+from oracles import reference_partition
 
 
 def uniform_model(g, e_eta=1.0):
@@ -106,3 +108,20 @@ def test_deterministic_given_inputs(grid5):
     a = get_partitions(grid5, model, m_lim=3, K=2)
     b = get_partitions(grid5, model, m_lim=3, K=2)
     assert a.centers == b.centers and a.assignment == b.assignment
+
+
+def test_partitions_equal_nested_list_reference():
+    g12 = grid_graph(12)
+    from_log = estimate_from_trips(
+        generate_trips(synthetic_model(g12, 2.0, hotspot=30, hotspot_mass=0.3), 200, seed=5), g12)
+    ring = ring_graph(30)
+    cases = [
+        (grid_graph(8), synthetic_model(grid_graph(8), 1.0), 3),
+        (grid_graph(10), synthetic_model(grid_graph(10), 1.0, hotspot=45, hotspot_mass=0.4), 4),
+        (g12, from_log, 5),
+        (ring, synthetic_model(ring, 1.0, hotspot=7, hotspot_mass=0.2), 3),
+        (grid_graph(20), synthetic_model(grid_graph(20), 2.0), 6),
+    ]
+    for g, model, K in cases:
+        spec = get_partitions(g, model, m_lim=1, K=K)
+        assert (spec.centers, spec.assignment) == reference_partition(g, model, K)

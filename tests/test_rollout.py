@@ -12,7 +12,7 @@ from fleetroll.rollout import (RolloutConfig, RolloutPolicy, _ia_ra_lookahead_co
 from fleetroll.policies import _match_free_to_requests, ia_ra_control
 from fleetroll.sim import (MOVE, PICKUP, STAY, FleetState, run_episode, substream)
 from conftest import line_graph, ring_graph
-from oracles import (LookaheadEstimate, evaluate_candidate, per_group_dropoffs,
+from oracles import (LookaheadEstimate, evaluate_candidate, per_pickup_dropoffs,
                      rollout_policy_cost)
 
 
@@ -218,7 +218,7 @@ def test_batched_dropoffs_equal_per_pickup_sampler_draws(grid5):
         assert 0 < len(on_bounds) < 3000
         pickups[:len(on_bounds)], us[:len(on_bounds)] = zip(*on_bounds)
         assert np.array_equal(model._dropoffs_at(pickups, us),
-                              per_group_dropoffs(model, pickups, us))
+                              per_pickup_dropoffs(model, pickups, us))
 
 
 def test_scenarios_zero_variance_on_deterministic_model():
