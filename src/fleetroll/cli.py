@@ -125,12 +125,17 @@ def _tasks_for(args, policies, m_values):
     return tasks
 
 
+def _fleet_sizes(args):
+    m_values = args["m_sweep"] or [args["m"]]
+    if m_values[0] is None:
+        raise CLIError("provide --m or --m-sweep")
+    return m_values
+
+
 def cmd_simulate(args):
+    m_values = _fleet_sizes(args)
     outdir = Path(args["out_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    m_values = args["m_sweep"] or [args["m"]]
-    if not m_values or m_values[0] is None:
-        raise CLIError("provide --m or --m-sweep")
     tasks = _tasks_for(args, [args["policy"]], m_values)
     results = _execute(tasks, args["jobs"])
 
@@ -164,9 +169,9 @@ def cmd_compare(args):
     policies = args["policies"]
     if not policies or len(policies) < 2:
         raise CLIError("--policies needs at least two comma-separated names")
+    m_values = _fleet_sizes(args)
     outdir = Path(args["out_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    m_values = args["m_sweep"] or [args["m"]]
     tasks = _tasks_for(args, policies, m_values)
     results = _execute(tasks, args["jobs"])
 
@@ -279,6 +284,10 @@ def _int_list(text):
     return [int(x) for x in text.split(",") if x.strip()]
 
 
+def _name_list(text):
+    return [x.strip() for x in text.split(",") if x.strip()]
+
+
 def _add_common(p, model_opts=True):
     p.add_argument("--config", help="JSON file of defaults for any flag")
     p.add_argument("--graph", help="edge-list graph file")
@@ -315,21 +324,62 @@ _DEFAULTS = {
 }
 
 
-def _merge(ns) -> dict:
-    """Defaults < config file < explicit flags."""
+def _fits(action, val):
+    """Whether a config file value is one the flag of `action` could give."""
+    if action.nargs == 0:  # a store_true flag such as --verify
+        return isinstance(val, bool)
+    if action.choices is not None:
+        return val in action.choices
+    if action.type in (_int_list, _name_list):
+        item = int if action.type is _int_list else str
+        return isinstance(val, list) and all(_fits_type(v, item) for v in val)
+    return _fits_type(val, action.type or str)
+
+
+def _fits_type(val, kind):
+    if isinstance(val, bool):
+        return False
+    return isinstance(val, (int, float) if kind is float else kind)
+
+
+def _load_config(path, actions):
+    """Config file values by flag name; each must suit its flag's type."""
+    try:
+        loaded = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise CLIError(f"config {path}: {exc.strerror}") from None
+    except ValueError as exc:  # includes json.JSONDecodeError
+        raise CLIError(f"config {path}: invalid JSON: {exc}") from None
+    if not isinstance(loaded, dict):
+        raise CLIError(f"config {path}: expected a JSON object of flag values")
+    values = {}
+    for key, val in loaded.items():
+        dest = key.replace("-", "_")
+        action = actions.get(dest)
+        if action is not None and val is not None and not _fits(action, val):
+            raise CLIError(f"config {path}: invalid value {val!r} for '{key}'")
+        values[dest] = val
+    return values
+
+
+def _merge(ns, actions) -> dict:
+    """Defaults < config file < explicit flags. `actions` maps each flag's
+    destination name to its argparse action."""
     args = dict(_DEFAULTS)
     cfg_path = getattr(ns, "config", None)
     if cfg_path:
-        loaded = json.loads(Path(cfg_path).read_text())
-        for key, val in loaded.items():
-            args[key.replace("-", "_")] = val
+        args.update(_load_config(cfg_path, actions))
     for key, val in vars(ns).items():
         if key in ("config", "func"):
             continue
         if val is not None:
             args[key] = val
     if args["jobs"] is None:
-        args["jobs"] = int(os.environ.get("FLEETROLL_JOBS", "1"))
+        jobs = os.environ.get("FLEETROLL_JOBS", "1")
+        try:
+            args["jobs"] = int(jobs)
+        except ValueError:
+            raise CLIError(f"FLEETROLL_JOBS must be an integer, got {jobs!r}") from None
     return args
 
 
@@ -356,7 +406,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("compare", help="paired same-seed comparison of policies")
     _add_common(p)
     _add_run_opts(p)
-    p.add_argument("--policies", type=lambda s: [x.strip() for x in s.split(",") if x.strip()])
+    p.add_argument("--policies", type=_name_list)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("stability", help="fleet-size bounds and empirical verdicts")
@@ -389,10 +439,11 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     if ns.command == "gen-graph":
         return ns.func({"k": ns.k, "out": ns.out})
-    args = _merge(ns)
-    if ns.command in ("gen-trips", "partition"):
-        args["out"] = ns.out
+    actions = {a.dest: a for a in sub.choices[ns.command]._actions}
     try:
+        args = _merge(ns, actions)
+        if ns.command in ("gen-trips", "partition"):
+            args["out"] = ns.out
         _validate(args)
         return ns.func(args)
     except (FleetrollError, FileNotFoundError) as exc:

@@ -297,6 +297,10 @@ def synthetic_model(graph, e_eta: float, hotspot: int | None = None,
     """
     if e_eta < 0:
         raise DemandError("mean arrivals must be nonnegative")
+    if hotspot is not None and not 1 <= hotspot <= graph.n:
+        raise DemandError(f"hotspot {hotspot} is outside the graph's nodes 1..{graph.n}")
+    if not 0.0 <= hotspot_mass <= 1.0:
+        raise DemandError(f"hotspot mass must be in [0, 1], got {hotspot_mass}")
     lo = math.floor(e_eta)
     frac = e_eta - lo
     if frac < 1e-12:

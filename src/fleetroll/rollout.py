@@ -10,22 +10,28 @@ are drawn up front in one vectorized call, so candidates of one taxi share
 common random numbers and results never depend on evaluation order or
 parallelism.
 
-The IA-RA lookahead simulates each scenario on flat lists, holding scenario
-requests as (id, pickup, dropoff) tuples. Its matchings are those of
-linear_sum_assignment (`auction_match`), which it skips only where the answer
-is certain without a solve: a matching with a single row, and that matching
-again while its taxi just moves one hop closer.
+A taxi's candidates are scored in one call, `_candidate_costs`. With the
+IA-RA base policy it simulates each candidate step once and continues it per
+scenario on flat lists (`_trajectory_cost`): free taxis and outstanding
+(id, pickup, dropoff) requests are kept sorted as events change them, and an
+occupied taxi is only looked at again when its trip ends. Matchings are those
+of linear_sum_assignment (`auction_match`), skipped only where the answer is
+certain without a solve: a matching with a single row, that matching again
+while its taxi just moves one hop closer, and a last step in which no free
+taxi stands on an outstanding pickup. Other base policies run the generic
+`sim.transition` path.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 
 import numpy as np
 
 from .demand import Request
+from .errors import FleetrollError
 from .matching import auction_match
 from .policies import greedy_control, ia_ra_control
 from .sim import (FleetState, MOVE, PICKUP, STAY, NS_LOOKAHEAD,
@@ -37,6 +43,10 @@ BASE_CONTROLS = {
 }
 
 
+class RolloutError(FleetrollError):
+    pass
+
+
 @dataclass
 class RolloutConfig:
     t_h: int = 10
@@ -45,9 +55,9 @@ class RolloutConfig:
 
     def __post_init__(self):
         if self.t_h < 1 or self.num_mc < 1:
-            raise ValueError("t_h and num_mc must be >= 1")
+            raise RolloutError("t_h and num_mc must be >= 1")
         if self.base_policy not in BASE_CONTROLS:
-            raise ValueError(f"unknown base policy '{self.base_policy}'")
+            raise RolloutError(f"unknown base policy '{self.base_policy}'")
 
 
 def _sample_scenario(model, t_h, num_mc, rng):
@@ -123,81 +133,142 @@ def _lookahead_cost(state, joint, batches, graph, base_fn, t_h, inbound=()):
     return cost
 
 
-def _ia_ra_lookahead_cost(state, joint, batches, graph, t_h, inbound=()):
-    """Same trajectory cost as _lookahead_cost with the IA-RA base policy,
-    simulated in place on flat lists. This is the planner's hot loop: no state
-    copies, no per-step control objects. Requests are (id, pickup, dropoff)
-    tuples, each step's matching comes from _match_step, and a taxi is
-    occupied exactly while it has an entry in `drops`."""
+def _candidate_costs(state, joints, scenarios, graph, base_policy, t_h, inbound=()):
+    """Trajectory cost of each candidate joint, summed over the scenarios.
+
+    The generic path runs _lookahead_cost per (candidate, scenario). With the
+    IA-RA base policy, the candidate step, which no scenario changes, is
+    simulated once per candidate and _trajectory_cost continues it per
+    scenario. Occupied taxis need no per-step work there: each is put where
+    its trip ends (for a taxi in service in `state`, where its remaining hops
+    lead) and rejoins the free taxis in the step its timer runs out; one that
+    is not free before the last matching is never looked at again.
+    """
+    if base_policy != "ia-ra":
+        base_fn = BASE_CONTROLS[base_policy]
+        return [sum(_lookahead_cost(state, joint, batches, graph, base_fn, t_h, inbound)
+                    for batches in scenarios) for joint in joints]
+    dist = graph._dist
+    nxt = graph._next
+    arriving = {}
+    for when, node in inbound:
+        if 0 < when - state.clock <= t_h:
+            arriving.setdefault(when - state.clock, []).append(node)
+    locs = list(state.locations)
+    released = {}  # step -> taxis whose trip ends in that step
+    for l, (_, dropoff) in state.in_service.items():
+        timer = state.timers[l]
+        if timer <= t_h:
+            for _ in range(timer):
+                locs[l] = nxt[locs[l]][dropoff]
+            if timer > 1:
+                released[timer - 1] = released.get(timer - 1, ()) + (l,)
+    outstanding = [(rid, r.pickup, r.dropoff) for rid, r in sorted(state.outstanding.items())]
+
+    totals = []
+    for joint in joints:
+        after_locs = list(locs)
+        free = []
+        reqs = list(outstanding)
+        after_released = dict(released)
+        for l, act in enumerate(joint):
+            if state.timers[l] > 0:
+                if state.timers[l] == 1:
+                    free.append(l)
+            elif act[0] == PICKUP:
+                req = next(r for r in reqs if r[0] == act[1])
+                reqs.remove(req)
+                trip = dist[req[1]][req[2]]
+                if trip == 0:
+                    free.append(l)
+                else:
+                    after_locs[l] = req[2]
+                    if trip < t_h:
+                        after_released[trip] = after_released.get(trip, ()) + (l,)
+            else:
+                if act[0] == MOVE:
+                    after_locs[l] = act[1]
+                free.append(l)
+        start = (after_locs, free, reqs, after_released, len(state.outstanding))
+        totals.append(sum(_trajectory_cost(start, batches, graph, t_h, arriving)
+                          for batches in scenarios))
+    return totals
+
+
+def _trajectory_cost(start, batches, graph, t_h, arriving):
+    """Stage-cost sum of one IA-RA scenario trajectory after a candidate step.
+
+    `start` is the state after the candidate step: taxi locations, free taxis
+    (ascending), outstanding (id, pickup, dropoff) requests (ascending id),
+    the taxis released per later step and the cost before the candidate step.
+    `arriving` maps a step to the inbound taxis that join as free ones then.
+    Scenario ids are negative and fall from batch to batch, below every real
+    id, so each new batch goes in front, reversed. Each step matches as IA-RA
+    does, by _match_step; the last step only counts its pickups.
+    """
     dist = graph._dist
     dist_array = graph.dist_array
     nxt = graph._next
-    locs = list(state.locations)
-    timers = list(state.timers)
-    drops = {l: dropoff for l, (_, dropoff) in state.in_service.items()}
-    outstanding = {rid: (rid, r.pickup, r.dropoff) for rid, r in state.outstanding.items()}
-    cost = len(outstanding)
-
-    for l, act in enumerate(joint):
-        if timers[l] > 0:
-            locs[l] = nxt[locs[l]][drops[l]]
-            timers[l] -= 1
-            if timers[l] == 0:
-                del drops[l]
-        elif act[0] == MOVE:
-            locs[l] = act[1]
-        elif act[0] == PICKUP:
-            _, pickup, dropoff = outstanding.pop(act[1])
-            trip = dist[pickup][dropoff]
-            if trip > 0:
-                timers[l] = trip
-                drops[l] = dropoff
-    for req in batches[0]:
-        outstanding[req[0]] = req
-    clock = state.clock + 1
-    cost += len(outstanding)
+    locs, free, reqs, released, cost = start
+    locs = list(locs)
+    free = list(free)
+    reqs = batches[0][::-1] + reqs
+    released = dict(released)
+    cost += len(reqs)
 
     # A single pair stays the matching while its taxi only moves one hop
     # toward the pickup: its distance falls by one, any other pair's by at
     # most one, so it stays the nearest and still wins its ties.
     keep = False
-    for i in range(1, t_h + 1):
-        for when, node in inbound:
-            if when == clock:
+    pairs = ()
+    for i in range(1, t_h):
+        if i in arriving:
+            for node in arriving[i]:
+                free.append(len(locs))
                 locs.append(node)
-                timers.append(0)
-                keep = False
+            keep = False
         if not keep:
             pairs = ()
-            if outstanding:
-                free = [l for l in range(len(locs)) if timers[l] == 0]
-                if free:
-                    pairs = _match_step(free, sorted(outstanding.values()),
-                                        locs, dist, dist_array)
-                    keep = len(pairs) == 1
-        for l in list(drops):  # taxis occupied at the start of the step
-            locs[l] = nxt[locs[l]][drops[l]]
-            timers[l] -= 1
-            if timers[l] == 0:
-                del drops[l]
-                keep = False
-        for l, (rid, pickup, dropoff) in pairs:
+            if reqs and free:
+                pairs = _match_step(free, reqs, locs, dist, dist_array)
+                keep = len(pairs) == 1
+        if i in released:
+            for l in released[i]:
+                insort(free, l)
+            keep = False
+        for l, req in pairs:
+            pickup = req[1]
             if locs[l] == pickup:
-                del outstanding[rid]
+                reqs.remove(req)
                 keep = False
-                trip = dist[pickup][dropoff]
+                trip = dist[pickup][req[2]]
                 if trip > 0:
-                    timers[l] = trip
-                    drops[l] = dropoff
+                    free.remove(l)
+                    locs[l] = req[2]
+                    if i + trip < t_h:
+                        released[i + trip] = released.get(i + trip, ()) + (l,)
             else:
                 locs[l] = nxt[locs[l]][pickup]
         if batches[i]:
             keep = False
-            for req in batches[i]:
-                outstanding[req[0]] = req
-        clock += 1
-        cost += len(outstanding)
-    return cost
+            reqs[:0] = batches[i][::-1]
+        cost += len(reqs)
+
+    # Last step: only pickups change the count, and only a free taxi on an
+    # outstanding pickup can make one. Ties can still decide whether it does,
+    # so the matching is solved (or kept) as in any other step.
+    for node in arriving.get(t_h, ()):
+        free.append(len(locs))
+        locs.append(node)
+        keep = False
+    if not keep:
+        pairs = ()
+        if reqs and free:
+            pickups = {r[1] for r in reqs}
+            if any(locs[l] in pickups for l in free):
+                pairs = _match_step(free, reqs, locs, dist, dist_array)
+    picked = sum(1 for l, req in pairs if locs[l] == req[1])
+    return cost + len(reqs) - picked + len(batches[t_h])
 
 
 # Lookahead matchings with at most this many cost cells are built as nested
@@ -227,20 +298,15 @@ def _match_step(free, reqs, locs, dist, dist_array):
             cost = [[drow[r[1]] for drow in taxi_rows] for r in reqs]
     else:
         at = np.array([locs[l] for l in free])
-        cost = dist_array[at[:, None], np.array([r[1] for r in reqs])]
-        if not taxis_are_rows:
-            cost = cost.T
+        pickups = np.array([r[1] for r in reqs])
+        if taxis_are_rows:
+            cost = dist_array[at[:, None], pickups]
+        else:
+            cost = dist_array[at, pickups[:, None]]
     cols = auction_match(cost)
     if taxis_are_rows:
         return [(free[a], reqs[b]) for a, b in enumerate(cols)]
     return [(free[b], reqs[a]) for a, b in enumerate(cols)]
-
-
-def _trajectory_cost(state, joint, batches, graph, base_policy, t_h, inbound=()):
-    if base_policy == "ia-ra":
-        return _ia_ra_lookahead_cost(state, joint, batches, graph, t_h, inbound)
-    return _lookahead_cost(state, joint, batches, graph,
-                           BASE_CONTROLS[base_policy], t_h, inbound)
 
 
 def _candidate_actions(state, graph, taxi, claimed, allowed_nodes=None):
@@ -308,13 +374,12 @@ def one_at_a_time_control(state, graph, model, cfg: RolloutConfig, seed: int,
         else:
             rng = substream(seed, NS_LOOKAHEAD, state.clock, taxi_keys[l])
             scenarios = _sample_scenario(model, cfg.t_h, cfg.num_mc, rng)
+            joints = [_compose_joint(chosen, cand, l, base_joint, claimed)
+                      for cand in cands]
+            totals = _candidate_costs(state, joints, scenarios, graph,
+                                      cfg.base_policy, cfg.t_h, inbound)
             best_act, best_cost = None, math.inf
-            for cand in cands:
-                joint = _compose_joint(chosen, cand, l, base_joint, claimed)
-                total = 0
-                for batches in scenarios:
-                    total += _trajectory_cost(state, joint, batches, graph,
-                                              cfg.base_policy, cfg.t_h, inbound)
+            for cand, total in zip(cands, totals):
                 avg = total / cfg.num_mc
                 if avg < best_cost:
                     best_act, best_cost = cand, avg

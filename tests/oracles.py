@@ -10,7 +10,7 @@ from scipy.optimize import linprog
 
 from fleetroll.matching import Assignment, AssignmentProblem
 from fleetroll.planner import TwoPhasePolicy
-from fleetroll.rollout import RolloutPolicy, _sample_scenario, _trajectory_cost
+from fleetroll.rollout import BASE_CONTROLS, RolloutPolicy, _lookahead_cost, _sample_scenario
 from fleetroll.sim import run_episode
 
 
@@ -159,9 +159,11 @@ class LookaheadEstimate:
 
 
 def evaluate_candidate(state, joint_control, graph, model, cfg, rng, inbound=()):
-    """Monte-Carlo lookahead estimate of one joint control's cost."""
-    costs = [_trajectory_cost(state, joint_control, batches, graph,
-                              cfg.base_policy, cfg.t_h, inbound)
+    """Monte-Carlo lookahead estimate of one joint control's cost, each
+    scenario simulated by the validated sim.transition path."""
+    base_fn = BASE_CONTROLS[cfg.base_policy]
+    costs = [_lookahead_cost(state, joint_control, batches, graph, base_fn,
+                             cfg.t_h, inbound)
              for batches in _sample_scenario(model, cfg.t_h, cfg.num_mc, rng)]
     return LookaheadEstimate(sum(costs) / len(costs), costs)
 

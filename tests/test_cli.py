@@ -177,3 +177,66 @@ def test_too_small_count_flag_is_a_usage_error(tmp_path, capsys, argv, message):
     assert rc == 1
     assert capsys.readouterr().err == message
     assert not out.exists()  # rejected before any work
+
+
+def test_compare_without_fleet_size_is_a_usage_error(tmp_path, capsys):
+    rc = main(["compare", "--grid", "4", "--e-eta", "0.4", "--policies", "ia-ra,greedy",
+               "--T", "20", "--out-dir", str(tmp_path / "c")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: provide --m or --m-sweep\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{bad", "invalid JSON: Expecting property name enclosed in double quotes: "
+             "line 1 column 2 (char 1)"),
+    ("[4]", "expected a JSON object of flag values"),
+    ('{"t-h": "x"}', "invalid value 'x' for 't-h'"),
+    ('{"e-eta": true}', "invalid value True for 'e-eta'"),
+    ('{"m-sweep": "3,5"}', "invalid value '3,5' for 'm-sweep'"),
+    ('{"verify": "yes"}', "invalid value 'yes' for 'verify'"),
+    ('{"base-policy": "foo"}', "invalid value 'foo' for 'base-policy'"),
+    (None, "Is a directory"),
+])
+def test_bad_config_file_is_a_one_line_error(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    if text is None:
+        cfg.mkdir()
+    else:
+        cfg.write_text(text)
+    rc = main(["stability", "--config", str(cfg), "--grid", "4", "--e-eta", "1.0",
+               "--out-dir", str(tmp_path / "s")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: config {cfg}: {message}\n"
+
+
+def test_bad_jobs_variable_is_a_one_line_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FLEETROLL_JOBS", "abc")
+    rc = main(["simulate", "--grid", "4", "--e-eta", "1.0", "--policy", "greedy",
+               "--m", "2", "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: FLEETROLL_JOBS must be an integer, got 'abc'\n"
+
+
+def test_unknown_base_policy_is_a_fleetroll_error():
+    from fleetroll.errors import FleetrollError
+    from fleetroll.rollout import RolloutConfig
+
+    for kwargs in ({"base_policy": "foo"}, {"t_h": 0}, {"num_mc": 0}):
+        with pytest.raises(FleetrollError):
+            RolloutConfig(**kwargs)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--hotspot", "99"], "error: hotspot 99 is outside the graph's nodes 1..9\n"),
+    (["--hotspot", "0", "--hotspot-mass", "0.2"],
+     "error: hotspot 0 is outside the graph's nodes 1..9\n"),
+    (["--hotspot", "5", "--hotspot-mass", "1.5"],
+     "error: hotspot mass must be in [0, 1], got 1.5\n"),
+    (["--hotspot", "5", "--hotspot-mass", "-0.1"],
+     "error: hotspot mass must be in [0, 1], got -0.1\n"),
+])
+def test_bad_hotspot_is_a_one_line_error(tmp_path, capsys, flags, message):
+    rc = main(["stability", "--grid", "3", "--e-eta", "1.0", *flags,
+               "--out-dir", str(tmp_path / "s")])
+    assert rc == 1
+    assert capsys.readouterr().err == message

@@ -6,9 +6,9 @@ from fleetroll.demand import (DemandModel, Request, estimate_from_trips, generat
                              synthetic_model)
 from fleetroll.graph import grid_graph
 from fleetroll.matching import auction_match
-from fleetroll.rollout import (RolloutConfig, RolloutPolicy, _ia_ra_lookahead_cost,
-                               _lookahead_cost, _match_step, _sample_scenario,
-                               one_at_a_time_control)
+from fleetroll.rollout import (RolloutConfig, RolloutPolicy, _candidate_actions,
+                               _candidate_costs, _compose_joint, _lookahead_cost,
+                               _match_step, _sample_scenario, one_at_a_time_control)
 from fleetroll.policies import _match_free_to_requests, ia_ra_control
 from fleetroll.sim import (MOVE, PICKUP, STAY, FleetState, run_episode, substream)
 from conftest import line_graph, ring_graph
@@ -65,15 +65,19 @@ def test_lookahead_hand_rolled_line():
     g = line_graph(4)
     r = Request(1, 3, 4, 1)
     s = make_state([2], outstanding={1: r})
-    batches = [[], [], []]
-    toward = _ia_ra_lookahead_cost(s, [(MOVE, 3)], batches, g, 2)
-    away = _ia_ra_lookahead_cost(s, [(MOVE, 1)], batches, g, 2)
-    stay = _ia_ra_lookahead_cost(s, [(STAY,)], batches, g, 2)
+    joints = [[(MOVE, 3)], [(MOVE, 1)], [(STAY,)]]
     # toward: outstanding counts 1 (now), 1 (at 3), 0 (picked), 0 -> total 2
-    # stay:   1, 1, 1 (arrives), 0 -> 3;  away: 1, 1, 1, 1 -> 4
-    assert toward == 2
-    assert stay == 3
-    assert away == 4
+    # away:   1, 1, 1, 1 -> 4;  stay: 1, 1, 1 (arrives), 0 -> 3
+    for base_policy in ("ia-ra", "greedy"):
+        assert _candidate_costs(s, joints, [[[], [], []]], g, base_policy, 2) == [2, 4, 3]
+        # two identical scenarios: each candidate's cost twice
+        assert _candidate_costs(s, joints, [[[], [], []]] * 2, g, base_policy, 2) == [4, 8, 6]
+
+
+def generic_costs(state, joints, scenarios, graph, t_h, inbound):
+    """Per (candidate, scenario) cost on the validated sim.transition path."""
+    return [[_lookahead_cost(state, joint, batches, graph, ia_ra_control, t_h, inbound)
+             for batches in scenarios] for joint in joints]
 
 
 def test_fast_path_matches_generic_path(grid5):
@@ -82,6 +86,8 @@ def test_fast_path_matches_generic_path(grid5):
     # Small fleets on 5x5; fleets and request pools above 10 on 8x8, so the
     # fast path also builds its larger matchings by array indexing; then a
     # one-way ring, where taxi-to-pickup and pickup-to-taxi distances differ.
+    # Every call scores all candidates of one free taxi over 1-4 scenarios,
+    # at t_h 1..6, with inbound taxis due before, within and after the horizon.
     ring = ring_graph(12)
     small = (grid5, synthetic_model(grid5, 0.8), (1, 6), (0, 5), 0.3)
     large = (grid8, synthetic_model(grid8, 6.0), (14, 25), (14, 30), 0.1)
@@ -89,6 +95,7 @@ def test_fast_path_matches_generic_path(grid5):
     for trial in range(280):
         g, model, m_range, n_req, p_busy = (small if trial < 200 else
                                             large if trial < 240 else one_way)
+        t_h = 1 + trial % 6
         m = int(rng.integers(*m_range))
         locs = [int(rng.integers(1, g.n + 1)) for _ in range(m)]
         timers = [0] * m
@@ -103,11 +110,41 @@ def test_fast_path_matches_generic_path(grid5):
                 if drop != locs[l]:
                     timers[l] = g.distance(locs[l], drop)
                     in_service[l] = (100 + l, drop)
+        inbound = tuple((int(rng.integers(1, t_h + 3)), int(rng.integers(1, g.n + 1)))
+                        for _ in range(int(rng.integers(0, 4))))
         s = FleetState(locs, timers, outstanding, in_service, 1)
-        joint, _ = ia_ra_control(s, g)
-        batches = _sample_scenario(model, 5, 1, substream(3, trial))[0]
-        assert (_lookahead_cost(s, joint, batches, g, ia_ra_control, 5)
-                == _ia_ra_lookahead_cost(s, joint, batches, g, 5))
+        base_joint, _ = ia_ra_control(s, g)
+        free = [l for l in range(m) if timers[l] == 0]
+        joints = [base_joint]
+        if free:
+            l = free[int(rng.integers(len(free)))]
+            claimed = {a[1] for a in base_joint[:l] if a[0] == PICKUP}
+            joints = [_compose_joint(base_joint, cand, l, base_joint, claimed)
+                      for cand in _candidate_actions(s, g, l, claimed)]
+        scenarios = _sample_scenario(model, t_h, int(rng.integers(1, 5)), substream(3, trial))
+        want = generic_costs(s, joints, scenarios, g, t_h, inbound)
+        assert (_candidate_costs(s, joints, scenarios, g, "ia-ra", t_h, inbound)
+                == [sum(costs) for costs in want])
+        for k, batches in enumerate(scenarios):
+            assert (_candidate_costs(s, joints, [batches], g, "ia-ra", t_h, inbound)
+                    == [costs[k] for costs in want])
+
+
+def test_last_step_pickups_follow_the_tied_matching():
+    # Line 1-2-3-4: taxi 1 sits on request 1's pickup (node 2), taxi 0 one hop
+    # away at node 1, request 2 at node 3. Pairing taxi 1 with request 1 and
+    # the crossed pairing both cost 2; linear_sum_assignment takes the crossed
+    # one, so the last step of this t_h = 1 lookahead makes no pickup although
+    # a free taxi stands on an outstanding pickup.
+    g = line_graph(4)
+    s = make_state([1, 2], outstanding={1: Request(1, 2, 4, 1), 2: Request(2, 3, 4, 1)})
+    assert auction_match([[1, 2], [0, 1]]) == [0, 1]
+    joints = [[(STAY,), (STAY,)], [(MOVE, 2), (STAY,)], [(STAY,), (PICKUP, 1)],
+              [(STAY,), (MOVE, 3)]]
+    scenarios = [[[], []], [[(-1, 2, 1)], [(-2, 3, 1)]]]
+    got = _candidate_costs(s, joints, scenarios, g, "ia-ra", 1)
+    assert got == [sum(costs) for costs in generic_costs(s, joints, scenarios, g, 1, ())]
+    assert got[0] == 6 + 8  # 2 + 2 + 2 without arrivals; 2 + 3 + 3 with them
 
 
 def test_single_row_matching_takes_the_lowest_index_minimum():
@@ -230,6 +267,9 @@ def test_scenarios_zero_variance_on_deterministic_model():
     assert len(est.scenario_costs) == 6
     assert len(set(est.scenario_costs)) == 1
     assert est.mean == est.scenario_costs[0]
+    scenarios = _sample_scenario(zero_model(), 3, 6, substream(0, 0))
+    assert _candidate_costs(s, [[(MOVE, 3)]], scenarios, g, "ia-ra", 3) == [
+        sum(est.scenario_costs)]
 
 
 def test_control_determinism_across_calls(grid5):
