@@ -342,8 +342,10 @@ def _fits_type(val, kind):
     return isinstance(val, (int, float) if kind is float else kind)
 
 
-def _load_config(path, actions):
-    """Config file values by flag name; each must suit its flag's type."""
+def _load_config(path, actions, known):
+    """Config file values by flag name; each must suit its flag's type. A key
+    may name a flag of another subcommand, so that one config can serve
+    several, but not a flag no subcommand has."""
     try:
         loaded = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -355,6 +357,8 @@ def _load_config(path, actions):
     values = {}
     for key, val in loaded.items():
         dest = key.replace("-", "_")
+        if dest not in known:
+            raise CLIError(f"config {path}: unknown key '{key}' (no subcommand has such a flag)")
         action = actions.get(dest)
         if action is not None and val is not None and not _fits(action, val):
             raise CLIError(f"config {path}: invalid value {val!r} for '{key}'")
@@ -362,13 +366,14 @@ def _load_config(path, actions):
     return values
 
 
-def _merge(ns, actions) -> dict:
+def _merge(ns, actions, known) -> dict:
     """Defaults < config file < explicit flags. `actions` maps each flag's
-    destination name to its argparse action."""
+    destination name to its argparse action; `known` holds the destination
+    names of every subcommand's flags."""
     args = dict(_DEFAULTS)
     cfg_path = getattr(ns, "config", None)
     if cfg_path:
-        args.update(_load_config(cfg_path, actions))
+        args.update(_load_config(cfg_path, actions, known))
     for key, val in vars(ns).items():
         if key in ("config", "func"):
             continue
@@ -380,12 +385,14 @@ def _merge(ns, actions) -> dict:
             args["jobs"] = int(jobs)
         except ValueError:
             raise CLIError(f"FLEETROLL_JOBS must be an integer, got {jobs!r}") from None
+        if args["jobs"] < 1:
+            raise CLIError(f"FLEETROLL_JOBS must be >= 1, got {jobs!r}")
     return args
 
 
 def _validate(args):
     """Reject settings no command can run with, before any work starts."""
-    for flag in ("m_lim", "seeds", "t_h", "num_mc"):
+    for flag in ("jobs", "m_lim", "seeds", "t_h", "num_mc"):
         if args[flag] < 1:
             raise CLIError(f"--{flag.replace('_', '-')} must be >= 1, got {args[flag]}")
     if args["verify"] and args["seeds"] < MIN_TRACES:
@@ -440,8 +447,9 @@ def main(argv=None) -> int:
     if ns.command == "gen-graph":
         return ns.func({"k": ns.k, "out": ns.out})
     actions = {a.dest: a for a in sub.choices[ns.command]._actions}
+    known = {a.dest for p in sub.choices.values() for a in p._actions} - {"help"}
     try:
-        args = _merge(ns, actions)
+        args = _merge(ns, actions, known)
         if ns.command in ("gen-trips", "partition"):
             args["out"] = ns.out
         _validate(args)

@@ -1,12 +1,14 @@
 """Street network as a directed unit-weight graph with exact all-pairs distances.
 
 Nodes are 1-indexed. Distances and next hops are precomputed once per graph
-(all-pairs shortest paths by scipy.sparse.csgraph, then one vectorised pass
-over the edges for the next-hop table) because the planners query them
-millions of times. Distances are kept as nested lists for scalar lookups and
-as a numpy array for building cost matrices by indexing; next hops as one
-compact `array` row per node. The graph is immutable afterwards and safe to
-share across workers.
+because the planners query them millions of times. Both tables are built in
+blocks of source rows (hop distances by scipy.sparse.csgraph, then one
+vectorised pass over each block's edges for its next hops), so no build
+temporary is n x n. `dist_array` holds the distances as unsigned shorts
+(unsigned ints from 65,536 nodes on) for building cost matrices by indexing;
+`_dist` gives its rows as lists for scalar lookups, each made the first time
+it is read; next hops are one compact `array` row per node. The graph is
+immutable afterwards and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ class SectorsUnassigned(GraphError):
     pass
 
 
-_UNREACHED = -1
 _BLOCK_CELLS = 1 << 16  # cells per block of a weighted distance sum
+_BUILD_BLOCK_CELLS = 1 << 20  # cells per block of source rows in the table build
 
 
 class CityGraph:
@@ -74,11 +76,8 @@ class CityGraph:
             self.adj = self._build_adjacency()
             # (n+1) x (n+1) tables; row and column 0 are unused padding.
             self.dist_array = _all_pairs_distances(self.adj)
-            self._dist = self.dist_array.tolist()
-            # Rows of unsigned shorts take a quarter of the memory of list rows.
-            code = "H" if n < 2 ** 16 else "I"
-            hops = _next_hop_table(self.adj, self.dist_array).astype(code)
-            self._next = [array(code, row.tobytes()) for row in hops]
+            self._dist = _ListRows(self.dist_array)
+            self._next = _next_hop_rows(self.adj, self.dist_array)
 
     def _build_adjacency(self):
         adj = [[] for _ in range(self.n + 1)]
@@ -96,9 +95,6 @@ class CityGraph:
 
     def distance(self, i: int, j: int) -> int:
         return self._dist[i][j]
-
-    def neighbors(self, i: int) -> list[int]:
-        return self.adj[i]
 
     def next_hop(self, i: int, j: int) -> int:
         """Neighbor of i on a shortest path to j; smallest index on ties."""
@@ -178,42 +174,73 @@ class CityGraph:
         return best
 
 
-def _all_pairs_distances(adj):
-    """Hop distances between all node pairs, -1 in the padding row and column.
+class _ListRows(dict):
+    """Rows of a distance array as lists, indexed like a list of rows, each
+    made the first time it is read: list reads are the fastest scalar reads
+    the lookahead's inner loop can make."""
 
-    Raises NotStronglyConnected naming the first unreachable (source, target)
-    pair in row-major order.
+    def __init__(self, table):
+        super().__init__()
+        self.table = table
+
+    def __missing__(self, i):
+        row = self[i] = self.table[i].tolist()
+        return row
+
+
+def _all_pairs_distances(adj):
+    """Hop distances between all node pairs as unsigned ints, the largest
+    value of the dtype in the padding row and column.
+
+    Sources are searched in blocks of rows. Raises NotStronglyConnected
+    naming the first unreachable (source, target) pair in row-major order.
     """
     n = len(adj) - 1
     heads = np.repeat(np.arange(n), [len(adj[i]) for i in range(1, n + 1)])
     tails = np.array([j - 1 for i in range(1, n + 1) for j in adj[i]], dtype=np.intp)
     arcs = csr_matrix((np.ones(len(tails)), (heads, tails)), shape=(n, n))
-    hops = shortest_path(arcs, method="D", directed=True, unweighted=True)
-    unreached = np.argwhere(np.isinf(hops))
-    if len(unreached):
-        src, tgt = unreached[0] + 1
-        raise NotStronglyConnected(f"node {tgt} is unreachable from node {src}")
-    dist = np.full((n + 1, n + 1), _UNREACHED, dtype=np.int32)
-    dist[1:, 1:] = hops
+    # A distance is at most n - 1, so it always fits below the padding value.
+    dist = np.empty((n + 1, n + 1), dtype=np.uint16 if n < 2 ** 16 else np.uint32)
+    dist[0] = dist[:, 0] = np.iinfo(dist.dtype).max
+    rows = max(1, _BUILD_BLOCK_CELLS // n)
+    for at in range(0, n, rows):
+        sources = np.arange(at, min(at + rows, n))
+        hops = shortest_path(arcs, method="D", directed=True, unweighted=True,
+                             indices=sources)
+        if np.isinf(hops).any():
+            src, tgt = np.argwhere(np.isinf(hops))[0] + (at + 1, 1)
+            raise NotStronglyConnected(f"node {tgt} is unreachable from node {src}")
+        dist[at + 1:at + 1 + len(sources), 1:] = hops
     return dist
 
 
-def _next_hop_table(adj, dist):
-    """nxt[i, j]: the smallest-index neighbor k of i with dist[k, j] = dist[i, j] - 1,
+def _next_hop_rows(adj, dist):
+    """Next-hop rows, one `array` per node of the dtype of `dist`: entry j of
+    row i is the smallest-index neighbor k of i with dist[k, j] = dist[i, j] - 1,
     0 on the diagonal and in the padding.
 
-    Neighbor slots are visited from the last to the first, so the smallest
-    neighbor on a shortest path is written last. Work is O(|E| n).
+    Rows are built in blocks. Within a block, neighbor slots are visited from
+    the last to the first, so the smallest neighbor on a shortest path is
+    written last. Work is O(|E| n). The unsigned dist - 1 wraps on the
+    diagonal to the padding value, which no distance takes, and the padding
+    column wants one less than it: neither ever matches a neighbor.
     """
-    nxt = np.zeros_like(dist)
-    want = dist - 1
+    code = "H" if dist.dtype == np.uint16 else "I"
+    n = len(adj) - 1
     degree = np.array([len(nbrs) for nbrs in adj])
-    for slot in range(int(degree.max()) - 1, -1, -1):
-        rows = np.flatnonzero(degree > slot)
-        nbr = np.array([adj[i][slot] for i in rows])
-        on_path = dist[nbr] == want[rows]
-        nxt[rows] = np.where(on_path, nbr[:, None], nxt[rows])
-    return nxt
+    rows = max(1, _BUILD_BLOCK_CELLS // (n + 1))
+    table = []
+    for at in range(0, n + 1, rows):
+        stop = min(at + rows, n + 1)
+        want = dist[at:stop] - 1
+        nxt = np.zeros(want.shape, dtype=dist.dtype)
+        for slot in range(int(degree[at:stop].max(initial=0)) - 1, -1, -1):
+            local = np.flatnonzero(degree[at:stop] > slot)
+            nbr = np.array([adj[at + i][slot] for i in local.tolist()])
+            on_path = dist[nbr] == want[local]
+            nxt[local] = np.where(on_path, nbr[:, None].astype(dist.dtype), nxt[local])
+        table += [array(code, row.tobytes()) for row in nxt]
+    return table
 
 
 def build_graph(n: int, edges, coords=None) -> CityGraph:

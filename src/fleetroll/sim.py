@@ -68,10 +68,6 @@ class FleetState:
     def m(self) -> int:
         return len(self.locations)
 
-    def copy(self) -> "FleetState":
-        return FleetState(list(self.locations), list(self.timers),
-                          dict(self.outstanding), dict(self.in_service), self.clock)
-
 
 def stage_cost(state: FleetState) -> int:
     return len(state.outstanding)

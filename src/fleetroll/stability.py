@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
 from .demand import expectation_terms
 from .errors import FleetrollError
@@ -299,7 +299,10 @@ class StabilityVerdict:
 def _trend(y):
     """Least-squares slope of y over 1..T and the one-sided p-value for the
     slope being positive (t-test, T-2 dof). Degenerate fits are handled
-    without warnings: a flat perfect fit has no trend, a rising one is sure."""
+    without warnings: a flat perfect fit has no trend, a rising one is sure.
+
+    The p-value is the Student t survival function as scipy.stats computes
+    it, stdtr(dof, -t), without loading scipy.stats."""
     T = len(y)
     x = np.arange(1, T + 1, dtype=float)
     xc = x - x.mean()
@@ -312,7 +315,7 @@ def _trend(y):
     if s2 <= 0:
         return slope, (0.0 if slope > 0 else 1.0)
     t_stat = slope / math.sqrt(s2 / sxx)
-    return slope, float(stats.t.sf(t_stat, dof))
+    return slope, float(stdtr(dof, -t_stat))
 
 
 def empirical_stability(traces, window: int) -> StabilityVerdict:
@@ -334,6 +337,8 @@ def empirical_stability(traces, window: int) -> StabilityVerdict:
         raise StabilityError("traces have different horizons")
     if window > T // 2:
         raise StabilityError(f"window {window} exceeds half the horizon {T}")
+    if T < 3:
+        raise StabilityError(f"a slope test needs a horizon of at least 3 steps, got {T}")
 
     firsts = series[:, T - 2 * window:T - window].mean(axis=1)
     lasts = series[:, -window:].mean(axis=1)

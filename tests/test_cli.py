@@ -170,6 +170,11 @@ def test_trip_log_with_unknown_node_is_a_one_line_error(tmp_path, capsys):
      "error: --t-h must be >= 1, got 0\n"),
     (["simulate", "--policy", "rollout", "--m", "2", "--num-mc", "0"],
      "error: --num-mc must be >= 1, got 0\n"),
+    (["simulate", "--policy", "greedy", "--m", "2", "--jobs", "0"],
+     "error: --jobs must be >= 1, got 0\n"),
+    (["stability", "--policy", "ia-ra", "--verify", "--m-sweep", "3", "--seeds", "5",
+      "--jobs", "-3"],
+     "error: --jobs must be >= 1, got -3\n"),
 ])
 def test_too_small_count_flag_is_a_usage_error(tmp_path, capsys, argv, message):
     out = tmp_path / "o"
@@ -196,6 +201,7 @@ def test_compare_without_fleet_size_is_a_usage_error(tmp_path, capsys):
     ('{"verify": "yes"}', "invalid value 'yes' for 'verify'"),
     ('{"base-policy": "foo"}', "invalid value 'foo' for 'base-policy'"),
     (None, "Is a directory"),
+    ('{"tee-h": 0}', "unknown key 'tee-h' (no subcommand has such a flag)"),
 ])
 def test_bad_config_file_is_a_one_line_error(tmp_path, capsys, text, message):
     cfg = tmp_path / "cfg.json"
@@ -207,6 +213,19 @@ def test_bad_config_file_is_a_one_line_error(tmp_path, capsys, text, message):
                "--out-dir", str(tmp_path / "s")])
     assert rc == 1
     assert capsys.readouterr().err == f"error: config {cfg}: {message}\n"
+    assert not (tmp_path / "s").exists()
+
+
+def test_config_shared_by_subcommands_is_accepted(tmp_path):
+    """Keys that name another subcommand's flags (stability's `metric` and
+    `verify`, gen-trips' `out`) are kept for that subcommand, not rejected."""
+    cfg = tmp_path / "shared.json"
+    cfg.write_text(json.dumps({"grid": 3, "e-eta": 1.0, "policy": "greedy", "m": 2,
+                               "T": 5, "metric": "graph", "verify": False,
+                               "out": str(tmp_path / "trips.csv")}))
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "summary.csv").exists()
+    assert main(["stability", "--config", str(cfg), "--out-dir", str(tmp_path / "s")]) == 0
 
 
 def test_bad_jobs_variable_is_a_one_line_error(tmp_path, capsys, monkeypatch):
@@ -215,6 +234,17 @@ def test_bad_jobs_variable_is_a_one_line_error(tmp_path, capsys, monkeypatch):
                "--m", "2", "--out-dir", str(tmp_path / "o")])
     assert rc == 1
     assert capsys.readouterr().err == "error: FLEETROLL_JOBS must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_jobs_variable_below_one_is_a_one_line_error(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("FLEETROLL_JOBS", value)
+    out = tmp_path / "o"
+    rc = main(["simulate", "--grid", "4", "--e-eta", "1.0", "--policy", "greedy",
+               "--m", "2", "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: FLEETROLL_JOBS must be >= 1, got '{value}'\n"
+    assert not out.exists()
 
 
 def test_unknown_base_policy_is_a_fleetroll_error():

@@ -1,8 +1,11 @@
+import random
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fleetroll import graph as graph_module
 from fleetroll.graph import (InvalidEdge, NotStronglyConnected, SameNode,
                              SameSector, SectorsUnassigned, build_graph, grid_graph,
                              load_graph, save_graph)
@@ -141,17 +144,70 @@ def test_next_hop_table_is_smallest_shortest_successor_on_grids(k):
     assert_next_hop_table(grid_graph(k))
 
 
-def test_next_hop_table_on_random_strong_digraph():
-    import random
+def random_strong_digraph(rnd, n):
+    order = list(range(1, n + 1))
+    rnd.shuffle(order)
+    edges = [(order[v], order[(v + 1) % n]) for v in range(n)]  # shuffled ring
+    edges += [(rnd.randint(1, n), rnd.randint(1, n)) for _ in range(2 * n)]
+    return build_graph(n, [(a, b) for a, b in edges if a != b])
 
+
+def test_next_hop_table_on_random_strong_digraph():
     rnd = random.Random(3)
     for n in (7, 20, 45):
-        order = list(range(1, n + 1))
-        rnd.shuffle(order)
-        edges = [(order[v], order[(v + 1) % n]) for v in range(n)]  # shuffled ring
-        edges += [(rnd.randint(1, n), rnd.randint(1, n)) for _ in range(2 * n)]
-        g = build_graph(n, [(a, b) for a, b in edges if a != b])
-        assert_next_hop_table(g)
+        assert_next_hop_table(random_strong_digraph(rnd, n))
+
+
+def test_tables_are_unsigned_shorts_with_max_padding(grid3):
+    assert grid3.dist_array.dtype == np.uint16
+    assert (grid3.dist_array[0] == 65535).all() and (grid3.dist_array[:, 0] == 65535).all()
+    assert all(row.typecode == "H" for row in grid3._next)
+    assert list(grid3._next[0]) == [0] * 10 and [row[0] for row in grid3._next] == [0] * 10
+
+
+def tables(graph):
+    return (graph.dist_array.tolist(), [graph._dist[i] for i in range(graph.n + 1)],
+            [row.tolist() for row in graph._next])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: grid_graph(12),
+    lambda: ring_graph(9),
+    lambda: random_strong_digraph(random.Random(11), 40),
+], ids=["grid12", "ring9", "random40"])
+def test_build_in_small_blocks_equals_one_block(monkeypatch, make):
+    monkeypatch.setattr(graph_module, "_BUILD_BLOCK_CELLS", 1 << 30)
+    whole = tables(make())
+    n = len(whole[0]) - 1
+    for rows in (1, 2, 4, 7):  # blocks of that many source rows, the last one shorter
+        monkeypatch.setattr(graph_module, "_BUILD_BLOCK_CELLS", rows * n)
+        assert tables(make()) == whole
+
+
+@pytest.mark.parametrize("cells", [1, 2, 5, 1 << 30])
+def test_unreachable_pair_in_a_later_block_is_named(monkeypatch, cells):
+    monkeypatch.setattr(graph_module, "_BUILD_BLOCK_CELLS", cells)
+    # two directed triangles 1-2-3 and 4-5-6 joined by the one-way edge 3 -> 4:
+    # the first unreachable pair in row-major order is (4, 1)
+    edges = [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4), (3, 4)]
+    with pytest.raises(NotStronglyConnected, match="^node 1 is unreachable from node 4$"):
+        build_graph(6, edges)
+    edges = [(v, v + 1) for v in range(1, 5)] + [(v + 1, v) for v in range(1, 4)]
+    with pytest.raises(NotStronglyConnected, match="^node 1 is unreachable from node 5$"):
+        build_graph(5, edges)
+
+
+def test_list_rows_are_made_when_first_read():
+    g = grid_graph(4)
+    assert len(g._dist) == 0
+    assert g.distance(3, 14) == 4
+    assert list(g._dist) == [3]
+    row = g._dist[3]
+    assert g._dist[3] is row  # kept, not made again
+    assert g.with_sectors([0] + [1] * 16)._dist is g._dist  # shared with sectored copies
+    for i in range(g.n + 1):
+        assert g._dist[i] == g.dist_array[i].tolist()
+        assert all(type(d) is int for d in g._dist[i])
 
 
 def test_next_hop_in_partition_line():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fleetroll.demand import DemandModel, synthetic_model
-from fleetroll.stability import (MarginalMismatch, MissingCoordinates, TooFewTraces,
-                                 bounds_from_expectations, compute_bounds,
+from fleetroll.stability import (MarginalMismatch, MissingCoordinates, StabilityError,
+                                 TooFewTraces, bounds_from_expectations, compute_bounds,
                                  empirical_stability, wasserstein_discrete)
 from conftest import line_graph
 
@@ -194,3 +194,75 @@ def test_too_few_traces():
 def test_window_too_large():
     with pytest.raises(Exception):
         empirical_stability([SeriesTrace([0] * 10)] * 6, window=8)
+
+
+def test_two_step_horizon_is_too_short_for_a_slope():
+    with pytest.raises(StabilityError, match="at least 3 steps, got 2"):
+        empirical_stability([SeriesTrace([0, 1])] * 6, window=1)
+
+
+def trend_p_reference(y):
+    """The one-sided p-value of a positive least-squares slope by
+    scipy.stats.t.sf, with an infinite t statistic for a perfect fit."""
+    import math
+
+    from scipy import stats
+
+    T = len(y)
+    x = np.arange(1, T + 1, dtype=float)
+    xc = x - x.mean()
+    yc = y - y.mean()
+    sxx = float(xc @ xc)
+    slope = float(xc @ yc) / sxx
+    resid = yc - slope * xc
+    s2 = float(resid @ resid) / (T - 2)
+    t_stat = math.copysign(math.inf, slope) if s2 <= 0 else slope / math.sqrt(s2 / sxx)
+    return float(stats.t.sf(t_stat, T - 2))
+
+
+def test_trend_p_value_equals_scipy_stats_t_sf():
+    from fleetroll.stability import _trend
+
+    for T in (3, 4, 5, 8, 12, 30, 100, 1000):
+        x = np.arange(1, T + 1, dtype=float)
+        xc = x - x.mean()
+        # residual orthogonal to the fit's intercept and slope, unit norm
+        r = np.cos(np.pi * x * 2.0 / 3.0) if T > 3 else np.array([1.0, -2.0, 1.0])
+        r = r - r.mean() - (r @ xc) / (xc @ xc) * xc
+        r /= np.linalg.norm(r)
+        scale = np.sqrt((1.0 / (T - 2)) / (xc @ xc))  # the slope's standard error
+        for t in (-40.0, -6.0, -2.5, -1.0, -0.1, 0.0, 0.3, 1.0, 1.7, 2.5, 4.0, 9.0, 40.0):
+            y = 5.0 + t * scale * xc + r
+            assert _trend(y)[1] == trend_p_reference(y)
+        for y in (3.0 * x, -0.5 * x + 7.0):  # perfect fits, rising and falling
+            assert _trend(y)[1] == trend_p_reference(y)
+        assert _trend(np.full(T, 2.0)) == (0.0, 1.0)  # a flat perfect fit has no trend
+
+
+def test_import_and_verdict_leave_scipy_stats_unloaded():
+    """scipy.stats costs about 20 MB of resident memory; neither importing
+    fleetroll nor an empirical verdict loads it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import fleetroll
+
+    code = (
+        "import sys\n"
+        "import fleetroll\n"
+        "from fleetroll.stability import empirical_stability\n"
+        "class Trace:\n"
+        "    def __init__(self, k):\n"
+        "        self.k = k\n"
+        "    def outstanding_series(self):\n"
+        "        return [t + (t * self.k) % 5 for t in range(40)]\n"
+        "v = empirical_stability([Trace(k) for k in range(1, 7)], window=10)\n"
+        "print(v.verdict, 0 < v.slope_p < 0.05, 'scipy.stats' in sys.modules)\n"
+    )
+    src = str(Path(fleetroll.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["UNSTABLE", "True", "False"]
