@@ -55,7 +55,7 @@ def make_policy(kind, g, model, m, args):
 def resolve_graph(args):
     if args.get("graph"):
         return graphmod.load_graph(args["graph"])
-    if args.get("grid"):
+    if args.get("grid") is not None:
         return graphmod.grid_graph(args["grid"])
     raise CLIError("provide --graph FILE or --grid K")
 
@@ -395,6 +395,8 @@ def _validate(args):
     for flag in ("jobs", "m_lim", "seeds", "t_h", "num_mc"):
         if args[flag] < 1:
             raise CLIError(f"--{flag.replace('_', '-')} must be >= 1, got {args[flag]}")
+    if args["grid"] is not None and args["grid"] < 1:
+        raise CLIError(f"--grid must be >= 1, got {args['grid']}")
     if args["verify"] and args["seeds"] < MIN_TRACES:
         raise CLIError(f"--seeds must be >= {MIN_TRACES} with --verify, got {args['seeds']}")
 
@@ -444,11 +446,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_partition)
 
     ns = parser.parse_args(argv)
-    if ns.command == "gen-graph":
-        return ns.func({"k": ns.k, "out": ns.out})
     actions = {a.dest: a for a in sub.choices[ns.command]._actions}
     known = {a.dest for p in sub.choices.values() for a in p._actions} - {"help"}
     try:
+        if ns.command == "gen-graph":
+            return ns.func({"k": ns.k, "out": ns.out})
         args = _merge(ns, actions, known)
         if ns.command in ("gen-trips", "partition"):
             args["out"] = ns.out

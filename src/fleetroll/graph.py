@@ -2,7 +2,7 @@
 
 Nodes are 1-indexed. Distances and next hops are precomputed once per graph
 because the planners query them millions of times. Both tables are built in
-blocks of source rows (hop distances by scipy.sparse.csgraph, then one
+blocks (hop distances by a bit-parallel BFS from all sources at once, then one
 vectorised pass over each block's edges for its next hops), so no build
 temporary is n x n. `dist_array` holds the distances as unsigned shorts
 (unsigned ints from 65,536 nodes on) for building cost matrices by indexing;
@@ -14,11 +14,10 @@ immutable afterwards and safe to share across workers.
 from __future__ import annotations
 
 from array import array
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .errors import FleetrollError
 
@@ -145,9 +144,8 @@ class CityGraph:
                 sectors[v] = k
         else:
             sectors = list(assignment)
-        g = CityGraph(self.n, self.edges, coords=self.coords, sectors=sectors,
-                      _precomputed=(self.adj, self.dist_array, self._dist, self._next))
-        return g
+        return CityGraph(self.n, self.edges, coords=self.coords, sectors=sectors,
+                         _precomputed=(self.adj, self.dist_array, self._dist, self._next))
 
     def next_hop_in_partition(self, v_start: int, v_end: int) -> int:
         """Boundary entry point: the node of sector(v_end) on a shortest
@@ -192,25 +190,44 @@ def _all_pairs_distances(adj):
     """Hop distances between all node pairs as unsigned ints, the largest
     value of the dtype in the padding row and column.
 
-    Sources are searched in blocks of rows. Raises NotStronglyConnected
-    naming the first unreachable (source, target) pair in row-major order.
+    A BFS from all sources at once on bitsets of targets (the bit-parallel BFS
+    of Akiba, Iwata & Yoshida, SIGMOD 2013): s first reaches at level L what its
+    neighbors first reached at level L - 1 and s had not; those bits go into
+    the bit-planes where L has a 1 bit. Targets are taken in blocks of about
+    _BUILD_BLOCK_CELLS cells. Raises NotStronglyConnected naming the first
+    unreachable (source, target) pair in row-major order.
     """
     n = len(adj) - 1
-    heads = np.repeat(np.arange(n), [len(adj[i]) for i in range(1, n + 1)])
-    tails = np.array([j - 1 for i in range(1, n + 1) for j in adj[i]], dtype=np.intp)
-    arcs = csr_matrix((np.ones(len(tails)), (heads, tails)), shape=(n, n))
+    # slot x node; padded slots take row 0, which stays empty
+    nbr = np.array(list(zip_longest([0], *adj[1:], fillvalue=0)), dtype=np.intp)
     # A distance is at most n - 1, so it always fits below the padding value.
-    dist = np.empty((n + 1, n + 1), dtype=np.uint16 if n < 2 ** 16 else np.uint32)
+    dist = np.zeros((n + 1, n + 1), dtype=np.uint16 if n < 2 ** 16 else np.uint32)
+    step = 64 * max(1, _BUILD_BLOCK_CELLS // (64 * (n + 1)))  # target columns per block
+    for c0 in range(0, n + 1, step):
+        c1 = min(c0 + step, n + 1)
+        own = np.arange(max(c0, 1), c1)
+        frontier = np.zeros((n + 1, (c1 - c0 + 63) // 64), dtype="<u8")  # level 0: s itself
+        frontier[own, (own - c0) >> 6] = np.left_shift(1, own & 63).astype("<u8")
+        unreached = np.bitwise_or.reduce(frontier, axis=0) ^ frontier
+        planes = np.zeros(((n - 1).bit_length(), *frontier.shape), dtype="<u8")
+        for level in range(1, n + 1):
+            new = np.bitwise_or.reduce(np.take(frontier, nbr, axis=0), axis=0) & unreached
+            if not new.any():
+                break
+            unreached ^= new
+            for b in range(level.bit_length()):
+                if level >> b & 1:
+                    planes[b] |= new
+            frontier = new
+        bits = np.unpackbits(planes[:(level - 1).bit_length()].view(np.uint8), axis=2,
+                             count=c1 - c0, bitorder="little")
+        for b, plane_bits in enumerate(bits):
+            dist[:, c0:c1] |= np.left_shift(plane_bits, b, dtype=dist.dtype)
     dist[0] = dist[:, 0] = np.iinfo(dist.dtype).max
-    rows = max(1, _BUILD_BLOCK_CELLS // n)
-    for at in range(0, n, rows):
-        sources = np.arange(at, min(at + rows, n))
-        hops = shortest_path(arcs, method="D", directed=True, unweighted=True,
-                             indices=sources)
-        if np.isinf(hops).any():
-            src, tgt = np.argwhere(np.isinf(hops))[0] + (at + 1, 1)
-            raise NotStronglyConnected(f"node {tgt} is unreachable from node {src}")
-        dist[at + 1:at + 1 + len(sources), 1:] = hops
+    if np.count_nonzero(dist[1:, 1:]) < n * (n - 1):  # an unreached pair stayed 0
+        src, tgt = next((i, j) for i in range(1, n + 1)
+                        for j in np.flatnonzero(dist[i] == 0) if j != i)
+        raise NotStronglyConnected(f"node {tgt} is unreachable from node {src}")
     return dist
 
 
@@ -273,15 +290,18 @@ def grid_graph(k: int) -> CityGraph:
 
 def load_graph(path) -> CityGraph:
     """Read the plain-text edge list: first line "n m", then one "i j" per line."""
-    text = Path(path).read_text().split()
-    if len(text) < 2:
+    vals = []
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        try:
+            vals += map(int, line.split())
+        except ValueError:
+            raise GraphError(f"{path}: line {number} is not integers: {line.strip()!r}") from None
+    if len(vals) < 2:
         raise GraphError(f"{path}: expected a header line 'n m_edges'")
-    n, m = int(text[0]), int(text[1])
-    vals = text[2:]
+    (n, m), vals = vals[:2], vals[2:]
     if len(vals) < 2 * m:
         raise GraphError(f"{path}: expected {m} edges, found {len(vals) // 2}")
-    edges = [(int(vals[2 * i]), int(vals[2 * i + 1])) for i in range(m)]
-    return build_graph(n, edges)
+    return build_graph(n, list(zip(vals[0:2 * m:2], vals[1:2 * m:2])))
 
 
 def save_graph(graph: CityGraph, path) -> None:

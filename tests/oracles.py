@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from fleetroll.matching import Assignment, AssignmentProblem
 from fleetroll.planner import TwoPhasePolicy
@@ -308,3 +310,22 @@ def reference_partition(graph, model, K, max_iter=100):
             break
         centers, assignment = new_centers, new_assignment
     return centers, assignment
+
+
+def csgraph_tables(graph):
+    """Reference distance and next-hop tables of a strongly connected graph,
+    laid out like `CityGraph.dist_array` and `CityGraph._next` ((n+1) x (n+1),
+    padding in row and column 0): hop distances by scipy's csgraph Dijkstra
+    with unit weights, next hops as the smallest neighbor one hop closer."""
+    n = graph.n
+    heads, tails = np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T - 1
+    arcs = csr_matrix((np.ones(len(heads)), (heads, tails)), shape=(n, n))
+    hops = shortest_path(arcs, method="D", directed=True, unweighted=True)
+    assert np.isfinite(hops).all(), "graph is not strongly connected"
+    dist = np.full((n + 1, n + 1), np.iinfo(graph.dist_array.dtype).max, dtype=np.int64)
+    dist[1:, 1:] = hops
+    nxt = np.zeros((n + 1, n + 1), dtype=np.int64)
+    for i in range(1, n + 1):
+        for k in sorted({j for a, j in graph.edges if a == i}, reverse=True):
+            nxt[i] = np.where(dist[k] == dist[i] - 1, k, nxt[i])
+    return dist, nxt

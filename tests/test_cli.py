@@ -247,6 +247,31 @@ def test_jobs_variable_below_one_is_a_one_line_error(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+def test_zero_grid_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = main(["simulate", "--grid", "0", "--e-eta", "1.0", "--policy", "greedy", "--m", "2",
+               "--T", "20", "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --grid must be >= 1, got 0\n"
+    assert not out.exists()
+
+
+def test_gen_graph_with_zero_size_is_a_one_line_error(tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    assert main(["gen-graph", "--k", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: grid size must be >= 1\n"
+    assert not out.exists()
+
+
+def test_graph_file_with_a_non_integer_is_a_one_line_error(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("x y\n1 2\n")
+    rc = main(["simulate", "--graph", str(graph), "--e-eta", "1.0", "--policy", "greedy",
+               "--m", "2", "--T", "20", "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {graph}: line 1 is not integers: 'x y'\n"
+
+
 def test_unknown_base_policy_is_a_fleetroll_error():
     from fleetroll.errors import FleetrollError
     from fleetroll.rollout import RolloutConfig

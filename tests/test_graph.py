@@ -10,6 +10,7 @@ from fleetroll.graph import (InvalidEdge, NotStronglyConnected, SameNode,
                              SameSector, SectorsUnassigned, build_graph, grid_graph,
                              load_graph, save_graph)
 from conftest import line_graph, ring_graph
+from oracles import csgraph_tables
 
 
 def bfs_distance(n, adj, src):
@@ -182,6 +183,46 @@ def test_build_in_small_blocks_equals_one_block(monkeypatch, make):
     for rows in (1, 2, 4, 7):  # blocks of that many source rows, the last one shorter
         monkeypatch.setattr(graph_module, "_BUILD_BLOCK_CELLS", rows * n)
         assert tables(make()) == whole
+
+
+def hub_graph(n, hub):
+    """Two-way path 1-2-...-n plus arcs from `hub` to every other node."""
+    edges = [(v, v + 1) for v in range(1, n)] + [(v + 1, v) for v in range(1, n)]
+    return build_graph(n, edges + [(hub, v) for v in range(1, n + 1) if v != hub])
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda n=n: random_strong_digraph(random.Random(n), n)
+      for n in (63, 64, 65, 127, 128, 129)],
+    lambda: ring_graph(300),  # diameter 299: nine bit-planes
+    lambda: hub_graph(41, 17),  # out-degree 40
+    lambda: grid_graph(20),
+], ids=["random63", "random64", "random65", "random127", "random128", "random129",
+        "ring300", "hub40", "grid20"])
+def test_tables_equal_per_source_bfs_and_csgraph(make):
+    g = make()
+    adj = adjacency(g)
+    dist = g.dist_array.astype(np.int64)
+    for src in range(1, g.n + 1):
+        oracle = bfs_distance(g.n, adj, src)
+        assert dist[src, 1:].tolist() == [oracle[tgt] for tgt in range(1, g.n + 1)]
+    ref_dist, ref_next = csgraph_tables(g)
+    assert np.array_equal(dist, ref_dist)
+    assert [row.tolist() for row in g._next] == ref_next.tolist()
+
+
+@pytest.mark.parametrize("cells", [1, 1 << 30])
+def test_unreachable_target_past_the_first_word_is_named(monkeypatch, cells):
+    monkeypatch.setattr(graph_module, "_BUILD_BLOCK_CELLS", cells)
+    # one-way ring 1..129; node 130 only leaves (to 1), node 131 is only entered
+    # (from 50). Columns 1..129 of row 131 come in earlier word blocks than
+    # column 130, but (1, 130) is the first unreachable pair in row-major order.
+    edges = [(v, v % 129 + 1) for v in range(1, 130)] + [(130, 1), (50, 131)]
+    with pytest.raises(NotStronglyConnected, match="^node 130 is unreachable from node 1$"):
+        build_graph(131, edges)
+    edges = [(v, v % 129 + 1) for v in range(1, 130)] + [(50, 130)]
+    with pytest.raises(NotStronglyConnected, match="^node 1 is unreachable from node 130$"):
+        build_graph(130, edges)
 
 
 @pytest.mark.parametrize("cells", [1, 2, 5, 1 << 30])

@@ -241,7 +241,8 @@ def test_trend_p_value_equals_scipy_stats_t_sf():
 
 def test_import_and_verdict_leave_scipy_stats_unloaded():
     """scipy.stats costs about 20 MB of resident memory; neither importing
-    fleetroll nor an empirical verdict loads it."""
+    fleetroll nor an empirical verdict loads it. Building a graph does not
+    load scipy.sparse.csgraph either."""
     import os
     import subprocess
     import sys
@@ -260,9 +261,11 @@ def test_import_and_verdict_leave_scipy_stats_unloaded():
         "        return [t + (t * self.k) % 5 for t in range(40)]\n"
         "v = empirical_stability([Trace(k) for k in range(1, 7)], window=10)\n"
         "print(v.verdict, 0 < v.slope_p < 0.05, 'scipy.stats' in sys.modules)\n"
+        "fleetroll.grid_graph(5)\n"
+        "print('scipy.sparse.csgraph' in sys.modules)\n"
     )
     src = str(Path(fleetroll.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert out.stdout.split() == ["UNSTABLE", "True", "False"]
+    assert out.stdout.split() == ["UNSTABLE", "True", "False", "False"]
