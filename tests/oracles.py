@@ -60,23 +60,16 @@ def brute_force_assignment(problem: AssignmentProblem) -> Assignment:
 
 
 def lp_transport_value(a, b, cost):
-    """LP over the transportation polytope (HiGHS), independent of the
-    production flow solver."""
+    """LP over the transportation polytope (HiGHS) with every marginal
+    equation kept: the reference for the graph metric's edge-flow LP."""
     S, T = len(a), len(b)
-    c = [cost[i][j] for i in range(S) for j in range(T)]
-    A_eq = []
-    for i in range(S):
-        row = [0.0] * (S * T)
-        for j in range(T):
-            row[i * T + j] = 1.0
-        A_eq.append(row)
-    for j in range(T):
-        row = [0.0] * (S * T)
-        for i in range(S):
-            row[i * T + j] = 1.0
-        A_eq.append(row)
-    res = linprog(c, A_eq=A_eq, b_eq=list(a) + list(b), bounds=(0, None),
-                  method="highs")
+    cells = np.arange(S * T)
+    A_eq = csr_matrix((np.ones(2 * S * T), (np.r_[cells // T, S + cells % T],
+                                            np.r_[cells, cells])), shape=(S + T, S * T))
+    res = linprog(np.asarray(cost, dtype=float).ravel(), A_eq=A_eq,
+                  b_eq=list(a) + list(b), bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
     assert res.success
     return res.fun
 
@@ -147,7 +140,8 @@ def vertex_enumeration_feasible(S, T, cap=20000):
 
 
 def grid_aligned_pmf(rng, size, nodes):
-    """Random pmf whose masses sit on the 1e-6 grid used by the flow scaling."""
+    """Random pmf whose masses sit on the 1e-6 grid, so that each is an exact
+    rational of denominator 10**6 for the vertex-enumeration oracle."""
     raw = rng.integers(1, 10 ** 6, size=size)
     raw = (raw * (10 ** 6) // raw.sum())
     raw[0] += 10 ** 6 - raw.sum()

@@ -1,13 +1,17 @@
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fleetroll.demand import DemandModel, synthetic_model
+from fleetroll import FleetrollError, grid_graph
+from fleetroll.demand import DemandModel, expectation_terms, synthetic_model
 from fleetroll.stability import (MarginalMismatch, MissingCoordinates, StabilityError,
                                  TooFewTraces, bounds_from_expectations, compute_bounds,
                                  empirical_stability, wasserstein_discrete)
-from conftest import line_graph
+from conftest import line_graph, ring_graph
+from test_graph import random_strong_digraph
 
 
 class SeriesTrace:
@@ -74,11 +78,14 @@ def test_plan_marginals_match():
         pm = {i + 1: float(x) for i, x in enumerate(p)}
         qm = {j + 1: float(x) for j, x in enumerate(q)}
         v, plan = wasserstein_discrete(pm, qm, lambda a, b: abs(a - b))
-        rows, cols = plan.marginals()
+        rows, cols = {}, {}
+        for (u, w), m in plan.coupling.items():
+            rows[u] = rows.get(u, 0.0) + m
+            cols[w] = cols.get(w, 0.0) + m
         for u, mass in pm.items():
-            assert rows.get(u, 0.0) == pytest.approx(mass, abs=2e-6)
+            assert rows.get(u, 0.0) == pytest.approx(mass, abs=1e-9)
         for u, mass in qm.items():
-            assert cols.get(u, 0.0) == pytest.approx(mass, abs=2e-6)
+            assert cols.get(u, 0.0) == pytest.approx(mass, abs=1e-9)
         assert v == pytest.approx(sum(m * abs(u - w) for (u, w), m in plan.coupling.items()),
                                   abs=1e-9)
 
@@ -97,8 +104,8 @@ def test_flow_value_matches_lp_oracle():
         assert v == pytest.approx(lp, rel=1e-6, abs=1e-6)
 
 
-def test_quantization_error_is_bounded_for_arbitrary_masses():
-    # masses off the 1e-6 grid are rounded; the value error stays ~1e-5
+def test_arbitrary_masses_match_lp_oracle():
+    # masses off any decimal grid are transported exactly
     rng = np.random.default_rng(29)
     for _ in range(20):
         S, T = int(rng.integers(1, 7)), int(rng.integers(1, 7))
@@ -113,7 +120,70 @@ def test_quantization_error_is_bounded_for_arbitrary_masses():
         v, _ = wasserstein_discrete(pm, qm, lambda a, b: abs(a - b))
         lp = lp_transport_value(p.tolist(), q.tolist(),
                                 [[abs(u - w) for w in nodes_q] for u in nodes_p])
-        assert v == pytest.approx(lp, abs=1e-4)
+        assert v == pytest.approx(lp, abs=1e-9)
+
+
+def test_negative_or_non_finite_mass_rejected():
+    for bad in (math.nan, math.inf, -math.inf, -0.5):
+        with pytest.raises(StabilityError, match="p has a negative or non-finite mass"):
+            wasserstein_discrete({1: 0.5, 2: bad}, {1: 1.0}, lambda a, b: abs(a - b))
+        with pytest.raises(FleetrollError, match="q has a negative or non-finite mass"):
+            wasserstein_discrete({1: 1.0}, {1: bad}, grid_graph(2))
+
+
+def dense_graph_value(graph, p, q):
+    """W1 under graph distance by the transportation LP over the supports."""
+    src, dst = sorted(p), sorted(q)
+    cost = graph.dist_array[np.ix_(src, dst)]
+    return lp_transport_value([p[u] for u in src], [q[v] for v in dst], cost)
+
+
+def random_pmf(rng, nodes):
+    x = rng.random(len(nodes)) ** 3  # uneven, off any decimal grid
+    x /= x.sum()
+    return {int(v): float(m) for v, m in zip(nodes, x)}
+
+
+def test_graph_metric_matches_dense_lp_on_hotspot_grid():
+    g = grid_graph(15)
+    model = synthetic_model(g, 1.0, hotspot=113, hotspot_mass=0.3)
+    p, q = model.marginal_dropoff_pmf, model.pickup_pmf
+    v, plan = wasserstein_discrete(p, q, g)
+    assert plan is None
+    assert v == pytest.approx(2.24, abs=1e-9)  # 0.3 moves to the centre, 1680/225 hops away
+    assert v == pytest.approx(dense_graph_value(g, p, q), abs=1e-9)
+    rng = np.random.default_rng(31)
+    p, q = random_pmf(rng, range(1, 226)), random_pmf(rng, rng.permutation(225)[:90] + 1)
+    assert wasserstein_discrete(p, q, g)[0] == pytest.approx(dense_graph_value(g, p, q), abs=1e-9)
+
+
+def test_graph_metric_matches_dense_lp_on_directed_graphs():
+    rng = np.random.default_rng(37)
+    ring = ring_graph(240)  # one way: d(u, v) + d(v, u) = 240 for u != v
+    strong = random_strong_digraph(random.Random(41), 230)
+    for g in (ring, strong):
+        for _ in range(2):
+            p = random_pmf(rng, rng.permutation(g.n)[:rng.integers(1, g.n)] + 1)
+            q = random_pmf(rng, rng.permutation(g.n)[:rng.integers(1, g.n)] + 1)
+            v, _ = wasserstein_discrete(p, q, g)
+            assert v == pytest.approx(dense_graph_value(g, p, q), abs=1e-9)
+            assert v == pytest.approx(wasserstein_discrete(p, q, g.distance)[0], abs=1e-9)
+    back = wasserstein_discrete({2: 1.0}, {1: 1.0}, ring)[0]
+    assert back == pytest.approx(239.0, abs=1e-9)  # the long way round
+
+
+def test_m_necessary_exact_at_an_integral_threshold():
+    # On a 15x15 hotspot model WD is 2.24 exactly (masses rounded to 1e-6
+    # gave 2.24084). E[eta] is chosen so that E[eta] * (WD + E[d(rho, delta)])
+    # is the integer 103: the fleet of 103 is not asymptotically unstable.
+    g = grid_graph(15)
+    base = synthetic_model(g, 1.0, hotspot=113, hotspot_mass=0.3)
+    d_min = dense_graph_value(g, base.marginal_dropoff_pmf, base.pickup_pmf) \
+        + expectation_terms(base, g).e_rho_delta
+    rep = compute_bounds(synthetic_model(g, 103 / d_min, hotspot=113, hotspot_mass=0.3), g)
+    assert rep.d_min == pytest.approx(d_min, abs=1e-9)
+    assert rep.instability_threshold == pytest.approx(103, abs=1e-9)
+    assert rep.m_necessary == 103
 
 
 def test_metric_sandwich_euclidean_below_graph(grid5):
@@ -194,6 +264,18 @@ def test_too_few_traces():
 def test_window_too_large():
     with pytest.raises(Exception):
         empirical_stability([SeriesTrace([0] * 10)] * 6, window=8)
+
+
+def test_different_horizons_rejected():
+    traces = [SeriesTrace([0] * 10)] * 5 + [SeriesTrace([0] * 11)]
+    with pytest.raises(StabilityError, match="different horizons"):
+        empirical_stability(traces, window=2)
+
+
+@pytest.mark.parametrize("window", [0, -3])
+def test_window_below_one_rejected(window):
+    with pytest.raises(StabilityError, match=f"at least 1 step, got {window}"):
+        empirical_stability([SeriesTrace(list(range(10)))] * 6, window=window)
 
 
 def test_two_step_horizon_is_too_short_for_a_slope():
