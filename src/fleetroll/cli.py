@@ -18,6 +18,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+from scipy.special import stdtr
+
 from . import demand, graph as graphmod
 from .errors import FleetrollError
 from .partition import get_partitions
@@ -44,7 +46,7 @@ def make_policy(kind, g, model, m, args):
         return IACommitPolicy(g)
     if kind == "random-ia":
         return RandomIAPolicy(g)
-    cfg = RolloutConfig(t_h=args["t_h"], num_mc=args["num_mc"], base_policy=args["base_policy"])
+    cfg = RolloutConfig(t_h=args["t_h"], num_mc=args["num_mc"])
     if kind == "rollout":
         return RolloutPolicy(g, model, cfg)
     if kind == "two-phase":
@@ -153,22 +155,19 @@ def cmd_simulate(args):
 
 
 def _paired_t(deltas):
-    """One-sided paired t: mean(delta) < 0. Returns (t, p)."""
-    from scipy import stats
-
+    """One-sided paired t: mean(delta) < 0. Returns (t, p); p is the Student
+    t CDF as scipy.stats computes it, stdtr(n - 1, t). Needs n >= 2."""
     n = len(deltas)
     mean = sum(deltas) / n
     var = sum((d - mean) ** 2 for d in deltas) / (n - 1)
     if var == 0:
         return 0.0, (0.0 if mean < 0 else 1.0)
     t = mean / math.sqrt(var / n)
-    return t, float(stats.t.cdf(t, n - 1))
+    return t, float(stdtr(n - 1, t))
 
 
 def cmd_compare(args):
     policies = args["policies"]
-    if not policies or len(policies) < 2:
-        raise CLIError("--policies needs at least two comma-separated names")
     m_values = _fleet_sizes(args)
     outdir = Path(args["out_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -310,14 +309,12 @@ def _add_run_opts(p):
     p.add_argument("--m-lim", dest="m_lim", type=int, help="taxis per sector (default 10)")
     p.add_argument("--t-h", dest="t_h", type=int, help="lookahead horizon (default 10)")
     p.add_argument("--num-mc", dest="num_mc", type=int, help="Monte-Carlo scenarios (default 50)")
-    p.add_argument("--base-policy", dest="base_policy", choices=("ia-ra", "greedy"),
-                   help="rollout base policy (default ia-ra)")
     p.add_argument("--out-dir", dest="out_dir", help="output directory (default out)")
 
 
 _DEFAULTS = {
     "seed": 0, "jobs": None, "T": 60, "seeds": 1, "m": None, "m_sweep": None,
-    "m_lim": 10, "t_h": 10, "num_mc": 50, "base_policy": "ia-ra",
+    "m_lim": 10, "t_h": 10, "num_mc": 50,
     "out_dir": "out", "metric": "graph", "verify": False, "policy": "ia-ra",
     "e_eta": None, "hotspot": None, "hotspot_mass": None, "trips": None,
     "graph": None, "grid": None,
@@ -390,8 +387,8 @@ def _merge(ns, actions, known) -> dict:
     return args
 
 
-def _validate(args):
-    """Reject settings no command can run with, before any work starts."""
+def _validate(command, args):
+    """Reject settings the command cannot run with, before any work starts."""
     for flag in ("jobs", "m_lim", "seeds", "t_h", "num_mc"):
         if args[flag] < 1:
             raise CLIError(f"--{flag.replace('_', '-')} must be >= 1, got {args[flag]}")
@@ -399,6 +396,18 @@ def _validate(args):
         raise CLIError(f"--grid must be >= 1, got {args['grid']}")
     if args["verify"] and args["seeds"] < MIN_TRACES:
         raise CLIError(f"--seeds must be >= {MIN_TRACES} with --verify, got {args['seeds']}")
+    if command == "compare":
+        _fleet_sizes(args)
+        policies = args.get("policies") or []
+        if len(policies) < 2:
+            raise CLIError("--policies needs at least two comma-separated names")
+        for name in policies:
+            if name not in POLICIES:
+                raise CLIError(f"unknown policy '{name}' (expected one of {', '.join(POLICIES)})")
+            if policies.count(name) > 1:
+                raise CLIError(f"--policies names '{name}' more than once")
+        if args["seeds"] < 2:
+            raise CLIError(f"--seeds must be >= 2 for compare, got {args['seeds']}")
 
 
 def main(argv=None) -> int:
@@ -454,7 +463,7 @@ def main(argv=None) -> int:
         args = _merge(ns, actions, known)
         if ns.command in ("gen-trips", "partition"):
             args["out"] = ns.out
-        _validate(args)
+        _validate(ns.command, args)
         return ns.func(args)
     except (FleetrollError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,12 +18,10 @@ import math
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .demand import certainty_equivalence_requests
 from .errors import FleetrollError
-from .matching import AssignmentProblem, min_cost_assignment
 from .partition import get_partitions
+from .policies import match_free_to_requests
 from .rollout import RolloutConfig, one_at_a_time_control
 from .sim import MOVE, NS_CE, FleetState, substream
 
@@ -56,10 +54,11 @@ def high_level_plan(state, graph, model, t_h, prev: HighLevelPlan, seed) -> High
     """Re-balance taxis across sectors against current plus expected demand.
 
     Previously scheduled transits persist until arrival. Free taxis are
-    min-cost matched to the pooled real and certainty-equivalence requests;
-    only cross-sector matches generate transit routes (same-sector matches are
-    left to the sector planner), and the route targets the boundary entry
-    point, not the matched request, which may be a phantom.
+    min-cost matched to the pooled real and certainty-equivalence requests by
+    the dispatch matcher, as IA-RA matches them; only cross-sector matches
+    generate transit routes (same-sector matches are left to the sector
+    planner), and the route targets the boundary entry point, not the
+    matched request, which may be a phantom.
     """
     transit = {}
     for taxi, route in prev.transit.items():
@@ -71,16 +70,9 @@ def high_level_plan(state, graph, model, t_h, prev: HighLevelPlan, seed) -> High
     ce_rng = substream(seed, NS_CE, state.clock)
     pool = [state.outstanding[rid] for rid in sorted(state.outstanding)]
     pool += certainty_equivalence_requests(model, state.clock, t_h, ce_rng)
-    if not free or not pool:
-        return HighLevelPlan(transit)
-
-    locs = np.array([loc for _, loc in free])
-    cost = graph.dist_array[locs[:, None], [r.pickup for r in pool]]
-    problem = AssignmentProblem(cost, row_ids=[l for l, _ in free],
-                                col_ids=list(range(len(pool))))
-    matched = min_cost_assignment(problem)
-    for taxi, col in matched.pairs:
-        pickup = pool[col].pickup
+    matched = match_free_to_requests(graph, free, pool)
+    for taxi in sorted(matched):
+        pickup = matched[taxi].pickup
         loc = state.locations[taxi]
         if graph.sector_of(loc) == graph.sector_of(pickup):
             continue

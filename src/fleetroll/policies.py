@@ -24,8 +24,25 @@ def _toward(graph, loc, req):
     return (MOVE, graph.next_hop(loc, req.pickup))
 
 
-def _match_free_to_requests(graph, free, requests):
-    """Min-cost matching of free taxis to requests on approach distance.
+def _controls(state, graph, targets):
+    """Joint control: an occupied taxi takes its forced hop, a free taxi with
+    a target request (targets: {taxi index: Request}) heads for or picks it
+    up, and every other free taxi stays."""
+    control = []
+    for l in range(state.m):
+        if state.timers[l] > 0:
+            control.append(forced_hop_action(state, graph, l))
+        elif l in targets:
+            control.append(_toward(graph, state.locations[l], targets[l]))
+        else:
+            control.append((STAY,))
+    return control
+
+
+def match_free_to_requests(graph, free, requests):
+    """Min-cost matching of free taxis to requests on approach distance: the
+    one dispatch matcher, used by IA-RA, IA-commit and the two-phase
+    planner's high-level plan.
 
     free: list of (taxi index, node); requests: list of Request. Returns
     {taxi index: Request}. Costs are taxi-to-pickup distances indexed out of
@@ -82,17 +99,9 @@ def ia_ra_control(state, graph):
     """
     requests = [state.outstanding[rid] for rid in sorted(state.outstanding)]
     free = [(l, state.locations[l]) for l in range(state.m) if state.timers[l] == 0]
-    matched = _match_free_to_requests(graph, free, requests)
-    control = []
-    for l in range(state.m):
-        if state.timers[l] > 0:
-            control.append(forced_hop_action(state, graph, l))
-        elif l in matched:
-            control.append(_toward(graph, state.locations[l], matched[l]))
-        else:
-            control.append((STAY,))
+    matched = match_free_to_requests(graph, free, requests)
     assignments = {req.id: taxi for taxi, req in matched.items()}
-    return control, assignments
+    return _controls(state, graph, matched), assignments
 
 
 def ia_commit_control(state, graph, memory):
@@ -110,18 +119,11 @@ def ia_commit_control(state, graph, memory):
                 if rid not in taken]
     free = [(l, state.locations[l]) for l in range(state.m)
             if state.timers[l] == 0 and l not in memory]
-    for taxi, req in _match_free_to_requests(graph, free, requests).items():
+    for taxi, req in match_free_to_requests(graph, free, requests).items():
         memory[taxi] = req.id
-    control = []
-    for l in range(state.m):
-        if state.timers[l] > 0:
-            control.append(forced_hop_action(state, graph, l))
-        elif l in memory:
-            control.append(_toward(graph, state.locations[l], state.outstanding[memory[l]]))
-        else:
-            control.append((STAY,))
+    targets = {l: state.outstanding[rid] for l, rid in memory.items()}
     assignments = {rid: taxi for taxi, rid in memory.items()}
-    return control, assignments
+    return _controls(state, graph, targets), assignments
 
 
 def random_ia_control(state, graph, rng, memory):
@@ -148,17 +150,10 @@ def random_ia_control(state, graph, rng, memory):
             break
         pick = int(rng.integers(len(pool)))
         memory[pool.pop(pick)] = rid
-    control = []
-    for l in range(state.m):
-        if state.timers[l] > 0:
-            control.append(forced_hop_action(state, graph, l))
-        elif l in memory:
-            control.append(_toward(graph, state.locations[l], state.outstanding[memory[l]]))
-        else:
-            control.append((STAY,))
-    assignments = {rid: taxi for taxi, rid in memory.items()
-                   if rid in state.outstanding}
-    return control, assignments
+    targets = {l: state.outstanding[rid] for l, rid in memory.items()
+               if rid in state.outstanding}
+    assignments = {req.id: taxi for taxi, req in targets.items()}
+    return _controls(state, graph, targets), assignments
 
 
 class GreedyPolicy:

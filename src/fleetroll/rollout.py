@@ -1,5 +1,5 @@
 """One-at-a-time multiagent rollout: per-taxi one-step lookahead minimization
-with a Monte-Carlo, base-policy cost-to-go approximation truncated after t_h
+with a Monte-Carlo base policy cost-to-go approximation truncated after t_h
 steps plus a terminal outstanding-count cost.
 
 Taxis are processed in ascending id order. While taxi l is minimized, taxis
@@ -10,16 +10,16 @@ are drawn up front in one vectorized call, so candidates of one taxi share
 common random numbers and results never depend on evaluation order or
 parallelism.
 
-A taxi's candidates are scored in one call, `_candidate_costs`. With the
-IA-RA base policy it simulates each candidate step once and continues it per
-scenario on flat lists (`_trajectory_cost`): free taxis and outstanding
-(id, pickup, dropoff) requests are kept sorted as events change them, and an
-occupied taxi is only looked at again when its trip ends. Matchings are those
-of linear_sum_assignment (`auction_match`), skipped only where the answer is
-certain without a solve: a matching with a single row, that matching again
-while its taxi just moves one hop closer, and a last step in which no free
-taxi stands on an outstanding pickup. Other base policies run the generic
-`sim.transition` path.
+The base policy is IA-RA (`policies.ia_ra_control`). A taxi's candidates are
+scored in one call, `_candidate_costs`, which simulates each candidate step
+once and continues it per scenario on flat lists (`_trajectory_cost`): free
+taxis and outstanding (id, pickup, dropoff) requests are kept sorted as
+events change them, and an occupied taxi is only looked at again when its
+trip ends. Matchings are IA-RA's, solved by linear_sum_assignment
+(`auction_match`) and skipped only where the answer is certain without a
+solve: a matching with a single row, that matching again while its taxi just
+moves one hop closer, and a last step in which no free taxi stands on an
+outstanding pickup. The tests check this path against `sim.transition`.
 """
 
 from __future__ import annotations
@@ -30,17 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demand import Request
+from . import policies
 from .errors import FleetrollError
 from .matching import auction_match
-from .policies import greedy_control, ia_ra_control
-from .sim import (FleetState, MOVE, PICKUP, STAY, NS_LOOKAHEAD,
-                  forced_hop_action, substream, transition)
-
-BASE_CONTROLS = {
-    "ia-ra": ia_ra_control,
-    "greedy": greedy_control,
-}
+from .sim import MOVE, PICKUP, STAY, NS_LOOKAHEAD, forced_hop_action, substream
 
 
 class RolloutError(FleetrollError):
@@ -51,18 +44,18 @@ class RolloutError(FleetrollError):
 class RolloutConfig:
     t_h: int = 10
     num_mc: int = 50
-    base_policy: str = "ia-ra"
+    base_policy: str = "ia-ra"  # the only base policy; kept for callers that name it
 
     def __post_init__(self):
         if self.t_h < 1 or self.num_mc < 1:
             raise RolloutError("t_h and num_mc must be >= 1")
-        if self.base_policy not in BASE_CONTROLS:
-            raise RolloutError(f"unknown base policy '{self.base_policy}'")
+        if self.base_policy != "ia-ra":
+            raise RolloutError(f"unknown base policy '{self.base_policy}' (only 'ia-ra')")
 
 
 def _sample_scenario(model, t_h, num_mc, rng):
     """Arrival batches of num_mc scenarios, each for the candidate step plus
-    t_h base-policy steps.
+    t_h base policy steps.
 
     Batch i of a scenario holds (id, pickup, dropoff) tuples that appear i+1
     steps after the planning step; ids are negative and scenario-local, so
@@ -108,46 +101,20 @@ def _sample_scenario(model, t_h, num_mc, rng):
     return scenarios
 
 
-def _lookahead_cost(state, joint, batches, graph, base_fn, t_h, inbound=()):
-    """Stage-cost sum of one scenario trajectory (generic base policy).
-
-    Immediate cost, then t_h base-policy stage costs, then the terminal
-    outstanding count. `inbound` lists (arrival clock, node) pairs of taxis
-    scheduled to enter this state's region; each becomes a free taxi in the
-    simulated trajectory when its clock comes up.
-    """
-    def arrivals(i, clock):
-        return [Request(rid, pu, do, clock + 1) for rid, pu, do in batches[i]]
-
-    cost = len(state.outstanding)
-    cur = transition(state, joint, arrivals(0, state.clock), graph)
-    cost += len(cur.outstanding)
-    for i in range(1, t_h + 1):
-        for when, node in inbound:
-            if when == cur.clock:
-                cur = FleetState(cur.locations + [node], cur.timers + [0],
-                                 cur.outstanding, cur.in_service, cur.clock)
-        ctrl, _ = base_fn(cur, graph)
-        cur = transition(cur, ctrl, arrivals(i, cur.clock), graph)
-        cost += len(cur.outstanding)
-    return cost
-
-
-def _candidate_costs(state, joints, scenarios, graph, base_policy, t_h, inbound=()):
+def _candidate_costs(state, joints, scenarios, graph, t_h, inbound=()):
     """Trajectory cost of each candidate joint, summed over the scenarios.
 
-    The generic path runs _lookahead_cost per (candidate, scenario). With the
-    IA-RA base policy, the candidate step, which no scenario changes, is
-    simulated once per candidate and _trajectory_cost continues it per
-    scenario. Occupied taxis need no per-step work there: each is put where
-    its trip ends (for a taxi in service in `state`, where its remaining hops
-    lead) and rejoins the free taxis in the step its timer runs out; one that
-    is not free before the last matching is never looked at again.
+    Immediate cost, then t_h IA-RA stage costs, then the terminal
+    outstanding count, per scenario. `inbound` lists (arrival clock, node)
+    pairs of taxis scheduled to enter this state's region; each becomes a
+    free taxi when its clock comes up. The candidate step, which no scenario
+    changes, is simulated once per candidate and _trajectory_cost continues
+    it per scenario. Occupied taxis need no per-step work there: each is put
+    where its trip ends (for a taxi in service in `state`, where its
+    remaining hops lead) and rejoins the free taxis in the step its timer
+    runs out; one that is not free before the last matching is never looked
+    at again.
     """
-    if base_policy != "ia-ra":
-        base_fn = BASE_CONTROLS[base_policy]
-        return [sum(_lookahead_cost(state, joint, batches, graph, base_fn, t_h, inbound)
-                    for batches in scenarios) for joint in joints]
     dist = graph._dist
     nxt = graph._next
     arriving = {}
@@ -360,8 +327,7 @@ def one_at_a_time_control(state, graph, model, cfg: RolloutConfig, seed: int,
     m = state.m
     if taxi_keys is None:
         taxi_keys = list(range(m))
-    base_fn = BASE_CONTROLS[cfg.base_policy]
-    base_joint, _ = base_fn(state, graph)
+    base_joint, _ = policies.ia_ra_control(state, graph)
     chosen = [None] * m
     claimed = set()
     for l in range(m):
@@ -376,8 +342,7 @@ def one_at_a_time_control(state, graph, model, cfg: RolloutConfig, seed: int,
             scenarios = _sample_scenario(model, cfg.t_h, cfg.num_mc, rng)
             joints = [_compose_joint(chosen, cand, l, base_joint, claimed)
                       for cand in cands]
-            totals = _candidate_costs(state, joints, scenarios, graph,
-                                      cfg.base_policy, cfg.t_h, inbound)
+            totals = _candidate_costs(state, joints, scenarios, graph, cfg.t_h, inbound)
             best_act, best_cost = None, math.inf
             for cand, total in zip(cands, totals):
                 avg = total / cfg.num_mc

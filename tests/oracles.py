@@ -10,14 +10,63 @@ from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from fleetroll.matching import Assignment, AssignmentProblem
-from fleetroll.planner import TwoPhasePolicy
-from fleetroll.rollout import BASE_CONTROLS, RolloutPolicy, _lookahead_cost, _sample_scenario
-from fleetroll.sim import run_episode
+from fleetroll.demand import Request, certainty_equivalence_requests
+from fleetroll.matching import auction_match
+from fleetroll.planner import HighLevelPlan, TransitRoute, TwoPhasePolicy
+from fleetroll.policies import ia_ra_control
+from fleetroll.rollout import RolloutPolicy, _sample_scenario
+from fleetroll.sim import NS_CE, FleetState, run_episode, substream, transition
 
 
 class TooLarge(ValueError):
     pass
+
+
+@dataclass
+class AssignmentProblem:
+    cost: np.ndarray  # rows = taxis, columns = requests; nested lists are converted
+    row_ids: list = None
+    col_ids: list = None
+
+    def __post_init__(self):
+        nr = len(self.cost)
+        self.cost = np.array(self.cost, dtype=float).reshape(nr, -1 if nr else 0)
+        if self.row_ids is None:
+            self.row_ids = list(range(nr))
+        if self.col_ids is None:
+            self.col_ids = list(range(self.cost.shape[1]))
+
+    @property
+    def shape(self):
+        return self.cost.shape
+
+
+@dataclass
+class Assignment:
+    pairs: list = field(default_factory=list)  # (row id, col id)
+    total_cost: float = 0.0
+
+
+def min_cost_assignment(problem: AssignmentProblem) -> Assignment:
+    """The production solver, auction_match, on an id-labelled problem.
+
+    Empty problems return an empty assignment. The smaller side is matched
+    fully, as the rows of the matrix auction_match sees; pairs come back
+    sorted by row id.
+    """
+    nr, nc = problem.shape
+    if nr == 0 or nc == 0:
+        return Assignment()
+    transposed = nr > nc
+    cost = problem.cost.T if transposed else problem.cost
+    assigned = auction_match(cost)
+    total = float(cost[np.arange(len(assigned)), assigned].sum())
+    if transposed:
+        pairs = [(problem.row_ids[j], problem.col_ids[i]) for i, j in enumerate(assigned)]
+    else:
+        pairs = [(problem.row_ids[i], problem.col_ids[j]) for i, j in enumerate(assigned)]
+    pairs.sort()
+    return Assignment(pairs, total)
 
 
 _PERM_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -154,14 +203,63 @@ class LookaheadEstimate:
     scenario_costs: list = field(default_factory=list)
 
 
+def lookahead_cost(state, joint, batches, graph, t_h, inbound=()):
+    """Stage-cost sum of one scenario trajectory, simulated step by step by
+    the validated sim.transition path with the IA-RA base policy: the
+    reference for rollout's fast path.
+
+    Immediate cost, then t_h base-policy stage costs, then the terminal
+    outstanding count. `inbound` lists (arrival clock, node) pairs of taxis
+    scheduled to enter this state's region; each becomes a free taxi in the
+    simulated trajectory when its clock comes up.
+    """
+    def arrivals(i, clock):
+        return [Request(rid, pu, do, clock + 1) for rid, pu, do in batches[i]]
+
+    cost = len(state.outstanding)
+    cur = transition(state, joint, arrivals(0, state.clock), graph)
+    cost += len(cur.outstanding)
+    for i in range(1, t_h + 1):
+        for when, node in inbound:
+            if when == cur.clock:
+                cur = FleetState(cur.locations + [node], cur.timers + [0],
+                                 cur.outstanding, cur.in_service, cur.clock)
+        ctrl, _ = ia_ra_control(cur, graph)
+        cur = transition(cur, ctrl, arrivals(i, cur.clock), graph)
+        cost += len(cur.outstanding)
+    return cost
+
+
 def evaluate_candidate(state, joint_control, graph, model, cfg, rng, inbound=()):
     """Monte-Carlo lookahead estimate of one joint control's cost, each
     scenario simulated by the validated sim.transition path."""
-    base_fn = BASE_CONTROLS[cfg.base_policy]
-    costs = [_lookahead_cost(state, joint_control, batches, graph, base_fn,
-                             cfg.t_h, inbound)
+    costs = [lookahead_cost(state, joint_control, batches, graph, cfg.t_h, inbound)
              for batches in _sample_scenario(model, cfg.t_h, cfg.num_mc, rng)]
     return LookaheadEstimate(sum(costs) / len(costs), costs)
+
+
+def high_level_plan_reference(state, graph, model, t_h, prev, seed):
+    """The two-phase high-level plan as built on an id-labelled
+    AssignmentProblem: free taxis as rows, the pooled real and
+    certainty-equivalence requests as columns, pairs taken in taxi order."""
+    transit = {taxi: route for taxi, route in prev.transit.items()
+               if state.locations[taxi] != route.dest}
+    free = [l for l in range(state.m) if state.timers[l] == 0 and l not in transit]
+    pool = [state.outstanding[rid] for rid in sorted(state.outstanding)]
+    pool += certainty_equivalence_requests(model, state.clock, t_h,
+                                           substream(seed, NS_CE, state.clock))
+    if not free or not pool:
+        return HighLevelPlan(transit)
+    cost = [[graph.distance(state.locations[l], r.pickup) for r in pool] for l in free]
+    matched = min_cost_assignment(AssignmentProblem(cost, row_ids=free))
+    for taxi, col in matched.pairs:
+        pickup = pool[col].pickup
+        loc = state.locations[taxi]
+        if graph.sector_of(loc) != graph.sector_of(pickup):
+            dest = graph.next_hop_in_partition(loc, pickup)
+            transit[taxi] = TransitRoute(dest, tuple(graph.shortest_path(loc, dest)),
+                                         state.clock)
+    return HighLevelPlan(transit)
 
 
 def rollout_policy_cost(graph, model, m, T, cfg, seeds):

@@ -19,7 +19,6 @@ from scipy import stats
 
 import fleetroll as fr
 from fleetroll.cli import main as cli_main
-from fleetroll.matching import AssignmentProblem, min_cost_assignment
 from fleetroll.planner import TwoPhasePolicy
 from fleetroll.policies import (IACommitPolicy, IARAPolicy, RandomIAPolicy,
                                 service_distance)
@@ -27,8 +26,9 @@ from fleetroll.rollout import RolloutConfig, RolloutPolicy
 from fleetroll.sim import run_episode
 from fleetroll.stability import (bounds_from_expectations, compute_bounds,
                                  empirical_stability, wasserstein_discrete)
-from oracles import (brute_force_assignment, grid_aligned_pmf, lp_transport_value,
-                     vertex_enumeration_feasible, vertex_enumeration_value)
+from oracles import (AssignmentProblem, brute_force_assignment, grid_aligned_pmf,
+                     lp_transport_value, min_cost_assignment, vertex_enumeration_feasible,
+                     vertex_enumeration_value)
 
 
 def report(name, detail):

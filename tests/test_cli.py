@@ -3,6 +3,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fleetroll.cli import main
@@ -184,6 +185,36 @@ def test_too_small_count_flag_is_a_usage_error(tmp_path, capsys, argv, message):
     assert not out.exists()  # rejected before any work
 
 
+@pytest.mark.parametrize("policies, seeds, message", [
+    ("ia-ra,greedy", "1", "error: --seeds must be >= 2 for compare, got 1\n"),
+    ("ia-ra,foo", "2", "error: unknown policy 'foo' (expected one of greedy, random-ia, "
+                       "ia-commit, ia-ra, rollout, two-phase)\n"),
+    ("ia-ra,ia-ra", "2", "error: --policies names 'ia-ra' more than once\n"),
+])
+def test_compare_bad_input_is_rejected_before_any_run(tmp_path, capsys, policies, seeds,
+                                                      message):
+    out = tmp_path / "c"
+    rc = main(["compare", "--grid", "3", "--e-eta", "0.4", "--policies", policies,
+               "--m", "2", "--T", "5", "--seeds", seeds, "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()  # no run file written
+
+
+def test_paired_t_p_value_is_the_student_t_cdf():
+    from scipy import stats
+
+    from fleetroll.cli import _paired_t
+
+    rng = np.random.default_rng(8)
+    for n in range(2, 40):
+        deltas = rng.integers(-6, 5, size=n).tolist()
+        t, p = _paired_t(deltas)
+        if t != 0.0:
+            assert p == float(stats.t.cdf(t, n - 1))
+    assert _paired_t([2, 2]) == (0.0, 1.0) and _paired_t([-1, -1]) == (0.0, 0.0)
+
+
 def test_compare_without_fleet_size_is_a_usage_error(tmp_path, capsys):
     rc = main(["compare", "--grid", "4", "--e-eta", "0.4", "--policies", "ia-ra,greedy",
                "--T", "20", "--out-dir", str(tmp_path / "c")])
@@ -199,9 +230,10 @@ def test_compare_without_fleet_size_is_a_usage_error(tmp_path, capsys):
     ('{"e-eta": true}', "invalid value True for 'e-eta'"),
     ('{"m-sweep": "3,5"}', "invalid value '3,5' for 'm-sweep'"),
     ('{"verify": "yes"}', "invalid value 'yes' for 'verify'"),
-    ('{"base-policy": "foo"}', "invalid value 'foo' for 'base-policy'"),
+    ('{"metric": "foo"}', "invalid value 'foo' for 'metric'"),
     (None, "Is a directory"),
     ('{"tee-h": 0}', "unknown key 'tee-h' (no subcommand has such a flag)"),
+    ('{"base-policy": "ia-ra"}', "unknown key 'base-policy' (no subcommand has such a flag)"),
 ])
 def test_bad_config_file_is_a_one_line_error(tmp_path, capsys, text, message):
     cfg = tmp_path / "cfg.json"
@@ -276,7 +308,9 @@ def test_unknown_base_policy_is_a_fleetroll_error():
     from fleetroll.errors import FleetrollError
     from fleetroll.rollout import RolloutConfig
 
-    for kwargs in ({"base_policy": "foo"}, {"t_h": 0}, {"num_mc": 0}):
+    assert RolloutConfig(base_policy="ia-ra").base_policy == "ia-ra"
+    for kwargs in ({"base_policy": "foo"}, {"base_policy": "greedy"}, {"t_h": 0},
+                   {"num_mc": 0}):
         with pytest.raises(FleetrollError):
             RolloutConfig(**kwargs)
 

@@ -1,11 +1,14 @@
+import numpy as np
+
 from fleetroll.demand import DemandModel, Request, synthetic_model
+from fleetroll.graph import grid_graph
 from fleetroll.partition import PartitionSpec
 from fleetroll.planner import (HighLevelPlan, TwoPhasePolicy, TransitRoute,
                                high_level_plan, split_state, two_phase_control)
 from fleetroll.rollout import RolloutConfig, RolloutPolicy
 from fleetroll.sim import MOVE, FleetState, run_episode
-from conftest import line_graph
-from oracles import run_two_phase
+from conftest import line_graph, ring_graph
+from oracles import high_level_plan_reference, run_two_phase
 
 
 def two_sector_line():
@@ -54,6 +57,49 @@ def test_high_level_no_free_taxis_keeps_plan():
     prev = HighLevelPlan()
     plan = high_level_plan(s, g, zero_model(), 3, prev, seed=0)
     assert plan.transit == {}
+
+
+def test_high_level_plan_matches_the_assignment_problem_path(grid5):
+    # The dispatch matcher against the id-labelled AssignmentProblem path the
+    # planner once had: the same transit routes in the same taxi order, with
+    # more free taxis than pooled requests and fewer, many distance ties, a
+    # one-way ring, and earlier transits that persist or have arrived.
+    rng = np.random.default_rng(41)
+    cfg = RolloutConfig(t_h=3, num_mc=1)
+    cases = []
+    for g, e_eta in ((grid5, 0.5), (grid_graph(8), 2.0), (ring_graph(12), 0.7)):
+        model = synthetic_model(g, e_eta)
+        cases.append((TwoPhasePolicy(g, model, m=9, m_lim=3, cfg=cfg).graph, model))
+    shapes = {"more_free": 0, "fewer_free": 0}
+    routes = 0
+    for trial in range(300):
+        g, model = cases[trial % 3]
+        t_h = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 15))
+        locs = [int(rng.integers(1, g.n + 1)) for _ in range(m)]
+        timers = [0] * m
+        in_service = {}
+        for l in range(m):
+            if rng.random() < 0.2:
+                timers[l] = int(rng.integers(1, 4))
+                in_service[l] = (100 + l, int(rng.integers(1, g.n + 1)))
+        outstanding = {rid: Request(rid, int(rng.integers(1, g.n + 1)),
+                                    int(rng.integers(1, g.n + 1)), 1)
+                       for rid in range(1, int(rng.integers(0, 9)) + 1)}
+        prev = HighLevelPlan({l: TransitRoute(dest=int(rng.choice([locs[l], 1])),
+                                              path=(locs[l],), start_clock=0)
+                              for l in range(m) if timers[l] == 0 and rng.random() < 0.2})
+        s = FleetState(locs, timers, outstanding, in_service, int(rng.integers(1, 40)))
+        got = high_level_plan(s, g, model, t_h, prev, seed=trial)
+        want = high_level_plan_reference(s, g, model, t_h, prev, seed=trial)
+        assert list(got.transit.items()) == list(want.transit.items()), trial
+        n_free = sum(1 for l in range(m) if timers[l] == 0
+                     and (l not in prev.transit or prev.transit[l].dest == locs[l]))
+        n_pool = len(outstanding) + round(t_h * model.e_eta)
+        if n_free and n_pool:
+            shapes["more_free" if n_free > n_pool else "fewer_free"] += n_free != n_pool
+        routes += sum(1 for r in got.transit.values() if r.start_clock == s.clock)
+    assert min(shapes.values()) >= 50 and routes >= 100, (shapes, routes)
 
 
 def test_transiting_taxi_excluded_until_arrival_then_rejoins():

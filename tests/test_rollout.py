@@ -7,13 +7,13 @@ from fleetroll.demand import (DemandModel, Request, estimate_from_trips, generat
 from fleetroll.graph import grid_graph
 from fleetroll.matching import auction_match
 from fleetroll.rollout import (RolloutConfig, RolloutPolicy, _candidate_actions,
-                               _candidate_costs, _compose_joint, _lookahead_cost,
-                               _match_step, _sample_scenario, one_at_a_time_control)
-from fleetroll.policies import _match_free_to_requests, ia_ra_control
+                               _candidate_costs, _compose_joint, _match_step,
+                               _sample_scenario, one_at_a_time_control)
+from fleetroll.policies import ia_ra_control, match_free_to_requests
 from fleetroll.sim import (MOVE, PICKUP, STAY, FleetState, run_episode, substream)
 from conftest import line_graph, ring_graph
-from oracles import (LookaheadEstimate, evaluate_candidate, per_pickup_dropoffs,
-                     rollout_policy_cost)
+from oracles import (LookaheadEstimate, evaluate_candidate, lookahead_cost,
+                     per_pickup_dropoffs, rollout_policy_cost)
 
 
 def zero_model():
@@ -68,15 +68,14 @@ def test_lookahead_hand_rolled_line():
     joints = [[(MOVE, 3)], [(MOVE, 1)], [(STAY,)]]
     # toward: outstanding counts 1 (now), 1 (at 3), 0 (picked), 0 -> total 2
     # away:   1, 1, 1, 1 -> 4;  stay: 1, 1, 1 (arrives), 0 -> 3
-    for base_policy in ("ia-ra", "greedy"):
-        assert _candidate_costs(s, joints, [[[], [], []]], g, base_policy, 2) == [2, 4, 3]
-        # two identical scenarios: each candidate's cost twice
-        assert _candidate_costs(s, joints, [[[], [], []]] * 2, g, base_policy, 2) == [4, 8, 6]
+    assert _candidate_costs(s, joints, [[[], [], []]], g, 2) == [2, 4, 3]
+    # two identical scenarios: each candidate's cost twice
+    assert _candidate_costs(s, joints, [[[], [], []]] * 2, g, 2) == [4, 8, 6]
 
 
 def generic_costs(state, joints, scenarios, graph, t_h, inbound):
     """Per (candidate, scenario) cost on the validated sim.transition path."""
-    return [[_lookahead_cost(state, joint, batches, graph, ia_ra_control, t_h, inbound)
+    return [[lookahead_cost(state, joint, batches, graph, t_h, inbound)
              for batches in scenarios] for joint in joints]
 
 
@@ -123,10 +122,10 @@ def test_fast_path_matches_generic_path(grid5):
                       for cand in _candidate_actions(s, g, l, claimed)]
         scenarios = _sample_scenario(model, t_h, int(rng.integers(1, 5)), substream(3, trial))
         want = generic_costs(s, joints, scenarios, g, t_h, inbound)
-        assert (_candidate_costs(s, joints, scenarios, g, "ia-ra", t_h, inbound)
+        assert (_candidate_costs(s, joints, scenarios, g, t_h, inbound)
                 == [sum(costs) for costs in want])
         for k, batches in enumerate(scenarios):
-            assert (_candidate_costs(s, joints, [batches], g, "ia-ra", t_h, inbound)
+            assert (_candidate_costs(s, joints, [batches], g, t_h, inbound)
                     == [costs[k] for costs in want])
 
 
@@ -142,7 +141,7 @@ def test_last_step_pickups_follow_the_tied_matching():
     joints = [[(STAY,), (STAY,)], [(MOVE, 2), (STAY,)], [(STAY,), (PICKUP, 1)],
               [(STAY,), (MOVE, 3)]]
     scenarios = [[[], []], [[(-1, 2, 1)], [(-2, 3, 1)]]]
-    got = _candidate_costs(s, joints, scenarios, g, "ia-ra", 1)
+    got = _candidate_costs(s, joints, scenarios, g, 1)
     assert got == [sum(costs) for costs in generic_costs(s, joints, scenarios, g, 1, ())]
     assert got[0] == 6 + 8  # 2 + 2 + 2 without arrivals; 2 + 3 + 3 with them
 
@@ -172,7 +171,7 @@ def test_lookahead_matching_equals_the_ia_ra_policy(grid5):
             nodes = rng.integers(1, g.n + 1, size=int(rng.integers(1, 4)))
             free, reqs, locs = random_step(rng, g, n_free, n_req, nodes)
             pairs = _match_step(free, reqs, locs, g._dist, g.dist_array)
-            want = _match_free_to_requests(
+            want = match_free_to_requests(
                 g, [(l, locs[l]) for l in free],
                 [Request(rid, pu, do, 1) for rid, pu, do in reqs])
             assert {l: r[0] for l, r in pairs} == {l: r.id for l, r in want.items()}
@@ -268,7 +267,7 @@ def test_scenarios_zero_variance_on_deterministic_model():
     assert len(set(est.scenario_costs)) == 1
     assert est.mean == est.scenario_costs[0]
     scenarios = _sample_scenario(zero_model(), 3, 6, substream(0, 0))
-    assert _candidate_costs(s, [[(MOVE, 3)]], scenarios, g, "ia-ra", 3) == [
+    assert _candidate_costs(s, [[(MOVE, 3)]], scenarios, g, 3) == [
         sum(est.scenario_costs)]
 
 
