@@ -392,8 +392,16 @@ def _validate(command, args):
     for flag in ("jobs", "m_lim", "seeds", "t_h", "num_mc"):
         if args[flag] < 1:
             raise CLIError(f"--{flag.replace('_', '-')} must be >= 1, got {args[flag]}")
-    if args["grid"] is not None and args["grid"] < 1:
-        raise CLIError(f"--grid must be >= 1, got {args['grid']}")
+    for flag in ("grid", "m", "T"):
+        if args[flag] is not None and args[flag] < 1:
+            raise CLIError(f"--{flag} must be >= 1, got {args[flag]}")
+    if command in ("simulate", "compare") or (command == "stability" and args["verify"]):
+        sweep = args["m_sweep"] or []
+        for m in sweep:
+            if m < 1:
+                raise CLIError(f"--m-sweep values must be >= 1, got {m}")
+            if sweep.count(m) > 1:
+                raise CLIError(f"--m-sweep names {m} more than once")
     if args["verify"] and args["seeds"] < MIN_TRACES:
         raise CLIError(f"--seeds must be >= {MIN_TRACES} with --verify, got {args['seeds']}")
     if command == "compare":

@@ -47,6 +47,7 @@ class SectorsUnassigned(GraphError):
 
 
 _BLOCK_CELLS = 1 << 16  # cells per block of a weighted distance sum
+_ROW_LOOP_SOURCES = 250  # from this many sources a weighted distance sum goes target by target
 _BUILD_BLOCK_CELLS = 1 << 20  # cells per block of source rows in the table build
 
 
@@ -69,6 +70,8 @@ class CityGraph:
                 raise GraphError("sector list must have one entry per node (1-indexed)")
             if any(self.sectors[v] < 1 for v in range(1, n + 1)):
                 raise GraphError("sector assignment must cover every node")
+            self._sector_ids = np.array(self.sectors[1:])
+        self._dist_to = None
         if _precomputed is not None:
             self.adj, self.dist_array, self._dist, self._next = _precomputed
         else:
@@ -104,19 +107,50 @@ class CityGraph:
 
     def weighted_distance_sums(self, sources, targets, weights) -> np.ndarray:
         """For each source s, the sum over j of weights[j] * distance(s, targets[j]),
-        accumulated left to right over the (nonempty) targets: the same float
-        operations as a sequential Python `sum()` (3.11), so orderings built on
-        it are reproducible. Rows are taken in blocks of bounded size.
+        accumulated left to right over the targets: the same float operations
+        as a sequential Python `sum()` (3.11), so orderings built on it are
+        reproducible.
+
+        Zero-weight targets are skipped (x + 0.0 == x). Few sources are summed
+        per source by a cumulative sum along each row; many sources are summed
+        target by target for all of them at once (`out += w * d(sources, t)`),
+        which runs along rows of the distances-to table. Both take rows in
+        blocks of bounded size.
         """
         sources = np.asarray(sources, dtype=np.intp)
         targets = np.asarray(targets, dtype=np.intp)
         weights = np.asarray(weights, dtype=float)
-        out = np.empty(len(sources))
-        rows = max(1, _BLOCK_CELLS // len(targets))
-        for at in range(0, len(sources), rows):
-            block = self.dist_array[sources[at:at + rows]][:, targets] * weights
-            out[at:at + rows] = np.cumsum(block, axis=1, out=block)[:, -1]
+        keep = np.flatnonzero(weights)
+        targets, weights = targets[keep], weights[keep]
+        out = np.zeros(len(sources))
+        if not len(targets):
+            return out
+        if len(sources) < _ROW_LOOP_SOURCES:
+            rows = max(1, _BLOCK_CELLS // len(targets))
+            for at in range(0, len(sources), rows):
+                block = self.dist_array[sources[at:at + rows]][:, targets] * weights
+                out[at:at + rows] = np.cumsum(block, axis=1, out=block)[:, -1]
+            return out
+        table = self._distances_to()
+        everyone = len(sources) == self.n and np.array_equal(sources, np.arange(1, self.n + 1))
+        rows = max(1, _BLOCK_CELLS // len(sources))
+        for at in range(0, len(targets), rows):
+            block = table[targets[at:at + rows]]
+            block = block[:, 1:] if everyone else block[:, sources]
+            for row in block * weights[at:at + rows, None]:
+                out += row
         return out
+
+    def _distances_to(self):
+        """Table whose row t holds distance(s, t) for every s: `dist_array`
+        itself when every edge has its reverse (unit-weight distances are then
+        symmetric), otherwise a transposed copy made the first time it is needed."""
+        if self._dist_to is None:
+            edges = {(i, j) for i, row in enumerate(self.adj) for j in row}
+            symmetric = all((j, i) in edges for i, j in edges)
+            self._dist_to = (self.dist_array if symmetric
+                             else np.ascontiguousarray(self.dist_array.T))
+        return self._dist_to
 
     def shortest_path(self, i: int, j: int) -> list[int]:
         """Node sequence from i to j inclusive, following next_hop."""
@@ -155,21 +189,11 @@ class CityGraph:
         ks, ke = self.sectors[v_start], self.sectors[v_end]
         if ks == ke:
             raise SameSector(f"{v_start} and {v_end} are both in sector {ks}")
-        total = self._dist[v_start][v_end]
-        drow = self._dist[v_start]
-        best = None
-        best_d = None
-        for v in range(1, self.n + 1):
-            if self.sectors[v] != ke:
-                continue
-            dv = drow[v]
-            if dv + self._dist[v][v_end] != total:
-                continue
-            if best_d is None or dv < best_d:
-                best, best_d = v, dv
-        if best is None:
-            raise GraphError(f"no shortest path from {v_start} enters sector {ke}")  # unreachable
-        return best
+        nodes = np.flatnonzero(self._sector_ids == ke) + 1  # ascending; v_end is one
+        via = self.dist_array[v_start, nodes].astype(np.intp)
+        on_path = np.flatnonzero(via + self.dist_array[nodes, v_end]
+                                 == self.dist_array[v_start, v_end])
+        return int(nodes[on_path[np.argmin(via[on_path])]])  # first minimum
 
 
 class _ListRows(dict):

@@ -22,6 +22,7 @@ demand on a 20x20 grid the four centre nodes all score 10 exactly, yet node
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +49,15 @@ class PartitionSpec:
 
     def nodes_of(self, k: int) -> list:
         return [v for v in range(1, len(self.assignment)) if self.assignment[v] == k]
+
+    @cached_property
+    def node_sets(self) -> dict:
+        """Sector id -> frozenset of its nodes, made in one pass the first time
+        it is read (the two-phase planner reads it every step)."""
+        members = {k: [] for k in range(1, self.K + 1)}
+        for v in range(1, len(self.assignment)):
+            members[self.assignment[v]].append(v)
+        return {k: frozenset(vs) for k, vs in members.items()}
 
     def rows(self):
         yield ["node", "sector", "center"]

@@ -136,7 +136,6 @@ def two_phase_control(state, graph, model, pspec, cfg: RolloutConfig,
         actions[taxi] = (MOVE, route.path[idx + 1])
 
     subs = split_state(state, graph, exclude=plan.transit)
-    sector_nodes = {k: frozenset(pspec.nodes_of(k)) for k in subs}
     inbound_of = {
         k: tuple(sorted((r.arrive_clock, r.dest) for r in plan.transit.values()
                         if pspec.sector_of(r.dest) == k))
@@ -147,7 +146,7 @@ def two_phase_control(state, graph, model, pspec, cfg: RolloutConfig,
         sub, ids = subs[k]
         t0 = time.perf_counter()
         ctrl = low_level_plan(sub, inbound_of[k], graph, model, cfg, seed,
-                              taxi_keys=ids, sector_nodes=sector_nodes[k])
+                              taxi_keys=ids, sector_nodes=pspec.node_sets[k])
         if sector_timing is not None:
             sector_timing.append((state.clock, k, (time.perf_counter() - t0) * 1000.0))
         for act, gid in zip(ctrl, ids):

@@ -421,3 +421,25 @@ def csgraph_tables(graph):
         for k in sorted({j for a, j in graph.edges if a == i}, reverse=True):
             nxt[i] = np.where(dist[k] == dist[i] - 1, k, nxt[i])
     return dist, nxt
+
+
+def next_hop_in_partition_reference(graph, v_start, v_end):
+    """The boundary entry point by a scan of all nodes in ascending order: the
+    node of sector(v_end) on a shortest v_start -> v_end path closest to
+    v_start, the first one found on ties."""
+    ke = graph.sector_of(v_end)
+    total = graph.distance(v_start, v_end)
+    best, best_d = None, None
+    for v in range(1, graph.n + 1):
+        if graph.sector_of(v) != ke:
+            continue
+        dv = graph.distance(v_start, v)
+        if dv + graph.distance(v, v_end) == total and (best_d is None or dv < best_d):
+            best, best_d = v, dv
+    return best
+
+
+def weighted_distance_sums_reference(graph, sources, targets, weights):
+    """For each source, Python's sequential `sum()` of weight times distance
+    over the targets in the given order."""
+    return [sum(w * graph.distance(s, t) for t, w in zip(targets, weights)) for s in sources]

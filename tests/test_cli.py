@@ -185,6 +185,41 @@ def test_too_small_count_flag_is_a_usage_error(tmp_path, capsys, argv, message):
     assert not out.exists()  # rejected before any work
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--policy", "ia-ra", "--m", "0", "--T", "5", "--out-dir", "{out}"],
+     "error: --m must be >= 1, got 0\n"),
+    (["simulate", "--policy", "ia-ra", "--m", "2", "--T", "0", "--out-dir", "{out}"],
+     "error: --T must be >= 1, got 0\n"),
+    (["simulate", "--policy", "ia-ra", "--m-sweep", "2,0", "--T", "5", "--out-dir", "{out}"],
+     "error: --m-sweep values must be >= 1, got 0\n"),
+    (["compare", "--policies", "ia-ra,greedy", "--m", "-1", "--seeds", "2",
+      "--out-dir", "{out}"],
+     "error: --m must be >= 1, got -1\n"),
+    (["gen-trips", "--T", "-1", "--out", "{out}"], "error: --T must be >= 1, got -1\n"),
+    (["partition", "--m", "0", "--out", "{out}"], "error: --m must be >= 1, got 0\n"),
+], ids=["simulate-m", "simulate-T", "simulate-sweep", "compare-m", "gen-trips-T", "partition-m"])
+def test_fleet_size_or_horizon_below_one_is_rejected_before_any_output(tmp_path, capsys,
+                                                                        argv, message):
+    out = tmp_path / "o"
+    rc = main([a.replace("{out}", str(out)) for a in argv] + ["--grid", "3", "--e-eta", "0.4"])
+    assert rc == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, repeated", [
+    (["simulate", "--policy", "ia-ra", "--m-sweep", "2,3,2"], 2),
+    (["compare", "--policies", "ia-ra,greedy", "--m-sweep", "2,2", "--seeds", "2"], 2),
+    (["stability", "--policy", "ia-ra", "--verify", "--m-sweep", "3,2,3", "--seeds", "5"], 3),
+], ids=["simulate", "compare", "stability"])
+def test_repeated_fleet_size_is_rejected_before_any_run(tmp_path, capsys, argv, repeated):
+    out = tmp_path / "o"
+    rc = main(argv + ["--grid", "3", "--e-eta", "0.4", "--T", "5", "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: --m-sweep names {repeated} more than once\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("policies, seeds, message", [
     ("ia-ra,greedy", "1", "error: --seeds must be >= 2 for compare, got 1\n"),
     ("ia-ra,foo", "2", "error: unknown policy 'foo' (expected one of greedy, random-ia, "

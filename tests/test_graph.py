@@ -10,7 +10,8 @@ from fleetroll.graph import (InvalidEdge, NotStronglyConnected, SameNode,
                              SameSector, SectorsUnassigned, build_graph, grid_graph,
                              load_graph, save_graph)
 from conftest import line_graph, ring_graph
-from oracles import csgraph_tables
+from oracles import (csgraph_tables, next_hop_in_partition_reference,
+                     weighted_distance_sums_reference)
 
 
 def bfs_distance(n, adj, src):
@@ -275,6 +276,64 @@ def test_next_hop_in_partition_grid_boundary():
               if g.sector_of(v) == 2
               and g.distance(1, v) + g.distance(v, 9) == g.distance(1, 9)]
     assert g.distance(1, entry) == min(g.distance(1, v) for v in others)
+
+
+@pytest.mark.parametrize("make, symmetric", [
+    (lambda: grid_graph(20), True),
+    (lambda: ring_graph(300), False),
+    (lambda: random_strong_digraph(random.Random(4), 300), False),
+], ids=["grid20", "ring300", "random300"])
+def test_weighted_distance_sums_equal_nested_python_sums(monkeypatch, make, symmetric):
+    g = make()
+    assert (g._distances_to() is g.dist_array) == symmetric  # else the transposed copy
+    rng = np.random.default_rng(g.n)
+    nodes = np.arange(1, g.n + 1)
+    w = rng.random(g.n) / rng.integers(1, 60, g.n)  # mixed magnitudes and mantissas
+    weights = {
+        "dense": w,
+        "leading zeros": np.where(nodes <= g.n // 3, 0.0, w),
+        "trailing zeros": np.where(nodes > g.n // 2, 0.0, w),
+        "interleaved zeros": np.where(rng.random(g.n) < 0.5, 0.0, w),
+        "all zero": np.zeros(g.n),
+    }
+    sources = {  # all nodes; subsets above and below the row-loop threshold
+        "all": nodes,
+        "many": np.sort(rng.choice(nodes, graph_module._ROW_LOOP_SOURCES + 10, replace=False)),
+        "few": rng.permutation(nodes)[:40],
+    }
+    shuffled = rng.permutation(nodes)[:3 * g.n // 4]
+    for wname, wts in weights.items():
+        for targets, tw in ((nodes, wts), (shuffled, wts[shuffled - 1])):
+            for sname, src in sources.items():
+                want = weighted_distance_sums_reference(g, src.tolist(), targets.tolist(),
+                                                        tw.tolist())
+                for cells in (300, 1 << 16):  # many blocks of targets or sources, or few
+                    monkeypatch.setattr(graph_module, "_BLOCK_CELLS", cells)
+                    got = g.weighted_distance_sums(src, targets, tw)
+                    assert got.tolist() == want, (wname, sname, len(targets), cells)
+    assert g.weighted_distance_sums(nodes, [], []).tolist() == [0.0] * g.n
+
+
+@pytest.mark.parametrize("make", [
+    lambda: grid_graph(12),
+    lambda: ring_graph(40),
+    lambda: random_strong_digraph(random.Random(9), 60),
+], ids=["grid12", "ring40", "random60"])
+def test_next_hop_in_partition_equals_the_node_scan(make):
+    g = make()
+    rnd = random.Random(g.n)
+    for K in (2, 5):
+        labels = [rnd.randint(1, K) for _ in range(g.n)]
+        sectored = g.with_sectors([0] + labels)
+        pairs = 0
+        while pairs < 200:
+            a, b = rnd.randint(1, g.n), rnd.randint(1, g.n)
+            if labels[a - 1] == labels[b - 1]:
+                continue
+            got = sectored.next_hop_in_partition(a, b)
+            assert type(got) is int
+            assert got == next_hop_in_partition_reference(sectored, a, b), (K, a, b)
+            pairs += 1
 
 
 def test_sector_cover_validation():
