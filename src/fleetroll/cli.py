@@ -473,7 +473,7 @@ def main(argv=None) -> int:
             args["out"] = ns.out
         _validate(ns.command, args)
         return ns.func(args)
-    except (FleetrollError, FileNotFoundError) as exc:
+    except (FleetrollError, OSError, UnicodeDecodeError) as exc:  # an input that cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,23 +68,18 @@ def _positive(pmf):
 
 
 class _Sampler:
-    """Inverse-CDF sampler over a finite pmf, support sorted ascending."""
+    """Inverse-CDF lookup over a finite pmf, support sorted ascending."""
 
     def __init__(self, pmf):
-        items = sorted((k, p) for k, p in pmf.items() if p > 0)
-        self.values = [k for k, _ in items]
-        self._value_array = np.array(self.values)
-        cum = np.cumsum([p for _, p in items])
-        cum[-1] = 1.0  # guard float drift at the top
-        self.cum = cum
-        self.bounds = cum.tolist()  # for bisect; a uniform u < 1 indexes values
+        items = [(k, p) for k, p in sorted(pmf.items()) if p > 0]
+        self.values = np.array([k for k, _ in items])
+        self.cum = np.cumsum([p for _, p in items])
+        self.cum[-1] = 1.0  # guard float drift at the top
 
-    def draw(self, rng) -> int:
-        return self.values[bisect_right(self.bounds, rng.random())]
-
-    def values_at(self, us):
-        """Support values at an array of uniform draws."""
-        return self._value_array[np.searchsorted(self.cum, us, side="right")]
+    def at(self, us):
+        """Support values at an array of uniform draws in [0, 1): the number
+        of running sums <= u indexes the support."""
+        return self.values[self.cum.searchsorted(us, "right")]
 
 
 class DemandModel:
@@ -119,12 +113,10 @@ class DemandModel:
         if missing := self.pickup_pmf.keys() - self.dropoff_given_pickup.keys():
             raise DemandError(f"pickup node {min(missing)} has mass but no dropoff pmf")
         samplers = [_Sampler(pmf) for pmf in self._dropoff_pmfs]
-        self._dropoff_group_samplers = samplers
-        self._dropoff_samplers = {u: samplers[g] for u, g in zip(self.dropoff_given_pickup, groups)}
         # Every conditional pmf as one row of padded tables (support, masses,
         # CDF), so that one lookup serves many pickups. Past its support a row
         # holds a dummy node `top` with zero mass and a bound of +inf.
-        top = 1 + max(s.values[-1] for s in samplers)
+        top = 1 + max(int(s.values[-1]) for s in samplers)
         shape = (len(samplers), max(len(s.values) for s in samplers))
         self._dropoff_values = np.full(shape, top)
         self._dropoff_cdf = np.full(shape, np.inf)
@@ -144,7 +136,6 @@ class DemandModel:
         self._eta_sampler = _Sampler(self.eta_pmf)
         self._pickup_sampler = _Sampler(self.pickup_pmf)
         self._initial_sampler = _Sampler(self.initial_location_pmf)
-        self._marginal_sampler = _Sampler(self.marginal_dropoff_pmf)
 
     def _marginal(self, masses, top):
         """Sum over pickups u of P(u) * P(v | u) per node v: pickups ascending,
@@ -165,35 +156,32 @@ class DemandModel:
         nodes = np.flatnonzero(touched[:top])
         return dict(zip(nodes.tolist(), total[nodes].tolist()))
 
-    def dropoff_pmf(self, pickup: int) -> dict:
-        """Conditional dropoff pmf; unseen pickups fall back to the marginal."""
-        return self.dropoff_given_pickup.get(pickup, self.marginal_dropoff_pmf)
+    def sample_initial(self, rng, m: int):
+        """Initial locations of m taxis, one uniform each."""
+        return self._initial_sampler.at(rng.random(m))
 
-    def sample_initial(self, rng) -> int:
-        return self._initial_sampler.draw(rng)
-
-    def _dropoff_sampler(self, pickup):
-        return self._dropoff_samplers.get(pickup, self._marginal_sampler)
-
-    def _dropoffs_at(self, pickups, us):
-        """Dropoffs for an array of sampled pickups at the uniform draws `us`:
-        the number of bounds <= u in each pickup's CDF row indexes its support."""
-        if len(self._dropoff_group_samplers) == 1:
-            return self._dropoff_group_samplers[0].values_at(us)
+    def requests_at(self, pick_us, drop_us):
+        """(pickups, dropoffs) at two arrays of uniform draws: pickups first,
+        then each dropoff through its pickup's row of the padded CDF tables."""
+        pickups = self._pickup_sampler.at(pick_us)
+        if len(self._dropoff_pmfs) == 1:  # one shared conditional: one searchsorted
+            values, cdf = self._dropoff_values[0], self._dropoff_cdf[0]
+            return pickups, values[cdf.searchsorted(drop_us, "right")]
         group = self._dropoff_group[pickups]
-        index = (self._dropoff_cdf[group] <= us[:, None]).sum(axis=1)
-        return self._dropoff_values[group, index]
+        index = (self._dropoff_cdf[group] <= drop_us[:, None]).sum(axis=1)
+        return pickups, self._dropoff_values[group, index]
 
 
-def sample_arrivals(model: DemandModel, rng) -> int:
-    """Number of requests entering at one time step, i.i.d. across steps."""
-    return model._eta_sampler.draw(rng)
+def sample_arrivals(model: DemandModel, rng, steps: int):
+    """Arrival counts of `steps` consecutive steps, i.i.d., one uniform each."""
+    return model._eta_sampler.at(rng.random(steps))
 
 
-def sample_request(model: DemandModel, t: int, rng, req_id: int = 0) -> Request:
-    pickup = model._pickup_sampler.draw(rng)
-    dropoff = model._dropoff_sampler(pickup).draw(rng)
-    return Request(id=req_id, pickup=pickup, dropoff=dropoff, arrival_time=t)
+def sample_request(model: DemandModel, rng, count: int):
+    """(pickups, dropoffs) of `count` requests from one rng.random(2 * count):
+    each request takes its pickup's uniform, then its dropoff's."""
+    us = rng.random(2 * count)
+    return model.requests_at(us[0::2], us[1::2])
 
 
 def certainty_equivalence_requests(model: DemandModel, t: int, t_h: int, rng) -> list[Request]:
@@ -206,11 +194,9 @@ def certainty_equivalence_requests(model: DemandModel, t: int, t_h: int, rng) ->
     if t_h < 1:
         raise DemandError(f"planning horizon must be >= 1, got {t_h}")
     count = int(round(t_h * model.e_eta))
-    out = []
-    for i in range(count):
-        arrive_at = t + (i * t_h) // count + 1
-        out.append(sample_request(model, arrive_at, rng, req_id=-(i + 1)))
-    return out
+    pickups, dropoffs = sample_request(model, rng, count)
+    return [Request(-(i + 1), p, d, t + (i * t_h) // count + 1)
+            for i, (p, d) in enumerate(zip(pickups.tolist(), dropoffs.tolist()))]
 
 
 def estimate_from_trips(trips, graph, horizon: int | None = None) -> DemandModel:
@@ -324,9 +310,9 @@ def generate_trips(model: DemandModel, horizon: int, seed: int) -> list[tuple[in
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     rows = []
     for t in range(1, horizon + 1):
-        for _ in range(sample_arrivals(model, rng)):
-            r = sample_request(model, t, rng)
-            rows.append((t, r.pickup, r.dropoff))
+        [count] = sample_arrivals(model, rng, 1).tolist()
+        pickups, dropoffs = sample_request(model, rng, count)
+        rows += [(t, p, d) for p, d in zip(pickups.tolist(), dropoffs.tolist())]
     return rows
 
 
@@ -334,11 +320,16 @@ def read_trip_log(path) -> list[tuple[int, int, int]]:
     """Trip log CSV with header t,pickup,dropoff; t in minutes, nodes 1-indexed."""
     rows = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["t", "pickup", "dropoff"]:
+        reader = csv.reader(fh)
+        if next(reader, None) != ["t", "pickup", "dropoff"]:
             raise DemandError(f"{path}: expected header 't,pickup,dropoff'")
-        for rec in reader:
-            rows.append((int(rec["t"]), int(rec["pickup"]), int(rec["dropoff"])))
+        for rec in filter(None, reader):  # blank lines are skipped
+            try:
+                t, pickup, dropoff = map(int, rec)
+            except ValueError:  # a token that is not an integer, or not three of them
+                raise DemandError(f"{path}: line {reader.line_num} is not three integers: "
+                                  f"{','.join(rec)!r}") from None
+            rows.append((t, pickup, dropoff))
     if not rows:
         raise EmptyLog(f"{path}: no trips")
     return rows

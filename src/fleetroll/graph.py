@@ -284,11 +284,6 @@ def _next_hop_rows(adj, dist):
     return table
 
 
-def build_graph(n: int, edges, coords=None) -> CityGraph:
-    """Validate and build a CityGraph; rejects graphs that are not strongly connected."""
-    return CityGraph(n, edges, coords=coords)
-
-
 def grid_graph(k: int) -> CityGraph:
     """k x k grid with bidirectional edges; node (row r, col c) -> (r-1)*k + c.
 
@@ -325,7 +320,7 @@ def load_graph(path) -> CityGraph:
     (n, m), vals = vals[:2], vals[2:]
     if len(vals) < 2 * m:
         raise GraphError(f"{path}: expected {m} edges, found {len(vals) // 2}")
-    return build_graph(n, list(zip(vals[0:2 * m:2], vals[1:2 * m:2])))
+    return CityGraph(n, list(zip(vals[0:2 * m:2], vals[1:2 * m:2])))
 
 
 def save_graph(graph: CityGraph, path) -> None:

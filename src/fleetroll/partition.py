@@ -47,9 +47,6 @@ class PartitionSpec:
     def sector_of(self, v: int) -> int:
         return self.assignment[v]
 
-    def nodes_of(self, k: int) -> list:
-        return [v for v in range(1, len(self.assignment)) if self.assignment[v] == k]
-
     @cached_property
     def node_sets(self) -> dict:
         """Sector id -> frozenset of its nodes, made in one pass the first time

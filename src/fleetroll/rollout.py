@@ -25,7 +25,7 @@ outstanding pickup. The tests check this path against `sim.transition`.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,27 +64,31 @@ def _sample_scenario(model, t_h, num_mc, rng):
     then one uniform per request for its pickup, then one per request for its
     dropoff. They come in blocks sized from the mean arrival count, and a
     scenario that runs past the end extends the block; PCG64 spends one output
-    per double, so the blocks hold exactly the draws of one longer call.
+    per double, so the blocks hold exactly the draws of one longer call. Each
+    block is read as arrival counts in one lookup; only the entries at count
+    positions are used.
     """
     steps = t_h + 1
     eta = model._eta_sampler
     chunk = num_mc * steps * (1 + 2 * math.ceil(model.e_eta))
-    us = rng.random(chunk).tolist()
+    us = rng.random(chunk)
+    counts, us = eta.at(us).tolist(), us.tolist()
     layout, pick_us, drop_us = [], [], []
     at = 0
     for _ in range(num_mc):
-        per_step = [eta.values[bisect_right(eta.bounds, u)] for u in us[at:at + steps]]
+        per_step = counts[at:at + steps]
         total = sum(per_step)
         at += steps
         while len(us) < at + 2 * total + steps:  # these requests, the next counts
-            us += rng.random(chunk).tolist()
+            more = rng.random(chunk)
+            counts += eta.at(more).tolist()
+            us += more.tolist()
         pick_us += us[at:at + total]
         drop_us += us[at + total:at + 2 * total]
         at += 2 * total
         layout.append(per_step)
-    pickups = model._pickup_sampler.values_at(np.array(pick_us))
-    dropoffs = model._dropoffs_at(pickups, np.array(drop_us)).tolist()
-    pickups = pickups.tolist()
+    pickups, dropoffs = model.requests_at(np.array(pick_us), np.array(drop_us))
+    pickups, dropoffs = pickups.tolist(), dropoffs.tolist()
     scenarios = []
     first = 0
     for per_step in layout:

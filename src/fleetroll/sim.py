@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .demand import sample_arrivals, sample_request
+from .demand import Request, sample_arrivals, sample_request
 from .errors import FleetrollError
 
 # Per-taxi actions. Free taxis may move to a neighbor, stay, or pick up a
@@ -201,7 +201,10 @@ def run_episode(graph, model, policy, m: int, T: int, seed: int) -> EpisodeTrace
     req_rng = substream(seed, NS_REQUESTS)
     policy.reset(seed)
 
-    locations = [model.sample_initial(init_rng) for _ in range(m)]
+    locations = model.sample_initial(init_rng, m).tolist()
+    # The episode's counts and requests, drawn up front on their own streams.
+    counts = sample_arrivals(model, arr_rng, T - 1).tolist()
+    origins, dests = (a.tolist() for a in sample_request(model, req_rng, sum(counts)))
     state = FleetState(locations, [0] * m, {}, {}, 1)
     trace = EpisodeTrace(policy=getattr(policy, "name", "policy"), m=m, T=T, seed=seed)
     current_assignee: dict[int, int] = {}
@@ -240,12 +243,11 @@ def run_episode(graph, model, policy, m: int, T: int, seed: int) -> EpisodeTrace
                     # attribute the assignment at pickup time
                     trace.assignment_events[rid] = [(t, l, state.locations[l])]
 
-        eta = sample_arrivals(model, arr_rng)
-        batch = []
-        for _ in range(eta):
-            batch.append(sample_request(model, t + 1, req_rng, req_id=next_id))
-            trace.request_info[next_id] = batch[-1]
-            next_id += 1
+        eta = counts[t - 1]
+        batch = [Request(rid, origins[rid - 1], dests[rid - 1], t + 1)
+                 for rid in range(next_id, next_id + eta)]
+        trace.request_info.update((r.id, r) for r in batch)
+        next_id += eta
 
         trace.steps.append(StepRecord(t, n_out, arrived_now, pickups, free))
         trace.controls.append(list(control))

@@ -31,17 +31,17 @@ def model5_unit():
 
 def line_graph(n):
     """Bidirectional path 1-2-...-n."""
-    from fleetroll import build_graph
+    from fleetroll import CityGraph
 
     edges = []
     for v in range(1, n):
         edges.append((v, v + 1))
         edges.append((v + 1, v))
-    return build_graph(n, edges)
+    return CityGraph(n, edges)
 
 
 def ring_graph(n):
     """Directed ring 1 -> 2 -> ... -> n -> 1."""
-    from fleetroll import build_graph
+    from fleetroll import CityGraph
 
-    return build_graph(n, [(v, v % n + 1) for v in range(1, n + 1)])
+    return CityGraph(n, [(v, v % n + 1) for v in range(1, n + 1)])

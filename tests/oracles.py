@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -15,7 +16,8 @@ from fleetroll.matching import auction_match
 from fleetroll.planner import HighLevelPlan, TransitRoute, TwoPhasePolicy
 from fleetroll.policies import ia_ra_control
 from fleetroll.rollout import RolloutPolicy, _sample_scenario
-from fleetroll.sim import NS_CE, FleetState, run_episode, substream, transition
+from fleetroll.sim import (NS_ARRIVALS, NS_CE, NS_INIT, NS_REQUESTS, FleetState, run_episode,
+                          substream, transition)
 
 
 class TooLarge(ValueError):
@@ -300,8 +302,9 @@ def reference_model_tables(eta_pmf, pickup_pmf, dropoff_given_pickup, initial_pm
 
     The marginal dropoff pmf adds pickup mass times conditional mass into one
     running total per dropoff node, pickups ascending and each conditional
-    left to right. Returns a dict of the four pmfs, their bounds, and the
-    (support, bounds) of the dropoff sampler of every pickup.
+    left to right. Returns a dict of the four pmfs, the sampler bounds of
+    all but the marginal, and the (support, bounds) of the conditional dropoff
+    pmf of every pickup.
     """
     def clean(pmf):
         return {int(k): float(p) for k, p in sorted(pmf.items()) if p > 0}
@@ -319,7 +322,6 @@ def reference_model_tables(eta_pmf, pickup_pmf, dropoff_given_pickup, initial_pm
         "eta": eta, "pickup": pickup, "marginal": marginal, "initial": initial,
         "eta_bounds": _reference_bounds(eta),
         "pickup_bounds": _reference_bounds(pickup),
-        "marginal_bounds": _reference_bounds(marginal),
         "initial_bounds": _reference_bounds(initial),
         "dropoff": {u: (list(c), _reference_bounds(c)) for u, c in sorted(conds.items())},
     }
@@ -336,15 +338,128 @@ def expectation_terms_reference(model, graph):
 
     return (cross(model.initial_location_pmf, model.pickup_pmf),
             cross(model.marginal_dropoff_pmf, model.pickup_pmf),
-            sum(pu * sum(pv * dist[u][v] for v, pv in model.dropoff_pmf(u).items())
+            sum(pu * sum(pv * dist[u][v] for v, pv in model.dropoff_given_pickup[u].items())
                 for u, pu in model.pickup_pmf.items()))
 
 
+class ScalarSampler:
+    """The scalar inverse-CDF sampler the batched draws are checked against:
+    one uniform per draw, bisected into the pmf's running sums."""
+
+    def __init__(self, pmf):
+        self.values = [k for k, p in sorted(pmf.items()) if p > 0]
+        self.bounds = _reference_bounds(pmf)
+
+    def value(self, u):
+        return self.values[bisect_right(self.bounds, u)]
+
+    def starts(self):
+        """The uniform at which each support value's interval starts: 0, then
+        every running sum but the last, each exactly on a CDF bound."""
+        return [0.0] + self.bounds[:-1]
+
+    def draw(self, rng):
+        return self.value(rng.random())
+
+
+class ScalarDemand:
+    """A demand model's draws one value at a time: arrival counts, initial
+    locations, and requests as a pickup draw followed by a draw from that
+    pickup's own conditional dropoff pmf."""
+
+    def __init__(self, model):
+        self.eta = ScalarSampler(model.eta_pmf)
+        self.pickup = ScalarSampler(model.pickup_pmf)
+        self.initial = ScalarSampler(model.initial_location_pmf)
+        self._conds = model.dropoff_given_pickup
+        self._dropoff = {}
+
+    def dropoff(self, pickup):
+        if pickup not in self._dropoff:
+            self._dropoff[pickup] = ScalarSampler(self._conds[pickup])
+        return self._dropoff[pickup]
+
+    def request(self, rng):
+        pickup = self.pickup.draw(rng)
+        return pickup, self.dropoff(pickup).draw(rng)
+
+
+def scalar_arrivals(model, rng, steps):
+    eta = ScalarDemand(model).eta
+    return [eta.draw(rng) for _ in range(steps)]
+
+
+def scalar_requests(model, rng, count):
+    """(pickups, dropoffs) of `count` requests drawn one after another."""
+    demand = ScalarDemand(model)
+    pairs = [demand.request(rng) for _ in range(count)]
+    return [p for p, _ in pairs], [d for _, d in pairs]
+
+
+def scalar_initial(model, rng, m):
+    initial = ScalarDemand(model).initial
+    return [initial.draw(rng) for _ in range(m)]
+
+
+def scalar_ce_requests(model, t, t_h, rng):
+    """`certainty_equivalence_requests` one request at a time."""
+    count = int(round(t_h * model.e_eta))
+    demand = ScalarDemand(model)
+    return [Request(-(i + 1), *demand.request(rng), t + (i * t_h) // count + 1)
+            for i in range(count)]
+
+
+def scalar_generate_trips(model, horizon, seed):
+    """`generate_trips` one draw at a time: per step its count, then its
+    requests, all from one stream."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    demand = ScalarDemand(model)
+    rows = []
+    for t in range(1, horizon + 1):
+        rows += [(t, *demand.request(rng)) for _ in range(demand.eta.draw(rng))]
+    return rows
+
+
+def scalar_episode_draws(model, m, T, seed):
+    """The initial locations and the requests (id -> Request) a seeded
+    `run_episode` of horizon T draws, one value at a time: counts of steps
+    1..T-1 on the arrivals stream, requests on the requests stream."""
+    demand = ScalarDemand(model)
+    init_rng = substream(seed, NS_INIT)
+    arr_rng, req_rng = substream(seed, NS_ARRIVALS), substream(seed, NS_REQUESTS)
+    locations = [demand.initial.draw(init_rng) for _ in range(m)]
+    requests = {}
+    for t in range(1, T):
+        for _ in range(demand.eta.draw(arr_rng)):
+            rid = len(requests) + 1
+            requests[rid] = Request(rid, *demand.request(req_rng), t + 1)
+    return locations, requests
+
+
+def scalar_scenarios(model, t_h, num_mc, rng):
+    """`_sample_scenario` one draw at a time: each scenario draws t_h+1
+    arrival counts, then every pickup, then every dropoff."""
+    demand = ScalarDemand(model)
+    out = []
+    for _ in range(num_mc):
+        counts = [demand.eta.draw(rng) for _ in range(t_h + 1)]
+        pickups = [demand.pickup.draw(rng) for _ in range(sum(counts))]
+        dropoffs = [demand.dropoff(p).draw(rng) for p in pickups]
+        reqs = [(-(i + 1), p, d) for i, (p, d) in enumerate(zip(pickups, dropoffs))]
+        batches = []
+        for c in counts:
+            batches.append(reqs[:c])
+            reqs = reqs[c:]
+        out.append(batches)
+    return out
+
+
 def per_pickup_dropoffs(model, pickups, us):
-    """Dropoffs at uniform draws `us`, one inverse-CDF lookup per pickup's own
-    conditional sampler, as a reference for the batched lookup."""
-    return np.array([model._dropoff_sampler(p).values_at(u)
-                     for p, u in zip(pickups.tolist(), us)], dtype=pickups.dtype)
+    """Dropoffs at uniform draws `us`, one bisection per pickup into its own
+    conditional pmf's running sums."""
+    demand = ScalarDemand(model)
+    return np.array([demand.dropoff(p).value(u) for p, u in zip(pickups.tolist(), us)],
+                    dtype=pickups.dtype)
 
 
 def reference_partition(graph, model, K, max_iter=100):

@@ -94,7 +94,7 @@ def test_criterion_2_wasserstein_oracle_equivalence():
 
 def test_criterion_3_bound_formulas():
     # 2-node line: everything equals 1 hop
-    g2 = fr.build_graph(2, [(1, 2), (2, 1)])
+    g2 = fr.CityGraph(2, [(1, 2), (2, 1)])
     m2 = fr.DemandModel({1: 1.0}, {1: 1.0}, {1: {2: 1.0}})
     rep2 = compute_bounds(m2, g2)
     assert (rep2.e_xi_rho, rep2.e_lrand_rho, rep2.e_rho_delta) == (1.0, 1.0, 1.0)

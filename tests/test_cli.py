@@ -162,6 +162,30 @@ def test_trip_log_with_unknown_node_is_a_one_line_error(tmp_path, capsys):
     assert err == "error: trip (1, 99, 3) references a node outside 1..16\n"
 
 
+@pytest.mark.parametrize("row", ["1,2,x", "1,2"], ids=["non-integer", "short-row"])
+def test_trip_log_with_a_bad_row_is_a_one_line_error(tmp_path, capsys, row):
+    trips = tmp_path / "bad.csv"
+    trips.write_text(f"t,pickup,dropoff\n1,2,3\n{row}\n")
+    rc = main(["stability", "--grid", "4", "--trips", str(trips),
+               "--out-dir", str(tmp_path / "s")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {trips}: line 3 is not three integers: {row!r}\n"
+
+
+@pytest.mark.parametrize("flag", ["--graph", "--trips"])
+def test_unreadable_input_is_a_one_line_error(tmp_path, capsys, flag):
+    inputs = {"--graph": ["--e-eta", "1.0"], "--trips": ["--grid", "4"]}[flag]
+    rc = main(["stability", flag, str(tmp_path), *inputs, "--out-dir", str(tmp_path / "s")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+    binary = tmp_path / "input.bin"
+    binary.write_bytes(b"t,pickup,dropoff\n\xd0\xff\n")
+    rc = main(["stability", flag, str(binary), *inputs, "--out-dir", str(tmp_path / "s")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'utf-8' codec can't decode") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "--policy", "greedy", "--m", "2", "--seeds", "0"],
      "error: --seeds must be >= 1, got 0\n"),

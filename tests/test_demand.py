@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from fleetroll import demand
@@ -11,7 +12,9 @@ from fleetroll.demand import (DemandModel, DomainMismatch, EmptyLog, InvalidNode
 from fleetroll.graph import grid_graph
 from fleetroll.sim import substream
 from conftest import line_graph
-from oracles import expectation_terms_reference, reference_model_tables
+from oracles import (ScalarDemand, expectation_terms_reference, reference_model_tables,
+                     scalar_arrivals, scalar_ce_requests, scalar_generate_trips,
+                     scalar_initial, scalar_requests)
 
 
 def test_degenerate_log_single_pair(grid3):
@@ -45,9 +48,11 @@ def test_invalid_node_rejected(grid3):
         estimate_from_trips([(1, 1, 99)], grid3)
 
 
-def test_unseen_pickup_falls_back_to_marginal(grid3):
+def test_unseen_pickup_has_no_conditional_and_is_never_drawn(grid3):
     m = estimate_from_trips([(1, 1, 2), (2, 1, 3)], grid3)
-    assert m.dropoff_pmf(7) == m.marginal_dropoff_pmf
+    assert list(m.dropoff_given_pickup) == [1]
+    pickups, dropoffs = sample_request(m, substream(2, 0), 500)
+    assert set(pickups.tolist()) == {1} and set(dropoffs.tolist()) == {2, 3}
 
 
 def test_marginal_consistency(grid5):
@@ -63,37 +68,39 @@ def test_marginal_consistency(grid5):
 
 def test_sample_arrivals_degenerate():
     m = DemandModel({0: 1.0}, {1: 1.0}, {1: {1: 1.0}})
-    rng = substream(1, 0)
-    assert all(sample_arrivals(m, rng) == 0 for _ in range(20))
+    assert sample_arrivals(m, substream(1, 0), 20).tolist() == [0] * 20
     m2 = DemandModel({2: 1.0}, {1: 1.0}, {1: {1: 1.0}})
-    assert all(sample_arrivals(m2, substream(1, 0)) == 2 for _ in range(20))
+    assert sample_arrivals(m2, substream(1, 0), 20).tolist() == [2] * 20
+    assert sample_arrivals(m2, substream(1, 0), 0).tolist() == []
 
 
 def test_sample_arrivals_mean():
     m = DemandModel({0: 0.5, 2: 0.5}, {1: 1.0}, {1: {1: 1.0}})
     rng = substream(7, 0)
-    draws = [sample_arrivals(m, rng) for _ in range(10000)]
-    assert abs(sum(draws) / len(draws) - 1.0) < 0.05
+    draws = sample_arrivals(m, rng, 10000)
+    assert abs(draws.mean() - 1.0) < 0.05
 
 
 def test_sample_request_degenerate_and_fields():
     m = DemandModel({1: 1.0}, {3: 1.0}, {3: {5: 1.0}})
-    r = sample_request(m, t=5, rng=substream(0, 0), req_id=9)
-    assert (r.pickup, r.dropoff, r.arrival_time, r.id) == (3, 5, 5, 9)
+    pickups, dropoffs = sample_request(m, substream(0, 0), 4)
+    assert (pickups.tolist(), dropoffs.tolist()) == ([3] * 4, [5] * 4)
+    [r] = certainty_equivalence_requests(m, t=4, t_h=1, rng=substream(0, 0))
+    assert (r.pickup, r.dropoff, r.arrival_time, r.id) == (3, 5, 5, -1)
 
 
 def test_sample_request_frequencies():
     m = DemandModel({1: 1.0}, {1: 0.3, 2: 0.7}, {1: {1: 1.0}, 2: {1: 1.0}})
     rng = substream(13, 0)
-    hits = sum(sample_request(m, 1, rng).pickup == 1 for _ in range(10000))
-    assert abs(hits / 10000 - 0.3) < 0.02
+    pickups, _ = sample_request(m, rng, 10000)
+    assert abs((pickups == 1).mean() - 0.3) < 0.02
 
 
 def test_sampling_determinism(grid5):
     model = synthetic_model(grid5, 0.9)
-    a = [sample_request(model, t, substream(3, 2, t)) for t in range(1, 50)]
-    b = [sample_request(model, t, substream(3, 2, t)) for t in range(1, 50)]
-    assert a == b
+    a = [sample_request(model, substream(3, 2, t), t) for t in range(1, 50)]
+    b = [sample_request(model, substream(3, 2, t), t) for t in range(1, 50)]
+    assert all(np.array_equal(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def test_ce_requests_count_and_span():
@@ -113,9 +120,9 @@ def test_ce_requests_count_and_span():
 
 
 def test_expectation_terms_single_node():
-    from fleetroll import build_graph
+    from fleetroll import CityGraph
 
-    g = build_graph(1, [])
+    g = CityGraph(1, [])
     m = DemandModel({1: 1.0}, {1: 1.0}, {1: {1: 1.0}})
     terms = expectation_terms(m, g)
     assert (terms.e_xi_rho, terms.e_lrand_rho, terms.e_rho_delta) == (0.0, 0.0, 0.0)
@@ -142,8 +149,9 @@ def test_expectation_terms_match_monte_carlo(grid5):
     terms = expectation_terms(model, grid5)
     rng = substream(5, 9)
     n = 20000
-    xi = model._initial_sampler.values_at(rng.random(n)).tolist()
-    rho = model._pickup_sampler.values_at(rng.random(n)).tolist()
+    xi = model.sample_initial(rng, n).tolist()
+    rho, _ = sample_request(model, rng, n)
+    rho = rho.tolist()
     samples = [grid5.distance(a, b) for a, b in zip(xi, rho)]
     mean = sum(samples) / n
     sd = math.sqrt(sum((s - mean) ** 2 for s in samples) / (n - 1))
@@ -189,18 +197,18 @@ def built_with_reference(monkeypatch, make):
 
 
 def model_tables(model):
-    def sampler(u):
-        s = model._dropoff_sampler(u)
-        return list(s.values), list(s.bounds)
+    def row(u):
+        g, size = model._dropoff_group[u], len(model.dropoff_given_pickup[u])
+        return (model._dropoff_values[g, :size].tolist(),
+                model._dropoff_cdf[g, :size].tolist())
 
     return {
         "eta": model.eta_pmf, "pickup": model.pickup_pmf,
         "marginal": model.marginal_dropoff_pmf, "initial": model.initial_location_pmf,
-        "eta_bounds": list(model._eta_sampler.bounds),
-        "pickup_bounds": list(model._pickup_sampler.bounds),
-        "marginal_bounds": list(model._marginal_sampler.bounds),
-        "initial_bounds": list(model._initial_sampler.bounds),
-        "dropoff": {u: sampler(u) for u in sorted(model.dropoff_given_pickup)},
+        "eta_bounds": model._eta_sampler.cum.tolist(),
+        "pickup_bounds": model._pickup_sampler.cum.tolist(),
+        "initial_bounds": model._initial_sampler.cum.tolist(),
+        "dropoff": {u: row(u) for u in sorted(model.dropoff_given_pickup)},
     }
 
 
@@ -242,3 +250,91 @@ def test_expectation_terms_equal_nested_python_sums():
         terms = expectation_terms(model, g)
         got = (terms.e_xi_rho, terms.e_lrand_rho, terms.e_rho_delta)
         assert got == expectation_terms_reference(model, g)
+
+
+def sampler_models():
+    """Models whose draws are checked against the scalar reference: one
+    shared conditional (synthetic, 10x10 and a 15x15 hotspot), one
+    conditional per pickup (a trip log and a bursty log of 30 trips in one
+    of 5 minutes) and two conditionals shared by alternating pickups."""
+    g5, g10, g15 = grid_graph(5), grid_graph(10), grid_graph(15)
+    trips = generate_trips(synthetic_model(g10, 1.5, hotspot=45, hotspot_mass=0.2),
+                           horizon=600, seed=3)
+    return {
+        "synthetic": synthetic_model(g10, 0.7),
+        "hotspot-15": synthetic_model(g15, 6.0, hotspot=113, hotspot_mass=0.3),
+        "trip-log": estimate_from_trips(trips, g10),
+        "bursty": estimate_from_trips([(1, 1 + i % 5, 1 + 3 * i % 25) for i in range(30)],
+                                      g5, horizon=5),
+        "two-conditionals": two_conditionals_model(),
+    }
+
+
+def same_draws(batched, scalar, *args):
+    """Both draw functions on equal fresh streams: their values, and the
+    state the stream is left in."""
+    rng_b, rng_s = substream(*args), substream(*args)
+    return batched(rng_b), scalar(rng_s), rng_b.bit_generator.state == rng_s.bit_generator.state
+
+
+def test_batched_draws_equal_scalar_reference():
+    models = sampler_models()
+    assert len(models["trip-log"]._dropoff_pmfs) > 25
+    for name, model in models.items():
+        for trial, n in enumerate([0, 1, 2, 7, 40, 333]):
+            got, want, same = same_draws(lambda r: sample_arrivals(model, r, n).tolist(),
+                                         lambda r: scalar_arrivals(model, r, n), 1, trial)
+            assert got == want and same, (name, n)
+            got, want, same = same_draws(
+                lambda r: tuple(a.tolist() for a in sample_request(model, r, n)),
+                lambda r: tuple(scalar_requests(model, r, n)), 2, trial)
+            assert got == want and same, (name, n)
+            got, want, same = same_draws(lambda r: model.sample_initial(r, n).tolist(),
+                                         lambda r: scalar_initial(model, r, n), 3, trial)
+            assert got == want and same, (name, n)
+        for t, t_h in [(1, 1), (7, 10), (30, 25)]:
+            got, want, same = same_draws(
+                lambda r: certainty_equivalence_requests(model, t, t_h, r),
+                lambda r: scalar_ce_requests(model, t, t_h, r), 4, t)
+            assert got == want and same, (name, t_h)
+        assert generate_trips(model, 150, 8) == scalar_generate_trips(model, 150, 8), name
+
+
+class ScriptedUniforms:
+    """A stand-in generator that serves a fixed list of uniforms in order,
+    one at a time or as arrays, and fails if asked for more."""
+
+    def __init__(self, us):
+        self.us, self.at = list(us), 0
+
+    def random(self, size=None):
+        take = 1 if size is None else size
+        assert self.at + take <= len(self.us)
+        out = self.us[self.at:self.at + take]
+        self.at += take
+        return out[0] if size is None else np.array(out)
+
+
+def test_batched_draws_on_cdf_bounds_equal_scalar_reference():
+    for name, model in sampler_models().items():
+        demand = ScalarDemand(model)
+        # Each pickup's interval start, paired with each of its dropoffs' starts.
+        stream = [u for pu in demand.pickup.starts()
+                  for du in demand.dropoff(demand.pickup.value(pu)).starts()
+                  for u in (pu, du)]
+        count = len(stream) // 2
+        got = tuple(a.tolist() for a in sample_request(model, ScriptedUniforms(stream), count))
+        want = scalar_requests(model, ScriptedUniforms(stream), count)
+        assert got == want, name
+        assert sorted(set(zip(*got))) == sorted(
+            (u, v) for u in model.pickup_pmf for v in model.dropoff_given_pickup[u])
+        ce_count = int(round(3 * model.e_eta))
+        ce_stream = (stream * (1 + ce_count))[:2 * ce_count]
+        assert (certainty_equivalence_requests(model, 2, 3, ScriptedUniforms(ce_stream))
+                == scalar_ce_requests(model, 2, 3, ScriptedUniforms(ce_stream))), name
+        for draw, scalar, sampler in (
+                (sample_arrivals, scalar_arrivals, demand.eta),
+                (lambda m, r, n: m.sample_initial(r, n), scalar_initial, demand.initial)):
+            us = sampler.starts()
+            got = draw(model, ScriptedUniforms(us), len(us)).tolist()
+            assert got == scalar(model, ScriptedUniforms(us), len(us)) == sampler.values

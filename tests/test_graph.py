@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fleetroll import graph as graph_module
-from fleetroll.graph import (InvalidEdge, NotStronglyConnected, SameNode,
-                             SameSector, SectorsUnassigned, build_graph, grid_graph,
-                             load_graph, save_graph)
+from fleetroll.graph import (CityGraph, InvalidEdge, NotStronglyConnected, SameNode,
+                             SameSector, SectorsUnassigned, grid_graph, load_graph,
+                             save_graph)
 from conftest import line_graph, ring_graph
 from oracles import (csgraph_tables, next_hop_in_partition_reference,
                      weighted_distance_sums_reference)
@@ -36,22 +36,22 @@ def adjacency(graph):
 
 
 def test_single_node_graph():
-    g = build_graph(1, [])
+    g = CityGraph(1, [])
     assert g.distance(1, 1) == 0
 
 
 def test_not_strongly_connected_rejected():
     with pytest.raises(NotStronglyConnected):
-        build_graph(2, [(1, 2)])
+        CityGraph(2, [(1, 2)])
     # 1..4 form a two-way path; node 5 can be entered from 4 but never left.
     edges = [(v, v + 1) for v in range(1, 5)] + [(v + 1, v) for v in range(1, 4)]
     with pytest.raises(NotStronglyConnected, match="node 1 is unreachable from node 5"):
-        build_graph(5, edges)
+        CityGraph(5, edges)
 
 
 def test_invalid_edge_rejected():
     with pytest.raises(InvalidEdge):
-        build_graph(2, [(1, 3), (3, 1)])
+        CityGraph(2, [(1, 3), (3, 1)])
 
 
 def test_grid_corner_to_corner(grid3):
@@ -111,7 +111,7 @@ def test_random_graph_distance_and_walk(n, data):
     extra = data.draw(st.lists(
         st.tuples(st.integers(1, n), st.integers(1, n)), max_size=12))
     edges += [(a, b) for a, b in extra if a != b]
-    g = build_graph(n, edges)
+    g = CityGraph(n, edges)
     adj = adjacency(g)
     for src in range(1, n + 1):
         oracle = bfs_distance(n, adj, src)
@@ -151,7 +151,7 @@ def random_strong_digraph(rnd, n):
     rnd.shuffle(order)
     edges = [(order[v], order[(v + 1) % n]) for v in range(n)]  # shuffled ring
     edges += [(rnd.randint(1, n), rnd.randint(1, n)) for _ in range(2 * n)]
-    return build_graph(n, [(a, b) for a, b in edges if a != b])
+    return CityGraph(n, [(a, b) for a, b in edges if a != b])
 
 
 def test_next_hop_table_on_random_strong_digraph():
@@ -189,7 +189,7 @@ def test_build_in_small_blocks_equals_one_block(monkeypatch, make):
 def hub_graph(n, hub):
     """Two-way path 1-2-...-n plus arcs from `hub` to every other node."""
     edges = [(v, v + 1) for v in range(1, n)] + [(v + 1, v) for v in range(1, n)]
-    return build_graph(n, edges + [(hub, v) for v in range(1, n + 1) if v != hub])
+    return CityGraph(n, edges + [(hub, v) for v in range(1, n + 1) if v != hub])
 
 
 @pytest.mark.parametrize("make", [
@@ -220,10 +220,10 @@ def test_unreachable_target_past_the_first_word_is_named(monkeypatch, cells):
     # column 130, but (1, 130) is the first unreachable pair in row-major order.
     edges = [(v, v % 129 + 1) for v in range(1, 130)] + [(130, 1), (50, 131)]
     with pytest.raises(NotStronglyConnected, match="^node 130 is unreachable from node 1$"):
-        build_graph(131, edges)
+        CityGraph(131, edges)
     edges = [(v, v % 129 + 1) for v in range(1, 130)] + [(50, 130)]
     with pytest.raises(NotStronglyConnected, match="^node 1 is unreachable from node 130$"):
-        build_graph(130, edges)
+        CityGraph(130, edges)
 
 
 @pytest.mark.parametrize("cells", [1, 2, 5, 1 << 30])
@@ -233,10 +233,10 @@ def test_unreachable_pair_in_a_later_block_is_named(monkeypatch, cells):
     # the first unreachable pair in row-major order is (4, 1)
     edges = [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4), (3, 4)]
     with pytest.raises(NotStronglyConnected, match="^node 1 is unreachable from node 4$"):
-        build_graph(6, edges)
+        CityGraph(6, edges)
     edges = [(v, v + 1) for v in range(1, 5)] + [(v + 1, v) for v in range(1, 4)]
     with pytest.raises(NotStronglyConnected, match="^node 1 is unreachable from node 5$"):
-        build_graph(5, edges)
+        CityGraph(5, edges)
 
 
 def test_list_rows_are_made_when_first_read():

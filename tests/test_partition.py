@@ -33,7 +33,7 @@ def test_uniform_4x4_two_balanced_sectors():
     g = grid_graph(4)
     model = uniform_model(g)
     spec = get_partitions(g, model, m_lim=2, K=2)
-    sizes = sorted(len(spec.nodes_of(k)) for k in (1, 2))
+    sizes = sorted(len(spec.node_sets[k]) for k in (1, 2))
     assert sizes == [8, 8]
 
 
@@ -68,7 +68,7 @@ def test_high_demand_corner_gets_smaller_sector():
     model = DemandModel({1: 1.0}, pickup, {u: dict(uniform) for u in range(1, 17)})
     spec = get_partitions(g, model, m_lim=2, K=2)
     hot_sector = spec.sector_of(1)
-    hot_size = len(spec.nodes_of(hot_sector))
+    hot_size = len(spec.node_sets[hot_sector])
     other_size = 16 - hot_size
     assert hot_size < other_size
 
@@ -92,7 +92,7 @@ def test_inverse_size_across_seeded_models(grid5):
             pickup[v] += 0.1
         model = DemandModel({1: 1.0}, pickup, {u: dict(uniform) for u in range(1, 26)})
         spec = get_partitions(grid5, model, m_lim=2, K=3)
-        hot_size = len(spec.nodes_of(spec.sector_of(mode)))
+        hot_size = len(spec.node_sets[spec.sector_of(mode)])
         wins += hot_size <= 25 / 3
     assert wins >= 0.8 * runs
 

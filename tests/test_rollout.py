@@ -12,8 +12,8 @@ from fleetroll.rollout import (RolloutConfig, RolloutPolicy, _candidate_actions,
 from fleetroll.policies import ia_ra_control, match_free_to_requests
 from fleetroll.sim import (MOVE, PICKUP, STAY, FleetState, run_episode, substream)
 from conftest import line_graph, ring_graph
-from oracles import (LookaheadEstimate, evaluate_candidate, lookahead_cost,
-                     per_pickup_dropoffs, rollout_policy_cost)
+from oracles import (LookaheadEstimate, ScalarDemand, evaluate_candidate, lookahead_cost,
+                     per_pickup_dropoffs, rollout_policy_cost, scalar_scenarios)
 
 
 def zero_model():
@@ -198,27 +198,10 @@ def test_single_pair_survives_one_hop_toward_its_pickup(grid5):
     assert checked > 2000
 
 
-def sequential_scenarios(model, t_h, num_mc, rng):
-    """Reference: num_mc scenarios drawn one request at a time. Each scenario
-    draws t_h+1 arrival counts, then every pickup, then every dropoff."""
-    out = []
-    for _ in range(num_mc):
-        counts = [model._eta_sampler.draw(rng) for _ in range(t_h + 1)]
-        pickups = [model._pickup_sampler.draw(rng) for _ in range(sum(counts))]
-        dropoffs = [model._dropoff_sampler(p).draw(rng) for p in pickups]
-        reqs = [(-(i + 1), p, d) for i, (p, d) in enumerate(zip(pickups, dropoffs))]
-        batches = []
-        for c in counts:
-            batches.append(reqs[:c])
-            reqs = reqs[c:]
-        out.append(batches)
-    return out
-
-
 def test_batched_scenarios_reproduce_sequential_draws(grid5):
     synthetic = synthetic_model(grid5, 1.7, hotspot=7, hotspot_mass=0.3)
     from_log = estimate_from_trips(generate_trips(synthetic, horizon=300, seed=8), grid5)
-    assert len(from_log._dropoff_group_samplers) > 1  # distinct conditionals
+    assert len(from_log._dropoff_pmfs) > 1  # distinct conditionals
     # Uniforms come in blocks sized from the mean count. A burst of 30 trips
     # in one of 5 minutes overruns a block; counts of 0 or 2 (mean 1) often
     # end a scenario right at a block's end, before the next one's counts.
@@ -231,7 +214,7 @@ def test_batched_scenarios_reproduce_sequential_draws(grid5):
         more = [(5, 10)] * 60 if model in (bursty, even) else []
         for trial, (t_h, num_mc) in enumerate(cases + more):
             got = _sample_scenario(model, t_h, num_mc, substream(21, trial))
-            want = sequential_scenarios(model, t_h, num_mc, substream(21, trial))
+            want = scalar_scenarios(model, t_h, num_mc, substream(21, trial))
             assert got == want
 
 
@@ -243,18 +226,22 @@ def test_batched_dropoffs_equal_per_pickup_sampler_draws(grid5):
     from_log = estimate_from_trips(generate_trips(synthetic, horizon=300, seed=8), grid5)
     bursty = estimate_from_trips([(1, 1 + i % 5, 1 + 3 * i % 25) for i in range(30)],
                                  grid5, horizon=5)
-    assert len(from_log._dropoff_group_samplers) == 25
+    assert len(from_log._dropoff_pmfs) == 25
     rng = np.random.default_rng(41)
     for model in (from_log, bursty, synthetic):
-        support = np.array(sorted(model.pickup_pmf))
+        demand = ScalarDemand(model)
+        support = np.array(demand.pickup.values)
+        starts = dict(zip(demand.pickup.values, demand.pickup.starts()))
         pickups = rng.choice(support, size=3000)
         us = rng.random(3000)
-        on_bounds = [(u, b) for u in support.tolist()
-                     for b in model._dropoff_sampler(u).bounds[:-1]]
+        on_bounds = [(u, b) for u in support.tolist() for b in demand.dropoff(u).bounds[:-1]]
         assert 0 < len(on_bounds) < 3000
         pickups[:len(on_bounds)], us[:len(on_bounds)] = zip(*on_bounds)
-        assert np.array_equal(model._dropoffs_at(pickups, us),
-                              per_pickup_dropoffs(model, pickups, us))
+        # each pickup drawn at the uniform where its CDF interval starts
+        got_pickups, dropoffs = model.requests_at(
+            np.array([starts[p] for p in pickups.tolist()]), us)
+        assert np.array_equal(got_pickups, pickups)
+        assert np.array_equal(dropoffs, per_pickup_dropoffs(model, pickups, us))
 
 
 def test_scenarios_zero_variance_on_deterministic_model():

@@ -3,7 +3,8 @@ import pytest
 from fleetroll.demand import Request, synthetic_model
 from fleetroll.policies import GreedyPolicy, IARAPolicy
 from fleetroll.sim import (HOP, MOVE, PICKUP, STAY, FleetState, IllegalControl,
-                           run_episode, stage_cost, transition)
+                           run_episode, stage_cost, substream, transition)
+from oracles import ScalarDemand, scalar_episode_draws
 
 
 def make_state(locs, timers=None, outstanding=None, in_service=None, clock=1):
@@ -133,9 +134,7 @@ def test_outstanding_matches_arrival_times(grid5, model5_unit):
 def test_taxi_moves_at_most_one_edge(grid5, model5_unit):
     model = model5_unit
     policy = IARAPolicy(grid5)
-    from fleetroll.sim import substream
-    import fleetroll.demand as dm
-
+    demand = ScalarDemand(model)
     state = FleetState([1, 13, 25], [0, 0, 0], {}, {}, 1)
     rng = substream(4, 1)
     rng_req = substream(4, 2)
@@ -143,10 +142,39 @@ def test_taxi_moves_at_most_one_edge(grid5, model5_unit):
     for t in range(1, 40):
         ctrl, _ = policy.control(state)
         arrivals = []
-        for _ in range(dm.sample_arrivals(model, rng)):
-            arrivals.append(dm.sample_request(model, t + 1, rng_req, req_id=rid))
+        for _ in range(demand.eta.draw(rng)):
+            arrivals.append(Request(rid, *demand.request(rng_req), t + 1))
             rid += 1
         nxt = transition(state, ctrl, arrivals, grid5)
         for a, b in zip(state.locations, nxt.locations):
             assert grid5.distance(a, b) <= 1
         state = nxt
+
+
+class StayAndRecord:
+    """Every taxi stays; the first state's locations are kept."""
+    name = "stay"
+
+    def reset(self, seed):
+        self.start = None
+
+    def control(self, state):
+        if self.start is None:
+            self.start = list(state.locations)
+        return [(STAY,)] * state.m, None
+
+
+def test_episode_draws_equal_scalar_reference(grid5):
+    from fleetroll.demand import estimate_from_trips, generate_trips
+
+    synthetic = synthetic_model(grid5, 1.7, hotspot=7, hotspot_mass=0.3)
+    from_log = estimate_from_trips(generate_trips(synthetic, horizon=300, seed=8), grid5)
+    for model in (synthetic, from_log):
+        assert run_episode(grid5, model, StayAndRecord(), 2, 1, 1).request_info == {}
+        for seed, m, T in [(1, 1, 2), (2, 4, 3), (3, 6, 40)]:
+            policy = StayAndRecord()
+            trace = run_episode(grid5, model, policy, m, T, seed)
+            locations, requests = scalar_episode_draws(model, m, T, seed)
+            assert policy.start == locations
+            assert trace.request_info == requests
+            assert list(trace.request_info) == list(requests)

@@ -217,9 +217,9 @@ def test_two_node_bounds_exact():
 
 
 def test_single_node_degenerate():
-    from fleetroll import build_graph
+    from fleetroll import CityGraph
 
-    g = build_graph(1, [])
+    g = CityGraph(1, [])
     model = DemandModel({1: 1.0}, {1: 1.0}, {1: {1: 1.0}})
     rep = compute_bounds(model, g)
     assert rep.d_max == 0.0 and rep.d_min == 0.0
