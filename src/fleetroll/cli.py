@@ -21,7 +21,7 @@ from pathlib import Path
 from scipy.special import stdtr
 
 from . import demand, graph as graphmod
-from .errors import FleetrollError
+from .errors import FleetrollError, read_utf8
 from .partition import get_partitions
 from .planner import TwoPhasePolicy
 from .policies import (GreedyPolicy, IACommitPolicy, IARAPolicy, RandomIAPolicy,
@@ -81,11 +81,39 @@ def _write_json(path, obj):
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+# The flags each build depends on; a model depends on its graph's, a policy
+# on its model's.
+_BUILD_INPUTS = {"graph": ("graph", "grid")}
+_BUILD_INPUTS["model"] = _BUILD_INPUTS["graph"] + ("trips", "e_eta", "hotspot", "hotspot_mass")
+_BUILD_INPUTS["policy"] = _BUILD_INPUTS["model"] + ("policy", "m", "m_lim", "t_h", "num_mc")
+# build kind -> (its inputs, the latest build of it). Module state, because a
+# worker process runs _run_one by name and keeps its builds between tasks.
+_built = {}
+
+
+def _memo(kind, args, build):
+    """The latest `kind` built in this process if it had the same inputs,
+    else `build()`. The builds are deterministic, so reuse changes no result;
+    main() empties the memo, so a file rewritten between calls is read again."""
+    inputs = tuple(args.get(k) for k in _BUILD_INPUTS[kind])
+    held = _built.get(kind)
+    if held is None or held[0] != inputs:
+        held = _built[kind] = (inputs, build())
+    return held[1]
+
+
+def _graph_and_model(args):
+    g = _memo("graph", args, lambda: resolve_graph(args))
+    return g, _memo("model", args, lambda: resolve_model(g, args))
+
+
 def _run_one(task):
-    """One (policy, m, seed) episode; executed possibly in a worker process."""
-    g = resolve_graph(task)
-    model = resolve_model(g, task)
-    policy = make_policy(task["policy"], g, model, task["m"], task)
+    """One (policy, m, seed) episode; executed possibly in a worker process.
+    The graph, model and policy are built once per process for the same
+    inputs; run_episode resets the policy with the run's seed."""
+    g, model = _graph_and_model(task)
+    policy = _memo("policy", task,
+                   lambda: make_policy(task["policy"], g, model, task["m"], task))
     sim_graph = getattr(policy, "graph", g)  # two-phase carries the sectored copy
     trace = run_episode(sim_graph, model, policy, task["m"], task["T"], task["run_seed"])
     z = service_distance(trace, g)
@@ -136,6 +164,7 @@ def _fleet_sizes(args):
 
 def cmd_simulate(args):
     m_values = _fleet_sizes(args)
+    _graph_and_model(args)  # bad input fails before any output; the runs reuse both
     outdir = Path(args["out_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     tasks = _tasks_for(args, [args["policy"]], m_values)
@@ -169,6 +198,7 @@ def _paired_t(deltas):
 def cmd_compare(args):
     policies = args["policies"]
     m_values = _fleet_sizes(args)
+    _graph_and_model(args)
     outdir = Path(args["out_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     tasks = _tasks_for(args, policies, m_values)
@@ -217,8 +247,7 @@ def cmd_compare(args):
 
 
 def cmd_stability(args):
-    g = resolve_graph(args)
-    model = resolve_model(g, args)
+    g, model = _graph_and_model(args)
     report = compute_bounds(model, g, metric=args["metric"])
     outdir = Path(args["out_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -261,8 +290,7 @@ def cmd_gen_graph(args):
 
 
 def cmd_gen_trips(args):
-    g = resolve_graph(args)
-    model = resolve_model(g, args)
+    g, model = _graph_and_model(args)
     rows = demand.generate_trips(model, args["T"], args["seed"])
     demand.write_trip_log(rows, args["out"])
     print(f"wrote {len(rows)} trips over {args['T']} steps to {args['out']}")
@@ -270,8 +298,7 @@ def cmd_gen_trips(args):
 
 
 def cmd_partition(args):
-    g = resolve_graph(args)
-    model = resolve_model(g, args)
+    g, model = _graph_and_model(args)
     K = math.ceil(args["m"] / args["m_lim"])
     spec = get_partitions(g, model, args["m_lim"], K)
     _write_csv(args["out"], spec.rows())
@@ -344,7 +371,7 @@ def _load_config(path, actions, known):
     may name a flag of another subcommand, so that one config can serve
     several, but not a flag no subcommand has."""
     try:
-        loaded = json.loads(Path(path).read_text())
+        loaded = json.loads(read_utf8(path, CLIError, f"config {path}"))
     except OSError as exc:
         raise CLIError(f"config {path}: {exc.strerror}") from None
     except ValueError as exc:  # includes json.JSONDecodeError
@@ -463,6 +490,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_partition)
 
     ns = parser.parse_args(argv)
+    _built.clear()
     actions = {a.dest: a for a in sub.choices[ns.command]._actions}
     known = {a.dest for p in sub.choices.values() for a in p._actions} - {"help"}
     try:
@@ -473,7 +501,7 @@ def main(argv=None) -> int:
             args["out"] = ns.out
         _validate(ns.command, args)
         return ns.func(args)
-    except (FleetrollError, OSError, UnicodeDecodeError) as exc:  # an input that cannot be read
+    except (FleetrollError, OSError) as exc:  # OSError: an input that cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,15 +9,17 @@ construction.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .errors import FleetrollError
+from .errors import FleetrollError, read_utf8
 
 _SUM_TOL = 1e-9
-_BLOCK_CELLS = 1 << 16  # cells per block of the marginal's running sums
+_BLOCK_CELLS = 1 << 16  # terms per block of the marginal's running sums
 
 
 class DemandError(FleetrollError):
@@ -67,13 +69,52 @@ def _positive(pmf):
     return {int(k): float(p) for k, p in sorted(pmf.items()) if p > 0}
 
 
+def _relabel(keys):
+    """Ids 0, 1, ... of an array's values: equal exactly for equal values."""
+    order = keys.argsort()
+    ranked = keys[order]
+    ids = np.empty(len(keys), dtype=np.intp)
+    ids[order] = np.cumsum(np.concatenate(([0], ranked[1:] != ranked[:-1])))
+    return ids
+
+
+def _signature_classes(nodes, cond, mass):
+    """The nodes that have support entries (node, conditional, mass),
+    ascending, and a class for each: equal for two nodes exactly when they
+    have equal masses (as floats) under the same conditionals.
+
+    A node's entries, conditionals ascending, form a sequence. Each entry
+    gets an id for the `span` entries that start at it (fewer at the end of
+    its node's sequence); doubling `span` pairs an entry's id with the id of
+    the entry `span` further on, until one id covers a whole sequence.
+    """
+    order = np.argsort(nodes, kind="stable")
+    nodes, cond, mass = nodes[order], cond[order], mass[order]
+    count = np.bincount(nodes)
+    ends = np.cumsum(count)
+    stop = ends[nodes]  # one past the last entry of each entry's node
+    at = np.arange(len(nodes))
+    size = len(nodes) + 1  # ids are below it
+    ids = _relabel(cond * size + _relabel(mass))
+    span = 1
+    while span < count.max():
+        ahead = np.where(at + span < stop, ids[np.minimum(at + span, len(nodes) - 1)] + 1, 0)
+        ids = _relabel(ids * size + ahead)
+        span *= 2
+    touched = np.flatnonzero(count)
+    return touched, _relabel(ids[ends[touched] - count[touched]])
+
+
 class _Sampler:
-    """Inverse-CDF lookup over a finite pmf, support sorted ascending."""
+    """Inverse-CDF lookup over the positive masses of a finite pmf whose
+    support is listed in ascending order."""
 
     def __init__(self, pmf):
-        items = [(k, p) for k, p in sorted(pmf.items()) if p > 0]
-        self.values = np.array([k for k, _ in items])
-        self.cum = np.cumsum([p for _, p in items])
+        values = np.fromiter(pmf, dtype=np.intp, count=len(pmf))
+        masses = np.fromiter(pmf.values(), dtype=float, count=len(pmf))
+        keep = masses > 0
+        self.values = values[keep]
+        self.cum = np.cumsum(masses[keep])
         self.cum[-1] = 1.0  # guard float drift at the top
 
     def at(self, us):
@@ -97,17 +138,18 @@ class DemandModel:
         _check_pmf(pickup_pmf, "pickup pmf")
         self.eta_pmf = {int(k): float(p) for k, p in sorted(eta_pmf.items())}
         self.pickup_pmf = _positive(pickup_pmf)
+        pickups = sorted(dropoff_given_pickup)
+        conds = [dropoff_given_pickup[u] for u in pickups]
         group_of = {}  # id of a conditional pmf object -> its group index
         self._dropoff_pmfs = []  # distinct conditional pmfs, normalized
-        self.dropoff_given_pickup = {}
-        groups = []
-        for u, cond in sorted(dropoff_given_pickup.items()):
-            g = group_of.setdefault(id(cond), len(self._dropoff_pmfs))
-            if g == len(self._dropoff_pmfs):
+        for u, cond in zip(pickups, conds):
+            if id(cond) not in group_of:
                 _check_pmf(cond, f"dropoff pmf given pickup {u}")
+                group_of[id(cond)] = len(self._dropoff_pmfs)
                 self._dropoff_pmfs.append(_positive(cond))
-            self.dropoff_given_pickup[int(u)] = self._dropoff_pmfs[g]
-            groups.append(g)
+        groups = list(map(group_of.__getitem__, map(id, conds)))
+        self.dropoff_given_pickup = dict(zip(map(int, pickups),
+                                             map(self._dropoff_pmfs.__getitem__, groups)))
         self._dropoff_group = np.zeros(max(self.dropoff_given_pickup) + 1, dtype=np.intp)
         self._dropoff_group[list(self.dropoff_given_pickup)] = groups
         if missing := self.pickup_pmf.keys() - self.dropoff_given_pickup.keys():
@@ -120,12 +162,10 @@ class DemandModel:
         shape = (len(samplers), max(len(s.values) for s in samplers))
         self._dropoff_values = np.full(shape, top)
         self._dropoff_cdf = np.full(shape, np.inf)
-        masses = np.zeros(shape)
         for g, (pmf, s) in enumerate(zip(self._dropoff_pmfs, samplers)):
             self._dropoff_values[g, :len(pmf)] = s.values
             self._dropoff_cdf[g, :len(pmf)] = s.cum
-            masses[g, :len(pmf)] = list(pmf.values())
-        self.marginal_dropoff_pmf = self._marginal(masses, top)
+        self.marginal_dropoff_pmf = self._marginal(top)
         if initial_pmf is not None:
             _check_pmf(initial_pmf, "initial location pmf")
             self.initial_location_pmf = _positive(initial_pmf)
@@ -137,24 +177,46 @@ class DemandModel:
         self._pickup_sampler = _Sampler(self.pickup_pmf)
         self._initial_sampler = _Sampler(self.initial_location_pmf)
 
-    def _marginal(self, masses, top):
+    def _marginal(self, top):
         """Sum over pickups u of P(u) * P(v | u) per node v: pickups ascending,
-        each node's total a running sum, taken in blocks of bounded size."""
+        each node's total a left-to-right running sum of its nonzero terms (a
+        zero term changes no sum).
+
+        Nodes with equal signatures (their masses under each conditional a
+        pickup uses, as exact floats) add the same terms in the same order, so
+        one running sum per signature serves them all: a pickup adds one term
+        per signature in its conditional's support, in blocks of _BLOCK_CELLS
+        terms. That is O(pickups x signatures), and O(pickups) when the
+        pickups share one conditional.
+        """
         pu = np.fromiter(self.pickup_pmf.values(), dtype=float, count=len(self.pickup_pmf))
-        groups = self._dropoff_group[list(self.pickup_pmf)]
-        total = np.zeros(top + 1)
-        rows = max(1, _BLOCK_CELLS // (top + 1))
-        for at in range(0, len(pu), rows):
-            gs = groups[at:at + rows]
-            block = np.zeros((len(gs) + 1, top + 1))
-            block[0] = total
-            block[np.arange(1, len(gs) + 1)[:, None], self._dropoff_values[gs]] = (
-                pu[at:at + rows, None] * masses[gs])
-            total = np.cumsum(block, axis=0, out=block)[-1]
-        touched = np.zeros(top + 1, dtype=bool)
-        touched[self._dropoff_values[np.unique(groups)]] = True
-        nodes = np.flatnonzero(touched[:top])
-        return dict(zip(nodes.tolist(), total[nodes].tolist()))
+        used, groups = np.unique(self._dropoff_group[list(self.pickup_pmf)],
+                                 return_inverse=True)
+        values = self._dropoff_values[used]
+        real = values < top  # past its support a row holds the dummy node
+        cond, nodes = np.nonzero(real)[0], values[real]
+        mass = np.fromiter(chain.from_iterable(self._dropoff_pmfs[g].values() for g in used),
+                           dtype=float, count=len(nodes))
+        touched, classes = _signature_classes(nodes, cond, mass)
+        signatures = classes.max() + 1
+        rep = np.empty(signatures, dtype=np.intp)
+        rep[classes] = touched  # a node of each signature
+        column = np.full(top, -1)  # a signature's index at its node in `rep`
+        column[rep] = np.arange(signatures)
+        # The entries at those nodes, grouped by conditional; a pickup's terms
+        # are its conditional's group of entries.
+        at_rep = np.flatnonzero(column[nodes] >= 0)
+        per_cond = np.bincount(cond[at_rep], minlength=len(used))
+        ends = np.cumsum(per_cond[groups])  # one past each pickup's last term
+        offset = np.cumsum(per_cond)[groups] - ends  # term t of pickup i: at_rep[offset[i] + t]
+        total = np.zeros(signatures)
+        for at in range(0, ends[-1], _BLOCK_CELLS):
+            t = np.arange(at, min(at + _BLOCK_CELLS, ends[-1]))
+            i = ends.searchsorted(t, "right")
+            entry = at_rep[offset[i] + t]
+            # unbuffered, in index order: each total takes one term at a time
+            np.add.at(total, column[nodes[entry]], pu[i] * mass[entry])
+        return dict(zip(touched.tolist(), total[classes].tolist()))
 
     def sample_initial(self, rng, m: int):
         """Initial locations of m taxis, one uniform each."""
@@ -319,17 +381,16 @@ def generate_trips(model: DemandModel, horizon: int, seed: int) -> list[tuple[in
 def read_trip_log(path) -> list[tuple[int, int, int]]:
     """Trip log CSV with header t,pickup,dropoff; t in minutes, nodes 1-indexed."""
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != ["t", "pickup", "dropoff"]:
-            raise DemandError(f"{path}: expected header 't,pickup,dropoff'")
-        for rec in filter(None, reader):  # blank lines are skipped
-            try:
-                t, pickup, dropoff = map(int, rec)
-            except ValueError:  # a token that is not an integer, or not three of them
-                raise DemandError(f"{path}: line {reader.line_num} is not three integers: "
-                                  f"{','.join(rec)!r}") from None
-            rows.append((t, pickup, dropoff))
+    reader = csv.reader(io.StringIO(read_utf8(path, DemandError), newline=""))
+    if next(reader, None) != ["t", "pickup", "dropoff"]:
+        raise DemandError(f"{path}: expected header 't,pickup,dropoff'")
+    for rec in filter(None, reader):  # blank lines are skipped
+        try:
+            t, pickup, dropoff = map(int, rec)
+        except ValueError:  # a token that is not an integer, or not three of them
+            raise DemandError(f"{path}: line {reader.line_num} is not three integers: "
+                              f"{','.join(rec)!r}") from None
+        rows.append((t, pickup, dropoff))
     if not rows:
         raise EmptyLog(f"{path}: no trips")
     return rows

@@ -7,8 +7,9 @@ vectorised pass over each block's edges for its next hops), so no build
 temporary is n x n. `dist_array` holds the distances as unsigned shorts
 (unsigned ints from 65,536 nodes on) for building cost matrices by indexing;
 `_dist` gives its rows as lists for scalar lookups, each made the first time
-it is read; next hops are one compact `array` row per node. The graph is
-immutable afterwards and safe to share across workers.
+it is read and kept within a byte budget; next hops are one compact `array`
+row per node. The graph is immutable afterwards and safe to share across
+workers.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FleetrollError
+from .errors import FleetrollError, read_utf8
 
 
 class GraphError(FleetrollError):
@@ -49,6 +50,7 @@ class SectorsUnassigned(GraphError):
 _BLOCK_CELLS = 1 << 16  # cells per block of a weighted distance sum
 _ROW_LOOP_SOURCES = 250  # from this many sources a weighted distance sum goes target by target
 _BUILD_BLOCK_CELLS = 1 << 20  # cells per block of source rows in the table build
+_LIST_ROW_BYTES = 256 << 20  # list rows of distances kept per graph, 8 bytes a slot
 
 
 class CityGraph:
@@ -199,13 +201,20 @@ class CityGraph:
 class _ListRows(dict):
     """Rows of a distance array as lists, indexed like a list of rows, each
     made the first time it is read: list reads are the fastest scalar reads
-    the lookahead's inner loop can make."""
+    the lookahead's inner loop can make.
+
+    The rows' slots (8 bytes each) stay within _LIST_ROW_BYTES: a miss past
+    it drops the oldest row. Distances above 256 are int objects of their
+    own, which the budget does not count. A hit stays one dict lookup.
+    """
 
     def __init__(self, table):
         super().__init__()
         self.table = table
 
     def __missing__(self, i):
+        if len(self) >= max(1, _LIST_ROW_BYTES // (8 * len(self.table))):
+            del self[next(iter(self))]
         row = self[i] = self.table[i].tolist()
         return row
 
@@ -310,7 +319,7 @@ def grid_graph(k: int) -> CityGraph:
 def load_graph(path) -> CityGraph:
     """Read the plain-text edge list: first line "n m", then one "i j" per line."""
     vals = []
-    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for number, line in enumerate(read_utf8(path, GraphError).splitlines(), start=1):
         try:
             vals += map(int, line.split())
         except ValueError:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fleetroll import cli, demand, graph as graphmod, planner
 from fleetroll.cli import main
 from fleetroll.graph import load_graph
 
@@ -182,8 +183,18 @@ def test_unreadable_input_is_a_one_line_error(tmp_path, capsys, flag):
     binary.write_bytes(b"t,pickup,dropoff\n\xd0\xff\n")
     rc = main(["stability", flag, str(binary), *inputs, "--out-dir", str(tmp_path / "s")])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: 'utf-8' codec can't decode") and err.count("\n") == 1
+    assert capsys.readouterr().err == (
+        f"error: {binary}: not UTF-8 text (invalid continuation byte at byte 17)\n")
+
+
+def test_config_file_that_is_not_utf8_is_a_one_line_error_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"grid": 4, "e-eta": "\xd0\xff"}')
+    rc = main(["stability", "--config", str(cfg), "--out-dir", str(tmp_path / "s")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: config {cfg}: not UTF-8 text (invalid continuation byte at byte 22)\n")
+    assert not (tmp_path / "s").exists()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -388,3 +399,70 @@ def test_bad_hotspot_is_a_one_line_error(tmp_path, capsys, flags, message):
                "--out-dir", str(tmp_path / "s")])
     assert rc == 1
     assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_bad_graph_leaves_no_output_directory(tmp_path, capsys, command):
+    graph = tmp_path / "g.txt"
+    graph.write_text("3 1\n1 2\n")  # node 3 is unreachable
+    out = tmp_path / "o"
+    runs = (["--policy", "greedy", "--m", "2"] if command == "simulate"
+            else ["--policies", "greedy,ia-ra", "--m", "2", "--seeds", "2"])
+    rc = main([command, "--graph", str(graph), "--e-eta", "1.0", *runs, "--T", "5",
+               "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: node ")
+    assert not out.exists()
+
+
+TWO_PHASE_SWEEP = ["simulate", "--grid", "5", "--e-eta", "0.8", "--policy", "two-phase",
+                   "--m-sweep", "4,6", "--m-lim", "2", "--t-h", "2", "--num-mc", "2",
+                   "--T", "12", "--seeds", "3", "--seed", "2"]
+
+
+def test_builds_are_reused_without_changing_any_output(tmp_path, monkeypatch):
+    """A sweep writes the same non-timing files whether each process reuses
+    its builds (one process, or two workers) or every run builds afresh."""
+    dirs = {name: tmp_path / name for name in ("one", "two", "fresh")}
+    assert main(TWO_PHASE_SWEEP + ["--jobs", "1", "--out-dir", str(dirs["one"])]) == 0
+    assert main(TWO_PHASE_SWEEP + ["--jobs", "2", "--out-dir", str(dirs["two"])]) == 0
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "_memo", lambda kind, args, build: build())
+        assert main(TWO_PHASE_SWEEP + ["--jobs", "1", "--out-dir", str(dirs["fresh"])]) == 0
+    assert len(list(dirs["one"].glob("*.trace.csv"))) == 6
+    digests = {name: non_timing_digest(d) for name, d in dirs.items()}
+    assert digests["one"] == digests["two"] == digests["fresh"]
+
+
+def test_each_build_is_made_once_per_process(tmp_path, monkeypatch):
+    calls = {"graph": 0, "model": 0, "partition": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(graphmod, "grid_graph", counting("graph", graphmod.grid_graph))
+    monkeypatch.setattr(demand, "synthetic_model", counting("model", demand.synthetic_model))
+    monkeypatch.setattr(planner, "get_partitions", counting("partition", planner.get_partitions))
+    sweep = [a if a != "4,6" else "4" for a in TWO_PHASE_SWEEP]
+    assert main(sweep + ["--jobs", "1", "--out-dir", str(tmp_path / "o")]) == 0
+    assert calls == {"graph": 1, "model": 1, "partition": 1}
+    assert main(TWO_PHASE_SWEEP + ["--jobs", "1", "--out-dir", str(tmp_path / "p")]) == 0
+    assert calls == {"graph": 2, "model": 2, "partition": 3}  # one partition per fleet size
+
+
+def test_graph_file_rewritten_between_calls_is_read_again(tmp_path):
+    graph = tmp_path / "g.txt"
+    args = ["simulate", "--graph", str(graph), "--e-eta", "1.0", "--policy", "ia-ra",
+            "--m", "2", "--T", "10", "--seed", "3"]
+    assert main(["gen-graph", "--k", "3", "--out", str(graph)]) == 0
+    assert main(args + ["--out-dir", str(tmp_path / "a")]) == 0
+    assert main(["gen-graph", "--k", "4", "--out", str(graph)]) == 0
+    assert main(args + ["--out-dir", str(tmp_path / "b")]) == 0
+    assert main(["gen-graph", "--k", "4", "--out", str(tmp_path / "g4.txt")]) == 0
+    assert main([a if a != str(graph) else str(tmp_path / "g4.txt") for a in args]
+                + ["--out-dir", str(tmp_path / "c")]) == 0
+    assert non_timing_digest(tmp_path / "a") != non_timing_digest(tmp_path / "b")
+    assert non_timing_digest(tmp_path / "b") == non_timing_digest(tmp_path / "c")

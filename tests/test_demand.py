@@ -235,11 +235,59 @@ def test_model_tables_match_entry_by_entry_reference(monkeypatch):
         two_conditionals_model,
     ]
     for make in makers:
-        model, want = built_with_reference(monkeypatch, make)
-        got = model_tables(model)
-        for name in ("eta", "pickup", "marginal", "initial"):
-            assert list(got[name].items()) == list(want[name].items()), name
-        assert got == want
+        assert_tables_match_reference(monkeypatch, make)
+
+
+def assert_tables_match_reference(monkeypatch, make):
+    model, want = built_with_reference(monkeypatch, make)
+    got = model_tables(model)
+    for name in ("eta", "pickup", "marginal", "initial"):
+        assert list(got[name].items()) == list(want[name].items()), name
+    assert got == want
+    return model
+
+
+def test_marginal_of_conditionals_that_coincide_on_some_nodes(monkeypatch):
+    # Nodes 5 and 6 have mass 1/8 under both conditionals, 7 and 8 under one
+    # only; 1-4 are in one support, 9-12 in the other.
+    a = {v: 1 / 8 for v in range(1, 9)}
+    b = {5: 1 / 8, 6: 1 / 8, 7: 1 / 4, 8: 1 / 16, 9: 1 / 16, 10: 1 / 8, 11: 1 / 8, 12: 1 / 8}
+    pickup = {u: (u % 3 + 1) / 24 for u in range(1, 13)}
+    make = lambda: demand.DemandModel({1: 1.0}, pickup, {u: a if u % 2 else b for u in pickup})
+    marginal = assert_tables_match_reference(monkeypatch, make).marginal_dropoff_pmf
+    assert marginal[5] == marginal[6] and len(set(marginal.values())) > 3
+
+
+def test_marginal_of_masses_that_differ_in_the_last_bit(monkeypatch):
+    cond = {v: 0.1 for v in range(1, 11)}
+    cond[3] = float(np.nextafter(0.1, 1.0))
+    cond[7] = float(np.nextafter(0.1, 0.0))
+    # Halves add up exactly, so each node's total is its own mass.
+    make = lambda: demand.DemandModel({2: 1.0}, {1: 0.5, 2: 0.5}, {1: cond, 2: cond})
+    marginal = assert_tables_match_reference(monkeypatch, make).marginal_dropoff_pmf
+    assert [marginal[v] for v in (1, 3, 7)] == [cond[1], cond[3], cond[7]]
+    assert len({marginal[1], marginal[3], marginal[7]}) == 3
+    pickup = {u: 1 / 30 for u in range(1, 31)}
+    assert_tables_match_reference(
+        monkeypatch, lambda: demand.DemandModel({2: 1.0}, pickup, {u: cond for u in pickup}))
+
+
+def test_marginal_in_many_blocks(monkeypatch):
+    g10 = grid_graph(10)
+    trips = generate_trips(synthetic_model(g10, 1.5, hotspot=45, hotspot_mass=0.2),
+                           horizon=300, seed=4)
+    monkeypatch.setattr(demand, "_BLOCK_CELLS", 5)
+    for make in (lambda: synthetic_model(g10, 2.0, hotspot=12, hotspot_mass=0.4),
+                 lambda: estimate_from_trips(trips, g10), two_conditionals_model):
+        assert_tables_match_reference(monkeypatch, make)
+
+
+def test_marginal_of_a_trip_log_on_a_40x40_grid(monkeypatch):
+    g40 = grid_graph(40)
+    trips = generate_trips(synthetic_model(g40, 3.0, hotspot=820, hotspot_mass=0.2),
+                           horizon=1000, seed=2)
+    model = assert_tables_match_reference(monkeypatch, lambda: estimate_from_trips(trips, g40))
+    assert len(model._dropoff_pmfs) > 1000
 
 
 def test_expectation_terms_equal_nested_python_sums():

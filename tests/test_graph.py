@@ -54,6 +54,22 @@ def test_invalid_edge_rejected():
         CityGraph(2, [(1, 3), (3, 1)])
 
 
+def test_list_rows_stay_within_their_byte_budget(monkeypatch):
+    g = grid_graph(8)
+    cap = 3
+    monkeypatch.setattr(graph_module, "_LIST_ROW_BYTES", cap * 8 * (g.n + 1))
+    rows = g._dist
+    for i in (1, 2, 3, 2, 4):  # a hit does not refresh a row; a miss drops the oldest
+        assert rows[i] == g.dist_array[i].tolist()
+    assert list(rows) == [2, 3, 4]
+    rng = random.Random(5)
+    for _ in range(400):
+        i, j = rng.randint(1, g.n), rng.randint(1, g.n)
+        assert rows[i] == g.dist_array[i].tolist()
+        assert g.distance(j, i) == g.dist_array[j, i]
+        assert len(rows) <= cap
+
+
 def test_grid_corner_to_corner(grid3):
     assert grid3.distance(1, 9) == 4
     assert grid3.distance(5, 1) == 2  # center to corner
