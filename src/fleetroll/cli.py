@@ -28,7 +28,7 @@ from .policies import (GreedyPolicy, IACommitPolicy, IARAPolicy, RandomIAPolicy,
                        service_distance)
 from .rollout import RolloutConfig, RolloutPolicy
 from .sim import run_episode
-from .stability import MIN_TRACES, compute_bounds, empirical_stability
+from .stability import MIN_HORIZON, MIN_TRACES, compute_bounds, empirical_stability
 
 POLICIES = ("greedy", "random-ia", "ia-commit", "ia-ra", "rollout", "two-phase")
 
@@ -114,8 +114,7 @@ def _run_one(task):
     g, model = _graph_and_model(task)
     policy = _memo("policy", task,
                    lambda: make_policy(task["policy"], g, model, task["m"], task))
-    sim_graph = getattr(policy, "graph", g)  # two-phase carries the sectored copy
-    trace = run_episode(sim_graph, model, policy, task["m"], task["T"], task["run_seed"])
+    trace = run_episode(g, model, policy, task["m"], task["T"], task["run_seed"])
     z = service_distance(trace, g)
     label = f"{task['policy']}_m{task['m']}_seed{task['run_seed']}"
     outdir = Path(task["out_dir"])
@@ -162,9 +161,18 @@ def _fleet_sizes(args):
     return m_values
 
 
+def _check_sectors(g, args, policies, m_values):
+    """Two-phase opens ceil(m / m_lim) sectors, each around a node of its own."""
+    m = max(m_values)
+    if "two-phase" in policies and (K := math.ceil(m / args["m_lim"])) > g.n:
+        raise CLIError(f"two-phase with --m {m} and --m-lim {args['m_lim']} opens "
+                       f"{K} sectors, more than the graph's {g.n} nodes")
+
+
 def cmd_simulate(args):
     m_values = _fleet_sizes(args)
-    _graph_and_model(args)  # bad input fails before any output; the runs reuse both
+    g, _ = _graph_and_model(args)  # bad input fails before any output; the runs reuse both
+    _check_sectors(g, args, [args["policy"]], m_values)
     outdir = Path(args["out_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     tasks = _tasks_for(args, [args["policy"]], m_values)
@@ -198,7 +206,8 @@ def _paired_t(deltas):
 def cmd_compare(args):
     policies = args["policies"]
     m_values = _fleet_sizes(args)
-    _graph_and_model(args)
+    g, _ = _graph_and_model(args)
+    _check_sectors(g, args, policies, m_values)
     outdir = Path(args["out_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     tasks = _tasks_for(args, policies, m_values)
@@ -249,13 +258,15 @@ def cmd_compare(args):
 def cmd_stability(args):
     g, model = _graph_and_model(args)
     report = compute_bounds(model, g, metric=args["metric"])
+    m_values = args["m_sweep"] or [report.m_sufficient]
+    if args["verify"]:
+        _check_sectors(g, args, [args["policy"]], m_values)
     outdir = Path(args["out_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "stability_report.json", report.as_dict())
     print(report.table())
 
     if args["verify"]:
-        m_values = args["m_sweep"] or [report.m_sufficient]
         verdict_rows = [["m", "policy", "verdict", "first_window_mean",
                          "last_window_mean", "slope", "slope_p"]]
         for m in m_values:
@@ -300,7 +311,7 @@ def cmd_gen_trips(args):
 def cmd_partition(args):
     g, model = _graph_and_model(args)
     K = math.ceil(args["m"] / args["m_lim"])
-    spec = get_partitions(g, model, args["m_lim"], K)
+    spec = get_partitions(g, model, K)
     _write_csv(args["out"], spec.rows())
     print(f"wrote {K}-sector partition (centers {spec.centers}) to {args['out']}")
     return 0
@@ -314,16 +325,15 @@ def _name_list(text):
     return [x.strip() for x in text.split(",") if x.strip()]
 
 
-def _add_common(p, model_opts=True):
+def _add_common(p):
     p.add_argument("--config", help="JSON file of defaults for any flag")
     p.add_argument("--graph", help="edge-list graph file")
     p.add_argument("--grid", type=int, help="generate a K x K grid graph")
-    if model_opts:
-        p.add_argument("--trips", help="trip log CSV to estimate the demand model from")
-        p.add_argument("--e-eta", dest="e_eta", type=float, help="synthetic model: mean arrivals per step")
-        p.add_argument("--hotspot", type=int, help="synthetic model: high-demand pickup node")
-        p.add_argument("--hotspot-mass", dest="hotspot_mass", type=float,
-                       help="synthetic model: extra pickup mass on the hotspot")
+    p.add_argument("--trips", help="trip log CSV to estimate the demand model from")
+    p.add_argument("--e-eta", dest="e_eta", type=float, help="synthetic model: mean arrivals per step")
+    p.add_argument("--hotspot", type=int, help="synthetic model: high-demand pickup node")
+    p.add_argument("--hotspot-mass", dest="hotspot_mass", type=float,
+                   help="synthetic model: extra pickup mass on the hotspot")
     p.add_argument("--seed", type=int, help="master seed (default 0)")
     p.add_argument("--jobs", type=int, help="parallel runs (default $FLEETROLL_JOBS or 1)")
 
@@ -431,6 +441,8 @@ def _validate(command, args):
                 raise CLIError(f"--m-sweep names {m} more than once")
     if args["verify"] and args["seeds"] < MIN_TRACES:
         raise CLIError(f"--seeds must be >= {MIN_TRACES} with --verify, got {args['seeds']}")
+    if args["verify"] and args["T"] < MIN_HORIZON:
+        raise CLIError(f"--T must be >= {MIN_HORIZON} with --verify, got {args['T']}")
     if command == "compare":
         _fleet_sizes(args)
         policies = args.get("policies") or []

@@ -39,14 +39,6 @@ class SameNode(GraphError):
     pass
 
 
-class SameSector(GraphError):
-    pass
-
-
-class SectorsUnassigned(GraphError):
-    pass
-
-
 _BLOCK_CELLS = 1 << 16  # cells per block of a weighted distance sum
 _ROW_LOOP_SOURCES = 250  # from this many sources a weighted distance sum goes target by target
 _BUILD_BLOCK_CELLS = 1 << 20  # cells per block of source rows in the table build
@@ -54,34 +46,24 @@ _LIST_ROW_BYTES = 256 << 20  # list rows of distances kept per graph, 8 bytes a 
 
 
 class CityGraph:
-    """Directed street network with a shortest-path oracle and optional sectors.
+    """Directed street network with a shortest-path oracle.
 
-    All tie-breaking (next hops, boundary entry points) is by smallest node
-    index so that every downstream computation is reproducible.
+    All tie-breaking (next hops) is by smallest node index so that every
+    downstream computation is reproducible.
     """
 
-    def __init__(self, n, edges, coords=None, sectors=None, _precomputed=None):
+    def __init__(self, n, edges, coords=None):
         if n < 1:
             raise InvalidEdge(f"node count must be >= 1, got {n}")
         self.n = n
         self.edges = tuple((int(i), int(j)) for i, j in edges)
         self.coords = dict(coords) if coords else None
-        self.sectors = list(sectors) if sectors is not None else None
-        if self.sectors is not None:
-            if len(self.sectors) != n + 1:
-                raise GraphError("sector list must have one entry per node (1-indexed)")
-            if any(self.sectors[v] < 1 for v in range(1, n + 1)):
-                raise GraphError("sector assignment must cover every node")
-            self._sector_ids = np.array(self.sectors[1:])
         self._dist_to = None
-        if _precomputed is not None:
-            self.adj, self.dist_array, self._dist, self._next = _precomputed
-        else:
-            self.adj = self._build_adjacency()
-            # (n+1) x (n+1) tables; row and column 0 are unused padding.
-            self.dist_array = _all_pairs_distances(self.adj)
-            self._dist = _ListRows(self.dist_array)
-            self._next = _next_hop_rows(self.adj, self.dist_array)
+        self.adj = self._build_adjacency()
+        # (n+1) x (n+1) tables; row and column 0 are unused padding.
+        self.dist_array = _all_pairs_distances(self.adj)
+        self._dist = _ListRows(self.dist_array)
+        self._next = _next_hop_rows(self.adj, self.dist_array)
 
     def _build_adjacency(self):
         adj = [[] for _ in range(self.n + 1)]
@@ -162,40 +144,6 @@ class CityGraph:
             cur = self.next_hop(cur, j)
             path.append(cur)
         return path
-
-    def sector_of(self, v: int) -> int:
-        if self.sectors is None:
-            raise SectorsUnassigned("graph has no sector assignment")
-        return self.sectors[v]
-
-    def with_sectors(self, assignment) -> "CityGraph":
-        """Copy of this graph carrying a node -> sector mapping.
-
-        assignment may be a dict {node: sector} or a list indexed by node
-        (entry 0 ignored). The distance tables are shared, not recomputed.
-        """
-        if isinstance(assignment, dict):
-            sectors = [0] * (self.n + 1)
-            for v, k in assignment.items():
-                sectors[v] = k
-        else:
-            sectors = list(assignment)
-        return CityGraph(self.n, self.edges, coords=self.coords, sectors=sectors,
-                         _precomputed=(self.adj, self.dist_array, self._dist, self._next))
-
-    def next_hop_in_partition(self, v_start: int, v_end: int) -> int:
-        """Boundary entry point: the node of sector(v_end) on a shortest
-        v_start -> v_end path that is closest to v_start (smallest index on ties)."""
-        if self.sectors is None:
-            raise SectorsUnassigned("graph has no sector assignment")
-        ks, ke = self.sectors[v_start], self.sectors[v_end]
-        if ks == ke:
-            raise SameSector(f"{v_start} and {v_end} are both in sector {ks}")
-        nodes = np.flatnonzero(self._sector_ids == ke) + 1  # ascending; v_end is one
-        via = self.dist_array[v_start, nodes].astype(np.intp)
-        on_path = np.flatnonzero(via + self.dist_array[nodes, v_end]
-                                 == self.dist_array[v_start, v_end])
-        return int(nodes[on_path[np.argmin(via[on_path])]])  # first minimum
 
 
 class _ListRows(dict):

@@ -37,24 +37,44 @@ class KExceedsNodes(PartitionError):
     pass
 
 
+_MAX_ITER = 100  # k-means rounds at most
+
+
 @dataclass
 class PartitionSpec:
-    K: int
-    m_lim: int
     centers: list                 # one node per sector, sector k = centers[k-1]
     assignment: list              # node -> sector id, entry 0 unused
+
+    @property
+    def K(self) -> int:
+        return len(self.centers)
 
     def sector_of(self, v: int) -> int:
         return self.assignment[v]
 
     @cached_property
+    def _members(self) -> dict:
+        """Sector id -> its nodes as an ascending array."""
+        ids = np.asarray(self.assignment)
+        return {k: np.flatnonzero(ids == k) for k in range(1, self.K + 1)}
+
+    @cached_property
     def node_sets(self) -> dict:
-        """Sector id -> frozenset of its nodes, made in one pass the first time
-        it is read (the two-phase planner reads it every step)."""
-        members = {k: [] for k in range(1, self.K + 1)}
-        for v in range(1, len(self.assignment)):
-            members[self.assignment[v]].append(v)
-        return {k: frozenset(vs) for k, vs in members.items()}
+        """Sector id -> frozenset of its nodes (the planner reads it every step)."""
+        return {k: frozenset(vs.tolist()) for k, vs in self._members.items()}
+
+    def entry_point(self, graph, v_start: int, v_end: int) -> int:
+        """Boundary entry point: the node of sector(v_end) on a shortest
+        v_start -> v_end path of `graph` that is closest to v_start (smallest
+        index on ties)."""
+        ks, ke = self.assignment[v_start], self.assignment[v_end]
+        if ks == ke:
+            raise PartitionError(f"{v_start} and {v_end} are both in sector {ks}")
+        nodes = self._members[ke]  # ascending; v_end is one
+        via = graph.dist_array[v_start, nodes].astype(np.intp)
+        on_path = np.flatnonzero(via + graph.dist_array[nodes, v_end]
+                                 == graph.dist_array[v_start, v_end])
+        return int(nodes[on_path[np.argmin(via[on_path])]])  # first minimum
 
     def rows(self):
         yield ["node", "sector", "center"]
@@ -127,11 +147,10 @@ def _objective(graph, centers, assignment, weights):
     return float(np.cumsum(terms)[-1])  # left to right, like the scores
 
 
-def get_partitions(graph, model, m_lim: int, K: int,
-                   max_iter: int = 100) -> PartitionSpec:
+def get_partitions(graph, model, K: int) -> PartitionSpec:
     """Partition the graph into K sectors sized inversely to pickup demand."""
-    if K < 1 or m_lim < 1:
-        raise PartitionError("K and m_lim must be >= 1")
+    if K < 1:
+        raise PartitionError(f"K must be >= 1, got {K}")
     if K > graph.n:
         raise KExceedsNodes(f"cannot open {K} sectors on {graph.n} nodes")
     weights = np.array([0.0] + [model.pickup_pmf.get(v, 0.0) for v in range(1, graph.n + 1)])
@@ -139,7 +158,7 @@ def get_partitions(graph, model, m_lim: int, K: int,
     centers = _greedy_facility_location(graph, weights, K)
     assignment = _assign_to_centers(graph, centers)
     obj = _objective(graph, centers, assignment, weights)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         new_centers = [_weighted_medoid(graph, np.flatnonzero(assignment == k), weights,
                                         incumbent=centers[k - 1])
                        for k in range(1, K + 1)]
@@ -152,4 +171,4 @@ def get_partitions(graph, model, m_lim: int, K: int,
 
     if (empty := np.flatnonzero(np.bincount(assignment, minlength=K + 1)[1:] == 0)).size:
         raise PartitionError(f"sector {empty[0] + 1} ended up empty")  # unreachable: centers self-assign
-    return PartitionSpec(K=K, m_lim=m_lim, centers=centers, assignment=assignment.tolist())
+    return PartitionSpec(centers=centers, assignment=assignment.tolist())

@@ -19,19 +19,10 @@ import time
 from dataclasses import dataclass, field
 
 from .demand import certainty_equivalence_requests
-from .errors import FleetrollError
 from .partition import get_partitions
 from .policies import match_free_to_requests
 from .rollout import RolloutConfig, one_at_a_time_control
 from .sim import MOVE, NS_CE, FleetState, substream
-
-
-class PlannerError(FleetrollError):
-    pass
-
-
-class ConflictingControl(PlannerError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -50,7 +41,7 @@ class HighLevelPlan:
     transit: dict = field(default_factory=dict)  # taxi id -> TransitRoute
 
 
-def high_level_plan(state, graph, model, t_h, prev: HighLevelPlan, seed) -> HighLevelPlan:
+def high_level_plan(state, graph, pspec, model, t_h, prev: HighLevelPlan, seed) -> HighLevelPlan:
     """Re-balance taxis across sectors against current plus expected demand.
 
     Previously scheduled transits persist until arrival. Free taxis are
@@ -74,27 +65,27 @@ def high_level_plan(state, graph, model, t_h, prev: HighLevelPlan, seed) -> High
     for taxi in sorted(matched):
         pickup = matched[taxi].pickup
         loc = state.locations[taxi]
-        if graph.sector_of(loc) == graph.sector_of(pickup):
+        if pspec.sector_of(loc) == pspec.sector_of(pickup):
             continue
-        dest = graph.next_hop_in_partition(loc, pickup)
+        dest = pspec.entry_point(graph, loc, pickup)
         transit[taxi] = TransitRoute(dest=dest, path=tuple(graph.shortest_path(loc, dest)),
                                      start_clock=state.clock)
     return HighLevelPlan(transit)
 
 
-def split_state(state, graph, exclude):
+def split_state(state, pspec, exclude):
     """Sector sub-states: local taxis (ascending global id) and the requests
     whose pickup lies in the sector. Returns {sector: (sub-state, global ids)}."""
     by_sector = {}
     for l in range(state.m):
         if l in exclude:
             continue
-        k = graph.sector_of(state.locations[l])
+        k = pspec.sector_of(state.locations[l])
         by_sector.setdefault(k, []).append(l)
     out = {}
     for k, ids in by_sector.items():
         outstanding = {rid: req for rid, req in state.outstanding.items()
-                       if graph.sector_of(req.pickup) == k}
+                       if pspec.sector_of(req.pickup) == k}
         sub = FleetState(
             [state.locations[l] for l in ids],
             [state.timers[l] for l in ids],
@@ -113,8 +104,6 @@ def low_level_plan(substate, inbound, graph, model, cfg: RolloutConfig, seed,
     Candidate moves leaving the sector are excluded; `inbound` announces
     scheduled transit arrivals as future free taxis for the lookahead.
     """
-    if substate.m == 0:
-        return []
     return one_at_a_time_control(substate, graph, model, cfg, seed,
                                  allowed_nodes=sector_nodes, inbound=inbound,
                                  taxi_keys=taxi_keys)
@@ -128,14 +117,14 @@ def two_phase_control(state, graph, model, pspec, cfg: RolloutConfig,
     When `sector_timing` is a list, one (t, sector, plan_ms) row is appended
     per sector planner call.
     """
-    plan = high_level_plan(state, graph, model, cfg.t_h, plan, seed)
+    plan = high_level_plan(state, graph, pspec, model, cfg.t_h, plan, seed)
 
     actions = [None] * state.m
     for taxi, route in plan.transit.items():
         idx = state.clock - route.start_clock
         actions[taxi] = (MOVE, route.path[idx + 1])
 
-    subs = split_state(state, graph, exclude=plan.transit)
+    subs = split_state(state, pspec, exclude=plan.transit)
     inbound_of = {
         k: tuple(sorted((r.arrive_clock, r.dest) for r in plan.transit.values()
                         if pspec.sector_of(r.dest) == k))
@@ -150,8 +139,7 @@ def two_phase_control(state, graph, model, pspec, cfg: RolloutConfig,
         if sector_timing is not None:
             sector_timing.append((state.clock, k, (time.perf_counter() - t0) * 1000.0))
         for act, gid in zip(ctrl, ids):
-            if actions[gid] is not None:
-                raise ConflictingControl(f"taxi {gid} received two controls")
+            assert actions[gid] is None, f"taxi {gid} received two controls"
             actions[gid] = act
     assert all(a is not None for a in actions)
     return actions, plan
@@ -168,13 +156,11 @@ class TwoPhasePolicy:
 
     def __init__(self, graph, model, m: int, m_lim: int, cfg: RolloutConfig):
         self.K = math.ceil(m / m_lim)
-        self.pspec = get_partitions(graph, model, m_lim, self.K)
-        self.graph = graph.with_sectors(self.pspec.assignment)
+        self.pspec = get_partitions(graph, model, self.K)
+        self.graph = graph
         self.model = model
         self.cfg = cfg
-        self._seed = None
-        self.plan = HighLevelPlan()
-        self.sector_timing = []
+        self.reset(None)
 
     def reset(self, seed):
         self._seed = seed

@@ -33,6 +33,7 @@ _SUM_TOL = 1e-9
 # 225 x 90 uneven masses missed its marginals by 7.6e-8 and W1 by 4.6e-7.
 _HIGHS_TOL = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 MIN_TRACES = 5  # fewest episode traces an empirical stability verdict accepts
+MIN_HORIZON = 3  # fewest steps per trace: the slope test keeps T - 2 degrees of freedom
 
 
 class StabilityError(FleetrollError):
@@ -266,8 +267,8 @@ def empirical_stability(traces, window: int) -> StabilityVerdict:
     T = series.shape[1]
     if window > T // 2:
         raise StabilityError(f"window {window} exceeds half the horizon {T}")
-    if T < 3:
-        raise StabilityError(f"a slope test needs a horizon of at least 3 steps, got {T}")
+    if T < MIN_HORIZON:
+        raise StabilityError(f"a slope test needs a horizon of at least {MIN_HORIZON} steps, got {T}")
 
     firsts = series[:, T - 2 * window:T - window].mean(axis=1)
     lasts = series[:, -window:].mean(axis=1)

@@ -45,3 +45,14 @@ def ring_graph(n):
     from fleetroll import CityGraph
 
     return CityGraph(n, [(v, v % n + 1) for v in range(1, n + 1)])
+
+
+def random_strong_digraph(rnd, n):
+    """A shuffled directed ring (so strongly connected) plus 2n random edges."""
+    from fleetroll import CityGraph
+
+    order = list(range(1, n + 1))
+    rnd.shuffle(order)
+    edges = [(order[v], order[(v + 1) % n]) for v in range(n)]  # shuffled ring
+    edges += [(rnd.randint(1, n), rnd.randint(1, n)) for _ in range(2 * n)]
+    return CityGraph(n, [(a, b) for a, b in edges if a != b])

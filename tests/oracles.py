@@ -240,7 +240,7 @@ def evaluate_candidate(state, joint_control, graph, model, cfg, rng, inbound=())
     return LookaheadEstimate(sum(costs) / len(costs), costs)
 
 
-def high_level_plan_reference(state, graph, model, t_h, prev, seed):
+def high_level_plan_reference(state, graph, pspec, model, t_h, prev, seed):
     """The two-phase high-level plan as built on an id-labelled
     AssignmentProblem: free taxis as rows, the pooled real and
     certainty-equivalence requests as columns, pairs taken in taxi order."""
@@ -257,8 +257,8 @@ def high_level_plan_reference(state, graph, model, t_h, prev, seed):
     for taxi, col in matched.pairs:
         pickup = pool[col].pickup
         loc = state.locations[taxi]
-        if graph.sector_of(loc) != graph.sector_of(pickup):
-            dest = graph.next_hop_in_partition(loc, pickup)
+        if pspec.sector_of(loc) != pspec.sector_of(pickup):
+            dest = pspec.entry_point(graph, loc, pickup)
             transit[taxi] = TransitRoute(dest, tuple(graph.shortest_path(loc, dest)),
                                          state.clock)
     return HighLevelPlan(transit)
@@ -282,8 +282,7 @@ def rollout_policy_cost(graph, model, m, T, cfg, seeds):
 
 def run_two_phase(graph, model, m, T, m_lim, cfg, seed):
     """Build the two-phase policy and run one episode."""
-    policy = TwoPhasePolicy(graph, model, m, m_lim, cfg)
-    return run_episode(policy.graph, model, policy, m, T, seed)
+    return run_episode(graph, model, TwoPhasePolicy(graph, model, m, m_lim, cfg), m, T, seed)
 
 
 def _reference_bounds(pmf):
@@ -538,15 +537,15 @@ def csgraph_tables(graph):
     return dist, nxt
 
 
-def next_hop_in_partition_reference(graph, v_start, v_end):
+def next_hop_in_partition_reference(graph, pspec, v_start, v_end):
     """The boundary entry point by a scan of all nodes in ascending order: the
     node of sector(v_end) on a shortest v_start -> v_end path closest to
     v_start, the first one found on ties."""
-    ke = graph.sector_of(v_end)
+    ke = pspec.sector_of(v_end)
     total = graph.distance(v_start, v_end)
     best, best_d = None, None
     for v in range(1, graph.n + 1):
-        if graph.sector_of(v) != ke:
+        if pspec.sector_of(v) != ke:
             continue
         dv = graph.distance(v_start, v)
         if dv + graph.distance(v, v_end) == total and (best_d is None or dv < best_d):

@@ -255,6 +255,31 @@ def test_repeated_fleet_size_is_rejected_before_any_run(tmp_path, capsys, argv, 
     assert not out.exists()
 
 
+def test_verify_with_a_horizon_below_the_slope_test_is_rejected_before_any_output(
+        tmp_path, capsys):
+    out = tmp_path / "v"
+    rc = main(["stability", "--grid", "4", "--e-eta", "0.5", "--verify", "--T", "2",
+               "--seeds", "5", "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --T must be >= 3 with --verify, got 2\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--policy", "two-phase", "--m", "20"],
+    ["compare", "--policies", "ia-ra,two-phase", "--m", "20", "--seeds", "2"],
+    ["stability", "--policy", "two-phase", "--verify", "--m-sweep", "20", "--seeds", "5"],
+], ids=["simulate", "compare", "stability"])
+def test_more_sectors_than_nodes_is_rejected_before_any_output(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    rc = main(argv + ["--grid", "3", "--e-eta", "0.5", "--m-lim", "1", "--T", "5",
+                      "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: two-phase with --m 20 and --m-lim 1 opens "
+                                       "20 sectors, more than the graph's 9 nodes\n")
+    assert not out.exists()  # no report, run file or directory
+
+
 @pytest.mark.parametrize("policies, seeds, message", [
     ("ia-ra,greedy", "1", "error: --seeds must be >= 2 for compare, got 1\n"),
     ("ia-ra,foo", "2", "error: unknown policy 'foo' (expected one of greedy, random-ia, "

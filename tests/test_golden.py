@@ -97,7 +97,7 @@ def trace_digest(name):
     kind, m, T, seed, t_h, num_mc, m_lim = CASES[name][4:]
     graph, model = case_model(name)
     policy = _policy(kind, graph, model, m, t_h, num_mc, m_lim)
-    trace = run_episode(getattr(policy, "graph", graph), model, policy, m, T, seed)
+    trace = run_episode(graph, model, policy, m, T, seed)
     return hashlib.sha256(repr((trace.controls, trace.stage_costs)).encode()).hexdigest()
 
 
@@ -105,7 +105,7 @@ def partition_digest(name):
     k, hotspot, mass, K = PARTITION_CASES[name]
     graph = grid_graph(k)
     model = synthetic_model(graph, 1.0, hotspot=hotspot, hotspot_mass=mass)
-    spec = get_partitions(graph, model, 1, K)
+    spec = get_partitions(graph, model, K)
     return hashlib.sha256(repr((spec.centers, spec.assignment)).encode()).hexdigest()
 
 

@@ -7,11 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from fleetroll import graph as graph_module
 from fleetroll.graph import (CityGraph, InvalidEdge, NotStronglyConnected, SameNode,
-                             SameSector, SectorsUnassigned, grid_graph, load_graph,
-                             save_graph)
-from conftest import line_graph, ring_graph
-from oracles import (csgraph_tables, next_hop_in_partition_reference,
-                     weighted_distance_sums_reference)
+                             grid_graph, load_graph, save_graph)
+from conftest import random_strong_digraph, ring_graph
+from oracles import csgraph_tables, weighted_distance_sums_reference
 
 
 def bfs_distance(n, adj, src):
@@ -162,14 +160,6 @@ def test_next_hop_table_is_smallest_shortest_successor_on_grids(k):
     assert_next_hop_table(grid_graph(k))
 
 
-def random_strong_digraph(rnd, n):
-    order = list(range(1, n + 1))
-    rnd.shuffle(order)
-    edges = [(order[v], order[(v + 1) % n]) for v in range(n)]  # shuffled ring
-    edges += [(rnd.randint(1, n), rnd.randint(1, n)) for _ in range(2 * n)]
-    return CityGraph(n, [(a, b) for a, b in edges if a != b])
-
-
 def test_next_hop_table_on_random_strong_digraph():
     rnd = random.Random(3)
     for n in (7, 20, 45):
@@ -262,36 +252,15 @@ def test_list_rows_are_made_when_first_read():
     assert list(g._dist) == [3]
     row = g._dist[3]
     assert g._dist[3] is row  # kept, not made again
-    assert g.with_sectors([0] + [1] * 16)._dist is g._dist  # shared with sectored copies
     for i in range(g.n + 1):
         assert g._dist[i] == g.dist_array[i].tolist()
         assert all(type(d) is int for d in g._dist[i])
 
 
-def test_next_hop_in_partition_line():
-    g = line_graph(4).with_sectors({1: 1, 2: 1, 3: 2, 4: 2})
-    assert g.next_hop_in_partition(1, 4) == 3
-    with pytest.raises(SameSector):
-        g.next_hop_in_partition(1, 2)
-
-
-def test_next_hop_in_partition_requires_sectors(grid3):
-    with pytest.raises(SectorsUnassigned):
-        grid3.next_hop_in_partition(1, 9)
-
-
-def test_next_hop_in_partition_grid_boundary():
-    g = grid_graph(3)
-    sectors = {v: (1 if (v - 1) % 3 <= 1 else 2) for v in range(1, 10)}  # cols 1-2 | col 3
-    g = g.with_sectors(sectors)
-    entry = g.next_hop_in_partition(1, 9)
-    # boundary entry: on a shortest 1->9 path, inside sector 2, closest to 1
-    assert g.sector_of(entry) == 2
-    assert g.distance(1, entry) + g.distance(entry, 9) == g.distance(1, 9)
-    others = [v for v in range(1, 10)
-              if g.sector_of(v) == 2
-              and g.distance(1, v) + g.distance(v, 9) == g.distance(1, 9)]
-    assert g.distance(1, entry) == min(g.distance(1, v) for v in others)
+def test_graph_carries_no_sectors(grid3):
+    """Sectors belong to the partition (`PartitionSpec`), not to the street graph."""
+    for name in ("sectors", "sector_of", "with_sectors", "next_hop_in_partition"):
+        assert not hasattr(grid3, name), name
 
 
 @pytest.mark.parametrize("make, symmetric", [
@@ -328,33 +297,6 @@ def test_weighted_distance_sums_equal_nested_python_sums(monkeypatch, make, symm
                     got = g.weighted_distance_sums(src, targets, tw)
                     assert got.tolist() == want, (wname, sname, len(targets), cells)
     assert g.weighted_distance_sums(nodes, [], []).tolist() == [0.0] * g.n
-
-
-@pytest.mark.parametrize("make", [
-    lambda: grid_graph(12),
-    lambda: ring_graph(40),
-    lambda: random_strong_digraph(random.Random(9), 60),
-], ids=["grid12", "ring40", "random60"])
-def test_next_hop_in_partition_equals_the_node_scan(make):
-    g = make()
-    rnd = random.Random(g.n)
-    for K in (2, 5):
-        labels = [rnd.randint(1, K) for _ in range(g.n)]
-        sectored = g.with_sectors([0] + labels)
-        pairs = 0
-        while pairs < 200:
-            a, b = rnd.randint(1, g.n), rnd.randint(1, g.n)
-            if labels[a - 1] == labels[b - 1]:
-                continue
-            got = sectored.next_hop_in_partition(a, b)
-            assert type(got) is int
-            assert got == next_hop_in_partition_reference(sectored, a, b), (K, a, b)
-            pairs += 1
-
-
-def test_sector_cover_validation():
-    with pytest.raises(Exception):
-        grid_graph(2).with_sectors([0, 1, 1])  # wrong length
 
 
 def test_graph_file_round_trip(tmp_path, grid3):

@@ -13,9 +13,8 @@ from oracles import high_level_plan_reference, run_two_phase
 
 def two_sector_line():
     """1-2-3-4 split into sectors {1,2} and {3,4}."""
-    g = line_graph(4).with_sectors({1: 1, 2: 1, 3: 2, 4: 2})
-    spec = PartitionSpec(K=2, m_lim=2, centers=[1, 4],
-                         assignment=[0, 1, 1, 2, 2])
+    g = line_graph(4)
+    spec = PartitionSpec(centers=[1, 4], assignment=[0, 1, 1, 2, 2])
     return g, spec
 
 
@@ -30,16 +29,16 @@ def make_state(locs, outstanding=None, timers=None, in_service=None, clock=1):
 
 
 def test_high_level_same_sector_no_action():
-    g, _ = two_sector_line()
+    g, spec = two_sector_line()
     s = make_state([1], outstanding={1: Request(1, 2, 3, 1)})
-    plan = high_level_plan(s, g, zero_model(), t_h=3, prev=HighLevelPlan(), seed=0)
+    plan = high_level_plan(s, g, spec, zero_model(), t_h=3, prev=HighLevelPlan(), seed=0)
     assert plan.transit == {}
 
 
 def test_high_level_cross_sector_schedules_boundary_route():
-    g, _ = two_sector_line()
+    g, spec = two_sector_line()
     s = make_state([1], outstanding={1: Request(1, 4, 3, 1)})
-    plan = high_level_plan(s, g, zero_model(), t_h=3, prev=HighLevelPlan(), seed=0)
+    plan = high_level_plan(s, g, spec, zero_model(), t_h=3, prev=HighLevelPlan(), seed=0)
     assert 0 in plan.transit
     route = plan.transit[0]
     assert route.dest == 3                      # boundary entry of sector 2
@@ -49,13 +48,13 @@ def test_high_level_cross_sector_schedules_boundary_route():
 
 
 def test_high_level_no_free_taxis_keeps_plan():
-    g, _ = two_sector_line()
+    g, spec = two_sector_line()
     s = make_state([1], timers=[2], in_service={0: (7, 3)},
                    outstanding={1: Request(1, 4, 3, 1)})
     prev = HighLevelPlan({5: TransitRoute(dest=3, path=(2, 3), start_clock=0)})
     # taxi 5 does not exist in this tiny state; prune keys on locations only
     prev = HighLevelPlan()
-    plan = high_level_plan(s, g, zero_model(), 3, prev, seed=0)
+    plan = high_level_plan(s, g, spec, zero_model(), 3, prev, seed=0)
     assert plan.transit == {}
 
 
@@ -69,11 +68,11 @@ def test_high_level_plan_matches_the_assignment_problem_path(grid5):
     cases = []
     for g, e_eta in ((grid5, 0.5), (grid_graph(8), 2.0), (ring_graph(12), 0.7)):
         model = synthetic_model(g, e_eta)
-        cases.append((TwoPhasePolicy(g, model, m=9, m_lim=3, cfg=cfg).graph, model))
+        cases.append((g, TwoPhasePolicy(g, model, m=9, m_lim=3, cfg=cfg).pspec, model))
     shapes = {"more_free": 0, "fewer_free": 0}
     routes = 0
     for trial in range(300):
-        g, model = cases[trial % 3]
+        g, spec, model = cases[trial % 3]
         t_h = int(rng.integers(1, 5))
         m = int(rng.integers(1, 15))
         locs = [int(rng.integers(1, g.n + 1)) for _ in range(m)]
@@ -90,8 +89,8 @@ def test_high_level_plan_matches_the_assignment_problem_path(grid5):
                                               path=(locs[l],), start_clock=0)
                               for l in range(m) if timers[l] == 0 and rng.random() < 0.2})
         s = FleetState(locs, timers, outstanding, in_service, int(rng.integers(1, 40)))
-        got = high_level_plan(s, g, model, t_h, prev, seed=trial)
-        want = high_level_plan_reference(s, g, model, t_h, prev, seed=trial)
+        got = high_level_plan(s, g, spec, model, t_h, prev, seed=trial)
+        want = high_level_plan_reference(s, g, spec, model, t_h, prev, seed=trial)
         assert list(got.transit.items()) == list(want.transit.items()), trial
         n_free = sum(1 for l in range(m) if timers[l] == 0
                      and (l not in prev.transit or prev.transit[l].dest == locs[l]))
@@ -123,7 +122,7 @@ def test_split_state_partitions_taxis_and_requests():
     g, spec = two_sector_line()
     reqs = {1: Request(1, 1, 4, 1), 2: Request(2, 4, 1, 1), 3: Request(3, 2, 3, 1)}
     s = make_state([1, 3, 4], outstanding=reqs)
-    subs = split_state(s, g, exclude=set())
+    subs = split_state(s, spec, exclude=set())
     assert set(subs) == {1, 2}
     sub1, ids1 = subs[1]
     sub2, ids2 = subs[2]
@@ -137,7 +136,7 @@ def test_split_state_partitions_taxis_and_requests():
 def test_sector_with_no_taxis_plans_nothing():
     g, spec = two_sector_line()
     s = make_state([1], outstanding={2: Request(2, 4, 1, 1)})
-    subs = split_state(s, g, exclude=set())
+    subs = split_state(s, spec, exclude=set())
     assert 2 not in subs  # no taxis located in sector 2
 
 
@@ -147,7 +146,7 @@ def test_k1_reduces_to_global_rollout(grid5):
     for seed in (0, 1):
         pol = TwoPhasePolicy(grid5, model, m=3, m_lim=10, cfg=cfg)
         assert pol.K == 1
-        t2 = run_episode(pol.graph, model, pol, 3, 40, seed)
+        t2 = run_episode(grid5, model, pol, 3, 40, seed)
         tr = run_episode(grid5, model, RolloutPolicy(grid5, model, cfg), 3, 40, seed)
         assert t2.controls == tr.controls
         assert t2.stage_costs == tr.stage_costs
@@ -184,29 +183,36 @@ def test_per_step_outstanding_decomposition(grid5):
     model = synthetic_model(grid5, 1.0)
     cfg = RolloutConfig(t_h=2, num_mc=2)
     pol = TwoPhasePolicy(grid5, model, m=4, m_lim=2, cfg=cfg)
-    g = pol.graph
 
     orig_control = pol.control
     def checking(state):
-        subs = split_state(state, g, exclude=pol.plan.transit)
+        subs = split_state(state, pol.pspec, exclude=pol.plan.transit)
         total = sum(len(sub.outstanding) for sub, _ in subs.values())
         missing = len(state.outstanding) - total
         # requests in sectors without local taxis are not in any sub-state
         uncovered = {k for k in range(1, pol.K + 1) if k not in subs}
         for rid, r in state.outstanding.items():
-            if g.sector_of(r.pickup) in uncovered:
+            if pol.pspec.sector_of(r.pickup) in uncovered:
                 missing -= 1
         assert missing == 0
         return orig_control(state)
     pol.control = checking
-    run_episode(g, model, pol, 4, 40, 3)
+    run_episode(grid5, model, pol, 4, 40, 3)
 
 
 def test_sector_timing_rows(grid5):
     model = synthetic_model(grid5, 0.6)
     cfg = RolloutConfig(t_h=2, num_mc=2)
     pol = TwoPhasePolicy(grid5, model, m=4, m_lim=2, cfg=cfg)
-    run_episode(pol.graph, model, pol, 4, 20, 1)
+    run_episode(grid5, model, pol, 4, 20, 1)
     assert pol.sector_timing
     for t, k, ms in pol.sector_timing:
         assert 1 <= t < 20 and 1 <= k <= pol.K and ms >= 0.0
+
+
+def test_two_phase_plans_on_the_callers_graph(grid5):
+    """The policy keeps the caller's graph, not a copy; sectors live in its partition."""
+    pol = TwoPhasePolicy(grid5, synthetic_model(grid5, 0.5), m=4, m_lim=2,
+                         cfg=RolloutConfig(t_h=2, num_mc=1))
+    assert pol.graph is grid5
+    assert pol.pspec.K == pol.K == 2
