@@ -432,16 +432,18 @@ def _validate(command, args):
     for flag in ("grid", "m", "T"):
         if args[flag] is not None and args[flag] < 1:
             raise CLIError(f"--{flag} must be >= 1, got {args[flag]}")
-    if command in ("simulate", "compare") or (command == "stability" and args["verify"]):
+    # --verify is a stability flag; a config shared by subcommands may set it for the others.
+    verify = command == "stability" and args["verify"]
+    if command in ("simulate", "compare") or verify:
         sweep = args["m_sweep"] or []
         for m in sweep:
             if m < 1:
                 raise CLIError(f"--m-sweep values must be >= 1, got {m}")
             if sweep.count(m) > 1:
                 raise CLIError(f"--m-sweep names {m} more than once")
-    if args["verify"] and args["seeds"] < MIN_TRACES:
+    if verify and args["seeds"] < MIN_TRACES:
         raise CLIError(f"--seeds must be >= {MIN_TRACES} with --verify, got {args['seeds']}")
-    if args["verify"] and args["T"] < MIN_HORIZON:
+    if verify and args["T"] < MIN_HORIZON:
         raise CLIError(f"--T must be >= {MIN_HORIZON} with --verify, got {args['T']}")
     if command == "compare":
         _fleet_sizes(args)

@@ -10,32 +10,45 @@ episode runner can record (re)assignment events for service distances.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .matching import auction_match
-from .sim import MOVE, PICKUP, STAY, forced_hop_action, substream, NS_POLICY
+from .sim import HOP, MOVE, PICKUP, STAY, forced_hop_action, substream, NS_POLICY
 
 
-def _toward(graph, loc, req):
-    """Pick up when co-located, otherwise one hop toward the pickup."""
-    if loc == req.pickup:
-        return (PICKUP, req.id)
-    return (MOVE, graph.next_hop(loc, req.pickup))
+@lru_cache(maxsize=8)
+def _node_actions(n):
+    """(HOP, v) and (MOVE, v) for every node v of an n-node graph, indexed by
+    v: made once and shared by every joint control, so a step allocates no
+    hop or move actions."""
+    return tuple((HOP, v) for v in range(n + 1)), tuple((MOVE, v) for v in range(n + 1))
 
 
 def _controls(state, graph, targets):
     """Joint control: an occupied taxi takes its forced hop, a free taxi with
-    a target request (targets: {taxi index: Request}) heads for or picks it
-    up, and every other free taxi stays."""
+    a target request (targets: {taxi index: Request}) picks it up when
+    co-located and otherwise moves one hop toward it, and every other free
+    taxi stays. One pass over the taxis, hops read from the next-hop rows."""
+    nxt = graph._next
+    hops, moves = _node_actions(graph.n)
+    locs = state.locations
+    in_service = state.in_service
+    stay = (STAY,)
     control = []
-    for l in range(state.m):
-        if state.timers[l] > 0:
-            control.append(forced_hop_action(state, graph, l))
-        elif l in targets:
-            control.append(_toward(graph, state.locations[l], targets[l]))
+    for l, tau in enumerate(state.timers):
+        if tau > 0:
+            _, dropoff = in_service[l]
+            loc = locs[l]
+            # A 0 entry (a taxi already on its dropoff) lets next_hop raise SameNode.
+            control.append(hops[nxt[loc][dropoff] or graph.next_hop(loc, dropoff)])
+        elif l not in targets:
+            control.append(stay)
         else:
-            control.append((STAY,))
+            req = targets[l]
+            loc = locs[l]
+            control.append((PICKUP, req.id) if loc == req.pickup else moves[nxt[loc][req.pickup]])
     return control
 
 
@@ -46,16 +59,17 @@ def match_free_to_requests(graph, free, requests):
 
     free: list of (taxi index, node); requests: list of Request. Returns
     {taxi index: Request}. Costs are taxi-to-pickup distances indexed out of
-    the graph's distance array; the smaller side forms the rows.
+    the graph's distance array; the smaller side forms the rows, and the
+    matrix is indexed in that orientation, so the solver gets it contiguous.
     """
     if not free or not requests:
         return {}
     locs = np.array([loc for _, loc in free])
-    approach = graph.dist_array[locs[:, None], np.array([r.pickup for r in requests])]
+    pickups = np.array([r.pickup for r in requests])
     if len(free) <= len(requests):
-        cols = auction_match(approach)
+        cols = auction_match(graph.dist_array[locs[:, None], pickups])
         return {free[i][0]: requests[j] for i, j in enumerate(cols)}
-    cols = auction_match(approach.T)
+    cols = auction_match(graph.dist_array[locs, pickups[:, None]])
     return {free[j][0]: requests[i] for i, j in enumerate(cols)}
 
 
@@ -97,8 +111,10 @@ def ia_ra_control(state, graph):
     All free taxis vs all outstanding requests each step; matched taxis move
     one hop toward (or pick up) their request, unmatched free taxis stay.
     """
-    requests = [state.outstanding[rid] for rid in sorted(state.outstanding)]
-    free = [(l, state.locations[l]) for l in range(state.m) if state.timers[l] == 0]
+    outstanding = state.outstanding
+    requests = [outstanding[rid] for rid in sorted(outstanding)]
+    locs = state.locations
+    free = [(l, locs[l]) for l, tau in enumerate(state.timers) if tau == 0]
     matched = match_free_to_requests(graph, free, requests)
     assignments = {req.id: taxi for taxi, req in matched.items()}
     return _controls(state, graph, matched), assignments

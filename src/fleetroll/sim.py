@@ -85,6 +85,7 @@ def transition(state: FleetState, control, arrivals, graph) -> FleetState:
     Pickups set the trip timer to the pickup->dropoff distance; a zero-length
     trip completes in the same step. Every per-taxi action is validated
     against the control-set rules and raises IllegalControl on violation.
+    Hops and trip lengths are read from the graph's rows directly.
     """
     m = len(state.locations)
     if len(control) != m:
@@ -93,25 +94,28 @@ def transition(state: FleetState, control, arrivals, graph) -> FleetState:
     timers = list(state.timers)
     outstanding = dict(state.outstanding)
     in_service = dict(state.in_service)
-    for l in range(m):
-        act = control[l]
+    nxt, adj, dist = graph._next, graph.adj, graph._dist
+    for l, act in enumerate(control):
         kind = act[0]
-        if timers[l] > 0:
+        tau = timers[l]
+        if tau > 0:
             if kind != HOP:
                 raise IllegalControl(l, f"occupied taxi got '{kind}'")
             _, dropoff = in_service[l]
-            hop = graph.next_hop(locs[l], dropoff)
+            loc = locs[l]
+            # A 0 entry (a taxi already on its dropoff) lets next_hop raise SameNode.
+            hop = nxt[loc][dropoff] or graph.next_hop(loc, dropoff)
             if act[1] != hop:
                 raise IllegalControl(l, f"hop to {act[1]} but shortest path continues at {hop}")
             locs[l] = hop
-            timers[l] -= 1
-            if timers[l] == 0:
+            timers[l] = tau - 1
+            if tau == 1:
                 del in_service[l]
         elif kind == STAY:
             pass
         elif kind == MOVE:
             target = act[1]
-            if target not in graph.adj[locs[l]]:
+            if target not in adj[locs[l]]:
                 raise IllegalControl(l, f"{target} is not a neighbor of {locs[l]}")
             locs[l] = target
         elif kind == PICKUP:
@@ -121,7 +125,7 @@ def transition(state: FleetState, control, arrivals, graph) -> FleetState:
             if req.pickup != locs[l]:
                 raise IllegalControl(l, f"request {act[1]} picks up at {req.pickup}, taxi at {locs[l]}")
             del outstanding[req.id]
-            trip = graph.distance(req.pickup, req.dropoff)
+            trip = dist[req.pickup][req.dropoff]
             if trip > 0:
                 timers[l] = trip
                 in_service[l] = (req.id, req.dropoff)
@@ -207,41 +211,39 @@ def run_episode(graph, model, policy, m: int, T: int, seed: int) -> EpisodeTrace
     origins, dests = (a.tolist() for a in sample_request(model, req_rng, sum(counts)))
     state = FleetState(locations, [0] * m, {}, {}, 1)
     trace = EpisodeTrace(policy=getattr(policy, "name", "policy"), m=m, T=T, seed=seed)
+    stage_costs, steps, plan_ms = trace.stage_costs, trace.steps, trace.plan_ms
+    events, pickup_events = trace.assignment_events, trace.pickup_events
     current_assignee: dict[int, int] = {}
     next_id = 1
     arrived_now = 0
 
     for t in range(1, T + 1):
         n_out = len(state.outstanding)
-        free = sum(1 for tau in state.timers if tau == 0)
-        trace.stage_costs.append(n_out)
+        free = state.timers.count(0)
+        stage_costs.append(n_out)
         if t == T:
-            trace.steps.append(StepRecord(t, n_out, arrived_now, 0, free))
+            steps.append(StepRecord(t, n_out, arrived_now, 0, free))
             break
 
         t0 = time.perf_counter()
         control, assignments = policy.control(state)
-        trace.plan_ms.append((time.perf_counter() - t0) * 1000.0)
+        plan_ms.append((time.perf_counter() - t0) * 1000.0)
 
+        locations = state.locations
         if assignments:
             for rid, taxi in assignments.items():
-                if rid < 0:
-                    continue  # planning phantoms never enter the records
-                if current_assignee.get(rid) != taxi:
+                # planning phantoms (negative ids) never enter the records
+                if rid >= 0 and current_assignee.get(rid) != taxi:
                     current_assignee[rid] = taxi
-                    trace.assignment_events.setdefault(rid, []).append(
-                        (t, taxi, state.locations[taxi]))
+                    events.setdefault(rid, []).append((t, taxi, locations[taxi]))
 
-        pickups = 0
-        for l, act in enumerate(control):
-            if act[0] == PICKUP:
-                rid = act[1]
-                pickups += 1
-                trace.pickup_events.append((t, l, rid))
-                if rid not in trace.assignment_events:
-                    # policies without explicit matchings (greedy, rollout)
-                    # attribute the assignment at pickup time
-                    trace.assignment_events[rid] = [(t, l, state.locations[l])]
+        picked = [(l, act[1]) for l, act in enumerate(control) if act[0] == PICKUP]
+        for l, rid in picked:
+            pickup_events.append((t, l, rid))
+            if rid not in events:
+                # policies without explicit matchings (greedy, rollout)
+                # attribute the assignment at pickup time
+                events[rid] = [(t, l, locations[l])]
 
         eta = counts[t - 1]
         batch = [Request(rid, origins[rid - 1], dests[rid - 1], t + 1)
@@ -249,7 +251,7 @@ def run_episode(graph, model, policy, m: int, T: int, seed: int) -> EpisodeTrace
         trace.request_info.update((r.id, r) for r in batch)
         next_id += eta
 
-        trace.steps.append(StepRecord(t, n_out, arrived_now, pickups, free))
+        steps.append(StepRecord(t, n_out, arrived_now, len(picked), free))
         trace.controls.append(list(control))
         state = transition(state, control, batch, graph)
         arrived_now = eta

@@ -56,3 +56,37 @@ def random_strong_digraph(rnd, n):
     edges = [(order[v], order[(v + 1) % n]) for v in range(n)]  # shuffled ring
     edges += [(rnd.randint(1, n), rnd.randint(1, n)) for _ in range(2 * n)]
     return CityGraph(n, [(a, b) for a, b in edges if a != b])
+
+
+def random_fleet_state(rnd, graph, m, n_requests, busy=0.4, colocated=0.3):
+    """A consistent fleet state: each taxi is occupied with probability `busy`
+    (its timer the distance left to a dropoff it is not on) and free otherwise;
+    about a `colocated` share of the requests pick up where a free taxi stands,
+    the rest at random nodes, and some trips have zero length."""
+    from fleetroll import FleetState
+    from fleetroll.demand import Request
+
+    locs = [rnd.randint(1, graph.n) for _ in range(m)]
+    timers = [0] * m
+    in_service = {}
+    rid = 100
+    for l in range(m):
+        dropoff = rnd.randint(1, graph.n)
+        if dropoff != locs[l] and rnd.random() < busy:
+            timers[l] = graph.distance(locs[l], dropoff)
+            in_service[l] = (rid, dropoff)
+            rid += 1
+    free_locs = [locs[l] for l in range(m) if timers[l] == 0]
+    outstanding = {}
+    for _ in range(n_requests):
+        rid += rnd.randint(1, 3)
+        if free_locs and rnd.random() < colocated:
+            pickup = rnd.choice(free_locs)
+        else:
+            pickup = rnd.randint(1, graph.n)
+        dropoff = pickup if rnd.random() < 0.1 else rnd.randint(1, graph.n)
+        outstanding[rid] = Request(rid, pickup, dropoff, 1)
+    # dict order is not id order, as after reassignments and arrivals
+    items = list(outstanding.items())
+    rnd.shuffle(items)
+    return FleetState(locs, timers, dict(items), in_service, rnd.randint(1, 50))

@@ -16,8 +16,9 @@ from fleetroll.matching import auction_match
 from fleetroll.planner import HighLevelPlan, TransitRoute, TwoPhasePolicy
 from fleetroll.policies import ia_ra_control
 from fleetroll.rollout import RolloutPolicy, _sample_scenario
-from fleetroll.sim import (NS_ARRIVALS, NS_CE, NS_INIT, NS_REQUESTS, FleetState, run_episode,
-                          substream, transition)
+from fleetroll.sim import (HOP, MOVE, NS_ARRIVALS, NS_CE, NS_INIT, NS_REQUESTS, PICKUP, STAY,
+                           FleetState, IllegalControl, SimError, forced_hop_action, run_episode,
+                           substream, transition)
 
 
 class TooLarge(ValueError):
@@ -557,3 +558,99 @@ def weighted_distance_sums_reference(graph, sources, targets, weights):
     """For each source, Python's sequential `sum()` of weight times distance
     over the targets in the given order."""
     return [sum(w * graph.distance(s, t) for t, w in zip(targets, weights)) for s in sources]
+
+
+def transition_reference(state, control, arrivals, graph):
+    """sim.transition as it was before its rows were read through locals:
+    every hop from graph.next_hop, every trip length from graph.distance.
+    The reference for the production step's states and IllegalControl
+    (taxi, reason) pairs."""
+    m = len(state.locations)
+    if len(control) != m:
+        raise SimError(f"control has {len(control)} actions for {m} taxis")
+    locs = list(state.locations)
+    timers = list(state.timers)
+    outstanding = dict(state.outstanding)
+    in_service = dict(state.in_service)
+    for l in range(m):
+        act = control[l]
+        kind = act[0]
+        if timers[l] > 0:
+            if kind != HOP:
+                raise IllegalControl(l, f"occupied taxi got '{kind}'")
+            _, dropoff = in_service[l]
+            hop = graph.next_hop(locs[l], dropoff)
+            if act[1] != hop:
+                raise IllegalControl(l, f"hop to {act[1]} but shortest path continues at {hop}")
+            locs[l] = hop
+            timers[l] -= 1
+            if timers[l] == 0:
+                del in_service[l]
+        elif kind == STAY:
+            pass
+        elif kind == MOVE:
+            target = act[1]
+            if target not in graph.adj[locs[l]]:
+                raise IllegalControl(l, f"{target} is not a neighbor of {locs[l]}")
+            locs[l] = target
+        elif kind == PICKUP:
+            req = outstanding.get(act[1])
+            if req is None:
+                raise IllegalControl(l, f"request {act[1]} is not outstanding")
+            if req.pickup != locs[l]:
+                raise IllegalControl(l, f"request {act[1]} picks up at {req.pickup}, taxi at {locs[l]}")
+            del outstanding[req.id]
+            trip = graph.distance(req.pickup, req.dropoff)
+            if trip > 0:
+                timers[l] = trip
+                in_service[l] = (req.id, req.dropoff)
+        elif kind == HOP:
+            raise IllegalControl(l, "free taxi got a forced hop")
+        else:
+            raise IllegalControl(l, f"unknown action '{kind}'")
+    for req in arrivals:
+        outstanding[req.id] = req
+    return FleetState(locs, timers, outstanding, in_service, state.clock + 1)
+
+
+def _toward_reference(graph, loc, req):
+    if loc == req.pickup:
+        return (PICKUP, req.id)
+    return (MOVE, graph.next_hop(loc, req.pickup))
+
+
+def controls_reference(state, graph, targets):
+    """policies._controls taxi by taxi through forced_hop_action and
+    graph.next_hop."""
+    control = []
+    for l in range(state.m):
+        if state.timers[l] > 0:
+            control.append(forced_hop_action(state, graph, l))
+        elif l in targets:
+            control.append(_toward_reference(graph, state.locations[l], targets[l]))
+        else:
+            control.append((STAY,))
+    return control
+
+
+def match_free_to_requests_reference(graph, free, requests):
+    """The dispatch matching on the taxi-by-request approach matrix, passed
+    transposed to the solver when the requests are the rows."""
+    if not free or not requests:
+        return {}
+    locs = np.array([loc for _, loc in free])
+    approach = graph.dist_array[locs[:, None], np.array([r.pickup for r in requests])]
+    if len(free) <= len(requests):
+        cols = auction_match(approach)
+        return {free[i][0]: requests[j] for i, j in enumerate(cols)}
+    cols = auction_match(approach.T)
+    return {free[j][0]: requests[i] for i, j in enumerate(cols)}
+
+
+def ia_ra_control_reference(state, graph):
+    """IA-RA built from the reference matching and controls."""
+    requests = [state.outstanding[rid] for rid in sorted(state.outstanding)]
+    free = [(l, state.locations[l]) for l in range(state.m) if state.timers[l] == 0]
+    matched = match_free_to_requests_reference(graph, free, requests)
+    assignments = {req.id: taxi for taxi, req in matched.items()}
+    return controls_reference(state, graph, matched), assignments

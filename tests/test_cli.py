@@ -355,6 +355,23 @@ def test_config_shared_by_subcommands_is_accepted(tmp_path):
     assert main(["stability", "--config", str(cfg), "--out-dir", str(tmp_path / "s")]) == 0
 
 
+def test_shared_config_verify_checks_apply_to_stability_only(tmp_path, capsys):
+    """A shared config's `verify` with too few seeds and a short horizon
+    leaves simulate alone; stability --verify still rejects them."""
+    cfg = tmp_path / "shared.json"
+    cfg.write_text(json.dumps({"verify": True, "seeds": 2}))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--grid", "3", "--e-eta", "0.4",
+                 "--policy", "greedy", "--m", "2", "--T", "2", "--out-dir", str(out)]) == 0
+    assert (out / "summary.csv").exists()
+    capsys.readouterr()
+    rc = main(["stability", "--verify", "--seeds", "2", "--grid", "3", "--e-eta", "0.4",
+               "--m-sweep", "2", "--T", "20", "--out-dir", str(tmp_path / "s")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --seeds must be >= 5 with --verify, got 2\n"
+    assert not (tmp_path / "s").exists()
+
+
 def test_bad_jobs_variable_is_a_one_line_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FLEETROLL_JOBS", "abc")
     rc = main(["simulate", "--grid", "4", "--e-eta", "1.0", "--policy", "greedy",

@@ -1,14 +1,17 @@
 import itertools
+import random
 
 import pytest
 
+from fleetroll import grid_graph
 from fleetroll.demand import Request
 from fleetroll.policies import (GreedyPolicy, IACommitPolicy, IARAPolicy,
-                                RandomIAPolicy, greedy_control, ia_commit_control,
+                                RandomIAPolicy, _controls, greedy_control, ia_commit_control,
                                 ia_ra_control, random_ia_control, service_distance)
 from fleetroll.sim import (MOVE, PICKUP, STAY, FleetState, run_episode, substream,
                            transition)
-from conftest import line_graph, ring_graph
+from conftest import line_graph, random_fleet_state, random_strong_digraph, ring_graph
+from oracles import controls_reference, ia_ra_control_reference
 
 
 def make_state(locs, outstanding=None, timers=None, in_service=None, clock=1):
@@ -254,3 +257,28 @@ def test_min_expectation_inequality_samples():
             for scenarios in itertools.combinations(scenarios_pool, k):
                 lhs, rhs = min_of_avg_vs_avg_of_min(list(taxis), list(scenarios))
                 assert lhs >= rhs
+
+
+@pytest.mark.parametrize("make_graph", [
+    lambda: grid_graph(5), lambda: ring_graph(7),
+    lambda: random_strong_digraph(random.Random(8), 20),
+], ids=["grid", "one-way-ring", "random-digraph"])
+def test_ia_ra_control_equals_reference_on_random_states(make_graph):
+    """Same joint control and the same assignments, in the same order, as
+    IA-RA built taxi by taxi on the taxi-by-request matrix; with more free
+    taxis than requests and with fewer."""
+    graph = make_graph()
+    rnd = random.Random(graph.n)
+    shapes = set()
+    for _ in range(200):
+        state = random_fleet_state(rnd, graph, rnd.randint(1, 14), rnd.randint(0, 10))
+        got = ia_ra_control(state, graph)
+        want = ia_ra_control_reference(state, graph)
+        assert got == want
+        assert list(got[1].items()) == list(want[1].items())
+        free = state.timers.count(0)
+        shapes.add((free > len(state.outstanding), free < len(state.outstanding)))
+        targets = {l: rnd.choice(list(state.outstanding.values()))
+                   for l in range(state.m) if state.outstanding and rnd.random() < 0.5}
+        assert _controls(state, graph, targets) == controls_reference(state, graph, targets)
+    assert {(True, False), (False, True)} <= shapes

@@ -1,10 +1,15 @@
+import random
+
 import pytest
 
+from fleetroll import grid_graph
 from fleetroll.demand import Request, synthetic_model
-from fleetroll.policies import GreedyPolicy, IARAPolicy
-from fleetroll.sim import (HOP, MOVE, PICKUP, STAY, FleetState, IllegalControl,
+from fleetroll.graph import SameNode
+from fleetroll.policies import GreedyPolicy, IARAPolicy, ia_ra_control
+from fleetroll.sim import (HOP, MOVE, PICKUP, STAY, FleetState, IllegalControl, SimError,
                            run_episode, stage_cost, substream, transition)
-from oracles import ScalarDemand, scalar_episode_draws
+from conftest import random_fleet_state, random_strong_digraph, ring_graph
+from oracles import ScalarDemand, scalar_episode_draws, transition_reference
 
 
 def make_state(locs, timers=None, outstanding=None, in_service=None, clock=1):
@@ -57,30 +62,95 @@ def test_stage_cost_counts_outstanding(grid3):
     assert stage_cost(s2) == 4
 
 
+def assert_illegal(state, control, graph, taxi, reason):
+    with pytest.raises(IllegalControl) as info:
+        transition(state, control, [], graph)
+    assert (info.value.taxi, info.value.reason) == (taxi, reason)
+
+
 def test_illegal_controls(grid3):
     s = make_state([1])
-    with pytest.raises(IllegalControl):
-        transition(s, [(MOVE, 9)], [], grid3)  # not a neighbor
-    with pytest.raises(IllegalControl):
-        transition(s, [(PICKUP, 1)], [], grid3)  # no such request
-    with pytest.raises(IllegalControl):
-        transition(s, [(HOP, 2)], [], grid3)  # free taxi forced hop
+    assert_illegal(s, [(MOVE, 9)], grid3, 0, "9 is not a neighbor of 1")
+    assert_illegal(s, [(PICKUP, 1)], grid3, 0, "request 1 is not outstanding")
+    assert_illegal(s, [(HOP, 2)], grid3, 0, "free taxi got a forced hop")
+    assert_illegal(s, [("fly", 2)], grid3, 0, "unknown action 'fly'")
     r = req(1, 2, 3)
     s2 = make_state([1], outstanding={1: r})
-    with pytest.raises(IllegalControl):
-        transition(s2, [(PICKUP, 1)], [], grid3)  # not co-located
+    assert_illegal(s2, [(PICKUP, 1)], grid3, 0, "request 1 picks up at 2, taxi at 1")
     busy = make_state([1], timers=[2], in_service={0: (1, 9)})
-    with pytest.raises(IllegalControl):
-        transition(busy, [(STAY,)], [], grid3)  # occupied must hop
-    with pytest.raises(IllegalControl):
-        transition(busy, [(HOP, 4)], [], grid3)  # wrong hop (next is 2)
+    assert_illegal(busy, [(STAY,)], grid3, 0, "occupied taxi got 'stay'")
+    assert_illegal(busy, [(HOP, 4)], grid3, 0, "hop to 4 but shortest path continues at 2")
 
 
 def test_duplicate_pickup_rejected(grid3):
     r = req(1, 5, 2)
     s = make_state([5, 5], outstanding={1: r})
-    with pytest.raises(IllegalControl):
-        transition(s, [(PICKUP, 1), (PICKUP, 1)], [], grid3)
+    assert_illegal(s, [(PICKUP, 1), (PICKUP, 1)], grid3, 1, "request 1 is not outstanding")
+
+
+def test_occupied_taxi_on_its_dropoff_raises_same_node(grid3):
+    """An inconsistent state: the taxi is occupied but already on its dropoff.
+    Its next-hop entry is 0, which must never move it to the padding node."""
+    s = make_state([5, 1], timers=[1, 0], in_service={0: (7, 5)})
+    for hop in (0, 2, 4):
+        with pytest.raises(SameNode):
+            transition(s, [(HOP, hop), (STAY,)], [], grid3)
+    with pytest.raises(SameNode):
+        ia_ra_control(s, grid3)
+
+
+def random_joint_control(rnd, state, graph):
+    """Legal actions for most taxis; now and then an illegal one of each kind
+    the transition rejects, or a duplicate pickup."""
+    control = []
+    for l in range(state.m):
+        loc = state.locations[l]
+        here = [rid for rid, r in state.outstanding.items() if r.pickup == loc]
+        if state.timers[l] > 0:
+            legal = [(HOP, graph.next_hop(loc, state.in_service[l][1]))]
+            illegal = [(STAY,), (MOVE, graph.adj[loc][0]), (PICKUP, 1),
+                       (HOP, rnd.randint(1, graph.n))]
+        else:
+            legal = [(STAY,)] + [(MOVE, v) for v in graph.adj[loc]] + [(PICKUP, r) for r in here]
+            far = [v for v in range(1, graph.n + 1) if v not in graph.adj[loc]]
+            elsewhere = [rid for rid, r in state.outstanding.items() if r.pickup != loc]
+            illegal = ([(MOVE, rnd.choice(far))] + [(PICKUP, rid) for rid in elsewhere[:1]]
+                       + [(PICKUP, 10 ** 6), (HOP, loc), ("fly",)])
+        control.append(rnd.choice(illegal if rnd.random() < 0.04 else legal))
+    return control
+
+
+@pytest.mark.parametrize("make_graph", [
+    lambda: grid_graph(4), lambda: ring_graph(6),
+    lambda: random_strong_digraph(random.Random(12), 15),
+], ids=["grid", "one-way-ring", "random-digraph"])
+def test_transition_equals_reference_on_random_controls(make_graph):
+    graph = make_graph()
+    rnd = random.Random(graph.n)
+    outcomes = {"state": 0, "illegal": 0}
+    for case in range(300):
+        state = random_fleet_state(rnd, graph, rnd.randint(1, 12), rnd.randint(0, 8))
+        control = random_joint_control(rnd, state, graph)
+        if case % 50 == 0:
+            control = control[:-1]  # one action short
+        arrivals = [Request(900 + i, rnd.randint(1, graph.n), rnd.randint(1, graph.n),
+                            state.clock + 1) for i in range(rnd.randint(0, 3))]
+        try:
+            want = transition_reference(state, control, arrivals, graph)
+        except SimError as exc:
+            with pytest.raises(type(exc)) as info:
+                transition(state, control, arrivals, graph)
+            assert str(info.value) == str(exc)
+            if isinstance(exc, IllegalControl):
+                assert (info.value.taxi, info.value.reason) == (exc.taxi, exc.reason)
+                outcomes["illegal"] += 1
+            continue
+        got = transition(state, control, arrivals, graph)
+        assert got == want
+        assert list(got.outstanding.items()) == list(want.outstanding.items())
+        assert list(got.in_service.items()) == list(want.in_service.items())
+        outcomes["state"] += 1
+    assert outcomes["state"] > 50 and outcomes["illegal"] > 50
 
 
 def test_arrivals_enter_outstanding(grid3):
