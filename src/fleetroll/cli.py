@@ -258,7 +258,8 @@ def cmd_compare(args):
 def cmd_stability(args):
     g, model = _graph_and_model(args)
     report = compute_bounds(model, g, metric=args["metric"])
-    m_values = args["m_sweep"] or [report.m_sufficient]
+    # with no demand m_sufficient is 0; an episode needs at least one taxi
+    m_values = args["m_sweep"] or [max(1, report.m_sufficient)]
     if args["verify"]:
         _check_sectors(g, args, [args["policy"]], m_values)
     outdir = Path(args["out_dir"])

@@ -7,9 +7,12 @@ requests. Cross-sector matches put the taxi "in transit": it walks the
 shortest path to the boundary entry point of the destination sector and is
 invisible to the sector planners until it arrives, when it rejoins as an
 ordinary local taxi. Sector planners run the rollout on their sub-state only,
-with moves confined to the sector and scheduled inbound taxis announced as
-deterministic future arrivals. With a single sector the whole construction
-reduces exactly to global rollout.
+with the sector as the rollout's region: it confines candidate moves to the
+sector and selects the lookahead's requests, so a sector's scenarios hold
+only the requests picked up in it. Scheduled inbound taxis are announced as
+deterministic future arrivals. The high-level plan alone sees the whole
+map's expected demand. With a single sector the whole construction reduces
+exactly to global rollout.
 """
 
 from __future__ import annotations
@@ -101,7 +104,8 @@ def low_level_plan(substate, inbound, graph, model, cfg: RolloutConfig, seed,
                    taxi_keys, sector_nodes):
     """Sector-local one-at-a-time rollout.
 
-    Candidate moves leaving the sector are excluded; `inbound` announces
+    Candidate moves leaving the sector are excluded, and the lookahead's
+    scenarios keep only requests picked up in the sector; `inbound` announces
     scheduled transit arrivals as future free taxis for the lookahead.
     """
     return one_at_a_time_control(substate, graph, model, cfg, seed,

@@ -10,6 +10,11 @@ are drawn up front in one vectorized call, so candidates of one taxi share
 common random numbers and results never depend on evaluation order or
 parallelism.
 
+A sector planner passes its region. The region confines candidate moves to
+its nodes and selects the lookahead's requests: each scenario keeps only the
+requests picked up in the region, because the rest of the map's demand is
+served by other sectors. The scenario draws stay those of global rollout.
+
 The base policy is IA-RA (`policies.ia_ra_control`). A taxi's candidates are
 scored in one call, `_candidate_costs`, which simulates each candidate step
 once and continues it per scenario on flat lists (`_trajectory_cost`): free
@@ -53,7 +58,7 @@ class RolloutConfig:
             raise RolloutError(f"unknown base policy '{self.base_policy}' (only 'ia-ra')")
 
 
-def _sample_scenario(model, t_h, num_mc, rng):
+def _sample_scenario(model, t_h, num_mc, rng, region=None):
     """Arrival batches of num_mc scenarios, each for the candidate step plus
     t_h base policy steps.
 
@@ -67,6 +72,11 @@ def _sample_scenario(model, t_h, num_mc, rng):
     per double, so the blocks hold exactly the draws of one longer call. Each
     block is read as arrival counts in one lookup; only the entries at count
     positions are used.
+
+    `region`, a boolean array indexed by node, keeps only the requests whose
+    pickup it marks, in draw order and numbered -1, -2, ... again; the others
+    are dropped before their tuples are built. The uniforms drawn do not
+    depend on it.
     """
     steps = t_h + 1
     eta = model._eta_sampler
@@ -88,6 +98,15 @@ def _sample_scenario(model, t_h, num_mc, rng):
         at += 2 * total
         layout.append(per_step)
     pickups, dropoffs = model.requests_at(np.array(pick_us), np.array(drop_us))
+    if region is not None:
+        keep = region[pickups]
+        pickups, dropoffs = pickups[keep], dropoffs[keep]
+        keep = keep.tolist()
+        at = 0
+        for per_step in layout:
+            for i, c in enumerate(per_step):
+                per_step[i] = keep[at:at + c].count(True)
+                at += c
     pickups, dropoffs = pickups.tolist(), dropoffs.tolist()
     scenarios = []
     first = 0
@@ -325,12 +344,19 @@ def one_at_a_time_control(state, graph, model, cfg: RolloutConfig, seed: int,
 
     Occupied taxis contribute their single forced control without simulation.
     `taxi_keys` supplies the seed-keying identity of each taxi (global ids when
-    planning a sector sub-state) and `allowed_nodes`/`inbound` restrict moves
-    and announce scheduled future taxi arrivals for sector-local planning.
+    planning a sector sub-state) and `inbound` announces scheduled future taxi
+    arrivals for sector-local planning. `allowed_nodes`, the region, confines
+    candidate moves to its nodes and selects the lookahead's requests: each
+    scenario keeps only the requests picked up in the region. The scenario
+    draws, and so their common random numbers, stay those of global rollout.
     """
     m = state.m
     if taxi_keys is None:
         taxi_keys = list(range(m))
+    region = None
+    if allowed_nodes is not None:
+        region = np.zeros(graph.n + 1, dtype=bool)
+        region[list(allowed_nodes)] = True
     base_joint, _ = policies.ia_ra_control(state, graph)
     chosen = [None] * m
     claimed = set()
@@ -343,7 +369,7 @@ def one_at_a_time_control(state, graph, model, cfg: RolloutConfig, seed: int,
             chosen[l] = cands[0]
         else:
             rng = substream(seed, NS_LOOKAHEAD, state.clock, taxi_keys[l])
-            scenarios = _sample_scenario(model, cfg.t_h, cfg.num_mc, rng)
+            scenarios = _sample_scenario(model, cfg.t_h, cfg.num_mc, rng, region)
             joints = [_compose_joint(chosen, cand, l, base_joint, claimed)
                       for cand in cands]
             totals = _candidate_costs(state, joints, scenarios, graph, cfg.t_h, inbound)

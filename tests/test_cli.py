@@ -116,6 +116,17 @@ def test_stability_verify_verdicts(tmp_path):
     assert verdicts["1"] == "UNSTABLE"
 
 
+def test_stability_verify_without_demand_runs_one_taxi(tmp_path, capsys):
+    # With no demand the sufficient fleet size is 0; it is verified at m = 1.
+    out = tmp_path / "stab0"
+    assert main(["stability", "--grid", "3", "--e-eta", "0", "--verify", "--seeds", "5",
+                 "--T", "10", "--out-dir", str(out)]) == 0
+    assert json.loads((out / "stability_report.json").read_text())["m_sufficient"] == 0
+    rows = read_csv(out / "verdicts.csv")
+    assert [r[:3] for r in rows[1:]] == [["1", "ia-ra", "STABLE"]]
+    assert "m=1 ia-ra: STABLE" in capsys.readouterr().out
+
+
 def test_config_file_defaults_and_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"grid": 4, "e-eta": 0.4, "policy": "greedy",

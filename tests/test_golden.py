@@ -1,6 +1,6 @@
 """Golden digests: fixed seeds of every policy must reproduce their controls
 and stage costs byte for byte, and fixed demand partitions their centers and
-node assignments. Two cases run on a model estimated from a sampled trip log,
+node assignments. Three cases run on a model estimated from a sampled trip log,
 which keeps one conditional dropoff pmf per pickup node.
 
 A refactor or a speed-up that is meant to keep behaviour leaves every digest
@@ -36,12 +36,16 @@ CASES = {
     # Trip-log models: the synthetic model's parameters give the log's truth.
     "ia-ra-triplog": (6, 1.2, 14, 0.3, "ia-ra", 4, 40, 20, 0, 0, 0),
     "rollout-triplog": (6, 1.2, 14, 0.3, "rollout", 3, 12, 21, 3, 4, 0),
+    # Three sectors: each lookahead looks up its own requests' dropoffs in
+    # the padded conditional tables.
+    "two-phase-triplog": (6, 1.2, 14, 0.3, "two-phase", 6, 12, 22, 3, 3, 2),
 }
 
 # name -> (log horizon, log seed) for the cases run on an estimated model
 TRIP_LOGS = {
     "ia-ra-triplog": (200, 5),
     "rollout-triplog": (200, 5),
+    "two-phase-triplog": (200, 5),
 }
 
 GOLDEN = {
@@ -54,8 +58,9 @@ GOLDEN = {
     "random-ia": "ae03ba51d8ab215bb5cc1c712bc2710074d80832765aeeb12fa417bedc465b1e",
     "rollout": "7225c7cdb80bfe64d3f7f2fea36fa5ed162fb2190b97977bf51ac0fbcbeeff6c",
     "rollout-triplog": "ba87dc2659df14f8d6a163dac525e646dfdb34e5a4b0bcecca8776377822bf9a",
-    "two-phase": "3bb7ec66f0838e3df2ee0713b96bf5dbafcc04fca389b7f1b159d4b97c5a8a8b",
-    "two-phase-metro": "3867e629d7ae775e622ffebf49aa554234b7033628a8d21aead8f6033c0d13ea",
+    "two-phase": "3c739e7e7168559bfa27754219754e4e985ec8b378e4c5d8fd143ea8325d4f34",
+    "two-phase-metro": "441535a15f640d2b3f6db194d0e101a74fe4d27916c768759c67a97a3712df09",
+    "two-phase-triplog": "e248c07dcecda21f049e732c18fdfbc9f6cdf7ab454ebb79ede7b425ab81d9a7",
 }
 
 
@@ -115,7 +120,7 @@ def test_golden_trace_digest(name):
 
 
 @pytest.mark.parametrize("name", ["rollout", "rollout-triplog", "two-phase",
-                                  "two-phase-metro"])
+                                  "two-phase-metro", "two-phase-triplog"])
 def test_golden_trace_digest_with_three_list_rows(name, monkeypatch):
     """The lookahead reads distances through list rows; with room for only
     three of them, rows are dropped and made again all the time."""

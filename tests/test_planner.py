@@ -5,7 +5,8 @@ from fleetroll.graph import grid_graph
 from fleetroll.partition import PartitionSpec
 from fleetroll.planner import (HighLevelPlan, TwoPhasePolicy, TransitRoute,
                                high_level_plan, split_state, two_phase_control)
-from fleetroll.rollout import RolloutConfig, RolloutPolicy
+from fleetroll import rollout
+from fleetroll.rollout import RolloutConfig, RolloutPolicy, _sample_scenario
 from fleetroll.sim import MOVE, FleetState, run_episode
 from conftest import line_graph, ring_graph
 from oracles import high_level_plan_reference, run_two_phase
@@ -99,6 +100,54 @@ def test_high_level_plan_matches_the_assignment_problem_path(grid5):
             shapes["more_free" if n_free > n_pool else "fewer_free"] += n_free != n_pool
         routes += sum(1 for r in got.transit.values() if r.start_clock == s.clock)
     assert min(shapes.values()) >= 50 and routes >= 100, (shapes, routes)
+
+
+def test_sector_lookahead_sees_only_requests_picked_up_in_its_sector(monkeypatch):
+    # Each scenario handed to a sector's lookahead is the unfiltered draw of
+    # its (step, taxi) stream less the requests picked up elsewhere; global
+    # rollout's scenarios are the unfiltered draws.
+    g = grid_graph(6)
+    model = synthetic_model(g, 1.5, hotspot=8, hotspot_mass=0.2)
+    cfg = RolloutConfig(t_h=3, num_mc=3)
+    keys, seen = [], []
+    real_substream, real_costs = rollout.substream, rollout._candidate_costs
+
+    def keyed_substream(*key):
+        keys.append(key)
+        return real_substream(*key)
+
+    def recording_costs(state, joints, scenarios, graph, t_h, inbound=()):
+        seen.append((state.locations, scenarios, keys[-1]))
+        return real_costs(state, joints, scenarios, graph, t_h, inbound)
+
+    monkeypatch.setattr(rollout, "substream", keyed_substream)
+    monkeypatch.setattr(rollout, "_candidate_costs", recording_costs)
+
+    def unfiltered(key):
+        return _sample_scenario(model, cfg.t_h, cfg.num_mc, real_substream(*key))
+
+    pol = TwoPhasePolicy(g, model, m=9, m_lim=3, cfg=cfg)
+    assert pol.K == 3
+    run_episode(g, model, pol, 9, 20, seed=4)
+    sector_of = pol.pspec.sector_of
+    sectors, kept, dropped = set(), 0, 0
+    for locations, scenarios, key in seen:
+        [k] = {sector_of(v) for v in locations}
+        sectors.add(k)
+        assert all(sector_of(p) == k for sc in scenarios for b in sc for _, p, _ in b)
+        full = unfiltered(key)
+        assert [[[(p, d) for _, p, d in b] for b in sc] for sc in scenarios] == [
+            [[(p, d) for _, p, d in b if sector_of(p) == k] for b in sc] for sc in full]
+        n_kept = sum(len(b) for sc in scenarios for b in sc)
+        kept += n_kept
+        dropped += sum(len(b) for sc in full for b in sc) - n_kept
+    assert sectors == {1, 2, 3} and kept > 100 and dropped > kept
+
+    seen.clear()
+    run_episode(g, model, RolloutPolicy(g, model, cfg), 9, 8, seed=4)
+    assert len(seen) > 20
+    for _, scenarios, key in seen:
+        assert scenarios == unfiltered(key)
 
 
 def test_transiting_taxi_excluded_until_arrival_then_rejoins():

@@ -218,6 +218,36 @@ def test_batched_scenarios_reproduce_sequential_draws(grid5):
             assert got == want
 
 
+def test_region_keeps_the_unfiltered_draws_in_region_requests(grid5):
+    # Per scenario and per batch, a region keeps exactly the unfiltered
+    # draw's requests picked up in it, in draw order; all nodes keep all.
+    synthetic = synthetic_model(grid5, 1.7, hotspot=7, hotspot_mass=0.3)
+    from_log = estimate_from_trips(generate_trips(synthetic, horizon=300, seed=8), grid5)
+    bursty = estimate_from_trips([(1, 1 + i % 5, 1 + 3 * i % 25) for i in range(30)],
+                                 grid5, horizon=5)
+    rng = np.random.default_rng(44)
+    every = np.ones(grid5.n + 1, dtype=bool)
+    dropped = 0
+    for model in (synthetic, from_log, bursty, zero_model()):
+        for trial, (t_h, num_mc) in enumerate([(1, 1), (3, 4), (5, 10), (10, 30)]):
+            want = _sample_scenario(model, t_h, num_mc, substream(22, trial))
+            assert _sample_scenario(model, t_h, num_mc, substream(22, trial), every) == want
+            for size in (0, 1, 5, 12, 24):
+                nodes = rng.choice(np.arange(1, grid5.n + 1), size=size, replace=False)
+                region = np.zeros(grid5.n + 1, dtype=bool)
+                region[nodes] = True
+                got = _sample_scenario(model, t_h, num_mc, substream(22, trial), region)
+                assert len(got) == len(want) == num_mc
+                for kept, full in zip(got, want):
+                    assert len(kept) == len(full) == t_h + 1
+                    assert [[(p, d) for _, p, d in b] for b in kept] == [
+                        [(p, d) for _, p, d in b if region[p]] for b in full]
+                    ids = [rid for batch in kept for rid, _, _ in batch]
+                    assert ids == list(range(-1, -len(ids) - 1, -1))
+                    dropped += sum(map(len, full)) - len(ids)
+    assert dropped > 1000
+
+
 def test_batched_dropoffs_equal_per_pickup_sampler_draws(grid5):
     # Trip-log models keep one conditional pmf per pickup node; the batched
     # dropoff lookup must give each pickup its own sampler's draw, also at
