@@ -427,12 +427,17 @@ def _merge(ns, actions, known) -> dict:
 
 def _validate(command, args):
     """Reject settings the command cannot run with, before any work starts."""
+    for key, val in args.items():  # a float flag or config value, e.g. --e-eta nan
+        if isinstance(val, float) and not math.isfinite(val):
+            raise CLIError(f"--{key.replace('_', '-')} must be a finite number, got {val}")
     for flag in ("jobs", "m_lim", "seeds", "t_h", "num_mc"):
         if args[flag] < 1:
             raise CLIError(f"--{flag.replace('_', '-')} must be >= 1, got {args[flag]}")
     for flag in ("grid", "m", "T"):
         if args[flag] is not None and args[flag] < 1:
             raise CLIError(f"--{flag} must be >= 1, got {args[flag]}")
+    if args["grid"] is not None:
+        graphmod.check_size(args["grid"] ** 2)
     # --verify is a stability flag; a config shared by subcommands may set it for the others.
     verify = command == "stability" and args["verify"]
     if command in ("simulate", "compare") or verify:

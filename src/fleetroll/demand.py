@@ -343,8 +343,8 @@ def synthetic_model(graph, e_eta: float, hotspot: int | None = None,
     that `hotspot_mass` can be concentrated on one node; dropoffs are uniform
     regardless of pickup.
     """
-    if e_eta < 0:
-        raise DemandError("mean arrivals must be nonnegative")
+    if not 0 <= e_eta < math.inf:
+        raise DemandError(f"mean arrivals must be finite and nonnegative, got {e_eta}")
     if hotspot is not None and not 1 <= hotspot <= graph.n:
         raise DemandError(f"hotspot {hotspot} is outside the graph's nodes 1..{graph.n}")
     if not 0.0 <= hotspot_mass <= 1.0:

@@ -43,6 +43,22 @@ _BLOCK_CELLS = 1 << 16  # cells per block of a weighted distance sum
 _ROW_LOOP_SOURCES = 250  # from this many sources a weighted distance sum goes target by target
 _BUILD_BLOCK_CELLS = 1 << 20  # cells per block of source rows in the table build
 _LIST_ROW_BYTES = 256 << 20  # list rows of distances kept per graph, 8 bytes a slot
+_TABLE_BYTES_MAX = 2 << 30  # about 5x the tables of a 100x100 grid (0.37 GiB)
+
+
+def table_bytes(n):
+    """Bytes of an n-node graph's distance array and next-hop rows: two
+    (n+1) x (n+1) tables of unsigned shorts (unsigned ints from 65,536 nodes)."""
+    return 2 * (n + 1) ** 2 * (2 if n < 2 ** 16 else 4)
+
+
+def check_size(n):
+    """Raise GraphError, before anything is built, for a graph whose
+    tables would take more than _TABLE_BYTES_MAX."""
+    if table_bytes(n) > _TABLE_BYTES_MAX:
+        raise GraphError(f"a graph of {n} nodes needs {table_bytes(n) / 2 ** 30:.3g} GiB "
+                         f"of distance and next-hop tables, more than the "
+                         f"{_TABLE_BYTES_MAX / 2 ** 30:.3g} GiB allowed")
 
 
 class CityGraph:
@@ -55,6 +71,7 @@ class CityGraph:
     def __init__(self, n, edges, coords=None):
         if n < 1:
             raise InvalidEdge(f"node count must be >= 1, got {n}")
+        check_size(n)
         self.n = n
         self.edges = tuple((int(i), int(j)) for i, j in edges)
         self.coords = dict(coords) if coords else None
@@ -249,6 +266,7 @@ def grid_graph(k: int) -> CityGraph:
     """
     if k < 1:
         raise InvalidEdge("grid size must be >= 1")
+    check_size(k * k)
     edges = []
     coords = {}
     for r in range(1, k + 1):

@@ -25,6 +25,19 @@ trip ends. Matchings are IA-RA's, solved by linear_sum_assignment
 solve: a matching with a single row, that matching again while its taxi just
 moves one hop closer, and a last step in which no free taxi stands on an
 outstanding pickup. The tests check this path against `sim.transition`.
+
+A taxi's stay and move candidates start from states that differ only in
+where that taxi stands, so they are scored as one trajectory per scenario
+until the taxi could be matched. In its column of each matching it gets its
+least distance over the candidates' locations. The rule that makes this
+exact is one of linear_sum_assignment (Crouse's shortest augmenting path,
+IEEE TAES 2016): a column that the solve leaves unassigned lies on no
+augmenting path and keeps its dual, so raising any of its entries changes
+no row's column. While the shared solve leaves the taxi unassigned, it is
+therefore every candidate's matching, and the taxi stays put. Where the
+taxi is a row (free taxis <= requests) or the shared solve assigns it,
+each candidate continues alone from that step. tests/test_matching.py
+checks the rule against the installed scipy.
 """
 
 from __future__ import annotations
@@ -137,6 +150,12 @@ def _candidate_costs(state, joints, scenarios, graph, t_h, inbound=()):
     remaining hops lead) and rejoins the free taxis in the step its timer
     runs out; one that is not free before the last matching is never looked
     at again.
+
+    Joints that differ only in the stay or move of one free taxi l, the
+    first taxi whose action differs between joints, start from states that
+    differ only in where l stands. Such a group runs one trajectory per
+    scenario, with l's distances the least over the group's locations,
+    until l could be matched (see _trajectory_cost).
     """
     dist = graph._dist
     nxt = graph._next
@@ -144,7 +163,8 @@ def _candidate_costs(state, joints, scenarios, graph, t_h, inbound=()):
     for when, node in inbound:
         if 0 < when - state.clock <= t_h:
             arriving.setdefault(when - state.clock, []).append(node)
-    locs = list(state.locations)
+    locs = list(state.locations) + arriving.get(1, [])
+    joined = list(range(state.m, len(locs)))  # free from the first lookahead step
     released = {}  # step -> taxis whose trip ends in that step
     for l, (_, dropoff) in state.in_service.items():
         timer = state.timers[l]
@@ -155,7 +175,7 @@ def _candidate_costs(state, joints, scenarios, graph, t_h, inbound=()):
                 released[timer - 1] = released.get(timer - 1, ()) + (l,)
     outstanding = [(rid, r.pickup, r.dropoff) for rid, r in sorted(state.outstanding.items())]
 
-    totals = []
+    starts = []
     for joint in joints:
         after_locs = list(locs)
         free = []
@@ -179,48 +199,102 @@ def _candidate_costs(state, joints, scenarios, graph, t_h, inbound=()):
                 if act[0] == MOVE:
                     after_locs[l] = act[1]
                 free.append(l)
-        start = (after_locs, free, reqs, after_released, len(state.outstanding))
-        totals.append(sum(_trajectory_cost(start, batches, graph, t_h, arriving)
-                          for batches in scenarios))
+        starts.append((after_locs, free + joined, reqs, after_released,
+                       len(state.outstanding)))
+
+    varying = next((i for i, acts in enumerate(zip(*joints)) if len(set(acts)) > 1), None)
+    groups = {}
+    for k, joint in enumerate(joints):
+        key = k
+        if varying is not None and state.timers[varying] == 0 and joint[varying][0] != PICKUP:
+            key = tuple(joint[:varying]) + tuple(joint[varying + 1:])
+        groups.setdefault(key, []).append(k)
+    totals = [0] * len(joints)
+    for members in groups.values():
+        locs, free, reqs, released, cost = starts[members[0]]
+        group = None
+        if len(members) > 1:
+            xs = [starts[k][0][varying] for k in members]
+            rows = _RowsWith(dist)
+            rows[0] = graph.dist_array[xs].min(axis=0).tolist()
+            locs = list(locs)
+            locs[varying] = 0
+            group = (varying, xs, rows)
+        for batches in scenarios:
+            first = (locs, free, batches[0][::-1] + reqs, released,
+                     cost + len(reqs) + len(batches[0]))
+            got = _trajectory_cost(first, 1, batches, graph, t_h, arriving, group)
+            if group is None:
+                totals[members[0]] += got
+            else:
+                for k, c in zip(members, got):
+                    totals[k] += c
     return totals
 
 
-def _trajectory_cost(start, batches, graph, t_h, arriving):
-    """Stage-cost sum of one IA-RA scenario trajectory after a candidate step.
+class _RowsWith(dict):
+    """Distance rows read through to `rows` and kept once read, plus rows
+    set on it: a shared trajectory reads its group taxi's row under node 0,
+    which no graph has."""
 
-    `start` is the state after the candidate step: taxi locations, free taxis
-    (ascending), outstanding (id, pickup, dropoff) requests (ascending id),
-    the taxis released per later step and the cost before the candidate step.
-    `arriving` maps a step to the inbound taxis that join as free ones then.
-    Scenario ids are negative and fall from batch to batch, below every real
-    id, so each new batch goes in front, reversed. Each step matches as IA-RA
-    does, by _match_step; the last step only counts its pickups.
+    def __init__(self, rows):
+        super().__init__()
+        self.rows = rows
+
+    def __missing__(self, i):
+        row = self[i] = self.rows[i]
+        return row
+
+
+def _trajectory_cost(start, first, batches, graph, t_h, arriving, group=None):
+    """Stage-cost sum of one IA-RA scenario trajectory from step `first` on.
+
+    `start` is the state as step `first` begins, before its matching: taxi
+    locations, free taxis (ascending), outstanding (id, pickup, dropoff)
+    requests (ascending id), the taxis released per later step and the cost
+    of the steps before. `arriving` maps a later step to the inbound taxis
+    that join as free ones then. Scenario ids are negative and fall from
+    batch to batch, below every real id, so each new batch goes in front,
+    reversed. Each step matches as IA-RA does, by _match_step; the last step
+    only counts its pickups.
+
+    `group`, (l, xs, rows), makes this one trajectory for several members
+    that differ only in the node xs[g] where free taxi l stands: l stands on
+    node 0, whose row in `rows` holds l's least distance to each node over
+    the members. While the shared matching leaves l unmatched, it is every
+    member's matching (see _match_step), so l stays put and the members share
+    events and cost. From a step where l could be matched, and in a last
+    step without a solve for the members whose l stands on a pickup, each
+    member continues alone. Returns the members' costs, in the order of xs.
     """
     dist = graph._dist
     dist_array = graph.dist_array
     nxt = graph._next
+    shared = None
+    if group is not None:
+        shared, xs, dist = group
+        dist_array = None
     locs, free, reqs, released, cost = start
     locs = list(locs)
     free = list(free)
-    reqs = batches[0][::-1] + reqs
+    reqs = list(reqs)
     released = dict(released)
-    cost += len(reqs)
 
     # A single pair stays the matching while its taxi only moves one hop
     # toward the pickup: its distance falls by one, any other pair's by at
     # most one, so it stays the nearest and still wins its ties.
     keep = False
     pairs = ()
-    for i in range(1, t_h):
-        if i in arriving:
-            for node in arriving[i]:
-                free.append(len(locs))
-                locs.append(node)
-            keep = False
+    split = False
+    alone = ()
+    for i in range(first, t_h):
         if not keep:
             pairs = ()
             if reqs and free:
-                pairs = _match_step(free, reqs, locs, dist, dist_array)
+                pairs = _match_step(free, reqs, locs, dist, dist_array, shared)
+                if pairs is None:
+                    split = True
+                    break
                 keep = len(pairs) == 1
         if i in released:
             for l in released[i]:
@@ -243,22 +317,38 @@ def _trajectory_cost(start, batches, graph, t_h, arriving):
             keep = False
             reqs[:0] = batches[i][::-1]
         cost += len(reqs)
-
-    # Last step: only pickups change the count, and only a free taxi on an
-    # outstanding pickup can make one. Ties can still decide whether it does,
-    # so the matching is solved (or kept) as in any other step.
-    for node in arriving.get(t_h, ()):
-        free.append(len(locs))
-        locs.append(node)
-        keep = False
-    if not keep:
-        pairs = ()
-        if reqs and free:
-            pickups = {r[1] for r in reqs}
-            if any(locs[l] in pickups for l in free):
-                pairs = _match_step(free, reqs, locs, dist, dist_array)
-    picked = sum(1 for l, req in pairs if locs[l] == req[1])
-    return cost + len(reqs) - picked + len(batches[t_h])
+        for node in arriving.get(i + 1, ()):
+            free.append(len(locs))
+            locs.append(node)
+            keep = False
+    else:
+        # Last step: only pickups change the count, and only a free taxi on
+        # an outstanding pickup can make one. Ties can still decide whether
+        # it does, so the matching is solved (or kept) as in any other step.
+        i = t_h
+        if not keep:
+            pairs = ()
+            if reqs and free:
+                pickups = {r[1] for r in reqs}
+                if any(locs[l] in pickups for l in free):
+                    pairs = _match_step(free, reqs, locs, dist, dist_array, shared)
+                    split = pairs is None
+                elif shared is not None:
+                    alone = pickups
+        if not split:
+            picked = sum(1 for l, req in pairs if locs[l] == req[1])
+            end = cost + len(reqs) - picked + len(batches[t_h])
+            if group is None:
+                return end
+    costs = []
+    for x in xs:
+        if split or x in alone:
+            locs[shared] = x
+            costs.append(_trajectory_cost((locs, free, reqs, released, cost), i, batches,
+                                          graph, t_h, arriving))
+        else:
+            costs.append(end)
+    return costs
 
 
 # Lookahead matchings with at most this many cost cells are built as nested
@@ -267,20 +357,31 @@ def _trajectory_cost(start, batches, graph, t_h, arriving):
 _LIST_BUILD_MAX_CELLS = 16
 
 
-def _match_step(free, reqs, locs, dist, dist_array):
+def _match_step(free, reqs, locs, dist, dist_array, shared=None):
     """IA-RA (taxi, request) pairs of one lookahead step, matched as the IA-RA
     policy matches them: requests by id, the smaller side as rows, solved by
     auction_match. One taxi or one request is paired without a solve with
     its nearest counterpart, the lowest index on ties, as
-    linear_sum_assignment pairs a single row."""
+    linear_sum_assignment pairs a single row.
+
+    `shared` names a group's taxi whose row in `dist` is the least of its
+    members' rows (see _trajectory_cost); `dist_array` is then None, so
+    every matrix is listed from `dist`. While that taxi is a column left
+    unassigned, these pairs are every member's (the module docstring gives
+    the rule). Where it is a row (free taxis <= requests) or is assigned,
+    None is returned instead.
+    """
+    if shared is not None and len(free) <= len(reqs):
+        return None
     if len(free) == 1:
         drow = dist[locs[free[0]]]
         return [(free[0], min(reqs, key=lambda r: drow[r[1]]))]
     if len(reqs) == 1:
         pickup = reqs[0][1]
-        return [(min(free, key=lambda l: dist[locs[l]][pickup]), reqs[0])]
+        nearest = min(free, key=lambda l: dist[locs[l]][pickup])
+        return None if nearest == shared else [(nearest, reqs[0])]
     taxis_are_rows = len(free) <= len(reqs)
-    if len(free) * len(reqs) <= _LIST_BUILD_MAX_CELLS:
+    if dist_array is None or len(free) * len(reqs) <= _LIST_BUILD_MAX_CELLS:
         taxi_rows = [dist[locs[l]] for l in free]
         if taxis_are_rows:
             cost = [[drow[r[1]] for r in reqs] for drow in taxi_rows]
@@ -296,6 +397,8 @@ def _match_step(free, reqs, locs, dist, dist_array):
     cols = auction_match(cost)
     if taxis_are_rows:
         return [(free[a], reqs[b]) for a, b in enumerate(cols)]
+    if shared is not None and free.index(shared) in cols:
+        return None
     return [(free[b], reqs[a]) for a, b in enumerate(cols)]
 
 

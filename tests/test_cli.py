@@ -519,3 +519,83 @@ def test_graph_file_rewritten_between_calls_is_read_again(tmp_path):
                 + ["--out-dir", str(tmp_path / "c")]) == 0
     assert non_timing_digest(tmp_path / "a") != non_timing_digest(tmp_path / "b")
     assert non_timing_digest(tmp_path / "b") == non_timing_digest(tmp_path / "c")
+
+
+@pytest.mark.parametrize("command", ["simulate", "stability"])
+@pytest.mark.parametrize("flags, message", [
+    (["--e-eta", "nan"], "error: --e-eta must be a finite number, got nan\n"),
+    (["--e-eta", "inf"], "error: --e-eta must be a finite number, got inf\n"),
+    (["--e-eta", "1.0", "--hotspot", "5", "--hotspot-mass", "nan"],
+     "error: --hotspot-mass must be a finite number, got nan\n"),
+    (["--e-eta", "1.0", "--hotspot", "5", "--hotspot-mass", "inf"],
+     "error: --hotspot-mass must be a finite number, got inf\n"),
+], ids=["e-eta-nan", "e-eta-inf", "hotspot-mass-nan", "hotspot-mass-inf"])
+def test_non_finite_float_flag_is_a_one_line_error(tmp_path, capsys, command, flags, message):
+    out = tmp_path / "o"
+    rc = main([command, "--grid", "3", *flags, "--policy", "ia-ra", "--m", "2", "--T", "5",
+               "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "stability"])
+@pytest.mark.parametrize("text, message", [
+    ('{"e-eta": NaN}', "error: --e-eta must be a finite number, got nan\n"),
+    ('{"e-eta": 1.0, "hotspot": 5, "hotspot-mass": -Infinity}',
+     "error: --hotspot-mass must be a finite number, got -inf\n"),
+])
+def test_non_finite_config_value_is_a_one_line_error(tmp_path, capsys, command, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    rc = main([command, "--config", str(cfg), "--grid", "3", "--policy", "ia-ra", "--m", "2",
+               "--T", "5", "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+def _no_table_build(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a build started")
+
+    monkeypatch.setattr(graphmod, "grid_graph", fail)
+    monkeypatch.setattr(graphmod, "_all_pairs_distances", fail)
+    monkeypatch.setattr(graphmod, "_next_hop_rows", fail)
+    monkeypatch.setattr(graphmod.CityGraph, "_build_adjacency", fail)
+
+
+@pytest.mark.parametrize("command", ["simulate", "stability"])
+def test_grid_too_large_for_its_tables_exits_before_any_build(tmp_path, capsys, monkeypatch,
+                                                              command):
+    _no_table_build(monkeypatch)
+    out = tmp_path / "o"
+    rc = main([command, "--grid", "70000", "--e-eta", "1.0", "--policy", "ia-ra", "--m", "2",
+               "--T", "5", "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: a graph of 4900000000 nodes needs 1.79e+11 GiB of distance and next-hop "
+        "tables, more than the 2 GiB allowed\n")
+    assert not out.exists()
+
+
+def test_graph_file_too_large_for_its_tables_exits_before_any_build(tmp_path, capsys,
+                                                                    monkeypatch):
+    _no_table_build(monkeypatch)
+    graph = tmp_path / "g.txt"
+    graph.write_text("30000 1\n1 2\n")
+    rc = main(["simulate", "--graph", str(graph), "--e-eta", "1.0", "--policy", "ia-ra",
+               "--m", "2", "--T", "5", "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: a graph of 30000 nodes needs 3.35 GiB of distance and next-hop tables, "
+        "more than the 2 GiB allowed\n")
+
+
+def test_table_estimate_is_the_built_tables_size():
+    g = graphmod.grid_graph(6)
+    assert graphmod.table_bytes(g.n) == g.dist_array.nbytes + sum(
+        row.itemsize * len(row) for row in g._next)
+    assert graphmod.table_bytes(10000) < graphmod._TABLE_BYTES_MAX // 5  # 100x100 fits
+    assert graphmod.table_bytes(2 ** 16) == 2 * (2 ** 16 + 1) ** 2 * 4

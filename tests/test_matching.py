@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,3 +130,41 @@ def test_auction_match_accepts_lists_and_arrays_alike():
             cost = rng.integers(0, top + 1, size=(k, k + int(rng.integers(0, 4))))
             assert auction_match(cost) == auction_match(cost.tolist())
             assert auction_match(cost) == auction_match(cost.astype(float))
+
+
+def test_raising_an_unassigned_column_keeps_the_assignment():
+    # Grouped rollout scoring rests on this rule of linear_sum_assignment
+    # (scipy's shortest augmenting path): a column left unassigned is on no
+    # augmenting path, so raising any of its entries changes no row's
+    # column. Small integer costs make many ties. Checked as arrays and as
+    # nested lists, with one and with every unassigned column raised.
+    rng = np.random.default_rng(2016)
+    for trial in range(20000):
+        rows = int(rng.integers(1, 6))
+        cols = int(rng.integers(rows + 1, 8))
+        cost = rng.integers(0, 5, size=(rows, cols))
+        got = auction_match(cost)
+        unassigned = sorted(set(range(cols)) - set(got))
+        raised = cost.copy()
+        if trial % 2:
+            unassigned = [unassigned[int(rng.integers(len(unassigned)))]]
+        for j in unassigned:
+            raised[:, j] += rng.integers(0, 4, size=rows)
+        assert auction_match(raised) == got
+        assert auction_match(raised.tolist()) == got
+
+
+def test_single_request_goes_to_the_nearest_taxi_whatever_the_others_rise_to():
+    # One request (one row): the taxi taken is strictly nearer than every
+    # other, or as near and of a lower index, and stays taken when any
+    # other taxi's cost rises. Every row over {0, 1, 2}, up to 6 taxis.
+    for n in range(1, 7):
+        for row in itertools.product(range(3), repeat=n):
+            winner = row.index(min(row))
+            assert auction_match([list(row)]) == [winner]
+            for j in range(n):
+                if j != winner:
+                    for up in range(1, 3):
+                        raised = list(row)
+                        raised[j] += up
+                        assert auction_match([raised]) == [winner]

@@ -4,6 +4,7 @@ import numpy as np
 
 from fleetroll.demand import (DemandModel, Request, estimate_from_trips, generate_trips,
                              synthetic_model)
+from fleetroll import rollout
 from fleetroll.graph import grid_graph
 from fleetroll.matching import auction_match
 from fleetroll.rollout import (RolloutConfig, RolloutPolicy, _candidate_actions,
@@ -79,6 +80,19 @@ def generic_costs(state, joints, scenarios, graph, t_h, inbound):
              for batches in scenarios] for joint in joints]
 
 
+def per_candidate_costs(state, joints, scenarios, graph, t_h, inbound=()):
+    """Each joint scored alone: no group, every trajectory its own."""
+    return [_candidate_costs(state, [joint], scenarios, graph, t_h, inbound)[0]
+            for joint in joints]
+
+
+def candidate_joints(state, graph, l):
+    base_joint, _ = ia_ra_control(state, graph)
+    claimed = {a[1] for a in base_joint[:l] if a[0] == PICKUP}
+    return [_compose_joint(base_joint, cand, l, base_joint, claimed)
+            for cand in _candidate_actions(state, graph, l, claimed)]
+
+
 def test_fast_path_matches_generic_path(grid5):
     grid8 = grid_graph(8)
     rng = np.random.default_rng(77)
@@ -112,14 +126,10 @@ def test_fast_path_matches_generic_path(grid5):
         inbound = tuple((int(rng.integers(1, t_h + 3)), int(rng.integers(1, g.n + 1)))
                         for _ in range(int(rng.integers(0, 4))))
         s = FleetState(locs, timers, outstanding, in_service, 1)
-        base_joint, _ = ia_ra_control(s, g)
         free = [l for l in range(m) if timers[l] == 0]
-        joints = [base_joint]
+        joints = [ia_ra_control(s, g)[0]]
         if free:
-            l = free[int(rng.integers(len(free)))]
-            claimed = {a[1] for a in base_joint[:l] if a[0] == PICKUP}
-            joints = [_compose_joint(base_joint, cand, l, base_joint, claimed)
-                      for cand in _candidate_actions(s, g, l, claimed)]
+            joints = candidate_joints(s, g, free[int(rng.integers(len(free)))])
         scenarios = _sample_scenario(model, t_h, int(rng.integers(1, 5)), substream(3, trial))
         want = generic_costs(s, joints, scenarios, g, t_h, inbound)
         assert (_candidate_costs(s, joints, scenarios, g, t_h, inbound)
@@ -127,6 +137,85 @@ def test_fast_path_matches_generic_path(grid5):
         for k, batches in enumerate(scenarios):
             assert (_candidate_costs(s, joints, [batches], g, t_h, inbound)
                     == [costs[k] for costs in want])
+
+
+def test_grouped_stay_and_move_scores_equal_per_candidate_and_generic_scores(
+        grid3, monkeypatch):
+    # A free taxi's stay and move candidates share one trajectory per scenario
+    # until that taxi could be matched. Their grouped scores must equal each
+    # candidate scored alone and the sim.transition path, on small graphs
+    # with many ties, busy and inbound taxis.
+    calls = {"shared": 0, "mid": 0, "last": 0}
+    trajectory = rollout._trajectory_cost
+
+    def counted(start, first, batches, graph, t_h, arriving, group=None):
+        if group is not None:
+            calls["shared"] += 1
+        elif 1 < first < t_h:
+            calls["mid"] += 1
+        elif 1 < first == t_h:
+            calls["last"] += 1
+        return trajectory(start, first, batches, graph, t_h, arriving, group)
+
+    monkeypatch.setattr(rollout, "_trajectory_cost", counted)
+
+    def check(s, g, l, scenarios, t_h, inbound=()):
+        joints = candidate_joints(s, g, l)
+        want = generic_costs(s, joints, scenarios, g, t_h, inbound)
+        got = _candidate_costs(s, joints, scenarios, g, t_h, inbound)
+        assert got == per_candidate_costs(s, joints, scenarios, g, t_h, inbound)
+        assert got == [sum(costs) for costs in want]
+        return got
+
+    line = line_graph(8)
+    quiet = [[[]] * 4]
+    # l (taxi 0, at 8) is farther from the only request than taxi 1: it is
+    # never matched, so every member shares the whole trajectory.
+    s = make_state([8, 2], outstanding={1: Request(1, 1, 5, 1)})
+    before = dict(calls)
+    assert check(s, line, 0, quiet, 3) == [2, 2]  # stay, move 7
+    assert calls["shared"] == before["shared"] + 1 and calls["mid"] == before["mid"]
+    # l is the only free taxi, a row of every matching: the group splits at once.
+    s = make_state([4], outstanding={1: Request(1, 1, 8, 1), 2: Request(2, 7, 1, 1)})
+    check(s, line, 0, quiet, 3)
+    # Two free taxis, two requests: l is a row though another taxi is nearer.
+    s = make_state([5, 2], outstanding={1: Request(1, 1, 8, 1), 2: Request(2, 3, 8, 1)})
+    check(s, line, 0, quiet, 3)
+    # Last step (t_h = 1): only l, staying, stands on a pickup; taxi 1 stands
+    # on none, so the shared step solves nothing and the stay continues alone.
+    s = make_state([3, 8], outstanding={1: Request(1, 3, 5, 1), 2: Request(2, 6, 5, 1)})
+    # Pickup, stay, move 2, move 4: the stay's last step picks up, no move's does.
+    assert check(s, line, 0, [[[], []]], 1) == [4, 5, 6, 6]
+    # Inbound taxis join in the first step and during the shared trajectory.
+    s = make_state([6, 1], outstanding={1: Request(1, 2, 8, 1)})
+    check(s, line, 0, [[[(-1, 7, 1)], [], [(-2, 4, 2)], []]], 3, inbound=((2, 8), (3, 3)))
+
+    rng = np.random.default_rng(58)
+    graphs = [(line, synthetic_model(line, 1.0)), (grid3, synthetic_model(grid3, 1.5)),
+              (ring_graph(6), synthetic_model(ring_graph(6), 0.7))]
+    for trial in range(900):
+        g, model = graphs[trial % 3]
+        t_h = 1 + trial % 5
+        m = int(rng.integers(1, 6))
+        nodes = rng.integers(1, g.n + 1, size=int(rng.integers(1, 4)))  # few nodes: ties
+        locs = [int(rng.choice(nodes)) for _ in range(m)]
+        timers = [0] * m
+        in_service = {}
+        for l in range(1, m):
+            if rng.random() < 0.2:
+                drop = int(rng.integers(1, g.n + 1))
+                if drop != locs[l]:
+                    timers[l] = g.distance(locs[l], drop)
+                    in_service[l] = (100 + l, drop)
+        outstanding = {i: Request(i, int(rng.choice(nodes)), int(rng.integers(1, g.n + 1)), 1)
+                       for i in range(1, int(rng.integers(0, 5)) + 1)}
+        inbound = tuple((int(rng.integers(2, t_h + 3)), int(rng.choice(nodes)))
+                        for _ in range(int(rng.integers(0, 3))))
+        s = FleetState(locs, timers, outstanding, in_service, 1)
+        scenarios = _sample_scenario(model, t_h, int(rng.integers(1, 4)), substream(4, trial))
+        check(s, g, 0, scenarios, t_h, inbound)
+    # shared trajectories, and members continuing alone from a middle or the last step
+    assert calls["shared"] > 1000 and calls["mid"] > 50 and calls["last"] > 5
 
 
 def test_last_step_pickups_follow_the_tied_matching():
