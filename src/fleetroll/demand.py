@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
@@ -57,8 +58,8 @@ class ExpectationTerms:
 def _check_pmf(pmf, what):
     total = 0.0
     for k, p in pmf.items():
-        if p < 0:
-            raise DemandError(f"{what}: negative mass {p} at {k}")
+        if not 0 <= p < math.inf:
+            raise DemandError(f"{what}: negative or non-finite mass {p} at {k}")
         total += p
     if abs(total - 1.0) > _SUM_TOL:
         raise DemandError(f"{what}: masses sum to {total}, expected 1")
@@ -278,13 +279,10 @@ def estimate_from_trips(trips, graph, horizon: int | None = None) -> DemandModel
             raise InvalidNode(f"trip ({t}, {pu}, {do}) references a node outside 1..{graph.n}")
     if horizon is None:
         horizon = max(t for t, _, _ in trips)
-    counts = {}
-    for t, _, _ in trips:
-        counts[t] = counts.get(t, 0) + 1
-    eta_counts = {}
-    for t in range(1, horizon + 1):
-        c = counts.get(t, 0)
-        eta_counts[c] = eta_counts.get(c, 0) + 1
+    busy = Counter(t for t, _, _ in trips if t <= horizon)  # step -> arrivals
+    eta_counts = Counter(busy.values())
+    if horizon > len(busy):
+        eta_counts[0] = horizon - len(busy)
     eta_pmf = {c: k / horizon for c, k in eta_counts.items()}
 
     pickup_counts = {}

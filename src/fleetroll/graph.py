@@ -293,9 +293,12 @@ def load_graph(path) -> CityGraph:
     if len(vals) < 2:
         raise GraphError(f"{path}: expected a header line 'n m_edges'")
     (n, m), vals = vals[:2], vals[2:]
-    if len(vals) < 2 * m:
-        raise GraphError(f"{path}: expected {m} edges, found {len(vals) // 2}")
-    return CityGraph(n, list(zip(vals[0:2 * m:2], vals[1:2 * m:2])))
+    if m < 0:
+        raise GraphError(f"{path}: edge count {m} is negative")
+    if len(vals) != 2 * m:
+        raise GraphError(f"{path}: expected {m} edges ({2 * m} values after the header), "
+                         f"found {len(vals)} values")
+    return CityGraph(n, list(zip(vals[0::2], vals[1::2])))
 
 
 def save_graph(graph: CityGraph, path) -> None:

@@ -22,9 +22,9 @@ taxis and outstanding (id, pickup, dropoff) requests are kept sorted as
 events change them, and an occupied taxi is only looked at again when its
 trip ends. Matchings are IA-RA's, solved by linear_sum_assignment
 (`auction_match`) and skipped only where the answer is certain without a
-solve: a matching with a single row, that matching again while its taxi just
-moves one hop closer, and a last step in which no free taxi stands on an
-outstanding pickup. The tests check this path against `sim.transition`.
+solve: a matching with a single taxi or request, and a last step in which
+no free taxi stands on an outstanding pickup. The tests check this path
+against `sim.transition`.
 
 A taxi's stay and move candidates start from states that differ only in
 where that taxi stands, so they are scored as one trajectory per scenario
@@ -224,11 +224,8 @@ def _candidate_costs(state, joints, scenarios, graph, t_h, inbound=()):
             first = (locs, free, batches[0][::-1] + reqs, released,
                      cost + len(reqs) + len(batches[0]))
             got = _trajectory_cost(first, 1, batches, graph, t_h, arriving, group)
-            if group is None:
-                totals[members[0]] += got
-            else:
-                for k, c in zip(members, got):
-                    totals[k] += c
+            for k, c in zip(members, got):
+                totals[k] += c
     return totals
 
 
@@ -247,7 +244,7 @@ class _RowsWith(dict):
 
 
 def _trajectory_cost(start, first, batches, graph, t_h, arriving, group=None):
-    """Stage-cost sum of one IA-RA scenario trajectory from step `first` on.
+    """Stage-cost sums of one IA-RA scenario trajectory from step `first` on.
 
     `start` is the state as step `first` begins, before its matching: taxi
     locations, free taxis (ascending), outstanding (id, pickup, dropoff)
@@ -255,22 +252,25 @@ def _trajectory_cost(start, first, batches, graph, t_h, arriving, group=None):
     of the steps before. `arriving` maps a later step to the inbound taxis
     that join as free ones then. Scenario ids are negative and fall from
     batch to batch, below every real id, so each new batch goes in front,
-    reversed. Each step matches as IA-RA does, by _match_step; the last step
-    only counts its pickups.
+    reversed. Each step matches as IA-RA does, by _match_step. In the last
+    step only pickups change the count, and only a free taxi on an
+    outstanding pickup can make one, so it solves only then; ties can still
+    decide whether it does.
 
     `group`, (l, xs, rows), makes this one trajectory for several members
     that differ only in the node xs[g] where free taxi l stands: l stands on
     node 0, whose row in `rows` holds l's least distance to each node over
     the members. While the shared matching leaves l unmatched, it is every
     member's matching (see _match_step), so l stays put and the members share
-    events and cost. From a step where l could be matched, and in a last
-    step without a solve for the members whose l stands on a pickup, each
-    member continues alone. Returns the members' costs, in the order of xs.
+    events and cost. From a step where l could be matched, each member
+    continues alone; the last step solves if any member's l stands on a
+    pickup. Returns the members' costs in the order of xs, or the
+    one cost of a trajectory without a group, as a list.
     """
     dist = graph._dist
     dist_array = graph.dist_array
     nxt = graph._next
-    shared = None
+    shared, xs = None, [0]  # a lone trajectory: one member, on no node
     if group is not None:
         shared, xs, dist = group
         dist_array = None
@@ -279,32 +279,20 @@ def _trajectory_cost(start, first, batches, graph, t_h, arriving, group=None):
     free = list(free)
     reqs = list(reqs)
     released = dict(released)
-
-    # A single pair stays the matching while its taxi only moves one hop
-    # toward the pickup: its distance falls by one, any other pair's by at
-    # most one, so it stays the nearest and still wins its ties.
-    keep = False
-    pairs = ()
-    split = False
-    alone = ()
-    for i in range(first, t_h):
-        if not keep:
-            pairs = ()
-            if reqs and free:
-                pairs = _match_step(free, reqs, locs, dist, dist_array, shared)
-                if pairs is None:
-                    split = True
-                    break
-                keep = len(pairs) == 1
+    for i in range(first, t_h + 1):
+        pairs = ()
+        if reqs and free and (i < t_h or not {r[1] for r in reqs}.isdisjoint(
+                [locs[l] for l in free] + xs)):
+            pairs = _match_step(free, reqs, locs, dist, dist_array, shared)
+            if pairs is None:
+                break
         if i in released:
             for l in released[i]:
                 insort(free, l)
-            keep = False
         for l, req in pairs:
             pickup = req[1]
             if locs[l] == pickup:
                 reqs.remove(req)
-                keep = False
                 trip = dist[pickup][req[2]]
                 if trip > 0:
                     free.remove(l)
@@ -314,40 +302,18 @@ def _trajectory_cost(start, first, batches, graph, t_h, arriving, group=None):
             else:
                 locs[l] = nxt[locs[l]][pickup]
         if batches[i]:
-            keep = False
             reqs[:0] = batches[i][::-1]
         cost += len(reqs)
         for node in arriving.get(i + 1, ()):
             free.append(len(locs))
             locs.append(node)
-            keep = False
     else:
-        # Last step: only pickups change the count, and only a free taxi on
-        # an outstanding pickup can make one. Ties can still decide whether
-        # it does, so the matching is solved (or kept) as in any other step.
-        i = t_h
-        if not keep:
-            pairs = ()
-            if reqs and free:
-                pickups = {r[1] for r in reqs}
-                if any(locs[l] in pickups for l in free):
-                    pairs = _match_step(free, reqs, locs, dist, dist_array, shared)
-                    split = pairs is None
-                elif shared is not None:
-                    alone = pickups
-        if not split:
-            picked = sum(1 for l, req in pairs if locs[l] == req[1])
-            end = cost + len(reqs) - picked + len(batches[t_h])
-            if group is None:
-                return end
+        return [cost] * len(xs)
     costs = []
     for x in xs:
-        if split or x in alone:
-            locs[shared] = x
-            costs.append(_trajectory_cost((locs, free, reqs, released, cost), i, batches,
-                                          graph, t_h, arriving))
-        else:
-            costs.append(end)
+        locs[shared] = x
+        costs += _trajectory_cost((locs, free, reqs, released, cost), i, batches, graph,
+                                  t_h, arriving)
     return costs
 
 

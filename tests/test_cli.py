@@ -427,6 +427,24 @@ def test_graph_file_with_a_non_integer_is_a_one_line_error(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {graph}: line 1 is not integers: 'x y'\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("3 -1\n1 2\n2 3\n3 1\n2 1\n3 2\n1 3\n", "edge count -1 is negative"),
+    ("2 2\n1 2\n2 1\n5 5\n", "expected 2 edges (4 values after the header), found 6 values"),
+    ("2 2\n1 2\n2 1 7\n", "expected 2 edges (4 values after the header), found 5 values"),
+    ("2 2\n1 2\n", "expected 2 edges (4 values after the header), found 2 values"),
+], ids=["negative", "extra-edge", "stray-value", "short"])
+def test_graph_file_with_a_wrong_edge_count_is_a_one_line_error(tmp_path, capsys, text,
+                                                                 message):
+    graph = tmp_path / "g.txt"
+    graph.write_text(text)
+    out = tmp_path / "o"
+    rc = main(["simulate", "--graph", str(graph), "--e-eta", "1.0", "--policy", "greedy",
+               "--m", "2", "--T", "20", "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {graph}: {message}\n"
+    assert not out.exists()
+
+
 def test_unknown_base_policy_is_a_fleetroll_error():
     from fleetroll.errors import FleetrollError
     from fleetroll.rollout import RolloutConfig

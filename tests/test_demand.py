@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fleetroll import demand
-from fleetroll.demand import (DemandModel, DomainMismatch, EmptyLog, InvalidNode,
+from fleetroll.demand import (DemandError, DemandModel, DomainMismatch, EmptyLog, InvalidNode,
                               certainty_equivalence_requests, estimate_from_trips,
                               expectation_terms, generate_trips, read_trip_log,
                               sample_arrivals, sample_request, synthetic_model,
@@ -46,6 +46,29 @@ def test_empty_log_rejected(grid3):
 def test_invalid_node_rejected(grid3):
     with pytest.raises(InvalidNode):
         estimate_from_trips([(1, 1, 99)], grid3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("pmf", ["eta", "pickup", "dropoff", "initial"])
+def test_non_finite_mass_rejected(pmf, bad):
+    # A NaN mass passes both a `p < 0` test and the sum check, since every
+    # comparison with NaN is false; each pmf must reject it, and +-inf.
+    pmfs = {"eta": {1: 1.0}, "pickup": {1: 1.0}, "dropoff": {1: {1: 1.0}},
+            "initial": {1: 1.0}}
+    target = pmfs[pmf][1] if pmf == "dropoff" else pmfs[pmf]
+    target[2] = bad
+    with pytest.raises(DemandError, match="negative or non-finite mass"):
+        DemandModel(pmfs["eta"], pmfs["pickup"], pmfs["dropoff"], pmfs["initial"])
+
+
+def test_trip_log_far_in_time_costs_its_trips_not_its_horizon(grid3):
+    # Zero-arrival steps are counted, not visited: a largest t near 1e9 builds
+    # at once and gives the exact relative frequencies.
+    last = 999_999_937
+    trips = [(1, 1, 2), (1, 2, 3), (5, 4, 1), (last, 3, 1)]
+    assert estimate_from_trips(trips, grid3).eta_pmf == {0: (last - 3) / last, 1: 2 / last,
+                                                         2: 1 / last}
+    assert estimate_from_trips(trips, grid3, horizon=4).eta_pmf == {0: 3 / 4, 2: 1 / 4}
 
 
 def test_unseen_pickup_has_no_conditional_and_is_never_drawn(grid3):

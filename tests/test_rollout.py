@@ -182,10 +182,23 @@ def test_grouped_stay_and_move_scores_equal_per_candidate_and_generic_scores(
     s = make_state([5, 2], outstanding={1: Request(1, 1, 8, 1), 2: Request(2, 3, 8, 1)})
     check(s, line, 0, quiet, 3)
     # Last step (t_h = 1): only l, staying, stands on a pickup; taxi 1 stands
-    # on none, so the shared step solves nothing and the stay continues alone.
+    # on none, so only the stay's node makes the shared step solve. l is a row
+    # there, so each member continues alone.
     s = make_state([3, 8], outstanding={1: Request(1, 3, 5, 1), 2: Request(2, 6, 5, 1)})
     # Pickup, stay, move 2, move 4: the stay's last step picks up, no move's does.
     assert check(s, line, 0, [[[], []]], 1) == [4, 5, 6, 6]
+    # Last step of a shared trajectory (t_h = 2): l (taxi 0, at 8) is never the
+    # nearest to request 1, which taxi 1 heads for; a request then arrives on
+    # node 7, where l's move stands in step 2. Taxi 2 makes l a column there,
+    # which the shared solve assigns, so each member continues alone. Taxi 1
+    # stands on request 1's pickup in step 2 only when it starts at 2.
+    batches = [[], [(-1, 7, 1)], [(-2, 1, 5)]]
+    for start_1, want in ((1, [7, 6]), (2, [6, 5])):  # stay, move 7
+        s = make_state([8, start_1, 1], outstanding={1: Request(1, 4, 5, 1)})
+        before = dict(calls)
+        assert check(s, line, 0, [batches], 2) == want
+        assert calls["shared"] == before["shared"] + 1
+        assert calls["last"] == before["last"] + 2
     # Inbound taxis join in the first step and during the shared trajectory.
     s = make_state([6, 1], outstanding={1: Request(1, 2, 8, 1)})
     check(s, line, 0, [[[(-1, 7, 1)], [], [(-2, 4, 2)], []]], 3, inbound=((2, 8), (3, 3)))
@@ -264,27 +277,6 @@ def test_lookahead_matching_equals_the_ia_ra_policy(grid5):
                 g, [(l, locs[l]) for l in free],
                 [Request(rid, pu, do, 1) for rid, pu, do in reqs])
             assert {l: r[0] for l, r in pairs} == {l: r.id for l, r in want.items()}
-
-
-def test_single_pair_survives_one_hop_toward_its_pickup(grid5):
-    # The lookahead keeps a one-taxi or one-request matching while its taxi
-    # moves one hop toward the pickup and nothing else changes.
-    rng = np.random.default_rng(32)
-    checked = 0
-    for g in (grid5, ring_graph(12)):
-        for trial in range(1500):
-            n_other = int(rng.integers(1, 6))
-            n_free, n_req = (1, n_other) if trial % 2 else (n_other, 1)
-            nodes = rng.integers(1, g.n + 1, size=int(rng.integers(2, 6)))
-            free, reqs, locs = random_step(rng, g, n_free, n_req, nodes)
-            pairs = _match_step(free, reqs, locs, g._dist, g.dist_array)
-            [(l, r)] = pairs
-            if locs[l] == r[1]:
-                continue
-            locs[l] = g.next_hop(locs[l], r[1])
-            assert _match_step(free, reqs, locs, g._dist, g.dist_array) == pairs
-            checked += 1
-    assert checked > 2000
 
 
 def test_batched_scenarios_reproduce_sequential_draws(grid5):
