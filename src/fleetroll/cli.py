@@ -161,18 +161,32 @@ def _fleet_sizes(args):
     return m_values
 
 
-def _check_sectors(g, args, policies, m_values):
-    """Two-phase opens ceil(m / m_lim) sectors, each around a node of its own."""
+def _check_draws(what, doubles):
+    """Reject drawing `doubles` uniforms up front past graph.BYTES_MAX bytes."""
+    if 8 * doubles > graphmod.BYTES_MAX:
+        raise CLIError(f"{what} draws {8 * doubles / 2 ** 30:.3g} GiB of uniforms up front, "
+                       f"more than the {graphmod.BYTES_MAX / 2 ** 30:.3g} GiB allowed")
+
+
+def _check_run(g, model, args, policies, m_values):
+    """Two-phase opens ceil(m / m_lim) sectors, each around a node of its own;
+    an episode draws T-1 counts, 2 uniforms per arrival (at most eta_max a
+    step) and m locations up front, and rollout a scenario block per taxi."""
     m = max(m_values)
     if "two-phase" in policies and (K := math.ceil(m / args["m_lim"])) > g.n:
         raise CLIError(f"two-phase with --m {m} and --m-lim {args['m_lim']} opens "
                        f"{K} sectors, more than the graph's {g.n} nodes")
+    eta_max = max(k for k, p in model.eta_pmf.items() if p > 0)
+    _check_draws("an episode", (args["T"] - 1) * (1 + 2 * eta_max) + m)
+    if {"rollout", "two-phase"} & set(policies):
+        _check_draws("a rollout scenario block", args["num_mc"] * (args["t_h"] + 1)
+                     * (1 + 2 * math.ceil(model.e_eta)))
 
 
 def cmd_simulate(args):
     m_values = _fleet_sizes(args)
-    g, _ = _graph_and_model(args)  # bad input fails before any output; the runs reuse both
-    _check_sectors(g, args, [args["policy"]], m_values)
+    g, model = _graph_and_model(args)  # bad input fails before any output; the runs reuse both
+    _check_run(g, model, args, [args["policy"]], m_values)
     outdir = Path(args["out_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     tasks = _tasks_for(args, [args["policy"]], m_values)
@@ -206,8 +220,8 @@ def _paired_t(deltas):
 def cmd_compare(args):
     policies = args["policies"]
     m_values = _fleet_sizes(args)
-    g, _ = _graph_and_model(args)
-    _check_sectors(g, args, policies, m_values)
+    g, model = _graph_and_model(args)
+    _check_run(g, model, args, policies, m_values)
     outdir = Path(args["out_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     tasks = _tasks_for(args, policies, m_values)
@@ -261,7 +275,7 @@ def cmd_stability(args):
     # with no demand m_sufficient is 0; an episode needs at least one taxi
     m_values = args["m_sweep"] or [max(1, report.m_sufficient)]
     if args["verify"]:
-        _check_sectors(g, args, [args["policy"]], m_values)
+        _check_run(g, model, args, [args["policy"]], m_values)
     outdir = Path(args["out_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "stability_report.json", report.as_dict())
@@ -303,6 +317,7 @@ def cmd_gen_graph(args):
 
 def cmd_gen_trips(args):
     g, model = _graph_and_model(args)
+    _check_draws("a trip log step", 1 + 2 * max(k for k, p in model.eta_pmf.items() if p > 0))
     rows = demand.generate_trips(model, args["T"], args["seed"])
     demand.write_trip_log(rows, args["out"])
     print(f"wrote {len(rows)} trips over {args['T']} steps to {args['out']}")
@@ -517,8 +532,6 @@ def main(argv=None) -> int:
         if ns.command == "gen-graph":
             return ns.func({"k": ns.k, "out": ns.out})
         args = _merge(ns, actions, known)
-        if ns.command in ("gen-trips", "partition"):
-            args["out"] = ns.out
         _validate(ns.command, args)
         return ns.func(args)
     except (FleetrollError, OSError) as exc:  # OSError: an input that cannot be read

@@ -14,6 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Integral
 
 import numpy as np
 
@@ -55,19 +56,24 @@ class ExpectationTerms:
     e_eta: float         # expected arrivals per step
 
 
-def _check_pmf(pmf, what):
+def _checked(pmf, what, least=1, zeros=False):
+    """A pmf's positive masses (all of them with `zeros`) as floats, support
+    ascending, from one walk over it. Keys must be integers >= `least` (1
+    for nodes, 0 for counts), masses finite and nonnegative with sum 1."""
     total = 0.0
-    for k, p in pmf.items():
+    out = {}
+    for k, p in sorted(pmf.items()):
+        # type() first: an isinstance check against the ABC costs about 0.3 us
+        if type(k) is not int and not isinstance(k, Integral) or k < least:
+            raise DemandError(f"{what}: key {k!r} is not an integer >= {least}")
         if not 0 <= p < math.inf:
             raise DemandError(f"{what}: negative or non-finite mass {p} at {k}")
         total += p
+        if p > 0 or zeros:
+            out[int(k)] = float(p)
     if abs(total - 1.0) > _SUM_TOL:
         raise DemandError(f"{what}: masses sum to {total}, expected 1")
-
-
-def _positive(pmf):
-    """The positive masses of a pmf as floats, support ascending."""
-    return {int(k): float(p) for k, p in sorted(pmf.items()) if p > 0}
+    return out
 
 
 def _relabel(keys):
@@ -135,19 +141,18 @@ class DemandModel:
     """
 
     def __init__(self, eta_pmf, pickup_pmf, dropoff_given_pickup, initial_pmf=None):
-        _check_pmf(eta_pmf, "eta pmf")
-        _check_pmf(pickup_pmf, "pickup pmf")
-        self.eta_pmf = {int(k): float(p) for k, p in sorted(eta_pmf.items())}
-        self.pickup_pmf = _positive(pickup_pmf)
+        self.eta_pmf = _checked(eta_pmf, "eta pmf", least=0, zeros=True)
+        self.pickup_pmf = _checked(pickup_pmf, "pickup pmf")
         pickups = sorted(dropoff_given_pickup)
         conds = [dropoff_given_pickup[u] for u in pickups]
         group_of = {}  # id of a conditional pmf object -> its group index
         self._dropoff_pmfs = []  # distinct conditional pmfs, normalized
         for u, cond in zip(pickups, conds):
+            if type(u) is not int and not isinstance(u, Integral) or u < 1:
+                raise DemandError(f"dropoff pmfs by pickup: key {u!r} is not an integer >= 1")
             if id(cond) not in group_of:
-                _check_pmf(cond, f"dropoff pmf given pickup {u}")
                 group_of[id(cond)] = len(self._dropoff_pmfs)
-                self._dropoff_pmfs.append(_positive(cond))
+                self._dropoff_pmfs.append(_checked(cond, f"dropoff pmf given pickup {u}"))
         groups = list(map(group_of.__getitem__, map(id, conds)))
         self.dropoff_given_pickup = dict(zip(map(int, pickups),
                                              map(self._dropoff_pmfs.__getitem__, groups)))
@@ -168,8 +173,7 @@ class DemandModel:
             self._dropoff_cdf[g, :len(pmf)] = s.cum
         self.marginal_dropoff_pmf = self._marginal(top)
         if initial_pmf is not None:
-            _check_pmf(initial_pmf, "initial location pmf")
-            self.initial_location_pmf = _positive(initial_pmf)
+            self.initial_location_pmf = _checked(initial_pmf, "initial location pmf")
         else:
             self.initial_location_pmf = dict(self.marginal_dropoff_pmf)
 

@@ -43,7 +43,7 @@ _BLOCK_CELLS = 1 << 16  # cells per block of a weighted distance sum
 _ROW_LOOP_SOURCES = 250  # from this many sources a weighted distance sum goes target by target
 _BUILD_BLOCK_CELLS = 1 << 20  # cells per block of source rows in the table build
 _LIST_ROW_BYTES = 256 << 20  # list rows of distances kept per graph, 8 bytes a slot
-_TABLE_BYTES_MAX = 2 << 30  # about 5x the tables of a 100x100 grid (0.37 GiB)
+BYTES_MAX = 2 << 30  # for graph tables or a run's up-front draws; 5x a 100x100 grid's tables
 
 
 def table_bytes(n):
@@ -54,11 +54,11 @@ def table_bytes(n):
 
 def check_size(n):
     """Raise GraphError, before anything is built, for a graph whose
-    tables would take more than _TABLE_BYTES_MAX."""
-    if table_bytes(n) > _TABLE_BYTES_MAX:
+    tables would take more than BYTES_MAX."""
+    if table_bytes(n) > BYTES_MAX:
         raise GraphError(f"a graph of {n} nodes needs {table_bytes(n) / 2 ** 30:.3g} GiB "
                          f"of distance and next-hop tables, more than the "
-                         f"{_TABLE_BYTES_MAX / 2 ** 30:.3g} GiB allowed")
+                         f"{BYTES_MAX / 2 ** 30:.3g} GiB allowed")
 
 
 class CityGraph:
@@ -152,15 +152,6 @@ class CityGraph:
             self._dist_to = (self.dist_array if symmetric
                              else np.ascontiguousarray(self.dist_array.T))
         return self._dist_to
-
-    def shortest_path(self, i: int, j: int) -> list[int]:
-        """Node sequence from i to j inclusive, following next_hop."""
-        path = [i]
-        cur = i
-        while cur != j:
-            cur = self.next_hop(cur, j)
-            path.append(cur)
-        return path
 
 
 class _ListRows(dict):

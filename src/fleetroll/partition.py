@@ -53,15 +53,13 @@ class PartitionSpec:
         return self.assignment[v]
 
     @cached_property
-    def _members(self) -> dict:
-        """Sector id -> its nodes as an ascending array."""
-        ids = np.asarray(self.assignment)
-        return {k: np.flatnonzero(ids == k) for k in range(1, self.K + 1)}
-
-    @cached_property
-    def node_sets(self) -> dict:
-        """Sector id -> frozenset of its nodes (the planner reads it every step)."""
-        return {k: frozenset(vs.tolist()) for k, vs in self._members.items()}
+    def regions(self) -> np.ndarray:
+        """Row k: sector k's nodes as a boolean mask indexed by node, made
+        once; row 0 and entry 0 are all False. Rollout takes a row as its
+        region."""
+        masks = np.arange(self.K + 1)[:, None] == np.asarray(self.assignment)
+        masks[0] = masks[:, 0] = False
+        return masks
 
     def entry_point(self, graph, v_start: int, v_end: int) -> int:
         """Boundary entry point: the node of sector(v_end) on a shortest
@@ -70,7 +68,7 @@ class PartitionSpec:
         ks, ke = self.assignment[v_start], self.assignment[v_end]
         if ks == ke:
             raise PartitionError(f"{v_start} and {v_end} are both in sector {ks}")
-        nodes = self._members[ke]  # ascending; v_end is one
+        nodes = np.flatnonzero(self.regions[ke])  # ascending; v_end is one
         via = graph.dist_array[v_start, nodes].astype(np.intp)
         on_path = np.flatnonzero(via + graph.dist_array[nodes, v_end]
                                  == graph.dist_array[v_start, v_end])

@@ -31,12 +31,8 @@ from .sim import MOVE, NS_CE, FleetState, substream
 @dataclass(frozen=True)
 class TransitRoute:
     dest: int            # boundary entry node in the destination sector
-    path: tuple          # node sequence from the assignment location to dest
     start_clock: int
-
-    @property
-    def arrive_clock(self) -> int:
-        return self.start_clock + len(self.path) - 1
+    arrive_clock: int    # start_clock plus the distance to dest
 
 
 @dataclass
@@ -71,8 +67,7 @@ def high_level_plan(state, graph, pspec, model, t_h, prev: HighLevelPlan, seed) 
         if pspec.sector_of(loc) == pspec.sector_of(pickup):
             continue
         dest = pspec.entry_point(graph, loc, pickup)
-        transit[taxi] = TransitRoute(dest=dest, path=tuple(graph.shortest_path(loc, dest)),
-                                     start_clock=state.clock)
+        transit[taxi] = TransitRoute(dest, state.clock, state.clock + graph.distance(loc, dest))
     return HighLevelPlan(transit)
 
 
@@ -101,22 +96,22 @@ def split_state(state, pspec, exclude):
 
 
 def low_level_plan(substate, inbound, graph, model, cfg: RolloutConfig, seed,
-                   taxi_keys, sector_nodes):
-    """Sector-local one-at-a-time rollout.
+                   taxi_keys, region):
+    """Sector-local one-at-a-time rollout on the sector's mask `region`.
 
     Candidate moves leaving the sector are excluded, and the lookahead's
     scenarios keep only requests picked up in the sector; `inbound` announces
     scheduled transit arrivals as future free taxis for the lookahead.
     """
-    return one_at_a_time_control(substate, graph, model, cfg, seed,
-                                 allowed_nodes=sector_nodes, inbound=inbound,
-                                 taxi_keys=taxi_keys)
+    return one_at_a_time_control(substate, graph, model, cfg, seed, region=region,
+                                 inbound=inbound, taxi_keys=taxi_keys)
 
 
 def two_phase_control(state, graph, model, pspec, cfg: RolloutConfig,
                       plan: HighLevelPlan, seed, sector_timing=None):
     """One planning step: high-level rebalance, then all sector planners, then
-    merge sector controls with the transit taxis' scheduled hops.
+    merge sector controls with the transit taxis' next hops to their entry
+    points.
 
     When `sector_timing` is a list, one (t, sector, plan_ms) row is appended
     per sector planner call.
@@ -125,8 +120,7 @@ def two_phase_control(state, graph, model, pspec, cfg: RolloutConfig,
 
     actions = [None] * state.m
     for taxi, route in plan.transit.items():
-        idx = state.clock - route.start_clock
-        actions[taxi] = (MOVE, route.path[idx + 1])
+        actions[taxi] = (MOVE, graph.next_hop(state.locations[taxi], route.dest))
 
     subs = split_state(state, pspec, exclude=plan.transit)
     inbound_of = {
@@ -139,7 +133,7 @@ def two_phase_control(state, graph, model, pspec, cfg: RolloutConfig,
         sub, ids = subs[k]
         t0 = time.perf_counter()
         ctrl = low_level_plan(sub, inbound_of[k], graph, model, cfg, seed,
-                              taxi_keys=ids, sector_nodes=pspec.node_sets[k])
+                              taxi_keys=ids, region=pspec.regions[k])
         if sector_timing is not None:
             sector_timing.append((state.clock, k, (time.perf_counter() - t0) * 1000.0))
         for act, gid in zip(ctrl, ids):
@@ -159,8 +153,7 @@ class TwoPhasePolicy:
     name = "two-phase"
 
     def __init__(self, graph, model, m: int, m_lim: int, cfg: RolloutConfig):
-        self.K = math.ceil(m / m_lim)
-        self.pspec = get_partitions(graph, model, self.K)
+        self.pspec = get_partitions(graph, model, math.ceil(m / m_lim))
         self.graph = graph
         self.model = model
         self.cfg = cfg

@@ -51,7 +51,7 @@ import numpy as np
 from . import policies
 from .errors import FleetrollError
 from .matching import auction_match
-from .sim import MOVE, PICKUP, STAY, NS_LOOKAHEAD, forced_hop_action, substream
+from .sim import MOVE, PICKUP, STAY, NS_LOOKAHEAD, substream
 
 
 class RolloutError(FleetrollError):
@@ -146,10 +146,9 @@ def _candidate_costs(state, joints, scenarios, graph, t_h, inbound=()):
     free taxi when its clock comes up. The candidate step, which no scenario
     changes, is simulated once per candidate and _trajectory_cost continues
     it per scenario. Occupied taxis need no per-step work there: each is put
-    where its trip ends (for a taxi in service in `state`, where its
-    remaining hops lead) and rejoins the free taxis in the step its timer
-    runs out; one that is not free before the last matching is never looked
-    at again.
+    on its dropoff (a trip's timer is its remaining distance) and rejoins
+    the free taxis in the step its timer runs out; one that is not free
+    before the last matching is never looked at again.
 
     Joints that differ only in the stay or move of one free taxi l, the
     first taxi whose action differs between joints, start from states that
@@ -158,7 +157,6 @@ def _candidate_costs(state, joints, scenarios, graph, t_h, inbound=()):
     until l could be matched (see _trajectory_cost).
     """
     dist = graph._dist
-    nxt = graph._next
     arriving = {}
     for when, node in inbound:
         if 0 < when - state.clock <= t_h:
@@ -168,11 +166,9 @@ def _candidate_costs(state, joints, scenarios, graph, t_h, inbound=()):
     released = {}  # step -> taxis whose trip ends in that step
     for l, (_, dropoff) in state.in_service.items():
         timer = state.timers[l]
-        if timer <= t_h:
-            for _ in range(timer):
-                locs[l] = nxt[locs[l]][dropoff]
-            if timer > 1:
-                released[timer - 1] = released.get(timer - 1, ()) + (l,)
+        locs[l] = dropoff
+        if 1 < timer <= t_h:
+            released[timer - 1] = released.get(timer - 1, ()) + (l,)
     outstanding = [(rid, r.pickup, r.dropoff) for rid, r in sorted(state.outstanding.items())]
 
     starts = []
@@ -368,12 +364,12 @@ def _match_step(free, reqs, locs, dist, dist_array, shared=None):
     return [(free[b], reqs[a]) for a, b in enumerate(cols)]
 
 
-def _candidate_actions(state, graph, taxi, claimed, allowed_nodes=None):
+def _candidate_actions(state, graph, taxi, claimed, region=None):
     """Candidate control set for a free taxi, in tie-break order: pickups of
     co-located requests (ascending id), stay, then neighbors ascending.
 
-    Requests already claimed by earlier taxis are not offered; moves leaving
-    `allowed_nodes` (when given) are excluded."""
+    Requests already claimed by earlier taxis are not offered; moves to nodes
+    that `region` (when given) does not mark are excluded."""
     loc = state.locations[taxi]
     cands = []
     for rid in sorted(state.outstanding):
@@ -382,7 +378,7 @@ def _candidate_actions(state, graph, taxi, claimed, allowed_nodes=None):
             cands.append((PICKUP, rid))
     cands.append((STAY,))
     for nb in graph.adj[loc]:
-        if allowed_nodes is None or nb in allowed_nodes:
+        if region is None or region[nb]:
             cands.append((MOVE, nb))
     return cands
 
@@ -408,32 +404,29 @@ def _compose_joint(chosen, candidate, taxi, base_joint, claimed):
 
 
 def one_at_a_time_control(state, graph, model, cfg: RolloutConfig, seed: int,
-                          allowed_nodes=None, inbound=(), taxi_keys=None):
+                          region=None, inbound=(), taxi_keys=None):
     """Joint control from m sequential per-taxi lookahead minimizations.
 
-    Occupied taxis contribute their single forced control without simulation.
-    `taxi_keys` supplies the seed-keying identity of each taxi (global ids when
-    planning a sector sub-state) and `inbound` announces scheduled future taxi
-    arrivals for sector-local planning. `allowed_nodes`, the region, confines
-    candidate moves to its nodes and selects the lookahead's requests: each
-    scenario keeps only the requests picked up in the region. The scenario
-    draws, and so their common random numbers, stay those of global rollout.
+    Occupied taxis contribute their single forced control, the base joint's
+    hop, without simulation. `taxi_keys` supplies the seed-keying identity of
+    each taxi (global ids when planning a sector sub-state) and `inbound`
+    announces scheduled future taxi arrivals for sector-local planning.
+    `region`, a boolean array indexed by node, confines candidate moves to
+    the nodes it marks and selects the lookahead's requests: each scenario
+    keeps only the requests picked up in the region. The scenario draws, and
+    so their common random numbers, stay those of global rollout.
     """
     m = state.m
     if taxi_keys is None:
         taxi_keys = list(range(m))
-    region = None
-    if allowed_nodes is not None:
-        region = np.zeros(graph.n + 1, dtype=bool)
-        region[list(allowed_nodes)] = True
     base_joint, _ = policies.ia_ra_control(state, graph)
     chosen = [None] * m
     claimed = set()
     for l in range(m):
         if state.timers[l] > 0:
-            chosen[l] = forced_hop_action(state, graph, l)
+            chosen[l] = base_joint[l]
             continue
-        cands = _candidate_actions(state, graph, l, claimed, allowed_nodes)
+        cands = _candidate_actions(state, graph, l, claimed, region)
         if len(cands) == 1:
             chosen[l] = cands[0]
         else:

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import shortest_path as csgraph_shortest_path
 
 from fleetroll.demand import Request, certainty_equivalence_requests
 from fleetroll.matching import auction_match
@@ -241,6 +241,14 @@ def evaluate_candidate(state, joint_control, graph, model, cfg, rng, inbound=())
     return LookaheadEstimate(sum(costs) / len(costs), costs)
 
 
+def shortest_path(graph, i, j):
+    """Node sequence from i to j inclusive, following graph.next_hop."""
+    path = [i]
+    while path[-1] != j:
+        path.append(graph.next_hop(path[-1], j))
+    return path
+
+
 def high_level_plan_reference(state, graph, pspec, model, t_h, prev, seed):
     """The two-phase high-level plan as built on an id-labelled
     AssignmentProblem: free taxis as rows, the pooled real and
@@ -260,8 +268,8 @@ def high_level_plan_reference(state, graph, pspec, model, t_h, prev, seed):
         loc = state.locations[taxi]
         if pspec.sector_of(loc) != pspec.sector_of(pickup):
             dest = pspec.entry_point(graph, loc, pickup)
-            transit[taxi] = TransitRoute(dest, tuple(graph.shortest_path(loc, dest)),
-                                         state.clock)
+            path = shortest_path(graph, loc, dest)
+            transit[taxi] = TransitRoute(dest, state.clock, state.clock + len(path) - 1)
     return HighLevelPlan(transit)
 
 
@@ -527,7 +535,7 @@ def csgraph_tables(graph):
     n = graph.n
     heads, tails = np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T - 1
     arcs = csr_matrix((np.ones(len(heads)), (heads, tails)), shape=(n, n))
-    hops = shortest_path(arcs, method="D", directed=True, unweighted=True)
+    hops = csgraph_shortest_path(arcs, method="D", directed=True, unweighted=True)
     assert np.isfinite(hops).all(), "graph is not strongly connected"
     dist = np.full((n + 1, n + 1), np.iinfo(graph.dist_array.dtype).max, dtype=np.int64)
     dist[1:, 1:] = hops

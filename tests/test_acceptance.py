@@ -182,7 +182,7 @@ def test_criterion_6_two_phase_reduction():
     cfg = RolloutConfig(t_h=5, num_mc=5)
     for seed in range(10):
         pol = TwoPhasePolicy(g, model, m=3, m_lim=10, cfg=cfg)
-        assert pol.K == 1
+        assert pol.pspec.K == 1
         two = run_episode(pol.graph, model, pol, 3, 50, seed)
         glob = run_episode(g, model, RolloutPolicy(g, model, cfg), 3, 50, seed)
         assert two.controls == glob.controls

@@ -611,9 +611,33 @@ def test_graph_file_too_large_for_its_tables_exits_before_any_build(tmp_path, ca
         "more than the 2 GiB allowed\n")
 
 
+# Each input asks numpy for far more memory than any machine has, so
+# without the guard it fails at allocation, never by filling memory. A huge
+# --m would be drawn into memory before failing: never run one here.
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--e-eta", "1e12", "--policy", "greedy", "--m", "2"],
+     "an episode draws 5.96e+04 GiB"),
+    (["stability", "--e-eta", "1e9", "--verify", "--seeds", "5"],
+     "an episode draws 86.1 GiB"),
+    (["gen-trips", "--e-eta", "1e12"], "a trip log step draws 1.49e+04 GiB"),
+    (["simulate", "--e-eta", "1", "--policy", "rollout", "--m", "2",
+      "--num-mc", "1000000000000"], "a rollout scenario block draws 2.46e+05 GiB"),
+], ids=["episode-requests", "verify-fleet", "trip-log-step", "rollout-scenarios"])
+def test_draws_too_large_to_make_are_rejected_before_any_output(tmp_path, capsys, argv,
+                                                                message):
+    out = tmp_path / "o"
+    dest = ["--out", str(out)] if argv[0] == "gen-trips" else ["--out-dir", str(out)]
+    rc = main(argv + ["--grid", "3", "--T", "5"] + dest)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err == f"error: {message} of uniforms up front, more than the 2 GiB allowed\n"
+    assert not out.exists()
+
+
 def test_table_estimate_is_the_built_tables_size():
     g = graphmod.grid_graph(6)
     assert graphmod.table_bytes(g.n) == g.dist_array.nbytes + sum(
         row.itemsize * len(row) for row in g._next)
-    assert graphmod.table_bytes(10000) < graphmod._TABLE_BYTES_MAX // 5  # 100x100 fits
+    assert graphmod.table_bytes(10000) < graphmod.BYTES_MAX // 5  # 100x100 fits
     assert graphmod.table_bytes(2 ** 16) == 2 * (2 ** 16 + 1) ** 2 * 4

@@ -61,6 +61,41 @@ def test_non_finite_mass_rejected(pmf, bad):
         DemandModel(pmfs["eta"], pmfs["pickup"], pmfs["dropoff"], pmfs["initial"])
 
 
+@pytest.mark.parametrize("eta, pickup, dropoff, initial, message", [
+    ({-1: 1.0}, {1: 1.0}, {1: {1: 1.0}}, None, "eta pmf: key -1 is not an integer >= 0"),
+    ({1.5: 1.0}, {1: 1.0}, {1: {1: 1.0}}, None, "eta pmf: key 1.5 is not an integer >= 0"),
+    ({1: 1.0}, {1: 1.0}, {1: {-3: 1.0}}, None,
+     "dropoff pmf given pickup 1: key -3 is not an integer >= 1"),
+    ({1: 1.0}, {0: 0.5, 1: 0.5}, {0: {1: 1.0}, 1: {1: 1.0}}, None,
+     "pickup pmf: key 0 is not an integer >= 1"),
+    ({1: 1.0}, {1: 1.0}, {1: {1: 1.0}, 0: {1: 1.0}}, None,
+     "dropoff pmfs by pickup: key 0 is not an integer >= 1"),
+    ({1: 1.0}, {1: 1.0}, {1: {1: 1.0}}, {"2": 1.0},
+     "initial location pmf: key '2' is not an integer >= 1"),
+], ids=["negative-count", "fractional-count", "negative-dropoff", "padding-pickup",
+        "padding-conditional", "string-node"])
+def test_support_key_that_is_no_count_or_node_rejected(eta, pickup, dropoff, initial, message):
+    # Counts are integers >= 0 and nodes integers >= 1: node 0 is the padding
+    # row of the samplers' tables.
+    with pytest.raises(DemandError) as err:
+        DemandModel(eta, pickup, dropoff, initial)
+    assert str(err.value) == message
+
+
+def test_integer_keys_of_any_integer_type_keep_the_model():
+    # numpy integers are integers; zero eta masses stay in eta_pmf, and only
+    # positive masses enter the node pmfs.
+    got = DemandModel({np.int64(0): 0.0, 2: 1.0}, {np.int64(3): 0.5, 1: 0.5, 2: 0.0},
+                      {1: {2: 1.0}, 3: {1: 0.25, 2: 0.75}})
+    want = DemandModel({0: 0.0, 2: 1.0}, {1: 0.5, 3: 0.5}, {1: {2: 1.0}, 3: {1: 0.25, 2: 0.75}})
+    assert list(got.eta_pmf.items()) == [(0, 0.0), (2, 1.0)]
+    assert all(type(k) is int for k in got.eta_pmf)
+    assert list(got.pickup_pmf.items()) == [(1, 0.5), (3, 0.5)] == list(want.pickup_pmf.items())
+    assert got.e_eta == 2.0
+    assert got.dropoff_given_pickup == want.dropoff_given_pickup
+    assert got.marginal_dropoff_pmf == want.marginal_dropoff_pmf
+
+
 def test_trip_log_far_in_time_costs_its_trips_not_its_horizon(grid3):
     # Zero-arrival steps are counted, not visited: a largest t near 1e9 builds
     # at once and gives the exact relative frequencies.

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from fleetroll.demand import DemandModel, estimate_from_trips, generate_trips, synthetic_model
@@ -42,7 +43,7 @@ def test_uniform_4x4_two_balanced_sectors():
     g = grid_graph(4)
     model = uniform_model(g)
     spec = get_partitions(g, model, K=2)
-    sizes = sorted(len(spec.node_sets[k]) for k in (1, 2))
+    sizes = sorted(int(spec.regions[k].sum()) for k in (1, 2))
     assert sizes == [8, 8]
 
 
@@ -57,6 +58,21 @@ def test_partition_is_disjoint_cover(grid5):
             seen.setdefault(k, []).append(v)
         assert len(seen) == K  # nonempty sectors
         assert sum(len(vs) for vs in seen.values()) == 25
+
+
+def test_regions_cover_every_node_once_and_never_node_0(grid5):
+    hot = synthetic_model(grid5, 1.0, hotspot=7, hotspot_mass=0.45)
+    g20 = grid_graph(20)
+    for g, model, K in [(grid5, hot, 1), (grid5, hot, 4), (g20, uniform_model(g20), 6)]:
+        spec = get_partitions(g, model, K=K)
+        regions = spec.regions
+        assert regions.dtype == bool and regions.shape == (K + 1, g.n + 1)
+        assert not regions[:, 0].any() and not regions[0].any()
+        assert regions[1:, 1:].sum(axis=0).tolist() == [1] * g.n
+        for k in range(1, K + 1):
+            assert np.flatnonzero(regions[k]).tolist() == [
+                v for v in range(1, g.n + 1) if spec.sector_of(v) == k]
+        assert spec.regions is regions  # made once per partition
 
 
 def test_centers_live_in_their_own_sector(grid5):
@@ -77,7 +93,7 @@ def test_high_demand_corner_gets_smaller_sector():
     model = DemandModel({1: 1.0}, pickup, {u: dict(uniform) for u in range(1, 17)})
     spec = get_partitions(g, model, K=2)
     hot_sector = spec.sector_of(1)
-    hot_size = len(spec.node_sets[hot_sector])
+    hot_size = int(spec.regions[hot_sector].sum())
     other_size = 16 - hot_size
     assert hot_size < other_size
 
@@ -101,7 +117,7 @@ def test_inverse_size_across_seeded_models(grid5):
             pickup[v] += 0.1
         model = DemandModel({1: 1.0}, pickup, {u: dict(uniform) for u in range(1, 26)})
         spec = get_partitions(grid5, model, K=3)
-        hot_size = len(spec.node_sets[spec.sector_of(mode)])
+        hot_size = int(spec.regions[spec.sector_of(mode)].sum())
         wins += hot_size <= 25 / 3
     assert wins >= 0.8 * runs
 

@@ -9,7 +9,7 @@ from fleetroll import rollout
 from fleetroll.rollout import RolloutConfig, RolloutPolicy, _sample_scenario
 from fleetroll.sim import MOVE, FleetState, run_episode
 from conftest import line_graph, ring_graph
-from oracles import high_level_plan_reference, run_two_phase
+from oracles import high_level_plan_reference, run_two_phase, shortest_path
 
 
 def two_sector_line():
@@ -42,17 +42,14 @@ def test_high_level_cross_sector_schedules_boundary_route():
     plan = high_level_plan(s, g, spec, zero_model(), t_h=3, prev=HighLevelPlan(), seed=0)
     assert 0 in plan.transit
     route = plan.transit[0]
-    assert route.dest == 3                      # boundary entry of sector 2
-    assert route.path == (1, 2, 3)              # hop-by-hop shortest path
-    assert route.start_clock == 1
-    assert route.arrive_clock == 3
+    assert route == TransitRoute(dest=3, start_clock=1, arrive_clock=3)  # entry of sector 2
 
 
 def test_high_level_no_free_taxis_keeps_plan():
     g, spec = two_sector_line()
     s = make_state([1], timers=[2], in_service={0: (7, 3)},
                    outstanding={1: Request(1, 4, 3, 1)})
-    prev = HighLevelPlan({5: TransitRoute(dest=3, path=(2, 3), start_clock=0)})
+    prev = HighLevelPlan({5: TransitRoute(dest=3, start_clock=0, arrive_clock=1)})
     # taxi 5 does not exist in this tiny state; prune keys on locations only
     prev = HighLevelPlan()
     plan = high_level_plan(s, g, spec, zero_model(), 3, prev, seed=0)
@@ -87,7 +84,7 @@ def test_high_level_plan_matches_the_assignment_problem_path(grid5):
                                     int(rng.integers(1, g.n + 1)), 1)
                        for rid in range(1, int(rng.integers(0, 9)) + 1)}
         prev = HighLevelPlan({l: TransitRoute(dest=int(rng.choice([locs[l], 1])),
-                                              path=(locs[l],), start_clock=0)
+                                              start_clock=0, arrive_clock=0)
                               for l in range(m) if timers[l] == 0 and rng.random() < 0.2})
         s = FleetState(locs, timers, outstanding, in_service, int(rng.integers(1, 40)))
         got = high_level_plan(s, g, spec, model, t_h, prev, seed=trial)
@@ -127,7 +124,7 @@ def test_sector_lookahead_sees_only_requests_picked_up_in_its_sector(monkeypatch
         return _sample_scenario(model, cfg.t_h, cfg.num_mc, real_substream(*key))
 
     pol = TwoPhasePolicy(g, model, m=9, m_lim=3, cfg=cfg)
-    assert pol.K == 3
+    assert pol.pspec.K == 3
     run_episode(g, model, pol, 9, 20, seed=4)
     sector_of = pol.pspec.sector_of
     sectors, kept, dropped = set(), 0, 0
@@ -194,7 +191,7 @@ def test_k1_reduces_to_global_rollout(grid5):
     cfg = RolloutConfig(t_h=3, num_mc=3)
     for seed in (0, 1):
         pol = TwoPhasePolicy(grid5, model, m=3, m_lim=10, cfg=cfg)
-        assert pol.K == 1
+        assert pol.pspec.K == 1
         t2 = run_episode(grid5, model, pol, 3, 40, seed)
         tr = run_episode(grid5, model, RolloutPolicy(grid5, model, cfg), 3, 40, seed)
         assert t2.controls == tr.controls
@@ -221,8 +218,8 @@ def test_all_taxis_transiting_control_is_scheduled_hops():
     g, spec = two_sector_line()
     model = zero_model()
     cfg = RolloutConfig(t_h=2, num_mc=1)
-    plan = HighLevelPlan({0: TransitRoute(dest=3, path=(1, 2, 3), start_clock=1),
-                          1: TransitRoute(dest=4, path=(2, 3, 4), start_clock=1)})
+    plan = HighLevelPlan({0: TransitRoute(dest=3, start_clock=1, arrive_clock=3),
+                          1: TransitRoute(dest=4, start_clock=1, arrive_clock=3)})
     s = make_state([1, 2])
     ctrl, new_plan = two_phase_control(s, g, model, spec, cfg, plan, seed=0)
     assert ctrl == [(MOVE, 2), (MOVE, 3)]
@@ -239,7 +236,7 @@ def test_per_step_outstanding_decomposition(grid5):
         total = sum(len(sub.outstanding) for sub, _ in subs.values())
         missing = len(state.outstanding) - total
         # requests in sectors without local taxis are not in any sub-state
-        uncovered = {k for k in range(1, pol.K + 1) if k not in subs}
+        uncovered = {k for k in range(1, pol.pspec.K + 1) if k not in subs}
         for rid, r in state.outstanding.items():
             if pol.pspec.sector_of(r.pickup) in uncovered:
                 missing -= 1
@@ -256,7 +253,7 @@ def test_sector_timing_rows(grid5):
     run_episode(grid5, model, pol, 4, 20, 1)
     assert pol.sector_timing
     for t, k, ms in pol.sector_timing:
-        assert 1 <= t < 20 and 1 <= k <= pol.K and ms >= 0.0
+        assert 1 <= t < 20 and 1 <= k <= pol.pspec.K and ms >= 0.0
 
 
 def test_two_phase_plans_on_the_callers_graph(grid5):
@@ -264,4 +261,41 @@ def test_two_phase_plans_on_the_callers_graph(grid5):
     pol = TwoPhasePolicy(grid5, synthetic_model(grid5, 0.5), m=4, m_lim=2,
                          cfg=RolloutConfig(t_h=2, num_mc=1))
     assert pol.graph is grid5
-    assert pol.pspec.K == pol.K == 2
+    assert pol.pspec.K == 2
+
+
+def test_transits_follow_the_oracle_path_and_arrive_on_their_clock():
+    # A 20x20 metro in six sectors: every transit moves hop by hop along the
+    # shortest path to its entry point, reaches it exactly at arrive_clock and
+    # then leaves the plan.
+    g = grid_graph(20)
+    model = synthetic_model(g, 2.0)
+    pol = TwoPhasePolicy(g, model, m=60, m_lim=10, cfg=RolloutConfig(t_h=2, num_mc=2))
+    assert pol.pspec.K == 6
+    seen = []  # (clock, locations, control, transit) per step
+    control = pol.control
+
+    def recording(state):
+        ctrl, assignments = control(state)
+        seen.append((state.clock, list(state.locations), ctrl, dict(pol.plan.transit)))
+        return ctrl, assignments
+
+    pol.control = recording
+    run_episode(g, model, pol, 60, 25, seed=19)
+    checked = 0
+    for clock, locations, _, transit in seen:
+        for taxi, route in transit.items():
+            if route.start_clock != clock:
+                continue
+            path = shortest_path(g, locations[taxi], route.dest)
+            assert route.arrive_clock == clock + len(path) - 1
+            if route.arrive_clock > seen[-1][0]:
+                continue  # still on its way when the episode ends
+            for i, hop in enumerate(path[1:]):
+                _, locs, ctrl, plan = seen[clock - 1 + i]
+                assert plan[taxi] == route and locs[taxi] == path[i]
+                assert ctrl[taxi] == (MOVE, hop)
+            _, locs, _, plan = seen[route.arrive_clock - 1]
+            assert locs[taxi] == route.dest and plan.get(taxi) != route
+            checked += 1
+    assert checked >= 10, checked
