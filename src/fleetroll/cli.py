@@ -284,11 +284,9 @@ def cmd_stability(args):
     if args["verify"]:
         verdict_rows = [["m", "policy", "verdict", "first_window_mean",
                          "last_window_mean", "slope", "slope_p"]]
+        results = _execute(_tasks_for(args, [args["policy"]], m_values), args["jobs"])
         for m in m_values:
-            tasks = _tasks_for(args, [args["policy"]], [m])
-            results = _execute(tasks, args["jobs"])
-            series = [r["outstanding_series"] for r in results]
-            traces = [_SeriesTrace(s) for s in series]
+            traces = [_SeriesTrace(r["outstanding_series"]) for r in results if r["m"] == m]
             v = empirical_stability(traces, window=max(1, args["T"] // 4))
             verdict_rows.append([m, args["policy"], v.verdict,
                                  f"{v.first_window_mean:.3f}", f"{v.last_window_mean:.3f}",

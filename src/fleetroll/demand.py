@@ -342,8 +342,8 @@ def synthetic_model(graph, e_eta: float, hotspot: int | None = None,
 
     Arrival counts take values {floor(e_eta), floor(e_eta)+1} with the masses
     needed to hit the requested mean. Pickups are uniform over nodes, except
-    that `hotspot_mass` can be concentrated on one node; dropoffs are uniform
-    regardless of pickup.
+    that `hotspot_mass` can be concentrated on one node, the `hotspot`, which
+    a positive mass needs; dropoffs are uniform regardless of pickup.
     """
     if not 0 <= e_eta < math.inf:
         raise DemandError(f"mean arrivals must be finite and nonnegative, got {e_eta}")
@@ -351,6 +351,8 @@ def synthetic_model(graph, e_eta: float, hotspot: int | None = None,
         raise DemandError(f"hotspot {hotspot} is outside the graph's nodes 1..{graph.n}")
     if not 0.0 <= hotspot_mass <= 1.0:
         raise DemandError(f"hotspot mass must be in [0, 1], got {hotspot_mass}")
+    if hotspot is None and hotspot_mass > 0:
+        raise DemandError(f"hotspot mass {hotspot_mass} needs a hotspot node")
     lo = math.floor(e_eta)
     frac = e_eta - lo
     if frac < 1e-12:
@@ -358,7 +360,7 @@ def synthetic_model(graph, e_eta: float, hotspot: int | None = None,
     else:
         eta_pmf = {lo: 1.0 - frac, lo + 1: frac}
     n = graph.n
-    if hotspot is not None and hotspot_mass > 0:
+    if hotspot_mass > 0:
         rest = (1.0 - hotspot_mass) / n
         pickup_pmf = {v: rest for v in range(1, n + 1)}
         pickup_pmf[hotspot] += hotspot_mass

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .matching import auction_match
-from .sim import HOP, MOVE, PICKUP, STAY, forced_hop_action, substream, NS_POLICY
+from .sim import HOP, MOVE, PICKUP, STAY, substream, NS_POLICY
 
 
 @lru_cache(maxsize=8)
@@ -82,27 +82,19 @@ def greedy_control(state, graph):
     """
     requests = [state.outstanding[rid] for rid in sorted(state.outstanding)]
     dist = graph._dist
-    control = []
+    targets = {}
     claimed = set()
-    for l in range(state.m):
-        if state.timers[l] > 0:
-            control.append(forced_hop_action(state, graph, l))
+    for l, tau in enumerate(state.timers):
+        if tau > 0 or not requests:
             continue
-        if not requests:
-            control.append((STAY,))
-            continue
-        loc = state.locations[l]
-        drow = dist[loc]
-        best = min(requests, key=lambda r: (drow[r.pickup], r.id))
+        drow = dist[state.locations[l]]
+        best = min(requests, key=lambda r: drow[r.pickup])  # first minimum: smallest id
         if drow[best.pickup] == 0:
             if best.id in claimed:
-                control.append((STAY,))
-            else:
-                claimed.add(best.id)
-                control.append((PICKUP, best.id))
-        else:
-            control.append((MOVE, graph.next_hop(loc, best.pickup)))
-    return control, {}
+                continue
+            claimed.add(best.id)
+        targets[l] = best
+    return _controls(state, graph, targets), {}
 
 
 def ia_ra_control(state, graph):

@@ -4,11 +4,12 @@ steps plus a terminal outstanding-count cost.
 
 Taxis are processed in ascending id order. While taxi l is minimized, taxis
 before l are frozen at their already-chosen rollout controls and taxis after l
-follow the base policy's joint control for the current state. Each (step,
-taxi) pair gets its own seed-derived stream from which all of its scenarios
-are drawn up front in one vectorized call, so candidates of one taxi share
-common random numbers and results never depend on evaluation order or
-parallelism.
+follow the base policy's joint control for the current state. A base pickup
+of a request that an earlier taxi has already taken leaves the later taxi
+where it stands. Each (step, taxi) pair gets its own seed-derived stream from
+which all of its scenarios are drawn up front in one vectorized call, so
+candidates of one taxi share common random numbers and results never depend
+on evaluation order or parallelism.
 
 A sector planner passes its region. The region confines candidate moves to
 its nodes and selects the lookahead's requests: each scenario keeps only the
@@ -145,10 +146,12 @@ def _candidate_costs(state, joints, scenarios, graph, t_h, inbound=()):
     pairs of taxis scheduled to enter this state's region; each becomes a
     free taxi when its clock comes up. The candidate step, which no scenario
     changes, is simulated once per candidate and _trajectory_cost continues
-    it per scenario. Occupied taxis need no per-step work there: each is put
-    on its dropoff (a trip's timer is its remaining distance) and rejoins
-    the free taxis in the step its timer runs out; one that is not free
-    before the last matching is never looked at again.
+    it per scenario. That step takes the taxis in index order, and a pickup
+    of a request that an earlier taxi of the joint took is a stay: the taxi
+    is free where it stands. Occupied taxis need no per-step work there:
+    each is put on its dropoff (a trip's timer is its remaining distance)
+    and rejoins the free taxis in the step its timer runs out; one that is
+    not free before the last matching is never looked at again.
 
     Joints that differ only in the stay or move of one free taxi l, the
     first taxi whose action differs between joints, start from states that
@@ -181,8 +184,7 @@ def _candidate_costs(state, joints, scenarios, graph, t_h, inbound=()):
             if state.timers[l] > 0:
                 if state.timers[l] == 1:
                     free.append(l)
-            elif act[0] == PICKUP:
-                req = next(r for r in reqs if r[0] == act[1])
+            elif act[0] == PICKUP and (req := next((r for r in reqs if r[0] == act[1]), None)):
                 reqs.remove(req)
                 trip = dist[req[1]][req[2]]
                 if trip == 0:
@@ -383,34 +385,15 @@ def _candidate_actions(state, graph, taxi, claimed, region=None):
     return cands
 
 
-def _compose_joint(chosen, candidate, taxi, base_joint, claimed):
-    """Joint control: frozen rollout choices, the candidate, base controls
-    after, with later duplicate pickups demoted to stay."""
-    joint = list(base_joint)
-    for i in range(taxi):
-        joint[i] = chosen[i]
-    joint[taxi] = candidate
-    claims = set(claimed)
-    if candidate[0] == PICKUP:
-        claims.add(candidate[1])
-    for i in range(taxi + 1, len(joint)):
-        act = joint[i]
-        if act[0] == PICKUP:
-            if act[1] in claims:
-                joint[i] = (STAY,)
-            else:
-                claims.add(act[1])
-    return joint
-
-
 def one_at_a_time_control(state, graph, model, cfg: RolloutConfig, seed: int,
                           region=None, inbound=(), taxi_keys=None):
     """Joint control from m sequential per-taxi lookahead minimizations.
 
     Occupied taxis contribute their single forced control, the base joint's
-    hop, without simulation. `taxi_keys` supplies the seed-keying identity of
-    each taxi (global ids when planning a sector sub-state) and `inbound`
-    announces scheduled future taxi arrivals for sector-local planning.
+    hop, without simulation. A free taxi takes its first candidate of least
+    total cost. `taxi_keys` supplies the seed-keying identity of each taxi
+    (global ids when planning a sector sub-state) and `inbound` announces
+    scheduled future taxi arrivals for sector-local planning.
     `region`, a boolean array indexed by node, confines candidate moves to
     the nodes it marks and selects the lookahead's requests: each scenario
     keeps only the requests picked up in the region. The scenario draws, and
@@ -432,15 +415,9 @@ def one_at_a_time_control(state, graph, model, cfg: RolloutConfig, seed: int,
         else:
             rng = substream(seed, NS_LOOKAHEAD, state.clock, taxi_keys[l])
             scenarios = _sample_scenario(model, cfg.t_h, cfg.num_mc, rng, region)
-            joints = [_compose_joint(chosen, cand, l, base_joint, claimed)
-                      for cand in cands]
+            joints = [chosen[:l] + [cand] + base_joint[l + 1:] for cand in cands]
             totals = _candidate_costs(state, joints, scenarios, graph, cfg.t_h, inbound)
-            best_act, best_cost = None, math.inf
-            for cand, total in zip(cands, totals):
-                avg = total / cfg.num_mc
-                if avg < best_cost:
-                    best_act, best_cost = cand, avg
-            chosen[l] = best_act
+            chosen[l] = cands[totals.index(min(totals))]
         if chosen[l][0] == PICKUP:
             claimed.add(chosen[l][1])
     return chosen

@@ -73,12 +73,6 @@ def stage_cost(state: FleetState) -> int:
     return len(state.outstanding)
 
 
-def forced_hop_action(state: FleetState, graph, taxi: int):
-    """The single legal control of an occupied taxi."""
-    _, dropoff = state.in_service[taxi]
-    return (HOP, graph.next_hop(state.locations[taxi], dropoff))
-
-
 def transition(state: FleetState, control, arrivals, graph) -> FleetState:
     """Apply a joint control, then inject the arrival batch, then advance time.
 

@@ -17,8 +17,8 @@ from fleetroll.planner import HighLevelPlan, TransitRoute, TwoPhasePolicy
 from fleetroll.policies import ia_ra_control
 from fleetroll.rollout import RolloutPolicy, _sample_scenario
 from fleetroll.sim import (HOP, MOVE, NS_ARRIVALS, NS_CE, NS_INIT, NS_REQUESTS, PICKUP, STAY,
-                           FleetState, IllegalControl, SimError, forced_hop_action, run_episode,
-                           substream, transition)
+                           FleetState, IllegalControl, SimError, run_episode, substream,
+                           transition)
 
 
 class TooLarge(ValueError):
@@ -231,6 +231,27 @@ def lookahead_cost(state, joint, batches, graph, t_h, inbound=()):
         cur = transition(cur, ctrl, arrivals(i, cur.clock), graph)
         cost += len(cur.outstanding)
     return cost
+
+
+def compose_joint(chosen, candidate, taxi, base_joint, claimed):
+    """Joint control: frozen rollout choices, the candidate, base controls
+    after, with later duplicate pickups demoted to stay; sim.transition
+    accepts it where rollout's plain joint would repeat a pickup."""
+    joint = list(base_joint)
+    for i in range(taxi):
+        joint[i] = chosen[i]
+    joint[taxi] = candidate
+    claims = set(claimed)
+    if candidate[0] == PICKUP:
+        claims.add(candidate[1])
+    for i in range(taxi + 1, len(joint)):
+        act = joint[i]
+        if act[0] == PICKUP:
+            if act[1] in claims:
+                joint[i] = (STAY,)
+            else:
+                claims.add(act[1])
+    return joint
 
 
 def evaluate_candidate(state, joint_control, graph, model, cfg, rng, inbound=()):
@@ -621,6 +642,12 @@ def transition_reference(state, control, arrivals, graph):
     return FleetState(locs, timers, outstanding, in_service, state.clock + 1)
 
 
+def forced_hop_action(state, graph, taxi):
+    """The single legal control of an occupied taxi."""
+    _, dropoff = state.in_service[taxi]
+    return (HOP, graph.next_hop(state.locations[taxi], dropoff))
+
+
 def _toward_reference(graph, loc, req):
     if loc == req.pickup:
         return (PICKUP, req.id)
@@ -662,3 +689,32 @@ def ia_ra_control_reference(state, graph):
     matched = match_free_to_requests_reference(graph, free, requests)
     assignments = {req.id: taxi for taxi, req in matched.items()}
     return controls_reference(state, graph, matched), assignments
+
+
+def greedy_control_reference(state, graph):
+    """Greedy built taxi by taxi through forced_hop_action and
+    graph.next_hop: nearest request, smallest id on ties, a co-located
+    request a lower-indexed taxi claimed leaves the later taxi in place."""
+    requests = [state.outstanding[rid] for rid in sorted(state.outstanding)]
+    dist = graph._dist
+    control = []
+    claimed = set()
+    for l in range(state.m):
+        if state.timers[l] > 0:
+            control.append(forced_hop_action(state, graph, l))
+            continue
+        if not requests:
+            control.append((STAY,))
+            continue
+        loc = state.locations[l]
+        drow = dist[loc]
+        best = min(requests, key=lambda r: (drow[r.pickup], r.id))
+        if drow[best.pickup] == 0:
+            if best.id in claimed:
+                control.append((STAY,))
+            else:
+                claimed.add(best.id)
+                control.append((PICKUP, best.id))
+        else:
+            control.append((MOVE, graph.next_hop(loc, best.pickup)))
+    return control, {}

@@ -127,6 +127,46 @@ def test_stability_verify_without_demand_runs_one_taxi(tmp_path, capsys):
     assert "m=1 ia-ra: STABLE" in capsys.readouterr().out
 
 
+VERIFY_SWEEP = ["stability", "--grid", "4", "--e-eta", "1.0", "--verify", "--m-sweep", "4,2",
+                "--T", "20", "--seeds", "5", "--seed", "3"]
+
+
+def test_stability_verify_runs_every_fleet_size_in_one_call(tmp_path, capsys, monkeypatch):
+    """One _execute call, so one process pool, over all fleet sizes: stdout,
+    verdicts.csv and the run files are byte-identical at --jobs 1 and 2, and
+    equal those of one stability run per fleet size."""
+    calls = []
+    execute = cli._execute
+
+    def counted(tasks, jobs):
+        calls.append(sorted({t["m"] for t in tasks}))
+        return execute(tasks, jobs)
+
+    monkeypatch.setattr(cli, "_execute", counted)
+    out = {}
+    for jobs in ("1", "2"):
+        assert main(VERIFY_SWEEP + ["--jobs", jobs, "--out-dir", str(tmp_path / jobs)]) == 0
+        out[jobs] = capsys.readouterr().out
+    assert calls == [[2, 4], [2, 4]]
+    assert out["1"] == out["2"]
+    assert non_timing_digest(tmp_path / "1") == non_timing_digest(tmp_path / "2")
+
+    for m in ("4", "2"):
+        single = [a if a != "4,2" else m for a in VERIFY_SWEEP]
+        assert main(single + ["--out-dir", str(tmp_path / f"m{m}")]) == 0
+        out[m] = capsys.readouterr().out
+    assert out["1"] == out["4"] + out["2"].splitlines(keepends=True)[-1]
+    verdicts = read_csv(tmp_path / "1" / "verdicts.csv")
+    assert verdicts == read_csv(tmp_path / "m4" / "verdicts.csv") + read_csv(
+        tmp_path / "m2" / "verdicts.csv")[1:]
+    files = sorted(f.name for f in (tmp_path / "1").iterdir()
+                   if f.name != "verdicts.csv" and "timing" not in f.name)
+    for name in files:
+        m = "2" if "_m2_" in name else "4"
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / f"m{m}" / name).read_bytes()
+    assert len(files) == 1 + 2 * 5 * 2  # the report, then each run's trace and summary
+
+
 def test_config_file_defaults_and_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"grid": 4, "e-eta": 0.4, "policy": "greedy",
@@ -464,6 +504,7 @@ def test_unknown_base_policy_is_a_fleetroll_error():
      "error: hotspot mass must be in [0, 1], got 1.5\n"),
     (["--hotspot", "5", "--hotspot-mass", "-0.1"],
      "error: hotspot mass must be in [0, 1], got -0.1\n"),
+    (["--hotspot-mass", "0.5"], "error: hotspot mass 0.5 needs a hotspot node\n"),
 ])
 def test_bad_hotspot_is_a_one_line_error(tmp_path, capsys, flags, message):
     rc = main(["stability", "--grid", "3", "--e-eta", "1.0", *flags,

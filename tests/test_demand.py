@@ -124,6 +124,15 @@ def test_marginal_consistency(grid5):
     assert sum(model.marginal_dropoff_pmf.values()) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_hotspot_mass_needs_a_hotspot(grid5):
+    # A positive mass with no node to put it on is an error, not a uniform model.
+    with pytest.raises(DemandError, match="hotspot mass 0.3 needs a hotspot node"):
+        synthetic_model(grid5, 0.7, hotspot_mass=0.3)
+    uniform = synthetic_model(grid5, 0.7)
+    assert synthetic_model(grid5, 0.7, hotspot_mass=0.0).pickup_pmf == uniform.pickup_pmf
+    assert synthetic_model(grid5, 0.7, hotspot=3).pickup_pmf == uniform.pickup_pmf
+
+
 def test_sample_arrivals_degenerate():
     m = DemandModel({0: 1.0}, {1: 1.0}, {1: {1: 1.0}})
     assert sample_arrivals(m, substream(1, 0), 20).tolist() == [0] * 20

@@ -11,7 +11,7 @@ from fleetroll.policies import (GreedyPolicy, IACommitPolicy, IARAPolicy,
 from fleetroll.sim import (MOVE, PICKUP, STAY, FleetState, run_episode, substream,
                            transition)
 from conftest import line_graph, random_fleet_state, random_strong_digraph, ring_graph
-from oracles import controls_reference, ia_ra_control_reference
+from oracles import controls_reference, greedy_control_reference, ia_ra_control_reference
 
 
 def make_state(locs, outstanding=None, timers=None, in_service=None, clock=1):
@@ -56,6 +56,30 @@ def test_greedy_duplicate_pickup_resolved(grid3):
     s = make_state([5, 5], outstanding={1: req(1, 5, 9)})
     ctrl, _ = greedy_control(s, grid3)
     assert ctrl == [(PICKUP, 1), (STAY,)]
+
+
+@pytest.mark.parametrize("make_graph", [
+    lambda: grid_graph(5), lambda: ring_graph(7),
+    lambda: random_strong_digraph(random.Random(8), 20),
+], ids=["grid", "one-way-ring", "random-digraph"])
+def test_greedy_control_equals_reference_on_random_states(make_graph):
+    """Greedy's targets dispatched by _controls give the joint control built
+    taxi by taxi, on states with co-located taxis, requests on free taxis'
+    nodes and zero-length trips."""
+    graph = make_graph()
+    rnd = random.Random(graph.n + 1)
+    left_in_place = 0
+    for _ in range(300):
+        state = random_fleet_state(rnd, graph, rnd.randint(1, 14), rnd.randint(0, 10),
+                                   colocated=0.5)
+        got = greedy_control(state, graph)
+        assert got == greedy_control_reference(state, graph)
+        picked = [a[1] for a in got[0] if a[0] == PICKUP]
+        assert len(picked) == len(set(picked))
+        left_in_place += sum(
+            1 for l, a in enumerate(got[0]) if a == (STAY,) and state.timers[l] == 0
+            and any(r.pickup == state.locations[l] for r in state.outstanding.values()))
+    assert left_in_place > 10
 
 
 # --- IA-RA ---

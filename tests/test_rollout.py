@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 
@@ -8,13 +9,14 @@ from fleetroll import rollout
 from fleetroll.graph import grid_graph
 from fleetroll.matching import auction_match
 from fleetroll.rollout import (RolloutConfig, RolloutPolicy, _candidate_actions,
-                               _candidate_costs, _compose_joint, _match_step,
-                               _sample_scenario, one_at_a_time_control)
+                               _candidate_costs, _match_step, _sample_scenario,
+                               one_at_a_time_control)
 from fleetroll.policies import ia_ra_control, match_free_to_requests
 from fleetroll.sim import (MOVE, PICKUP, STAY, FleetState, run_episode, substream)
-from conftest import line_graph, ring_graph
-from oracles import (LookaheadEstimate, ScalarDemand, evaluate_candidate, lookahead_cost,
-                     per_pickup_dropoffs, rollout_policy_cost, scalar_scenarios)
+from conftest import line_graph, random_fleet_state, random_strong_digraph, ring_graph
+from oracles import (LookaheadEstimate, ScalarDemand, compose_joint, evaluate_candidate,
+                     lookahead_cost, per_pickup_dropoffs, rollout_policy_cost,
+                     scalar_scenarios)
 
 
 def zero_model():
@@ -89,7 +91,7 @@ def per_candidate_costs(state, joints, scenarios, graph, t_h, inbound=()):
 def candidate_joints(state, graph, l):
     base_joint, _ = ia_ra_control(state, graph)
     claimed = {a[1] for a in base_joint[:l] if a[0] == PICKUP}
-    return [_compose_joint(base_joint, cand, l, base_joint, claimed)
+    return [compose_joint(base_joint, cand, l, base_joint, claimed)
             for cand in _candidate_actions(state, graph, l, claimed)]
 
 
@@ -137,6 +139,75 @@ def test_fast_path_matches_generic_path(grid5):
         for k, batches in enumerate(scenarios):
             assert (_candidate_costs(s, joints, [batches], g, t_h, inbound)
                     == [costs[k] for costs in want])
+
+
+def test_plain_joints_score_as_composed_joints(grid3):
+    # Rollout scores plain joints: the controls chosen before taxi l, l's
+    # candidate and the base joint after l, which may repeat a pickup that
+    # an earlier taxi took. The candidate step makes such a pickup a stay,
+    # as composing the joint does, so both score alike; composed joints
+    # also score as the sim.transition path does. Taxis before l take
+    # random legal controls, as earlier rollout choices would.
+    rnd = random.Random(20)
+    # Small graphs, so that taxis often share a node and repeat pickups.
+    graphs = [grid3, ring_graph(5), random_strong_digraph(random.Random(5), 6)]
+    repeated = 0
+    for trial in range(600):
+        g = graphs[trial % 3]
+        t_h = 1 + trial % 4
+        s = random_fleet_state(rnd, g, rnd.randint(2, 8), rnd.randint(1, 6), colocated=0.6)
+        free = [l for l in range(s.m) if s.timers[l] == 0]
+        if not free:
+            continue
+        l = rnd.choice(free)
+        base_joint, _ = ia_ra_control(s, g)
+        chosen = list(base_joint)
+        claimed = set()
+        for i in range(l):
+            if s.timers[i] == 0:
+                chosen[i] = rnd.choice(_candidate_actions(s, g, i, claimed))
+            if chosen[i][0] == PICKUP:
+                claimed.add(chosen[i][1])
+        cands = _candidate_actions(s, g, l, claimed)
+        plain = [chosen[:l] + [cand] + base_joint[l + 1:] for cand in cands]
+        composed = [compose_joint(chosen, cand, l, base_joint, claimed) for cand in cands]
+        repeated += sum(p != c for p, c in zip(plain, composed))
+        inbound = tuple((s.clock + rnd.randint(1, t_h + 1), rnd.randint(1, g.n))
+                        for _ in range(rnd.randint(0, 2)))
+        scenarios = _sample_scenario(synthetic_model(g, 1.0), t_h, rnd.randint(1, 3),
+                                     substream(6, trial))
+        got = _candidate_costs(s, plain, scenarios, g, t_h, inbound)
+        assert got == _candidate_costs(s, composed, scenarios, g, t_h, inbound)
+        assert got == [sum(costs) for costs in
+                       generic_costs(s, composed, scenarios, g, t_h, inbound)]
+    assert repeated > 30
+
+
+def test_a_base_pickup_that_repeats_the_candidate_pickup_is_a_stay():
+    # Line 1-2-3-4, both taxis on node 2 with requests 1 (2 -> 4) and 2
+    # (2 -> 3): IA-RA gives taxi 0 request 1 and taxi 1 request 2. Taxi 0's
+    # candidate "pick up 2" is scored in the plain joint in which taxi 1's
+    # base control picks up 2 as well; that taxi stays and takes request 1
+    # in the next step.
+    g = line_graph(4)
+    s = make_state([2, 2], outstanding={1: Request(1, 2, 4, 1), 2: Request(2, 2, 3, 1)})
+    base_joint, _ = ia_ra_control(s, g)
+    assert base_joint == [(PICKUP, 1), (PICKUP, 2)]
+    cands = _candidate_actions(s, g, 0, set())
+    assert cands == [(PICKUP, 1), (PICKUP, 2), (STAY,), (MOVE, 1), (MOVE, 3)]
+    plain = [[cand] + base_joint[1:] for cand in cands]
+    assert plain[1] == [(PICKUP, 2), (PICKUP, 2)]
+    composed = [compose_joint(base_joint, cand, 0, base_joint, set()) for cand in cands]
+    assert composed[1] == [(PICKUP, 2), (STAY,)]
+    quiet = [[[], [], []]]
+    # 2 outstanding now, then per step: 0, 0, 0 (both picked up); 1, 0, 0
+    # (pickup 2, or stay); 1, 1, 0 (either move).
+    want = [2, 3, 3, 4, 4]
+    assert _candidate_costs(s, plain, quiet, g, 2) == want
+    assert _candidate_costs(s, composed, quiet, g, 2) == want
+    assert [sum(c) for c in generic_costs(s, composed, quiet, g, 2, ())] == want
+    cfg = RolloutConfig(t_h=2, num_mc=1)
+    assert one_at_a_time_control(s, g, zero_model(), cfg, seed=0) == base_joint
 
 
 def test_grouped_stay_and_move_scores_equal_per_candidate_and_generic_scores(
