@@ -1,10 +1,11 @@
 """Experiment harness.
 
 Subcommands: simulate, compare, stability, gen-graph, gen-trips, partition.
-A JSON config file can predefine any flag (by its long name with dashes);
-explicit flags win. Every run is fully determined by (config, seed): one
-master seed expands to per-run seeds by run index, and wall-clock timings are
-kept in separate files so all other outputs are byte-reproducible.
+Every flag is one row of FLAGS. A JSON config file can predefine any flag (by
+its long name with dashes); explicit flags win. Every run is fully determined
+by (config, seed): one master seed expands to per-run seeds by run index, and
+wall-clock timings are kept in separate files so all other outputs are
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
+from itertools import combinations
 from pathlib import Path
 
 from scipy.special import stdtr
@@ -30,7 +33,9 @@ from .rollout import RolloutConfig, RolloutPolicy
 from .sim import run_episode
 from .stability import MIN_HORIZON, MIN_TRACES, compute_bounds, empirical_stability
 
-POLICIES = ("greedy", "random-ia", "ia-commit", "ia-ra", "rollout", "two-phase")
+_BASE_POLICIES = {"greedy": GreedyPolicy, "random-ia": RandomIAPolicy,
+                  "ia-commit": IACommitPolicy, "ia-ra": IARAPolicy}
+POLICIES = (*_BASE_POLICIES, "rollout", "two-phase")
 
 
 class CLIError(FleetrollError):
@@ -38,14 +43,8 @@ class CLIError(FleetrollError):
 
 
 def make_policy(kind, g, model, m, args):
-    if kind == "greedy":
-        return GreedyPolicy(g)
-    if kind == "ia-ra":
-        return IARAPolicy(g)
-    if kind == "ia-commit":
-        return IACommitPolicy(g)
-    if kind == "random-ia":
-        return RandomIAPolicy(g)
+    if kind in _BASE_POLICIES:
+        return _BASE_POLICIES[kind](g)
     cfg = RolloutConfig(t_h=args["t_h"], num_mc=args["num_mc"])
     if kind == "rollout":
         return RolloutPolicy(g, model, cfg)
@@ -64,8 +63,7 @@ def resolve_graph(args):
 
 def resolve_model(g, args):
     if args.get("trips"):
-        rows = demand.read_trip_log(args["trips"])
-        return demand.estimate_from_trips(rows, g)
+        return demand.estimate_from_trips(demand.read_trip_log(args["trips"]), g)
     if args.get("e_eta") is not None:
         return demand.synthetic_model(g, args["e_eta"], hotspot=args.get("hotspot"),
                                       hotspot_mass=args.get("hotspot_mass") or 0.0)
@@ -119,19 +117,15 @@ def _run_one(task):
     label = f"{task['policy']}_m{task['m']}_seed{task['run_seed']}"
     outdir = Path(task["out_dir"])
     _write_csv(outdir / f"{label}.trace.csv", trace.trace_rows())
-    summary = trace.summary()
-    summary["z_total"] = z.total
-    summary["z_unassigned"] = len(z.unassigned)
+    summary = dict(trace.summary(), z_total=z.total, z_unassigned=len(z.unassigned))
     _write_json(outdir / f"{label}.summary.json", summary)
     _write_csv(outdir / f"{label}.timing.csv", trace.timing_rows())
     sector_timing = getattr(policy, "sector_timing", None)
     if sector_timing:
-        rows = [["t", "sector", "plan_ms"]]
-        rows += [[t, k, f"{ms:.3f}"] for t, k, ms in sector_timing]
-        _write_csv(outdir / f"{label}.sector_timing.csv", rows)
-    summary["mean_plan_ms"] = trace.mean_plan_ms()
-    summary["outstanding_series"] = trace.outstanding_series()
-    return summary
+        _write_csv(outdir / f"{label}.sector_timing.csv", [["t", "sector", "plan_ms"]]
+                   + [[t, k, f"{ms:.3f}"] for t, k, ms in sector_timing])
+    return dict(summary, mean_plan_ms=trace.mean_plan_ms(),
+                outstanding_series=trace.outstanding_series())
 
 
 def _execute(tasks, jobs):
@@ -142,23 +136,8 @@ def _execute(tasks, jobs):
 
 
 def _tasks_for(args, policies, m_values):
-    tasks = []
-    for policy in policies:
-        for m in m_values:
-            for i in range(args["seeds"]):
-                t = dict(args)
-                t["policy"] = policy
-                t["m"] = m
-                t["run_seed"] = args["seed"] + i
-                tasks.append(t)
-    return tasks
-
-
-def _fleet_sizes(args):
-    m_values = args["m_sweep"] or [args["m"]]
-    if m_values[0] is None:
-        raise CLIError("provide --m or --m-sweep")
-    return m_values
+    return [dict(args, policy=policy, m=m, run_seed=args["seed"] + i)
+            for policy in policies for m in m_values for i in range(args["seeds"])]
 
 
 def _check_draws(what, doubles):
@@ -183,23 +162,21 @@ def _check_run(g, model, args, policies, m_values):
                      * (1 + 2 * math.ceil(model.e_eta)))
 
 
-def cmd_simulate(args):
-    m_values = _fleet_sizes(args)
+def _run_all(args, policies, m_values):
+    """Check the runs, make --out-dir and run every (policy, m, seed) episode."""
     g, model = _graph_and_model(args)  # bad input fails before any output; the runs reuse both
-    _check_run(g, model, args, [args["policy"]], m_values)
+    _check_run(g, model, args, policies, m_values)
     outdir = Path(args["out_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    tasks = _tasks_for(args, [args["policy"]], m_values)
-    results = _execute(tasks, args["jobs"])
+    return outdir, _execute(_tasks_for(args, policies, m_values), args["jobs"])
 
-    rows = [["policy", "m", "T", "seed", "cost", "z_total", "z_unassigned"]]
-    for r in results:
-        rows.append([r["policy"], r["m"], r["T"], r["seed"], r["cost"],
-                     r["z_total"], r["z_unassigned"]])
-    _write_csv(outdir / "summary.csv", rows)
+
+def cmd_simulate(args):
+    outdir, results = _run_all(args, [args["policy"]], args["m_sweep"] or [args["m"]])
+    columns = ["policy", "m", "T", "seed", "cost", "z_total", "z_unassigned"]
+    _write_csv(outdir / "summary.csv", [columns] + [[r[c] for c in columns] for r in results])
     timing = [["policy", "m", "seed", "mean_plan_ms"]]
-    for r in results:
-        timing.append([r["policy"], r["m"], r["seed"], f"{r['mean_plan_ms']:.3f}"])
+    timing += [[r["policy"], r["m"], r["seed"], f"{r['mean_plan_ms']:.3f}"] for r in results]
     _write_csv(outdir / "timing_summary.csv", timing)
     print(f"wrote {len(results)} runs to {outdir}")
     return 0
@@ -217,29 +194,25 @@ def _paired_t(deltas):
     return t, float(stdtr(n - 1, t))
 
 
-def cmd_compare(args):
-    policies = args["policies"]
-    m_values = _fleet_sizes(args)
-    g, model = _graph_and_model(args)
-    _check_run(g, model, args, policies, m_values)
-    outdir = Path(args["out_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    tasks = _tasks_for(args, policies, m_values)
-    results = _execute(tasks, args["jobs"])
+def _mean(runs, key):
+    return sum(r[key] for r in runs) / len(runs)
 
-    by_key = {}
+
+def cmd_compare(args):
+    policies, m_values = args["policies"], args["m_sweep"] or [args["m"]]
+    outdir, results = _run_all(args, policies, m_values)
+    runs = {}  # (policy, m) -> its runs, in seed order
     for r in results:
-        by_key.setdefault((r["policy"], r["m"]), []).append(r)
+        runs.setdefault((r["policy"], r["m"]), []).append(r)
     rows = [["policy", "m", "mean_cost", "std_cost", "mean_z"]]
     timing_rows = [["policy", "m", "mean_plan_ms"]]
-    for (policy, m), rs in sorted(by_key.items(), key=lambda kv: (kv[0][1], policies.index(kv[0][0]))):
-        costs = [r["cost"] for r in rs]
-        mean = sum(costs) / len(costs)
-        std = math.sqrt(sum((c - mean) ** 2 for c in costs) / (len(costs) - 1)) if len(costs) > 1 else 0.0
-        zmean = sum(r["z_total"] for r in rs) / len(rs)
-        tmean = sum(r["mean_plan_ms"] for r in rs) / len(rs)
-        rows.append([policy, m, f"{mean:.3f}", f"{std:.3f}", f"{zmean:.3f}"])
-        timing_rows.append([policy, m, f"{tmean:.3f}"])
+    for m in sorted(m_values):
+        for policy in policies:
+            rs = runs[(policy, m)]
+            mean = _mean(rs, "cost")
+            std = math.sqrt(sum((r["cost"] - mean) ** 2 for r in rs) / (len(rs) - 1))
+            rows.append([policy, m, f"{mean:.3f}", f"{std:.3f}", f"{_mean(rs, 'z_total'):.3f}"])
+            timing_rows.append([policy, m, f"{_mean(rs, 'mean_plan_ms'):.3f}"])
     _write_csv(outdir / "compare.csv", rows)
     _write_csv(outdir / "compare_timing.csv", timing_rows)
 
@@ -247,22 +220,15 @@ def cmd_compare(args):
                   "mean_delta", "t_stat", "p_a_lt_b"]]
     pair_timing = [["m", "policy_a", "policy_b", "runtime_ratio_a_over_b"]]
     for m in m_values:
-        for ia in range(len(policies)):
-            for ib in range(ia + 1, len(policies)):
-                a, b = policies[ia], policies[ib]
-                ra = sorted(by_key[(a, m)], key=lambda r: r["seed"])
-                rb = sorted(by_key[(b, m)], key=lambda r: r["seed"])
-                deltas = [x["cost"] - y["cost"] for x, y in zip(ra, rb)]
-                t, p = _paired_t(deltas)
-                ca = sum(r["cost"] for r in ra) / len(ra)
-                cb = sum(r["cost"] for r in rb) / len(rb)
-                ta = sum(r["mean_plan_ms"] for r in ra) / len(ra)
-                tb = sum(r["mean_plan_ms"] for r in rb) / len(rb)
-                ratio = ta / tb if tb > 0 else float("inf")
-                pair_rows.append([m, a, b, f"{ca:.3f}", f"{cb:.3f}",
-                                  f"{sum(deltas)/len(deltas):.3f}", f"{t:.3f}",
-                                  f"{p:.5f}"])
-                pair_timing.append([m, a, b, f"{ratio:.3f}"])
+        for a, b in combinations(policies, 2):
+            ra, rb = runs[(a, m)], runs[(b, m)]
+            deltas = [x["cost"] - y["cost"] for x, y in zip(ra, rb)]
+            t, p = _paired_t(deltas)
+            tb = _mean(rb, "mean_plan_ms")
+            ratio = _mean(ra, "mean_plan_ms") / tb if tb > 0 else float("inf")
+            pair_rows.append([m, a, b, f"{_mean(ra, 'cost'):.3f}", f"{_mean(rb, 'cost'):.3f}",
+                              f"{sum(deltas)/len(deltas):.3f}", f"{t:.3f}", f"{p:.5f}"])
+            pair_timing.append([m, a, b, f"{ratio:.3f}"])
     _write_csv(outdir / "pairs.csv", pair_rows)
     _write_csv(outdir / "pairs_timing.csv", pair_timing)
     print(f"wrote compare.csv and pairs.csv to {outdir}")
@@ -273,7 +239,7 @@ def cmd_stability(args):
     g, model = _graph_and_model(args)
     report = compute_bounds(model, g, metric=args["metric"])
     # with no demand m_sufficient is 0; an episode needs at least one taxi
-    m_values = args["m_sweep"] or [max(1, report.m_sufficient)]
+    m_values = args["m_sweep"] or [args["m"] or max(1, report.m_sufficient)]
     if args["verify"]:
         _check_run(g, model, args, [args["policy"]], m_values)
     outdir = Path(args["out_dir"])
@@ -307,9 +273,10 @@ class _SeriesTrace:
 
 
 def cmd_gen_graph(args):
-    g = graphmod.grid_graph(args["k"])
-    graphmod.save_graph(g, args["out"])
-    print(f"wrote {args['k']}x{args['k']} grid ({g.n} nodes, {len(g.edges)} edges) to {args['out']}")
+    k = args["k"]
+    edges = graphmod.grid_edges(k)  # the edge list alone: no distance tables are built
+    graphmod.save_edges(k * k, edges, args["out"])
+    print(f"wrote {k}x{k} grid ({k * k} nodes, {len(edges)} edges) to {args['out']}")
     return 0
 
 
@@ -331,69 +298,75 @@ def cmd_partition(args):
     return 0
 
 
-def _int_list(text):
-    return [int(x) for x in text.split(",") if x.strip()]
+def _comma_list(item):
+    """Argparse type of a comma-separated list of `item` values; blanks are dropped."""
+    def parse(text):
+        return [item(x.strip()) for x in text.split(",") if x.strip()]
+    parse.__name__ = f"comma-separated {item.__name__}"  # argparse names it in errors
+    return parse
 
 
-def _name_list(text):
-    return [x.strip() for x in text.split(",") if x.strip()]
+class Flag(namedtuple("Flag", "name kind default commands help least required excludes",
+                      defaults=(None, (), ()))):
+    """One CLI flag. `kind` is int, float, str, bool (a switch), a tuple of
+    choices or [item type] for a comma-separated list. `least` is the smallest
+    value allowed, `required` the subcommands that need the flag, and
+    `excludes` the flags that may not be set together with it."""
+
+    @property
+    def dest(self):
+        return self.name.replace("-", "_")
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON file of defaults for any flag")
-    p.add_argument("--graph", help="edge-list graph file")
-    p.add_argument("--grid", type=int, help="generate a K x K grid graph")
-    p.add_argument("--trips", help="trip log CSV to estimate the demand model from")
-    p.add_argument("--e-eta", dest="e_eta", type=float, help="synthetic model: mean arrivals per step")
-    p.add_argument("--hotspot", type=int, help="synthetic model: high-demand pickup node")
-    p.add_argument("--hotspot-mass", dest="hotspot_mass", type=float,
-                   help="synthetic model: extra pickup mass on the hotspot")
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
-    p.add_argument("--jobs", type=int, help="parallel runs (default $FLEETROLL_JOBS or 1)")
+_MODEL = ("simulate", "compare", "stability", "gen-trips", "partition")  # build a graph and model
+_RUNS = ("simulate", "compare", "stability")
+_FILES = ("gen-graph", "gen-trips", "partition")
+
+# Every flag of every subcommand, declared once: the parsers, the defaults,
+# the config file's type checks and the range checks all read this table.
+FLAGS = (
+    Flag("config", str, None, _MODEL, "JSON file of defaults for any flag"),
+    Flag("graph", str, None, _MODEL, "edge-list graph file"),
+    Flag("grid", int, None, _MODEL, "generate a K x K grid graph", least=1),
+    Flag("trips", str, None, _MODEL, "trip log CSV to estimate the demand model from",
+         excludes=("e-eta", "hotspot", "hotspot-mass")),
+    Flag("e-eta", float, None, _MODEL, "synthetic model: mean arrivals per step"),
+    Flag("hotspot", int, None, _MODEL, "synthetic model: high-demand pickup node"),
+    Flag("hotspot-mass", float, None, _MODEL, "synthetic model: extra pickup mass on the hotspot"),
+    Flag("seed", int, 0, _MODEL, "master seed"),
+    Flag("jobs", int, None, _MODEL, "parallel runs (default $FLEETROLL_JOBS or 1)", least=1),
+    Flag("m", int, None, _RUNS + ("partition",), "fleet size", least=1, required=("partition",)),
+    Flag("m-sweep", [int], None, _RUNS, "comma-separated fleet sizes"),
+    Flag("T", int, 60, _RUNS + ("gen-trips",), "horizon in steps", least=1),
+    Flag("seeds", int, 1, _RUNS, "number of seeded runs", least=1),
+    Flag("m-lim", int, 10, _RUNS + ("partition",), "taxis per sector", least=1),
+    Flag("t-h", int, 10, _RUNS, "lookahead horizon", least=1),
+    Flag("num-mc", int, 50, _RUNS, "Monte-Carlo scenarios", least=1),
+    Flag("out-dir", str, "out", _RUNS, "output directory"),
+    Flag("policy", POLICIES, "ia-ra", ("simulate", "stability"), "policy to run"),
+    Flag("policies", [str], None, ("compare",), "comma-separated policies"),
+    Flag("metric", ("graph", "euclidean"), "graph", ("stability",), "metric of the bounds"),
+    Flag("verify", bool, False, ("stability",), "also simulate and report STABLE/UNSTABLE per m"),
+    Flag("k", int, None, ("gen-graph",), "grid side", required=("gen-graph",)),
+    Flag("out", str, None, _FILES, "output file", required=_FILES),
+)
+_FLAG_OF = {f.dest: f for f in FLAGS}
 
 
-def _add_run_opts(p):
-    p.add_argument("--m", type=int, help="fleet size")
-    p.add_argument("--m-sweep", dest="m_sweep", type=_int_list, help="comma-separated fleet sizes")
-    p.add_argument("--T", type=int, help="horizon in steps (default 60)")
-    p.add_argument("--seeds", type=int, help="number of seeded runs (default 1)")
-    p.add_argument("--m-lim", dest="m_lim", type=int, help="taxis per sector (default 10)")
-    p.add_argument("--t-h", dest="t_h", type=int, help="lookahead horizon (default 10)")
-    p.add_argument("--num-mc", dest="num_mc", type=int, help="Monte-Carlo scenarios (default 50)")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory (default out)")
+def _fits(kind, val):
+    """Whether a config file value is one a flag of this kind could give."""
+    if isinstance(kind, tuple):
+        return val in kind
+    if isinstance(kind, list):
+        return isinstance(val, list) and all(_fits(kind[0], v) for v in val)
+    return (isinstance(val, bool) == (kind is bool)
+            and isinstance(val, (int, float) if kind is float else kind))
 
 
-_DEFAULTS = {
-    "seed": 0, "jobs": None, "T": 60, "seeds": 1, "m": None, "m_sweep": None,
-    "m_lim": 10, "t_h": 10, "num_mc": 50,
-    "out_dir": "out", "metric": "graph", "verify": False, "policy": "ia-ra",
-    "e_eta": None, "hotspot": None, "hotspot_mass": None, "trips": None,
-    "graph": None, "grid": None,
-}
-
-
-def _fits(action, val):
-    """Whether a config file value is one the flag of `action` could give."""
-    if action.nargs == 0:  # a store_true flag such as --verify
-        return isinstance(val, bool)
-    if action.choices is not None:
-        return val in action.choices
-    if action.type in (_int_list, _name_list):
-        item = int if action.type is _int_list else str
-        return isinstance(val, list) and all(_fits_type(v, item) for v in val)
-    return _fits_type(val, action.type or str)
-
-
-def _fits_type(val, kind):
-    if isinstance(val, bool):
-        return False
-    return isinstance(val, (int, float) if kind is float else kind)
-
-
-def _load_config(path, actions, known):
-    """Config file values by flag name; each must suit its flag's type. A key
-    may name a flag of another subcommand, so that one config can serve
-    several, but not a flag no subcommand has."""
+def _load_config(path):
+    """Config file values by flag; each must suit its flag's type, and a null
+    leaves the flag unset. A key may name a flag of another subcommand, so
+    that one config can serve several, but not a flag no subcommand has."""
     try:
         loaded = json.loads(read_utf8(path, CLIError, f"config {path}"))
     except OSError as exc:
@@ -404,30 +377,66 @@ def _load_config(path, actions, known):
         raise CLIError(f"config {path}: expected a JSON object of flag values")
     values = {}
     for key, val in loaded.items():
-        dest = key.replace("-", "_")
-        if dest not in known:
+        flag = _FLAG_OF.get(key.replace("-", "_"))
+        if flag is None:
             raise CLIError(f"config {path}: unknown key '{key}' (no subcommand has such a flag)")
-        action = actions.get(dest)
-        if action is not None and val is not None and not _fits(action, val):
+        if val is not None and not _fits(flag.kind, val):
             raise CLIError(f"config {path}: invalid value {val!r} for '{key}'")
-        values[dest] = val
+        values[flag.dest] = val
     return values
 
 
-def _merge(ns, actions, known) -> dict:
-    """Defaults < config file < explicit flags. `actions` maps each flag's
-    destination name to its argparse action; `known` holds the destination
-    names of every subcommand's flags."""
-    args = dict(_DEFAULTS)
-    cfg_path = getattr(ns, "config", None)
-    if cfg_path:
-        args.update(_load_config(cfg_path, actions, known))
-    for key, val in vars(ns).items():
-        if key in ("config", "func"):
+def _merge(ns) -> dict:
+    """The command's own flags: defaults < config file < explicit flags."""
+    given = {key: val for key, val in vars(ns).items() if val is not None}
+    args = {f.dest: f.default for f in FLAGS if ns.command in f.commands}
+    if "config" in given:
+        config = _load_config(given["config"])
+        args.update((k, v) for k, v in config.items() if k in args and v is not None)
+    args.update((k, v) for k, v in given.items() if k in args)
+    return args
+
+
+def _validate(command, args):
+    """Reject settings the command cannot run with, before any work starts:
+    first each of its flags by its FLAGS row, then the rules across flags.
+    Resolves an unset --jobs from $FLEETROLL_JOBS."""
+    for flag in FLAGS:
+        val = args.get(flag.dest)
+        if val is None:
             continue
-        if val is not None:
-            args[key] = val
-    if args["jobs"] is None:
+        if isinstance(val, float) and not math.isfinite(val):  # e.g. --e-eta nan
+            raise CLIError(f"--{flag.name} must be a finite number, got {val}")
+        if flag.least is not None and val < flag.least:
+            raise CLIError(f"--{flag.name} must be >= {flag.least}, got {val}")
+        for other in flag.excludes:
+            if args.get(other.replace("-", "_")) is not None:
+                raise CLIError(f"--{flag.name} and --{other} cannot be used together")
+    if args.get("grid") is not None:
+        graphmod.check_size(args["grid"] ** 2)
+    for key in ("m_sweep", "policies"):  # a repeated fleet size or policy pairs a run with itself
+        values = args.get(key) or []
+        for v in values:
+            if key == "m_sweep" and v < 1:
+                raise CLIError(f"--m-sweep values must be >= 1, got {v}")
+            if values.count(v) > 1:
+                raise CLIError(f"--{key.replace('_', '-')} names {v!r} more than once")
+    if args.get("verify") and args["seeds"] < MIN_TRACES:
+        raise CLIError(f"--seeds must be >= {MIN_TRACES} with --verify, got {args['seeds']}")
+    if args.get("verify") and args["T"] < MIN_HORIZON:
+        raise CLIError(f"--T must be >= {MIN_HORIZON} with --verify, got {args['T']}")
+    if command in ("simulate", "compare") and not (args["m_sweep"] or args["m"]):
+        raise CLIError("provide --m or --m-sweep")
+    if command == "compare":
+        policies = args["policies"] or []
+        if len(policies) < 2:
+            raise CLIError("--policies needs at least two comma-separated names")
+        for name in policies:
+            if name not in POLICIES:
+                raise CLIError(f"unknown policy '{name}' (expected one of {', '.join(POLICIES)})")
+        if args["seeds"] < 2:
+            raise CLIError(f"--seeds must be >= 2 for compare, got {args['seeds']}")
+    if "jobs" in args and args["jobs"] is None:
         jobs = os.environ.get("FLEETROLL_JOBS", "1")
         try:
             args["jobs"] = int(jobs)
@@ -435,101 +444,39 @@ def _merge(ns, actions, known) -> dict:
             raise CLIError(f"FLEETROLL_JOBS must be an integer, got {jobs!r}") from None
         if args["jobs"] < 1:
             raise CLIError(f"FLEETROLL_JOBS must be >= 1, got {jobs!r}")
-    return args
 
 
-def _validate(command, args):
-    """Reject settings the command cannot run with, before any work starts."""
-    for key, val in args.items():  # a float flag or config value, e.g. --e-eta nan
-        if isinstance(val, float) and not math.isfinite(val):
-            raise CLIError(f"--{key.replace('_', '-')} must be a finite number, got {val}")
-    for flag in ("jobs", "m_lim", "seeds", "t_h", "num_mc"):
-        if args[flag] < 1:
-            raise CLIError(f"--{flag.replace('_', '-')} must be >= 1, got {args[flag]}")
-    for flag in ("grid", "m", "T"):
-        if args[flag] is not None and args[flag] < 1:
-            raise CLIError(f"--{flag} must be >= 1, got {args[flag]}")
-    if args["grid"] is not None:
-        graphmod.check_size(args["grid"] ** 2)
-    # --verify is a stability flag; a config shared by subcommands may set it for the others.
-    verify = command == "stability" and args["verify"]
-    if command in ("simulate", "compare") or verify:
-        sweep = args["m_sweep"] or []
-        for m in sweep:
-            if m < 1:
-                raise CLIError(f"--m-sweep values must be >= 1, got {m}")
-            if sweep.count(m) > 1:
-                raise CLIError(f"--m-sweep names {m} more than once")
-    if verify and args["seeds"] < MIN_TRACES:
-        raise CLIError(f"--seeds must be >= {MIN_TRACES} with --verify, got {args['seeds']}")
-    if verify and args["T"] < MIN_HORIZON:
-        raise CLIError(f"--T must be >= {MIN_HORIZON} with --verify, got {args['T']}")
-    if command == "compare":
-        _fleet_sizes(args)
-        policies = args.get("policies") or []
-        if len(policies) < 2:
-            raise CLIError("--policies needs at least two comma-separated names")
-        for name in policies:
-            if name not in POLICIES:
-                raise CLIError(f"unknown policy '{name}' (expected one of {', '.join(POLICIES)})")
-            if policies.count(name) > 1:
-                raise CLIError(f"--policies names '{name}' more than once")
-        if args["seeds"] < 2:
-            raise CLIError(f"--seeds must be >= 2 for compare, got {args['seeds']}")
+_COMMANDS = {
+    "simulate": (cmd_simulate, "run seeded episodes for one policy"),
+    "compare": (cmd_compare, "paired same-seed comparison of policies"),
+    "stability": (cmd_stability, "fleet-size bounds and empirical verdicts"),
+    "gen-graph": (cmd_gen_graph, "emit a grid graph file"),
+    "gen-trips": (cmd_gen_trips, "emit a synthetic trip log"),
+    "partition": (cmd_partition, "emit the node,sector,center table"),
+}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="fleetroll",
                                      description="taxi fleet routing experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="run seeded episodes for one policy")
-    _add_common(p)
-    _add_run_opts(p)
-    p.add_argument("--policy", choices=POLICIES)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("compare", help="paired same-seed comparison of policies")
-    _add_common(p)
-    _add_run_opts(p)
-    p.add_argument("--policies", type=_name_list)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("stability", help="fleet-size bounds and empirical verdicts")
-    _add_common(p)
-    _add_run_opts(p)
-    p.add_argument("--policy", choices=POLICIES)
-    p.add_argument("--metric", choices=("graph", "euclidean"))
-    p.add_argument("--verify", action="store_true", default=None,
-                   help="also simulate and report STABLE/UNSTABLE per m")
-    p.set_defaults(func=cmd_stability)
-
-    p = sub.add_parser("gen-graph", help="emit a grid graph file")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_graph)
-
-    p = sub.add_parser("gen-trips", help="emit a synthetic trip log")
-    _add_common(p)
-    p.add_argument("--T", type=int, help="log horizon in steps (default 60)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_trips)
-
-    p = sub.add_parser("partition", help="emit the node,sector,center table")
-    _add_common(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--m-lim", dest="m_lim", type=int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_partition)
-
+    for command, (func, text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.set_defaults(func=func)
+        for f in FLAGS:
+            if command not in f.commands:
+                continue
+            shown = "" if f.default is None or f.kind is bool else f" (default {f.default})"
+            kind = ({"action": "store_true", "default": None} if f.kind is bool
+                    else {"choices": f.kind} if isinstance(f.kind, tuple)
+                    else {"type": _comma_list(f.kind[0])} if isinstance(f.kind, list)
+                    else {"type": f.kind} if f.kind is not str else {})
+            p.add_argument(f"--{f.name}", dest=f.dest, required=command in f.required,
+                           help=f.help + shown, **kind)
     ns = parser.parse_args(argv)
     _built.clear()
-    actions = {a.dest: a for a in sub.choices[ns.command]._actions}
-    known = {a.dest for p in sub.choices.values() for a in p._actions} - {"help"}
     try:
-        if ns.command == "gen-graph":
-            return ns.func({"k": ns.k, "out": ns.out})
-        args = _merge(ns, actions, known)
+        args = _merge(ns)
         _validate(ns.command, args)
         return ns.func(args)
     except (FleetrollError, OSError) as exc:  # OSError: an input that cannot be read

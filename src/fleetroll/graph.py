@@ -249,27 +249,31 @@ def _next_hop_rows(adj, dist):
     return table
 
 
-def grid_graph(k: int) -> CityGraph:
-    """k x k grid with bidirectional edges; node (row r, col c) -> (r-1)*k + c.
-
-    Integer coordinates (col, row) are attached so the Euclidean transport
-    metric is available on generated grids.
-    """
+def grid_edges(k: int) -> list:
+    """Directed edges of the k x k grid, both ways between neighbors; node
+    (row r, col c) is (r-1)*k + c. Rejects a grid whose tables could not be
+    built before listing any edge."""
     if k < 1:
         raise InvalidEdge("grid size must be >= 1")
     check_size(k * k)
     edges = []
-    coords = {}
-    for r in range(1, k + 1):
-        for c in range(1, k + 1):
-            v = (r - 1) * k + c
-            coords[v] = (float(c - 1), float(r - 1))
-            if c < k:
-                edges.append((v, v + 1))
-                edges.append((v + 1, v))
-            if r < k:
-                edges.append((v, v + k))
-                edges.append((v + k, v))
+    for v in range(1, k * k + 1):
+        if v % k:
+            edges += (v, v + 1), (v + 1, v)
+        if v <= k * k - k:
+            edges += (v, v + k), (v + k, v)
+    return edges
+
+
+def grid_graph(k: int) -> CityGraph:
+    """k x k grid graph of `grid_edges(k)`.
+
+    Integer coordinates (col, row) are attached so the Euclidean transport
+    metric is available on generated grids.
+    """
+    edges = grid_edges(k)
+    axis = [float(i) for i in range(k)]
+    coords = dict(enumerate(((col, row) for row in axis for col in axis), start=1))
     return CityGraph(k * k, edges, coords=coords)
 
 
@@ -293,6 +297,10 @@ def load_graph(path) -> CityGraph:
 
 
 def save_graph(graph: CityGraph, path) -> None:
-    lines = [f"{graph.n} {len(graph.edges)}"]
-    lines += [f"{i} {j}" for i, j in graph.edges]
+    save_edges(graph.n, graph.edges, path)
+
+
+def save_edges(n, edges, path) -> None:
+    """Write the plain-text edge list that load_graph reads."""
+    lines = [f"{n} {len(edges)}"] + [f"{i} {j}" for i, j in edges]
     Path(path).write_text("\n".join(lines) + "\n")

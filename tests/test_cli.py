@@ -682,3 +682,120 @@ def test_table_estimate_is_the_built_tables_size():
         row.itemsize * len(row) for row in g._next)
     assert graphmod.table_bytes(10000) < graphmod.BYTES_MAX // 5  # 100x100 fits
     assert graphmod.table_bytes(2 ** 16) == 2 * (2 ** 16 + 1) ** 2 * 4
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("flag, value", [("e-eta", 9), ("hotspot", 2), ("hotspot-mass", 0.9)])
+def test_trip_log_with_a_synthetic_model_flag_is_rejected_before_any_output(
+        tmp_path, capsys, flag, value, source):
+    trips = tmp_path / "t.csv"
+    trips.write_text("t,pickup,dropoff\n1,2,3\n2,4,1\n")
+    out = tmp_path / "o"
+    extra = [f"--{flag}", str(value)]
+    if source == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag: value}))
+        extra = ["--config", str(cfg)]
+    rc = main(["simulate", "--grid", "3", "--trips", str(trips), *extra, "--policy", "greedy",
+               "--m", "2", "--T", "5", "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: --trips and --{flag} cannot be used together\n"
+    assert not out.exists()
+
+
+def test_stability_verify_runs_at_the_given_fleet_size(tmp_path, capsys):
+    """--m-sweep, then --m, then the sufficient fleet size (3 here)."""
+    base = ["stability", "--grid", "4", "--e-eta", "0.5", "--verify", "--seeds", "5", "--T", "20"]
+    for flags, m in ([], 3), (["--m", "7"], 7), (["--m", "7", "--m-sweep", "5"], 5):
+        out = tmp_path / f"s{len(flags)}"
+        assert main(base + flags + ["--out-dir", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"m={m} ia-ra: STABLE"
+        assert [r[0] for r in read_csv(out / "verdicts.csv")[1:]] == [str(m)]
+
+
+def test_shared_config_range_checks_apply_to_the_subcommands_with_the_flag(tmp_path, capsys):
+    """gen-trips has no --m-lim, so a shared config's m-lim of 0 does not
+    concern it; simulate still rejects it."""
+    cfg = tmp_path / "shared.json"
+    cfg.write_text(json.dumps({"grid": 3, "e-eta": 0.5, "m-lim": 0}))
+    assert main(["gen-trips", "--config", str(cfg), "--T", "5",
+                 "--out", str(tmp_path / "t.csv")]) == 0
+    assert (tmp_path / "t.csv").exists()
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--m", "2", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --m-lim must be >= 1, got 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "gen-trips"])
+def test_config_value_of_another_subcommands_flag_must_have_its_type(tmp_path, capsys,
+                                                                      command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"metric": 5}')
+    out = tmp_path / "o"
+    dest = ["--out", str(out)] if command == "gen-trips" else ["--m", "2", "--out-dir", str(out)]
+    rc = main([command, "--config", str(cfg), "--grid", "3", "--e-eta", "0.5", *dest])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: config {cfg}: invalid value 5 for 'metric'\n"
+    assert not out.exists()
+
+
+def test_null_config_value_leaves_the_flag_at_its_default(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": 3, "e-eta": 0.5, "m": 2, "seeds": None, "T": None}))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    rows = read_csv(out / "summary.csv")
+    assert len(rows) == 2 and rows[1][2] == "60"  # one seed, T = 60
+
+
+# The least argv that each subcommand runs with; "{out}" is its output path.
+RUNNABLE = {
+    "simulate": ["--m", "2", "--T", "5", "--out-dir", "{out}"],
+    "compare": ["--policies", "ia-ra,greedy", "--m", "2", "--T", "5", "--seeds", "2",
+                "--out-dir", "{out}"],
+    "stability": ["--out-dir", "{out}"],
+    "gen-trips": ["--T", "5", "--out", "{out}"],
+    "partition": ["--m", "2", "--out", "{out}"],
+}
+
+
+def _runnable(command, out):
+    return [command, "--grid", "3", "--e-eta", "0.4",
+            *(a.replace("{out}", str(out)) for a in RUNNABLE[command])]
+
+
+@pytest.mark.parametrize("command", sorted(RUNNABLE))
+def test_runnable_argv_runs(tmp_path, command):
+    assert main(_runnable(command, tmp_path / "o")) == 0
+    assert (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, command", [(f, c) for f in cli.FLAGS if f.least is not None
+                                           for c in f.commands],
+                         ids=lambda x: getattr(x, "name", x))
+def test_flag_below_its_least_value_is_rejected_before_any_output(tmp_path, capsys, flag,
+                                                                   command):
+    """Every row of the flag table with a least value, on every subcommand
+    that has the flag: the last value given wins, so least - 1 overrides."""
+    out = tmp_path / "o"
+    value = flag.least - 1
+    rc = main(_runnable(command, out) + [f"--{flag.name}", str(value)])
+    assert rc == 1
+    message = f"error: --{flag.name} must be >= {flag.least}, got {value}\n"
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+def test_gen_graph_writes_the_grid_without_building_its_tables(tmp_path, capsys, monkeypatch):
+    want = tmp_path / "want.txt"
+    graphmod.save_graph(graphmod.grid_graph(6), want)
+    _no_table_build(monkeypatch)
+    out = tmp_path / "g.txt"
+    assert main(["gen-graph", "--k", "6", "--out", str(out)]) == 0
+    assert out.read_bytes() == want.read_bytes()
+    assert capsys.readouterr().out == f"wrote 6x6 grid (36 nodes, 120 edges) to {out}\n"
+    assert main(["gen-graph", "--k", "70000", "--out", str(out.with_suffix(".big"))]) == 1
+    assert capsys.readouterr().err.startswith("error: a graph of 4900000000 nodes needs ")
+    assert not out.with_suffix(".big").exists()

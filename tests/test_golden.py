@@ -5,12 +5,19 @@ which keeps one conditional dropoff pmf per pickup node.
 
 A refactor or a speed-up that is meant to keep behaviour leaves every digest
 here unchanged. Changing one is a behaviour change and is recorded with the
-old and new value. To print the current digests:
+old and new value. The CLI digests cover one run of each subcommand that
+leaves most flags at their defaults, plus one run whose values come from a
+config file. To print the current digests:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import hashlib
+import io
+import json
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +25,7 @@ from fleetroll import (GreedyPolicy, IACommitPolicy, IARAPolicy, RandomIAPolicy,
                        RolloutConfig, RolloutPolicy, TwoPhasePolicy, get_partitions,
                        grid_graph, run_episode, synthetic_model)
 from fleetroll import graph as graph_module
+from fleetroll.cli import main as cli_main
 from fleetroll.demand import estimate_from_trips, generate_trips
 
 # name -> (grid k, e_eta, hotspot, hotspot mass, policy, m, T, seed, t_h, num_mc, m_lim)
@@ -78,6 +86,36 @@ PARTITION_GOLDEN = {
 }
 
 
+# name -> CLI argv; "{out}" is the run's output path, "{cfg}" a file of CLI_CONFIG
+CLI_CASES = {
+    "simulate": ["simulate", "--grid", "4", "--e-eta", "0.5", "--m", "3", "--out-dir", "{out}"],
+    "compare": ["compare", "--grid", "3", "--e-eta", "0.3", "--policies", "greedy,rollout",
+                "--m", "2", "--T", "6", "--seeds", "2", "--out-dir", "{out}"],
+    "stability-verify": ["stability", "--grid", "4", "--e-eta", "0.5", "--verify",
+                         "--seeds", "5", "--out-dir", "{out}"],
+    "gen-trips": ["gen-trips", "--grid", "4", "--e-eta", "1.0", "--out", "{out}"],
+    "partition": ["partition", "--grid", "6", "--e-eta", "1.0", "--m", "25", "--out", "{out}"],
+    "gen-graph": ["gen-graph", "--k", "4", "--out", "{out}"],
+    "config": ["simulate", "--config", "{cfg}", "--seed", "4", "--out-dir", "{out}"],
+}
+
+# Keys of other subcommands (metric, verify, out) ride along unused.
+CLI_CONFIG = {"grid": 5, "e-eta": 0.8, "hotspot": 7, "hotspot-mass": 0.2,
+              "policy": "two-phase", "m-sweep": [4, 6], "m-lim": 2, "t-h": 2, "num-mc": 3,
+              "T": 10, "seeds": 2, "jobs": 1, "metric": "graph", "verify": False,
+              "out": "unused.csv"}
+
+CLI_GOLDEN = {
+    "compare": "7a1170f839e13f9681f4758038ef574efe76d03cef8108bdc9cbbcd9bf4320e5",
+    "config": "1bf11132a836c9e66b239c72228c4c20b2406c6b576cdaa2f0b08e4c12669754",
+    "gen-graph": "dff18bdd8853766e80d9bd4457434985f1a0e04f19444f1bf658d212ee4e7d1b",
+    "gen-trips": "a5f25763b7e94a945582f280c68d092cbc99cf297d2f45ade6765570b1a1e018",
+    "partition": "07c5d6f774252b50adb6af420b213d33be2bf6dadc23ebfe7696f4bd1559d4c2",
+    "simulate": "9a8d05408bfb15de176270d12d3a6994b81dbe0890572bb0c6da643057b13501",
+    "stability-verify": "ba5c6b1f9d6b2abb5c738f9cb4a6bdfed8fe714bb1ad23cba91a29b9af2630d9",
+}
+
+
 def _policy(kind, graph, model, m, t_h, num_mc, m_lim):
     simple = {"greedy": GreedyPolicy, "random-ia": RandomIAPolicy,
               "ia-commit": IACommitPolicy, "ia-ra": IARAPolicy}
@@ -114,6 +152,23 @@ def partition_digest(name):
     return hashlib.sha256(repr((spec.centers, spec.assignment)).encode()).hexdigest()
 
 
+def cli_digest(name, tmp):
+    """Digest of a CLI run's stdout (with `tmp` masked) and of its output
+    file, or of every non-timing file in its output directory."""
+    tmp = Path(tmp)
+    out, cfg = tmp / "out", tmp / "cfg.json"
+    cfg.write_text(json.dumps(CLI_CONFIG))
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        assert cli_main([a.format(out=out, cfg=cfg) for a in CLI_CASES[name]]) == 0
+    h = hashlib.sha256(stdout.getvalue().replace(str(tmp), "<tmp>").encode())
+    for f in sorted(out.iterdir()) if out.is_dir() else [out]:
+        if "timing" not in f.name:
+            h.update(f.name.encode())
+            h.update(f.read_bytes())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_trace_digest(name):
     assert trace_digest(name) == GOLDEN[name]
@@ -141,6 +196,11 @@ def test_golden_partition_digest(name):
     assert partition_digest(name) == PARTITION_GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_golden_cli_digest(name, tmp_path):
+    assert cli_digest(name, tmp_path) == CLI_GOLDEN[name]
+
+
 if __name__ == "__main__":
     print("GOLDEN")
     for case in sorted(CASES):
@@ -148,3 +208,7 @@ if __name__ == "__main__":
     print("PARTITION_GOLDEN")
     for case in sorted(PARTITION_CASES):
         print(f'    "{case}": "{partition_digest(case)}",')
+    print("CLI_GOLDEN")
+    for case in sorted(CLI_CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            print(f'    "{case}": "{cli_digest(case, tmp)}",')
