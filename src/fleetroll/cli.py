@@ -150,7 +150,8 @@ def _check_draws(what, doubles):
 def _check_run(g, model, args, policies, m_values):
     """Two-phase opens ceil(m / m_lim) sectors, each around a node of its own;
     an episode draws T-1 counts, 2 uniforms per arrival (at most eta_max a
-    step) and m locations up front, and rollout a scenario block per taxi."""
+    step) and m locations up front, and a rollout planning call num_mc
+    scenarios for each of up to m free taxis."""
     m = max(m_values)
     if "two-phase" in policies and (K := math.ceil(m / args["m_lim"])) > g.n:
         raise CLIError(f"two-phase with --m {m} and --m-lim {args['m_lim']} opens "
@@ -158,7 +159,7 @@ def _check_run(g, model, args, policies, m_values):
     eta_max = max(k for k, p in model.eta_pmf.items() if p > 0)
     _check_draws("an episode", (args["T"] - 1) * (1 + 2 * eta_max) + m)
     if {"rollout", "two-phase"} & set(policies):
-        _check_draws("a rollout scenario block", args["num_mc"] * (args["t_h"] + 1)
+        _check_draws("a rollout planning call", m * args["num_mc"] * (args["t_h"] + 1)
                      * (1 + 2 * math.ceil(model.e_eta)))
 
 
@@ -283,9 +284,8 @@ def cmd_gen_graph(args):
 def cmd_gen_trips(args):
     g, model = _graph_and_model(args)
     _check_draws("a trip log step", 1 + 2 * max(k for k, p in model.eta_pmf.items() if p > 0))
-    rows = demand.generate_trips(model, args["T"], args["seed"])
-    demand.write_trip_log(rows, args["out"])
-    print(f"wrote {len(rows)} trips over {args['T']} steps to {args['out']}")
+    n = demand.write_trip_log(demand.generate_trips(model, args["T"], args["seed"]), args["out"])
+    print(f"wrote {n} trips over {args['T']} steps to {args['out']}")
     return 0
 
 

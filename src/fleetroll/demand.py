@@ -12,6 +12,7 @@ import csv
 import io
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
 from numbers import Integral
@@ -371,15 +372,15 @@ def synthetic_model(graph, e_eta: float, hotspot: int | None = None,
     return DemandModel(eta_pmf, pickup_pmf, dropoff_given_pickup)
 
 
-def generate_trips(model: DemandModel, horizon: int, seed: int) -> list[tuple[int, int, int]]:
-    """Sample a synthetic trip log of (t, pickup, dropoff) rows from a model."""
+def generate_trips(model: DemandModel, horizon: int, seed: int) -> Iterator[tuple[int, int, int]]:
+    """Sample a synthetic trip log of (t, pickup, dropoff) rows from a model,
+    yielding each step's rows as they are drawn."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    rows = []
     for t in range(1, horizon + 1):
         [count] = sample_arrivals(model, rng, 1).tolist()
         pickups, dropoffs = sample_request(model, rng, count)
-        rows += [(t, p, d) for p, d in zip(pickups.tolist(), dropoffs.tolist())]
-    return rows
+        for p, d in zip(pickups.tolist(), dropoffs.tolist()):
+            yield t, p, d
 
 
 def read_trip_log(path) -> list[tuple[int, int, int]]:
@@ -400,8 +401,12 @@ def read_trip_log(path) -> list[tuple[int, int, int]]:
     return rows
 
 
-def write_trip_log(rows, path) -> None:
+def write_trip_log(rows, path) -> int:
+    """Write the rows under the header as they come; returns how many."""
+    n = 0
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "pickup", "dropoff"])
-        w.writerows(rows)
+        for n, row in enumerate(rows, 1):
+            w.writerow(row)
+    return n

@@ -6,15 +6,22 @@ Taxis are processed in ascending id order. While taxi l is minimized, taxis
 before l are frozen at their already-chosen rollout controls and taxis after l
 follow the base policy's joint control for the current state. A base pickup
 of a request that an earlier taxi has already taken leaves the later taxi
-where it stands. Each (step, taxi) pair gets its own seed-derived stream from
-which all of its scenarios are drawn up front in one vectorized call, so
-candidates of one taxi share common random numbers and results never depend
-on evaluation order or parallelism.
+where it stands. Each planning call gets one seed-derived stream, keyed by
+the clock and the call's lowest taxi key, from which all of its scenarios
+are drawn up front in one vectorized call: num_mc for each of its F free
+taxis. The j-th free taxi scores every candidate on the j-th block of num_mc,
+so candidates of one taxi share common random numbers, no two taxis share a
+scenario, and results never depend on evaluation order or parallelism. A
+taxi's block is turned into request tuples only when the taxi is scored.
 
 A sector planner passes its region. The region confines candidate moves to
 its nodes and selects the lookahead's requests: each scenario keeps only the
 requests picked up in the region, because the rest of the map's demand is
-served by other sectors. The scenario draws stay those of global rollout.
+served by other sectors. The uniforms drawn do not depend on the region.
+
+Among candidates of least total cost, a taxi takes its base control when
+that is one of them: with a truncated lookahead, ties are where rollout
+would otherwise lose on its base policy.
 
 The base policy is IA-RA (`policies.ia_ra_control`). A taxi's candidates are
 scored in one call, `_candidate_costs`, which simulates each candidate step
@@ -74,68 +81,93 @@ class RolloutConfig:
 
 def _sample_scenario(model, t_h, num_mc, rng, region=None):
     """Arrival batches of num_mc scenarios, each for the candidate step plus
-    t_h base policy steps.
+    t_h base policy steps, kept as arrays until read (see _Scenarios).
 
     Batch i of a scenario holds (id, pickup, dropoff) tuples that appear i+1
     steps after the planning step; ids are negative and scenario-local, so
     they never collide with real request ids. The uniforms are read as num_mc
     sequential draws would consume them: per scenario t_h+1 arrival counts,
     then one uniform per request for its pickup, then one per request for its
-    dropoff. They come in blocks sized from the mean arrival count, and a
-    scenario that runs past the end extends the block; PCG64 spends one output
-    per double, so the blocks hold exactly the draws of one longer call. Each
-    block is read as arrival counts in one lookup; only the entries at count
-    positions are used.
+    dropoff. They come in chunks sized from the mean arrival count, and a
+    scenario that runs past the end draws another chunk; PCG64 spends one
+    output per double, so the chunks hold exactly the draws of one longer
+    call. Each chunk is read as arrival counts in one lookup; only the entries
+    at count positions are used.
 
     `region`, a boolean array indexed by node, keeps only the requests whose
     pickup it marks, in draw order and numbered -1, -2, ... again; the others
-    are dropped before their tuples are built. The uniforms drawn do not
+    are dropped before their dropoffs are looked up. The uniforms drawn do not
     depend on it.
     """
     steps = t_h + 1
     eta = model._eta_sampler
     chunk = num_mc * steps * (1 + 2 * math.ceil(model.e_eta))
     us = rng.random(chunk)
-    counts, us = eta.at(us).tolist(), us.tolist()
-    layout, pick_us, drop_us = [], [], []
+    counts = eta.at(us).tolist()
+    layout, starts, totals = [], [], []
     at = 0
     for _ in range(num_mc):
         per_step = counts[at:at + steps]
         total = sum(per_step)
         at += steps
-        while len(us) < at + 2 * total + steps:  # these requests, the next counts
+        while len(counts) < at + 2 * total + steps:  # these requests, the next counts
             more = rng.random(chunk)
             counts += eta.at(more).tolist()
-            us += more.tolist()
-        pick_us += us[at:at + total]
-        drop_us += us[at + total:at + 2 * total]
+            us = np.concatenate((us, more))
+        layout += per_step
+        starts.append(at)
+        totals.append(total)
         at += 2 * total
-        layout.append(per_step)
-    pickups, dropoffs = model.requests_at(np.array(pick_us), np.array(drop_us))
+    # A scenario's r-th request has its pickup uniform at its start + r and
+    # its dropoff uniform `total` places later.
+    totals = np.array(totals)
+    picks = np.arange(totals.sum()) + np.repeat(np.array(starts) - np.cumsum(totals) + totals,
+                                                totals)
+    pick_us, drop_us, layout = us[picks], us[picks + np.repeat(totals, totals)], np.array(layout)
     if region is not None:
-        keep = region[pickups]
-        pickups, dropoffs = pickups[keep], dropoffs[keep]
-        keep = keep.tolist()
-        at = 0
-        for per_step in layout:
-            for i, c in enumerate(per_step):
-                per_step[i] = keep[at:at + c].count(True)
+        keep = region[model._pickup_sampler.at(pick_us)]
+        slot = np.repeat(np.arange(len(layout)), layout)  # each request's (scenario, step)
+        layout = np.bincount(slot[keep], minlength=len(layout))
+        pick_us, drop_us = pick_us[keep], drop_us[keep]
+    pickups, dropoffs = model.requests_at(pick_us, drop_us)
+    return _Scenarios(layout.reshape(num_mc, steps), pickups, dropoffs)
+
+
+class _Scenarios:
+    """Scenarios of one draw as arrays: row s of `counts` holds scenario s's
+    arrivals per step, and `pickups` and `dropoffs` hold its requests after
+    those of the scenarios before it. A slice builds the arrival batches of
+    its scenarios only; iterating builds them all."""
+
+    def __init__(self, counts, pickups, dropoffs):
+        self.counts = counts
+        self.firsts = [0] + np.cumsum(counts.sum(axis=1)).tolist()
+        self.pickups, self.dropoffs = pickups, dropoffs
+
+    def __len__(self):
+        return len(self.counts)
+
+    def __iter__(self):
+        return iter(self[:])
+
+    def __getitem__(self, span):
+        a, b, _ = span.indices(len(self))
+        lo, hi = self.firsts[a], self.firsts[b]
+        pickups, dropoffs = self.pickups[lo:hi].tolist(), self.dropoffs[lo:hi].tolist()
+        scenarios = []
+        first = 0
+        for per_step in self.counts[a:b].tolist():
+            total = sum(per_step)
+            reqs = list(zip(range(-1, -total - 1, -1), pickups[first:first + total],
+                            dropoffs[first:first + total]))
+            first += total
+            batches = []
+            at = 0
+            for c in per_step:
+                batches.append(reqs[at:at + c])
                 at += c
-    pickups, dropoffs = pickups.tolist(), dropoffs.tolist()
-    scenarios = []
-    first = 0
-    for per_step in layout:
-        total = sum(per_step)
-        reqs = list(zip(range(-1, -total - 1, -1), pickups[first:first + total],
-                        dropoffs[first:first + total]))
-        first += total
-        batches = []
-        at = 0
-        for c in per_step:
-            batches.append(reqs[at:at + c])
-            at += c
-        scenarios.append(batches)
-    return scenarios
+            scenarios.append(batches)
+        return scenarios
 
 
 def _candidate_costs(state, joints, scenarios, graph, t_h, inbound=()):
@@ -390,21 +422,27 @@ def one_at_a_time_control(state, graph, model, cfg: RolloutConfig, seed: int,
     """Joint control from m sequential per-taxi lookahead minimizations.
 
     Occupied taxis contribute their single forced control, the base joint's
-    hop, without simulation. A free taxi takes its first candidate of least
-    total cost. `taxi_keys` supplies the seed-keying identity of each taxi
-    (global ids when planning a sector sub-state) and `inbound` announces
-    scheduled future taxi arrivals for sector-local planning.
-    `region`, a boolean array indexed by node, confines candidate moves to
-    the nodes it marks and selects the lookahead's requests: each scenario
-    keeps only the requests picked up in the region. The scenario draws, and
-    so their common random numbers, stay those of global rollout.
+    hop, without simulation. A free taxi takes its base control when that is
+    among its candidates of least total cost, and else its first candidate
+    of least total. The call draws its scenarios once, on a stream keyed by
+    the clock and its lowest taxi key: num_mc for each of its F free taxis,
+    and the j-th free taxi in index order scores every candidate on block j.
+    `taxi_keys` supplies the seed-keying identity of each taxi (global ids
+    when planning a sector sub-state), so a single sector holding every taxi
+    reads global rollout's stream; `inbound` announces scheduled future taxi
+    arrivals for sector-local planning. `region`, a boolean array indexed by
+    node, confines candidate moves to the nodes it marks and selects the
+    lookahead's requests: each scenario keeps only the requests picked up in
+    the region.
     """
     m = state.m
-    if taxi_keys is None:
-        taxi_keys = list(range(m))
+    key = min(taxi_keys or (0,))  # global rollout keys its taxis 0..m-1
     base_joint, _ = policies.ia_ra_control(state, graph)
+    num_mc = cfg.num_mc
+    draw = None
     chosen = [None] * m
     claimed = set()
+    j = 0  # free taxis before l: l scores on block j of the draw
     for l in range(m):
         if state.timers[l] > 0:
             chosen[l] = base_joint[l]
@@ -413,11 +451,17 @@ def one_at_a_time_control(state, graph, model, cfg: RolloutConfig, seed: int,
         if len(cands) == 1:
             chosen[l] = cands[0]
         else:
-            rng = substream(seed, NS_LOOKAHEAD, state.clock, taxi_keys[l])
-            scenarios = _sample_scenario(model, cfg.t_h, cfg.num_mc, rng, region)
+            if draw is None:
+                rng = substream(seed, NS_LOOKAHEAD, state.clock, key)
+                draw = _sample_scenario(model, cfg.t_h, state.timers.count(0) * num_mc,
+                                        rng, region)
             joints = [chosen[:l] + [cand] + base_joint[l + 1:] for cand in cands]
-            totals = _candidate_costs(state, joints, scenarios, graph, cfg.t_h, inbound)
-            chosen[l] = cands[totals.index(min(totals))]
+            totals = _candidate_costs(state, joints, draw[j * num_mc:(j + 1) * num_mc],
+                                      graph, cfg.t_h, inbound)
+            low = min(totals)
+            least = [c for c, t in zip(cands, totals) if t == low]
+            chosen[l] = base_joint[l] if base_joint[l] in least else least[0]
+        j += 1
         if chosen[l][0] == PICKUP:
             claimed.add(chosen[l][1])
     return chosen

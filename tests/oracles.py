@@ -15,10 +15,10 @@ from fleetroll.demand import Request, certainty_equivalence_requests
 from fleetroll.matching import auction_match
 from fleetroll.planner import HighLevelPlan, TransitRoute, TwoPhasePolicy
 from fleetroll.policies import ia_ra_control
-from fleetroll.rollout import RolloutPolicy, _sample_scenario
-from fleetroll.sim import (HOP, MOVE, NS_ARRIVALS, NS_CE, NS_INIT, NS_REQUESTS, PICKUP, STAY,
-                           FleetState, IllegalControl, SimError, run_episode, substream,
-                           transition)
+from fleetroll.rollout import RolloutPolicy, _candidate_actions, _sample_scenario
+from fleetroll.sim import (HOP, MOVE, NS_ARRIVALS, NS_CE, NS_INIT, NS_LOOKAHEAD, NS_REQUESTS,
+                           PICKUP, STAY, FleetState, IllegalControl, SimError, run_episode,
+                           substream, transition)
 
 
 class TooLarge(ValueError):
@@ -254,12 +254,48 @@ def compose_joint(chosen, candidate, taxi, base_joint, claimed):
     return joint
 
 
-def evaluate_candidate(state, joint_control, graph, model, cfg, rng, inbound=()):
+def taxi_scenarios(state, taxi, model, cfg, seed, region=None, taxi_keys=None):
+    """Free `taxi`'s lookahead scenarios: with F free taxis in the state, the
+    planning call draws F * num_mc scenarios in one _sample_scenario call on
+    the stream of the clock and the lowest taxi key, and the j-th free taxi in
+    index order reads block j, scenarios j * num_mc to (j + 1) * num_mc - 1."""
+    free = [l for l in range(state.m) if state.timers[l] == 0]
+    key = min(taxi_keys) if taxi_keys is not None else 0
+    rng = substream(seed, NS_LOOKAHEAD, state.clock, key)
+    draw = list(_sample_scenario(model, cfg.t_h, len(free) * cfg.num_mc, rng, region))
+    j = free.index(taxi)
+    return draw[j * cfg.num_mc:(j + 1) * cfg.num_mc]
+
+
+def evaluate_candidate(state, joint_control, graph, scenarios, t_h, inbound=()):
     """Monte-Carlo lookahead estimate of one joint control's cost, each
     scenario simulated by the validated sim.transition path."""
-    costs = [lookahead_cost(state, joint_control, batches, graph, cfg.t_h, inbound)
-             for batches in _sample_scenario(model, cfg.t_h, cfg.num_mc, rng)]
+    costs = [lookahead_cost(state, joint_control, batches, graph, t_h, inbound)
+             for batches in scenarios]
     return LookaheadEstimate(sum(costs) / len(costs), costs)
+
+
+def rollout_control_reference(state, graph, model, cfg, seed, region=None, inbound=(),
+                              taxi_keys=None):
+    """One-at-a-time rollout on the sim.transition path: each free taxi scores
+    each composed candidate joint on its own block of the call's scenarios and
+    takes its base control when that is among the least scores, else the first
+    least."""
+    base_joint, _ = ia_ra_control(state, graph)
+    chosen, claimed = list(base_joint), set()
+    for l in range(state.m):
+        if state.timers[l] > 0:
+            continue
+        cands = _candidate_actions(state, graph, l, claimed, region)
+        scenarios = taxi_scenarios(state, l, model, cfg, seed, region, taxi_keys)
+        scores = [sum(evaluate_candidate(
+            state, compose_joint(chosen, cand, l, base_joint, claimed), graph, scenarios,
+            cfg.t_h, inbound).scenario_costs) for cand in cands]
+        least = [cand for cand, score in zip(cands, scores) if score == min(scores)]
+        chosen[l] = base_joint[l] if base_joint[l] in least else least[0]
+        if chosen[l][0] == PICKUP:
+            claimed.add(chosen[l][1])
+    return chosen
 
 
 def shortest_path(graph, i, j):

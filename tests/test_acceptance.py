@@ -216,6 +216,26 @@ def test_criterion_7_two_phase_quality_and_runtime():
            f"plan {time_2:.1f}ms vs {time_r:.1f}ms (ratio {time_2/time_r:.2f} < 0.60)")
 
 
+def test_criterion_7_global_rollout_improves_on_its_base():
+    # Criterion 7's model and short lookahead, where many candidates tie:
+    # rollout must still beat IA-RA, its base policy.
+    g = fr.grid_graph(8)
+    model = fr.synthetic_model(g, 0.5, hotspot=1, hotspot_mass=0.5)
+    cfg = RolloutConfig(t_h=5, num_mc=5)
+    costs_r, costs_b = [], []
+    for seed in range(20):
+        costs_r.append(run_episode(g, model, RolloutPolicy(g, model, cfg), 8, 50, seed).cost)
+        costs_b.append(run_episode(g, model, IARAPolicy(g), 8, 50, seed).cost)
+    mean_r = sum(costs_r) / 20
+    mean_b = sum(costs_b) / 20
+    p = one_sided_paired_p([r - b for r, b in zip(costs_r, costs_b)])
+    assert mean_r < mean_b and p < 0.05
+    worse = sum(r > b for r, b in zip(costs_r, costs_b))
+    report("7 rollout improves on its base",
+           f"rollout {mean_r:.2f} < ia-ra {mean_b:.2f} over 20 paired seeds, p={p:.1e}, "
+           f"{worse} seeds worse")
+
+
 def test_criterion_8_stability_window():
     t0 = time.monotonic()
     g = fr.grid_graph(5)

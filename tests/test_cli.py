@@ -662,7 +662,7 @@ def test_graph_file_too_large_for_its_tables_exits_before_any_build(tmp_path, ca
      "an episode draws 86.1 GiB"),
     (["gen-trips", "--e-eta", "1e12"], "a trip log step draws 1.49e+04 GiB"),
     (["simulate", "--e-eta", "1", "--policy", "rollout", "--m", "2",
-      "--num-mc", "1000000000000"], "a rollout scenario block draws 2.46e+05 GiB"),
+      "--num-mc", "1000000000000"], "a rollout planning call draws 4.92e+05 GiB"),
 ], ids=["episode-requests", "verify-fleet", "trip-log-step", "rollout-scenarios"])
 def test_draws_too_large_to_make_are_rejected_before_any_output(tmp_path, capsys, argv,
                                                                 message):
@@ -674,6 +674,24 @@ def test_draws_too_large_to_make_are_rejected_before_any_output(tmp_path, capsys
     assert "Traceback" not in captured.out + captured.err
     assert captured.err == f"error: {message} of uniforms up front, more than the 2 GiB allowed\n"
     assert not out.exists()
+
+
+def test_a_planning_call_draw_too_large_is_rejected_before_any_draw(tmp_path, capsys,
+                                                                    monkeypatch):
+    # One taxi's block, num_mc (t_h+1)(1+2 ceil(E[eta])) = 1e7 * 6 * 3 uniforms,
+    # is 1.34 GiB and fits; a planning call draws one block per free taxi, so
+    # two taxis need 2.68 GiB.
+    assert 8 * 10 ** 7 * 6 * 3 < graphmod.BYTES_MAX < 2 * 8 * 10 ** 7 * 6 * 3
+    runs = []
+    monkeypatch.setattr(cli, "_execute", lambda tasks, jobs: runs.append(tasks) or [])
+    out = tmp_path / "o"
+    rc = main(["simulate", "--grid", "3", "--e-eta", "1", "--policy", "rollout", "--m", "2",
+               "--t-h", "5", "--num-mc", "10000000", "--T", "5", "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: a rollout planning call draws 2.68 GiB of uniforms up front, "
+        "more than the 2 GiB allowed\n")
+    assert not out.exists() and runs == []
 
 
 def test_table_estimate_is_the_built_tables_size():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,10 +241,28 @@ def test_estimated_model_converges_in_total_variation(grid5):
 
 def test_trip_log_round_trip(tmp_path, grid5):
     model = synthetic_model(grid5, 0.8)
-    rows = generate_trips(model, horizon=200, seed=4)
+    rows = list(generate_trips(model, horizon=200, seed=4))
     path = tmp_path / "trips.csv"
-    write_trip_log(rows, path)
+    assert write_trip_log(iter(rows), path) == len(rows)
     assert read_trip_log(path) == rows
+
+
+def test_writing_a_generated_trip_log_keeps_one_step_of_rows(tmp_path, grid5):
+    # Rows are drawn a step at a time and written as they come, so the traced
+    # peak of drawing and writing a log does not grow with its horizon.
+    model = synthetic_model(grid5, 20.0)
+
+    def peak(horizon):
+        tracemalloc.start()
+        try:
+            write_trip_log(generate_trips(model, horizon, seed=1), tmp_path / "t.csv")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(50)  # first-call allocations
+    small, large = peak(1500), peak(3000)
+    assert large <= 1.1 * small, (small, large)
 
 
 def built_with_reference(monkeypatch, make):
@@ -293,8 +312,8 @@ def two_conditionals_model():
 
 def test_model_tables_match_entry_by_entry_reference(monkeypatch):
     g10, g15 = grid_graph(10), grid_graph(15)
-    trips = generate_trips(synthetic_model(g10, 1.5, hotspot=45, hotspot_mass=0.2),
-                           horizon=600, seed=3)
+    trips = list(generate_trips(synthetic_model(g10, 1.5, hotspot=45, hotspot_mass=0.2),
+                                horizon=600, seed=3))
     makers = [
         lambda: synthetic_model(g10, 0.7),
         lambda: synthetic_model(g15, 6.0, hotspot=113, hotspot_mass=0.3),
@@ -341,8 +360,8 @@ def test_marginal_of_masses_that_differ_in_the_last_bit(monkeypatch):
 
 def test_marginal_in_many_blocks(monkeypatch):
     g10 = grid_graph(10)
-    trips = generate_trips(synthetic_model(g10, 1.5, hotspot=45, hotspot_mass=0.2),
-                           horizon=300, seed=4)
+    trips = list(generate_trips(synthetic_model(g10, 1.5, hotspot=45, hotspot_mass=0.2),
+                                horizon=300, seed=4))
     monkeypatch.setattr(demand, "_BLOCK_CELLS", 5)
     for make in (lambda: synthetic_model(g10, 2.0, hotspot=12, hotspot_mass=0.4),
                  lambda: estimate_from_trips(trips, g10), two_conditionals_model):
@@ -351,8 +370,8 @@ def test_marginal_in_many_blocks(monkeypatch):
 
 def test_marginal_of_a_trip_log_on_a_40x40_grid(monkeypatch):
     g40 = grid_graph(40)
-    trips = generate_trips(synthetic_model(g40, 3.0, hotspot=820, hotspot_mass=0.2),
-                           horizon=1000, seed=2)
+    trips = list(generate_trips(synthetic_model(g40, 3.0, hotspot=820, hotspot_mass=0.2),
+                                horizon=1000, seed=2))
     model = assert_tables_match_reference(monkeypatch, lambda: estimate_from_trips(trips, g40))
     assert len(model._dropoff_pmfs) > 1000
 
@@ -373,8 +392,8 @@ def sampler_models():
     conditional per pickup (a trip log and a bursty log of 30 trips in one
     of 5 minutes) and two conditionals shared by alternating pickups."""
     g5, g10, g15 = grid_graph(5), grid_graph(10), grid_graph(15)
-    trips = generate_trips(synthetic_model(g10, 1.5, hotspot=45, hotspot_mass=0.2),
-                           horizon=600, seed=3)
+    trips = list(generate_trips(synthetic_model(g10, 1.5, hotspot=45, hotspot_mass=0.2),
+                                horizon=600, seed=3))
     return {
         "synthetic": synthetic_model(g10, 0.7),
         "hotspot-15": synthetic_model(g15, 6.0, hotspot=113, hotspot_mass=0.3),
@@ -412,7 +431,7 @@ def test_batched_draws_equal_scalar_reference():
                 lambda r: certainty_equivalence_requests(model, t, t_h, r),
                 lambda r: scalar_ce_requests(model, t, t_h, r), 4, t)
             assert got == want and same, (name, t_h)
-        assert generate_trips(model, 150, 8) == scalar_generate_trips(model, 150, 8), name
+        assert list(generate_trips(model, 150, 8)) == scalar_generate_trips(model, 150, 8), name
 
 
 class ScriptedUniforms:

@@ -5,9 +5,9 @@ from fleetroll.graph import grid_graph
 from fleetroll.partition import PartitionSpec
 from fleetroll.planner import (HighLevelPlan, TwoPhasePolicy, TransitRoute,
                                high_level_plan, split_state, two_phase_control)
-from fleetroll import rollout
+from fleetroll import planner, rollout
 from fleetroll.rollout import RolloutConfig, RolloutPolicy, _sample_scenario
-from fleetroll.sim import MOVE, FleetState, run_episode
+from fleetroll.sim import MOVE, NS_LOOKAHEAD, FleetState, run_episode
 from conftest import line_graph, ring_graph
 from oracles import high_level_plan_reference, run_two_phase, shortest_path
 
@@ -100,39 +100,51 @@ def test_high_level_plan_matches_the_assignment_problem_path(grid5):
 
 
 def test_sector_lookahead_sees_only_requests_picked_up_in_its_sector(monkeypatch):
-    # Each scenario handed to a sector's lookahead is the unfiltered draw of
-    # its (step, taxi) stream less the requests picked up elsewhere; global
-    # rollout's scenarios are the unfiltered draws.
+    # A planning call draws num_mc scenarios for each of its F free taxis on
+    # the stream of its clock and lowest global taxi key, and free taxi j
+    # scores on block j. A sector's blocks are the unfiltered draw's blocks
+    # less the requests picked up elsewhere; global rollout's are unfiltered.
     g = grid_graph(6)
     model = synthetic_model(g, 1.5, hotspot=8, hotspot_mass=0.2)
     cfg = RolloutConfig(t_h=3, num_mc=3)
-    keys, seen = [], []
+    keys, ids, seen = [], [], []
     real_substream, real_costs = rollout.substream, rollout._candidate_costs
+    real_control = planner.one_at_a_time_control
 
     def keyed_substream(*key):
         keys.append(key)
         return real_substream(*key)
 
+    def recording_control(*args, taxi_keys=None, **kwargs):
+        ids.append(taxi_keys)
+        return real_control(*args, taxi_keys=taxi_keys, **kwargs)
+
     def recording_costs(state, joints, scenarios, graph, t_h, inbound=()):
-        seen.append((state.locations, scenarios, keys[-1]))
+        l = next(i for i, acts in enumerate(zip(*joints)) if len(set(acts)) > 1)
+        seen.append((state, l, scenarios, keys[-1], ids[-1] if ids else None))
         return real_costs(state, joints, scenarios, graph, t_h, inbound)
 
     monkeypatch.setattr(rollout, "substream", keyed_substream)
     monkeypatch.setattr(rollout, "_candidate_costs", recording_costs)
+    monkeypatch.setattr(planner, "one_at_a_time_control", recording_control)
 
-    def unfiltered(key):
-        return _sample_scenario(model, cfg.t_h, cfg.num_mc, real_substream(*key))
+    def unfiltered(state, l, key):
+        free = [i for i in range(state.m) if state.timers[i] == 0]
+        j = free.index(l)
+        draw = _sample_scenario(model, cfg.t_h, len(free) * cfg.num_mc, real_substream(*key))
+        return draw[j * cfg.num_mc:(j + 1) * cfg.num_mc]
 
     pol = TwoPhasePolicy(g, model, m=9, m_lim=3, cfg=cfg)
     assert pol.pspec.K == 3
     run_episode(g, model, pol, 9, 20, seed=4)
     sector_of = pol.pspec.sector_of
     sectors, kept, dropped = set(), 0, 0
-    for locations, scenarios, key in seen:
-        [k] = {sector_of(v) for v in locations}
+    for state, l, scenarios, key, taxi_keys in seen:
+        assert key == (4, NS_LOOKAHEAD, state.clock, min(taxi_keys))
+        [k] = {sector_of(v) for v in state.locations}
         sectors.add(k)
         assert all(sector_of(p) == k for sc in scenarios for b in sc for _, p, _ in b)
-        full = unfiltered(key)
+        full = unfiltered(state, l, key)
         assert [[[(p, d) for _, p, d in b] for b in sc] for sc in scenarios] == [
             [[(p, d) for _, p, d in b if sector_of(p) == k] for b in sc] for sc in full]
         n_kept = sum(len(b) for sc in scenarios for b in sc)
@@ -141,10 +153,12 @@ def test_sector_lookahead_sees_only_requests_picked_up_in_its_sector(monkeypatch
     assert sectors == {1, 2, 3} and kept > 100 and dropped > kept
 
     seen.clear()
+    ids.clear()
     run_episode(g, model, RolloutPolicy(g, model, cfg), 9, 8, seed=4)
     assert len(seen) > 20
-    for _, scenarios, key in seen:
-        assert scenarios == unfiltered(key)
+    for state, l, scenarios, key, _ in seen:
+        assert key == (4, NS_LOOKAHEAD, state.clock, 0)
+        assert scenarios == unfiltered(state, l, key)
 
 
 def test_transiting_taxi_excluded_until_arrival_then_rejoins():

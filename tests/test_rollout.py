@@ -15,8 +15,8 @@ from fleetroll.policies import ia_ra_control, match_free_to_requests
 from fleetroll.sim import (MOVE, PICKUP, STAY, FleetState, run_episode, substream)
 from conftest import line_graph, random_fleet_state, random_strong_digraph, ring_graph
 from oracles import (LookaheadEstimate, ScalarDemand, compose_joint, evaluate_candidate,
-                     lookahead_cost, per_pickup_dropoffs, rollout_policy_cost,
-                     scalar_scenarios)
+                     lookahead_cost, per_pickup_dropoffs, rollout_control_reference,
+                     rollout_policy_cost, scalar_scenarios, taxi_scenarios)
 
 
 def zero_model():
@@ -367,7 +367,7 @@ def test_batched_scenarios_reproduce_sequential_draws(grid5):
         for trial, (t_h, num_mc) in enumerate(cases + more):
             got = _sample_scenario(model, t_h, num_mc, substream(21, trial))
             want = scalar_scenarios(model, t_h, num_mc, substream(21, trial))
-            assert got == want
+            assert list(got) == want
 
 
 def test_region_keeps_the_unfiltered_draws_in_region_requests(grid5):
@@ -382,8 +382,8 @@ def test_region_keeps_the_unfiltered_draws_in_region_requests(grid5):
     dropped = 0
     for model in (synthetic, from_log, bursty, zero_model()):
         for trial, (t_h, num_mc) in enumerate([(1, 1), (3, 4), (5, 10), (10, 30)]):
-            want = _sample_scenario(model, t_h, num_mc, substream(22, trial))
-            assert _sample_scenario(model, t_h, num_mc, substream(22, trial), every) == want
+            want = list(_sample_scenario(model, t_h, num_mc, substream(22, trial)))
+            assert list(_sample_scenario(model, t_h, num_mc, substream(22, trial), every)) == want
             for size in (0, 1, 5, 12, 24):
                 nodes = rng.choice(np.arange(1, grid5.n + 1), size=size, replace=False)
                 region = np.zeros(grid5.n + 1, dtype=bool)
@@ -430,14 +430,169 @@ def test_scenarios_zero_variance_on_deterministic_model():
     g = line_graph(4)
     s = make_state([2], outstanding={1: Request(1, 4, 1, 1)})
     cfg = RolloutConfig(t_h=3, num_mc=6)
-    est = evaluate_candidate(s, [(MOVE, 3)], g, zero_model(), cfg, substream(0, 0))
+    scenarios = taxi_scenarios(s, 0, zero_model(), cfg, seed=0)
+    est = evaluate_candidate(s, [(MOVE, 3)], g, scenarios, cfg.t_h)
     assert isinstance(est, LookaheadEstimate)
     assert len(est.scenario_costs) == 6
     assert len(set(est.scenario_costs)) == 1
     assert est.mean == est.scenario_costs[0]
-    scenarios = _sample_scenario(zero_model(), 3, 6, substream(0, 0))
     assert _candidate_costs(s, [[(MOVE, 3)]], scenarios, g, 3) == [
         sum(est.scenario_costs)]
+
+
+def random_planning_call(rng, g, sector):
+    """A fleet state on g, and the region, taxi keys and inbound taxis of a
+    sector planner's call when `sector`, else global rollout's (None, None, ())."""
+    m = int(rng.integers(1, 7))
+    region = None
+    nodes = np.arange(1, g.n + 1)
+    if sector:
+        region = np.zeros(g.n + 1, dtype=bool)
+        region[rng.choice(nodes, size=int(rng.integers(g.n // 3, g.n + 1)), replace=False)] = True
+        nodes = np.flatnonzero(region)
+    locs = [int(rng.choice(nodes)) for _ in range(m)]
+    timers, in_service = [0] * m, {}
+    for l in range(m):
+        drop = int(rng.integers(1, g.n + 1))
+        if drop != locs[l] and rng.random() < 0.3:
+            timers[l] = g.distance(locs[l], drop)
+            in_service[l] = (100 + l, drop)
+    outstanding = {i: Request(i, int(rng.choice(nodes)), int(rng.integers(1, g.n + 1)), 1)
+                   for i in range(1, int(rng.integers(0, 5)) + 1)}
+    state = FleetState(locs, timers, outstanding, in_service, int(rng.integers(1, 30)))
+    if not sector:
+        return state, None, None, ()
+    keys = sorted(rng.choice(40, size=m, replace=False).tolist())
+    inbound = tuple((state.clock + int(rng.integers(1, 5)), int(rng.choice(nodes)))
+                    for _ in range(int(rng.integers(0, 3))))
+    return state, region, keys, inbound
+
+
+def test_each_free_taxi_scores_every_candidate_on_its_own_block_of_one_draw(grid5,
+                                                                            monkeypatch):
+    # One _sample_scenario call per planning call, for F * num_mc scenarios on
+    # the stream of the clock and the lowest taxi key; the j-th free taxi's
+    # candidates all read block j, and no other block: every candidate scores
+    # as the sim.transition path does on that block.
+    draws, scored = [], []
+    real_sample, real_costs = rollout._sample_scenario, rollout._candidate_costs
+
+    class SliceLog:
+        """A draw that logs the scenario slices read from it."""
+
+        def __init__(self, draw):
+            self.draw, self.spans = draw, []
+
+        def __getitem__(self, span):
+            self.spans.append((span.start, span.stop))
+            return self.draw[span]
+
+    def recording_sample(model, t_h, num_mc, rng, region=None):
+        draws.append((num_mc, region, SliceLog(real_sample(model, t_h, num_mc, rng, region))))
+        return draws[-1][2]
+
+    def recording_costs(state, joints, scenarios, graph, t_h, inbound=()):
+        totals = real_costs(state, joints, scenarios, graph, t_h, inbound)
+        scored.append((joints, scenarios, totals))
+        return totals
+
+    monkeypatch.setattr(rollout, "_sample_scenario", recording_sample)
+    monkeypatch.setattr(rollout, "_candidate_costs", recording_costs)
+    model = synthetic_model(grid5, 1.5, hotspot=13, hotspot_mass=0.2)
+    rng = np.random.default_rng(12)
+    blocks_read = 0
+    for trial in range(120):
+        cfg = RolloutConfig(t_h=1 + trial % 3, num_mc=1 + trial % 3)
+        n = cfg.num_mc
+        s, region, keys, inbound = random_planning_call(rng, grid5, sector=trial % 2)
+        draws.clear()
+        scored.clear()
+        one_at_a_time_control(s, grid5, model, cfg, seed=trial, region=region,
+                              inbound=inbound, taxi_keys=keys)
+        free = [l for l in range(s.m) if s.timers[l] == 0]
+        if not scored:
+            assert draws == []
+            continue
+        [(num_mc, drawn_region, log)] = draws
+        assert num_mc == len(free) * n and drawn_region is region
+        taxis = []
+        for joints, scenarios, totals in scored:
+            l = next(i for i, acts in enumerate(zip(*joints)) if len(set(acts)) > 1)
+            taxis.append(l)
+            assert scenarios == taxi_scenarios(s, l, model, cfg, trial, region, keys)
+            assert totals == [sum(evaluate_candidate(
+                s, compose_joint(joint, joint[l], l, joint, set()), grid5, scenarios,
+                cfg.t_h, inbound).scenario_costs) for joint in joints]
+            blocks_read += 1
+        assert log.spans == [(free.index(l) * n, (free.index(l) + 1) * n) for l in taxis]
+        assert len(set(taxis)) == len(taxis)  # disjoint blocks
+    assert blocks_read > 150
+
+
+def test_rollout_control_equals_the_transition_path_reference(grid3):
+    # Global and sector planning calls, with inbound taxis, against the
+    # reference that scores each composed joint on the sim.transition path.
+    rng = np.random.default_rng(5)
+    graphs = [(grid3, synthetic_model(grid3, 1.2)),
+              (ring_graph(7), synthetic_model(ring_graph(7), 0.8))]
+    for trial in range(80):
+        g, model = graphs[trial % 2]
+        cfg = RolloutConfig(t_h=1 + trial % 3, num_mc=1 + trial % 2)
+        s, region, keys, inbound = random_planning_call(rng, g, sector=trial % 4 > 1)
+        got = one_at_a_time_control(s, g, model, cfg, seed=trial, region=region,
+                                    inbound=inbound, taxi_keys=keys)
+        assert got == rollout_control_reference(s, g, model, cfg, trial, region, inbound,
+                                                keys), trial
+
+
+def test_all_candidates_tie_and_the_base_control_is_a_move():
+    # Line 1..8: the only request waits at node 8, beyond what the taxi at 2
+    # can reach in t_h = 2 steps, so every candidate scores the same. IA-RA
+    # moves the taxi toward the request, and rollout does as its base does.
+    g = line_graph(8)
+    s = make_state([2], outstanding={1: Request(1, 8, 1, 1)})
+    base_joint, _ = ia_ra_control(s, g)
+    assert base_joint == [(MOVE, 3)]
+    cands = _candidate_actions(s, g, 0, set())
+    assert cands == [(STAY,), (MOVE, 1), (MOVE, 3)]
+    quiet = [[[], [], []]]
+    assert _candidate_costs(s, [[c] for c in cands], quiet, g, 2) == [4, 4, 4]
+    cfg = RolloutConfig(t_h=2, num_mc=3)
+    assert one_at_a_time_control(s, g, zero_model(), cfg, seed=0) == [(MOVE, 3)]
+
+
+def test_a_base_control_among_the_least_totals_is_chosen(monkeypatch):
+    # Property: for every scored taxi, the choice is its base control when
+    # that is among its least totals, and else the first least total.
+    scored = []
+    real_costs = rollout._candidate_costs
+
+    def recording_costs(state, joints, scenarios, graph, t_h, inbound=()):
+        totals = real_costs(state, joints, scenarios, graph, t_h, inbound)
+        scored.append((joints, totals))
+        return totals
+
+    monkeypatch.setattr(rollout, "_candidate_costs", recording_costs)
+    rnd = random.Random(8)
+    graphs = [grid_graph(4), line_graph(6), ring_graph(6)]
+    models = [synthetic_model(g, rate) for g, rate in zip(graphs, (0.6, 0.4, 0.5))]
+    base_won = 0
+    for trial in range(300):
+        g, model = graphs[trial % 3], models[trial % 3]
+        s = random_fleet_state(rnd, g, rnd.randint(1, 5), rnd.randint(0, 4), colocated=0.4)
+        cfg = RolloutConfig(t_h=rnd.randint(1, 3), num_mc=rnd.randint(1, 3))
+        scored.clear()
+        chosen = one_at_a_time_control(s, g, model, cfg, seed=trial)
+        base_joint, _ = ia_ra_control(s, g)
+        for joints, totals in scored:
+            l = next(i for i, acts in enumerate(zip(*joints)) if len(set(acts)) > 1)
+            least = [joint[l] for joint, t in zip(joints, totals) if t == min(totals)]
+            if base_joint[l] in least:
+                assert chosen[l] == base_joint[l]
+                base_won += base_joint[l] != least[0]
+            else:
+                assert chosen[l] == least[0]
+    assert base_won > 20
 
 
 def test_control_determinism_across_calls(grid5):
