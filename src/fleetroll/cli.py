@@ -334,7 +334,7 @@ FLAGS = (
     Flag("hotspot", int, None, _MODEL, "synthetic model: high-demand pickup node"),
     Flag("hotspot-mass", float, None, _MODEL, "synthetic model: extra pickup mass on the hotspot"),
     Flag("seed", int, 0, _MODEL, "master seed"),
-    Flag("jobs", int, None, _MODEL, "parallel runs (default $FLEETROLL_JOBS or 1)", least=1),
+    Flag("jobs", int, None, _RUNS, "parallel runs (default $FLEETROLL_JOBS or 1)", least=1),
     Flag("m", int, None, _RUNS + ("partition",), "fleet size", least=1, required=("partition",)),
     Flag("m-sweep", [int], None, _RUNS, "comma-separated fleet sizes"),
     Flag("T", int, 60, _RUNS + ("gen-trips",), "horizon in steps", least=1),

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
 from .matching import auction_match
 from .sim import HOP, MOVE, PICKUP, STAY, substream, NS_POLICY
 
@@ -58,19 +56,17 @@ def match_free_to_requests(graph, free, requests):
     planner's high-level plan.
 
     free: list of (taxi index, node); requests: list of Request. Returns
-    {taxi index: Request}. Costs are taxi-to-pickup distances indexed out of
-    the graph's distance array; the smaller side forms the rows, and the
-    matrix is indexed in that orientation, so the solver gets it contiguous.
+    {taxi index: Request}. Costs are taxi-to-pickup distances gathered from
+    the graph's distance array, taxis by pickups; the smaller side forms the
+    rows, so the solver gets the block's transpose when requests are fewer.
     """
     if not free or not requests:
         return {}
-    locs = np.array([loc for _, loc in free])
-    pickups = np.array([r.pickup for r in requests])
+    cost = graph.dist_array.take([loc for _, loc in free], 0).take(
+        [r.pickup for r in requests], 1)
     if len(free) <= len(requests):
-        cols = auction_match(graph.dist_array[locs[:, None], pickups])
-        return {free[i][0]: requests[j] for i, j in enumerate(cols)}
-    cols = auction_match(graph.dist_array[locs, pickups[:, None]])
-    return {free[j][0]: requests[i] for i, j in enumerate(cols)}
+        return {free[i][0]: requests[j] for i, j in enumerate(auction_match(cost))}
+    return {free[j][0]: requests[i] for i, j in enumerate(auction_match(cost.T))}
 
 
 def greedy_control(state, graph):

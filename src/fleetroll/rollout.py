@@ -29,23 +29,24 @@ once and continues it per scenario on flat lists (`_trajectory_cost`): free
 taxis and outstanding (id, pickup, dropoff) requests are kept sorted as
 events change them, and an occupied taxi is only looked at again when its
 trip ends. Matchings are IA-RA's, solved by linear_sum_assignment
-(`auction_match`) and skipped only where the answer is certain without a
-solve: a matching with a single taxi or request, and a last step in which
-no free taxi stands on an outstanding pickup. The tests check this path
-against `sim.transition`.
+(`auction_match`) on a cost block gathered from the distance table, and
+skipped only where the answer is certain without a solve: a matching with
+a single taxi or request, and a last step in which no free taxi stands on
+an outstanding pickup. The tests check this path against `sim.transition`.
 
 A taxi's stay and move candidates start from states that differ only in
 where that taxi stands, so they are scored as one trajectory per scenario
 until the taxi could be matched. In its column of each matching it gets its
-least distance over the candidates' locations. The rule that makes this
-exact is one of linear_sum_assignment (Crouse's shortest augmenting path,
-IEEE TAES 2016): a column that the solve leaves unassigned lies on no
-augmenting path and keeps its dual, so raising any of its entries changes
-no row's column. While the shared solve leaves the taxi unassigned, it is
-therefore every candidate's matching, and the taxi stays put. Where the
-taxi is a row (free taxis <= requests) or the shared solve assigns it,
-each candidate continues alone from that step. tests/test_matching.py
-checks the rule against the installed scipy.
+least distance over the candidates' locations to each of the block's
+pickups, so each candidate's own block only raises entries of that column.
+The rule that makes this exact is one of linear_sum_assignment (Crouse's
+shortest augmenting path, IEEE TAES 2016): a column that the solve leaves
+unassigned lies on no augmenting path and keeps its dual, so raising any of
+its entries changes no row's column. While the shared solve leaves the taxi
+unassigned, it is therefore every candidate's matching, and the taxi stays
+put. Where the taxi is a row (free taxis <= requests) or the shared solve
+assigns it, each candidate continues alone from that step.
+tests/test_matching.py checks the rule against the installed scipy.
 """
 
 from __future__ import annotations
@@ -188,8 +189,8 @@ def _candidate_costs(state, joints, scenarios, graph, t_h, inbound=()):
     Joints that differ only in the stay or move of one free taxi l, the
     first taxi whose action differs between joints, start from states that
     differ only in where l stands. Such a group runs one trajectory per
-    scenario, with l's distances the least over the group's locations,
-    until l could be matched (see _trajectory_cost).
+    scenario, with l's distance to each pickup the least over the group's
+    locations, until l could be matched (see _trajectory_cost).
     """
     dist = graph._dist
     arriving = {}
@@ -244,12 +245,7 @@ def _candidate_costs(state, joints, scenarios, graph, t_h, inbound=()):
         locs, free, reqs, released, cost = starts[members[0]]
         group = None
         if len(members) > 1:
-            xs = [starts[k][0][varying] for k in members]
-            rows = _RowsWith(dist)
-            rows[0] = graph.dist_array[xs].min(axis=0).tolist()
-            locs = list(locs)
-            locs[varying] = 0
-            group = (varying, xs, rows)
+            group = (varying, [starts[k][0][varying] for k in members])
         for batches in scenarios:
             first = (locs, free, batches[0][::-1] + reqs, released,
                      cost + len(reqs) + len(batches[0]))
@@ -257,20 +253,6 @@ def _candidate_costs(state, joints, scenarios, graph, t_h, inbound=()):
             for k, c in zip(members, got):
                 totals[k] += c
     return totals
-
-
-class _RowsWith(dict):
-    """Distance rows read through to `rows` and kept once read, plus rows
-    set on it: a shared trajectory reads its group taxi's row under node 0,
-    which no graph has."""
-
-    def __init__(self, rows):
-        super().__init__()
-        self.rows = rows
-
-    def __missing__(self, i):
-        row = self[i] = self.rows[i]
-        return row
 
 
 def _trajectory_cost(start, first, batches, graph, t_h, arriving, group=None):
@@ -287,23 +269,19 @@ def _trajectory_cost(start, first, batches, graph, t_h, arriving, group=None):
     outstanding pickup can make one, so it solves only then; ties can still
     decide whether it does.
 
-    `group`, (l, xs, rows), makes this one trajectory for several members
-    that differ only in the node xs[g] where free taxi l stands: l stands on
-    node 0, whose row in `rows` holds l's least distance to each node over
-    the members. While the shared matching leaves l unmatched, it is every
-    member's matching (see _match_step), so l stays put and the members share
-    events and cost. From a step where l could be matched, each member
-    continues alone; the last step solves if any member's l stands on a
-    pickup. Returns the members' costs in the order of xs, or the
-    one cost of a trajectory without a group, as a list.
+    `group`, (l, xs), makes this one trajectory for several members that
+    differ only in the node xs[g] where free taxi l stands. In each matching
+    l's distance to a pickup is its least over xs (see _match_step). While
+    the shared matching leaves l unmatched, it is every member's matching,
+    so l stays put and the members share events and cost. From a step where
+    l could be matched, each member continues alone; the last step solves if
+    any member's l stands on a pickup. Returns the members' costs in the
+    order of xs, or the one cost of a trajectory without a group, as a list.
     """
     dist = graph._dist
     dist_array = graph.dist_array
     nxt = graph._next
-    shared, xs = None, [0]  # a lone trajectory: one member, on no node
-    if group is not None:
-        shared, xs, dist = group
-        dist_array = None
+    shared, xs = group or (None, [0])  # a lone trajectory: one member, on no node
     locs, free, reqs, released, cost = start
     locs = list(locs)
     free = list(free)
@@ -313,7 +291,7 @@ def _trajectory_cost(start, first, batches, graph, t_h, arriving, group=None):
         pairs = ()
         if reqs and free and (i < t_h or not {r[1] for r in reqs}.isdisjoint(
                 [locs[l] for l in free] + xs)):
-            pairs = _match_step(free, reqs, locs, dist, dist_array, shared)
+            pairs = _match_step(free, reqs, locs, dist, dist_array, group)
             if pairs is None:
                 break
         if i in released:
@@ -347,52 +325,41 @@ def _trajectory_cost(start, first, batches, graph, t_h, arriving, group=None):
     return costs
 
 
-# Lookahead matchings with at most this many cost cells are built as nested
-# lists from the distance rows, larger ones by indexing the distance array:
-# below it the list build is the cheaper, above it the array build.
-_LIST_BUILD_MAX_CELLS = 16
-
-
-def _match_step(free, reqs, locs, dist, dist_array, shared=None):
+def _match_step(free, reqs, locs, dist, dist_array, group=None):
     """IA-RA (taxi, request) pairs of one lookahead step, matched as the IA-RA
     policy matches them: requests by id, the smaller side as rows, solved by
-    auction_match. One taxi or one request is paired without a solve with
-    its nearest counterpart, the lowest index on ties, as
-    linear_sum_assignment pairs a single row.
+    auction_match on the block gathered from `dist_array`. One taxi or one
+    request is paired without a solve with its nearest counterpart, the
+    first minimum of its distances, as linear_sum_assignment pairs a single
+    row.
 
-    `shared` names a group's taxi whose row in `dist` is the least of its
-    members' rows (see _trajectory_cost); `dist_array` is then None, so
-    every matrix is listed from `dist`. While that taxi is a column left
-    unassigned, these pairs are every member's (the module docstring gives
-    the rule). Where it is a row (free taxis <= requests) or is assigned,
-    None is returned instead.
+    `group`, (l, xs), makes free taxi l a group's taxi (see _trajectory_cost):
+    its line holds its least distance over the nodes xs at each pickup. While
+    l is a column left unassigned, these pairs are every member's (the module
+    docstring gives the rule). Where l is a row (free taxis <= requests) or is
+    assigned, None is returned instead.
     """
+    shared, xs = group or (None, ())
     if shared is not None and len(free) <= len(reqs):
         return None
     if len(free) == 1:
         drow = dist[locs[free[0]]]
-        return [(free[0], min(reqs, key=lambda r: drow[r[1]]))]
+        near = [drow[r[1]] for r in reqs]
+        return [(free[0], reqs[near.index(min(near))])]
     if len(reqs) == 1:
         pickup = reqs[0][1]
-        nearest = min(free, key=lambda l: dist[locs[l]][pickup])
+        near = [dist[locs[l]][pickup] for l in free]
+        if shared is not None:
+            near[free.index(shared)] = min(dist[x][pickup] for x in xs)
+        nearest = free[near.index(min(near))]
         return None if nearest == shared else [(nearest, reqs[0])]
-    taxis_are_rows = len(free) <= len(reqs)
-    if dist_array is None or len(free) * len(reqs) <= _LIST_BUILD_MAX_CELLS:
-        taxi_rows = [dist[locs[l]] for l in free]
-        if taxis_are_rows:
-            cost = [[drow[r[1]] for r in reqs] for drow in taxi_rows]
-        else:
-            cost = [[drow[r[1]] for drow in taxi_rows] for r in reqs]
-    else:
-        at = np.array([locs[l] for l in free])
-        pickups = np.array([r[1] for r in reqs])
-        if taxis_are_rows:
-            cost = dist_array[at[:, None], pickups]
-        else:
-            cost = dist_array[at, pickups[:, None]]
-    cols = auction_match(cost)
-    if taxis_are_rows:
-        return [(free[a], reqs[b]) for a, b in enumerate(cols)]
+    pickups = [r[1] for r in reqs]
+    cost = dist_array.take([locs[l] for l in free], 0).take(pickups, 1)
+    if shared is not None:
+        cost[free.index(shared)] = dist_array.take(xs, 0).take(pickups, 1).min(0)
+    if len(free) <= len(reqs):
+        return [(free[a], reqs[b]) for a, b in enumerate(auction_match(cost))]
+    cols = auction_match(cost.T)
     if shared is not None and free.index(shared) in cols:
         return None
     return [(free[b], reqs[a]) for a, b in enumerate(cols)]

@@ -718,6 +718,26 @@ def match_free_to_requests_reference(graph, free, requests):
     return {free[j][0]: requests[i] for i, j in enumerate(cols)}
 
 
+def grouped_match_step_reference(free, reqs, locs, graph, group):
+    """A grouped lookahead step's matching from whole-map rows: group taxi l
+    stands on node 0, whose distance row is its least over the members'
+    nodes xs at every node, and the requests-by-taxis block is solved as
+    nested lists. None where l is a row or is assigned; a single request
+    goes to its nearest taxi, the lowest index on ties."""
+    shared, xs = group
+    if len(free) <= len(reqs):
+        return None
+    least = graph.dist_array[xs].min(axis=0).tolist()
+    rows = {l: least if l == shared else graph._dist[locs[l]] for l in free}
+    if len(reqs) == 1:
+        nearest = min(free, key=lambda l: rows[l][reqs[0][1]])
+        return None if nearest == shared else [(nearest, reqs[0])]
+    cols = auction_match([[rows[l][r[1]] for l in free] for r in reqs])
+    if free.index(shared) in cols:
+        return None
+    return [(free[b], reqs[a]) for a, b in enumerate(cols)]
+
+
 def ia_ra_control_reference(state, graph):
     """IA-RA built from the reference matching and controls."""
     requests = [state.outstanding[rid] for rid in sorted(state.outstanding)]

@@ -746,6 +746,36 @@ def test_shared_config_range_checks_apply_to_the_subcommands_with_the_flag(tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["gen-trips", "--T", "5", "--jobs", "2"],
+                                  ["partition", "--m", "4", "--jobs", "3"]],
+                         ids=["gen-trips", "partition"])
+def test_jobs_is_an_unrecognized_flag_where_nothing_runs_in_parallel(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--grid", "3", "--e-eta", "0.5", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"fleetroll: error: unrecognized arguments: {' '.join(argv[-2:])}"
+    assert not out.exists()
+
+
+def test_shared_config_jobs_is_type_checked_and_dropped_where_nothing_runs_in_parallel(
+        tmp_path, capsys):
+    cfg = tmp_path / "shared.json"
+    cfg.write_text(json.dumps({"grid": 3, "e-eta": 0.5, "jobs": 2}))
+    assert main(["gen-trips", "--config", str(cfg), "--T", "5",
+                 "--out", str(tmp_path / "t.csv")]) == 0
+    assert main(["partition", "--config", str(cfg), "--m", "4",
+                 "--out", str(tmp_path / "p.csv")]) == 0
+    assert (tmp_path / "t.csv").exists() and (tmp_path / "p.csv").exists()
+    capsys.readouterr()
+    cfg.write_text(json.dumps({"grid": 3, "e-eta": 0.5, "jobs": "2"}))
+    assert main(["gen-trips", "--config", str(cfg), "--T", "5",
+                 "--out", str(tmp_path / "u.csv")]) == 1
+    assert capsys.readouterr().err == f"error: config {cfg}: invalid value '2' for 'jobs'\n"
+    assert not (tmp_path / "u.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "gen-trips"])
 def test_config_value_of_another_subcommands_flag_must_have_its_type(tmp_path, capsys,
                                                                       command):

@@ -15,8 +15,9 @@ from fleetroll.policies import ia_ra_control, match_free_to_requests
 from fleetroll.sim import (MOVE, PICKUP, STAY, FleetState, run_episode, substream)
 from conftest import line_graph, random_fleet_state, random_strong_digraph, ring_graph
 from oracles import (LookaheadEstimate, ScalarDemand, compose_joint, evaluate_candidate,
-                     lookahead_cost, per_pickup_dropoffs, rollout_control_reference,
-                     rollout_policy_cost, scalar_scenarios, taxi_scenarios)
+                     grouped_match_step_reference, lookahead_cost, per_pickup_dropoffs,
+                     rollout_control_reference, rollout_policy_cost, scalar_scenarios,
+                     taxi_scenarios)
 
 
 def zero_model():
@@ -335,8 +336,8 @@ def random_step(rng, g, n_free, n_req, pickup_nodes):
 
 
 def test_lookahead_matching_equals_the_ia_ra_policy(grid5):
-    # Every branch of the lookahead's matcher (one row, small list-built,
-    # array-built) against the IA-RA policy's matching, with many ties.
+    # Both branches of the lookahead's matcher (one row, gathered block)
+    # against the IA-RA policy's matching, with many ties.
     rng = np.random.default_rng(31)
     for g in (grid5, ring_graph(12)):
         for trial in range(600):
@@ -348,6 +349,29 @@ def test_lookahead_matching_equals_the_ia_ra_policy(grid5):
                 g, [(l, locs[l]) for l in free],
                 [Request(rid, pu, do, 1) for rid, pu, do in reqs])
             assert {l: r[0] for l, r in pairs} == {l: r.id for l, r in want.items()}
+
+
+def test_grouped_matching_equals_the_whole_map_row_construction(grid5):
+    # A group's shared matching, its taxi's line gathered as the least over
+    # the members at the block's pickups, against the group taxi standing on
+    # node 0 with a least row over every node and a nested-list solve.
+    # Directed distances catch a block gathered in the wrong orientation.
+    rng = np.random.default_rng(24)
+    outcomes = {"pairs": 0, "row": 0, "assigned": 0}
+    for g in (grid5, ring_graph(12), random_strong_digraph(random.Random(24), 20)):
+        for trial in range(700):
+            n_free = int(rng.integers(2, 10))
+            n_req = int(rng.integers(1, n_free + 2))
+            nodes = rng.integers(1, g.n + 1, size=int(rng.integers(1, 5)))
+            free, reqs, locs = random_step(rng, g, n_free, n_req, nodes)
+            shared = free[int(rng.integers(n_free))]
+            xs = rng.integers(1, g.n + 1, size=int(rng.integers(2, 6))).tolist()
+            locs[shared] = xs[0]
+            group = (shared, xs)
+            pairs = _match_step(free, reqs, locs, g._dist, g.dist_array, group)
+            assert pairs == grouped_match_step_reference(free, reqs, locs, g, group)
+            outcomes["pairs" if pairs else "row" if n_free <= n_req else "assigned"] += 1
+    assert min(outcomes.values()) > 200, outcomes
 
 
 def test_batched_scenarios_reproduce_sequential_draws(grid5):
