@@ -397,10 +397,13 @@ def _merge(ns) -> dict:
     return args
 
 
-def _validate(command, args):
+def _validate(command, args, given):
     """Reject settings the command cannot run with, before any work starts:
-    first each of its flags by its FLAGS row, then the rules across flags.
-    Resolves an unset --jobs from $FLEETROLL_JOBS."""
+    first each of its flags by its FLAGS row, then the rules across flags,
+    last the run flags given on the command line (`given`, the parsed
+    namespace's values) to stability without --verify, which reads none of
+    them; a config file may still hold them. Resolves an unset --jobs from
+    $FLEETROLL_JOBS."""
     for flag in FLAGS:
         val = args.get(flag.dest)
         if val is None:
@@ -444,6 +447,11 @@ def _validate(command, args):
             raise CLIError(f"FLEETROLL_JOBS must be an integer, got {jobs!r}") from None
         if args["jobs"] < 1:
             raise CLIError(f"FLEETROLL_JOBS must be >= 1, got {jobs!r}")
+    if command == "stability" and not args["verify"]:
+        for name in ("m", "m-sweep", "seeds", "seed", "policy", "T", "t-h", "num-mc", "m-lim",
+                     "jobs"):
+            if given.get(name.replace("-", "_")) is not None:
+                raise CLIError(f"--{name} is read only with --verify")
 
 
 _COMMANDS = {
@@ -477,7 +485,7 @@ def main(argv=None) -> int:
     _built.clear()
     try:
         args = _merge(ns)
-        _validate(ns.command, args)
+        _validate(ns.command, args, vars(ns))
         return ns.func(args)
     except (FleetrollError, OSError) as exc:  # OSError: an input that cannot be read
         print(f"error: {exc}", file=sys.stderr)

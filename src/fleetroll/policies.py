@@ -25,28 +25,25 @@ def _node_actions(n):
 
 
 def _controls(state, graph, targets):
-    """Joint control: an occupied taxi takes its forced hop, a free taxi with
-    a target request (targets: {taxi index: Request}) picks it up when
-    co-located and otherwise moves one hop toward it, and every other free
-    taxi stays. One pass over the taxis, hops read from the next-hop rows."""
+    """Joint control, written by exception: every taxi stays, then each taxi
+    with a target request (targets: {taxi index: Request}) picks it up when
+    co-located and otherwise moves one hop toward it, then each occupied
+    taxi in state.in_service takes its forced hop toward its dropoff. The
+    hops go last, so they override any target given to an occupied taxi.
+    Relies on the FleetState invariant that in_service holds exactly the
+    taxis whose timer is above 0; hops and moves are read from the next-hop
+    rows."""
     nxt = graph._next
     hops, moves = _node_actions(graph.n)
     locs = state.locations
-    in_service = state.in_service
-    stay = (STAY,)
-    control = []
-    for l, tau in enumerate(state.timers):
-        if tau > 0:
-            _, dropoff = in_service[l]
-            loc = locs[l]
-            # A 0 entry (a taxi already on its dropoff) lets next_hop raise SameNode.
-            control.append(hops[nxt[loc][dropoff] or graph.next_hop(loc, dropoff)])
-        elif l not in targets:
-            control.append(stay)
-        else:
-            req = targets[l]
-            loc = locs[l]
-            control.append((PICKUP, req.id) if loc == req.pickup else moves[nxt[loc][req.pickup]])
+    control = [(STAY,)] * len(locs)
+    for l, req in targets.items():
+        loc = locs[l]
+        control[l] = (PICKUP, req.id) if loc == req.pickup else moves[nxt[loc][req.pickup]]
+    for l, (_, dropoff) in state.in_service.items():
+        loc = locs[l]
+        # A 0 entry (a taxi already on its dropoff) lets next_hop raise SameNode.
+        control[l] = hops[nxt[loc][dropoff] or graph.next_hop(loc, dropoff)]
     return control
 
 

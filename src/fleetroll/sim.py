@@ -58,6 +58,12 @@ def substream(seed: int, *key) -> np.random.Generator:
 
 @dataclass
 class FleetState:
+    """A fleet at one clock. Invariant: in_service holds exactly the taxis
+    whose timer is above 0. `transition` maintains it, and the base
+    policies' joint builder (`policies._controls`) reads the occupied taxis
+    from in_service alone, so a hand-built state that breaks it fails with a
+    FleetrollError under a base policy, in the policy or in `transition`."""
+
     locations: list      # node per taxi
     timers: list         # remaining trip steps per taxi (0 = free)
     outstanding: dict    # request id -> Request, not yet picked up

@@ -105,6 +105,21 @@ def test_stability_report_json(tmp_path, capsys):
     assert "D_max" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("m", "7"), ("m-sweep", "3,4"), ("seeds", "9"), ("seed", "3"), ("policy", "rollout"),
+    ("T", "30"), ("t-h", "3"), ("num-mc", "5"), ("m-lim", "4"), ("jobs", "2"),
+])
+def test_stability_run_flag_without_verify_is_a_one_line_error(tmp_path, capsys, flag, value):
+    """Stability reads the run flags only to verify; given on the command
+    line without --verify, each is an error before any output."""
+    out = tmp_path / "s"
+    rc = main(["stability", "--grid", "4", "--e-eta", "0.5", f"--{flag}", value,
+               "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: --{flag} is read only with --verify\n"
+    assert not out.exists()
+
+
 def test_stability_verify_verdicts(tmp_path):
     out = tmp_path / "stabv"
     assert main(["stability", "--grid", "4", "--e-eta", "1.0", "--policy", "ia-ra",

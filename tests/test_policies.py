@@ -5,11 +5,13 @@ import pytest
 
 from fleetroll import grid_graph
 from fleetroll.demand import Request
+from fleetroll.errors import FleetrollError
+from fleetroll.graph import SameNode
 from fleetroll.policies import (GreedyPolicy, IACommitPolicy, IARAPolicy,
                                 RandomIAPolicy, _controls, greedy_control, ia_commit_control,
                                 ia_ra_control, random_ia_control, service_distance)
-from fleetroll.sim import (MOVE, PICKUP, STAY, FleetState, run_episode, substream,
-                           transition)
+from fleetroll.sim import (MOVE, PICKUP, STAY, FleetState, IllegalControl, run_episode,
+                           substream, transition)
 from conftest import line_graph, random_fleet_state, random_strong_digraph, ring_graph
 from oracles import controls_reference, greedy_control_reference, ia_ra_control_reference
 
@@ -209,6 +211,23 @@ def test_every_emitted_control_is_legal(cls, grid5, model5_unit):
     assert len(tr.controls) == 59
 
 
+@pytest.mark.parametrize("timers, in_service, error", [
+    ([2, 0], {}, IllegalControl),            # a timer but no dropoff: gets a stay
+    ([0, 0], {0: (7, 9)}, IllegalControl),   # a dropoff but no timer: gets a hop
+    ([0, 0], {1: (7, 5)}, SameNode),         # a dropoff it stands on: no hop exists
+], ids=["timer-without-service", "service-without-timer", "on-its-dropoff"])
+def test_state_breaking_the_in_service_invariant_is_a_fleetroll_error(
+        grid3, timers, in_service, error):
+    """The joint builder reads occupied taxis from in_service alone, so a
+    hand-built state whose in_service is not exactly the taxis with a timer
+    above 0 fails in the policy or in transition, with a FleetrollError."""
+    s = make_state([1, 5], outstanding={3: req(3, 2, 9)}, timers=timers,
+                   in_service=in_service)
+    with pytest.raises(FleetrollError) as exc:
+        transition(s, IARAPolicy(grid3).control(s)[0], [], grid3)
+    assert isinstance(exc.value, error)
+
+
 # --- service distance ---
 
 def test_service_distance_single_request(grid5, model5_light):
@@ -290,10 +309,15 @@ def test_min_expectation_inequality_samples():
 def test_ia_ra_control_equals_reference_on_random_states(make_graph):
     """Same joint control and the same assignments, in the same order, as
     IA-RA built taxi by taxi on the taxi-by-request matrix; with more free
-    taxis than requests and with fewer."""
+    taxis than requests and with fewer. The joint builder alone also matches
+    the taxi-by-taxi reference on targets drawn for any taxi (occupied ones
+    included), with in_service and targets in shuffled dict order (episodes
+    add pickups to in_service out of taxi order), with no targets, and on
+    an all-occupied fleet that has taxis one hop from their dropoffs."""
     graph = make_graph()
     rnd = random.Random(graph.n)
     shapes = set()
+    last_hops = 0
     for _ in range(200):
         state = random_fleet_state(rnd, graph, rnd.randint(1, 14), rnd.randint(0, 10))
         got = ia_ra_control(state, graph)
@@ -305,4 +329,36 @@ def test_ia_ra_control_equals_reference_on_random_states(make_graph):
         targets = {l: rnd.choice(list(state.outstanding.values()))
                    for l in range(state.m) if state.outstanding and rnd.random() < 0.5}
         assert _controls(state, graph, targets) == controls_reference(state, graph, targets)
+        assert _controls(state, graph, {}) == controls_reference(state, graph, {})
+        state.in_service = shuffled(rnd, state.in_service)
+        targets = shuffled(rnd, targets)
+        assert _controls(state, graph, targets) == controls_reference(state, graph, targets)
+
+        busy = all_occupied_state(rnd, graph, rnd.randint(1, 14))
+        last_hops += busy.timers.count(1)
+        targets = {l: rnd.choice(list(state.outstanding.values()))
+                   for l in range(busy.m) if state.outstanding and rnd.random() < 0.5}
+        assert _controls(busy, graph, targets) == controls_reference(busy, graph, targets)
     assert {(True, False), (False, True)} <= shapes
+    assert last_hops > 100
+
+
+def shuffled(rnd, d):
+    items = list(d.items())
+    rnd.shuffle(items)
+    return dict(items)
+
+
+def all_occupied_state(rnd, graph, m):
+    """Every taxi occupied, about half of them one hop from the dropoff (a
+    timer of 1), the taxis entered in in_service in shuffled order."""
+    locs = [rnd.randint(1, graph.n) for _ in range(m)]
+    in_service = {}
+    for l in rnd.sample(range(m), m):
+        if rnd.random() < 0.5:
+            dropoff = rnd.choice(graph.adj[locs[l]])
+        else:
+            dropoff = rnd.choice([v for v in range(1, graph.n + 1) if v != locs[l]])
+        in_service[l] = (1000 + l, dropoff)
+    timers = [graph.distance(locs[l], in_service[l][1]) for l in range(m)]
+    return FleetState(locs, timers, {}, in_service, 1)
