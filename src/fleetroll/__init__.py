@@ -2,11 +2,11 @@
 two-phase multiagent rollout planning, and fleet-size stability analysis."""
 
 from .errors import FleetrollError
-from .graph import CityGraph, grid_graph, load_graph, save_graph
+from .graph import CityGraph, grid_graph, load_graph
 from .demand import (DemandModel, Request, estimate_from_trips, expectation_terms,
                      sample_arrivals, sample_request, certainty_equivalence_requests,
                      synthetic_model)
-from .sim import FleetState, EpisodeTrace, transition, stage_cost, run_episode
+from .sim import FleetState, EpisodeTrace, transition, run_episode
 from .policies import (GreedyPolicy, IARAPolicy, IACommitPolicy, RandomIAPolicy,
                        service_distance)
 from .rollout import RolloutConfig, RolloutPolicy, one_at_a_time_control

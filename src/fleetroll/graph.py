@@ -4,17 +4,16 @@ Nodes are 1-indexed. Distances and next hops are precomputed once per graph
 because the planners query them millions of times. Both tables are built in
 blocks (hop distances by a bit-parallel BFS from all sources at once, then one
 vectorised pass over each block's edges for its next hops), so no build
-temporary is n x n. `dist_array` holds the distances as unsigned shorts
-(unsigned ints from 65,536 nodes on) for building cost matrices by indexing;
-`_dist` gives its rows as lists for scalar lookups, each made the first time
-it is read and kept within a byte budget; next hops are one compact `array`
-row per node. The graph is immutable afterwards and safe to share across
-workers.
+temporary is n x n. `dist_array` holds the distances and `next_array` the
+next hops, both as unsigned shorts (unsigned ints from 65,536 nodes on);
+cost matrices are built from `dist_array` by indexing. For scalar lookups,
+`_dist` and `_next` hold one `memoryview` per row of each table: a read
+`_dist[i][j]` is a Python int and copies nothing. The tables never change
+after the build, so a graph is safe to share.
 """
 
 from __future__ import annotations
 
-from array import array
 from itertools import zip_longest
 from pathlib import Path
 
@@ -42,12 +41,11 @@ class SameNode(GraphError):
 _BLOCK_CELLS = 1 << 16  # cells per block of a weighted distance sum
 _ROW_LOOP_SOURCES = 250  # from this many sources a weighted distance sum goes target by target
 _BUILD_BLOCK_CELLS = 1 << 20  # cells per block of source rows in the table build
-_LIST_ROW_BYTES = 256 << 20  # list rows of distances kept per graph, 8 bytes a slot
 BYTES_MAX = 2 << 30  # for graph tables or a run's up-front draws; 5x a 100x100 grid's tables
 
 
 def table_bytes(n):
-    """Bytes of an n-node graph's distance array and next-hop rows: two
+    """Bytes of an n-node graph's distance and next-hop tables: two
     (n+1) x (n+1) tables of unsigned shorts (unsigned ints from 65,536 nodes)."""
     return 2 * (n + 1) ** 2 * (2 if n < 2 ** 16 else 4)
 
@@ -65,7 +63,9 @@ class CityGraph:
     """Directed street network with a shortest-path oracle.
 
     All tie-breaking (next hops) is by smallest node index so that every
-    downstream computation is reproducible.
+    downstream computation is reproducible. Its row views cannot be pickled,
+    so neither can a graph: a worker process builds its own from the
+    arguments it is sent.
     """
 
     def __init__(self, n, edges, coords=None):
@@ -79,8 +79,10 @@ class CityGraph:
         self.adj = self._build_adjacency()
         # (n+1) x (n+1) tables; row and column 0 are unused padding.
         self.dist_array = _all_pairs_distances(self.adj)
-        self._dist = _ListRows(self.dist_array)
-        self._next = _next_hop_rows(self.adj, self.dist_array)
+        self.next_array = _next_hop_rows(self.adj, self.dist_array)
+        self.dist_array.flags.writeable = self.next_array.flags.writeable = False
+        self._dist = [memoryview(row) for row in self.dist_array]
+        self._next = [memoryview(row) for row in self.next_array]
 
     def _build_adjacency(self):
         adj = [[] for _ in range(self.n + 1)]
@@ -154,27 +156,6 @@ class CityGraph:
         return self._dist_to
 
 
-class _ListRows(dict):
-    """Rows of a distance array as lists, indexed like a list of rows, each
-    made the first time it is read: list reads are the fastest scalar reads
-    the lookahead's inner loop can make.
-
-    The rows' slots (8 bytes each) stay within _LIST_ROW_BYTES: a miss past
-    it drops the oldest row. Distances above 256 are int objects of their
-    own, which the budget does not count. A hit stays one dict lookup.
-    """
-
-    def __init__(self, table):
-        super().__init__()
-        self.table = table
-
-    def __missing__(self, i):
-        if len(self) >= max(1, _LIST_ROW_BYTES // (8 * len(self.table))):
-            del self[next(iter(self))]
-        row = self[i] = self.table[i].tolist()
-        return row
-
-
 def _all_pairs_distances(adj):
     """Hop distances between all node pairs as unsigned ints, the largest
     value of the dtype in the padding row and column.
@@ -221,9 +202,9 @@ def _all_pairs_distances(adj):
 
 
 def _next_hop_rows(adj, dist):
-    """Next-hop rows, one `array` per node of the dtype of `dist`: entry j of
-    row i is the smallest-index neighbor k of i with dist[k, j] = dist[i, j] - 1,
-    0 on the diagonal and in the padding.
+    """Next-hop table of the shape and dtype of `dist`: entry (i, j) is the
+    smallest-index neighbor k of i with dist[k, j] = dist[i, j] - 1, 0 on the
+    diagonal and in the padding.
 
     Rows are built in blocks. Within a block, neighbor slots are visited from
     the last to the first, so the smallest neighbor on a shortest path is
@@ -231,21 +212,19 @@ def _next_hop_rows(adj, dist):
     diagonal to the padding value, which no distance takes, and the padding
     column wants one less than it: neither ever matches a neighbor.
     """
-    code = "H" if dist.dtype == np.uint16 else "I"
     n = len(adj) - 1
     degree = np.array([len(nbrs) for nbrs in adj])
     rows = max(1, _BUILD_BLOCK_CELLS // (n + 1))
-    table = []
+    table = np.zeros_like(dist)
     for at in range(0, n + 1, rows):
         stop = min(at + rows, n + 1)
         want = dist[at:stop] - 1
-        nxt = np.zeros(want.shape, dtype=dist.dtype)
+        nxt = table[at:stop]
         for slot in range(int(degree[at:stop].max(initial=0)) - 1, -1, -1):
             local = np.flatnonzero(degree[at:stop] > slot)
             nbr = np.array([adj[at + i][slot] for i in local.tolist()])
             on_path = dist[nbr] == want[local]
             nxt[local] = np.where(on_path, nbr[:, None].astype(dist.dtype), nxt[local])
-        table += [array(code, row.tobytes()) for row in nxt]
     return table
 
 
@@ -294,10 +273,6 @@ def load_graph(path) -> CityGraph:
         raise GraphError(f"{path}: expected {m} edges ({2 * m} values after the header), "
                          f"found {len(vals)} values")
     return CityGraph(n, list(zip(vals[0::2], vals[1::2])))
-
-
-def save_graph(graph: CityGraph, path) -> None:
-    save_edges(graph.n, graph.edges, path)
 
 
 def save_edges(n, edges, path) -> None:

@@ -162,7 +162,8 @@ def get_partitions(graph, model, K: int) -> PartitionSpec:
                        for k in range(1, K + 1)]
         new_assignment = _assign_to_centers(graph, new_centers)
         new_obj = _objective(graph, new_centers, new_assignment, weights)
-        assert new_obj <= obj + 1e-9, "k-means objective increased"
+        if new_obj > obj + 1e-9:
+            raise PartitionError(f"k-means objective increased from {obj} to {new_obj}")
         if new_centers == centers and np.array_equal(new_assignment, assignment):
             break
         centers, assignment, obj = new_centers, new_assignment, new_obj

@@ -22,10 +22,15 @@ import time
 from dataclasses import dataclass, field
 
 from .demand import certainty_equivalence_requests
+from .errors import FleetrollError
 from .partition import get_partitions
 from .policies import match_free_to_requests
 from .rollout import RolloutConfig, one_at_a_time_control
 from .sim import MOVE, NS_CE, FleetState, substream
+
+
+class PlannerError(FleetrollError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -137,9 +142,11 @@ def two_phase_control(state, graph, model, pspec, cfg: RolloutConfig,
         if sector_timing is not None:
             sector_timing.append((state.clock, k, (time.perf_counter() - t0) * 1000.0))
         for act, gid in zip(ctrl, ids):
-            assert actions[gid] is None, f"taxi {gid} received two controls"
+            if actions[gid] is not None:
+                raise PlannerError(f"taxi {gid} received two controls")
             actions[gid] = act
-    assert all(a is not None for a in actions)
+    if None in actions:
+        raise PlannerError(f"taxi {actions.index(None)} received no control")
     return actions, plan
 
 

@@ -59,10 +59,10 @@ def substream(seed: int, *key) -> np.random.Generator:
 @dataclass
 class FleetState:
     """A fleet at one clock. Invariant: in_service holds exactly the taxis
-    whose timer is above 0. `transition` maintains it, and the base
-    policies' joint builder (`policies._controls`) reads the occupied taxis
-    from in_service alone, so a hand-built state that breaks it fails with a
-    FleetrollError under a base policy, in the policy or in `transition`."""
+    whose timer is above 0. `transition` maintains it and rejects a state
+    that breaks it with IllegalControl naming the taxi; the base policies'
+    joint builder (`policies._controls`) reads the occupied taxis from
+    in_service alone."""
 
     locations: list      # node per taxi
     timers: list         # remaining trip steps per taxi (0 = free)
@@ -75,21 +75,20 @@ class FleetState:
         return len(self.locations)
 
 
-def stage_cost(state: FleetState) -> int:
-    return len(state.outstanding)
-
-
 def transition(state: FleetState, control, arrivals, graph) -> FleetState:
     """Apply a joint control, then inject the arrival batch, then advance time.
 
     Pickups set the trip timer to the pickup->dropoff distance; a zero-length
     trip completes in the same step. Every per-taxi action is validated
-    against the control-set rules and raises IllegalControl on violation.
+    against the control-set rules and raises IllegalControl on violation, as
+    does a state whose in_service entries do not match its running timers.
     Hops and trip lengths are read from the graph's rows directly.
     """
     m = len(state.locations)
     if len(control) != m:
         raise SimError(f"control has {len(control)} actions for {m} taxis")
+    if len(state.in_service) + state.timers.count(0) != m:
+        _reject_service_mismatch(state.timers, state.in_service)
     locs = list(state.locations)
     timers = list(state.timers)
     outstanding = dict(state.outstanding)
@@ -136,6 +135,17 @@ def transition(state: FleetState, control, arrivals, graph) -> FleetState:
     for req in arrivals:
         outstanding[req.id] = req
     return FleetState(locs, timers, outstanding, in_service, state.clock + 1)
+
+
+def _reject_service_mismatch(timers, in_service):
+    """Raise IllegalControl naming the first taxi whose in_service entry does
+    not match its timer: a running timer needs an entry, a zero one has none."""
+    for l, tau in enumerate(timers):
+        if (tau != 0) != (l in in_service):
+            raise IllegalControl(l, f"timer {tau} but {'an' if l in in_service else 'no'} "
+                                    f"in_service entry")
+    taxi = next(iter(in_service.keys() - range(len(timers))))
+    raise IllegalControl(taxi, f"in_service entry for a fleet of {len(timers)} taxis")
 
 
 @dataclass

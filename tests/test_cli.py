@@ -853,7 +853,8 @@ def test_flag_below_its_least_value_is_rejected_before_any_output(tmp_path, caps
 
 def test_gen_graph_writes_the_grid_without_building_its_tables(tmp_path, capsys, monkeypatch):
     want = tmp_path / "want.txt"
-    graphmod.save_graph(graphmod.grid_graph(6), want)
+    g = graphmod.grid_graph(6)
+    graphmod.save_edges(g.n, g.edges, want)
     _no_table_build(monkeypatch)
     out = tmp_path / "g.txt"
     assert main(["gen-graph", "--k", "6", "--out", str(out)]) == 0

@@ -24,7 +24,6 @@ import pytest
 from fleetroll import (GreedyPolicy, IACommitPolicy, IARAPolicy, RandomIAPolicy,
                        RolloutConfig, RolloutPolicy, TwoPhasePolicy, get_partitions,
                        grid_graph, run_episode, synthetic_model)
-from fleetroll import graph as graph_module
 from fleetroll.cli import main as cli_main
 from fleetroll.demand import estimate_from_trips, generate_trips
 
@@ -171,16 +170,6 @@ def cli_digest(name, tmp):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_trace_digest(name):
-    assert trace_digest(name) == GOLDEN[name]
-
-
-@pytest.mark.parametrize("name", ["rollout", "rollout-triplog", "two-phase",
-                                  "two-phase-metro", "two-phase-triplog"])
-def test_golden_trace_digest_with_three_list_rows(name, monkeypatch):
-    """The lookahead reads distances through list rows; with room for only
-    three of them, rows are dropped and made again all the time."""
-    k = CASES[name][0]
-    monkeypatch.setattr(graph_module, "_LIST_ROW_BYTES", 3 * 8 * (k * k + 1))
     assert trace_digest(name) == GOLDEN[name]
 
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fleetroll import graph as graph_module
 from fleetroll.graph import (CityGraph, InvalidEdge, NotStronglyConnected, SameNode,
-                             grid_graph, load_graph, save_graph)
+                             grid_graph, load_graph, save_edges)
 from conftest import random_strong_digraph, ring_graph
 from oracles import csgraph_tables, weighted_distance_sums_reference
 
@@ -52,20 +53,32 @@ def test_invalid_edge_rejected():
         CityGraph(2, [(1, 3), (3, 1)])
 
 
-def test_list_rows_stay_within_their_byte_budget(monkeypatch):
-    g = grid_graph(8)
-    cap = 3
-    monkeypatch.setattr(graph_module, "_LIST_ROW_BYTES", cap * 8 * (g.n + 1))
-    rows = g._dist
-    for i in (1, 2, 3, 2, 4):  # a hit does not refresh a row; a miss drops the oldest
-        assert rows[i] == g.dist_array[i].tolist()
-    assert list(rows) == [2, 3, 4]
-    rng = random.Random(5)
-    for _ in range(400):
-        i, j = rng.randint(1, g.n), rng.randint(1, g.n)
-        assert rows[i] == g.dist_array[i].tolist()
-        assert g.distance(j, i) == g.dist_array[j, i]
-        assert len(rows) <= cap
+@pytest.mark.parametrize("make", [
+    lambda: grid_graph(6),
+    lambda: ring_graph(9),
+    lambda: random_strong_digraph(random.Random(7), 30),
+], ids=["grid6", "ring9", "random30"])
+def test_rows_are_views_of_their_tables(make):
+    g = make()
+    for rows, table in ((g._dist, g.dist_array), (g._next, g.next_array)):
+        assert len(rows) == g.n + 1 and not table.flags.writeable
+        for i, row in enumerate(rows):
+            assert row.readonly and np.shares_memory(np.asarray(row), table[i])
+            read = [row[j] for j in range(g.n + 1)]
+            assert read == table[i].tolist() and all(type(x) is int for x in read)
+
+
+def test_reading_every_row_keeps_no_memory():
+    g = grid_graph(30)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(g.n + 1):
+            g._dist[i][1], g._next[i][g.n]
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 << 10, kept
 
 
 def test_grid_corner_to_corner(grid3):
@@ -169,12 +182,12 @@ def test_next_hop_table_on_random_strong_digraph():
 def test_tables_are_unsigned_shorts_with_max_padding(grid3):
     assert grid3.dist_array.dtype == np.uint16
     assert (grid3.dist_array[0] == 65535).all() and (grid3.dist_array[:, 0] == 65535).all()
-    assert all(row.typecode == "H" for row in grid3._next)
+    assert all(row.format == "H" for row in grid3._next)
     assert list(grid3._next[0]) == [0] * 10 and [row[0] for row in grid3._next] == [0] * 10
 
 
 def tables(graph):
-    return (graph.dist_array.tolist(), [graph._dist[i] for i in range(graph.n + 1)],
+    return (graph.dist_array.tolist(), [row.tolist() for row in graph._dist],
             [row.tolist() for row in graph._next])
 
 
@@ -245,18 +258,6 @@ def test_unreachable_pair_in_a_later_block_is_named(monkeypatch, cells):
         CityGraph(5, edges)
 
 
-def test_list_rows_are_made_when_first_read():
-    g = grid_graph(4)
-    assert len(g._dist) == 0
-    assert g.distance(3, 14) == 4
-    assert list(g._dist) == [3]
-    row = g._dist[3]
-    assert g._dist[3] is row  # kept, not made again
-    for i in range(g.n + 1):
-        assert g._dist[i] == g.dist_array[i].tolist()
-        assert all(type(d) is int for d in g._dist[i])
-
-
 def test_graph_carries_no_sectors(grid3):
     """Sectors belong to the partition (`PartitionSpec`), not to the street graph."""
     for name in ("sectors", "sector_of", "with_sectors", "next_hop_in_partition"):
@@ -301,7 +302,7 @@ def test_weighted_distance_sums_equal_nested_python_sums(monkeypatch, make, symm
 
 def test_graph_file_round_trip(tmp_path, grid3):
     path = tmp_path / "g.txt"
-    save_graph(grid3, path)
+    save_edges(grid3.n, grid3.edges, path)
     g2 = load_graph(path)
     assert g2.n == grid3.n
     for i in range(1, 10):

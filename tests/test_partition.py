@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from fleetroll import partition
 from fleetroll.demand import DemandModel, estimate_from_trips, generate_trips, synthetic_model
 from fleetroll.graph import grid_graph
 from fleetroll.partition import KExceedsNodes, PartitionError, PartitionSpec, get_partitions
@@ -126,6 +127,14 @@ def test_k_exceeds_nodes():
     g = grid_graph(2)
     with pytest.raises(KExceedsNodes):
         get_partitions(g, uniform_model(g), K=5)
+
+
+def test_rising_k_means_objective_is_an_error(grid5, monkeypatch):
+    # an error, not an assert that `python -O` strips
+    rising = iter(range(10))
+    monkeypatch.setattr(partition, "_objective", lambda *args: float(next(rising)))
+    with pytest.raises(PartitionError, match="^k-means objective increased from 0.0 to 1.0$"):
+        get_partitions(grid5, uniform_model(grid5), 2)
 
 
 def test_deterministic_given_inputs(grid5):

@@ -1,9 +1,10 @@
 import numpy as np
+import pytest
 
 from fleetroll.demand import DemandModel, Request, synthetic_model
 from fleetroll.graph import grid_graph
 from fleetroll.partition import PartitionSpec
-from fleetroll.planner import (HighLevelPlan, TwoPhasePolicy, TransitRoute,
+from fleetroll.planner import (HighLevelPlan, PlannerError, TwoPhasePolicy, TransitRoute,
                                high_level_plan, split_state, two_phase_control)
 from fleetroll import planner, rollout
 from fleetroll.rollout import RolloutConfig, RolloutPolicy, _sample_scenario
@@ -176,6 +177,25 @@ def test_transiting_taxi_excluded_until_arrival_then_rejoins():
     ctrl3, plan3 = two_phase_control(s3, g, model, spec, cfg, plan2, seed=0)
     assert plan3.transit == {}          # arrived: back under local control
     assert ctrl3 == [(MOVE, 4)]         # local rollout moves it to the pickup
+
+
+def test_a_taxi_controlled_twice_or_not_at_all_is_an_error(monkeypatch):
+    """The merge's checks are errors, not asserts that `python -O` strips.
+    A sector plan's controls are zipped with the sector's own taxis, so a
+    taxi is controlled twice only when it sits in two sectors' sub-states."""
+    g, spec = two_sector_line()
+    s = make_state([1, 4])
+    args = (s, g, zero_model(), spec, RolloutConfig(t_h=1, num_mc=1), HighLevelPlan())
+    monkeypatch.setattr(planner, "low_level_plan", lambda sub, *a, **k: [(MOVE, 2)] * sub.m)
+    split = planner.split_state
+    monkeypatch.setattr(planner, "split_state", lambda *a, **k: dict.fromkeys(
+        (1, 2), split(*a, **k)[1]))
+    with pytest.raises(PlannerError, match="^taxi 0 received two controls$"):
+        two_phase_control(*args, seed=0)
+    monkeypatch.setattr(planner, "split_state", split)
+    monkeypatch.setattr(planner, "low_level_plan", lambda *a, **k: [])
+    with pytest.raises(PlannerError, match="^taxi 0 received no control$"):
+        two_phase_control(*args, seed=0)
 
 
 def test_split_state_partitions_taxis_and_requests():

@@ -6,8 +6,9 @@ from fleetroll import grid_graph
 from fleetroll.demand import Request, synthetic_model
 from fleetroll.graph import SameNode
 from fleetroll.policies import GreedyPolicy, IARAPolicy, ia_ra_control
+from fleetroll.rollout import RolloutConfig, RolloutPolicy
 from fleetroll.sim import (HOP, MOVE, PICKUP, STAY, FleetState, IllegalControl, SimError,
-                           run_episode, stage_cost, substream, transition)
+                           run_episode, substream, transition)
 from conftest import random_fleet_state, random_strong_digraph, ring_graph
 from oracles import ScalarDemand, scalar_episode_draws, transition_reference
 
@@ -57,9 +58,9 @@ def test_zero_length_trip_completes_immediately(grid3):
 
 def test_stage_cost_counts_outstanding(grid3):
     s = make_state([1], outstanding={i: req(i, 2, 3) for i in range(1, 5)})
-    assert stage_cost(s) == 4
+    assert len(s.outstanding) == 4
     s2 = transition(s, [(STAY,)], [], grid3)
-    assert stage_cost(s2) == 4
+    assert len(s2.outstanding) == 4
 
 
 def assert_illegal(state, control, graph, taxi, reason):
@@ -80,6 +81,27 @@ def test_illegal_controls(grid3):
     busy = make_state([1], timers=[2], in_service={0: (1, 9)})
     assert_illegal(busy, [(STAY,)], grid3, 0, "occupied taxi got 'stay'")
     assert_illegal(busy, [(HOP, 4)], grid3, 0, "hop to 4 but shortest path continues at 2")
+
+
+@pytest.mark.parametrize("timers, in_service, taxi, reason", [
+    ([0, 0], {0: (7, 9)}, 0, "timer 0 but an in_service entry"),
+    ([0, 3], {}, 1, "timer 3 but no in_service entry"),
+    ([0, 0], {5: (7, 9)}, 5, "in_service entry for a fleet of 2 taxis"),
+], ids=["stale-entry", "missing-entry", "entry-past-the-fleet"])
+def test_in_service_not_matching_the_timers_is_rejected(grid3, timers, in_service, taxi,
+                                                        reason):
+    s = make_state([1, 5], timers=timers, in_service=in_service)
+    assert_illegal(s, [(STAY,), (STAY,)], grid3, taxi, reason)
+
+
+def test_stale_in_service_entry_is_rejected_under_rollout(grid3):
+    """A free taxi with a left-over in_service entry: rollout plans a move
+    for it, and transition names the taxi instead of keeping the entry."""
+    s = FleetState([1, 5], [0, 0], {3: Request(3, 2, 9, 1)}, {0: (7, 9)}, 1)
+    policy = RolloutPolicy(grid3, synthetic_model(grid3, 1.0), RolloutConfig(t_h=3, num_mc=4))
+    policy.reset(1)
+    control, _ = policy.control(s)
+    assert_illegal(s, control, grid3, 0, "timer 0 but an in_service entry")
 
 
 def test_duplicate_pickup_rejected(grid3):
