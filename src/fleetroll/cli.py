@@ -151,7 +151,8 @@ def _check_run(g, model, args, policies, m_values):
     """Two-phase opens ceil(m / m_lim) sectors, each around a node of its own;
     an episode draws T-1 counts, 2 uniforms per arrival (at most eta_max a
     step) and m locations up front, and a rollout planning call num_mc
-    scenarios for each of up to m free taxis."""
+    scenarios for each of up to m free taxis, read as an episode's draws are:
+    a count per step, then 2 uniforms per arrival, ceil(E[eta]) expected."""
     m = max(m_values)
     if "two-phase" in policies and (K := math.ceil(m / args["m_lim"])) > g.n:
         raise CLIError(f"two-phase with --m {m} and --m-lim {args['m_lim']} opens "

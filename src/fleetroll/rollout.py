@@ -8,11 +8,13 @@ follow the base policy's joint control for the current state. A base pickup
 of a request that an earlier taxi has already taken leaves the later taxi
 where it stands. Each planning call gets one seed-derived stream, keyed by
 the clock and the call's lowest taxi key, from which all of its scenarios
-are drawn up front in one vectorized call: num_mc for each of its F free
-taxis. The j-th free taxi scores every candidate on the j-th block of num_mc,
-so candidates of one taxi share common random numbers, no two taxis share a
-scenario, and results never depend on evaluation order or parallelism. A
-taxi's block is turned into request tuples only when the taxi is scored.
+are drawn up front: num_mc for each of its F free taxis. The draw reads the
+stream as an episode reads its own, every step's arrival count first, then a
+pickup and a dropoff uniform per request. The j-th free taxi scores every
+candidate on the j-th block of num_mc, so candidates of one taxi share
+common random numbers, no two taxis share a scenario, and results never
+depend on evaluation order or parallelism. A taxi's block is turned into
+request tuples only when the taxi is scored.
 
 A sector planner passes its region. The region confines candidate moves to
 its nodes and selects the lookahead's requests: each scenario keeps only the
@@ -51,13 +53,13 @@ tests/test_matching.py checks the rule against the installed scipy.
 
 from __future__ import annotations
 
-import math
 from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import policies
+from .demand import sample_arrivals
 from .errors import FleetrollError
 from .matching import auction_match
 from .sim import MOVE, PICKUP, STAY, NS_LOOKAHEAD, substream
@@ -86,52 +88,26 @@ def _sample_scenario(model, t_h, num_mc, rng, region=None):
 
     Batch i of a scenario holds (id, pickup, dropoff) tuples that appear i+1
     steps after the planning step; ids are negative and scenario-local, so
-    they never collide with real request ids. The uniforms are read as num_mc
-    sequential draws would consume them: per scenario t_h+1 arrival counts,
-    then one uniform per request for its pickup, then one per request for its
-    dropoff. They come in chunks sized from the mean arrival count, and a
-    scenario that runs past the end draws another chunk; PCG64 spends one
-    output per double, so the chunks hold exactly the draws of one longer
-    call. Each chunk is read as arrival counts in one lookup; only the entries
-    at count positions are used.
+    they never collide with real request ids. The stream is read as an
+    episode reads its draws: `sample_arrivals` for the t_h+1 steps of every
+    scenario, then two uniforms per request, split as `sample_request` splits
+    them, one for its pickup, then one for its dropoff.
 
     `region`, a boolean array indexed by node, keeps only the requests whose
     pickup it marks, in draw order and numbered -1, -2, ... again; the others
     are dropped before their dropoffs are looked up. The uniforms drawn do not
     depend on it.
     """
-    steps = t_h + 1
-    eta = model._eta_sampler
-    chunk = num_mc * steps * (1 + 2 * math.ceil(model.e_eta))
-    us = rng.random(chunk)
-    counts = eta.at(us).tolist()
-    layout, starts, totals = [], [], []
-    at = 0
-    for _ in range(num_mc):
-        per_step = counts[at:at + steps]
-        total = sum(per_step)
-        at += steps
-        while len(counts) < at + 2 * total + steps:  # these requests, the next counts
-            more = rng.random(chunk)
-            counts += eta.at(more).tolist()
-            us = np.concatenate((us, more))
-        layout += per_step
-        starts.append(at)
-        totals.append(total)
-        at += 2 * total
-    # A scenario's r-th request has its pickup uniform at its start + r and
-    # its dropoff uniform `total` places later.
-    totals = np.array(totals)
-    picks = np.arange(totals.sum()) + np.repeat(np.array(starts) - np.cumsum(totals) + totals,
-                                                totals)
-    pick_us, drop_us, layout = us[picks], us[picks + np.repeat(totals, totals)], np.array(layout)
+    counts = sample_arrivals(model, rng, num_mc * (t_h + 1))
+    us = rng.random(2 * counts.sum())
+    pick_us, drop_us = us[0::2], us[1::2]
     if region is not None:
         keep = region[model._pickup_sampler.at(pick_us)]
-        slot = np.repeat(np.arange(len(layout)), layout)  # each request's (scenario, step)
-        layout = np.bincount(slot[keep], minlength=len(layout))
+        slot = np.repeat(np.arange(len(counts)), counts)  # each request's (scenario, step)
+        counts = np.bincount(slot[keep], minlength=len(counts))
         pick_us, drop_us = pick_us[keep], drop_us[keep]
     pickups, dropoffs = model.requests_at(pick_us, drop_us)
-    return _Scenarios(layout.reshape(num_mc, steps), pickups, dropoffs)
+    return _Scenarios(counts.reshape(num_mc, t_h + 1), pickups, dropoffs)
 
 
 class _Scenarios:

@@ -81,8 +81,11 @@ def transition(state: FleetState, control, arrivals, graph) -> FleetState:
     Pickups set the trip timer to the pickup->dropoff distance; a zero-length
     trip completes in the same step. Every per-taxi action is validated
     against the control-set rules and raises IllegalControl on violation, as
-    does a state whose in_service entries do not match its running timers.
-    Hops and trip lengths are read from the graph's rows directly.
+    does a state whose in_service entries do not match its running timers,
+    or an occupied taxi whose hop reaches its dropoff before its timer runs
+    out, or not when it does. An arrival whose id is already outstanding, or
+    whose pickup or dropoff is not a node, raises SimError naming it. Hops
+    and trip lengths are read from the graph's rows directly.
     """
     m = len(state.locations)
     if len(control) != m:
@@ -104,6 +107,9 @@ def transition(state: FleetState, control, arrivals, graph) -> FleetState:
             loc = locs[l]
             # A 0 entry (a taxi already on its dropoff) lets next_hop raise SameNode.
             hop = nxt[loc][dropoff] or graph.next_hop(loc, dropoff)
+            if (hop == dropoff) != (tau == 1):
+                raise IllegalControl(l, f"timer {tau} but its dropoff {dropoff} is at "
+                                        f"distance {dist[loc][dropoff]}")
             if act[1] != hop:
                 raise IllegalControl(l, f"hop to {act[1]} but shortest path continues at {hop}")
             locs[l] = hop
@@ -132,7 +138,13 @@ def transition(state: FleetState, control, arrivals, graph) -> FleetState:
             raise IllegalControl(l, "free taxi got a forced hop")
         else:
             raise IllegalControl(l, f"unknown action '{kind}'")
+    n = graph.n
     for req in arrivals:
+        if req.id in outstanding:
+            raise SimError(f"request {req.id}: id is already outstanding")
+        if not (0 < req.pickup <= n and 0 < req.dropoff <= n):
+            raise SimError(f"request {req.id}: pickup {req.pickup} or dropoff {req.dropoff} "
+                           f"is outside 1..{n}")
         outstanding[req.id] = req
     return FleetState(locs, timers, outstanding, in_service, state.clock + 1)
 

@@ -501,24 +501,6 @@ def scalar_episode_draws(model, m, T, seed):
     return locations, requests
 
 
-def scalar_scenarios(model, t_h, num_mc, rng):
-    """`_sample_scenario` one draw at a time: each scenario draws t_h+1
-    arrival counts, then every pickup, then every dropoff."""
-    demand = ScalarDemand(model)
-    out = []
-    for _ in range(num_mc):
-        counts = [demand.eta.draw(rng) for _ in range(t_h + 1)]
-        pickups = [demand.pickup.draw(rng) for _ in range(sum(counts))]
-        dropoffs = [demand.dropoff(p).draw(rng) for p in pickups]
-        reqs = [(-(i + 1), p, d) for i, (p, d) in enumerate(zip(pickups, dropoffs))]
-        batches = []
-        for c in counts:
-            batches.append(reqs[:c])
-            reqs = reqs[c:]
-        out.append(batches)
-    return out
-
-
 def per_pickup_dropoffs(model, pickups, us):
     """Dropoffs at uniform draws `us`, one bisection per pickup into its own
     conditional pmf's running sums."""

@@ -63,11 +63,11 @@ GOLDEN = {
     "ia-ra-k10": "87beeaf4ca64db303a8952cdf544e099db36bd2a393745ea3c244f13fae677f2",
     "ia-ra-triplog": "1539b43befbb33e322eac4c4e7ea4767512146fb55906ca1f078b05599c49e27",
     "random-ia": "ae03ba51d8ab215bb5cc1c712bc2710074d80832765aeeb12fa417bedc465b1e",
-    "rollout": "37b305923089f8fb70370a57760441e5bf2523e74432ac8a215594126580700f",
-    "rollout-triplog": "810c3dde53eb65bf153ac9dda2ea7cc776a9fca0251ad96316beff6139ba1f59",
-    "two-phase": "664cc0dd8fcfae3a992c1161c15805c952e022c2c593bca8cf30f1fc910eec23",
-    "two-phase-metro": "764c950e7bdfd1127a5253713c19a113c4628d9b3cb8cc0efe9bbc8531c7724b",
-    "two-phase-triplog": "b94940df4eec3d66b523c54ef345f37923fd21f52c9ea1113345323f109978d7",
+    "rollout": "f40ef1bfa9a92f10e9fccb365eead260b4c67482ef444390f73bae46a9540c09",
+    "rollout-triplog": "12ffdd0490005e7ae9c9edcef93b08343e4cd8e325f861d1c18c0436a63facd0",
+    "two-phase": "4e577d187e6d4f309fdea101b13646aef0630d684ed7a54cec94f0013c91adf2",
+    "two-phase-metro": "043900ef2728759a74a8733f8af73faad34336880ced84a356011fb33945f1a8",
+    "two-phase-triplog": "a8acec3a15bdcb8e3ba8f1a32d5f6cad9eee6221dd8452efb53d6c299d55967f",
 }
 
 
@@ -106,7 +106,7 @@ CLI_CONFIG = {"grid": 5, "e-eta": 0.8, "hotspot": 7, "hotspot-mass": 0.2,
 
 CLI_GOLDEN = {
     "compare": "7a1170f839e13f9681f4758038ef574efe76d03cef8108bdc9cbbcd9bf4320e5",
-    "config": "1db383972abca8c66b38c1282f6ff6018c01d67bd644c094876aa8732a6ba092",
+    "config": "0fd07bc804d14c36fc39e3838d62753328737cfb1f7f01a3501a0b144c3d3a55",
     "gen-graph": "dff18bdd8853766e80d9bd4457434985f1a0e04f19444f1bf658d212ee4e7d1b",
     "gen-trips": "a5f25763b7e94a945582f280c68d092cbc99cf297d2f45ade6765570b1a1e018",
     "partition": "07c5d6f774252b50adb6af420b213d33be2bf6dadc23ebfe7696f4bd1559d4c2",

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fleetroll.demand import DemandModel, Request, synthetic_model
+from fleetroll.demand import (DemandModel, Request, estimate_from_trips, generate_trips,
+                              synthetic_model)
 from fleetroll.graph import grid_graph
 from fleetroll.partition import PartitionSpec
 from fleetroll.planner import (HighLevelPlan, PlannerError, TwoPhasePolicy, TransitRoute,
@@ -221,16 +222,22 @@ def test_sector_with_no_taxis_plans_nothing():
 
 
 def test_k1_reduces_to_global_rollout(grid5):
-    model = synthetic_model(grid5, 0.5)
+    # A trip-log model keeps one conditional dropoff pmf per pickup, so the
+    # one sector's lookahead looks its dropoffs up in the padded tables.
+    synthetic = synthetic_model(grid5, 0.5)
+    hotspot = synthetic_model(grid5, 0.5, hotspot=7, hotspot_mass=0.3)
+    from_log = estimate_from_trips(generate_trips(hotspot, horizon=200, seed=3), grid5)
+    assert len(from_log._dropoff_pmfs) > 1
     cfg = RolloutConfig(t_h=3, num_mc=3)
-    for seed in (0, 1):
-        pol = TwoPhasePolicy(grid5, model, m=3, m_lim=10, cfg=cfg)
-        assert pol.pspec.K == 1
-        t2 = run_episode(grid5, model, pol, 3, 40, seed)
-        tr = run_episode(grid5, model, RolloutPolicy(grid5, model, cfg), 3, 40, seed)
-        assert t2.controls == tr.controls
-        assert t2.stage_costs == tr.stage_costs
-        assert [r.__dict__ for r in t2.steps] == [r.__dict__ for r in tr.steps]
+    for model in (synthetic, from_log):
+        for seed in (0, 1):
+            pol = TwoPhasePolicy(grid5, model, m=3, m_lim=10, cfg=cfg)
+            assert pol.pspec.K == 1
+            t2 = run_episode(grid5, model, pol, 3, 40, seed)
+            tr = run_episode(grid5, model, RolloutPolicy(grid5, model, cfg), 3, 40, seed)
+            assert t2.controls == tr.controls
+            assert t2.stage_costs == tr.stage_costs
+            assert [r.__dict__ for r in t2.steps] == [r.__dict__ for r in tr.steps]
 
 
 def test_two_phase_merged_control_always_legal(grid5):

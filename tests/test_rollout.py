@@ -16,8 +16,8 @@ from fleetroll.sim import (MOVE, PICKUP, STAY, FleetState, run_episode, substrea
 from conftest import line_graph, random_fleet_state, random_strong_digraph, ring_graph
 from oracles import (LookaheadEstimate, ScalarDemand, compose_joint, evaluate_candidate,
                      grouped_match_step_reference, lookahead_cost, per_pickup_dropoffs,
-                     rollout_control_reference, rollout_policy_cost, scalar_scenarios,
-                     taxi_scenarios)
+                     rollout_control_reference, rollout_policy_cost, scalar_arrivals,
+                     scalar_requests, taxi_scenarios)
 
 
 def zero_model():
@@ -378,9 +378,11 @@ def test_batched_scenarios_reproduce_sequential_draws(grid5):
     synthetic = synthetic_model(grid5, 1.7, hotspot=7, hotspot_mass=0.3)
     from_log = estimate_from_trips(generate_trips(synthetic, horizon=300, seed=8), grid5)
     assert len(from_log._dropoff_pmfs) > 1  # distinct conditionals
-    # Uniforms come in blocks sized from the mean count. A burst of 30 trips
-    # in one of 5 minutes overruns a block; counts of 0 or 2 (mean 1) often
-    # end a scenario right at a block's end, before the next one's counts.
+    # A draw reads its stream as an episode does: the counts of every step
+    # of every scenario, then a pickup and a dropoff uniform per request,
+    # the requests numbered -1, -2, ... again in each scenario. A burst of
+    # 30 trips in one of 5 minutes, and counts of 0 or 2, give scenarios of
+    # very unequal request totals.
     bursty = estimate_from_trips([(1, 1 + i % 5, 1 + 3 * i % 25) for i in range(30)],
                                  grid5, horizon=5)
     even = estimate_from_trips([(1, 2, 9), (1, 7, 3)], grid5, horizon=2)
@@ -390,7 +392,14 @@ def test_batched_scenarios_reproduce_sequential_draws(grid5):
         more = [(5, 10)] * 60 if model in (bursty, even) else []
         for trial, (t_h, num_mc) in enumerate(cases + more):
             got = _sample_scenario(model, t_h, num_mc, substream(21, trial))
-            want = scalar_scenarios(model, t_h, num_mc, substream(21, trial))
+            rng = substream(21, trial)
+            counts = scalar_arrivals(model, rng, num_mc * (t_h + 1))
+            requests = iter(zip(*scalar_requests(model, rng, sum(counts))))
+            want = []
+            for s in range(0, len(counts), t_h + 1):
+                ids = iter(range(-1, -sum(counts) - 1, -1))
+                want.append([[(next(ids), *next(requests)) for _ in range(c)]
+                             for c in counts[s:s + t_h + 1]])
             assert list(got) == want
 
 

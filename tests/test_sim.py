@@ -94,6 +94,32 @@ def test_in_service_not_matching_the_timers_is_rejected(grid3, timers, in_servic
     assert_illegal(s, [(STAY,), (STAY,)], grid3, taxi, reason)
 
 
+def test_timer_not_matching_the_trip_is_rejected(grid3):
+    # A timer-1 hop must land on the dropoff (node 9 is 4 hops from node 1).
+    short = make_state([1], timers=[1], in_service={0: (7, 9)})
+    assert_illegal(short, [(HOP, 2)], grid3, 0, "timer 1 but its dropoff 9 is at distance 4")
+    # A longer timer must not: timer 5 for a dropoff 2 hops away.
+    long = transition(make_state([1], timers=[5], in_service={0: (7, 3)}), [(HOP, 2)], [],
+                      grid3)
+    assert (long.locations, long.timers) == ([2], [4])
+    assert_illegal(long, [(HOP, 3)], grid3, 0, "timer 4 but its dropoff 3 is at distance 1")
+
+
+def test_arrival_with_an_outstanding_id_is_rejected(grid3):
+    s = make_state([1], outstanding={4: req(4, 2, 3)})
+    with pytest.raises(SimError, match=r"^request 4: id is already outstanding$"):
+        transition(s, [(STAY,)], [req(4, 5, 6, t=2)], grid3)
+    with pytest.raises(SimError, match=r"^request 6: id is already outstanding$"):
+        transition(s, [(STAY,)], [req(6, 5, 6, t=2), req(6, 7, 8, t=2)], grid3)
+
+
+@pytest.mark.parametrize("pickup, dropoff", [(50, 3), (0, 3), (2, 10), (2, -1)])
+def test_arrival_off_the_graph_is_rejected(grid3, pickup, dropoff):
+    with pytest.raises(SimError, match=rf"^request 5: pickup {pickup} or dropoff {dropoff} "
+                                       r"is outside 1\.\.9$"):
+        transition(make_state([1]), [(STAY,)], [req(5, pickup, dropoff, t=2)], grid3)
+
+
 def test_stale_in_service_entry_is_rejected_under_rollout(grid3):
     """A free taxi with a left-over in_service entry: rollout plans a move
     for it, and transition names the taxi instead of keeping the entry."""
