@@ -26,15 +26,16 @@ that is one of them: with a truncated lookahead, ties are where rollout
 would otherwise lose on its base policy.
 
 The base policy is IA-RA (`policies.ia_ra_control`). A taxi's candidates are
-scored in one call, `_candidate_costs`, which simulates each candidate step
-once and continues it per scenario on flat lists (`_trajectory_cost`): free
-taxis and outstanding (id, pickup, dropoff) requests are kept sorted as
-events change them, and an occupied taxi is only looked at again when its
-trip ends. Matchings are IA-RA's, solved by linear_sum_assignment
-(`auction_match`) on a cost block gathered from the distance table, and
-skipped only where the answer is certain without a solve: a matching with
-a single taxi or request, and a last step in which no free taxi stands on
-an outstanding pickup. The tests check this path against `sim.transition`.
+scored in one call, `_candidate_costs`, which steps the other taxis once,
+applies each candidate's own action and continues each start per scenario on
+flat lists (`_trajectory_cost`): free taxis and outstanding (id, pickup,
+dropoff) requests are kept sorted as events change them, and an occupied taxi
+is only looked at again when its trip ends. Matchings are IA-RA's, solved by
+linear_sum_assignment (`auction_match`) on a cost block gathered from the
+distance table, and skipped only where the answer is certain without a solve: a
+matching with a single taxi or request, and a last step in which no free taxi
+stands on an outstanding pickup. The tests check this path against
+`sim.transition`.
 
 A taxi's stay and move candidates start from states that differ only in
 where that taxi stands, so they are scored as one trajectory per scenario
@@ -147,26 +148,23 @@ class _Scenarios:
         return scenarios
 
 
-def _candidate_costs(state, joints, scenarios, graph, t_h, inbound=()):
-    """Trajectory cost of each candidate joint, summed over the scenarios.
+def _candidate_costs(state, joint, l, cands, scenarios, graph, t_h, inbound=()):
+    """Trajectory cost of each of free taxi l's candidates (pickups first,
+    as _candidate_actions orders them), summed over the scenarios, while
+    every other taxi k takes joint[k].
 
     Immediate cost, then t_h IA-RA stage costs, then the terminal
     outstanding count, per scenario. `inbound` lists (arrival clock, node)
     pairs of taxis scheduled to enter this state's region; each becomes a
-    free taxi when its clock comes up. The candidate step, which no scenario
-    changes, is simulated once per candidate and _trajectory_cost continues
-    it per scenario. That step takes the taxis in index order, and a pickup
-    of a request that an earlier taxi of the joint took is a stay: the taxi
-    is free where it stands. Occupied taxis need no per-step work there:
-    each is put on its dropoff (a trip's timer is its remaining distance)
-    and rejoins the free taxis in the step its timer runs out; one that is
-    not free before the last matching is never looked at again.
+    free taxi when its clock comes up. The candidate step takes the taxis in
+    index order, and a pickup of a request that an earlier taxi took is a
+    stay. No scenario changes that step, so the other taxis' part of it is
+    simulated once and each candidate applies only l's action to it. Occupied
+    taxis are put on their dropoffs (a trip's timer is its remaining
+    distance) and rejoin the free taxis in the step their timers run out.
 
-    Joints that differ only in the stay or move of one free taxi l, the
-    first taxi whose action differs between joints, start from states that
-    differ only in where l stands. Such a group runs one trajectory per
-    scenario, with l's distance to each pickup the least over the group's
-    locations, until l could be matched (see _trajectory_cost).
+    The stay and move candidates differ only in where l stands, so they run as
+    one group until l could be matched (see _trajectory_cost); pickups alone.
     """
     dist = graph._dist
     arriving = {}
@@ -174,60 +172,63 @@ def _candidate_costs(state, joints, scenarios, graph, t_h, inbound=()):
         if 0 < when - state.clock <= t_h:
             arriving.setdefault(when - state.clock, []).append(node)
     locs = list(state.locations) + arriving.get(1, [])
-    joined = list(range(state.m, len(locs)))  # free from the first lookahead step
+    free = []
+    reqs = [(rid, r.pickup, r.dropoff) for rid, r in sorted(state.outstanding.items())]
     released = {}  # step -> taxis whose trip ends in that step
-    for l, (_, dropoff) in state.in_service.items():
-        timer = state.timers[l]
-        locs[l] = dropoff
-        if 1 < timer <= t_h:
-            released[timer - 1] = released.get(timer - 1, ()) + (l,)
-    outstanding = [(rid, r.pickup, r.dropoff) for rid, r in sorted(state.outstanding.items())]
+    taken = {}  # request id -> the taxi whose pickup took it
+    for k, act in enumerate(joint):
+        timer = state.timers[k]
+        if timer > 0:
+            locs[k] = state.in_service[k][1]
+            if timer == 1:
+                free.append(k)
+            elif timer <= t_h:
+                released[timer - 1] = released.get(timer - 1, ()) + (k,)
+        elif k == l:
+            continue
+        elif act[0] == PICKUP and (req := next((r for r in reqs if r[0] == act[1]), None)):
+            reqs.remove(req)
+            taken[req[0]] = k
+            trip = dist[req[1]][req[2]]
+            locs[k] = req[2]
+            if trip == 0:
+                free.append(k)
+            elif trip < t_h:
+                released[trip] = released.get(trip, ()) + (k,)
+        else:
+            if act[0] == MOVE:
+                locs[k] = act[1]
+            free.append(k)
+    free += range(state.m, len(locs))
 
-    starts = []
-    for joint in joints:
-        after_locs = list(locs)
-        free = []
-        reqs = list(outstanding)
-        after_released = dict(released)
-        for l, act in enumerate(joint):
-            if state.timers[l] > 0:
-                if state.timers[l] == 1:
-                    free.append(l)
-            elif act[0] == PICKUP and (req := next((r for r in reqs if r[0] == act[1]), None)):
-                reqs.remove(req)
-                trip = dist[req[1]][req[2]]
-                if trip == 0:
-                    free.append(l)
-                else:
-                    after_locs[l] = req[2]
-                    if trip < t_h:
-                        after_released[trip] = after_released.get(trip, ()) + (l,)
-            else:
-                if act[0] == MOVE:
-                    after_locs[l] = act[1]
-                free.append(l)
-        starts.append((after_locs, free + joined, reqs, after_released,
-                       len(state.outstanding)))
+    nodes = [locs[l] if act[0] == STAY else act[1] for act in cands if act[0] != PICKUP]
+    starts = []  # (start, group) of each pickup, then of the stays and moves
+    for _, rid in cands[:len(cands) - len(nodes)]:
+        req = state.outstanding[rid]
+        trip = dist[req.pickup][req.dropoff]
+        k = taken.get(rid)  # a later taxi that took it is free where it stands
+        after_locs, after_free, after_released = list(locs), list(free), dict(released)
+        after_locs[l] = req.dropoff
+        if k is not None:
+            after_locs[k] = state.locations[k]
+        if (joins := l if trip == 0 else k) is not None:
+            insort(after_free, joins)
+        if 0 < trip < t_h:
+            after_released[trip] = tuple(x for x in released.get(trip, ()) if x != k) + (l,)
+        after_reqs = reqs if k is not None else [r for r in reqs if r[0] != rid]
+        starts.append(((after_locs, after_free, after_reqs, after_released), None))
+    if nodes:
+        locs[l] = nodes[0]
+        insort(free, l)
+        starts.append(((locs, free, reqs, released), (l, nodes) if nodes[1:] else None))
 
-    varying = next((i for i, acts in enumerate(zip(*joints)) if len(set(acts)) > 1), None)
-    groups = {}
-    for k, joint in enumerate(joints):
-        key = k
-        if varying is not None and state.timers[varying] == 0 and joint[varying][0] != PICKUP:
-            key = tuple(joint[:varying]) + tuple(joint[varying + 1:])
-        groups.setdefault(key, []).append(k)
-    totals = [0] * len(joints)
-    for members in groups.values():
-        locs, free, reqs, released, cost = starts[members[0]]
-        group = None
-        if len(members) > 1:
-            group = (varying, [starts[k][0][varying] for k in members])
-        for batches in scenarios:
-            first = (locs, free, batches[0][::-1] + reqs, released,
-                     cost + len(reqs) + len(batches[0]))
-            got = _trajectory_cost(first, 1, batches, graph, t_h, arriving, group)
-            for k, c in zip(members, got):
-                totals[k] += c
+    totals = []
+    for (locs, free, reqs, released), group in starts:
+        costs = [_trajectory_cost((locs, free, batches[0][::-1] + reqs, released,
+                                   len(state.outstanding) + len(reqs) + len(batches[0])),
+                                  1, batches, graph, t_h, arriving, group)
+                 for batches in scenarios]
+        totals += map(sum, zip(*costs))  # each member's total over the scenarios
     return totals
 
 
@@ -365,11 +366,13 @@ def one_at_a_time_control(state, graph, model, cfg: RolloutConfig, seed: int,
     """Joint control from m sequential per-taxi lookahead minimizations.
 
     Occupied taxis contribute their single forced control, the base joint's
-    hop, without simulation. A free taxi takes its base control when that is
-    among its candidates of least total cost, and else its first candidate
-    of least total. The call draws its scenarios once, on a stream keyed by
-    the clock and its lowest taxi key: num_mc for each of its F free taxis,
-    and the j-th free taxi in index order scores every candidate on block j.
+    hop, without simulation. Free taxi l scores its candidates in one
+    `_candidate_costs` call against the controls chosen before l and the base
+    joint's after l, and takes its base control when that is among its
+    candidates of least total cost, else its first candidate of least total.
+    The call draws its scenarios once, on a stream keyed by the clock and its
+    lowest taxi key: num_mc for each of its F free taxis, and the j-th free
+    taxi in index order scores every candidate on block j.
     `taxi_keys` supplies the seed-keying identity of each taxi (global ids
     when planning a sector sub-state), so a single sector holding every taxi
     reads global rollout's stream; `inbound` announces scheduled future taxi
@@ -378,17 +381,15 @@ def one_at_a_time_control(state, graph, model, cfg: RolloutConfig, seed: int,
     lookahead's requests: each scenario keeps only the requests picked up in
     the region.
     """
-    m = state.m
     key = min(taxi_keys or (0,))  # global rollout keys its taxis 0..m-1
     base_joint, _ = policies.ia_ra_control(state, graph)
     num_mc = cfg.num_mc
     draw = None
-    chosen = [None] * m
+    chosen = list(base_joint)  # the choices before l, the base controls from l on
     claimed = set()
     j = 0  # free taxis before l: l scores on block j of the draw
-    for l in range(m):
+    for l in range(state.m):
         if state.timers[l] > 0:
-            chosen[l] = base_joint[l]
             continue
         cands = _candidate_actions(state, graph, l, claimed, region)
         if len(cands) == 1:
@@ -398,9 +399,9 @@ def one_at_a_time_control(state, graph, model, cfg: RolloutConfig, seed: int,
                 rng = substream(seed, NS_LOOKAHEAD, state.clock, key)
                 draw = _sample_scenario(model, cfg.t_h, state.timers.count(0) * num_mc,
                                         rng, region)
-            joints = [chosen[:l] + [cand] + base_joint[l + 1:] for cand in cands]
-            totals = _candidate_costs(state, joints, draw[j * num_mc:(j + 1) * num_mc],
-                                      graph, cfg.t_h, inbound)
+            totals = _candidate_costs(state, chosen, l, cands,
+                                      draw[j * num_mc:(j + 1) * num_mc], graph, cfg.t_h,
+                                      inbound)
             low = min(totals)
             least = [c for c, t in zip(cands, totals) if t == low]
             chosen[l] = base_joint[l] if base_joint[l] in least else least[0]

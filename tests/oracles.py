@@ -610,8 +610,12 @@ def weighted_distance_sums_reference(graph, sources, targets, weights):
 def transition_reference(state, control, arrivals, graph):
     """sim.transition as it was before its rows were read through locals:
     every hop from graph.next_hop, every trip length from graph.distance.
-    The reference for the production step's states and IllegalControl
-    (taxi, reason) pairs."""
+    The reference for the production step's states, IllegalControl (taxi,
+    reason) pairs and SimError messages. Taxis are checked in index order:
+    first whether the taxi has an in_service entry exactly when its timer
+    is above 0, then its action, an occupied taxi's action before and after
+    the check that its timer reaches 0 exactly on its dropoff. Entries of
+    taxis outside the fleet are checked after the taxis, arrivals last."""
     m = len(state.locations)
     if len(control) != m:
         raise SimError(f"control has {len(control)} actions for {m} taxis")
@@ -622,11 +626,18 @@ def transition_reference(state, control, arrivals, graph):
     for l in range(m):
         act = control[l]
         kind = act[0]
+        entry = l in state.in_service
+        if timers[l] < 0 or (timers[l] > 0) != entry:
+            raise IllegalControl(l, f"timer {timers[l]} but {'an' if entry else 'no'} "
+                                    f"in_service entry")
         if timers[l] > 0:
             if kind != HOP:
                 raise IllegalControl(l, f"occupied taxi got '{kind}'")
             _, dropoff = in_service[l]
             hop = graph.next_hop(locs[l], dropoff)
+            if (hop == dropoff) != (timers[l] == 1):
+                raise IllegalControl(l, f"timer {timers[l]} but its dropoff {dropoff} is at "
+                                        f"distance {graph.distance(locs[l], dropoff)}")
             if act[1] != hop:
                 raise IllegalControl(l, f"hop to {act[1]} but shortest path continues at {hop}")
             locs[l] = hop
@@ -655,7 +666,15 @@ def transition_reference(state, control, arrivals, graph):
             raise IllegalControl(l, "free taxi got a forced hop")
         else:
             raise IllegalControl(l, f"unknown action '{kind}'")
+    for taxi in state.in_service:
+        if not 0 <= taxi < m:
+            raise IllegalControl(taxi, f"in_service entry for a fleet of {m} taxis")
     for req in arrivals:
+        if req.id in outstanding:
+            raise SimError(f"request {req.id}: id is already outstanding")
+        if not (1 <= req.pickup <= graph.n and 1 <= req.dropoff <= graph.n):
+            raise SimError(f"request {req.id}: pickup {req.pickup} or dropoff {req.dropoff} "
+                           f"is outside 1..{graph.n}")
         outstanding[req.id] = req
     return FleetState(locs, timers, outstanding, in_service, state.clock + 1)
 

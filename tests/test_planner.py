@@ -121,10 +121,9 @@ def test_sector_lookahead_sees_only_requests_picked_up_in_its_sector(monkeypatch
         ids.append(taxi_keys)
         return real_control(*args, taxi_keys=taxi_keys, **kwargs)
 
-    def recording_costs(state, joints, scenarios, graph, t_h, inbound=()):
-        l = next(i for i, acts in enumerate(zip(*joints)) if len(set(acts)) > 1)
+    def recording_costs(state, joint, l, cands, scenarios, graph, t_h, inbound=()):
         seen.append((state, l, scenarios, keys[-1], ids[-1] if ids else None))
-        return real_costs(state, joints, scenarios, graph, t_h, inbound)
+        return real_costs(state, joint, l, cands, scenarios, graph, t_h, inbound)
 
     monkeypatch.setattr(rollout, "substream", keyed_substream)
     monkeypatch.setattr(rollout, "_candidate_costs", recording_costs)

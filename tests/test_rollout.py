@@ -69,12 +69,12 @@ def test_lookahead_hand_rolled_line():
     g = line_graph(4)
     r = Request(1, 3, 4, 1)
     s = make_state([2], outstanding={1: r})
-    joints = [[(MOVE, 3)], [(MOVE, 1)], [(STAY,)]]
+    cands = [(MOVE, 3), (MOVE, 1), (STAY,)]
     # toward: outstanding counts 1 (now), 1 (at 3), 0 (picked), 0 -> total 2
     # away:   1, 1, 1, 1 -> 4;  stay: 1, 1, 1 (arrives), 0 -> 3
-    assert _candidate_costs(s, joints, [[[], [], []]], g, 2) == [2, 4, 3]
+    assert _candidate_costs(s, [(STAY,)], 0, cands, [[[], [], []]], g, 2) == [2, 4, 3]
     # two identical scenarios: each candidate's cost twice
-    assert _candidate_costs(s, joints, [[[], [], []]] * 2, g, 2) == [4, 8, 6]
+    assert _candidate_costs(s, [(STAY,)], 0, cands, [[[], [], []]] * 2, g, 2) == [4, 8, 6]
 
 
 def generic_costs(state, joints, scenarios, graph, t_h, inbound):
@@ -83,17 +83,20 @@ def generic_costs(state, joints, scenarios, graph, t_h, inbound):
              for batches in scenarios] for joint in joints]
 
 
-def per_candidate_costs(state, joints, scenarios, graph, t_h, inbound=()):
-    """Each joint scored alone: no group, every trajectory its own."""
-    return [_candidate_costs(state, [joint], scenarios, graph, t_h, inbound)[0]
-            for joint in joints]
+def per_candidate_costs(state, joint, l, cands, scenarios, graph, t_h, inbound=()):
+    """Each candidate scored alone: no group, every trajectory its own."""
+    return [_candidate_costs(state, joint, l, [cand], scenarios, graph, t_h, inbound)[0]
+            for cand in cands]
 
 
 def candidate_joints(state, graph, l):
+    """The base joint, free taxi l's candidates against it and each
+    candidate's composed joint."""
     base_joint, _ = ia_ra_control(state, graph)
     claimed = {a[1] for a in base_joint[:l] if a[0] == PICKUP}
-    return [compose_joint(base_joint, cand, l, base_joint, claimed)
-            for cand in _candidate_actions(state, graph, l, claimed)]
+    cands = _candidate_actions(state, graph, l, claimed)
+    return base_joint, cands, [compose_joint(base_joint, cand, l, base_joint, claimed)
+                               for cand in cands]
 
 
 def test_fast_path_matches_generic_path(grid5):
@@ -114,41 +117,43 @@ def test_fast_path_matches_generic_path(grid5):
         t_h = 1 + trial % 6
         m = int(rng.integers(*m_range))
         locs = [int(rng.integers(1, g.n + 1)) for _ in range(m)]
-        timers = [0] * m
-        in_service = {}
         outstanding = {}
         for i in range(int(rng.integers(*n_req))):
             outstanding[i + 1] = Request(i + 1, int(rng.integers(1, g.n + 1)),
                                          int(rng.integers(1, g.n + 1)), 1)
-        for l in range(m):
-            if rng.random() < p_busy:
-                drop = int(rng.integers(1, g.n + 1))
-                if drop != locs[l]:
-                    timers[l] = g.distance(locs[l], drop)
-                    in_service[l] = (100 + l, drop)
+        timers = [1]
+        while 0 not in timers:  # a fleet with no free taxi draws its busy flags again
+            timers = [0] * m
+            in_service = {}
+            for l in range(m):
+                if rng.random() < p_busy:
+                    drop = int(rng.integers(1, g.n + 1))
+                    if drop != locs[l]:
+                        timers[l] = g.distance(locs[l], drop)
+                        in_service[l] = (100 + l, drop)
         inbound = tuple((int(rng.integers(1, t_h + 3)), int(rng.integers(1, g.n + 1)))
                         for _ in range(int(rng.integers(0, 4))))
         s = FleetState(locs, timers, outstanding, in_service, 1)
         free = [l for l in range(m) if timers[l] == 0]
-        joints = [ia_ra_control(s, g)[0]]
-        if free:
-            joints = candidate_joints(s, g, free[int(rng.integers(len(free)))])
+        l = free[int(rng.integers(len(free)))]
+        joint, cands, joints = candidate_joints(s, g, l)
         scenarios = _sample_scenario(model, t_h, int(rng.integers(1, 5)), substream(3, trial))
         want = generic_costs(s, joints, scenarios, g, t_h, inbound)
-        assert (_candidate_costs(s, joints, scenarios, g, t_h, inbound)
+        assert (_candidate_costs(s, joint, l, cands, scenarios, g, t_h, inbound)
                 == [sum(costs) for costs in want])
         for k, batches in enumerate(scenarios):
-            assert (_candidate_costs(s, joints, [batches], g, t_h, inbound)
+            assert (_candidate_costs(s, joint, l, cands, [batches], g, t_h, inbound)
                     == [costs[k] for costs in want])
 
 
 def test_plain_joints_score_as_composed_joints(grid3):
-    # Rollout scores plain joints: the controls chosen before taxi l, l's
-    # candidate and the base joint after l, which may repeat a pickup that
-    # an earlier taxi took. The candidate step makes such a pickup a stay,
-    # as composing the joint does, so both score alike; composed joints
-    # also score as the sim.transition path does. Taxis before l take
-    # random legal controls, as earlier rollout choices would.
+    # Rollout scores l's candidates against one plain joint: the controls
+    # chosen before taxi l and the base joint after l, which may repeat a
+    # pickup that an earlier taxi or l's candidate took. The candidate step
+    # makes such a pickup a stay, as composing each candidate's joint does,
+    # so the scores equal the composed joints' scores on the sim.transition
+    # path. Taxis before l take random legal controls, as earlier rollout
+    # choices would.
     rnd = random.Random(20)
     # Small graphs, so that taxis often share a node and repeat pickups.
     graphs = [grid3, ring_graph(5), random_strong_digraph(random.Random(5), 6)]
@@ -177,38 +182,39 @@ def test_plain_joints_score_as_composed_joints(grid3):
                         for _ in range(rnd.randint(0, 2)))
         scenarios = _sample_scenario(synthetic_model(g, 1.0), t_h, rnd.randint(1, 3),
                                      substream(6, trial))
-        got = _candidate_costs(s, plain, scenarios, g, t_h, inbound)
-        assert got == _candidate_costs(s, composed, scenarios, g, t_h, inbound)
+        got = _candidate_costs(s, chosen, l, cands, scenarios, g, t_h, inbound)
         assert got == [sum(costs) for costs in
                        generic_costs(s, composed, scenarios, g, t_h, inbound)]
     assert repeated > 30
 
 
 def test_a_base_pickup_that_repeats_the_candidate_pickup_is_a_stay():
-    # Line 1-2-3-4, both taxis on node 2 with requests 1 (2 -> 4) and 2
-    # (2 -> 3): IA-RA gives taxi 0 request 1 and taxi 1 request 2. Taxi 0's
-    # candidate "pick up 2" is scored in the plain joint in which taxi 1's
+    # Line 1-2-3-4, both taxis on node 2 with requests 1 and 2 picked up
+    # there: IA-RA gives taxi 0 request 1 and taxi 1 request 2. Taxi 0's
+    # candidate "pick up 2" is scored against the joint in which taxi 1's
     # base control picks up 2 as well; that taxi stays and takes request 1
-    # in the next step.
+    # in the next step. Request 2's trip is shorter than t_h = 2 (its taxi is
+    # released within the lookahead), of zero length (both taxis are free at
+    # once) or t_h long (never released before the horizon).
     g = line_graph(4)
-    s = make_state([2, 2], outstanding={1: Request(1, 2, 4, 1), 2: Request(2, 2, 3, 1)})
-    base_joint, _ = ia_ra_control(s, g)
-    assert base_joint == [(PICKUP, 1), (PICKUP, 2)]
-    cands = _candidate_actions(s, g, 0, set())
-    assert cands == [(PICKUP, 1), (PICKUP, 2), (STAY,), (MOVE, 1), (MOVE, 3)]
-    plain = [[cand] + base_joint[1:] for cand in cands]
-    assert plain[1] == [(PICKUP, 2), (PICKUP, 2)]
-    composed = [compose_joint(base_joint, cand, 0, base_joint, set()) for cand in cands]
-    assert composed[1] == [(PICKUP, 2), (STAY,)]
     quiet = [[[], [], []]]
-    # 2 outstanding now, then per step: 0, 0, 0 (both picked up); 1, 0, 0
-    # (pickup 2, or stay); 1, 1, 0 (either move).
-    want = [2, 3, 3, 4, 4]
-    assert _candidate_costs(s, plain, quiet, g, 2) == want
-    assert _candidate_costs(s, composed, quiet, g, 2) == want
-    assert [sum(c) for c in generic_costs(s, composed, quiet, g, 2, ())] == want
-    cfg = RolloutConfig(t_h=2, num_mc=1)
-    assert one_at_a_time_control(s, g, zero_model(), cfg, seed=0) == base_joint
+    # 2 outstanding now, then per step: pickup 1: 0, 0, 0 (both picked up);
+    # pickup 2 or stay: 1, 0, 0; either move: 1, 1, 0 while taxi 1 is busy,
+    # 1, 0, 0 when it is free on node 2 after a zero-length trip.
+    cases = [(4, 3, [2, 3, 3, 4, 4]), (4, 2, [2, 3, 3, 3, 3]), (3, 4, [2, 3, 3, 4, 4])]
+    for drop_1, drop_2, want in cases:
+        s = make_state([2, 2], outstanding={1: Request(1, 2, drop_1, 1),
+                                            2: Request(2, 2, drop_2, 1)})
+        base_joint, _ = ia_ra_control(s, g)
+        assert base_joint == [(PICKUP, 1), (PICKUP, 2)]
+        cands = _candidate_actions(s, g, 0, set())
+        assert cands == [(PICKUP, 1), (PICKUP, 2), (STAY,), (MOVE, 1), (MOVE, 3)]
+        composed = [compose_joint(base_joint, cand, 0, base_joint, set()) for cand in cands]
+        assert composed[1] == [(PICKUP, 2), (STAY,)]
+        assert _candidate_costs(s, base_joint, 0, cands, quiet, g, 2) == want
+        assert [sum(c) for c in generic_costs(s, composed, quiet, g, 2, ())] == want
+        cfg = RolloutConfig(t_h=2, num_mc=1)
+        assert one_at_a_time_control(s, g, zero_model(), cfg, seed=0) == base_joint
 
 
 def test_grouped_stay_and_move_scores_equal_per_candidate_and_generic_scores(
@@ -232,10 +238,10 @@ def test_grouped_stay_and_move_scores_equal_per_candidate_and_generic_scores(
     monkeypatch.setattr(rollout, "_trajectory_cost", counted)
 
     def check(s, g, l, scenarios, t_h, inbound=()):
-        joints = candidate_joints(s, g, l)
+        joint, cands, joints = candidate_joints(s, g, l)
         want = generic_costs(s, joints, scenarios, g, t_h, inbound)
-        got = _candidate_costs(s, joints, scenarios, g, t_h, inbound)
-        assert got == per_candidate_costs(s, joints, scenarios, g, t_h, inbound)
+        got = _candidate_costs(s, joint, l, cands, scenarios, g, t_h, inbound)
+        assert got == per_candidate_costs(s, joint, l, cands, scenarios, g, t_h, inbound)
         assert got == [sum(costs) for costs in want]
         return got
 
@@ -315,7 +321,10 @@ def test_last_step_pickups_follow_the_tied_matching():
     joints = [[(STAY,), (STAY,)], [(MOVE, 2), (STAY,)], [(STAY,), (PICKUP, 1)],
               [(STAY,), (MOVE, 3)]]
     scenarios = [[[], []], [[(-1, 2, 1)], [(-2, 3, 1)]]]
-    got = _candidate_costs(s, joints, scenarios, g, 1)
+    # taxi 0's candidates while taxi 1 stays, then taxi 1's while taxi 0 stays
+    got = (_candidate_costs(s, [(STAY,), (STAY,)], 0, [(STAY,), (MOVE, 2)], scenarios, g, 1)
+           + _candidate_costs(s, [(STAY,), (STAY,)], 1, [(PICKUP, 1), (MOVE, 3)],
+                              scenarios, g, 1))
     assert got == [sum(costs) for costs in generic_costs(s, joints, scenarios, g, 1, ())]
     assert got[0] == 6 + 8  # 2 + 2 + 2 without arrivals; 2 + 3 + 3 with them
 
@@ -469,7 +478,7 @@ def test_scenarios_zero_variance_on_deterministic_model():
     assert len(est.scenario_costs) == 6
     assert len(set(est.scenario_costs)) == 1
     assert est.mean == est.scenario_costs[0]
-    assert _candidate_costs(s, [[(MOVE, 3)]], scenarios, g, 3) == [
+    assert _candidate_costs(s, [(STAY,)], 0, [(MOVE, 3)], scenarios, g, 3) == [
         sum(est.scenario_costs)]
 
 
@@ -524,9 +533,9 @@ def test_each_free_taxi_scores_every_candidate_on_its_own_block_of_one_draw(grid
         draws.append((num_mc, region, SliceLog(real_sample(model, t_h, num_mc, rng, region))))
         return draws[-1][2]
 
-    def recording_costs(state, joints, scenarios, graph, t_h, inbound=()):
-        totals = real_costs(state, joints, scenarios, graph, t_h, inbound)
-        scored.append((joints, scenarios, totals))
+    def recording_costs(state, joint, l, cands, scenarios, graph, t_h, inbound=()):
+        totals = real_costs(state, joint, l, cands, scenarios, graph, t_h, inbound)
+        scored.append((list(joint), l, cands, scenarios, totals))
         return totals
 
     monkeypatch.setattr(rollout, "_sample_scenario", recording_sample)
@@ -549,13 +558,13 @@ def test_each_free_taxi_scores_every_candidate_on_its_own_block_of_one_draw(grid
         [(num_mc, drawn_region, log)] = draws
         assert num_mc == len(free) * n and drawn_region is region
         taxis = []
-        for joints, scenarios, totals in scored:
-            l = next(i for i, acts in enumerate(zip(*joints)) if len(set(acts)) > 1)
+        for joint, l, cands, scenarios, totals in scored:
             taxis.append(l)
             assert scenarios == taxi_scenarios(s, l, model, cfg, trial, region, keys)
+            claimed = {a[1] for a in joint[:l] if a[0] == PICKUP}
             assert totals == [sum(evaluate_candidate(
-                s, compose_joint(joint, joint[l], l, joint, set()), grid5, scenarios,
-                cfg.t_h, inbound).scenario_costs) for joint in joints]
+                s, compose_joint(joint, cand, l, joint, claimed), grid5, scenarios,
+                cfg.t_h, inbound).scenario_costs) for cand in cands]
             blocks_read += 1
         assert log.spans == [(free.index(l) * n, (free.index(l) + 1) * n) for l in taxis]
         assert len(set(taxis)) == len(taxis)  # disjoint blocks
@@ -589,7 +598,7 @@ def test_all_candidates_tie_and_the_base_control_is_a_move():
     cands = _candidate_actions(s, g, 0, set())
     assert cands == [(STAY,), (MOVE, 1), (MOVE, 3)]
     quiet = [[[], [], []]]
-    assert _candidate_costs(s, [[c] for c in cands], quiet, g, 2) == [4, 4, 4]
+    assert _candidate_costs(s, base_joint, 0, cands, quiet, g, 2) == [4, 4, 4]
     cfg = RolloutConfig(t_h=2, num_mc=3)
     assert one_at_a_time_control(s, g, zero_model(), cfg, seed=0) == [(MOVE, 3)]
 
@@ -600,9 +609,9 @@ def test_a_base_control_among_the_least_totals_is_chosen(monkeypatch):
     scored = []
     real_costs = rollout._candidate_costs
 
-    def recording_costs(state, joints, scenarios, graph, t_h, inbound=()):
-        totals = real_costs(state, joints, scenarios, graph, t_h, inbound)
-        scored.append((joints, totals))
+    def recording_costs(state, joint, l, cands, scenarios, graph, t_h, inbound=()):
+        totals = real_costs(state, joint, l, cands, scenarios, graph, t_h, inbound)
+        scored.append((l, cands, totals))
         return totals
 
     monkeypatch.setattr(rollout, "_candidate_costs", recording_costs)
@@ -617,9 +626,8 @@ def test_a_base_control_among_the_least_totals_is_chosen(monkeypatch):
         scored.clear()
         chosen = one_at_a_time_control(s, g, model, cfg, seed=trial)
         base_joint, _ = ia_ra_control(s, g)
-        for joints, totals in scored:
-            l = next(i for i, acts in enumerate(zip(*joints)) if len(set(acts)) > 1)
-            least = [joint[l] for joint, t in zip(joints, totals) if t == min(totals)]
+        for l, cands, totals in scored:
+            least = [cand for cand, t in zip(cands, totals) if t == min(totals)]
             if base_joint[l] in least:
                 assert chosen[l] == base_joint[l]
                 base_won += base_joint[l] != least[0]

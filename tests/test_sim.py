@@ -87,7 +87,8 @@ def test_illegal_controls(grid3):
     ([0, 0], {0: (7, 9)}, 0, "timer 0 but an in_service entry"),
     ([0, 3], {}, 1, "timer 3 but no in_service entry"),
     ([0, 0], {5: (7, 9)}, 5, "in_service entry for a fleet of 2 taxis"),
-], ids=["stale-entry", "missing-entry", "entry-past-the-fleet"])
+    ([0, 3], {0: (7, 9)}, 0, "timer 0 but an in_service entry"),
+], ids=["stale-entry", "missing-entry", "entry-past-the-fleet", "entry-on-the-wrong-taxi"])
 def test_in_service_not_matching_the_timers_is_rejected(grid3, timers, in_service, taxi,
                                                         reason):
     s = make_state([1, 5], timers=timers, in_service=in_service)
@@ -173,16 +174,39 @@ def random_joint_control(rnd, state, graph):
     lambda: random_strong_digraph(random.Random(12), 15),
 ], ids=["grid", "one-way-ring", "random-digraph"])
 def test_transition_equals_reference_on_random_controls(make_graph):
+    # Random joint controls, some illegal, on consistent states; some states
+    # and arrival batches are broken after the control is drawn: an occupied
+    # taxi without its in_service entry, a free taxi with one, both at once,
+    # an entry past the fleet, a timer that misses its dropoff, an arrival
+    # whose id is outstanding or whose pickup or dropoff is off the graph.
     graph = make_graph()
     rnd = random.Random(graph.n)
-    outcomes = {"state": 0, "illegal": 0}
-    for case in range(300):
+    outcomes = {"state": 0, "illegal": 0, "entry": 0, "timer": 0, "arrival": 0}
+    faults = ["missing", "stale", "swap", "past", "timer", "repeat", "off-graph"]
+    for case in range(500):
         state = random_fleet_state(rnd, graph, rnd.randint(1, 12), rnd.randint(0, 8))
         control = random_joint_control(rnd, state, graph)
         if case % 50 == 0:
             control = control[:-1]  # one action short
         arrivals = [Request(900 + i, rnd.randint(1, graph.n), rnd.randint(1, graph.n),
                             state.clock + 1) for i in range(rnd.randint(0, 3))]
+        busy = [l for l in range(state.m) if state.timers[l] > 0]
+        free = [l for l in range(state.m) if state.timers[l] == 0]
+        fault = faults[case % 10] if case % 10 < len(faults) else None
+        if fault in ("missing", "swap") and busy:
+            del state.in_service[rnd.choice(busy)]
+        if fault in ("stale", "swap") and free:
+            state.in_service[rnd.choice(free)] = (7, rnd.randint(1, graph.n))
+        if fault == "past":
+            state.in_service[state.m + rnd.randint(0, 2)] = (7, rnd.randint(1, graph.n))
+        if fault == "timer" and busy:
+            l = rnd.choice(busy)
+            state.timers[l] = 1 if state.timers[l] > 1 else 2
+        if fault == "repeat":
+            arrivals.append(Request(rnd.choice([*state.outstanding, 900]), 1, 1, state.clock + 1))
+        if fault == "off-graph":
+            arrivals.append(Request(950, rnd.choice([0, graph.n + 1, 1]),
+                                    rnd.choice([-1, graph.n + 1]), state.clock + 1))
         try:
             want = transition_reference(state, control, arrivals, graph)
         except SimError as exc:
@@ -191,14 +215,17 @@ def test_transition_equals_reference_on_random_controls(make_graph):
             assert str(info.value) == str(exc)
             if isinstance(exc, IllegalControl):
                 assert (info.value.taxi, info.value.reason) == (exc.taxi, exc.reason)
-                outcomes["illegal"] += 1
+                outcomes["entry" if "in_service entry" in exc.reason else
+                         "timer" if "is at distance" in exc.reason else "illegal"] += 1
+            elif str(exc).startswith("request"):
+                outcomes["arrival"] += 1
             continue
         got = transition(state, control, arrivals, graph)
         assert got == want
         assert list(got.outstanding.items()) == list(want.outstanding.items())
         assert list(got.in_service.items()) == list(want.in_service.items())
         outcomes["state"] += 1
-    assert outcomes["state"] > 50 and outcomes["illegal"] > 50
+    assert min(outcomes.values()) > 20, outcomes
 
 
 def test_arrivals_enter_outstanding(grid3):
