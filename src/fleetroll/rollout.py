@@ -26,16 +26,15 @@ that is one of them: with a truncated lookahead, ties are where rollout
 would otherwise lose on its base policy.
 
 The base policy is IA-RA (`policies.ia_ra_control`). A taxi's candidates are
-scored in one call, `_candidate_costs`, which steps the other taxis once,
-applies each candidate's own action and continues each start per scenario on
-flat lists (`_trajectory_cost`): free taxis and outstanding (id, pickup,
-dropoff) requests are kept sorted as events change them, and an occupied taxi
-is only looked at again when its trip ends. Matchings are IA-RA's, solved by
+scored in one call, `_candidate_costs`, which steps the other taxis once, adds
+each candidate's own action and continues per scenario on flat lists
+(`_trajectory_cost`): free taxis and outstanding (id, pickup, dropoff)
+requests are kept sorted as events change them, and an occupied taxi is only
+looked at again when its trip ends. Matchings are IA-RA's, solved by
 linear_sum_assignment (`auction_match`) on a cost block gathered from the
-distance table, and skipped only where the answer is certain without a solve: a
-matching with a single taxi or request, and a last step in which no free taxi
-stands on an outstanding pickup. The tests check this path against
-`sim.transition`.
+distance table, and skipped only where the answer is certain: a matching with
+a single taxi or request, and a last step in which no free taxi stands on an
+outstanding pickup. The tests check this path against `sim.transition`.
 
 A taxi's stay and move candidates start from states that differ only in
 where that taxi stands, so they are scored as one trajectory per scenario
@@ -153,15 +152,15 @@ def _candidate_costs(state, joint, l, cands, scenarios, graph, t_h, inbound=()):
     as _candidate_actions orders them), summed over the scenarios, while
     every other taxi k takes joint[k].
 
-    Immediate cost, then t_h IA-RA stage costs, then the terminal
-    outstanding count, per scenario. `inbound` lists (arrival clock, node)
-    pairs of taxis scheduled to enter this state's region; each becomes a
-    free taxi when its clock comes up. The candidate step takes the taxis in
-    index order, and a pickup of a request that an earlier taxi took is a
-    stay. No scenario changes that step, so the other taxis' part of it is
-    simulated once and each candidate applies only l's action to it. Occupied
-    taxis are put on their dropoffs (a trip's timer is its remaining
-    distance) and rejoin the free taxis in the step their timers run out.
+    Immediate cost, then t_h IA-RA stage costs, then the terminal outstanding
+    count, per scenario. `inbound` lists (arrival clock, node) pairs of taxis
+    scheduled to enter this state's region; each becomes a free taxi when its
+    clock comes up. The candidate step takes the taxis in index order, and a
+    pickup of a request that an earlier taxi took is a stay. No scenario
+    changes that step, so the other taxis' part of it is simulated once and
+    each candidate applies only l's action to it. Occupied taxis are put on
+    their dropoffs (a trip's timer is its remaining distance) and rejoin the
+    free taxis in the step their timers run out.
 
     The stay and move candidates differ only in where l stands, so they run as
     one group until l could be matched (see _trajectory_cost); pickups alone.
@@ -369,17 +368,16 @@ def one_at_a_time_control(state, graph, model, cfg: RolloutConfig, seed: int,
     hop, without simulation. Free taxi l scores its candidates in one
     `_candidate_costs` call against the controls chosen before l and the base
     joint's after l, and takes its base control when that is among its
-    candidates of least total cost, else its first candidate of least total.
-    The call draws its scenarios once, on a stream keyed by the clock and its
-    lowest taxi key: num_mc for each of its F free taxis, and the j-th free
-    taxi in index order scores every candidate on block j.
-    `taxi_keys` supplies the seed-keying identity of each taxi (global ids
-    when planning a sector sub-state), so a single sector holding every taxi
-    reads global rollout's stream; `inbound` announces scheduled future taxi
-    arrivals for sector-local planning. `region`, a boolean array indexed by
-    node, confines candidate moves to the nodes it marks and selects the
-    lookahead's requests: each scenario keeps only the requests picked up in
-    the region.
+    candidates of least total cost, else the first of them. The call draws its
+    scenarios once, on a stream keyed by the clock and its lowest taxi key:
+    num_mc for each of its F free taxis, and the j-th free taxi in index order
+    scores every candidate on block j. `taxi_keys` supplies the seed-keying
+    identity of each taxi (global ids when planning a sector sub-state), so a
+    single sector holding every taxi reads global rollout's stream; `inbound`
+    announces scheduled future taxi arrivals for sector-local planning.
+    `region`, a boolean array indexed by node, confines candidate moves to the
+    nodes it marks and selects the lookahead's requests: each scenario keeps
+    only the requests picked up in the region.
     """
     key = min(taxi_keys or (0,))  # global rollout keys its taxis 0..m-1
     base_joint, _ = policies.ia_ra_control(state, graph)
@@ -399,9 +397,8 @@ def one_at_a_time_control(state, graph, model, cfg: RolloutConfig, seed: int,
                 rng = substream(seed, NS_LOOKAHEAD, state.clock, key)
                 draw = _sample_scenario(model, cfg.t_h, state.timers.count(0) * num_mc,
                                         rng, region)
-            totals = _candidate_costs(state, chosen, l, cands,
-                                      draw[j * num_mc:(j + 1) * num_mc], graph, cfg.t_h,
-                                      inbound)
+            totals = _candidate_costs(state, chosen, l, cands, draw[j * num_mc:(j + 1) * num_mc],
+                                      graph, cfg.t_h, inbound)
             low = min(totals)
             least = [c for c, t in zip(cands, totals) if t == low]
             chosen[l] = base_joint[l] if base_joint[l] in least else least[0]

@@ -58,13 +58,10 @@ def substream(seed: int, *key) -> np.random.Generator:
 
 @dataclass
 class FleetState:
-    """A fleet at one clock. Invariant: `in_service` holds exactly the taxis
-    whose timer is above 0, and each such taxi's timer equals its distance to
-    its dropoff; `outstanding` keys are their requests' ids; every node is in
-    1..n. `transition` maintains it and rejects a state whose in_service
-    entries do not match its timers, or whose timer misses its dropoff, with
-    IllegalControl naming the taxi; the base policies' joint builder
-    (`policies._controls`) reads the occupied taxis from in_service alone."""
+    """A fleet at one clock. Invariant: in_service holds exactly the taxis whose
+    timer is above 0, each timer its taxi's distance to its dropoff; outstanding
+    keys are their requests' ids; every node is in 1..n. `transition` keeps it
+    and names the taxi of a state whose entries or timers break it."""
 
     locations: list      # node per taxi
     timers: list         # remaining trip steps per taxi (0 = free)
@@ -81,18 +78,19 @@ def transition(state: FleetState, control, arrivals, graph) -> FleetState:
     """Apply a joint control, then inject the arrival batch, then advance time.
 
     Pickups set the trip timer to the pickup->dropoff distance; a zero-length
-    trip completes in the same step. Taxis are checked in index order, each
-    one's in_service entry (held exactly while its timer runs) before its
-    action. IllegalControl names the taxi of an action that breaks the
-    control-set rules, of an entry that does not match its timer or lies past
-    the fleet, or of an occupied taxi whose hop reaches its dropoff before its
-    timer runs out, or not when it does. An arrival whose id is already
-    outstanding, or whose pickup or dropoff is not a node, raises SimError
-    naming it. Hops and trip lengths are read from the graph's rows directly.
+    trip completes in the same step. Every per-taxi action is validated
+    against the control-set rules and raises IllegalControl on violation, as
+    does a state whose in_service entries do not match its running timers,
+    or an occupied taxi whose hop reaches its dropoff before its timer runs
+    out, or not when it does. An arrival whose id is already outstanding, or
+    whose pickup or dropoff is not a node, raises SimError naming it. Hops
+    and trip lengths are read from the graph's rows directly.
     """
     m = len(state.locations)
     if len(control) != m:
         raise SimError(f"control has {len(control)} actions for {m} taxis")
+    if len(state.in_service) + state.timers.count(0) != m:
+        _reject_service_mismatch(state.timers, state.in_service)
     locs = list(state.locations)
     timers = list(state.timers)
     outstanding = dict(state.outstanding)
@@ -104,8 +102,8 @@ def transition(state: FleetState, control, arrivals, graph) -> FleetState:
         if tau > 0:
             try:
                 _, dropoff = in_service[l]
-            except KeyError:
-                raise IllegalControl(l, f"timer {tau} but no in_service entry") from None
+            except KeyError:  # the count matched: another entry is stale or past the fleet
+                _reject_service_mismatch(state.timers, state.in_service)
             if kind != HOP:
                 raise IllegalControl(l, f"occupied taxi got '{kind}'")
             loc = locs[l]
@@ -120,9 +118,6 @@ def transition(state: FleetState, control, arrivals, graph) -> FleetState:
             timers[l] = tau - 1
             if tau == 1:
                 del in_service[l]
-        elif tau or l in in_service:
-            raise IllegalControl(l, f"timer {tau} but {'an' if l in in_service else 'no'} "
-                                    f"in_service entry")
         elif kind == STAY:
             pass
         elif kind == MOVE:
@@ -145,9 +140,6 @@ def transition(state: FleetState, control, arrivals, graph) -> FleetState:
             raise IllegalControl(l, "free taxi got a forced hop")
         else:
             raise IllegalControl(l, f"unknown action '{kind}'")
-    if len(state.in_service) + state.timers.count(0) != m:  # taxis matched: one is past the fleet
-        taxi = next(iter(state.in_service.keys() - range(m)))
-        raise IllegalControl(taxi, f"in_service entry for a fleet of {m} taxis")
     n = graph.n
     for req in arrivals:
         if req.id in outstanding:
@@ -157,6 +149,17 @@ def transition(state: FleetState, control, arrivals, graph) -> FleetState:
                            f"is outside 1..{n}")
         outstanding[req.id] = req
     return FleetState(locs, timers, outstanding, in_service, state.clock + 1)
+
+
+def _reject_service_mismatch(timers, in_service):
+    """Raise IllegalControl naming the first taxi whose in_service entry does
+    not match its timer: a running timer needs an entry, a zero one has none."""
+    for l, tau in enumerate(timers):
+        if (tau != 0) != (l in in_service):
+            raise IllegalControl(l, f"timer {tau} but {'an' if l in in_service else 'no'} "
+                                    f"in_service entry")
+    taxi = next(iter(in_service.keys() - range(len(timers))))
+    raise IllegalControl(taxi, f"in_service entry for a fleet of {len(timers)} taxis")
 
 
 @dataclass

@@ -611,14 +611,18 @@ def transition_reference(state, control, arrivals, graph):
     """sim.transition as it was before its rows were read through locals:
     every hop from graph.next_hop, every trip length from graph.distance.
     The reference for the production step's states, IllegalControl (taxi,
-    reason) pairs and SimError messages. Taxis are checked in index order:
-    first whether the taxi has an in_service entry exactly when its timer
-    is above 0, then its action, an occupied taxi's action before and after
-    the check that its timer reaches 0 exactly on its dropoff. Entries of
-    taxis outside the fleet are checked after the taxis, arrivals last."""
+    reason) pairs and SimError messages. A state whose in_service entries do
+    not match its running timers names the first taxi out of step, or else an
+    entry past the fleet: checked before the taxis when the counts differ,
+    and when an occupied taxi without an entry is reached when they agree.
+    An occupied taxi's action is checked before and after the check that its
+    timer reaches 0 exactly on its dropoff; arrivals are checked last."""
     m = len(state.locations)
     if len(control) != m:
         raise SimError(f"control has {len(control)} actions for {m} taxis")
+    occupied = sum(tau != 0 for tau in state.timers)
+    if occupied != len(state.in_service):
+        _service_mismatch_reference(state)
     locs = list(state.locations)
     timers = list(state.timers)
     outstanding = dict(state.outstanding)
@@ -626,11 +630,9 @@ def transition_reference(state, control, arrivals, graph):
     for l in range(m):
         act = control[l]
         kind = act[0]
-        entry = l in state.in_service
-        if timers[l] < 0 or (timers[l] > 0) != entry:
-            raise IllegalControl(l, f"timer {timers[l]} but {'an' if entry else 'no'} "
-                                    f"in_service entry")
         if timers[l] > 0:
+            if l not in in_service:
+                _service_mismatch_reference(state)
             if kind != HOP:
                 raise IllegalControl(l, f"occupied taxi got '{kind}'")
             _, dropoff = in_service[l]
@@ -666,9 +668,6 @@ def transition_reference(state, control, arrivals, graph):
             raise IllegalControl(l, "free taxi got a forced hop")
         else:
             raise IllegalControl(l, f"unknown action '{kind}'")
-    for taxi in state.in_service:
-        if not 0 <= taxi < m:
-            raise IllegalControl(taxi, f"in_service entry for a fleet of {m} taxis")
     for req in arrivals:
         if req.id in outstanding:
             raise SimError(f"request {req.id}: id is already outstanding")
@@ -677,6 +676,21 @@ def transition_reference(state, control, arrivals, graph):
                            f"is outside 1..{graph.n}")
         outstanding[req.id] = req
     return FleetState(locs, timers, outstanding, in_service, state.clock + 1)
+
+
+def _service_mismatch_reference(state):
+    """Raise transition's IllegalControl for a state whose in_service entries
+    do not match its timers: the first taxi out of step, else the first entry
+    past the fleet."""
+    m = len(state.timers)
+    for l in range(m):
+        has_entry = l in state.in_service
+        if (state.timers[l] != 0) != has_entry:
+            raise IllegalControl(l, f"timer {state.timers[l]} but "
+                                    f"{'an' if has_entry else 'no'} in_service entry")
+    for taxi in state.in_service:
+        if not 0 <= taxi < m:
+            raise IllegalControl(taxi, f"in_service entry for a fleet of {m} taxis")
 
 
 def forced_hop_action(state, graph, taxi):

@@ -169,63 +169,92 @@ def random_joint_control(rnd, state, graph):
     return control
 
 
+def compare_with_reference(state, control, arrivals, graph):
+    """Step `transition` and its reference once; return the reference's error
+    after checking that transition raises the same, else None after checking
+    that both give the same state."""
+    try:
+        want = transition_reference(state, control, arrivals, graph)
+    except SimError as exc:
+        with pytest.raises(type(exc)) as info:
+            transition(state, control, arrivals, graph)
+        assert str(info.value) == str(exc)
+        if isinstance(exc, IllegalControl):
+            assert (info.value.taxi, info.value.reason) == (exc.taxi, exc.reason)
+        return exc
+    got = transition(state, control, arrivals, graph)
+    assert got == want
+    assert list(got.outstanding.items()) == list(want.outstanding.items())
+    assert list(got.in_service.items()) == list(want.in_service.items())
+    return None
+
+
+def broken_copy(rnd, state, arrivals, graph, fault):
+    """A copy of a consistent state and its arrival batch with one fault: an
+    occupied taxi without its in_service entry ("missing"), a free taxi with
+    one ("stale"), both at once ("swap"), an entry past the fleet ("past"), a
+    timer that misses its dropoff ("timer"), an arrival whose id is already
+    outstanding or in the batch ("repeat"), or one off the graph ("off-graph")."""
+    state = FleetState(list(state.locations), list(state.timers), dict(state.outstanding),
+                       dict(state.in_service), state.clock)
+    arrivals = list(arrivals)
+    busy = [l for l in range(state.m) if state.timers[l] > 0]
+    free = [l for l in range(state.m) if state.timers[l] == 0]
+    if fault in ("missing", "swap") and busy:
+        del state.in_service[rnd.choice(busy)]
+    if fault in ("stale", "swap") and free:
+        state.in_service[rnd.choice(free)] = (7, rnd.randint(1, graph.n))
+    if fault == "past":
+        state.in_service[state.m + rnd.randint(0, 2)] = (7, rnd.randint(1, graph.n))
+    if fault == "timer" and busy:
+        l = rnd.choice(busy)
+        state.timers[l] = 1 if state.timers[l] > 1 else 2
+    if fault == "repeat":
+        rid = rnd.choice([*state.outstanding, *(r.id for r in arrivals), 950])
+        arrivals += [Request(rid, 1, 1, state.clock + 1)] * 2
+    if fault == "off-graph":
+        arrivals.append(Request(950, rnd.choice([0, graph.n + 1, 1]),
+                                rnd.choice([-1, graph.n + 1]), state.clock + 1))
+    return state, arrivals
+
+
 @pytest.mark.parametrize("make_graph", [
     lambda: grid_graph(4), lambda: ring_graph(6),
     lambda: random_strong_digraph(random.Random(12), 15),
 ], ids=["grid", "one-way-ring", "random-digraph"])
 def test_transition_equals_reference_on_random_controls(make_graph):
-    # Random joint controls, some illegal, on consistent states; some states
-    # and arrival batches are broken after the control is drawn: an occupied
-    # taxi without its in_service entry, a free taxi with one, both at once,
-    # an entry past the fleet, a timer that misses its dropoff, an arrival
-    # whose id is outstanding or whose pickup or dropoff is off the graph.
+    # Random joint controls, some illegal, on consistent states; each case is
+    # also stepped on a broken copy of its state or arrival batch, drawn on a
+    # stream of its own so that the consistent cases stay as they were.
     graph = make_graph()
     rnd = random.Random(graph.n)
-    outcomes = {"state": 0, "illegal": 0, "entry": 0, "timer": 0, "arrival": 0}
+    fault_rnd = random.Random(-graph.n)
     faults = ["missing", "stale", "swap", "past", "timer", "repeat", "off-graph"]
-    for case in range(500):
+    outcomes = {"state": 0, "illegal": 0}
+    broken = {"entry": 0, "timer": 0, "arrival": 0}
+    for case in range(300):
         state = random_fleet_state(rnd, graph, rnd.randint(1, 12), rnd.randint(0, 8))
         control = random_joint_control(rnd, state, graph)
         if case % 50 == 0:
             control = control[:-1]  # one action short
         arrivals = [Request(900 + i, rnd.randint(1, graph.n), rnd.randint(1, graph.n),
                             state.clock + 1) for i in range(rnd.randint(0, 3))]
-        busy = [l for l in range(state.m) if state.timers[l] > 0]
-        free = [l for l in range(state.m) if state.timers[l] == 0]
-        fault = faults[case % 10] if case % 10 < len(faults) else None
-        if fault in ("missing", "swap") and busy:
-            del state.in_service[rnd.choice(busy)]
-        if fault in ("stale", "swap") and free:
-            state.in_service[rnd.choice(free)] = (7, rnd.randint(1, graph.n))
-        if fault == "past":
-            state.in_service[state.m + rnd.randint(0, 2)] = (7, rnd.randint(1, graph.n))
-        if fault == "timer" and busy:
-            l = rnd.choice(busy)
-            state.timers[l] = 1 if state.timers[l] > 1 else 2
-        if fault == "repeat":
-            arrivals.append(Request(rnd.choice([*state.outstanding, 900]), 1, 1, state.clock + 1))
-        if fault == "off-graph":
-            arrivals.append(Request(950, rnd.choice([0, graph.n + 1, 1]),
-                                    rnd.choice([-1, graph.n + 1]), state.clock + 1))
-        try:
-            want = transition_reference(state, control, arrivals, graph)
-        except SimError as exc:
-            with pytest.raises(type(exc)) as info:
-                transition(state, control, arrivals, graph)
-            assert str(info.value) == str(exc)
-            if isinstance(exc, IllegalControl):
-                assert (info.value.taxi, info.value.reason) == (exc.taxi, exc.reason)
-                outcomes["entry" if "in_service entry" in exc.reason else
-                         "timer" if "is at distance" in exc.reason else "illegal"] += 1
-            elif str(exc).startswith("request"):
-                outcomes["arrival"] += 1
-            continue
-        got = transition(state, control, arrivals, graph)
-        assert got == want
-        assert list(got.outstanding.items()) == list(want.outstanding.items())
-        assert list(got.in_service.items()) == list(want.in_service.items())
-        outcomes["state"] += 1
-    assert min(outcomes.values()) > 20, outcomes
+        exc = compare_with_reference(state, control, arrivals, graph)
+        if exc is None:
+            outcomes["state"] += 1
+        elif isinstance(exc, IllegalControl):
+            outcomes["illegal"] += 1
+        bad_state, bad_arrivals = broken_copy(fault_rnd, state, arrivals, graph,
+                                              faults[case % len(faults)])
+        exc = compare_with_reference(bad_state, control, bad_arrivals, graph)
+        if isinstance(exc, IllegalControl) and "in_service entry" in exc.reason:
+            broken["entry"] += 1
+        elif isinstance(exc, IllegalControl) and "is at distance" in exc.reason:
+            broken["timer"] += 1
+        elif exc is not None and str(exc).startswith("request"):
+            broken["arrival"] += 1
+    assert outcomes["state"] > 50 and outcomes["illegal"] > 50, outcomes
+    assert min(broken.values()) > 20, broken
 
 
 def test_arrivals_enter_outstanding(grid3):
