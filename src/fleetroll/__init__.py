@@ -6,9 +6,8 @@ from .graph import CityGraph, grid_graph, load_graph
 from .demand import (DemandModel, Request, estimate_from_trips, expectation_terms,
                      sample_arrivals, sample_request, certainty_equivalence_requests,
                      synthetic_model)
-from .sim import FleetState, EpisodeTrace, transition, run_episode
-from .policies import (GreedyPolicy, IARAPolicy, IACommitPolicy, RandomIAPolicy,
-                       service_distance)
+from .sim import FleetState, EpisodeTrace, transition, run_episode, service_distance
+from .policies import GreedyPolicy, IARAPolicy, IACommitPolicy, RandomIAPolicy
 from .rollout import RolloutConfig, RolloutPolicy, one_at_a_time_control
 from .partition import PartitionSpec, get_partitions
 from .planner import TwoPhasePolicy, two_phase_control, high_level_plan

@@ -27,14 +27,13 @@ from . import demand, graph as graphmod
 from .errors import FleetrollError, read_utf8
 from .partition import get_partitions
 from .planner import TwoPhasePolicy
-from .policies import (GreedyPolicy, IACommitPolicy, IARAPolicy, RandomIAPolicy,
-                       service_distance)
+from .policies import GreedyPolicy, IACommitPolicy, IARAPolicy, RandomIAPolicy
 from .rollout import RolloutConfig, RolloutPolicy
-from .sim import run_episode
+from .sim import REQUEST_BYTES, run_episode, service_distance
 from .stability import MIN_HORIZON, MIN_TRACES, compute_bounds, empirical_stability
 
-_BASE_POLICIES = {"greedy": GreedyPolicy, "random-ia": RandomIAPolicy,
-                  "ia-commit": IACommitPolicy, "ia-ra": IARAPolicy}
+_BASE_POLICIES = {cls.name: cls for cls in (GreedyPolicy, RandomIAPolicy, IACommitPolicy,
+                                            IARAPolicy)}
 POLICIES = (*_BASE_POLICIES, "rollout", "two-phase")
 
 
@@ -152,13 +151,17 @@ def _check_run(g, model, args, policies, m_values):
     an episode draws T-1 counts, 2 uniforms per arrival (at most eta_max a
     step) and m locations up front, and a rollout planning call num_mc
     scenarios for each of up to m free taxis, read as an episode's draws are:
-    a count per step, then 2 uniforms per arrival, ceil(E[eta]) expected."""
+    a count per step, then 2 uniforms per arrival, ceil(E[eta]) expected.
+    Every arrival of an episode may be outstanding at once, REQUEST_BYTES each."""
     m = max(m_values)
     if "two-phase" in policies and (K := math.ceil(m / args["m_lim"])) > g.n:
         raise CLIError(f"two-phase with --m {m} and --m-lim {args['m_lim']} opens "
                        f"{K} sectors, more than the graph's {g.n} nodes")
     eta_max = max(k for k, p in model.eta_pmf.items() if p > 0)
     _check_draws("an episode", (args["T"] - 1) * (1 + 2 * eta_max) + m)
+    if (held := (args["T"] - 1) * eta_max * REQUEST_BYTES) > graphmod.BYTES_MAX:
+        raise CLIError(f"an episode can hold {held / 2 ** 30:.3g} GiB of requests at once, "
+                       f"more than the {graphmod.BYTES_MAX / 2 ** 30:.3g} GiB allowed")
     if {"rollout", "two-phase"} & set(policies):
         _check_draws("a rollout planning call", m * args["num_mc"] * (args["t_h"] + 1)
                      * (1 + 2 * math.ceil(model.e_eta)))

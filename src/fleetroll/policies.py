@@ -1,15 +1,15 @@
 """Dispatch base policies: greedy, random instantaneous assignment,
 instantaneous assignment with commitment, and instantaneous assignment with
-reassignment (IA-RA), plus the per-request service-distance metric.
+reassignment (IA-RA).
 
 Each policy maps a fleet state to one joint control. The matching-based
 policies report their request->taxi pairing alongside the control so the
-episode runner can record (re)assignment events for service distances.
+episode runner can record each request's latest assignee for service
+distances.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .matching import auction_match
@@ -157,48 +157,10 @@ def random_ia_control(state, graph, rng, memory):
     return _controls(state, graph, targets), assignments
 
 
-class GreedyPolicy:
-    name = "greedy"
-
-    def __init__(self, graph):
-        self.graph = graph
-
-    def reset(self, seed):
-        pass
-
-    def control(self, state):
-        return greedy_control(state, self.graph)
-
-
-class IARAPolicy:
-    name = "ia-ra"
-
-    def __init__(self, graph):
-        self.graph = graph
-
-    def reset(self, seed):
-        pass
-
-    def control(self, state):
-        return ia_ra_control(state, self.graph)
-
-
-class IACommitPolicy:
-    name = "ia-commit"
-
-    def __init__(self, graph):
-        self.graph = graph
-        self.memory = {}
-
-    def reset(self, seed):
-        self.memory = {}
-
-    def control(self, state):
-        return ia_commit_control(state, self.graph, self.memory)
-
-
-class RandomIAPolicy:
-    name = "random-ia"
+class _BasePolicy:
+    """A base policy over its class's control function. `memory` and `rng`
+    are the state that ia-commit and random-ia keep across an episode's
+    steps; reset(seed) starts them afresh."""
 
     def __init__(self, graph):
         self.graph = graph
@@ -209,36 +171,30 @@ class RandomIAPolicy:
         self.memory = {}
         self.rng = substream(seed, NS_POLICY)
 
+
+class GreedyPolicy(_BasePolicy):
+    name = "greedy"
+
+    def control(self, state):
+        return greedy_control(state, self.graph)
+
+
+class IARAPolicy(_BasePolicy):
+    name = "ia-ra"
+
+    def control(self, state):
+        return ia_ra_control(state, self.graph)
+
+
+class IACommitPolicy(_BasePolicy):
+    name = "ia-commit"
+
+    def control(self, state):
+        return ia_commit_control(state, self.graph, self.memory)
+
+
+class RandomIAPolicy(_BasePolicy):
+    name = "random-ia"
+
     def control(self, state):
         return random_ia_control(state, self.graph, self.rng, self.memory)
-
-
-@dataclass
-class ServiceDistanceReport:
-    total: int
-    per_request: dict = field(default_factory=dict)
-    unassigned: list = field(default_factory=list)
-
-
-def service_distance(trace, graph) -> ServiceDistanceReport:
-    """Total service distance: for each request that was ever assigned, the
-    distance from the finally-assigned taxi's location (at the moment that
-    assignment was made) to the pickup, plus the trip length.
-
-    Requests that never received an assignment are excluded from the total and
-    listed separately.
-    """
-    total = 0
-    per_request = {}
-    unassigned = []
-    for rid in sorted(trace.request_info):
-        req = trace.request_info[rid]
-        events = trace.assignment_events.get(rid)
-        if not events:
-            unassigned.append(rid)
-            continue
-        _, _, loc = events[-1]
-        w = graph.distance(loc, req.pickup) + graph.distance(req.pickup, req.dropoff)
-        per_request[rid] = w
-        total += w
-    return ServiceDistanceReport(total, per_request, unassigned)

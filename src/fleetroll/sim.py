@@ -1,4 +1,5 @@
-"""Discrete-time episode engine: fleet state, transition, stage cost, runner.
+"""Discrete-time episode engine: fleet state, transition, stage cost, runner,
+and the episode's service distance.
 
 Timeline convention: the state at clock t is observed, the policy acts, the
 arrival batch for t+1 is sampled, and the transition advances the clock. A
@@ -34,6 +35,11 @@ NS_REQUESTS = 2
 NS_POLICY = 3
 NS_LOOKAHEAD = 4
 NS_CE = 5
+
+# Bytes an episode can hold per request, every request outstanding at once:
+# its drawn nodes, its Request in the state and in the transition's copy,
+# and its `assigned` entry. tests/test_sim.py measures it with tracemalloc.
+REQUEST_BYTES = 512
 
 
 class SimError(FleetrollError):
@@ -173,6 +179,14 @@ class StepRecord:
 
 @dataclass
 class EpisodeTrace:
+    """One episode's record, each fact kept once. `steps` holds a StepRecord
+    per clock 1..T; `stage_costs` the outstanding count at each clock, and
+    `cost` their sum; `controls` each step's joint control; `request_pickups`
+    and `request_dropoffs` the drawn requests' nodes, request id r at index
+    r-1; `assigned` maps a request id to (taxi, that taxi's node) as of the
+    step its latest assignee took it, or as of its pickup if no policy
+    assigned it; `plan_ms` each step's planning time."""
+
     policy: str
     m: int
     T: int
@@ -181,9 +195,9 @@ class EpisodeTrace:
     stage_costs: list = field(default_factory=list)
     cost: int = 0
     controls: list = field(default_factory=list)
-    request_info: dict = field(default_factory=dict)       # id -> Request
-    assignment_events: dict = field(default_factory=dict)  # id -> [(t, taxi, taxi location)]
-    pickup_events: list = field(default_factory=list)      # (t, taxi, request id)
+    request_pickups: list = field(default_factory=list)
+    request_dropoffs: list = field(default_factory=list)
+    assigned: dict = field(default_factory=dict)
     plan_ms: list = field(default_factory=list)
 
     def outstanding_series(self):
@@ -209,8 +223,8 @@ class EpisodeTrace:
             "T": self.T,
             "seed": self.seed,
             "cost": self.cost,
-            "requests": len(self.request_info),
-            "pickups": len(self.pickup_events),
+            "requests": len(self.request_pickups),
+            "pickups": sum(rec.pickups for rec in self.steps),
         }
 
 
@@ -218,9 +232,9 @@ def run_episode(graph, model, policy, m: int, T: int, seed: int) -> EpisodeTrace
     """Run one seeded episode and capture the full trace.
 
     `policy` implements reset(seed) and control(state) -> (joint control,
-    assignment map or None); the assignment map (request id -> taxi) feeds the
-    per-request service-distance records. Identical seeds give bit-identical
-    traces apart from wall-clock timings.
+    assignment map or None); the assignment map (request id -> taxi) feeds
+    the trace's `assigned` record. Identical seeds give bit-identical traces
+    apart from wall-clock timings.
     """
     if m < 1 or T < 1:
         raise SimError("fleet size and horizon must be >= 1")
@@ -234,10 +248,10 @@ def run_episode(graph, model, policy, m: int, T: int, seed: int) -> EpisodeTrace
     counts = sample_arrivals(model, arr_rng, T - 1).tolist()
     origins, dests = (a.tolist() for a in sample_request(model, req_rng, sum(counts)))
     state = FleetState(locations, [0] * m, {}, {}, 1)
-    trace = EpisodeTrace(policy=getattr(policy, "name", "policy"), m=m, T=T, seed=seed)
+    trace = EpisodeTrace(policy=getattr(policy, "name", "policy"), m=m, T=T, seed=seed,
+                         request_pickups=origins, request_dropoffs=dests)
     stage_costs, steps, plan_ms = trace.stage_costs, trace.steps, trace.plan_ms
-    events, pickup_events = trace.assignment_events, trace.pickup_events
-    current_assignee: dict[int, int] = {}
+    assigned = trace.assigned
     next_id = 1
     arrived_now = 0
 
@@ -256,23 +270,20 @@ def run_episode(graph, model, policy, m: int, T: int, seed: int) -> EpisodeTrace
         locations = state.locations
         if assignments:
             for rid, taxi in assignments.items():
-                # planning phantoms (negative ids) never enter the records
-                if rid >= 0 and current_assignee.get(rid) != taxi:
-                    current_assignee[rid] = taxi
-                    events.setdefault(rid, []).append((t, taxi, locations[taxi]))
+                # planning phantoms (negative ids) never enter the record
+                if rid >= 0 and (rid not in assigned or assigned[rid][0] != taxi):
+                    assigned[rid] = (taxi, locations[taxi])
 
         picked = [(l, act[1]) for l, act in enumerate(control) if act[0] == PICKUP]
         for l, rid in picked:
-            pickup_events.append((t, l, rid))
-            if rid not in events:
-                # policies without explicit matchings (greedy, rollout)
-                # attribute the assignment at pickup time
-                events[rid] = [(t, l, locations[l])]
+            if rid not in assigned:
+                # policies without explicit matchings (greedy, rollout,
+                # two-phase) attribute the assignment at pickup time
+                assigned[rid] = (l, locations[l])
 
         eta = counts[t - 1]
         batch = [Request(rid, origins[rid - 1], dests[rid - 1], t + 1)
                  for rid in range(next_id, next_id + eta)]
-        trace.request_info.update((r.id, r) for r in batch)
         next_id += eta
 
         steps.append(StepRecord(t, n_out, arrived_now, len(picked), free))
@@ -282,3 +293,26 @@ def run_episode(graph, model, policy, m: int, T: int, seed: int) -> EpisodeTrace
 
     trace.cost = sum(trace.stage_costs)
     return trace
+
+
+@dataclass
+class ServiceDistanceReport:
+    total: int
+    unassigned: list
+
+
+def service_distance(trace, graph) -> ServiceDistanceReport:
+    """Total service distance Z: for each request that was ever assigned, the
+    distance from its latest assignee's node (`trace.assigned`) to the
+    pickup, plus the trip length. Requests that never received an assignment
+    are excluded from the total and listed by id."""
+    total = 0
+    unassigned = []
+    for rid, (pickup, dropoff) in enumerate(zip(trace.request_pickups,
+                                                trace.request_dropoffs), start=1):
+        entry = trace.assigned.get(rid)
+        if entry is None:
+            unassigned.append(rid)
+        else:
+            total += graph.distance(entry[1], pickup) + graph.distance(pickup, dropoff)
+    return ServiceDistanceReport(total, unassigned)

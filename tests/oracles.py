@@ -789,3 +789,50 @@ def greedy_control_reference(state, graph):
         else:
             control.append((MOVE, graph.next_hop(loc, best.pickup)))
     return control, {}
+
+
+class RecordingPolicy:
+    """Wraps a policy and logs, per step, the state it saw, the assignment
+    map it reported (request id -> taxi, or None) and its joint control."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.log = []
+
+    def reset(self, seed):
+        self.log = []
+        self.inner.reset(seed)
+
+    def control(self, state):
+        control, assignments = self.inner.control(state)
+        self.log.append((state, dict(assignments or {}), list(control)))
+        return control, assignments
+
+
+def service_distance_reference(graph, requests, log):
+    """(total, unassigned ids, assignment events) of the service distance by
+    the event-history rule, replayed from a RecordingPolicy's log over
+    `requests` (id -> Request). A request gets an event (step, taxi, the
+    taxi's node) whenever its reported assignee differs from the last one
+    reported; a request picked up without any event gets one at its pickup.
+    Each assigned request counts the distance from its last event's node to
+    its pickup, plus its trip."""
+    events, assignee = {}, {}
+    for t, (state, assignments, control) in enumerate(log, start=1):
+        for rid, taxi in assignments.items():
+            if rid >= 0 and assignee.get(rid) != taxi:
+                assignee[rid] = taxi
+                events.setdefault(rid, []).append((t, taxi, state.locations[taxi]))
+        for l, act in enumerate(control):
+            if act[0] == PICKUP and act[1] not in events:
+                events[act[1]] = [(t, l, state.locations[l])]
+    total, unassigned = 0, []
+    for rid in sorted(requests):
+        r = requests[rid]
+        if rid in events:
+            node = events[rid][-1][2]
+            total += graph.distance(node, r.pickup) + graph.distance(r.pickup, r.dropoff)
+        else:
+            unassigned.append(rid)
+    return total, unassigned, events

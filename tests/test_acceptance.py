@@ -20,10 +20,9 @@ from scipy import stats
 import fleetroll as fr
 from fleetroll.cli import main as cli_main
 from fleetroll.planner import TwoPhasePolicy
-from fleetroll.policies import (IACommitPolicy, IARAPolicy, RandomIAPolicy,
-                                service_distance)
+from fleetroll.policies import IACommitPolicy, IARAPolicy, RandomIAPolicy
 from fleetroll.rollout import RolloutConfig, RolloutPolicy
-from fleetroll.sim import run_episode
+from fleetroll.sim import run_episode, service_distance
 from fleetroll.stability import (bounds_from_expectations, compute_bounds,
                                  empirical_stability, wasserstein_discrete)
 from oracles import (AssignmentProblem, brute_force_assignment, grid_aligned_pmf,

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fleetroll import cli, demand, graph as graphmod, planner
+from fleetroll import cli, demand, graph as graphmod, planner, sim
 from fleetroll.cli import main
 from fleetroll.graph import load_graph
 
@@ -706,6 +706,30 @@ def test_a_planning_call_draw_too_large_is_rejected_before_any_draw(tmp_path, ca
     assert capsys.readouterr().err == (
         "error: a rollout planning call draws 2.68 GiB of uniforms up front, "
         "more than the 2 GiB allowed\n")
+    assert not out.exists() and runs == []
+
+
+def test_an_episode_that_could_hold_too_many_requests_is_rejected_before_any_draw(
+        tmp_path, capsys, monkeypatch):
+    # 59 steps of 10^6 arrivals pass the uniforms check (0.88 GiB), but all
+    # 59 million requests may be outstanding at once, REQUEST_BYTES each.
+    # Draws and runs are stubbed out, so a missing check allocates nothing.
+    def no_draw(*args):
+        raise AssertionError("drew before the check")
+
+    runs = []
+    monkeypatch.setattr(sim, "sample_arrivals", no_draw)
+    monkeypatch.setattr(sim, "sample_request", no_draw)
+    monkeypatch.setattr(cli, "_execute", lambda tasks, jobs: runs.append(tasks) or [])
+    out = tmp_path / "o"
+    rc = main(["simulate", "--grid", "3", "--e-eta", "1e6", "--policy", "greedy", "--m", "2",
+               "--T", "60", "--out-dir", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    held = 59 * 10 ** 6 * sim.REQUEST_BYTES / 2 ** 30
+    assert captured.out == ""
+    assert captured.err == (f"error: an episode can hold {held:.3g} GiB of requests at once, "
+                            f"more than the 2 GiB allowed\n")
     assert not out.exists() and runs == []
 
 

@@ -9,9 +9,9 @@ from fleetroll.errors import FleetrollError
 from fleetroll.graph import SameNode
 from fleetroll.policies import (GreedyPolicy, IACommitPolicy, IARAPolicy,
                                 RandomIAPolicy, _controls, greedy_control, ia_commit_control,
-                                ia_ra_control, random_ia_control, service_distance)
+                                ia_ra_control, random_ia_control)
 from fleetroll.sim import (MOVE, PICKUP, STAY, FleetState, IllegalControl, run_episode,
-                           substream, transition)
+                           service_distance, substream, transition)
 from conftest import line_graph, random_fleet_state, random_strong_digraph, ring_graph
 from oracles import controls_reference, greedy_control_reference, ia_ra_control_reference
 
@@ -234,8 +234,8 @@ def test_service_distance_single_request(grid5, model5_light):
     from fleetroll.sim import EpisodeTrace
 
     tr = EpisodeTrace(policy="x", m=1, T=10, seed=0)
-    tr.request_info = {1: req(1, 3, 23)}     # trip length 4+... d(3,23)= 4
-    tr.assignment_events = {1: [(2, 0, 1)]}  # taxi assigned while at node 1
+    tr.request_pickups, tr.request_dropoffs = [3], [23]  # request 1: d(3,23) = 4
+    tr.assigned = {1: (0, 1)}  # taxi 0 assigned while at node 1
     rep = service_distance(tr, grid5)
     assert rep.total == grid5.distance(1, 3) + grid5.distance(3, 23)
     assert rep.unassigned == []
@@ -245,18 +245,18 @@ def test_service_distance_zero_requests(grid5):
     from fleetroll.sim import EpisodeTrace
 
     rep = service_distance(EpisodeTrace(policy="x", m=1, T=5, seed=0), grid5)
-    assert rep.total == 0 and rep.per_request == {}
+    assert rep.total == 0 and rep.unassigned == []
 
 
 def test_service_distance_unassigned_reported(grid5):
     from fleetroll.sim import EpisodeTrace
 
     tr = EpisodeTrace(policy="x", m=1, T=5, seed=0)
-    tr.request_info = {1: req(1, 2, 3), 2: req(2, 4, 5)}
-    tr.assignment_events = {1: [(1, 0, 2)]}
+    tr.request_pickups, tr.request_dropoffs = [2, 4], [3, 5]
+    tr.assigned = {1: (0, 2)}
     rep = service_distance(tr, grid5)
     assert rep.unassigned == [2]
-    assert 2 not in rep.per_request
+    assert rep.total == grid5.distance(2, 3)  # request 2 adds nothing
 
 
 def test_z_ordering_on_scripted_seeds(grid5, model5_light):

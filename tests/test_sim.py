@@ -1,16 +1,21 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 
 from fleetroll import grid_graph
 from fleetroll.demand import Request, synthetic_model
 from fleetroll.graph import SameNode
-from fleetroll.policies import GreedyPolicy, IARAPolicy, ia_ra_control
+from fleetroll.planner import TwoPhasePolicy
+from fleetroll.policies import (GreedyPolicy, IACommitPolicy, IARAPolicy, RandomIAPolicy,
+                                ia_ra_control)
 from fleetroll.rollout import RolloutConfig, RolloutPolicy
-from fleetroll.sim import (HOP, MOVE, PICKUP, STAY, FleetState, IllegalControl, SimError,
-                           run_episode, substream, transition)
+from fleetroll.sim import (HOP, MOVE, PICKUP, REQUEST_BYTES, STAY, FleetState, IllegalControl,
+                           SimError, run_episode, service_distance, substream, transition)
 from conftest import random_fleet_state, random_strong_digraph, ring_graph
-from oracles import ScalarDemand, scalar_episode_draws, transition_reference
+from oracles import (RecordingPolicy, ScalarDemand, scalar_episode_draws,
+                     service_distance_reference, transition_reference)
 
 
 def make_state(locs, timers=None, outstanding=None, in_service=None, clock=1):
@@ -294,15 +299,18 @@ def test_request_lifecycle_conservation(grid5, model5_unit):
         arrived += rec.arrivals
         assert arrived - picked == rec.outstanding
         picked += rec.pickups
-    assert arrived == len(tr.request_info)
-    assert picked == len(tr.pickup_events)
+    assert arrived == len(tr.request_pickups) == len(tr.request_dropoffs)
+    assert picked == sum(act[0] == PICKUP for ctrl in tr.controls for act in ctrl)
 
 
 def test_outstanding_matches_arrival_times(grid5, model5_unit):
     # requests sampled during step t are first visible (and actionable) at t+1
-    tr = run_episode(grid5, model5_unit, GreedyPolicy(grid5), 2, 40, 9)
-    for rid, r in tr.request_info.items():
-        assert 2 <= r.arrival_time <= 40
+    policy = RecordingPolicy(GreedyPolicy(grid5))
+    run_episode(grid5, model5_unit, policy, 2, 40, 9)
+    seen = [(r, state.clock) for state, _, _ in policy.log for r in state.outstanding.values()]
+    assert seen
+    for r, clock in seen:
+        assert 2 <= r.arrival_time <= clock <= 40
 
 
 def test_taxi_moves_at_most_one_edge(grid5, model5_unit):
@@ -344,11 +352,95 @@ def test_episode_draws_equal_scalar_reference(grid5):
     synthetic = synthetic_model(grid5, 1.7, hotspot=7, hotspot_mass=0.3)
     from_log = estimate_from_trips(generate_trips(synthetic, horizon=300, seed=8), grid5)
     for model in (synthetic, from_log):
-        assert run_episode(grid5, model, StayAndRecord(), 2, 1, 1).request_info == {}
+        trace = run_episode(grid5, model, StayAndRecord(), 2, 1, 1)
+        assert trace.request_pickups == trace.request_dropoffs == []
         for seed, m, T in [(1, 1, 2), (2, 4, 3), (3, 6, 40)]:
             policy = StayAndRecord()
             trace = run_episode(grid5, model, policy, m, T, seed)
             locations, requests = scalar_episode_draws(model, m, T, seed)
             assert policy.start == locations
-            assert trace.request_info == requests
-            assert list(trace.request_info) == list(requests)
+            assert list(requests) == list(range(1, len(requests) + 1))
+            assert trace.request_pickups == [r.pickup for r in requests.values()]
+            assert trace.request_dropoffs == [r.dropoff for r in requests.values()]
+            assert [rec.arrivals for rec in trace.steps] == [
+                sum(r.arrival_time == t for r in requests.values()) for t in range(1, T + 1)]
+
+
+# --- the episode record ---
+
+def test_service_distance_equals_the_event_history_rule(grid5):
+    from fleetroll.demand import estimate_from_trips, generate_trips
+
+    synthetic = synthetic_model(grid5, 2.0, hotspot=7, hotspot_mass=0.3)
+    from_log = estimate_from_trips(generate_trips(synthetic, horizon=300, seed=8), grid5)
+    m, T, cfg = 6, 40, RolloutConfig(t_h=2, num_mc=2)
+    returned = 0  # requests reassigned away from a taxi and back to it
+    for model in (synthetic, from_log):
+        for inner in (GreedyPolicy(grid5), RandomIAPolicy(grid5), IACommitPolicy(grid5),
+                      IARAPolicy(grid5), RolloutPolicy(grid5, model, cfg),
+                      TwoPhasePolicy(grid5, model, m, 2, cfg)):
+            for seed in (1, 2, 3):
+                policy = RecordingPolicy(inner)
+                trace = run_episode(grid5, model, policy, m, T, seed)
+                _, requests = scalar_episode_draws(model, m, T, seed)
+                total, unassigned, events = service_distance_reference(grid5, requests,
+                                                                       policy.log)
+                report = service_distance(trace, grid5)
+                assert (report.total, report.unassigned) == (total, unassigned), \
+                    (inner.name, seed)
+                assert len(unassigned) < len(requests)
+                for evs in events.values():
+                    taxis = [taxi for _, taxi, _ in evs]
+                    returned += any(taxis[i] in taxis[:i - 1] for i in range(2, len(taxis)))
+    assert returned > 0
+
+
+def test_trace_keeps_at_most_24_bytes_per_request():
+    # Two greedy taxis leave most of 58,000 requests outstanding; once the
+    # episode's state is gone the trace keeps their drawn nodes, a pointer
+    # each on a 3x3 grid, whose node numbers are cached small ints.
+    g = grid_graph(3)
+    model = synthetic_model(g, 2000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace = run_episode(g, model, GreedyPolicy(g), 2, 30, 1)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.request_pickups) == 58000
+    assert kept / 58000 <= 24
+
+
+class StayAndAssignArrivals:
+    """Every taxi stays, and each request is assigned once, at its arrival:
+    all requests stay outstanding, each with an `assigned` entry."""
+    name = "stay-assign"
+
+    def reset(self, seed):
+        pass
+
+    def control(self, state):
+        return [(STAY,)] * state.m, {r.id: r.id % state.m for r in state.outstanding.values()
+                                     if r.arrival_time == state.clock}
+
+
+@pytest.mark.parametrize("e_eta, T", [(20.0, 600), (200.0, 61), (333.3, 40)])
+def test_request_bytes_bound_an_episode_whose_requests_stay_outstanding(e_eta, T):
+    # A 20x20 grid: node numbers and request ids above 256 are int objects
+    # of their own, the costliest case.
+    g = grid_graph(20)
+    model = synthetic_model(g, e_eta)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        trace = run_episode(g, model, StayAndAssignArrivals(), 2, T, 1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    requests = len(trace.request_pickups)
+    assert requests > 10000 and len(trace.assigned) == requests - trace.steps[-1].arrivals
+    assert trace.stage_costs[-1] == requests
+    assert peak / requests < REQUEST_BYTES
