@@ -204,14 +204,14 @@ def _mean(runs, key):
 
 
 def cmd_compare(args):
-    policies, m_values = args["policies"], args["m_sweep"] or [args["m"]]
+    policies, m_values = args["policies"], sorted(args["m_sweep"] or [args["m"]])
     outdir, results = _run_all(args, policies, m_values)
     runs = {}  # (policy, m) -> its runs, in seed order
     for r in results:
         runs.setdefault((r["policy"], r["m"]), []).append(r)
     rows = [["policy", "m", "mean_cost", "std_cost", "mean_z"]]
     timing_rows = [["policy", "m", "mean_plan_ms"]]
-    for m in sorted(m_values):
+    for m in m_values:
         for policy in policies:
             rs = runs[(policy, m)]
             mean = _mean(rs, "cost")

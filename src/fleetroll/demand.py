@@ -16,6 +16,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,12 +42,11 @@ class DomainMismatch(DemandError):
     pass
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
+    """A request is its (id, pickup, dropoff) tuple, as a lookahead scenario's requests are."""
     id: int
     pickup: int
     dropoff: int
-    arrival_time: int
 
 
 @dataclass(frozen=True)
@@ -252,9 +252,9 @@ def sample_request(model: DemandModel, rng, count: int):
     return model.requests_at(us[0::2], us[1::2])
 
 
-def certainty_equivalence_requests(model: DemandModel, t: int, t_h: int, rng) -> list[Request]:
-    """One nominal future scenario: round(t_h * E[eta]) synthetic requests
-    with arrival times spread evenly over (t, t + t_h].
+def certainty_equivalence_requests(model: DemandModel, t_h: int, rng) -> list[Request]:
+    """One nominal future scenario: the round(t_h * E[eta]) synthetic requests
+    expected over the next t_h steps.
 
     The requests carry negative ids so they can share matching pools with real
     requests without colliding; they are planning-only and never simulated.
@@ -263,8 +263,7 @@ def certainty_equivalence_requests(model: DemandModel, t: int, t_h: int, rng) ->
         raise DemandError(f"planning horizon must be >= 1, got {t_h}")
     count = int(round(t_h * model.e_eta))
     pickups, dropoffs = sample_request(model, rng, count)
-    return [Request(-(i + 1), p, d, t + (i * t_h) // count + 1)
-            for i, (p, d) in enumerate(zip(pickups.tolist(), dropoffs.tolist()))]
+    return list(map(Request, range(-1, -count - 1, -1), pickups.tolist(), dropoffs.tolist()))
 
 
 def estimate_from_trips(trips, graph, horizon: int | None = None) -> DemandModel:

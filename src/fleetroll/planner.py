@@ -62,9 +62,8 @@ def high_level_plan(state, graph, pspec, model, t_h, prev: HighLevelPlan, seed) 
 
     free = [(l, state.locations[l]) for l in range(state.m)
             if state.timers[l] == 0 and l not in transit]
-    ce_rng = substream(seed, NS_CE, state.clock)
-    pool = [state.outstanding[rid] for rid in sorted(state.outstanding)]
-    pool += certainty_equivalence_requests(model, state.clock, t_h, ce_rng)
+    pool = sorted(state.outstanding.values())
+    pool += certainty_equivalence_requests(model, t_h, substream(seed, NS_CE, state.clock))
     matched = match_free_to_requests(graph, free, pool)
     for taxi in sorted(matched):
         pickup = matched[taxi].pickup

@@ -73,7 +73,7 @@ def greedy_control(state, graph):
     smallest request id; a co-located request already claimed by a
     lower-indexed taxi this step leaves the later taxi in place.
     """
-    requests = [state.outstanding[rid] for rid in sorted(state.outstanding)]
+    requests = sorted(state.outstanding.values())
     dist = graph._dist
     targets = {}
     claimed = set()
@@ -96,8 +96,7 @@ def ia_ra_control(state, graph):
     All free taxis vs all outstanding requests each step; matched taxis move
     one hop toward (or pick up) their request, unmatched free taxis stay.
     """
-    outstanding = state.outstanding
-    requests = [outstanding[rid] for rid in sorted(outstanding)]
+    requests = sorted(state.outstanding.values())
     locs = state.locations
     free = [(l, locs[l]) for l, tau in enumerate(state.timers) if tau == 0]
     matched = match_free_to_requests(graph, free, requests)
@@ -116,8 +115,7 @@ def ia_commit_control(state, graph, memory):
     for l in [l for l, rid in memory.items() if rid not in state.outstanding]:
         del memory[l]  # picked up: released
     taken = set(memory.values())
-    requests = [state.outstanding[rid] for rid in sorted(state.outstanding)
-                if rid not in taken]
+    requests = [r for r in sorted(state.outstanding.values()) if r.id not in taken]
     free = [(l, state.locations[l]) for l in range(state.m)
             if state.timers[l] == 0 and l not in memory]
     for taxi, req in match_free_to_requests(graph, free, requests).items():

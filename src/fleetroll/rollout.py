@@ -28,13 +28,14 @@ would otherwise lose on its base policy.
 The base policy is IA-RA (`policies.ia_ra_control`). A taxi's candidates are
 scored in one call, `_candidate_costs`, which steps the other taxis once, adds
 each candidate's own action and continues per scenario on flat lists
-(`_trajectory_cost`): free taxis and outstanding (id, pickup, dropoff)
-requests are kept sorted as events change them, and an occupied taxi is only
-looked at again when its trip ends. Matchings are IA-RA's, solved by
-linear_sum_assignment (`auction_match`) on a cost block gathered from the
-distance table, and skipped only where the answer is certain: a matching with
-a single taxi or request, and a last step in which no free taxi stands on an
-outstanding pickup. The tests check this path against `sim.transition`.
+(`_trajectory_cost`): free taxis and outstanding requests, the state's own
+`Request` tuples and the scenarios' plain (id, pickup, dropoff) ones, are kept
+sorted as events change them, and an occupied taxi is only looked at again
+when its trip ends. Matchings are IA-RA's, solved by linear_sum_assignment
+(`auction_match`) on a cost block gathered from the distance table, and
+skipped only where the answer is certain: a matching with a single taxi or
+request, and a last step in which no free taxi stands on an outstanding
+pickup. The tests check this path against `sim.transition`.
 
 A taxi's stay and move candidates start from states that differ only in
 where that taxi stands, so they are scored as one trajectory per scenario
@@ -172,7 +173,7 @@ def _candidate_costs(state, joint, l, cands, scenarios, graph, t_h, inbound=()):
             arriving.setdefault(when - state.clock, []).append(node)
     locs = list(state.locations) + arriving.get(1, [])
     free = []
-    reqs = [(rid, r.pickup, r.dropoff) for rid, r in sorted(state.outstanding.items())]
+    reqs = sorted(state.outstanding.values())
     released = {}  # step -> taxis whose trip ends in that step
     taken = {}  # request id -> the taxi whose pickup took it
     for k, act in enumerate(joint):
@@ -348,11 +349,8 @@ def _candidate_actions(state, graph, taxi, claimed, region=None):
     Requests already claimed by earlier taxis are not offered; moves to nodes
     that `region` (when given) does not mark are excluded."""
     loc = state.locations[taxi]
-    cands = []
-    for rid in sorted(state.outstanding):
-        req = state.outstanding[rid]
-        if req.pickup == loc and rid not in claimed:
-            cands.append((PICKUP, rid))
+    cands = sorted((PICKUP, rid) for rid, pickup, _ in state.outstanding.values()
+                   if pickup == loc and rid not in claimed)
     cands.append((STAY,))
     for nb in graph.adj[loc]:
         if region is None or region[nb]:

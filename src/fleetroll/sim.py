@@ -71,7 +71,7 @@ class FleetState:
 
     locations: list      # node per taxi
     timers: list         # remaining trip steps per taxi (0 = free)
-    outstanding: dict    # request id -> Request, not yet picked up
+    outstanding: dict    # request id -> its Request (id, pickup, dropoff), not picked up
     in_service: dict     # taxi -> (request id, dropoff node)
     clock: int
 
@@ -84,13 +84,13 @@ def transition(state: FleetState, control, arrivals, graph) -> FleetState:
     """Apply a joint control, then inject the arrival batch, then advance time.
 
     Pickups set the trip timer to the pickup->dropoff distance; a zero-length
-    trip completes in the same step. Every per-taxi action is validated
-    against the control-set rules and raises IllegalControl on violation, as
-    does a state whose in_service entries do not match its running timers,
-    or an occupied taxi whose hop reaches its dropoff before its timer runs
-    out, or not when it does. An arrival whose id is already outstanding, or
-    whose pickup or dropoff is not a node, raises SimError naming it. Hops
-    and trip lengths are read from the graph's rows directly.
+    trip completes in the same step. An illegal action raises IllegalControl
+    naming its taxi, as do in_service entries that do not match the running
+    timers, a hop that reaches its dropoff before its timer runs out or not
+    when it does, and a taxi that hops or moves at or toward a node above n.
+    A pickup whose outstanding key is not its request's id, and an arrival
+    whose id is outstanding or whose nodes are outside 1..n, raise SimError.
+    Hops and trip lengths are read from the graph's rows directly.
     """
     m = len(state.locations)
     if len(control) != m:
@@ -101,7 +101,7 @@ def transition(state: FleetState, control, arrivals, graph) -> FleetState:
     timers = list(state.timers)
     outstanding = dict(state.outstanding)
     in_service = dict(state.in_service)
-    nxt, adj, dist = graph._next, graph.adj, graph._dist
+    nxt, adj, dist, n = graph._next, graph.adj, graph._dist, graph.n
     for l, act in enumerate(control):
         kind = act[0]
         tau = timers[l]
@@ -113,8 +113,10 @@ def transition(state: FleetState, control, arrivals, graph) -> FleetState:
             if kind != HOP:
                 raise IllegalControl(l, f"occupied taxi got '{kind}'")
             loc = locs[l]
-            # A 0 entry (a taxi already on its dropoff) lets next_hop raise SameNode.
-            hop = nxt[loc][dropoff] or graph.next_hop(loc, dropoff)
+            try:  # a 0 entry (a taxi already on its dropoff) lets next_hop raise SameNode
+                hop = nxt[loc][dropoff] or graph.next_hop(loc, dropoff)
+            except IndexError:
+                raise IllegalControl(l, f"node {loc} or dropoff {dropoff} is above {n}") from None
             if (hop == dropoff) != (tau == 1):
                 raise IllegalControl(l, f"timer {tau} but its dropoff {dropoff} is at "
                                         f"distance {dist[loc][dropoff]}")
@@ -128,16 +130,21 @@ def transition(state: FleetState, control, arrivals, graph) -> FleetState:
             pass
         elif kind == MOVE:
             target = act[1]
-            if target not in adj[locs[l]]:
+            try:
+                nbrs = adj[locs[l]]
+            except IndexError:
+                raise IllegalControl(l, f"node {locs[l]} is above {n}") from None
+            if target not in nbrs:
                 raise IllegalControl(l, f"{target} is not a neighbor of {locs[l]}")
             locs[l] = target
         elif kind == PICKUP:
-            req = outstanding.get(act[1])
+            req = outstanding.pop(act[1], None)
             if req is None:
                 raise IllegalControl(l, f"request {act[1]} is not outstanding")
+            if req.id != act[1]:
+                raise SimError(f"outstanding key {act[1]} holds request {req.id}")
             if req.pickup != locs[l]:
                 raise IllegalControl(l, f"request {act[1]} picks up at {req.pickup}, taxi at {locs[l]}")
-            del outstanding[req.id]
             trip = dist[req.pickup][req.dropoff]
             if trip > 0:
                 timers[l] = trip
@@ -146,7 +153,6 @@ def transition(state: FleetState, control, arrivals, graph) -> FleetState:
             raise IllegalControl(l, "free taxi got a forced hop")
         else:
             raise IllegalControl(l, f"unknown action '{kind}'")
-    n = graph.n
     for req in arrivals:
         if req.id in outstanding:
             raise SimError(f"request {req.id}: id is already outstanding")
@@ -252,7 +258,7 @@ def run_episode(graph, model, policy, m: int, T: int, seed: int) -> EpisodeTrace
                          request_pickups=origins, request_dropoffs=dests)
     stage_costs, steps, plan_ms = trace.stage_costs, trace.steps, trace.plan_ms
     assigned = trace.assigned
-    next_id = 1
+    arrived = 0  # requests that have arrived; request id r is at index r-1
     arrived_now = 0
 
     for t in range(1, T + 1):
@@ -282,9 +288,9 @@ def run_episode(graph, model, policy, m: int, T: int, seed: int) -> EpisodeTrace
                 assigned[rid] = (l, locations[l])
 
         eta = counts[t - 1]
-        batch = [Request(rid, origins[rid - 1], dests[rid - 1], t + 1)
-                 for rid in range(next_id, next_id + eta)]
-        next_id += eta
+        batch = list(map(Request, range(arrived + 1, arrived + eta + 1),
+                         origins[arrived:arrived + eta], dests[arrived:arrived + eta]))
+        arrived += eta
 
         steps.append(StepRecord(t, n_out, arrived_now, len(picked), free))
         trace.controls.append(list(control))

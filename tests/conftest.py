@@ -85,7 +85,7 @@ def random_fleet_state(rnd, graph, m, n_requests, busy=0.4, colocated=0.3):
         else:
             pickup = rnd.randint(1, graph.n)
         dropoff = pickup if rnd.random() < 0.1 else rnd.randint(1, graph.n)
-        outstanding[rid] = Request(rid, pickup, dropoff, 1)
+        outstanding[rid] = Request(rid, pickup, dropoff)
     # dict order is not id order, as after reassignments and arrivals
     items = list(outstanding.items())
     rnd.shuffle(items)

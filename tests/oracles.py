@@ -216,11 +216,11 @@ def lookahead_cost(state, joint, batches, graph, t_h, inbound=()):
     scheduled to enter this state's region; each becomes a free taxi in the
     simulated trajectory when its clock comes up.
     """
-    def arrivals(i, clock):
-        return [Request(rid, pu, do, clock + 1) for rid, pu, do in batches[i]]
+    def arrivals(i):
+        return [Request(*r) for r in batches[i]]
 
     cost = len(state.outstanding)
-    cur = transition(state, joint, arrivals(0, state.clock), graph)
+    cur = transition(state, joint, arrivals(0), graph)
     cost += len(cur.outstanding)
     for i in range(1, t_h + 1):
         for when, node in inbound:
@@ -228,7 +228,7 @@ def lookahead_cost(state, joint, batches, graph, t_h, inbound=()):
                 cur = FleetState(cur.locations + [node], cur.timers + [0],
                                  cur.outstanding, cur.in_service, cur.clock)
         ctrl, _ = ia_ra_control(cur, graph)
-        cur = transition(cur, ctrl, arrivals(i, cur.clock), graph)
+        cur = transition(cur, ctrl, arrivals(i), graph)
         cost += len(cur.outstanding)
     return cost
 
@@ -314,8 +314,7 @@ def high_level_plan_reference(state, graph, pspec, model, t_h, prev, seed):
                if state.locations[taxi] != route.dest}
     free = [l for l in range(state.m) if state.timers[l] == 0 and l not in transit]
     pool = [state.outstanding[rid] for rid in sorted(state.outstanding)]
-    pool += certainty_equivalence_requests(model, state.clock, t_h,
-                                           substream(seed, NS_CE, state.clock))
+    pool += certainty_equivalence_requests(model, t_h, substream(seed, NS_CE, state.clock))
     if not free or not pool:
         return HighLevelPlan(transit)
     cost = [[graph.distance(state.locations[l], r.pickup) for r in pool] for l in free]
@@ -466,12 +465,11 @@ def scalar_initial(model, rng, m):
     return [initial.draw(rng) for _ in range(m)]
 
 
-def scalar_ce_requests(model, t, t_h, rng):
+def scalar_ce_requests(model, t_h, rng):
     """`certainty_equivalence_requests` one request at a time."""
     count = int(round(t_h * model.e_eta))
     demand = ScalarDemand(model)
-    return [Request(-(i + 1), *demand.request(rng), t + (i * t_h) // count + 1)
-            for i in range(count)]
+    return [Request(-(i + 1), *demand.request(rng)) for i in range(count)]
 
 
 def scalar_generate_trips(model, horizon, seed):
@@ -486,19 +484,22 @@ def scalar_generate_trips(model, horizon, seed):
 
 
 def scalar_episode_draws(model, m, T, seed):
-    """The initial locations and the requests (id -> Request) a seeded
-    `run_episode` of horizon T draws, one value at a time: counts of steps
-    1..T-1 on the arrivals stream, requests on the requests stream."""
+    """The initial locations, the requests (id -> Request) and the arrival
+    counts of steps 1..T-1 that a seeded `run_episode` of horizon T draws,
+    one value at a time: counts on the arrivals stream, requests on the
+    requests stream."""
     demand = ScalarDemand(model)
     init_rng = substream(seed, NS_INIT)
     arr_rng, req_rng = substream(seed, NS_ARRIVALS), substream(seed, NS_REQUESTS)
     locations = [demand.initial.draw(init_rng) for _ in range(m)]
     requests = {}
+    counts = []
     for t in range(1, T):
-        for _ in range(demand.eta.draw(arr_rng)):
+        counts.append(demand.eta.draw(arr_rng))
+        for _ in range(counts[-1]):
             rid = len(requests) + 1
-            requests[rid] = Request(rid, *demand.request(req_rng), t + 1)
-    return locations, requests
+            requests[rid] = Request(rid, *demand.request(req_rng))
+    return locations, requests, counts
 
 
 def per_pickup_dropoffs(model, pickups, us):
@@ -616,7 +617,10 @@ def transition_reference(state, control, arrivals, graph):
     entry past the fleet: checked before the taxis when the counts differ,
     and when an occupied taxi without an entry is reached when they agree.
     An occupied taxi's action is checked before and after the check that its
-    timer reaches 0 exactly on its dropoff; arrivals are checked last."""
+    timer reaches 0 exactly on its dropoff, which a node or dropoff above n
+    fails first; a move from a node above n names the taxi, and a pickup
+    whose outstanding key is not its request's id is a SimError naming both.
+    Arrivals are checked last."""
     m = len(state.locations)
     if len(control) != m:
         raise SimError(f"control has {len(control)} actions for {m} taxis")
@@ -636,6 +640,8 @@ def transition_reference(state, control, arrivals, graph):
             if kind != HOP:
                 raise IllegalControl(l, f"occupied taxi got '{kind}'")
             _, dropoff = in_service[l]
+            if locs[l] > graph.n or dropoff > graph.n:
+                raise IllegalControl(l, f"node {locs[l]} or dropoff {dropoff} is above {graph.n}")
             hop = graph.next_hop(locs[l], dropoff)
             if (hop == dropoff) != (timers[l] == 1):
                 raise IllegalControl(l, f"timer {timers[l]} but its dropoff {dropoff} is at "
@@ -650,6 +656,8 @@ def transition_reference(state, control, arrivals, graph):
             pass
         elif kind == MOVE:
             target = act[1]
+            if locs[l] > graph.n:
+                raise IllegalControl(l, f"node {locs[l]} is above {graph.n}")
             if target not in graph.adj[locs[l]]:
                 raise IllegalControl(l, f"{target} is not a neighbor of {locs[l]}")
             locs[l] = target
@@ -657,9 +665,11 @@ def transition_reference(state, control, arrivals, graph):
             req = outstanding.get(act[1])
             if req is None:
                 raise IllegalControl(l, f"request {act[1]} is not outstanding")
+            if req.id != act[1]:
+                raise SimError(f"outstanding key {act[1]} holds request {req.id}")
             if req.pickup != locs[l]:
                 raise IllegalControl(l, f"request {act[1]} picks up at {req.pickup}, taxi at {locs[l]}")
-            del outstanding[req.id]
+            del outstanding[act[1]]
             trip = graph.distance(req.pickup, req.dropoff)
             if trip > 0:
                 timers[l] = trip

@@ -95,6 +95,17 @@ def test_compare_paired_output(tmp_path):
     assert pairs[1][1] == "ia-ra" and pairs[1][2] == "random-ia"
 
 
+def test_compare_lists_fleet_sizes_ascending_in_every_file(tmp_path):
+    out = tmp_path / "cmp"
+    assert main(["compare", "--grid", "3", "--e-eta", "0.4", "--policies", "greedy,ia-ra",
+                 "--m-sweep", "3,2", "--T", "10", "--seeds", "2", "--out-dir", str(out)]) == 0
+    # compare files: a row per (m, policy); pairs files: a row per (m, pair)
+    for name, column, rows in [("compare.csv", 1, 2), ("compare_timing.csv", 1, 2),
+                               ("pairs.csv", 0, 1), ("pairs_timing.csv", 0, 1)]:
+        got = [row[column] for row in read_csv(out / name)[1:]]
+        assert got == ["2"] * rows + ["3"] * rows, name
+
+
 def test_stability_report_json(tmp_path, capsys):
     out = tmp_path / "stab"
     assert main(["stability", "--grid", "5", "--e-eta", "1.0",

@@ -153,8 +153,8 @@ def test_sample_request_degenerate_and_fields():
     m = DemandModel({1: 1.0}, {3: 1.0}, {3: {5: 1.0}})
     pickups, dropoffs = sample_request(m, substream(0, 0), 4)
     assert (pickups.tolist(), dropoffs.tolist()) == ([3] * 4, [5] * 4)
-    [r] = certainty_equivalence_requests(m, t=4, t_h=1, rng=substream(0, 0))
-    assert (r.pickup, r.dropoff, r.arrival_time, r.id) == (3, 5, 5, -1)
+    [r] = certainty_equivalence_requests(m, t_h=1, rng=substream(0, 0))
+    assert (r.pickup, r.dropoff, r.id) == (3, 5, -1)
 
 
 def test_sample_request_frequencies():
@@ -171,20 +171,18 @@ def test_sampling_determinism(grid5):
     assert all(np.array_equal(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def test_ce_requests_count_and_span():
+def test_ce_requests_count_and_ids():
     m = DemandModel({1: 1.0}, {1: 1.0}, {1: {1: 1.0}})
-    reqs = certainty_equivalence_requests(m, t=7, t_h=10, rng=substream(0, 1))
+    reqs = certainty_equivalence_requests(m, t_h=10, rng=substream(0, 1))
     assert len(reqs) == 10
-    assert all(7 < r.arrival_time <= 17 for r in reqs)
     assert all(r.id < 0 for r in reqs)
 
     m0 = DemandModel({0: 1.0}, {1: 1.0}, {1: {1: 1.0}})
-    assert certainty_equivalence_requests(m0, 1, 10, substream(0, 1)) == []
+    assert certainty_equivalence_requests(m0, 10, substream(0, 1)) == []
 
     mhalf = DemandModel({0: 0.5, 1: 0.5}, {1: 1.0}, {1: {1: 1.0}})
-    reqs = certainty_equivalence_requests(mhalf, 3, 10, substream(0, 1))
+    reqs = certainty_equivalence_requests(mhalf, 10, substream(0, 1))
     assert len(reqs) == 5
-    assert all(3 < r.arrival_time <= 13 for r in reqs)
 
 
 def test_expectation_terms_single_node():
@@ -428,8 +426,8 @@ def test_batched_draws_equal_scalar_reference():
             assert got == want and same, (name, n)
         for t, t_h in [(1, 1), (7, 10), (30, 25)]:
             got, want, same = same_draws(
-                lambda r: certainty_equivalence_requests(model, t, t_h, r),
-                lambda r: scalar_ce_requests(model, t, t_h, r), 4, t)
+                lambda r: certainty_equivalence_requests(model, t_h, r),
+                lambda r: scalar_ce_requests(model, t_h, r), 4, t)
             assert got == want and same, (name, t_h)
         assert list(generate_trips(model, 150, 8)) == scalar_generate_trips(model, 150, 8), name
 
@@ -464,8 +462,8 @@ def test_batched_draws_on_cdf_bounds_equal_scalar_reference():
             (u, v) for u in model.pickup_pmf for v in model.dropoff_given_pickup[u])
         ce_count = int(round(3 * model.e_eta))
         ce_stream = (stream * (1 + ce_count))[:2 * ce_count]
-        assert (certainty_equivalence_requests(model, 2, 3, ScriptedUniforms(ce_stream))
-                == scalar_ce_requests(model, 2, 3, ScriptedUniforms(ce_stream))), name
+        assert (certainty_equivalence_requests(model, 3, ScriptedUniforms(ce_stream))
+                == scalar_ce_requests(model, 3, ScriptedUniforms(ce_stream))), name
         for draw, scalar, sampler in (
                 (sample_arrivals, scalar_arrivals, demand.eta),
                 (lambda m, r, n: m.sample_initial(r, n), scalar_initial, demand.initial)):

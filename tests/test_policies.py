@@ -22,20 +22,16 @@ def make_state(locs, outstanding=None, timers=None, in_service=None, clock=1):
                       dict(outstanding or {}), dict(in_service or {}), clock)
 
 
-def req(rid, pu, do, t=1):
-    return Request(rid, pu, do, t)
-
-
 # --- greedy ---
 
 def test_greedy_pickup_when_colocated(grid3):
-    s = make_state([5], outstanding={1: req(1, 5, 9)})
+    s = make_state([5], outstanding={1: Request(1, 5, 9)})
     ctrl, _ = greedy_control(s, grid3)
     assert ctrl == [(PICKUP, 1)]
 
 
 def test_greedy_no_coordination(grid3):
-    s = make_state([1, 3], outstanding={1: req(1, 5, 9)})
+    s = make_state([1, 3], outstanding={1: Request(1, 5, 9)})
     ctrl, _ = greedy_control(s, grid3)
     assert ctrl[0][0] == MOVE and ctrl[1][0] == MOVE
     assert grid3.distance(ctrl[0][1], 5) == 1
@@ -44,7 +40,7 @@ def test_greedy_no_coordination(grid3):
 
 def test_greedy_tie_breaks_smallest_request_id(grid5):
     # taxi at 13 (center), requests 3 and 7 both two hops away
-    s = make_state([13], outstanding={7: req(7, 3, 1), 3: req(3, 23, 1)})
+    s = make_state([13], outstanding={7: Request(7, 3, 1), 3: Request(3, 23, 1)})
     ctrl, _ = greedy_control(s, grid5)
     assert ctrl[0] == (MOVE, grid5.next_hop(13, 23))  # request id 3 wins
 
@@ -55,7 +51,7 @@ def test_greedy_stays_without_requests(grid3):
 
 
 def test_greedy_duplicate_pickup_resolved(grid3):
-    s = make_state([5, 5], outstanding={1: req(1, 5, 9)})
+    s = make_state([5, 5], outstanding={1: Request(1, 5, 9)})
     ctrl, _ = greedy_control(s, grid3)
     assert ctrl == [(PICKUP, 1), (STAY,)]
 
@@ -88,7 +84,7 @@ def test_greedy_control_equals_reference_on_random_states(make_graph):
 
 def test_ia_ra_straight_matching_on_line():
     g = line_graph(4)
-    s = make_state([1, 4], outstanding={1: req(1, 2, 2), 2: req(2, 3, 3)})
+    s = make_state([1, 4], outstanding={1: Request(1, 2, 2), 2: Request(2, 3, 3)})
     ctrl, assigned = ia_ra_control(s, g)
     assert assigned == {1: 0, 2: 1}  # 1->2 and 4->3, total 2, no crossing
     assert ctrl == [(MOVE, 2), (MOVE, 3)]
@@ -102,11 +98,11 @@ def test_ia_ra_stays_without_requests(grid3):
 def test_ia_ra_reassigns_when_closer_request_appears():
     g = line_graph(6)
     # taxi 0 at node 1 walking toward request 1 at node 5
-    s = make_state([1, 6], outstanding={1: req(1, 5, 1)},
+    s = make_state([1, 6], outstanding={1: Request(1, 5, 1)},
                    timers=[0, 3], in_service={1: (9, 3)})
     ctrl, a1 = ia_ra_control(s, g)
     assert a1 == {1: 0}
-    s2 = make_state([2, 6], outstanding={1: req(1, 5, 1), 2: req(2, 1, 1)},
+    s2 = make_state([2, 6], outstanding={1: Request(1, 5, 1), 2: Request(2, 1, 1)},
                     timers=[0, 0])
     # new request at node 1; fresh matching sends taxi 1 (at 6) to 5 and taxi 0 back
     ctrl2, a2 = ia_ra_control(s2, g)
@@ -120,7 +116,7 @@ def test_ia_ra_matches_on_taxi_to_pickup_distance_on_one_way_streets():
     # is one hop away, the taxi at 4 four hops (3 is one hop from 4 only
     # against the one-way direction).
     g = ring_graph(5)
-    s = make_state([4, 2], outstanding={1: req(1, 3, 5)})
+    s = make_state([4, 2], outstanding={1: Request(1, 3, 5)})
     ctrl, assigned = ia_ra_control(s, g)
     assert assigned == {1: 1}
     assert ctrl == [(STAY,), (MOVE, 3)]
@@ -129,10 +125,10 @@ def test_ia_ra_matches_on_taxi_to_pickup_distance_on_one_way_streets():
 def test_ia_commit_keeps_initial_pairing():
     g = line_graph(6)
     memory = {}
-    s = make_state([2, 6], outstanding={1: req(1, 5, 1)})
+    s = make_state([2, 6], outstanding={1: Request(1, 5, 1)})
     ctrl, a1 = ia_commit_control(s, g, memory)
     assert a1 == {1: 1}  # taxi at 6 is closer to 5
-    s2 = make_state([2, 5], outstanding={1: req(1, 5, 1), 2: req(2, 1, 1)})
+    s2 = make_state([2, 5], outstanding={1: Request(1, 5, 1), 2: Request(2, 1, 1)})
     ctrl2, a2 = ia_commit_control(s2, g, memory)
     assert a2[1] == 1  # commitment intact under the new request
     assert a2[2] == 0
@@ -141,7 +137,7 @@ def test_ia_commit_keeps_initial_pairing():
 def test_ia_commit_releases_on_pickup():
     g = line_graph(4)
     memory = {}
-    s = make_state([2], outstanding={1: req(1, 2, 4)})
+    s = make_state([2], outstanding={1: Request(1, 2, 4)})
     ctrl, _ = ia_commit_control(s, g, memory)
     assert ctrl == [(PICKUP, 1)] and memory == {0: 1}
     s2 = transition(s, ctrl, [], g)
@@ -152,7 +148,7 @@ def test_ia_commit_releases_on_pickup():
 def test_ia_commit_new_request_waits_when_all_committed():
     g = line_graph(4)
     memory = {0: 1}
-    s = make_state([2], outstanding={1: req(1, 4, 1), 2: req(2, 1, 1)})
+    s = make_state([2], outstanding={1: Request(1, 4, 1), 2: Request(2, 1, 1)})
     ctrl, assigned = ia_commit_control(s, g, memory)
     assert assigned == {1: 0}
     assert 2 not in assigned
@@ -162,7 +158,7 @@ def test_ia_commit_new_request_waits_when_all_committed():
 
 def test_random_ia_single_taxi_always_chosen(grid3):
     memory = {}
-    s = make_state([1], outstanding={1: req(1, 9, 1)})
+    s = make_state([1], outstanding={1: Request(1, 9, 1)})
     _, assigned = random_ia_control(s, grid3, substream(0, 0), memory)
     assert assigned == {1: 0}
 
@@ -171,7 +167,7 @@ def test_random_ia_uniform_choice(grid3):
     picks = {0: 0, 1: 0}
     for trial in range(10000):
         memory = {}
-        s = make_state([1, 9], outstanding={1: req(1, 5, 1)})
+        s = make_state([1, 9], outstanding={1: Request(1, 5, 1)})
         _, assigned = random_ia_control(s, grid3, substream(17, trial), memory)
         picks[assigned[1]] += 1
     frac = picks[0] / 10000
@@ -181,17 +177,17 @@ def test_random_ia_uniform_choice(grid3):
 def test_random_ia_no_free_taxis(grid3):
     memory = {}
     s = make_state([1], timers=[2], in_service={0: (5, 9)},
-                   outstanding={1: req(1, 5, 1)})
+                   outstanding={1: Request(1, 5, 1)})
     ctrl, assigned = random_ia_control(s, grid3, substream(0, 0), memory)
     assert assigned == {} and ctrl[0][0] == "hop"
 
 
 def test_random_ia_holds_through_dropoff(grid3):
     memory = {}
-    s = make_state([5], outstanding={1: req(1, 5, 4)})  # d(5,4)=1
+    s = make_state([5], outstanding={1: Request(1, 5, 4)})  # d(5,4)=1
     ctrl, _ = random_ia_control(s, grid3, substream(1, 0), memory)
     assert ctrl == [(PICKUP, 1)]
-    s2 = transition(s, ctrl, [req(2, 5, 6, 2)], grid3)
+    s2 = transition(s, ctrl, [Request(2, 5, 6)], grid3)
     # taxi occupied: still bound, request 2 must wait
     ctrl2, assigned2 = random_ia_control(s2, grid3, substream(1, 1), memory)
     assert memory == {0: 1}
@@ -221,7 +217,7 @@ def test_state_breaking_the_in_service_invariant_is_a_fleetroll_error(
     """The joint builder reads occupied taxis from in_service alone, so a
     hand-built state whose in_service is not exactly the taxis with a timer
     above 0 fails in the policy or in transition, with a FleetrollError."""
-    s = make_state([1, 5], outstanding={3: req(3, 2, 9)}, timers=timers,
+    s = make_state([1, 5], outstanding={3: Request(3, 2, 9)}, timers=timers,
                    in_service=in_service)
     with pytest.raises(FleetrollError) as exc:
         transition(s, IARAPolicy(grid3).control(s)[0], [], grid3)

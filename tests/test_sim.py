@@ -24,10 +24,6 @@ def make_state(locs, timers=None, outstanding=None, in_service=None, clock=1):
                       dict(outstanding or {}), dict(in_service or {}), clock)
 
 
-def req(rid, pu, do, t=1):
-    return Request(rid, pu, do, t)
-
-
 def test_stay_no_arrivals_is_identity_plus_clock(grid3):
     s = make_state([5])
     s2 = transition(s, [(STAY,)], [], grid3)
@@ -36,7 +32,7 @@ def test_stay_no_arrivals_is_identity_plus_clock(grid3):
 
 
 def test_pickup_sets_timer_and_busy_until_dropoff(grid3):
-    r = req(1, 5, 2)  # d(5,2) = 1
+    r = Request(1, 5, 2)  # d(5,2) = 1
     s = make_state([5], outstanding={1: r})
     s2 = transition(s, [(PICKUP, 1)], [], grid3)
     assert s2.timers == [1] and s2.in_service == {0: (1, 2)}
@@ -45,7 +41,7 @@ def test_pickup_sets_timer_and_busy_until_dropoff(grid3):
 
 
 def test_pickup_distance_three_trip(grid3):
-    r = req(1, 1, 7)  # d(1,7) = 2 on 3x3 grid
+    r = Request(1, 1, 7)  # d(1,7) = 2 on 3x3 grid
     s = make_state([1], outstanding={1: r})
     s2 = transition(s, [(PICKUP, 1)], [], grid3)
     assert s2.timers == [2]
@@ -55,14 +51,14 @@ def test_pickup_distance_three_trip(grid3):
 
 
 def test_zero_length_trip_completes_immediately(grid3):
-    r = req(1, 5, 5)
+    r = Request(1, 5, 5)
     s = make_state([5], outstanding={1: r})
     s2 = transition(s, [(PICKUP, 1)], [], grid3)
     assert s2.timers == [0] and s2.in_service == {} and s2.outstanding == {}
 
 
 def test_stage_cost_counts_outstanding(grid3):
-    s = make_state([1], outstanding={i: req(i, 2, 3) for i in range(1, 5)})
+    s = make_state([1], outstanding={i: Request(i, 2, 3) for i in range(1, 5)})
     assert len(s.outstanding) == 4
     s2 = transition(s, [(STAY,)], [], grid3)
     assert len(s2.outstanding) == 4
@@ -80,7 +76,7 @@ def test_illegal_controls(grid3):
     assert_illegal(s, [(PICKUP, 1)], grid3, 0, "request 1 is not outstanding")
     assert_illegal(s, [(HOP, 2)], grid3, 0, "free taxi got a forced hop")
     assert_illegal(s, [("fly", 2)], grid3, 0, "unknown action 'fly'")
-    r = req(1, 2, 3)
+    r = Request(1, 2, 3)
     s2 = make_state([1], outstanding={1: r})
     assert_illegal(s2, [(PICKUP, 1)], grid3, 0, "request 1 picks up at 2, taxi at 1")
     busy = make_state([1], timers=[2], in_service={0: (1, 9)})
@@ -112,24 +108,40 @@ def test_timer_not_matching_the_trip_is_rejected(grid3):
 
 
 def test_arrival_with_an_outstanding_id_is_rejected(grid3):
-    s = make_state([1], outstanding={4: req(4, 2, 3)})
+    s = make_state([1], outstanding={4: Request(4, 2, 3)})
     with pytest.raises(SimError, match=r"^request 4: id is already outstanding$"):
-        transition(s, [(STAY,)], [req(4, 5, 6, t=2)], grid3)
+        transition(s, [(STAY,)], [Request(4, 5, 6)], grid3)
     with pytest.raises(SimError, match=r"^request 6: id is already outstanding$"):
-        transition(s, [(STAY,)], [req(6, 5, 6, t=2), req(6, 7, 8, t=2)], grid3)
+        transition(s, [(STAY,)], [Request(6, 5, 6), Request(6, 7, 8)], grid3)
 
 
 @pytest.mark.parametrize("pickup, dropoff", [(50, 3), (0, 3), (2, 10), (2, -1)])
 def test_arrival_off_the_graph_is_rejected(grid3, pickup, dropoff):
     with pytest.raises(SimError, match=rf"^request 5: pickup {pickup} or dropoff {dropoff} "
                                        r"is outside 1\.\.9$"):
-        transition(make_state([1]), [(STAY,)], [req(5, pickup, dropoff, t=2)], grid3)
+        transition(make_state([1]), [(STAY,)], [Request(5, pickup, dropoff)], grid3)
+
+
+@pytest.mark.parametrize("state, control, error, message", [
+    (FleetState([1], [0], {5: Request(6, 1, 3)}, {}, 1), [(PICKUP, 5)], SimError,
+     "outstanding key 5 holds request 6"),
+    (FleetState([1], [2], {}, {0: (7, 99)}, 1), [(HOP, 2)], IllegalControl,
+     "taxi 0: node 1 or dropoff 99 is above 9"),
+    (FleetState([50], [0], {}, {}, 1), [(MOVE, 2)], IllegalControl,
+     "taxi 0: node 50 is above 9"),
+], ids=["key-not-its-id", "dropoff-off-the-graph", "taxi-off-the-graph"])
+def test_state_with_a_wrong_id_or_an_off_graph_node_is_rejected(grid3, state, control, error,
+                                                                 message):
+    with pytest.raises(error) as info:
+        transition(state, control, [], grid3)
+    assert type(info.value) is error and str(info.value) == message
+    assert str(compare_with_reference(state, control, [], grid3)) == message
 
 
 def test_stale_in_service_entry_is_rejected_under_rollout(grid3):
     """A free taxi with a left-over in_service entry: rollout plans a move
     for it, and transition names the taxi instead of keeping the entry."""
-    s = FleetState([1, 5], [0, 0], {3: Request(3, 2, 9, 1)}, {0: (7, 9)}, 1)
+    s = FleetState([1, 5], [0, 0], {3: Request(3, 2, 9)}, {0: (7, 9)}, 1)
     policy = RolloutPolicy(grid3, synthetic_model(grid3, 1.0), RolloutConfig(t_h=3, num_mc=4))
     policy.reset(1)
     control, _ = policy.control(s)
@@ -137,7 +149,7 @@ def test_stale_in_service_entry_is_rejected_under_rollout(grid3):
 
 
 def test_duplicate_pickup_rejected(grid3):
-    r = req(1, 5, 2)
+    r = Request(1, 5, 2)
     s = make_state([5, 5], outstanding={1: r})
     assert_illegal(s, [(PICKUP, 1), (PICKUP, 1)], grid3, 1, "request 1 is not outstanding")
 
@@ -194,12 +206,15 @@ def compare_with_reference(state, control, arrivals, graph):
     return None
 
 
-def broken_copy(rnd, state, arrivals, graph, fault):
+def broken_copy(rnd, state, control, arrivals, graph, fault):
     """A copy of a consistent state and its arrival batch with one fault: an
     occupied taxi without its in_service entry ("missing"), a free taxi with
     one ("stale"), both at once ("swap"), an entry past the fleet ("past"), a
     timer that misses its dropoff ("timer"), an arrival whose id is already
-    outstanding or in the batch ("repeat"), or one off the graph ("off-graph")."""
+    outstanding or in the batch ("repeat"), one off the graph ("off-graph"), an
+    outstanding request, one the control picks up if it can, kept under another
+    key ("key"), a taxi above node n ("taxi-above-n"), or an occupied taxi's
+    dropoff above it ("dropoff-above-n")."""
     state = FleetState(list(state.locations), list(state.timers), dict(state.outstanding),
                        dict(state.in_service), state.clock)
     arrivals = list(arrivals)
@@ -216,10 +231,19 @@ def broken_copy(rnd, state, arrivals, graph, fault):
         state.timers[l] = 1 if state.timers[l] > 1 else 2
     if fault == "repeat":
         rid = rnd.choice([*state.outstanding, *(r.id for r in arrivals), 950])
-        arrivals += [Request(rid, 1, 1, state.clock + 1)] * 2
+        arrivals += [Request(rid, 1, 1)] * 2
     if fault == "off-graph":
         arrivals.append(Request(950, rnd.choice([0, graph.n + 1, 1]),
-                                rnd.choice([-1, graph.n + 1]), state.clock + 1))
+                                rnd.choice([-1, graph.n + 1])))
+    if fault == "key" and state.outstanding:
+        picked = [act[1] for act in control if act[0] == PICKUP and act[1] in state.outstanding]
+        rid = rnd.choice(picked or list(state.outstanding))
+        state.outstanding[rid] = state.outstanding[rid]._replace(id=rid + 1000)
+    if fault == "taxi-above-n":
+        state.locations[rnd.randrange(state.m)] = graph.n + rnd.randint(1, 3)
+    if fault == "dropoff-above-n" and busy:
+        l = rnd.choice(busy)
+        state.in_service[l] = (state.in_service[l][0], graph.n + rnd.randint(1, 3))
     return state, arrivals
 
 
@@ -230,26 +254,30 @@ def broken_copy(rnd, state, arrivals, graph, fault):
 def test_transition_equals_reference_on_random_controls(make_graph):
     # Random joint controls, some illegal, on consistent states; each case is
     # also stepped on a broken copy of its state or arrival batch, drawn on a
-    # stream of its own so that the consistent cases stay as they were.
+    # stream of its own so that the consistent cases stay as they were, and on
+    # a copy with a wrong id or a node above n, drawn on a third stream.
     graph = make_graph()
     rnd = random.Random(graph.n)
     fault_rnd = random.Random(-graph.n)
+    probe_rnd = random.Random(1000 + graph.n)
     faults = ["missing", "stale", "swap", "past", "timer", "repeat", "off-graph"]
+    probes = ["key", "taxi-above-n", "dropoff-above-n"]
     outcomes = {"state": 0, "illegal": 0}
     broken = {"entry": 0, "timer": 0, "arrival": 0}
+    probed = {"key": 0, "node": 0}
     for case in range(300):
         state = random_fleet_state(rnd, graph, rnd.randint(1, 12), rnd.randint(0, 8))
         control = random_joint_control(rnd, state, graph)
         if case % 50 == 0:
             control = control[:-1]  # one action short
-        arrivals = [Request(900 + i, rnd.randint(1, graph.n), rnd.randint(1, graph.n),
-                            state.clock + 1) for i in range(rnd.randint(0, 3))]
+        arrivals = [Request(900 + i, rnd.randint(1, graph.n), rnd.randint(1, graph.n))
+                    for i in range(rnd.randint(0, 3))]
         exc = compare_with_reference(state, control, arrivals, graph)
         if exc is None:
             outcomes["state"] += 1
         elif isinstance(exc, IllegalControl):
             outcomes["illegal"] += 1
-        bad_state, bad_arrivals = broken_copy(fault_rnd, state, arrivals, graph,
+        bad_state, bad_arrivals = broken_copy(fault_rnd, state, control, arrivals, graph,
                                               faults[case % len(faults)])
         exc = compare_with_reference(bad_state, control, bad_arrivals, graph)
         if isinstance(exc, IllegalControl) and "in_service entry" in exc.reason:
@@ -258,13 +286,22 @@ def test_transition_equals_reference_on_random_controls(make_graph):
             broken["timer"] += 1
         elif exc is not None and str(exc).startswith("request"):
             broken["arrival"] += 1
+        bad_state, bad_arrivals = broken_copy(probe_rnd, state, control, arrivals, graph,
+                                              probes[case % len(probes)])
+        exc = compare_with_reference(bad_state, control, bad_arrivals, graph)
+        if exc is not None and str(exc).startswith("outstanding key"):
+            probed["key"] += 1
+        elif isinstance(exc, IllegalControl) and "is above" in exc.reason:
+            probed["node"] += 1
     assert outcomes["state"] > 50 and outcomes["illegal"] > 50, outcomes
     assert min(broken.values()) > 20, broken
+    # a relabelled request fails only where the control picks it up
+    assert probed["key"] > 20 and probed["node"] > 80, probed
 
 
 def test_arrivals_enter_outstanding(grid3):
     s = make_state([1])
-    r = req(4, 2, 3, t=2)
+    r = Request(4, 2, 3)
     s2 = transition(s, [(STAY,)], [r], grid3)
     assert s2.outstanding == {4: r}
 
@@ -306,11 +343,18 @@ def test_request_lifecycle_conservation(grid5, model5_unit):
 def test_outstanding_matches_arrival_times(grid5, model5_unit):
     # requests sampled during step t are first visible (and actionable) at t+1
     policy = RecordingPolicy(GreedyPolicy(grid5))
-    run_episode(grid5, model5_unit, policy, 2, 40, 9)
+    trace = run_episode(grid5, model5_unit, policy, 2, 40, 9)
+    # ids are consecutive, and each clock's record counts the requests that
+    # became visible at it
+    arrival = [rec.t for rec in trace.steps for _ in range(rec.arrivals)]
     seen = [(r, state.clock) for state, _, _ in policy.log for r in state.outstanding.values()]
     assert seen
     for r, clock in seen:
-        assert 2 <= r.arrival_time <= clock <= 40
+        assert 2 <= arrival[r.id - 1] <= clock <= 40
+    first = {}
+    for r, clock in seen:
+        first.setdefault(r.id, clock)
+    assert first == {rid: t for rid, t in enumerate(arrival, start=1) if t < 40}
 
 
 def test_taxi_moves_at_most_one_edge(grid5, model5_unit):
@@ -325,7 +369,7 @@ def test_taxi_moves_at_most_one_edge(grid5, model5_unit):
         ctrl, _ = policy.control(state)
         arrivals = []
         for _ in range(demand.eta.draw(rng)):
-            arrivals.append(Request(rid, *demand.request(rng_req), t + 1))
+            arrivals.append(Request(rid, *demand.request(rng_req)))
             rid += 1
         nxt = transition(state, ctrl, arrivals, grid5)
         for a, b in zip(state.locations, nxt.locations):
@@ -357,13 +401,13 @@ def test_episode_draws_equal_scalar_reference(grid5):
         for seed, m, T in [(1, 1, 2), (2, 4, 3), (3, 6, 40)]:
             policy = StayAndRecord()
             trace = run_episode(grid5, model, policy, m, T, seed)
-            locations, requests = scalar_episode_draws(model, m, T, seed)
+            locations, requests, counts = scalar_episode_draws(model, m, T, seed)
             assert policy.start == locations
             assert list(requests) == list(range(1, len(requests) + 1))
             assert trace.request_pickups == [r.pickup for r in requests.values()]
             assert trace.request_dropoffs == [r.dropoff for r in requests.values()]
-            assert [rec.arrivals for rec in trace.steps] == [
-                sum(r.arrival_time == t for r in requests.values()) for t in range(1, T + 1)]
+            # the count drawn in step t arrives at clock t+1
+            assert [rec.arrivals for rec in trace.steps] == [0] + counts
 
 
 # --- the episode record ---
@@ -382,7 +426,7 @@ def test_service_distance_equals_the_event_history_rule(grid5):
             for seed in (1, 2, 3):
                 policy = RecordingPolicy(inner)
                 trace = run_episode(grid5, model, policy, m, T, seed)
-                _, requests = scalar_episode_draws(model, m, T, seed)
+                _, requests, _ = scalar_episode_draws(model, m, T, seed)
                 total, unassigned, events = service_distance_reference(grid5, requests,
                                                                        policy.log)
                 report = service_distance(trace, grid5)
@@ -415,15 +459,17 @@ def test_trace_keeps_at_most_24_bytes_per_request():
 
 class StayAndAssignArrivals:
     """Every taxi stays, and each request is assigned once, at its arrival:
-    all requests stay outstanding, each with an `assigned` entry."""
+    all requests stay outstanding, each with an `assigned` entry. Ids are
+    consecutive, so the ids above the last one assigned have just arrived."""
     name = "stay-assign"
 
     def reset(self, seed):
-        pass
+        self.last = 0
 
     def control(self, state):
-        return [(STAY,)] * state.m, {r.id: r.id % state.m for r in state.outstanding.values()
-                                     if r.arrival_time == state.clock}
+        new = {rid: rid % state.m for rid in state.outstanding if rid > self.last}
+        self.last = max(new, default=self.last)
+        return [(STAY,)] * state.m, new
 
 
 @pytest.mark.parametrize("e_eta, T", [(20.0, 600), (200.0, 61), (333.3, 40)])
