@@ -60,8 +60,8 @@ def high_level_plan(state, graph, pspec, model, t_h, prev: HighLevelPlan, seed) 
         if state.locations[taxi] != route.dest:
             transit[taxi] = route
 
-    free = [(l, state.locations[l]) for l in range(state.m)
-            if state.timers[l] == 0 and l not in transit]
+    free = [(l, loc) for l, loc in enumerate(state.locations)
+            if not state.dropoffs[l] and l not in transit]
     pool = sorted(state.outstanding.values())
     pool += certainty_equivalence_requests(model, t_h, substream(seed, NS_CE, state.clock))
     matched = match_free_to_requests(graph, free, pool)
@@ -88,13 +88,8 @@ def split_state(state, pspec, exclude):
     for k, ids in by_sector.items():
         outstanding = {rid: req for rid, req in state.outstanding.items()
                        if pspec.sector_of(req.pickup) == k}
-        sub = FleetState(
-            [state.locations[l] for l in ids],
-            [state.timers[l] for l in ids],
-            outstanding,
-            {i: state.in_service[l] for i, l in enumerate(ids) if l in state.in_service},
-            state.clock,
-        )
+        sub = FleetState([state.locations[l] for l in ids], [state.dropoffs[l] for l in ids],
+                         outstanding, state.clock)
         out[k] = (sub, ids)
     return out
 

@@ -24,27 +24,31 @@ def _node_actions(n):
     return tuple((HOP, v) for v in range(n + 1)), tuple((MOVE, v) for v in range(n + 1))
 
 
-def _controls(state, graph, targets):
-    """Joint control, written by exception: every taxi stays, then each taxi
-    with a target request (targets: {taxi index: Request}) picks it up when
-    co-located and otherwise moves one hop toward it, then each occupied
-    taxi in state.in_service takes its forced hop toward its dropoff. The
-    hops go last, so they override any target given to an occupied taxi.
-    Relies on the FleetState invariant that in_service holds exactly the
-    taxis whose timer is above 0; hops and moves are read from the next-hop
-    rows."""
+def _controls(state, graph, choose):
+    """Joint control and targets from one pass over the fleet: each occupied
+    taxi takes its forced hop toward its dropoff, each free taxi stays. While
+    requests are outstanding, choose(free) gets the free taxis as ascending
+    (taxi index, node) pairs and returns targets ({taxi index: Request}): a
+    free taxi picks its target up when co-located, else moves one hop toward
+    it. Hops override targets of occupied taxis; both read the next-hop rows."""
     nxt = graph._next
     hops, moves = _node_actions(graph.n)
-    locs = state.locations
+    locs, dropoffs = state.locations, state.dropoffs
     control = [(STAY,)] * len(locs)
+    free = []
+    for l, dropoff in enumerate(dropoffs):
+        loc = locs[l]
+        if dropoff:
+            # A 0 entry (a taxi already on its dropoff) lets next_hop raise SameNode.
+            control[l] = hops[nxt[loc][dropoff] or graph.next_hop(loc, dropoff)]
+        else:
+            free.append((l, loc))
+    targets = choose(free) if state.outstanding else {}
     for l, req in targets.items():
-        loc = locs[l]
-        control[l] = (PICKUP, req.id) if loc == req.pickup else moves[nxt[loc][req.pickup]]
-    for l, (_, dropoff) in state.in_service.items():
-        loc = locs[l]
-        # A 0 entry (a taxi already on its dropoff) lets next_hop raise SameNode.
-        control[l] = hops[nxt[loc][dropoff] or graph.next_hop(loc, dropoff)]
-    return control
+        if not dropoffs[l]:
+            loc = locs[l]
+            control[l] = (PICKUP, req.id) if loc == req.pickup else moves[nxt[loc][req.pickup]]
+    return control, targets
 
 
 def match_free_to_requests(graph, free, requests):
@@ -75,19 +79,20 @@ def greedy_control(state, graph):
     """
     requests = sorted(state.outstanding.values())
     dist = graph._dist
-    targets = {}
-    claimed = set()
-    for l, tau in enumerate(state.timers):
-        if tau > 0 or not requests:
-            continue
-        drow = dist[state.locations[l]]
-        best = min(requests, key=lambda r: drow[r.pickup])  # first minimum: smallest id
-        if drow[best.pickup] == 0:
-            if best.id in claimed:
-                continue
-            claimed.add(best.id)
-        targets[l] = best
-    return _controls(state, graph, targets), {}
+
+    def nearest(free):
+        targets, claimed = {}, set()
+        for l, loc in free:
+            drow = dist[loc]
+            best = min(requests, key=lambda r: drow[r.pickup])  # first minimum: smallest id
+            if drow[best.pickup] == 0:
+                if best.id in claimed:
+                    continue
+                claimed.add(best.id)
+            targets[l] = best
+        return targets
+
+    return _controls(state, graph, nearest)[0], {}
 
 
 def ia_ra_control(state, graph):
@@ -97,11 +102,9 @@ def ia_ra_control(state, graph):
     one hop toward (or pick up) their request, unmatched free taxis stay.
     """
     requests = sorted(state.outstanding.values())
-    locs = state.locations
-    free = [(l, locs[l]) for l, tau in enumerate(state.timers) if tau == 0]
-    matched = match_free_to_requests(graph, free, requests)
-    assignments = {req.id: taxi for taxi, req in matched.items()}
-    return _controls(state, graph, matched), assignments
+    control, matched = _controls(state, graph,
+                                 lambda free: match_free_to_requests(graph, free, requests))
+    return control, {req.id: taxi for taxi, req in matched.items()}
 
 
 def ia_commit_control(state, graph, memory):
@@ -116,13 +119,15 @@ def ia_commit_control(state, graph, memory):
         del memory[l]  # picked up: released
     taken = set(memory.values())
     requests = [r for r in sorted(state.outstanding.values()) if r.id not in taken]
-    free = [(l, state.locations[l]) for l in range(state.m)
-            if state.timers[l] == 0 and l not in memory]
-    for taxi, req in match_free_to_requests(graph, free, requests).items():
-        memory[taxi] = req.id
-    targets = {l: state.outstanding[rid] for l, rid in memory.items()}
-    assignments = {rid: taxi for taxi, rid in memory.items()}
-    return _controls(state, graph, targets), assignments
+
+    def commit(free):
+        uncommitted = [(l, loc) for l, loc in free if l not in memory]
+        for taxi, req in match_free_to_requests(graph, uncommitted, requests).items():
+            memory[taxi] = req.id
+        return {l: state.outstanding[rid] for l, rid in memory.items()}
+
+    control, _ = _controls(state, graph, commit)
+    return control, {rid: taxi for taxi, rid in memory.items()}
 
 
 def random_ia_control(state, graph, rng, memory):
@@ -130,29 +135,25 @@ def random_ia_control(state, graph, rng, memory):
     taxis, and a taxi stays bound to its request until the dropoff completes.
 
     Unassigned taxis do not move. memory maps taxi -> request id and holds
-    through the whole service (approach and trip).
+    through the whole service (approach and trip): a taxi is released once
+    its request is no longer outstanding and it is free.
     """
-    for l in list(memory):
-        rid = memory[l]
-        if rid in state.outstanding:
-            continue
-        serving = state.in_service.get(l)
-        if serving is None or serving[0] != rid:
-            del memory[l]  # dropoff complete (or zero-length trip): released
+    for l in [l for l, rid in memory.items()
+              if rid not in state.outstanding and not state.dropoffs[l]]:
+        del memory[l]  # dropoff complete (or zero-length trip): released
     taken = set(memory.values())
-    pool = sorted(l for l in range(state.m)
-                  if state.timers[l] == 0 and l not in memory)
-    for rid in sorted(state.outstanding):
-        if rid in taken:
-            continue
-        if not pool:
-            break
-        pick = int(rng.integers(len(pool)))
-        memory[pool.pop(pick)] = rid
-    targets = {l: state.outstanding[rid] for l, rid in memory.items()
-               if rid in state.outstanding}
-    assignments = {req.id: taxi for taxi, req in targets.items()}
-    return _controls(state, graph, targets), assignments
+
+    def bind(free):
+        pool = [l for l, _ in free if l not in memory]
+        for rid in sorted(state.outstanding.keys() - taken):
+            if not pool:
+                break
+            memory[pool.pop(int(rng.integers(len(pool))))] = rid
+        return {l: state.outstanding[rid] for l, rid in memory.items()
+                if rid in state.outstanding}
+
+    control, targets = _controls(state, graph, bind)
+    return control, {req.id: taxi for taxi, req in targets.items()}
 
 
 class _BasePolicy:

@@ -160,8 +160,8 @@ def _candidate_costs(state, joint, l, cands, scenarios, graph, t_h, inbound=()):
     pickup of a request that an earlier taxi took is a stay. No scenario
     changes that step, so the other taxis' part of it is simulated once and
     each candidate applies only l's action to it. Occupied taxis are put on
-    their dropoffs (a trip's timer is its remaining distance) and rejoin the
-    free taxis in the step their timers run out.
+    their dropoffs and rejoin the free taxis in the step their trips end, the
+    distance from where they stand to the dropoff.
 
     The stay and move candidates differ only in where l stands, so they run as
     one group until l could be matched (see _trajectory_cost); pickups alone.
@@ -177,13 +177,14 @@ def _candidate_costs(state, joint, l, cands, scenarios, graph, t_h, inbound=()):
     released = {}  # step -> taxis whose trip ends in that step
     taken = {}  # request id -> the taxi whose pickup took it
     for k, act in enumerate(joint):
-        timer = state.timers[k]
-        if timer > 0:
-            locs[k] = state.in_service[k][1]
-            if timer == 1:
+        dropoff = state.dropoffs[k]
+        if dropoff:
+            left = dist[locs[k]][dropoff]  # steps left on its trip
+            locs[k] = dropoff
+            if left == 1:
                 free.append(k)
-            elif timer <= t_h:
-                released[timer - 1] = released.get(timer - 1, ()) + (k,)
+            elif left <= t_h:
+                released[left - 1] = released.get(left - 1, ()) + (k,)
         elif k == l:
             continue
         elif act[0] == PICKUP and (req := next((r for r in reqs if r[0] == act[1]), None)):
@@ -385,7 +386,7 @@ def one_at_a_time_control(state, graph, model, cfg: RolloutConfig, seed: int,
     claimed = set()
     j = 0  # free taxis before l: l scores on block j of the draw
     for l in range(state.m):
-        if state.timers[l] > 0:
+        if state.dropoffs[l]:
             continue
         cands = _candidate_actions(state, graph, l, claimed, region)
         if len(cands) == 1:
@@ -393,7 +394,7 @@ def one_at_a_time_control(state, graph, model, cfg: RolloutConfig, seed: int,
         else:
             if draw is None:
                 rng = substream(seed, NS_LOOKAHEAD, state.clock, key)
-                draw = _sample_scenario(model, cfg.t_h, state.timers.count(0) * num_mc,
+                draw = _sample_scenario(model, cfg.t_h, state.dropoffs.count(0) * num_mc,
                                         rng, region)
             totals = _candidate_costs(state, chosen, l, cands, draw[j * num_mc:(j + 1) * num_mc],
                                       graph, cfg.t_h, inbound)

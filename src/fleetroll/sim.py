@@ -64,15 +64,14 @@ def substream(seed: int, *key) -> np.random.Generator:
 
 @dataclass
 class FleetState:
-    """A fleet at one clock. Invariant: in_service holds exactly the taxis whose
-    timer is above 0, each timer its taxi's distance to its dropoff; outstanding
-    keys are their requests' ids; every node is in 1..n. `transition` keeps it
-    and names the taxi of a state whose entries or timers break it."""
+    """A fleet at one clock. Each taxi is free (dropoff 0) or on a trip to its
+    dropoff, a node it does not stand on; outstanding keys are their requests'
+    ids; every node is in 1..n. `transition` names the taxi of a state that
+    breaks this."""
 
     locations: list      # node per taxi
-    timers: list         # remaining trip steps per taxi (0 = free)
+    dropoffs: list       # dropoff node of each taxi's trip (0 = free)
     outstanding: dict    # request id -> its Request (id, pickup, dropoff), not picked up
-    in_service: dict     # taxi -> (request id, dropoff node)
     clock: int
 
     @property
@@ -83,72 +82,62 @@ class FleetState:
 def transition(state: FleetState, control, arrivals, graph) -> FleetState:
     """Apply a joint control, then inject the arrival batch, then advance time.
 
-    Pickups set the trip timer to the pickup->dropoff distance; a zero-length
-    trip completes in the same step. An illegal action raises IllegalControl
-    naming its taxi, as do in_service entries that do not match the running
-    timers, a hop that reaches its dropoff before its timer runs out or not
-    when it does, and a taxi that hops or moves at or toward a node above n.
-    A pickup whose outstanding key is not its request's id, and an arrival
-    whose id is outstanding or whose nodes are outside 1..n, raise SimError.
-    Hops and trip lengths are read from the graph's rows directly.
+    An occupied taxi takes its forced hop, the next-hop entry toward its
+    dropoff, and is free once the hop lands there. A pickup gives the taxi its
+    request's dropoff; a zero-length trip completes in the same step. An
+    illegal action raises IllegalControl naming its taxi, as does a taxi on a
+    node outside 1..n or occupied toward one; an occupied taxi already on its
+    dropoff has no hop, and SameNode is raised. A pickup whose outstanding key
+    is not its request's id or whose request's dropoff is outside 1..n, and
+    an arrival whose id is outstanding or whose nodes are outside 1..n, raise
+    SimError. A taxi's node checks are two comparisons on the branch it
+    takes. Hops are read from the next-hop rows directly.
     """
     m = len(state.locations)
     if len(control) != m:
         raise SimError(f"control has {len(control)} actions for {m} taxis")
-    if len(state.in_service) + state.timers.count(0) != m:
-        _reject_service_mismatch(state.timers, state.in_service)
     locs = list(state.locations)
-    timers = list(state.timers)
+    dropoffs = list(state.dropoffs)
     outstanding = dict(state.outstanding)
-    in_service = dict(state.in_service)
-    nxt, adj, dist, n = graph._next, graph.adj, graph._dist, graph.n
+    nxt, adj, n = graph._next, graph.adj, graph.n
     for l, act in enumerate(control):
         kind = act[0]
-        tau = timers[l]
-        if tau > 0:
-            try:
-                _, dropoff = in_service[l]
-            except KeyError:  # the count matched: another entry is stale or past the fleet
-                _reject_service_mismatch(state.timers, state.in_service)
+        loc, dropoff = locs[l], dropoffs[l]
+        if dropoff:
             if kind != HOP:
                 raise IllegalControl(l, f"occupied taxi got '{kind}'")
-            loc = locs[l]
+            if loc < 0 or dropoff < 0:
+                raise IllegalControl(l, f"node {loc} or dropoff {dropoff} is outside 1..{n}")
             try:  # a 0 entry (a taxi already on its dropoff) lets next_hop raise SameNode
                 hop = nxt[loc][dropoff] or graph.next_hop(loc, dropoff)
-            except IndexError:
-                raise IllegalControl(l, f"node {loc} or dropoff {dropoff} is above {n}") from None
-            if (hop == dropoff) != (tau == 1):
-                raise IllegalControl(l, f"timer {tau} but its dropoff {dropoff} is at "
-                                        f"distance {dist[loc][dropoff]}")
+            except IndexError:  # one of them is above n
+                raise IllegalControl(
+                    l, f"node {loc} or dropoff {dropoff} is outside 1..{n}") from None
             if act[1] != hop:
                 raise IllegalControl(l, f"hop to {act[1]} but shortest path continues at {hop}")
             locs[l] = hop
-            timers[l] = tau - 1
-            if tau == 1:
-                del in_service[l]
+            if hop == dropoff:
+                dropoffs[l] = 0
+        elif not 0 < loc <= n:
+            raise IllegalControl(l, f"node {loc} is outside 1..{n}")
         elif kind == STAY:
             pass
         elif kind == MOVE:
-            target = act[1]
-            try:
-                nbrs = adj[locs[l]]
-            except IndexError:
-                raise IllegalControl(l, f"node {locs[l]} is above {n}") from None
-            if target not in nbrs:
-                raise IllegalControl(l, f"{target} is not a neighbor of {locs[l]}")
-            locs[l] = target
+            if act[1] not in adj[loc]:
+                raise IllegalControl(l, f"{act[1]} is not a neighbor of {loc}")
+            locs[l] = act[1]
         elif kind == PICKUP:
             req = outstanding.pop(act[1], None)
             if req is None:
                 raise IllegalControl(l, f"request {act[1]} is not outstanding")
             if req.id != act[1]:
                 raise SimError(f"outstanding key {act[1]} holds request {req.id}")
-            if req.pickup != locs[l]:
-                raise IllegalControl(l, f"request {act[1]} picks up at {req.pickup}, taxi at {locs[l]}")
-            trip = dist[req.pickup][req.dropoff]
-            if trip > 0:
-                timers[l] = trip
-                in_service[l] = (req.id, req.dropoff)
+            if req.pickup != loc:
+                raise IllegalControl(l, f"request {act[1]} picks up at {req.pickup}, taxi at {loc}")
+            if not 0 < req.dropoff <= n:
+                raise SimError(f"request {req.id}: dropoff {req.dropoff} is outside 1..{n}")
+            if req.dropoff != loc:
+                dropoffs[l] = req.dropoff
         elif kind == HOP:
             raise IllegalControl(l, "free taxi got a forced hop")
         else:
@@ -160,18 +149,7 @@ def transition(state: FleetState, control, arrivals, graph) -> FleetState:
             raise SimError(f"request {req.id}: pickup {req.pickup} or dropoff {req.dropoff} "
                            f"is outside 1..{n}")
         outstanding[req.id] = req
-    return FleetState(locs, timers, outstanding, in_service, state.clock + 1)
-
-
-def _reject_service_mismatch(timers, in_service):
-    """Raise IllegalControl naming the first taxi whose in_service entry does
-    not match its timer: a running timer needs an entry, a zero one has none."""
-    for l, tau in enumerate(timers):
-        if (tau != 0) != (l in in_service):
-            raise IllegalControl(l, f"timer {tau} but {'an' if l in in_service else 'no'} "
-                                    f"in_service entry")
-    taxi = next(iter(in_service.keys() - range(len(timers))))
-    raise IllegalControl(taxi, f"in_service entry for a fleet of {len(timers)} taxis")
+    return FleetState(locs, dropoffs, outstanding, state.clock + 1)
 
 
 @dataclass
@@ -253,7 +231,7 @@ def run_episode(graph, model, policy, m: int, T: int, seed: int) -> EpisodeTrace
     # The episode's counts and requests, drawn up front on their own streams.
     counts = sample_arrivals(model, arr_rng, T - 1).tolist()
     origins, dests = (a.tolist() for a in sample_request(model, req_rng, sum(counts)))
-    state = FleetState(locations, [0] * m, {}, {}, 1)
+    state = FleetState(locations, [0] * m, {}, 1)
     trace = EpisodeTrace(policy=getattr(policy, "name", "policy"), m=m, T=T, seed=seed,
                          request_pickups=origins, request_dropoffs=dests)
     stage_costs, steps, plan_ms = trace.stage_costs, trace.steps, trace.plan_ms
@@ -263,7 +241,7 @@ def run_episode(graph, model, policy, m: int, T: int, seed: int) -> EpisodeTrace
 
     for t in range(1, T + 1):
         n_out = len(state.outstanding)
-        free = state.timers.count(0)
+        free = state.dropoffs.count(0)
         stage_costs.append(n_out)
         if t == T:
             steps.append(StepRecord(t, n_out, arrived_now, 0, free))

@@ -60,23 +60,21 @@ def random_strong_digraph(rnd, n):
 
 def random_fleet_state(rnd, graph, m, n_requests, busy=0.4, colocated=0.3):
     """A consistent fleet state: each taxi is occupied with probability `busy`
-    (its timer the distance left to a dropoff it is not on) and free otherwise;
-    about a `colocated` share of the requests pick up where a free taxi stands,
-    the rest at random nodes, and some trips have zero length."""
+    (on a trip to a dropoff it does not stand on) and free otherwise; about a
+    `colocated` share of the requests pick up where a free taxi stands, the
+    rest at random nodes, and some trips have zero length."""
     from fleetroll import FleetState
     from fleetroll.demand import Request
 
     locs = [rnd.randint(1, graph.n) for _ in range(m)]
-    timers = [0] * m
-    in_service = {}
+    dropoffs = [0] * m
     rid = 100
     for l in range(m):
         dropoff = rnd.randint(1, graph.n)
         if dropoff != locs[l] and rnd.random() < busy:
-            timers[l] = graph.distance(locs[l], dropoff)
-            in_service[l] = (rid, dropoff)
-            rid += 1
-    free_locs = [locs[l] for l in range(m) if timers[l] == 0]
+            dropoffs[l] = dropoff
+            rid += 1  # its trip's request took an id
+    free_locs = [locs[l] for l in range(m) if dropoffs[l] == 0]
     outstanding = {}
     for _ in range(n_requests):
         rid += rnd.randint(1, 3)
@@ -89,4 +87,4 @@ def random_fleet_state(rnd, graph, m, n_requests, busy=0.4, colocated=0.3):
     # dict order is not id order, as after reassignments and arrivals
     items = list(outstanding.items())
     rnd.shuffle(items)
-    return FleetState(locs, timers, dict(items), in_service, rnd.randint(1, 50))
+    return FleetState(locs, dropoffs, dict(items), rnd.randint(1, 50))

@@ -225,8 +225,8 @@ def lookahead_cost(state, joint, batches, graph, t_h, inbound=()):
     for i in range(1, t_h + 1):
         for when, node in inbound:
             if when == cur.clock:
-                cur = FleetState(cur.locations + [node], cur.timers + [0],
-                                 cur.outstanding, cur.in_service, cur.clock)
+                cur = FleetState(cur.locations + [node], cur.dropoffs + [0],
+                                 cur.outstanding, cur.clock)
         ctrl, _ = ia_ra_control(cur, graph)
         cur = transition(cur, ctrl, arrivals(i), graph)
         cost += len(cur.outstanding)
@@ -259,7 +259,7 @@ def taxi_scenarios(state, taxi, model, cfg, seed, region=None, taxi_keys=None):
     planning call draws F * num_mc scenarios in one _sample_scenario call on
     the stream of the clock and the lowest taxi key, and the j-th free taxi in
     index order reads block j, scenarios j * num_mc to (j + 1) * num_mc - 1."""
-    free = [l for l in range(state.m) if state.timers[l] == 0]
+    free = [l for l in range(state.m) if state.dropoffs[l] == 0]
     key = min(taxi_keys) if taxi_keys is not None else 0
     rng = substream(seed, NS_LOOKAHEAD, state.clock, key)
     draw = list(_sample_scenario(model, cfg.t_h, len(free) * cfg.num_mc, rng, region))
@@ -284,7 +284,7 @@ def rollout_control_reference(state, graph, model, cfg, seed, region=None, inbou
     base_joint, _ = ia_ra_control(state, graph)
     chosen, claimed = list(base_joint), set()
     for l in range(state.m):
-        if state.timers[l] > 0:
+        if state.dropoffs[l] != 0:
             continue
         cands = _candidate_actions(state, graph, l, claimed, region)
         scenarios = taxi_scenarios(state, l, model, cfg, seed, region, taxi_keys)
@@ -312,7 +312,7 @@ def high_level_plan_reference(state, graph, pspec, model, t_h, prev, seed):
     certainty-equivalence requests as columns, pairs taken in taxi order."""
     transit = {taxi: route for taxi, route in prev.transit.items()
                if state.locations[taxi] != route.dest}
-    free = [l for l in range(state.m) if state.timers[l] == 0 and l not in transit]
+    free = [l for l in range(state.m) if state.dropoffs[l] == 0 and l not in transit]
     pool = [state.outstanding[rid] for rid in sorted(state.outstanding)]
     pool += certainty_equivalence_requests(model, t_h, substream(seed, NS_CE, state.clock))
     if not free or not pool:
@@ -612,68 +612,56 @@ def transition_reference(state, control, arrivals, graph):
     """sim.transition as it was before its rows were read through locals:
     every hop from graph.next_hop, every trip length from graph.distance.
     The reference for the production step's states, IllegalControl (taxi,
-    reason) pairs and SimError messages. A state whose in_service entries do
-    not match its running timers names the first taxi out of step, or else an
-    entry past the fleet: checked before the taxis when the counts differ,
-    and when an occupied taxi without an entry is reached when they agree.
-    An occupied taxi's action is checked before and after the check that its
-    timer reaches 0 exactly on its dropoff, which a node or dropoff above n
-    fails first; a move from a node above n names the taxi, and a pickup
-    whose outstanding key is not its request's id is a SimError naming both.
-    Arrivals are checked last."""
+    reason) pairs and SimError messages. An occupied taxi's action is checked
+    first, then its node and dropoff, then, by graph.next_hop, that it does
+    not stand on its dropoff (SameNode; also for a taxi at node 0, whose
+    next-hop row is all 0s), then its hop. A free taxi's node is checked
+    before its action. A pickup whose outstanding key is not its request's
+    id, or whose request's dropoff is outside 1..n, is a SimError naming the
+    request. Arrivals are checked last."""
     m = len(state.locations)
     if len(control) != m:
         raise SimError(f"control has {len(control)} actions for {m} taxis")
-    occupied = sum(tau != 0 for tau in state.timers)
-    if occupied != len(state.in_service):
-        _service_mismatch_reference(state)
+    n = graph.n
     locs = list(state.locations)
-    timers = list(state.timers)
+    dropoffs = list(state.dropoffs)
     outstanding = dict(state.outstanding)
-    in_service = dict(state.in_service)
     for l in range(m):
         act = control[l]
         kind = act[0]
-        if timers[l] > 0:
-            if l not in in_service:
-                _service_mismatch_reference(state)
+        loc, dropoff = locs[l], dropoffs[l]
+        if dropoff != 0:
             if kind != HOP:
                 raise IllegalControl(l, f"occupied taxi got '{kind}'")
-            _, dropoff = in_service[l]
-            if locs[l] > graph.n or dropoff > graph.n:
-                raise IllegalControl(l, f"node {locs[l]} or dropoff {dropoff} is above {graph.n}")
-            hop = graph.next_hop(locs[l], dropoff)
-            if (hop == dropoff) != (timers[l] == 1):
-                raise IllegalControl(l, f"timer {timers[l]} but its dropoff {dropoff} is at "
-                                        f"distance {graph.distance(locs[l], dropoff)}")
+            if loc < 0 or dropoff < 0 or loc > n or dropoff > n:
+                raise IllegalControl(l, f"node {loc} or dropoff {dropoff} is outside 1..{n}")
+            hop = graph.next_hop(loc, dropoff)
             if act[1] != hop:
                 raise IllegalControl(l, f"hop to {act[1]} but shortest path continues at {hop}")
             locs[l] = hop
-            timers[l] -= 1
-            if timers[l] == 0:
-                del in_service[l]
+            if hop == dropoff:
+                dropoffs[l] = 0
+        elif not 1 <= loc <= n:
+            raise IllegalControl(l, f"node {loc} is outside 1..{n}")
         elif kind == STAY:
             pass
         elif kind == MOVE:
-            target = act[1]
-            if locs[l] > graph.n:
-                raise IllegalControl(l, f"node {locs[l]} is above {graph.n}")
-            if target not in graph.adj[locs[l]]:
-                raise IllegalControl(l, f"{target} is not a neighbor of {locs[l]}")
-            locs[l] = target
+            if act[1] not in graph.adj[loc]:
+                raise IllegalControl(l, f"{act[1]} is not a neighbor of {loc}")
+            locs[l] = act[1]
         elif kind == PICKUP:
             req = outstanding.get(act[1])
             if req is None:
                 raise IllegalControl(l, f"request {act[1]} is not outstanding")
             if req.id != act[1]:
                 raise SimError(f"outstanding key {act[1]} holds request {req.id}")
-            if req.pickup != locs[l]:
-                raise IllegalControl(l, f"request {act[1]} picks up at {req.pickup}, taxi at {locs[l]}")
+            if req.pickup != loc:
+                raise IllegalControl(l, f"request {act[1]} picks up at {req.pickup}, taxi at {loc}")
+            if not 1 <= req.dropoff <= n:
+                raise SimError(f"request {req.id}: dropoff {req.dropoff} is outside 1..{n}")
             del outstanding[act[1]]
-            trip = graph.distance(req.pickup, req.dropoff)
-            if trip > 0:
-                timers[l] = trip
-                in_service[l] = (req.id, req.dropoff)
+            if graph.distance(req.pickup, req.dropoff) > 0:
+                dropoffs[l] = req.dropoff
         elif kind == HOP:
             raise IllegalControl(l, "free taxi got a forced hop")
         else:
@@ -681,32 +669,16 @@ def transition_reference(state, control, arrivals, graph):
     for req in arrivals:
         if req.id in outstanding:
             raise SimError(f"request {req.id}: id is already outstanding")
-        if not (1 <= req.pickup <= graph.n and 1 <= req.dropoff <= graph.n):
+        if not (1 <= req.pickup <= n and 1 <= req.dropoff <= n):
             raise SimError(f"request {req.id}: pickup {req.pickup} or dropoff {req.dropoff} "
-                           f"is outside 1..{graph.n}")
+                           f"is outside 1..{n}")
         outstanding[req.id] = req
-    return FleetState(locs, timers, outstanding, in_service, state.clock + 1)
-
-
-def _service_mismatch_reference(state):
-    """Raise transition's IllegalControl for a state whose in_service entries
-    do not match its timers: the first taxi out of step, else the first entry
-    past the fleet."""
-    m = len(state.timers)
-    for l in range(m):
-        has_entry = l in state.in_service
-        if (state.timers[l] != 0) != has_entry:
-            raise IllegalControl(l, f"timer {state.timers[l]} but "
-                                    f"{'an' if has_entry else 'no'} in_service entry")
-    for taxi in state.in_service:
-        if not 0 <= taxi < m:
-            raise IllegalControl(taxi, f"in_service entry for a fleet of {m} taxis")
+    return FleetState(locs, dropoffs, outstanding, state.clock + 1)
 
 
 def forced_hop_action(state, graph, taxi):
     """The single legal control of an occupied taxi."""
-    _, dropoff = state.in_service[taxi]
-    return (HOP, graph.next_hop(state.locations[taxi], dropoff))
+    return (HOP, graph.next_hop(state.locations[taxi], state.dropoffs[taxi]))
 
 
 def _toward_reference(graph, loc, req):
@@ -720,7 +692,7 @@ def controls_reference(state, graph, targets):
     graph.next_hop."""
     control = []
     for l in range(state.m):
-        if state.timers[l] > 0:
+        if state.dropoffs[l] != 0:
             control.append(forced_hop_action(state, graph, l))
         elif l in targets:
             control.append(_toward_reference(graph, state.locations[l], targets[l]))
@@ -766,7 +738,7 @@ def grouped_match_step_reference(free, reqs, locs, graph, group):
 def ia_ra_control_reference(state, graph):
     """IA-RA built from the reference matching and controls."""
     requests = [state.outstanding[rid] for rid in sorted(state.outstanding)]
-    free = [(l, state.locations[l]) for l in range(state.m) if state.timers[l] == 0]
+    free = [(l, state.locations[l]) for l in range(state.m) if state.dropoffs[l] == 0]
     matched = match_free_to_requests_reference(graph, free, requests)
     assignments = {req.id: taxi for taxi, req in matched.items()}
     return controls_reference(state, graph, matched), assignments
@@ -781,7 +753,7 @@ def greedy_control_reference(state, graph):
     control = []
     claimed = set()
     for l in range(state.m):
-        if state.timers[l] > 0:
+        if state.dropoffs[l] != 0:
             control.append(forced_hop_action(state, graph, l))
             continue
         if not requests:

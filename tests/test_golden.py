@@ -26,11 +26,16 @@ from fleetroll import (GreedyPolicy, IACommitPolicy, IARAPolicy, RandomIAPolicy,
                        grid_graph, run_episode, synthetic_model)
 from fleetroll.cli import main as cli_main
 from fleetroll.demand import estimate_from_trips, generate_trips
+from fleetroll.sim import PICKUP
+from oracles import RecordingPolicy
 
 # name -> (grid k, e_eta, hotspot, hotspot mass, policy, m, T, seed, t_h, num_mc, m_lim)
 CASES = {
     "greedy": (5, 0.8, None, 0.0, "greedy", 4, 40, 11, 0, 0, 0),
     "random-ia": (5, 0.8, None, 0.0, "random-ia", 4, 40, 12, 0, 0, 0),
+    # Zero-length trips and trips of several steps, each taxi taking a new
+    # request in the step after its dropoff: random-ia's release rule.
+    "random-ia-release": (5, 0.8, None, 0.0, "random-ia", 4, 40, 4, 0, 0, 0),
     "ia-commit": (5, 0.8, None, 0.0, "ia-commit", 4, 40, 13, 0, 0, 0),
     "ia-ra": (5, 0.8, None, 0.0, "ia-ra", 4, 40, 14, 0, 0, 0),
     "ia-ra-k10": (8, 3.0, None, 0.0, "ia-ra", 10, 40, 15, 0, 0, 0),
@@ -63,6 +68,7 @@ GOLDEN = {
     "ia-ra-k10": "87beeaf4ca64db303a8952cdf544e099db36bd2a393745ea3c244f13fae677f2",
     "ia-ra-triplog": "1539b43befbb33e322eac4c4e7ea4767512146fb55906ca1f078b05599c49e27",
     "random-ia": "ae03ba51d8ab215bb5cc1c712bc2710074d80832765aeeb12fa417bedc465b1e",
+    "random-ia-release": "cb10b62ac145e01a0c0b504d9b1a159c040047293b71b421e11a952bca4a1eab",
     "rollout": "f40ef1bfa9a92f10e9fccb365eead260b4c67482ef444390f73bae46a9540c09",
     "rollout-triplog": "12ffdd0490005e7ae9c9edcef93b08343e4cd8e325f861d1c18c0436a63facd0",
     "two-phase": "4e577d187e6d4f309fdea101b13646aef0630d684ed7a54cec94f0013c91adf2",
@@ -171,6 +177,30 @@ def cli_digest(name, tmp):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_trace_digest(name):
     assert trace_digest(name) == GOLDEN[name]
+
+
+def test_random_ia_release_case_hits_each_release_rule():
+    """Each pickup holds its taxi for exactly its trip's length, and the case
+    has a zero-length trip and a longer one after which the taxi takes a new
+    request in the step after its dropoff."""
+    m, T, seed = CASES["random-ia-release"][5:8]
+    graph, model = case_model("random-ia-release")
+    policy = RecordingPolicy(RandomIAPolicy(graph))
+    run_episode(graph, model, policy, m, T, seed)
+    log = policy.log
+    taken_again = set()  # trip lengths after which the taxi took a request at once
+    for t, (state, _, control) in enumerate(log):
+        for l, act in enumerate(control):
+            if act[0] != PICKUP:
+                continue
+            req = state.outstanding[act[1]]
+            k = graph.distance(req.pickup, req.dropoff)
+            if t + 1 + k < len(log):
+                busy = [log[t + i][0].dropoffs[l] != 0 for i in range(1, k + 2)]
+                assert busy == [True] * k + [False]
+                if l in log[t + 1 + k][1].values():
+                    taken_again.add(k)
+    assert 0 in taken_again and max(taken_again) > 1
 
 
 @pytest.mark.parametrize("name", sorted(TRIP_LOGS))

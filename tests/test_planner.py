@@ -25,10 +25,9 @@ def zero_model():
     return DemandModel({0: 1.0}, {1: 1.0}, {1: {1: 1.0}})
 
 
-def make_state(locs, outstanding=None, timers=None, in_service=None, clock=1):
-    m = len(locs)
-    return FleetState(list(locs), list(timers or [0] * m),
-                      dict(outstanding or {}), dict(in_service or {}), clock)
+def make_state(locs, outstanding=None, dropoffs=None, clock=1):
+    return FleetState(list(locs), list(dropoffs or [0] * len(locs)), dict(outstanding or {}),
+                      clock)
 
 
 def test_high_level_same_sector_no_action():
@@ -49,8 +48,7 @@ def test_high_level_cross_sector_schedules_boundary_route():
 
 def test_high_level_no_free_taxis_keeps_plan():
     g, spec = two_sector_line()
-    s = make_state([1], timers=[2], in_service={0: (7, 3)},
-                   outstanding={1: Request(1, 4, 3)})
+    s = make_state([1], dropoffs=[3], outstanding={1: Request(1, 4, 3)})
     prev = HighLevelPlan({5: TransitRoute(dest=3, start_clock=0, arrive_clock=1)})
     # taxi 5 does not exist in this tiny state; prune keys on locations only
     prev = HighLevelPlan()
@@ -76,23 +74,21 @@ def test_high_level_plan_matches_the_assignment_problem_path(grid5):
         t_h = int(rng.integers(1, 5))
         m = int(rng.integers(1, 15))
         locs = [int(rng.integers(1, g.n + 1)) for _ in range(m)]
-        timers = [0] * m
-        in_service = {}
+        dropoffs = [0] * m
         for l in range(m):
             if rng.random() < 0.2:
-                timers[l] = int(rng.integers(1, 4))
-                in_service[l] = (100 + l, int(rng.integers(1, g.n + 1)))
+                dropoffs[l] = int(rng.integers(1, g.n + 1))
         outstanding = {rid: Request(rid, int(rng.integers(1, g.n + 1)),
                                     int(rng.integers(1, g.n + 1)))
                        for rid in range(1, int(rng.integers(0, 9)) + 1)}
         prev = HighLevelPlan({l: TransitRoute(dest=int(rng.choice([locs[l], 1])),
                                               start_clock=0, arrive_clock=0)
-                              for l in range(m) if timers[l] == 0 and rng.random() < 0.2})
-        s = FleetState(locs, timers, outstanding, in_service, int(rng.integers(1, 40)))
+                              for l in range(m) if dropoffs[l] == 0 and rng.random() < 0.2})
+        s = FleetState(locs, dropoffs, outstanding, int(rng.integers(1, 40)))
         got = high_level_plan(s, g, spec, model, t_h, prev, seed=trial)
         want = high_level_plan_reference(s, g, spec, model, t_h, prev, seed=trial)
         assert list(got.transit.items()) == list(want.transit.items()), trial
-        n_free = sum(1 for l in range(m) if timers[l] == 0
+        n_free = sum(1 for l in range(m) if dropoffs[l] == 0
                      and (l not in prev.transit or prev.transit[l].dest == locs[l]))
         n_pool = len(outstanding) + round(t_h * model.e_eta)
         if n_free and n_pool:
@@ -130,7 +126,7 @@ def test_sector_lookahead_sees_only_requests_picked_up_in_its_sector(monkeypatch
     monkeypatch.setattr(planner, "one_at_a_time_control", recording_control)
 
     def unfiltered(state, l, key):
-        free = [i for i in range(state.m) if state.timers[i] == 0]
+        free = [i for i in range(state.m) if state.dropoffs[i] == 0]
         j = free.index(l)
         draw = _sample_scenario(model, cfg.t_h, len(free) * cfg.num_mc, real_substream(*key))
         return draw[j * cfg.num_mc:(j + 1) * cfg.num_mc]

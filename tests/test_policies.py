@@ -10,16 +10,15 @@ from fleetroll.graph import SameNode
 from fleetroll.policies import (GreedyPolicy, IACommitPolicy, IARAPolicy,
                                 RandomIAPolicy, _controls, greedy_control, ia_commit_control,
                                 ia_ra_control, random_ia_control)
-from fleetroll.sim import (MOVE, PICKUP, STAY, FleetState, IllegalControl, run_episode,
+from fleetroll.sim import (HOP, MOVE, PICKUP, STAY, FleetState, IllegalControl, run_episode,
                            service_distance, substream, transition)
 from conftest import line_graph, random_fleet_state, random_strong_digraph, ring_graph
 from oracles import controls_reference, greedy_control_reference, ia_ra_control_reference
 
 
-def make_state(locs, outstanding=None, timers=None, in_service=None, clock=1):
-    m = len(locs)
-    return FleetState(list(locs), list(timers or [0] * m),
-                      dict(outstanding or {}), dict(in_service or {}), clock)
+def make_state(locs, outstanding=None, dropoffs=None, clock=1):
+    return FleetState(list(locs), list(dropoffs or [0] * len(locs)), dict(outstanding or {}),
+                      clock)
 
 
 # --- greedy ---
@@ -75,7 +74,7 @@ def test_greedy_control_equals_reference_on_random_states(make_graph):
         picked = [a[1] for a in got[0] if a[0] == PICKUP]
         assert len(picked) == len(set(picked))
         left_in_place += sum(
-            1 for l, a in enumerate(got[0]) if a == (STAY,) and state.timers[l] == 0
+            1 for l, a in enumerate(got[0]) if a == (STAY,) and state.dropoffs[l] == 0
             and any(r.pickup == state.locations[l] for r in state.outstanding.values()))
     assert left_in_place > 10
 
@@ -98,12 +97,10 @@ def test_ia_ra_stays_without_requests(grid3):
 def test_ia_ra_reassigns_when_closer_request_appears():
     g = line_graph(6)
     # taxi 0 at node 1 walking toward request 1 at node 5
-    s = make_state([1, 6], outstanding={1: Request(1, 5, 1)},
-                   timers=[0, 3], in_service={1: (9, 3)})
+    s = make_state([1, 6], outstanding={1: Request(1, 5, 1)}, dropoffs=[0, 3])
     ctrl, a1 = ia_ra_control(s, g)
     assert a1 == {1: 0}
-    s2 = make_state([2, 6], outstanding={1: Request(1, 5, 1), 2: Request(2, 1, 1)},
-                    timers=[0, 0])
+    s2 = make_state([2, 6], outstanding={1: Request(1, 5, 1), 2: Request(2, 1, 1)})
     # new request at node 1; fresh matching sends taxi 1 (at 6) to 5 and taxi 0 back
     ctrl2, a2 = ia_ra_control(s2, g)
     assert a2 == {2: 0, 1: 1}
@@ -176,8 +173,7 @@ def test_random_ia_uniform_choice(grid3):
 
 def test_random_ia_no_free_taxis(grid3):
     memory = {}
-    s = make_state([1], timers=[2], in_service={0: (5, 9)},
-                   outstanding={1: Request(1, 5, 1)})
+    s = make_state([1], dropoffs=[9], outstanding={1: Request(1, 5, 1)})
     ctrl, assigned = random_ia_control(s, grid3, substream(0, 0), memory)
     assert assigned == {} and ctrl[0][0] == "hop"
 
@@ -198,6 +194,28 @@ def test_random_ia_holds_through_dropoff(grid3):
     assert memory == {0: 2} and assigned3 == {2: 0}
 
 
+@pytest.mark.parametrize("dropoff, k", [(1, 0), (2, 1), (9, 4)],
+                         ids=["zero-length", "one-step", "four-steps"])
+def test_random_ia_binds_a_taxi_for_exactly_its_trip(grid3, dropoff, k):
+    """A taxi picks up at node 1 a request whose trip takes k steps. It stays
+    bound for the k steps after its pickup, so a zero-length trip frees it in
+    the step of its pickup, and in the first step after its dropoff it takes
+    the request that waited."""
+    memory = {}
+    s = make_state([1], outstanding={1: Request(1, 1, dropoff)})
+    ctrl, _ = random_ia_control(s, grid3, substream(1, 0), memory)
+    assert ctrl == [(PICKUP, 1)]
+    s = transition(s, ctrl, [Request(2, 5, 6)], grid3)
+    for step in range(1, k + 1):
+        assert s.dropoffs == [dropoff]
+        ctrl, assigned = random_ia_control(s, grid3, substream(1, step), memory)
+        assert ctrl[0][0] == HOP and memory == {0: 1} and assigned == {}
+        s = transition(s, ctrl, [], grid3)
+    assert s.locations == [dropoff] and s.dropoffs == [0]
+    _, assigned = random_ia_control(s, grid3, substream(1, k + 1), memory)
+    assert memory == {0: 2} and assigned == {2: 0}
+
+
 # --- legality of emitted controls ---
 
 @pytest.mark.parametrize("cls", [GreedyPolicy, IARAPolicy, IACommitPolicy, RandomIAPolicy])
@@ -207,18 +225,16 @@ def test_every_emitted_control_is_legal(cls, grid5, model5_unit):
     assert len(tr.controls) == 59
 
 
-@pytest.mark.parametrize("timers, in_service, error", [
-    ([2, 0], {}, IllegalControl),            # a timer but no dropoff: gets a stay
-    ([0, 0], {0: (7, 9)}, IllegalControl),   # a dropoff but no timer: gets a hop
-    ([0, 0], {1: (7, 5)}, SameNode),         # a dropoff it stands on: no hop exists
-], ids=["timer-without-service", "service-without-timer", "on-its-dropoff"])
-def test_state_breaking_the_in_service_invariant_is_a_fleetroll_error(
-        grid3, timers, in_service, error):
-    """The joint builder reads occupied taxis from in_service alone, so a
-    hand-built state whose in_service is not exactly the taxis with a timer
-    above 0 fails in the policy or in transition, with a FleetrollError."""
-    s = make_state([1, 5], outstanding={3: Request(3, 2, 9)}, timers=timers,
-                   in_service=in_service)
+@pytest.mark.parametrize("dropoffs, error", [
+    ([0, 5], SameNode),          # a dropoff it stands on: no hop exists
+    ([0, -1], IllegalControl),   # a dropoff below node 1
+], ids=["on-its-dropoff", "negative-dropoff"])
+def test_state_breaking_the_in_service_invariant_is_a_fleetroll_error(grid3, dropoffs, error):
+    """A taxi in service has a dropoff in 1..n other than its own node. The
+    joint builder takes its hop toward that dropoff, so a hand-built state
+    that breaks this fails in the policy or in transition, with a
+    FleetrollError."""
+    s = make_state([1, 5], outstanding={3: Request(3, 2, 9)}, dropoffs=dropoffs)
     with pytest.raises(FleetrollError) as exc:
         transition(s, IARAPolicy(grid3).control(s)[0], [], grid3)
     assert isinstance(exc.value, error)
@@ -307,8 +323,7 @@ def test_ia_ra_control_equals_reference_on_random_states(make_graph):
     IA-RA built taxi by taxi on the taxi-by-request matrix; with more free
     taxis than requests and with fewer. The joint builder alone also matches
     the taxi-by-taxi reference on targets drawn for any taxi (occupied ones
-    included), with in_service and targets in shuffled dict order (episodes
-    add pickups to in_service out of taxi order), with no targets, and on
+    included), with targets in shuffled dict order, with no targets, and on
     an all-occupied fleet that has taxis one hop from their dropoffs."""
     graph = make_graph()
     rnd = random.Random(graph.n)
@@ -320,23 +335,34 @@ def test_ia_ra_control_equals_reference_on_random_states(make_graph):
         want = ia_ra_control_reference(state, graph)
         assert got == want
         assert list(got[1].items()) == list(want[1].items())
-        free = state.timers.count(0)
+        free = state.dropoffs.count(0)
         shapes.add((free > len(state.outstanding), free < len(state.outstanding)))
         targets = {l: rnd.choice(list(state.outstanding.values()))
                    for l in range(state.m) if state.outstanding and rnd.random() < 0.5}
-        assert _controls(state, graph, targets) == controls_reference(state, graph, targets)
-        assert _controls(state, graph, {}) == controls_reference(state, graph, {})
-        state.in_service = shuffled(rnd, state.in_service)
+        assert controls(state, graph, targets) == controls_reference(state, graph, targets)
+        assert controls(state, graph, {}) == controls_reference(state, graph, {})
         targets = shuffled(rnd, targets)
-        assert _controls(state, graph, targets) == controls_reference(state, graph, targets)
+        assert controls(state, graph, targets) == controls_reference(state, graph, targets)
 
         busy = all_occupied_state(rnd, graph, rnd.randint(1, 14))
-        last_hops += busy.timers.count(1)
+        last_hops += sum(graph.distance(loc, dropoff) == 1
+                         for loc, dropoff in zip(busy.locations, busy.dropoffs))
         targets = {l: rnd.choice(list(state.outstanding.values()))
                    for l in range(busy.m) if state.outstanding and rnd.random() < 0.5}
-        assert _controls(busy, graph, targets) == controls_reference(busy, graph, targets)
+        assert controls(busy, graph, targets) == controls_reference(busy, graph, targets)
     assert {(True, False), (False, True)} <= shapes
     assert last_hops > 100
+
+
+def controls(state, graph, targets):
+    """_controls' joint control for fixed targets, checking that it hands
+    the free taxis to its chooser in index order, each with its node."""
+    def choose(free):
+        assert free == [(l, state.locations[l]) for l in range(state.m)
+                        if state.dropoffs[l] == 0]
+        return targets
+
+    return _controls(state, graph, choose)[0]
 
 
 def shuffled(rnd, d):
@@ -346,15 +372,13 @@ def shuffled(rnd, d):
 
 
 def all_occupied_state(rnd, graph, m):
-    """Every taxi occupied, about half of them one hop from the dropoff (a
-    timer of 1), the taxis entered in in_service in shuffled order."""
+    """Every taxi occupied, about half of them one hop from the dropoff, the
+    dropoffs drawn in shuffled taxi order."""
     locs = [rnd.randint(1, graph.n) for _ in range(m)]
-    in_service = {}
+    dropoffs = [0] * m
     for l in rnd.sample(range(m), m):
         if rnd.random() < 0.5:
-            dropoff = rnd.choice(graph.adj[locs[l]])
+            dropoffs[l] = rnd.choice(graph.adj[locs[l]])
         else:
-            dropoff = rnd.choice([v for v in range(1, graph.n + 1) if v != locs[l]])
-        in_service[l] = (1000 + l, dropoff)
-    timers = [graph.distance(locs[l], in_service[l][1]) for l in range(m)]
-    return FleetState(locs, timers, {}, in_service, 1)
+            dropoffs[l] = rnd.choice([v for v in range(1, graph.n + 1) if v != locs[l]])
+    return FleetState(locs, dropoffs, {}, 1)

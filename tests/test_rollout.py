@@ -24,10 +24,9 @@ def zero_model():
     return DemandModel({0: 1.0}, {1: 1.0}, {1: {1: 1.0}})
 
 
-def make_state(locs, outstanding=None, timers=None, in_service=None, clock=1):
-    m = len(locs)
-    return FleetState(list(locs), list(timers or [0] * m),
-                      dict(outstanding or {}), dict(in_service or {}), clock)
+def make_state(locs, outstanding=None, dropoffs=None, clock=1):
+    return FleetState(list(locs), list(dropoffs or [0] * len(locs)), dict(outstanding or {}),
+                      clock)
 
 
 def test_moves_toward_adjacent_request():
@@ -40,7 +39,7 @@ def test_moves_toward_adjacent_request():
 
 def test_all_occupied_forced_hops_no_simulation():
     g = line_graph(4)
-    s = make_state([1, 4], timers=[2, 1], in_service={0: (1, 3), 1: (2, 3)})
+    s = make_state([1, 4], dropoffs=[3, 3])
     cfg = RolloutConfig(t_h=3, num_mc=2)
     ctrl = one_at_a_time_control(s, g, zero_model(), cfg, seed=0)
     assert ctrl == [("hop", 2), ("hop", 3)]
@@ -121,20 +120,18 @@ def test_fast_path_matches_generic_path(grid5):
         for i in range(int(rng.integers(*n_req))):
             outstanding[i + 1] = Request(i + 1, int(rng.integers(1, g.n + 1)),
                                          int(rng.integers(1, g.n + 1)))
-        timers = [1]
-        while 0 not in timers:  # a fleet with no free taxi draws its busy flags again
-            timers = [0] * m
-            in_service = {}
+        dropoffs = [1]
+        while 0 not in dropoffs:  # a fleet with no free taxi draws its busy flags again
+            dropoffs = [0] * m
             for l in range(m):
                 if rng.random() < p_busy:
                     drop = int(rng.integers(1, g.n + 1))
                     if drop != locs[l]:
-                        timers[l] = g.distance(locs[l], drop)
-                        in_service[l] = (100 + l, drop)
+                        dropoffs[l] = drop
         inbound = tuple((int(rng.integers(1, t_h + 3)), int(rng.integers(1, g.n + 1)))
                         for _ in range(int(rng.integers(0, 4))))
-        s = FleetState(locs, timers, outstanding, in_service, 1)
-        free = [l for l in range(m) if timers[l] == 0]
+        s = FleetState(locs, dropoffs, outstanding, 1)
+        free = [l for l in range(m) if dropoffs[l] == 0]
         l = free[int(rng.integers(len(free)))]
         joint, cands, joints = candidate_joints(s, g, l)
         scenarios = _sample_scenario(model, t_h, int(rng.integers(1, 5)), substream(3, trial))
@@ -162,7 +159,7 @@ def test_plain_joints_score_as_composed_joints(grid3):
         g = graphs[trial % 3]
         t_h = 1 + trial % 4
         s = random_fleet_state(rnd, g, rnd.randint(2, 8), rnd.randint(1, 6), colocated=0.6)
-        free = [l for l in range(s.m) if s.timers[l] == 0]
+        free = [l for l in range(s.m) if s.dropoffs[l] == 0]
         if not free:
             continue
         l = rnd.choice(free)
@@ -170,7 +167,7 @@ def test_plain_joints_score_as_composed_joints(grid3):
         chosen = list(base_joint)
         claimed = set()
         for i in range(l):
-            if s.timers[i] == 0:
+            if s.dropoffs[i] == 0:
                 chosen[i] = rnd.choice(_candidate_actions(s, g, i, claimed))
             if chosen[i][0] == PICKUP:
                 claimed.add(chosen[i][1])
@@ -290,19 +287,17 @@ def test_grouped_stay_and_move_scores_equal_per_candidate_and_generic_scores(
         m = int(rng.integers(1, 6))
         nodes = rng.integers(1, g.n + 1, size=int(rng.integers(1, 4)))  # few nodes: ties
         locs = [int(rng.choice(nodes)) for _ in range(m)]
-        timers = [0] * m
-        in_service = {}
+        dropoffs = [0] * m
         for l in range(1, m):
             if rng.random() < 0.2:
                 drop = int(rng.integers(1, g.n + 1))
                 if drop != locs[l]:
-                    timers[l] = g.distance(locs[l], drop)
-                    in_service[l] = (100 + l, drop)
+                    dropoffs[l] = drop
         outstanding = {i: Request(i, int(rng.choice(nodes)), int(rng.integers(1, g.n + 1)))
                        for i in range(1, int(rng.integers(0, 5)) + 1)}
         inbound = tuple((int(rng.integers(2, t_h + 3)), int(rng.choice(nodes)))
                         for _ in range(int(rng.integers(0, 3))))
-        s = FleetState(locs, timers, outstanding, in_service, 1)
+        s = FleetState(locs, dropoffs, outstanding, 1)
         scenarios = _sample_scenario(model, t_h, int(rng.integers(1, 4)), substream(4, trial))
         check(s, g, 0, scenarios, t_h, inbound)
     # shared trajectories, and members continuing alone from a middle or the last step
@@ -493,15 +488,14 @@ def random_planning_call(rng, g, sector):
         region[rng.choice(nodes, size=int(rng.integers(g.n // 3, g.n + 1)), replace=False)] = True
         nodes = np.flatnonzero(region)
     locs = [int(rng.choice(nodes)) for _ in range(m)]
-    timers, in_service = [0] * m, {}
+    dropoffs = [0] * m
     for l in range(m):
         drop = int(rng.integers(1, g.n + 1))
         if drop != locs[l] and rng.random() < 0.3:
-            timers[l] = g.distance(locs[l], drop)
-            in_service[l] = (100 + l, drop)
+            dropoffs[l] = drop
     outstanding = {i: Request(i, int(rng.choice(nodes)), int(rng.integers(1, g.n + 1)))
                    for i in range(1, int(rng.integers(0, 5)) + 1)}
-    state = FleetState(locs, timers, outstanding, in_service, int(rng.integers(1, 30)))
+    state = FleetState(locs, dropoffs, outstanding, int(rng.integers(1, 30)))
     if not sector:
         return state, None, None, ()
     keys = sorted(rng.choice(40, size=m, replace=False).tolist())
@@ -551,7 +545,7 @@ def test_each_free_taxi_scores_every_candidate_on_its_own_block_of_one_draw(grid
         scored.clear()
         one_at_a_time_control(s, grid5, model, cfg, seed=trial, region=region,
                               inbound=inbound, taxi_keys=keys)
-        free = [l for l in range(s.m) if s.timers[l] == 0]
+        free = [l for l in range(s.m) if s.dropoffs[l] == 0]
         if not scored:
             assert draws == []
             continue

@@ -6,6 +6,7 @@ import pytest
 
 from fleetroll import grid_graph
 from fleetroll.demand import Request, synthetic_model
+from fleetroll.errors import FleetrollError
 from fleetroll.graph import SameNode
 from fleetroll.planner import TwoPhasePolicy
 from fleetroll.policies import (GreedyPolicy, IACommitPolicy, IARAPolicy, RandomIAPolicy,
@@ -18,16 +19,15 @@ from oracles import (RecordingPolicy, ScalarDemand, scalar_episode_draws,
                      service_distance_reference, transition_reference)
 
 
-def make_state(locs, timers=None, outstanding=None, in_service=None, clock=1):
-    m = len(locs)
-    return FleetState(list(locs), list(timers or [0] * m),
-                      dict(outstanding or {}), dict(in_service or {}), clock)
+def make_state(locs, dropoffs=None, outstanding=None, clock=1):
+    return FleetState(list(locs), list(dropoffs or [0] * len(locs)), dict(outstanding or {}),
+                      clock)
 
 
 def test_stay_no_arrivals_is_identity_plus_clock(grid3):
     s = make_state([5])
     s2 = transition(s, [(STAY,)], [], grid3)
-    assert s2.locations == [5] and s2.timers == [0]
+    assert s2.locations == [5] and s2.dropoffs == [0]
     assert s2.outstanding == {} and s2.clock == 2
 
 
@@ -35,26 +35,27 @@ def test_pickup_sets_timer_and_busy_until_dropoff(grid3):
     r = Request(1, 5, 2)  # d(5,2) = 1
     s = make_state([5], outstanding={1: r})
     s2 = transition(s, [(PICKUP, 1)], [], grid3)
-    assert s2.timers == [1] and s2.in_service == {0: (1, 2)}
+    assert s2.dropoffs == [2]
     s3 = transition(s2, [(HOP, 2)], [], grid3)
-    assert s3.locations == [2] and s3.timers == [0] and s3.in_service == {}
+    assert s3.locations == [2] and s3.dropoffs == [0]
 
 
 def test_pickup_distance_three_trip(grid3):
     r = Request(1, 1, 7)  # d(1,7) = 2 on 3x3 grid
     s = make_state([1], outstanding={1: r})
     s2 = transition(s, [(PICKUP, 1)], [], grid3)
-    assert s2.timers == [2]
+    assert s2.dropoffs == [7]
     s3 = transition(s2, [(HOP, grid3.next_hop(1, 7))], [], grid3)
+    assert s3.dropoffs == [7]
     s4 = transition(s3, [(HOP, 7)], [], grid3)
-    assert s4.locations == [7] and s4.timers == [0]
+    assert s4.locations == [7] and s4.dropoffs == [0]
 
 
 def test_zero_length_trip_completes_immediately(grid3):
     r = Request(1, 5, 5)
     s = make_state([5], outstanding={1: r})
     s2 = transition(s, [(PICKUP, 1)], [], grid3)
-    assert s2.timers == [0] and s2.in_service == {} and s2.outstanding == {}
+    assert s2.dropoffs == [0] and s2.outstanding == {}
 
 
 def test_stage_cost_counts_outstanding(grid3):
@@ -79,32 +80,9 @@ def test_illegal_controls(grid3):
     r = Request(1, 2, 3)
     s2 = make_state([1], outstanding={1: r})
     assert_illegal(s2, [(PICKUP, 1)], grid3, 0, "request 1 picks up at 2, taxi at 1")
-    busy = make_state([1], timers=[2], in_service={0: (1, 9)})
+    busy = make_state([1], dropoffs=[9])
     assert_illegal(busy, [(STAY,)], grid3, 0, "occupied taxi got 'stay'")
     assert_illegal(busy, [(HOP, 4)], grid3, 0, "hop to 4 but shortest path continues at 2")
-
-
-@pytest.mark.parametrize("timers, in_service, taxi, reason", [
-    ([0, 0], {0: (7, 9)}, 0, "timer 0 but an in_service entry"),
-    ([0, 3], {}, 1, "timer 3 but no in_service entry"),
-    ([0, 0], {5: (7, 9)}, 5, "in_service entry for a fleet of 2 taxis"),
-    ([0, 3], {0: (7, 9)}, 0, "timer 0 but an in_service entry"),
-], ids=["stale-entry", "missing-entry", "entry-past-the-fleet", "entry-on-the-wrong-taxi"])
-def test_in_service_not_matching_the_timers_is_rejected(grid3, timers, in_service, taxi,
-                                                        reason):
-    s = make_state([1, 5], timers=timers, in_service=in_service)
-    assert_illegal(s, [(STAY,), (STAY,)], grid3, taxi, reason)
-
-
-def test_timer_not_matching_the_trip_is_rejected(grid3):
-    # A timer-1 hop must land on the dropoff (node 9 is 4 hops from node 1).
-    short = make_state([1], timers=[1], in_service={0: (7, 9)})
-    assert_illegal(short, [(HOP, 2)], grid3, 0, "timer 1 but its dropoff 9 is at distance 4")
-    # A longer timer must not: timer 5 for a dropoff 2 hops away.
-    long = transition(make_state([1], timers=[5], in_service={0: (7, 3)}), [(HOP, 2)], [],
-                      grid3)
-    assert (long.locations, long.timers) == ([2], [4])
-    assert_illegal(long, [(HOP, 3)], grid3, 0, "timer 4 but its dropoff 3 is at distance 1")
 
 
 def test_arrival_with_an_outstanding_id_is_rejected(grid3):
@@ -123,29 +101,31 @@ def test_arrival_off_the_graph_is_rejected(grid3, pickup, dropoff):
 
 
 @pytest.mark.parametrize("state, control, error, message", [
-    (FleetState([1], [0], {5: Request(6, 1, 3)}, {}, 1), [(PICKUP, 5)], SimError,
+    (FleetState([1], [0], {5: Request(6, 1, 3)}, 1), [(PICKUP, 5)], SimError,
      "outstanding key 5 holds request 6"),
-    (FleetState([1], [2], {}, {0: (7, 99)}, 1), [(HOP, 2)], IllegalControl,
-     "taxi 0: node 1 or dropoff 99 is above 9"),
-    (FleetState([50], [0], {}, {}, 1), [(MOVE, 2)], IllegalControl,
-     "taxi 0: node 50 is above 9"),
-], ids=["key-not-its-id", "dropoff-off-the-graph", "taxi-off-the-graph"])
+    (FleetState([1], [99], {}, 1), [(HOP, 2)], IllegalControl,
+     "taxi 0: node 1 or dropoff 99 is outside 1..9"),
+    (FleetState([50], [0], {}, 1), [(MOVE, 2)], IllegalControl,
+     "taxi 0: node 50 is outside 1..9"),
+    (FleetState([50], [0], {}, 1), [(STAY,)], IllegalControl,
+     "taxi 0: node 50 is outside 1..9"),
+    (FleetState([-1], [0], {}, 1), [(MOVE, 6)], IllegalControl,
+     "taxi 0: node -1 is outside 1..9"),
+    (FleetState([1], [-1], {}, 1), [(HOP, 2)], IllegalControl,
+     "taxi 0: node 1 or dropoff -1 is outside 1..9"),
+    (FleetState([-1], [3], {}, 1), [(HOP, 6)], IllegalControl,
+     "taxi 0: node -1 or dropoff 3 is outside 1..9"),
+    (FleetState([1], [0], {5: Request(5, 1, 99)}, 1), [(PICKUP, 5)], SimError,
+     "request 5: dropoff 99 is outside 1..9"),
+], ids=["key-not-its-id", "dropoff-off-the-graph", "taxi-off-the-graph",
+        "taxi-off-the-graph-stays", "negative-taxi-moves", "negative-dropoff",
+        "negative-occupied-taxi", "picked-up-dropoff-off-the-graph"])
 def test_state_with_a_wrong_id_or_an_off_graph_node_is_rejected(grid3, state, control, error,
                                                                  message):
     with pytest.raises(error) as info:
         transition(state, control, [], grid3)
     assert type(info.value) is error and str(info.value) == message
     assert str(compare_with_reference(state, control, [], grid3)) == message
-
-
-def test_stale_in_service_entry_is_rejected_under_rollout(grid3):
-    """A free taxi with a left-over in_service entry: rollout plans a move
-    for it, and transition names the taxi instead of keeping the entry."""
-    s = FleetState([1, 5], [0, 0], {3: Request(3, 2, 9)}, {0: (7, 9)}, 1)
-    policy = RolloutPolicy(grid3, synthetic_model(grid3, 1.0), RolloutConfig(t_h=3, num_mc=4))
-    policy.reset(1)
-    control, _ = policy.control(s)
-    assert_illegal(s, control, grid3, 0, "timer 0 but an in_service entry")
 
 
 def test_duplicate_pickup_rejected(grid3):
@@ -157,7 +137,7 @@ def test_duplicate_pickup_rejected(grid3):
 def test_occupied_taxi_on_its_dropoff_raises_same_node(grid3):
     """An inconsistent state: the taxi is occupied but already on its dropoff.
     Its next-hop entry is 0, which must never move it to the padding node."""
-    s = make_state([5, 1], timers=[1, 0], in_service={0: (7, 5)})
+    s = make_state([5, 1], dropoffs=[5, 0])
     for hop in (0, 2, 4):
         with pytest.raises(SameNode):
             transition(s, [(HOP, hop), (STAY,)], [], grid3)
@@ -172,8 +152,8 @@ def random_joint_control(rnd, state, graph):
     for l in range(state.m):
         loc = state.locations[l]
         here = [rid for rid, r in state.outstanding.items() if r.pickup == loc]
-        if state.timers[l] > 0:
-            legal = [(HOP, graph.next_hop(loc, state.in_service[l][1]))]
+        if state.dropoffs[l]:
+            legal = [(HOP, graph.next_hop(loc, state.dropoffs[l]))]
             illegal = [(STAY,), (MOVE, graph.adj[loc][0]), (PICKUP, 1),
                        (HOP, rnd.randint(1, graph.n))]
         else:
@@ -192,7 +172,7 @@ def compare_with_reference(state, control, arrivals, graph):
     that both give the same state."""
     try:
         want = transition_reference(state, control, arrivals, graph)
-    except SimError as exc:
+    except FleetrollError as exc:
         with pytest.raises(type(exc)) as info:
             transition(state, control, arrivals, graph)
         assert str(info.value) == str(exc)
@@ -202,33 +182,27 @@ def compare_with_reference(state, control, arrivals, graph):
     got = transition(state, control, arrivals, graph)
     assert got == want
     assert list(got.outstanding.items()) == list(want.outstanding.items())
-    assert list(got.in_service.items()) == list(want.in_service.items())
     return None
 
 
 def broken_copy(rnd, state, control, arrivals, graph, fault):
     """A copy of a consistent state and its arrival batch with one fault: an
-    occupied taxi without its in_service entry ("missing"), a free taxi with
-    one ("stale"), both at once ("swap"), an entry past the fleet ("past"), a
-    timer that misses its dropoff ("timer"), an arrival whose id is already
-    outstanding or in the batch ("repeat"), one off the graph ("off-graph"), an
-    outstanding request, one the control picks up if it can, kept under another
-    key ("key"), a taxi above node n ("taxi-above-n"), or an occupied taxi's
-    dropoff above it ("dropoff-above-n")."""
-    state = FleetState(list(state.locations), list(state.timers), dict(state.outstanding),
-                       dict(state.in_service), state.clock)
+    occupied taxi that stands on its dropoff ("on-its-dropoff"), an occupied
+    taxi's dropoff below 1 ("negative-dropoff") or above n
+    ("dropoff-above-n"), a taxi below node 1 ("taxi-below-1") or above n
+    ("taxi-above-n"), an arrival whose id is already outstanding or in the
+    batch ("repeat"), one off the graph ("off-graph"), or an outstanding
+    request, one the control picks up if it can, kept under another key
+    ("key")."""
+    state = FleetState(list(state.locations), list(state.dropoffs), dict(state.outstanding),
+                       state.clock)
     arrivals = list(arrivals)
-    busy = [l for l in range(state.m) if state.timers[l] > 0]
-    free = [l for l in range(state.m) if state.timers[l] == 0]
-    if fault in ("missing", "swap") and busy:
-        del state.in_service[rnd.choice(busy)]
-    if fault in ("stale", "swap") and free:
-        state.in_service[rnd.choice(free)] = (7, rnd.randint(1, graph.n))
-    if fault == "past":
-        state.in_service[state.m + rnd.randint(0, 2)] = (7, rnd.randint(1, graph.n))
-    if fault == "timer" and busy:
+    busy = [l for l in range(state.m) if state.dropoffs[l]]
+    if fault == "on-its-dropoff" and busy:
         l = rnd.choice(busy)
-        state.timers[l] = 1 if state.timers[l] > 1 else 2
+        state.locations[l] = state.dropoffs[l]
+    if fault == "negative-dropoff" and busy:
+        state.dropoffs[rnd.choice(busy)] = -rnd.randint(1, 3)
     if fault == "repeat":
         rid = rnd.choice([*state.outstanding, *(r.id for r in arrivals), 950])
         arrivals += [Request(rid, 1, 1)] * 2
@@ -241,9 +215,10 @@ def broken_copy(rnd, state, control, arrivals, graph, fault):
         state.outstanding[rid] = state.outstanding[rid]._replace(id=rid + 1000)
     if fault == "taxi-above-n":
         state.locations[rnd.randrange(state.m)] = graph.n + rnd.randint(1, 3)
+    if fault == "taxi-below-1":
+        state.locations[rnd.randrange(state.m)] = -rnd.randint(1, 3)
     if fault == "dropoff-above-n" and busy:
-        l = rnd.choice(busy)
-        state.in_service[l] = (state.in_service[l][0], graph.n + rnd.randint(1, 3))
+        state.dropoffs[rnd.choice(busy)] = graph.n + rnd.randint(1, 3)
     return state, arrivals
 
 
@@ -260,10 +235,10 @@ def test_transition_equals_reference_on_random_controls(make_graph):
     rnd = random.Random(graph.n)
     fault_rnd = random.Random(-graph.n)
     probe_rnd = random.Random(1000 + graph.n)
-    faults = ["missing", "stale", "swap", "past", "timer", "repeat", "off-graph"]
+    faults = ["on-its-dropoff", "negative-dropoff", "taxi-below-1", "repeat", "off-graph"]
     probes = ["key", "taxi-above-n", "dropoff-above-n"]
     outcomes = {"state": 0, "illegal": 0}
-    broken = {"entry": 0, "timer": 0, "arrival": 0}
+    broken = {"on-its-dropoff": 0, "negative": 0, "arrival": 0}
     probed = {"key": 0, "node": 0}
     for case in range(300):
         state = random_fleet_state(rnd, graph, rnd.randint(1, 12), rnd.randint(0, 8))
@@ -280,10 +255,10 @@ def test_transition_equals_reference_on_random_controls(make_graph):
         bad_state, bad_arrivals = broken_copy(fault_rnd, state, control, arrivals, graph,
                                               faults[case % len(faults)])
         exc = compare_with_reference(bad_state, control, bad_arrivals, graph)
-        if isinstance(exc, IllegalControl) and "in_service entry" in exc.reason:
-            broken["entry"] += 1
-        elif isinstance(exc, IllegalControl) and "is at distance" in exc.reason:
-            broken["timer"] += 1
+        if isinstance(exc, SameNode):
+            broken["on-its-dropoff"] += 1
+        elif isinstance(exc, IllegalControl) and "is outside" in exc.reason:
+            broken["negative"] += 1
         elif exc is not None and str(exc).startswith("request"):
             broken["arrival"] += 1
         bad_state, bad_arrivals = broken_copy(probe_rnd, state, control, arrivals, graph,
@@ -291,7 +266,7 @@ def test_transition_equals_reference_on_random_controls(make_graph):
         exc = compare_with_reference(bad_state, control, bad_arrivals, graph)
         if exc is not None and str(exc).startswith("outstanding key"):
             probed["key"] += 1
-        elif isinstance(exc, IllegalControl) and "is above" in exc.reason:
+        elif isinstance(exc, IllegalControl) and "is outside" in exc.reason:
             probed["node"] += 1
     assert outcomes["state"] > 50 and outcomes["illegal"] > 50, outcomes
     assert min(broken.values()) > 20, broken
@@ -361,7 +336,7 @@ def test_taxi_moves_at_most_one_edge(grid5, model5_unit):
     model = model5_unit
     policy = IARAPolicy(grid5)
     demand = ScalarDemand(model)
-    state = FleetState([1, 13, 25], [0, 0, 0], {}, {}, 1)
+    state = FleetState([1, 13, 25], [0, 0, 0], {}, 1)
     rng = substream(4, 1)
     rng_req = substream(4, 2)
     rid = 1
