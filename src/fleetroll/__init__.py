@@ -3,7 +3,7 @@ two-phase multiagent rollout planning, and fleet-size stability analysis."""
 
 from .errors import FleetrollError
 from .graph import CityGraph, grid_graph, load_graph
-from .demand import (DemandModel, Request, estimate_from_trips, expectation_terms,
+from .demand import (DemandModel, estimate_from_trips, expectation_terms,
                      sample_arrivals, sample_request, certainty_equivalence_requests,
                      synthetic_model)
 from .sim import FleetState, EpisodeTrace, transition, run_episode, service_distance

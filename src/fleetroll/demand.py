@@ -16,7 +16,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
 from numbers import Integral
-from typing import NamedTuple
 
 import numpy as np
 
@@ -40,13 +39,6 @@ class InvalidNode(DemandError):
 
 class DomainMismatch(DemandError):
     pass
-
-
-class Request(NamedTuple):
-    """A request is its (id, pickup, dropoff) tuple, as a lookahead scenario's requests are."""
-    id: int
-    pickup: int
-    dropoff: int
 
 
 @dataclass(frozen=True)
@@ -252,9 +244,9 @@ def sample_request(model: DemandModel, rng, count: int):
     return model.requests_at(us[0::2], us[1::2])
 
 
-def certainty_equivalence_requests(model: DemandModel, t_h: int, rng) -> list[Request]:
+def certainty_equivalence_requests(model: DemandModel, t_h: int, rng) -> list[tuple]:
     """One nominal future scenario: the round(t_h * E[eta]) synthetic requests
-    expected over the next t_h steps.
+    expected over the next t_h steps, as (id, pickup, dropoff) tuples.
 
     The requests carry negative ids so they can share matching pools with real
     requests without colliding; they are planning-only and never simulated.
@@ -263,7 +255,7 @@ def certainty_equivalence_requests(model: DemandModel, t_h: int, rng) -> list[Re
         raise DemandError(f"planning horizon must be >= 1, got {t_h}")
     count = int(round(t_h * model.e_eta))
     pickups, dropoffs = sample_request(model, rng, count)
-    return list(map(Request, range(-1, -count - 1, -1), pickups.tolist(), dropoffs.tolist()))
+    return list(zip(range(-1, -count - 1, -1), pickups.tolist(), dropoffs.tolist()))
 
 
 def estimate_from_trips(trips, graph, horizon: int | None = None) -> DemandModel:

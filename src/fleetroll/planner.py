@@ -66,7 +66,7 @@ def high_level_plan(state, graph, pspec, model, t_h, prev: HighLevelPlan, seed) 
     pool += certainty_equivalence_requests(model, t_h, substream(seed, NS_CE, state.clock))
     matched = match_free_to_requests(graph, free, pool)
     for taxi in sorted(matched):
-        pickup = matched[taxi].pickup
+        pickup = matched[taxi][1]
         loc = state.locations[taxi]
         if pspec.sector_of(loc) == pspec.sector_of(pickup):
             continue
@@ -87,7 +87,7 @@ def split_state(state, pspec, exclude):
     out = {}
     for k, ids in by_sector.items():
         outstanding = {rid: req for rid, req in state.outstanding.items()
-                       if pspec.sector_of(req.pickup) == k}
+                       if pspec.sector_of(req[1]) == k}
         sub = FleetState([state.locations[l] for l in ids], [state.dropoffs[l] for l in ids],
                          outstanding, state.clock)
         out[k] = (sub, ids)

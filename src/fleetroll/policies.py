@@ -3,17 +3,18 @@ instantaneous assignment with commitment, and instantaneous assignment with
 reassignment (IA-RA).
 
 Each policy maps a fleet state to one joint control. The matching-based
-policies report their request->taxi pairing alongside the control so the
-episode runner can record each request's latest assignee for service
-distances.
+policies report their request->taxi pairing, naming every request the
+control picks up, so the episode runner can record each request's latest
+assignee for service distances; greedy reports None.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from .graph import SameNode
 from .matching import auction_match
-from .sim import HOP, MOVE, PICKUP, STAY, substream, NS_POLICY
+from .sim import HOP, MOVE, PICKUP, STAY, IllegalControl, substream, NS_POLICY
 
 
 @lru_cache(maxsize=8)
@@ -25,30 +26,38 @@ def _node_actions(n):
 
 
 def _controls(state, graph, choose):
-    """Joint control and targets from one pass over the fleet: each occupied
-    taxi takes its forced hop toward its dropoff, each free taxi stays. While
-    requests are outstanding, choose(free) gets the free taxis as ascending
-    (taxi index, node) pairs and returns targets ({taxi index: Request}): a
-    free taxi picks its target up when co-located, else moves one hop toward
-    it. Hops override targets of occupied taxis; both read the next-hop rows."""
-    nxt = graph._next
-    hops, moves = _node_actions(graph.n)
+    """Joint control and assignment map from one pass over the fleet: each
+    occupied taxi takes its forced hop toward its dropoff (an IllegalControl
+    names one on a node or toward a dropoff outside 1..n), each free taxi
+    stays. While requests are outstanding, choose(free) gets the free taxis
+    as ascending (taxi index, node) pairs and returns targets ({taxi index:
+    request}), each entered in the map as {request id: taxi index}: a free
+    taxi picks its target up when co-located, else moves one hop toward it.
+    Hops override targets of occupied taxis; both read the next-hop rows."""
+    nxt, n = graph._next, graph.n
+    hops, moves = _node_actions(n)
     locs, dropoffs = state.locations, state.dropoffs
     control = [(STAY,)] * len(locs)
     free = []
-    for l, dropoff in enumerate(dropoffs):
-        loc = locs[l]
-        if dropoff:
-            # A 0 entry (a taxi already on its dropoff) lets next_hop raise SameNode.
-            control[l] = hops[nxt[loc][dropoff] or graph.next_hop(loc, dropoff)]
-        else:
-            free.append((l, loc))
-    targets = choose(free) if state.outstanding else {}
-    for l, req in targets.items():
-        if not dropoffs[l]:
+    try:
+        for l, dropoff in enumerate(dropoffs):
             loc = locs[l]
-            control[l] = (PICKUP, req.id) if loc == req.pickup else moves[nxt[loc][req.pickup]]
-    return control, targets
+            if dropoff:
+                control[l] = hops[nxt[loc][dropoff] or graph.next_hop(loc, dropoff)]
+            else:
+                free.append((l, loc))
+    except (IndexError, SameNode):  # a node above n, or a 0 entry: node 0 or on its dropoff
+        if 0 < loc == dropoff <= n:
+            raise
+        raise IllegalControl(l, f"node {loc} or dropoff {dropoff} is outside 1..{n}") from None
+    assigned = {}
+    if state.outstanding:
+        for l, (rid, pickup, _) in choose(free).items():
+            assigned[rid] = l
+            if not dropoffs[l]:
+                loc = locs[l]
+                control[l] = (PICKUP, rid) if loc == pickup else moves[nxt[loc][pickup]]
+    return control, assigned
 
 
 def match_free_to_requests(graph, free, requests):
@@ -56,15 +65,15 @@ def match_free_to_requests(graph, free, requests):
     one dispatch matcher, used by IA-RA, IA-commit and the two-phase
     planner's high-level plan.
 
-    free: list of (taxi index, node); requests: list of Request. Returns
-    {taxi index: Request}. Costs are taxi-to-pickup distances gathered from
-    the graph's distance array, taxis by pickups; the smaller side forms the
-    rows, so the solver gets the block's transpose when requests are fewer.
+    free: list of (taxi index, node); requests: list of (id, pickup, dropoff).
+    Returns {taxi index: request}. Costs are taxi-to-pickup distances gathered
+    from the graph's distance array, taxis by pickups; the smaller side forms
+    the rows, so the solver gets the block's transpose when requests are fewer.
     """
     if not free or not requests:
         return {}
     cost = graph.dist_array.take([loc for _, loc in free], 0).take(
-        [r.pickup for r in requests], 1)
+        [r[1] for r in requests], 1)
     if len(free) <= len(requests):
         return {free[i][0]: requests[j] for i, j in enumerate(auction_match(cost))}
     return {free[j][0]: requests[i] for i, j in enumerate(auction_match(cost.T))}
@@ -75,7 +84,8 @@ def greedy_control(state, graph):
 
     No coordination: several taxis may converge on one request. Ties go to the
     smallest request id; a co-located request already claimed by a
-    lower-indexed taxi this step leaves the later taxi in place.
+    lower-indexed taxi this step leaves the later taxi in place. The map is
+    None: the runner attributes each pickup to its taxi.
     """
     requests = sorted(state.outstanding.values())
     dist = graph._dist
@@ -84,15 +94,15 @@ def greedy_control(state, graph):
         targets, claimed = {}, set()
         for l, loc in free:
             drow = dist[loc]
-            best = min(requests, key=lambda r: drow[r.pickup])  # first minimum: smallest id
-            if drow[best.pickup] == 0:
-                if best.id in claimed:
+            best = min(requests, key=lambda r: drow[r[1]])  # first minimum: smallest id
+            if drow[best[1]] == 0:
+                if best[0] in claimed:
                     continue
-                claimed.add(best.id)
+                claimed.add(best[0])
             targets[l] = best
         return targets
 
-    return _controls(state, graph, nearest)[0], {}
+    return _controls(state, graph, nearest)[0], None
 
 
 def ia_ra_control(state, graph):
@@ -102,9 +112,7 @@ def ia_ra_control(state, graph):
     one hop toward (or pick up) their request, unmatched free taxis stay.
     """
     requests = sorted(state.outstanding.values())
-    control, matched = _controls(state, graph,
-                                 lambda free: match_free_to_requests(graph, free, requests))
-    return control, {req.id: taxi for taxi, req in matched.items()}
+    return _controls(state, graph, lambda free: match_free_to_requests(graph, free, requests))
 
 
 def ia_commit_control(state, graph, memory):
@@ -118,16 +126,15 @@ def ia_commit_control(state, graph, memory):
     for l in [l for l, rid in memory.items() if rid not in state.outstanding]:
         del memory[l]  # picked up: released
     taken = set(memory.values())
-    requests = [r for r in sorted(state.outstanding.values()) if r.id not in taken]
+    requests = [r for r in sorted(state.outstanding.values()) if r[0] not in taken]
 
     def commit(free):
         uncommitted = [(l, loc) for l, loc in free if l not in memory]
         for taxi, req in match_free_to_requests(graph, uncommitted, requests).items():
-            memory[taxi] = req.id
+            memory[taxi] = req[0]
         return {l: state.outstanding[rid] for l, rid in memory.items()}
 
-    control, _ = _controls(state, graph, commit)
-    return control, {rid: taxi for taxi, rid in memory.items()}
+    return _controls(state, graph, commit)
 
 
 def random_ia_control(state, graph, rng, memory):
@@ -152,8 +159,7 @@ def random_ia_control(state, graph, rng, memory):
         return {l: state.outstanding[rid] for l, rid in memory.items()
                 if rid in state.outstanding}
 
-    control, targets = _controls(state, graph, bind)
-    return control, {req.id: taxi for taxi, req in targets.items()}
+    return _controls(state, graph, bind)
 
 
 class _BasePolicy:

@@ -29,9 +29,9 @@ The base policy is IA-RA (`policies.ia_ra_control`). A taxi's candidates are
 scored in one call, `_candidate_costs`, which steps the other taxis once, adds
 each candidate's own action and continues per scenario on flat lists
 (`_trajectory_cost`): free taxis and outstanding requests, the state's own
-`Request` tuples and the scenarios' plain (id, pickup, dropoff) ones, are kept
-sorted as events change them, and an occupied taxi is only looked at again
-when its trip ends. Matchings are IA-RA's, solved by linear_sum_assignment
+and the scenarios', all (id, pickup, dropoff) tuples, are kept sorted as
+events change them, and an occupied taxi is only looked at again when its
+trip ends. Matchings are IA-RA's, solved by linear_sum_assignment
 (`auction_match`) on a cost block gathered from the distance table, and
 skipped only where the answer is certain: a matching with a single taxi or
 request, and a last step in which no free taxi stands on an outstanding
@@ -205,11 +205,11 @@ def _candidate_costs(state, joint, l, cands, scenarios, graph, t_h, inbound=()):
     nodes = [locs[l] if act[0] == STAY else act[1] for act in cands if act[0] != PICKUP]
     starts = []  # (start, group) of each pickup, then of the stays and moves
     for _, rid in cands[:len(cands) - len(nodes)]:
-        req = state.outstanding[rid]
-        trip = dist[req.pickup][req.dropoff]
+        _, pickup, dropoff = state.outstanding[rid]
+        trip = dist[pickup][dropoff]
         k = taken.get(rid)  # a later taxi that took it is free where it stands
         after_locs, after_free, after_released = list(locs), list(free), dict(released)
-        after_locs[l] = req.dropoff
+        after_locs[l] = dropoff
         if k is not None:
             after_locs[k] = state.locations[k]
         if (joins := l if trip == 0 else k) is not None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .demand import Request, sample_arrivals, sample_request
+from .demand import sample_arrivals, sample_request
 from .errors import FleetrollError
 
 # Per-taxi actions. Free taxis may move to a neighbor, stay, or pick up a
@@ -37,8 +37,8 @@ NS_LOOKAHEAD = 4
 NS_CE = 5
 
 # Bytes an episode can hold per request, every request outstanding at once:
-# its drawn nodes, its Request in the state and in the transition's copy,
-# and its `assigned` entry. tests/test_sim.py measures it with tracemalloc.
+# its drawn nodes, its (id, pickup, dropoff) tuple in the state and in the
+# transition's copy, and its `assigned` entry; tests/test_sim.py measures it.
 REQUEST_BYTES = 512
 
 
@@ -71,7 +71,7 @@ class FleetState:
 
     locations: list      # node per taxi
     dropoffs: list       # dropoff node of each taxi's trip (0 = free)
-    outstanding: dict    # request id -> its Request (id, pickup, dropoff), not picked up
+    outstanding: dict    # request id -> its (id, pickup, dropoff) tuple, not picked up
     clock: int
 
     @property
@@ -106,7 +106,7 @@ def transition(state: FleetState, control, arrivals, graph) -> FleetState:
         if dropoff:
             if kind != HOP:
                 raise IllegalControl(l, f"occupied taxi got '{kind}'")
-            if loc < 0 or dropoff < 0:
+            if loc < 1 or dropoff < 0:
                 raise IllegalControl(l, f"node {loc} or dropoff {dropoff} is outside 1..{n}")
             try:  # a 0 entry (a taxi already on its dropoff) lets next_hop raise SameNode
                 hop = nxt[loc][dropoff] or graph.next_hop(loc, dropoff)
@@ -130,25 +130,26 @@ def transition(state: FleetState, control, arrivals, graph) -> FleetState:
             req = outstanding.pop(act[1], None)
             if req is None:
                 raise IllegalControl(l, f"request {act[1]} is not outstanding")
-            if req.id != act[1]:
-                raise SimError(f"outstanding key {act[1]} holds request {req.id}")
-            if req.pickup != loc:
-                raise IllegalControl(l, f"request {act[1]} picks up at {req.pickup}, taxi at {loc}")
-            if not 0 < req.dropoff <= n:
-                raise SimError(f"request {req.id}: dropoff {req.dropoff} is outside 1..{n}")
-            if req.dropoff != loc:
-                dropoffs[l] = req.dropoff
+            rid, pickup, dropoff = req
+            if rid != act[1]:
+                raise SimError(f"outstanding key {act[1]} holds request {rid}")
+            if pickup != loc:
+                raise IllegalControl(l, f"request {rid} picks up at {pickup}, taxi at {loc}")
+            if not 0 < dropoff <= n:
+                raise SimError(f"request {rid}: dropoff {dropoff} is outside 1..{n}")
+            if dropoff != loc:
+                dropoffs[l] = dropoff
         elif kind == HOP:
             raise IllegalControl(l, "free taxi got a forced hop")
         else:
             raise IllegalControl(l, f"unknown action '{kind}'")
     for req in arrivals:
-        if req.id in outstanding:
-            raise SimError(f"request {req.id}: id is already outstanding")
-        if not (0 < req.pickup <= n and 0 < req.dropoff <= n):
-            raise SimError(f"request {req.id}: pickup {req.pickup} or dropoff {req.dropoff} "
-                           f"is outside 1..{n}")
-        outstanding[req.id] = req
+        rid, pickup, dropoff = req
+        if rid in outstanding:
+            raise SimError(f"request {rid}: id is already outstanding")
+        if not (0 < pickup <= n and 0 < dropoff <= n):
+            raise SimError(f"request {rid}: pickup {pickup} or dropoff {dropoff} is outside 1..{n}")
+        outstanding[rid] = req
     return FleetState(locs, dropoffs, outstanding, state.clock + 1)
 
 
@@ -216,9 +217,10 @@ def run_episode(graph, model, policy, m: int, T: int, seed: int) -> EpisodeTrace
     """Run one seeded episode and capture the full trace.
 
     `policy` implements reset(seed) and control(state) -> (joint control,
-    assignment map or None); the assignment map (request id -> taxi) feeds
-    the trace's `assigned` record. Identical seeds give bit-identical traces
-    apart from wall-clock timings.
+    assignment map or None). The map (request id -> taxi) feeds the trace's
+    `assigned` record, so it must name every request the control picks up;
+    with None, each pickup is attributed to its taxi. Identical seeds give
+    bit-identical traces apart from wall-clock timings.
     """
     if m < 1 or T < 1:
         raise SimError("fleet size and horizon must be >= 1")
@@ -252,27 +254,26 @@ def run_episode(graph, model, policy, m: int, T: int, seed: int) -> EpisodeTrace
         plan_ms.append((time.perf_counter() - t0) * 1000.0)
 
         locations = state.locations
-        if assignments:
+        if assignments is None:
+            # greedy, rollout and two-phase: the assignment is made at pickup
+            for l, act in enumerate(control):
+                if act[0] == PICKUP and act[1] not in assigned:
+                    assigned[act[1]] = (l, locations[l])
+        else:
             for rid, taxi in assignments.items():
                 # planning phantoms (negative ids) never enter the record
                 if rid >= 0 and (rid not in assigned or assigned[rid][0] != taxi):
                     assigned[rid] = (taxi, locations[taxi])
 
-        picked = [(l, act[1]) for l, act in enumerate(control) if act[0] == PICKUP]
-        for l, rid in picked:
-            if rid not in assigned:
-                # policies without explicit matchings (greedy, rollout,
-                # two-phase) attribute the assignment at pickup time
-                assigned[rid] = (l, locations[l])
-
         eta = counts[t - 1]
-        batch = list(map(Request, range(arrived + 1, arrived + eta + 1),
+        batch = list(zip(range(arrived + 1, arrived + eta + 1),
                          origins[arrived:arrived + eta], dests[arrived:arrived + eta]))
         arrived += eta
 
-        steps.append(StepRecord(t, n_out, arrived_now, len(picked), free))
         trace.controls.append(list(control))
         state = transition(state, control, batch, graph)
+        # each pickup left the outstanding set, each arrival joined it
+        steps.append(StepRecord(t, n_out, arrived_now, n_out + eta - len(state.outstanding), free))
         arrived_now = eta
 
     trace.cost = sum(trace.stage_costs)

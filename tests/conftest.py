@@ -64,7 +64,6 @@ def random_fleet_state(rnd, graph, m, n_requests, busy=0.4, colocated=0.3):
     `colocated` share of the requests pick up where a free taxi stands, the
     rest at random nodes, and some trips have zero length."""
     from fleetroll import FleetState
-    from fleetroll.demand import Request
 
     locs = [rnd.randint(1, graph.n) for _ in range(m)]
     dropoffs = [0] * m
@@ -83,7 +82,7 @@ def random_fleet_state(rnd, graph, m, n_requests, busy=0.4, colocated=0.3):
         else:
             pickup = rnd.randint(1, graph.n)
         dropoff = pickup if rnd.random() < 0.1 else rnd.randint(1, graph.n)
-        outstanding[rid] = Request(rid, pickup, dropoff)
+        outstanding[rid] = (rid, pickup, dropoff)
     # dict order is not id order, as after reassignments and arrivals
     items = list(outstanding.items())
     rnd.shuffle(items)

@@ -11,7 +11,7 @@ from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path as csgraph_shortest_path
 
-from fleetroll.demand import Request, certainty_equivalence_requests
+from fleetroll.demand import certainty_equivalence_requests
 from fleetroll.matching import auction_match
 from fleetroll.planner import HighLevelPlan, TransitRoute, TwoPhasePolicy
 from fleetroll.policies import ia_ra_control
@@ -216,11 +216,8 @@ def lookahead_cost(state, joint, batches, graph, t_h, inbound=()):
     scheduled to enter this state's region; each becomes a free taxi in the
     simulated trajectory when its clock comes up.
     """
-    def arrivals(i):
-        return [Request(*r) for r in batches[i]]
-
     cost = len(state.outstanding)
-    cur = transition(state, joint, arrivals(0), graph)
+    cur = transition(state, joint, batches[0], graph)
     cost += len(cur.outstanding)
     for i in range(1, t_h + 1):
         for when, node in inbound:
@@ -228,7 +225,7 @@ def lookahead_cost(state, joint, batches, graph, t_h, inbound=()):
                 cur = FleetState(cur.locations + [node], cur.dropoffs + [0],
                                  cur.outstanding, cur.clock)
         ctrl, _ = ia_ra_control(cur, graph)
-        cur = transition(cur, ctrl, arrivals(i), graph)
+        cur = transition(cur, ctrl, batches[i], graph)
         cost += len(cur.outstanding)
     return cost
 
@@ -317,10 +314,10 @@ def high_level_plan_reference(state, graph, pspec, model, t_h, prev, seed):
     pool += certainty_equivalence_requests(model, t_h, substream(seed, NS_CE, state.clock))
     if not free or not pool:
         return HighLevelPlan(transit)
-    cost = [[graph.distance(state.locations[l], r.pickup) for r in pool] for l in free]
+    cost = [[graph.distance(state.locations[l], r[1]) for r in pool] for l in free]
     matched = min_cost_assignment(AssignmentProblem(cost, row_ids=free))
     for taxi, col in matched.pairs:
-        pickup = pool[col].pickup
+        pickup = pool[col][1]
         loc = state.locations[taxi]
         if pspec.sector_of(loc) != pspec.sector_of(pickup):
             dest = pspec.entry_point(graph, loc, pickup)
@@ -469,7 +466,7 @@ def scalar_ce_requests(model, t_h, rng):
     """`certainty_equivalence_requests` one request at a time."""
     count = int(round(t_h * model.e_eta))
     demand = ScalarDemand(model)
-    return [Request(-(i + 1), *demand.request(rng)) for i in range(count)]
+    return [(-(i + 1), *demand.request(rng)) for i in range(count)]
 
 
 def scalar_generate_trips(model, horizon, seed):
@@ -484,10 +481,10 @@ def scalar_generate_trips(model, horizon, seed):
 
 
 def scalar_episode_draws(model, m, T, seed):
-    """The initial locations, the requests (id -> Request) and the arrival
-    counts of steps 1..T-1 that a seeded `run_episode` of horizon T draws,
-    one value at a time: counts on the arrivals stream, requests on the
-    requests stream."""
+    """The initial locations, the requests (id -> (id, pickup, dropoff)) and
+    the arrival counts of steps 1..T-1 that a seeded `run_episode` of horizon
+    T draws, one value at a time: counts on the arrivals stream, requests on
+    the requests stream."""
     demand = ScalarDemand(model)
     init_rng = substream(seed, NS_INIT)
     arr_rng, req_rng = substream(seed, NS_ARRIVALS), substream(seed, NS_REQUESTS)
@@ -498,7 +495,7 @@ def scalar_episode_draws(model, m, T, seed):
         counts.append(demand.eta.draw(arr_rng))
         for _ in range(counts[-1]):
             rid = len(requests) + 1
-            requests[rid] = Request(rid, *demand.request(req_rng))
+            requests[rid] = (rid, *demand.request(req_rng))
     return locations, requests, counts
 
 
@@ -613,12 +610,12 @@ def transition_reference(state, control, arrivals, graph):
     every hop from graph.next_hop, every trip length from graph.distance.
     The reference for the production step's states, IllegalControl (taxi,
     reason) pairs and SimError messages. An occupied taxi's action is checked
-    first, then its node and dropoff, then, by graph.next_hop, that it does
-    not stand on its dropoff (SameNode; also for a taxi at node 0, whose
-    next-hop row is all 0s), then its hop. A free taxi's node is checked
-    before its action. A pickup whose outstanding key is not its request's
-    id, or whose request's dropoff is outside 1..n, is a SimError naming the
-    request. Arrivals are checked last."""
+    first, then its node and dropoff (node 0 included), then, by
+    graph.next_hop, that it does not stand on its dropoff (SameNode), then
+    its hop. A free taxi's node is checked before its action. A pickup whose
+    outstanding key is not its request's id, or whose request's dropoff is
+    outside 1..n, is a SimError naming the request. Arrivals are checked
+    last."""
     m = len(state.locations)
     if len(control) != m:
         raise SimError(f"control has {len(control)} actions for {m} taxis")
@@ -633,7 +630,7 @@ def transition_reference(state, control, arrivals, graph):
         if dropoff != 0:
             if kind != HOP:
                 raise IllegalControl(l, f"occupied taxi got '{kind}'")
-            if loc < 0 or dropoff < 0 or loc > n or dropoff > n:
+            if not (1 <= loc <= n and 1 <= dropoff <= n):
                 raise IllegalControl(l, f"node {loc} or dropoff {dropoff} is outside 1..{n}")
             hop = graph.next_hop(loc, dropoff)
             if act[1] != hop:
@@ -653,26 +650,26 @@ def transition_reference(state, control, arrivals, graph):
             req = outstanding.get(act[1])
             if req is None:
                 raise IllegalControl(l, f"request {act[1]} is not outstanding")
-            if req.id != act[1]:
-                raise SimError(f"outstanding key {act[1]} holds request {req.id}")
-            if req.pickup != loc:
-                raise IllegalControl(l, f"request {act[1]} picks up at {req.pickup}, taxi at {loc}")
-            if not 1 <= req.dropoff <= n:
-                raise SimError(f"request {req.id}: dropoff {req.dropoff} is outside 1..{n}")
+            if req[0] != act[1]:
+                raise SimError(f"outstanding key {act[1]} holds request {req[0]}")
+            if req[1] != loc:
+                raise IllegalControl(l, f"request {act[1]} picks up at {req[1]}, taxi at {loc}")
+            if not 1 <= req[2] <= n:
+                raise SimError(f"request {req[0]}: dropoff {req[2]} is outside 1..{n}")
             del outstanding[act[1]]
-            if graph.distance(req.pickup, req.dropoff) > 0:
-                dropoffs[l] = req.dropoff
+            if graph.distance(req[1], req[2]) > 0:
+                dropoffs[l] = req[2]
         elif kind == HOP:
             raise IllegalControl(l, "free taxi got a forced hop")
         else:
             raise IllegalControl(l, f"unknown action '{kind}'")
     for req in arrivals:
-        if req.id in outstanding:
-            raise SimError(f"request {req.id}: id is already outstanding")
-        if not (1 <= req.pickup <= n and 1 <= req.dropoff <= n):
-            raise SimError(f"request {req.id}: pickup {req.pickup} or dropoff {req.dropoff} "
+        if req[0] in outstanding:
+            raise SimError(f"request {req[0]}: id is already outstanding")
+        if not (1 <= req[1] <= n and 1 <= req[2] <= n):
+            raise SimError(f"request {req[0]}: pickup {req[1]} or dropoff {req[2]} "
                            f"is outside 1..{n}")
-        outstanding[req.id] = req
+        outstanding[req[0]] = req
     return FleetState(locs, dropoffs, outstanding, state.clock + 1)
 
 
@@ -682,9 +679,9 @@ def forced_hop_action(state, graph, taxi):
 
 
 def _toward_reference(graph, loc, req):
-    if loc == req.pickup:
-        return (PICKUP, req.id)
-    return (MOVE, graph.next_hop(loc, req.pickup))
+    if loc == req[1]:
+        return (PICKUP, req[0])
+    return (MOVE, graph.next_hop(loc, req[1]))
 
 
 def controls_reference(state, graph, targets):
@@ -707,7 +704,7 @@ def match_free_to_requests_reference(graph, free, requests):
     if not free or not requests:
         return {}
     locs = np.array([loc for _, loc in free])
-    approach = graph.dist_array[locs[:, None], np.array([r.pickup for r in requests])]
+    approach = graph.dist_array[locs[:, None], np.array([r[1] for r in requests])]
     if len(free) <= len(requests):
         cols = auction_match(approach)
         return {free[i][0]: requests[j] for i, j in enumerate(cols)}
@@ -740,7 +737,7 @@ def ia_ra_control_reference(state, graph):
     requests = [state.outstanding[rid] for rid in sorted(state.outstanding)]
     free = [(l, state.locations[l]) for l in range(state.m) if state.dropoffs[l] == 0]
     matched = match_free_to_requests_reference(graph, free, requests)
-    assignments = {req.id: taxi for taxi, req in matched.items()}
+    assignments = {req[0]: taxi for taxi, req in matched.items()}
     return controls_reference(state, graph, matched), assignments
 
 
@@ -761,16 +758,16 @@ def greedy_control_reference(state, graph):
             continue
         loc = state.locations[l]
         drow = dist[loc]
-        best = min(requests, key=lambda r: (drow[r.pickup], r.id))
-        if drow[best.pickup] == 0:
-            if best.id in claimed:
+        best = min(requests, key=lambda r: (drow[r[1]], r[0]))
+        if drow[best[1]] == 0:
+            if best[0] in claimed:
                 control.append((STAY,))
             else:
-                claimed.add(best.id)
-                control.append((PICKUP, best.id))
+                claimed.add(best[0])
+                control.append((PICKUP, best[0]))
         else:
-            control.append((MOVE, graph.next_hop(loc, best.pickup)))
-    return control, {}
+            control.append((MOVE, graph.next_hop(loc, best[1])))
+    return control, None
 
 
 class RecordingPolicy:
@@ -795,11 +792,11 @@ class RecordingPolicy:
 def service_distance_reference(graph, requests, log):
     """(total, unassigned ids, assignment events) of the service distance by
     the event-history rule, replayed from a RecordingPolicy's log over
-    `requests` (id -> Request). A request gets an event (step, taxi, the
-    taxi's node) whenever its reported assignee differs from the last one
-    reported; a request picked up without any event gets one at its pickup.
-    Each assigned request counts the distance from its last event's node to
-    its pickup, plus its trip."""
+    `requests` (id -> (id, pickup, dropoff)). A request gets an event (step,
+    taxi, the taxi's node) whenever its reported assignee differs from the
+    last one reported; a request picked up without any event gets one at its
+    pickup. Each assigned request counts the distance from its last event's
+    node to its pickup, plus its trip."""
     events, assignee = {}, {}
     for t, (state, assignments, control) in enumerate(log, start=1):
         for rid, taxi in assignments.items():
@@ -811,10 +808,10 @@ def service_distance_reference(graph, requests, log):
                 events[act[1]] = [(t, l, state.locations[l])]
     total, unassigned = 0, []
     for rid in sorted(requests):
-        r = requests[rid]
+        _, pickup, dropoff = requests[rid]
         if rid in events:
             node = events[rid][-1][2]
-            total += graph.distance(node, r.pickup) + graph.distance(r.pickup, r.dropoff)
+            total += graph.distance(node, pickup) + graph.distance(pickup, dropoff)
         else:
             unassigned.append(rid)
     return total, unassigned, events

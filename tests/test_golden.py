@@ -194,7 +194,7 @@ def test_random_ia_release_case_hits_each_release_rule():
             if act[0] != PICKUP:
                 continue
             req = state.outstanding[act[1]]
-            k = graph.distance(req.pickup, req.dropoff)
+            k = graph.distance(req[1], req[2])
             if t + 1 + k < len(log):
                 busy = [log[t + i][0].dropoffs[l] != 0 for i in range(1, k + 2)]
                 assert busy == [True] * k + [False]

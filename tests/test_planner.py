@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fleetroll.demand import (DemandModel, Request, estimate_from_trips, generate_trips,
+from fleetroll.demand import (DemandModel, estimate_from_trips, generate_trips,
                               synthetic_model)
 from fleetroll.graph import grid_graph
 from fleetroll.partition import PartitionSpec
@@ -32,14 +32,14 @@ def make_state(locs, outstanding=None, dropoffs=None, clock=1):
 
 def test_high_level_same_sector_no_action():
     g, spec = two_sector_line()
-    s = make_state([1], outstanding={1: Request(1, 2, 3)})
+    s = make_state([1], outstanding={1: (1, 2, 3)})
     plan = high_level_plan(s, g, spec, zero_model(), t_h=3, prev=HighLevelPlan(), seed=0)
     assert plan.transit == {}
 
 
 def test_high_level_cross_sector_schedules_boundary_route():
     g, spec = two_sector_line()
-    s = make_state([1], outstanding={1: Request(1, 4, 3)})
+    s = make_state([1], outstanding={1: (1, 4, 3)})
     plan = high_level_plan(s, g, spec, zero_model(), t_h=3, prev=HighLevelPlan(), seed=0)
     assert 0 in plan.transit
     route = plan.transit[0]
@@ -48,7 +48,7 @@ def test_high_level_cross_sector_schedules_boundary_route():
 
 def test_high_level_no_free_taxis_keeps_plan():
     g, spec = two_sector_line()
-    s = make_state([1], dropoffs=[3], outstanding={1: Request(1, 4, 3)})
+    s = make_state([1], dropoffs=[3], outstanding={1: (1, 4, 3)})
     prev = HighLevelPlan({5: TransitRoute(dest=3, start_clock=0, arrive_clock=1)})
     # taxi 5 does not exist in this tiny state; prune keys on locations only
     prev = HighLevelPlan()
@@ -78,8 +78,8 @@ def test_high_level_plan_matches_the_assignment_problem_path(grid5):
         for l in range(m):
             if rng.random() < 0.2:
                 dropoffs[l] = int(rng.integers(1, g.n + 1))
-        outstanding = {rid: Request(rid, int(rng.integers(1, g.n + 1)),
-                                    int(rng.integers(1, g.n + 1)))
+        outstanding = {rid: (rid, int(rng.integers(1, g.n + 1)),
+                             int(rng.integers(1, g.n + 1)))
                        for rid in range(1, int(rng.integers(0, 9)) + 1)}
         prev = HighLevelPlan({l: TransitRoute(dest=int(rng.choice([locs[l], 1])),
                                               start_clock=0, arrive_clock=0)
@@ -161,15 +161,15 @@ def test_sector_lookahead_sees_only_requests_picked_up_in_its_sector(monkeypatch
 def test_transiting_taxi_excluded_until_arrival_then_rejoins():
     g, spec = two_sector_line()
     model = zero_model()
-    s = make_state([1], outstanding={1: Request(1, 4, 3)})
+    s = make_state([1], outstanding={1: (1, 4, 3)})
     cfg = RolloutConfig(t_h=2, num_mc=1)
     plan = HighLevelPlan()
     ctrl, plan = two_phase_control(s, g, model, spec, cfg, plan, seed=0)
     assert ctrl == [(MOVE, 2)] and 0 in plan.transit
-    s2 = make_state([2], outstanding={1: Request(1, 4, 3)}, clock=2)
+    s2 = make_state([2], outstanding={1: (1, 4, 3)}, clock=2)
     ctrl2, plan2 = two_phase_control(s2, g, model, spec, cfg, plan, seed=0)
     assert ctrl2 == [(MOVE, 3)] and 0 in plan2.transit
-    s3 = make_state([3], outstanding={1: Request(1, 4, 3)}, clock=3)
+    s3 = make_state([3], outstanding={1: (1, 4, 3)}, clock=3)
     ctrl3, plan3 = two_phase_control(s3, g, model, spec, cfg, plan2, seed=0)
     assert plan3.transit == {}          # arrived: back under local control
     assert ctrl3 == [(MOVE, 4)]         # local rollout moves it to the pickup
@@ -196,7 +196,7 @@ def test_a_taxi_controlled_twice_or_not_at_all_is_an_error(monkeypatch):
 
 def test_split_state_partitions_taxis_and_requests():
     g, spec = two_sector_line()
-    reqs = {1: Request(1, 1, 4), 2: Request(2, 4, 1), 3: Request(3, 2, 3)}
+    reqs = {1: (1, 1, 4), 2: (2, 4, 1), 3: (3, 2, 3)}
     s = make_state([1, 3, 4], outstanding=reqs)
     subs = split_state(s, spec, exclude=set())
     assert set(subs) == {1, 2}
@@ -211,7 +211,7 @@ def test_split_state_partitions_taxis_and_requests():
 
 def test_sector_with_no_taxis_plans_nothing():
     g, spec = two_sector_line()
-    s = make_state([1], outstanding={2: Request(2, 4, 1)})
+    s = make_state([1], outstanding={2: (2, 4, 1)})
     subs = split_state(s, spec, exclude=set())
     assert 2 not in subs  # no taxis located in sector 2
 
@@ -274,7 +274,7 @@ def test_per_step_outstanding_decomposition(grid5):
         # requests in sectors without local taxis are not in any sub-state
         uncovered = {k for k in range(1, pol.pspec.K + 1) if k not in subs}
         for rid, r in state.outstanding.items():
-            if pol.pspec.sector_of(r.pickup) in uncovered:
+            if pol.pspec.sector_of(r[1]) in uncovered:
                 missing -= 1
         assert missing == 0
         return orig_control(state)

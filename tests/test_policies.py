@@ -4,7 +4,6 @@ import random
 import pytest
 
 from fleetroll import grid_graph
-from fleetroll.demand import Request
 from fleetroll.errors import FleetrollError
 from fleetroll.graph import SameNode
 from fleetroll.policies import (GreedyPolicy, IACommitPolicy, IARAPolicy,
@@ -24,13 +23,13 @@ def make_state(locs, outstanding=None, dropoffs=None, clock=1):
 # --- greedy ---
 
 def test_greedy_pickup_when_colocated(grid3):
-    s = make_state([5], outstanding={1: Request(1, 5, 9)})
+    s = make_state([5], outstanding={1: (1, 5, 9)})
     ctrl, _ = greedy_control(s, grid3)
     assert ctrl == [(PICKUP, 1)]
 
 
 def test_greedy_no_coordination(grid3):
-    s = make_state([1, 3], outstanding={1: Request(1, 5, 9)})
+    s = make_state([1, 3], outstanding={1: (1, 5, 9)})
     ctrl, _ = greedy_control(s, grid3)
     assert ctrl[0][0] == MOVE and ctrl[1][0] == MOVE
     assert grid3.distance(ctrl[0][1], 5) == 1
@@ -39,7 +38,7 @@ def test_greedy_no_coordination(grid3):
 
 def test_greedy_tie_breaks_smallest_request_id(grid5):
     # taxi at 13 (center), requests 3 and 7 both two hops away
-    s = make_state([13], outstanding={7: Request(7, 3, 1), 3: Request(3, 23, 1)})
+    s = make_state([13], outstanding={7: (7, 3, 1), 3: (3, 23, 1)})
     ctrl, _ = greedy_control(s, grid5)
     assert ctrl[0] == (MOVE, grid5.next_hop(13, 23))  # request id 3 wins
 
@@ -50,7 +49,7 @@ def test_greedy_stays_without_requests(grid3):
 
 
 def test_greedy_duplicate_pickup_resolved(grid3):
-    s = make_state([5, 5], outstanding={1: Request(1, 5, 9)})
+    s = make_state([5, 5], outstanding={1: (1, 5, 9)})
     ctrl, _ = greedy_control(s, grid3)
     assert ctrl == [(PICKUP, 1), (STAY,)]
 
@@ -75,7 +74,7 @@ def test_greedy_control_equals_reference_on_random_states(make_graph):
         assert len(picked) == len(set(picked))
         left_in_place += sum(
             1 for l, a in enumerate(got[0]) if a == (STAY,) and state.dropoffs[l] == 0
-            and any(r.pickup == state.locations[l] for r in state.outstanding.values()))
+            and any(r[1] == state.locations[l] for r in state.outstanding.values()))
     assert left_in_place > 10
 
 
@@ -83,7 +82,7 @@ def test_greedy_control_equals_reference_on_random_states(make_graph):
 
 def test_ia_ra_straight_matching_on_line():
     g = line_graph(4)
-    s = make_state([1, 4], outstanding={1: Request(1, 2, 2), 2: Request(2, 3, 3)})
+    s = make_state([1, 4], outstanding={1: (1, 2, 2), 2: (2, 3, 3)})
     ctrl, assigned = ia_ra_control(s, g)
     assert assigned == {1: 0, 2: 1}  # 1->2 and 4->3, total 2, no crossing
     assert ctrl == [(MOVE, 2), (MOVE, 3)]
@@ -97,10 +96,10 @@ def test_ia_ra_stays_without_requests(grid3):
 def test_ia_ra_reassigns_when_closer_request_appears():
     g = line_graph(6)
     # taxi 0 at node 1 walking toward request 1 at node 5
-    s = make_state([1, 6], outstanding={1: Request(1, 5, 1)}, dropoffs=[0, 3])
+    s = make_state([1, 6], outstanding={1: (1, 5, 1)}, dropoffs=[0, 3])
     ctrl, a1 = ia_ra_control(s, g)
     assert a1 == {1: 0}
-    s2 = make_state([2, 6], outstanding={1: Request(1, 5, 1), 2: Request(2, 1, 1)})
+    s2 = make_state([2, 6], outstanding={1: (1, 5, 1), 2: (2, 1, 1)})
     # new request at node 1; fresh matching sends taxi 1 (at 6) to 5 and taxi 0 back
     ctrl2, a2 = ia_ra_control(s2, g)
     assert a2 == {2: 0, 1: 1}
@@ -113,7 +112,7 @@ def test_ia_ra_matches_on_taxi_to_pickup_distance_on_one_way_streets():
     # is one hop away, the taxi at 4 four hops (3 is one hop from 4 only
     # against the one-way direction).
     g = ring_graph(5)
-    s = make_state([4, 2], outstanding={1: Request(1, 3, 5)})
+    s = make_state([4, 2], outstanding={1: (1, 3, 5)})
     ctrl, assigned = ia_ra_control(s, g)
     assert assigned == {1: 1}
     assert ctrl == [(STAY,), (MOVE, 3)]
@@ -122,10 +121,10 @@ def test_ia_ra_matches_on_taxi_to_pickup_distance_on_one_way_streets():
 def test_ia_commit_keeps_initial_pairing():
     g = line_graph(6)
     memory = {}
-    s = make_state([2, 6], outstanding={1: Request(1, 5, 1)})
+    s = make_state([2, 6], outstanding={1: (1, 5, 1)})
     ctrl, a1 = ia_commit_control(s, g, memory)
     assert a1 == {1: 1}  # taxi at 6 is closer to 5
-    s2 = make_state([2, 5], outstanding={1: Request(1, 5, 1), 2: Request(2, 1, 1)})
+    s2 = make_state([2, 5], outstanding={1: (1, 5, 1), 2: (2, 1, 1)})
     ctrl2, a2 = ia_commit_control(s2, g, memory)
     assert a2[1] == 1  # commitment intact under the new request
     assert a2[2] == 0
@@ -134,7 +133,7 @@ def test_ia_commit_keeps_initial_pairing():
 def test_ia_commit_releases_on_pickup():
     g = line_graph(4)
     memory = {}
-    s = make_state([2], outstanding={1: Request(1, 2, 4)})
+    s = make_state([2], outstanding={1: (1, 2, 4)})
     ctrl, _ = ia_commit_control(s, g, memory)
     assert ctrl == [(PICKUP, 1)] and memory == {0: 1}
     s2 = transition(s, ctrl, [], g)
@@ -145,7 +144,7 @@ def test_ia_commit_releases_on_pickup():
 def test_ia_commit_new_request_waits_when_all_committed():
     g = line_graph(4)
     memory = {0: 1}
-    s = make_state([2], outstanding={1: Request(1, 4, 1), 2: Request(2, 1, 1)})
+    s = make_state([2], outstanding={1: (1, 4, 1), 2: (2, 1, 1)})
     ctrl, assigned = ia_commit_control(s, g, memory)
     assert assigned == {1: 0}
     assert 2 not in assigned
@@ -155,7 +154,7 @@ def test_ia_commit_new_request_waits_when_all_committed():
 
 def test_random_ia_single_taxi_always_chosen(grid3):
     memory = {}
-    s = make_state([1], outstanding={1: Request(1, 9, 1)})
+    s = make_state([1], outstanding={1: (1, 9, 1)})
     _, assigned = random_ia_control(s, grid3, substream(0, 0), memory)
     assert assigned == {1: 0}
 
@@ -164,7 +163,7 @@ def test_random_ia_uniform_choice(grid3):
     picks = {0: 0, 1: 0}
     for trial in range(10000):
         memory = {}
-        s = make_state([1, 9], outstanding={1: Request(1, 5, 1)})
+        s = make_state([1, 9], outstanding={1: (1, 5, 1)})
         _, assigned = random_ia_control(s, grid3, substream(17, trial), memory)
         picks[assigned[1]] += 1
     frac = picks[0] / 10000
@@ -173,17 +172,17 @@ def test_random_ia_uniform_choice(grid3):
 
 def test_random_ia_no_free_taxis(grid3):
     memory = {}
-    s = make_state([1], dropoffs=[9], outstanding={1: Request(1, 5, 1)})
+    s = make_state([1], dropoffs=[9], outstanding={1: (1, 5, 1)})
     ctrl, assigned = random_ia_control(s, grid3, substream(0, 0), memory)
     assert assigned == {} and ctrl[0][0] == "hop"
 
 
 def test_random_ia_holds_through_dropoff(grid3):
     memory = {}
-    s = make_state([5], outstanding={1: Request(1, 5, 4)})  # d(5,4)=1
+    s = make_state([5], outstanding={1: (1, 5, 4)})  # d(5,4)=1
     ctrl, _ = random_ia_control(s, grid3, substream(1, 0), memory)
     assert ctrl == [(PICKUP, 1)]
-    s2 = transition(s, ctrl, [Request(2, 5, 6)], grid3)
+    s2 = transition(s, ctrl, [(2, 5, 6)], grid3)
     # taxi occupied: still bound, request 2 must wait
     ctrl2, assigned2 = random_ia_control(s2, grid3, substream(1, 1), memory)
     assert memory == {0: 1}
@@ -202,10 +201,10 @@ def test_random_ia_binds_a_taxi_for_exactly_its_trip(grid3, dropoff, k):
     the step of its pickup, and in the first step after its dropoff it takes
     the request that waited."""
     memory = {}
-    s = make_state([1], outstanding={1: Request(1, 1, dropoff)})
+    s = make_state([1], outstanding={1: (1, 1, dropoff)})
     ctrl, _ = random_ia_control(s, grid3, substream(1, 0), memory)
     assert ctrl == [(PICKUP, 1)]
-    s = transition(s, ctrl, [Request(2, 5, 6)], grid3)
+    s = transition(s, ctrl, [(2, 5, 6)], grid3)
     for step in range(1, k + 1):
         assert s.dropoffs == [dropoff]
         ctrl, assigned = random_ia_control(s, grid3, substream(1, step), memory)
@@ -225,19 +224,24 @@ def test_every_emitted_control_is_legal(cls, grid5, model5_unit):
     assert len(tr.controls) == 59
 
 
-@pytest.mark.parametrize("dropoffs, error", [
-    ([0, 5], SameNode),          # a dropoff it stands on: no hop exists
-    ([0, -1], IllegalControl),   # a dropoff below node 1
-], ids=["on-its-dropoff", "negative-dropoff"])
-def test_state_breaking_the_in_service_invariant_is_a_fleetroll_error(grid3, dropoffs, error):
-    """A taxi in service has a dropoff in 1..n other than its own node. The
-    joint builder takes its hop toward that dropoff, so a hand-built state
-    that breaks this fails in the policy or in transition, with a
-    FleetrollError."""
-    s = make_state([1, 5], outstanding={3: Request(3, 2, 9)}, dropoffs=dropoffs)
+@pytest.mark.parametrize("locs, dropoffs, error", [
+    ([1, 5], [0, 5], SameNode),         # a dropoff it stands on: no hop exists
+    ([1, 5], [0, -1], IllegalControl),  # a dropoff below node 1
+    ([1, 5], [0, 99], IllegalControl),  # a dropoff above n
+    ([1, 0], [0, 5], IllegalControl),   # on node 0, whose next-hop row is all 0s
+], ids=["on-its-dropoff", "negative-dropoff", "dropoff-above-n", "on-node-0"])
+def test_state_breaking_the_in_service_invariant_is_a_fleetroll_error(grid3, locs, dropoffs,
+                                                                      error):
+    """A taxi in service stands on a node in 1..n and has a dropoff in 1..n
+    other than that node. The joint builder takes its hop toward that
+    dropoff, so a hand-built state that breaks this fails in the policy or in
+    transition, with a FleetrollError; an IllegalControl names taxi 1."""
+    s = make_state(locs, outstanding={3: (3, 2, 9)}, dropoffs=dropoffs)
     with pytest.raises(FleetrollError) as exc:
         transition(s, IARAPolicy(grid3).control(s)[0], [], grid3)
     assert isinstance(exc.value, error)
+    if error is IllegalControl:
+        assert str(exc.value) == f"taxi 1: node {locs[1]} or dropoff {dropoffs[1]} is outside 1..9"
 
 
 # --- service distance ---

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 
-from fleetroll.demand import (DemandModel, Request, estimate_from_trips, generate_trips,
+from fleetroll.demand import (DemandModel, estimate_from_trips, generate_trips,
                              synthetic_model)
 from fleetroll import rollout
 from fleetroll.graph import grid_graph
@@ -31,7 +31,7 @@ def make_state(locs, outstanding=None, dropoffs=None, clock=1):
 
 def test_moves_toward_adjacent_request():
     g = line_graph(3)
-    s = make_state([1], outstanding={1: Request(1, 2, 3)})
+    s = make_state([1], outstanding={1: (1, 2, 3)})
     cfg = RolloutConfig(t_h=1, num_mc=1)
     ctrl = one_at_a_time_control(s, g, zero_model(), cfg, seed=0)
     assert ctrl == [(MOVE, 2)]
@@ -55,7 +55,7 @@ def test_zero_demand_idle_fleet_stays():
 
 def test_colocated_pickup_chosen():
     g = line_graph(3)
-    s = make_state([2], outstanding={1: Request(1, 2, 3)})
+    s = make_state([2], outstanding={1: (1, 2, 3)})
     cfg = RolloutConfig(t_h=2, num_mc=1)
     ctrl = one_at_a_time_control(s, g, zero_model(), cfg, seed=0)
     assert ctrl == [(PICKUP, 1)]
@@ -66,7 +66,7 @@ def test_lookahead_hand_rolled_line():
     # With t_h = 2, moving toward beats moving away / staying: the trajectory
     # cost is the number of steps the request stays outstanding.
     g = line_graph(4)
-    r = Request(1, 3, 4)
+    r = (1, 3, 4)
     s = make_state([2], outstanding={1: r})
     cands = [(MOVE, 3), (MOVE, 1), (STAY,)]
     # toward: outstanding counts 1 (now), 1 (at 3), 0 (picked), 0 -> total 2
@@ -118,8 +118,8 @@ def test_fast_path_matches_generic_path(grid5):
         locs = [int(rng.integers(1, g.n + 1)) for _ in range(m)]
         outstanding = {}
         for i in range(int(rng.integers(*n_req))):
-            outstanding[i + 1] = Request(i + 1, int(rng.integers(1, g.n + 1)),
-                                         int(rng.integers(1, g.n + 1)))
+            outstanding[i + 1] = (i + 1, int(rng.integers(1, g.n + 1)),
+                                  int(rng.integers(1, g.n + 1)))
         dropoffs = [1]
         while 0 not in dropoffs:  # a fleet with no free taxi draws its busy flags again
             dropoffs = [0] * m
@@ -200,8 +200,8 @@ def test_a_base_pickup_that_repeats_the_candidate_pickup_is_a_stay():
     # 1, 0, 0 when it is free on node 2 after a zero-length trip.
     cases = [(4, 3, [2, 3, 3, 4, 4]), (4, 2, [2, 3, 3, 3, 3]), (3, 4, [2, 3, 3, 4, 4])]
     for drop_1, drop_2, want in cases:
-        s = make_state([2, 2], outstanding={1: Request(1, 2, drop_1),
-                                            2: Request(2, 2, drop_2)})
+        s = make_state([2, 2], outstanding={1: (1, 2, drop_1),
+                                            2: (2, 2, drop_2)})
         base_joint, _ = ia_ra_control(s, g)
         assert base_joint == [(PICKUP, 1), (PICKUP, 2)]
         cands = _candidate_actions(s, g, 0, set())
@@ -246,20 +246,20 @@ def test_grouped_stay_and_move_scores_equal_per_candidate_and_generic_scores(
     quiet = [[[]] * 4]
     # l (taxi 0, at 8) is farther from the only request than taxi 1: it is
     # never matched, so every member shares the whole trajectory.
-    s = make_state([8, 2], outstanding={1: Request(1, 1, 5)})
+    s = make_state([8, 2], outstanding={1: (1, 1, 5)})
     before = dict(calls)
     assert check(s, line, 0, quiet, 3) == [2, 2]  # stay, move 7
     assert calls["shared"] == before["shared"] + 1 and calls["mid"] == before["mid"]
     # l is the only free taxi, a row of every matching: the group splits at once.
-    s = make_state([4], outstanding={1: Request(1, 1, 8), 2: Request(2, 7, 1)})
+    s = make_state([4], outstanding={1: (1, 1, 8), 2: (2, 7, 1)})
     check(s, line, 0, quiet, 3)
     # Two free taxis, two requests: l is a row though another taxi is nearer.
-    s = make_state([5, 2], outstanding={1: Request(1, 1, 8), 2: Request(2, 3, 8)})
+    s = make_state([5, 2], outstanding={1: (1, 1, 8), 2: (2, 3, 8)})
     check(s, line, 0, quiet, 3)
     # Last step (t_h = 1): only l, staying, stands on a pickup; taxi 1 stands
     # on none, so only the stay's node makes the shared step solve. l is a row
     # there, so each member continues alone.
-    s = make_state([3, 8], outstanding={1: Request(1, 3, 5), 2: Request(2, 6, 5)})
+    s = make_state([3, 8], outstanding={1: (1, 3, 5), 2: (2, 6, 5)})
     # Pickup, stay, move 2, move 4: the stay's last step picks up, no move's does.
     assert check(s, line, 0, [[[], []]], 1) == [4, 5, 6, 6]
     # Last step of a shared trajectory (t_h = 2): l (taxi 0, at 8) is never the
@@ -269,13 +269,13 @@ def test_grouped_stay_and_move_scores_equal_per_candidate_and_generic_scores(
     # stands on request 1's pickup in step 2 only when it starts at 2.
     batches = [[], [(-1, 7, 1)], [(-2, 1, 5)]]
     for start_1, want in ((1, [7, 6]), (2, [6, 5])):  # stay, move 7
-        s = make_state([8, start_1, 1], outstanding={1: Request(1, 4, 5)})
+        s = make_state([8, start_1, 1], outstanding={1: (1, 4, 5)})
         before = dict(calls)
         assert check(s, line, 0, [batches], 2) == want
         assert calls["shared"] == before["shared"] + 1
         assert calls["last"] == before["last"] + 2
     # Inbound taxis join in the first step and during the shared trajectory.
-    s = make_state([6, 1], outstanding={1: Request(1, 2, 8)})
+    s = make_state([6, 1], outstanding={1: (1, 2, 8)})
     check(s, line, 0, [[[(-1, 7, 1)], [], [(-2, 4, 2)], []]], 3, inbound=((2, 8), (3, 3)))
 
     rng = np.random.default_rng(58)
@@ -293,7 +293,7 @@ def test_grouped_stay_and_move_scores_equal_per_candidate_and_generic_scores(
                 drop = int(rng.integers(1, g.n + 1))
                 if drop != locs[l]:
                     dropoffs[l] = drop
-        outstanding = {i: Request(i, int(rng.choice(nodes)), int(rng.integers(1, g.n + 1)))
+        outstanding = {i: (i, int(rng.choice(nodes)), int(rng.integers(1, g.n + 1)))
                        for i in range(1, int(rng.integers(0, 5)) + 1)}
         inbound = tuple((int(rng.integers(2, t_h + 3)), int(rng.choice(nodes)))
                         for _ in range(int(rng.integers(0, 3))))
@@ -311,7 +311,7 @@ def test_last_step_pickups_follow_the_tied_matching():
     # one, so the last step of this t_h = 1 lookahead makes no pickup although
     # a free taxi stands on an outstanding pickup.
     g = line_graph(4)
-    s = make_state([1, 2], outstanding={1: Request(1, 2, 4), 2: Request(2, 3, 4)})
+    s = make_state([1, 2], outstanding={1: (1, 2, 4), 2: (2, 3, 4)})
     assert auction_match([[1, 2], [0, 1]]) == [0, 1]
     joints = [[(STAY,), (STAY,)], [(MOVE, 2), (STAY,)], [(STAY,), (PICKUP, 1)],
               [(STAY,), (MOVE, 3)]]
@@ -349,10 +349,8 @@ def test_lookahead_matching_equals_the_ia_ra_policy(grid5):
             nodes = rng.integers(1, g.n + 1, size=int(rng.integers(1, 4)))
             free, reqs, locs = random_step(rng, g, n_free, n_req, nodes)
             pairs = _match_step(free, reqs, locs, g._dist, g.dist_array)
-            want = match_free_to_requests(
-                g, [(l, locs[l]) for l in free],
-                [Request(*r) for r in reqs])
-            assert {l: r[0] for l, r in pairs} == {l: r.id for l, r in want.items()}
+            want = match_free_to_requests(g, [(l, locs[l]) for l in free], reqs)
+            assert dict(pairs) == want
 
 
 def test_grouped_matching_equals_the_whole_map_row_construction(grid5):
@@ -465,7 +463,7 @@ def test_batched_dropoffs_equal_per_pickup_sampler_draws(grid5):
 
 def test_scenarios_zero_variance_on_deterministic_model():
     g = line_graph(4)
-    s = make_state([2], outstanding={1: Request(1, 4, 1)})
+    s = make_state([2], outstanding={1: (1, 4, 1)})
     cfg = RolloutConfig(t_h=3, num_mc=6)
     scenarios = taxi_scenarios(s, 0, zero_model(), cfg, seed=0)
     est = evaluate_candidate(s, [(MOVE, 3)], g, scenarios, cfg.t_h)
@@ -493,7 +491,7 @@ def random_planning_call(rng, g, sector):
         drop = int(rng.integers(1, g.n + 1))
         if drop != locs[l] and rng.random() < 0.3:
             dropoffs[l] = drop
-    outstanding = {i: Request(i, int(rng.choice(nodes)), int(rng.integers(1, g.n + 1)))
+    outstanding = {i: (i, int(rng.choice(nodes)), int(rng.integers(1, g.n + 1)))
                    for i in range(1, int(rng.integers(0, 5)) + 1)}
     state = FleetState(locs, dropoffs, outstanding, int(rng.integers(1, 30)))
     if not sector:
@@ -586,7 +584,7 @@ def test_all_candidates_tie_and_the_base_control_is_a_move():
     # can reach in t_h = 2 steps, so every candidate scores the same. IA-RA
     # moves the taxi toward the request, and rollout does as its base does.
     g = line_graph(8)
-    s = make_state([2], outstanding={1: Request(1, 8, 1)})
+    s = make_state([2], outstanding={1: (1, 8, 1)})
     base_joint, _ = ia_ra_control(s, g)
     assert base_joint == [(MOVE, 3)]
     cands = _candidate_actions(s, g, 0, set())
@@ -634,7 +632,7 @@ def test_control_determinism_across_calls(grid5):
     model = synthetic_model(grid5, 0.6)
     cfg = RolloutConfig(t_h=4, num_mc=5)
     s = make_state([1, 13, 25],
-                   outstanding={1: Request(1, 7, 20), 2: Request(2, 18, 3)})
+                   outstanding={1: (1, 7, 20), 2: (2, 18, 3)})
     a = one_at_a_time_control(s, grid5, model, cfg, seed=123)
     b = one_at_a_time_control(s, grid5, model, cfg, seed=123)
     assert a == b
@@ -674,7 +672,7 @@ def test_candidate_agreement_rate_rises_with_num_mc(grid5):
     # the Monte-Carlo count grows
     model = synthetic_model(grid5, 0.8)
     s = make_state([7, 19],
-                   outstanding={1: Request(1, 5, 21), 2: Request(2, 22, 2)})
+                   outstanding={1: (1, 5, 21), 2: (2, 22, 2)})
 
     def disagreement(num_mc):
         cfg = RolloutConfig(t_h=4, num_mc=num_mc)

@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from fleetroll import grid_graph
-from fleetroll.demand import Request, synthetic_model
+from fleetroll.demand import synthetic_model
 from fleetroll.errors import FleetrollError
 from fleetroll.graph import SameNode
 from fleetroll.planner import TwoPhasePolicy
@@ -32,7 +32,7 @@ def test_stay_no_arrivals_is_identity_plus_clock(grid3):
 
 
 def test_pickup_sets_timer_and_busy_until_dropoff(grid3):
-    r = Request(1, 5, 2)  # d(5,2) = 1
+    r = (1, 5, 2)  # d(5,2) = 1
     s = make_state([5], outstanding={1: r})
     s2 = transition(s, [(PICKUP, 1)], [], grid3)
     assert s2.dropoffs == [2]
@@ -41,7 +41,7 @@ def test_pickup_sets_timer_and_busy_until_dropoff(grid3):
 
 
 def test_pickup_distance_three_trip(grid3):
-    r = Request(1, 1, 7)  # d(1,7) = 2 on 3x3 grid
+    r = (1, 1, 7)  # d(1,7) = 2 on 3x3 grid
     s = make_state([1], outstanding={1: r})
     s2 = transition(s, [(PICKUP, 1)], [], grid3)
     assert s2.dropoffs == [7]
@@ -52,14 +52,14 @@ def test_pickup_distance_three_trip(grid3):
 
 
 def test_zero_length_trip_completes_immediately(grid3):
-    r = Request(1, 5, 5)
+    r = (1, 5, 5)
     s = make_state([5], outstanding={1: r})
     s2 = transition(s, [(PICKUP, 1)], [], grid3)
     assert s2.dropoffs == [0] and s2.outstanding == {}
 
 
 def test_stage_cost_counts_outstanding(grid3):
-    s = make_state([1], outstanding={i: Request(i, 2, 3) for i in range(1, 5)})
+    s = make_state([1], outstanding={i: (i, 2, 3) for i in range(1, 5)})
     assert len(s.outstanding) == 4
     s2 = transition(s, [(STAY,)], [], grid3)
     assert len(s2.outstanding) == 4
@@ -77,7 +77,7 @@ def test_illegal_controls(grid3):
     assert_illegal(s, [(PICKUP, 1)], grid3, 0, "request 1 is not outstanding")
     assert_illegal(s, [(HOP, 2)], grid3, 0, "free taxi got a forced hop")
     assert_illegal(s, [("fly", 2)], grid3, 0, "unknown action 'fly'")
-    r = Request(1, 2, 3)
+    r = (1, 2, 3)
     s2 = make_state([1], outstanding={1: r})
     assert_illegal(s2, [(PICKUP, 1)], grid3, 0, "request 1 picks up at 2, taxi at 1")
     busy = make_state([1], dropoffs=[9])
@@ -86,22 +86,22 @@ def test_illegal_controls(grid3):
 
 
 def test_arrival_with_an_outstanding_id_is_rejected(grid3):
-    s = make_state([1], outstanding={4: Request(4, 2, 3)})
+    s = make_state([1], outstanding={4: (4, 2, 3)})
     with pytest.raises(SimError, match=r"^request 4: id is already outstanding$"):
-        transition(s, [(STAY,)], [Request(4, 5, 6)], grid3)
+        transition(s, [(STAY,)], [(4, 5, 6)], grid3)
     with pytest.raises(SimError, match=r"^request 6: id is already outstanding$"):
-        transition(s, [(STAY,)], [Request(6, 5, 6), Request(6, 7, 8)], grid3)
+        transition(s, [(STAY,)], [(6, 5, 6), (6, 7, 8)], grid3)
 
 
 @pytest.mark.parametrize("pickup, dropoff", [(50, 3), (0, 3), (2, 10), (2, -1)])
 def test_arrival_off_the_graph_is_rejected(grid3, pickup, dropoff):
     with pytest.raises(SimError, match=rf"^request 5: pickup {pickup} or dropoff {dropoff} "
                                        r"is outside 1\.\.9$"):
-        transition(make_state([1]), [(STAY,)], [Request(5, pickup, dropoff)], grid3)
+        transition(make_state([1]), [(STAY,)], [(5, pickup, dropoff)], grid3)
 
 
 @pytest.mark.parametrize("state, control, error, message", [
-    (FleetState([1], [0], {5: Request(6, 1, 3)}, 1), [(PICKUP, 5)], SimError,
+    (FleetState([1], [0], {5: (6, 1, 3)}, 1), [(PICKUP, 5)], SimError,
      "outstanding key 5 holds request 6"),
     (FleetState([1], [99], {}, 1), [(HOP, 2)], IllegalControl,
      "taxi 0: node 1 or dropoff 99 is outside 1..9"),
@@ -115,11 +115,13 @@ def test_arrival_off_the_graph_is_rejected(grid3, pickup, dropoff):
      "taxi 0: node 1 or dropoff -1 is outside 1..9"),
     (FleetState([-1], [3], {}, 1), [(HOP, 6)], IllegalControl,
      "taxi 0: node -1 or dropoff 3 is outside 1..9"),
-    (FleetState([1], [0], {5: Request(5, 1, 99)}, 1), [(PICKUP, 5)], SimError,
+    (FleetState([1, 0], [0, 5], {}, 1), [(STAY,), (HOP, 2)], IllegalControl,
+     "taxi 1: node 0 or dropoff 5 is outside 1..9"),
+    (FleetState([1], [0], {5: (5, 1, 99)}, 1), [(PICKUP, 5)], SimError,
      "request 5: dropoff 99 is outside 1..9"),
 ], ids=["key-not-its-id", "dropoff-off-the-graph", "taxi-off-the-graph",
         "taxi-off-the-graph-stays", "negative-taxi-moves", "negative-dropoff",
-        "negative-occupied-taxi", "picked-up-dropoff-off-the-graph"])
+        "negative-occupied-taxi", "occupied-taxi-on-node-0", "picked-up-dropoff-off-the-graph"])
 def test_state_with_a_wrong_id_or_an_off_graph_node_is_rejected(grid3, state, control, error,
                                                                  message):
     with pytest.raises(error) as info:
@@ -129,7 +131,7 @@ def test_state_with_a_wrong_id_or_an_off_graph_node_is_rejected(grid3, state, co
 
 
 def test_duplicate_pickup_rejected(grid3):
-    r = Request(1, 5, 2)
+    r = (1, 5, 2)
     s = make_state([5, 5], outstanding={1: r})
     assert_illegal(s, [(PICKUP, 1), (PICKUP, 1)], grid3, 1, "request 1 is not outstanding")
 
@@ -151,7 +153,7 @@ def random_joint_control(rnd, state, graph):
     control = []
     for l in range(state.m):
         loc = state.locations[l]
-        here = [rid for rid, r in state.outstanding.items() if r.pickup == loc]
+        here = [rid for rid, r in state.outstanding.items() if r[1] == loc]
         if state.dropoffs[l]:
             legal = [(HOP, graph.next_hop(loc, state.dropoffs[l]))]
             illegal = [(STAY,), (MOVE, graph.adj[loc][0]), (PICKUP, 1),
@@ -159,7 +161,7 @@ def random_joint_control(rnd, state, graph):
         else:
             legal = [(STAY,)] + [(MOVE, v) for v in graph.adj[loc]] + [(PICKUP, r) for r in here]
             far = [v for v in range(1, graph.n + 1) if v not in graph.adj[loc]]
-            elsewhere = [rid for rid, r in state.outstanding.items() if r.pickup != loc]
+            elsewhere = [rid for rid, r in state.outstanding.items() if r[1] != loc]
             illegal = ([(MOVE, rnd.choice(far))] + [(PICKUP, rid) for rid in elsewhere[:1]]
                        + [(PICKUP, 10 ** 6), (HOP, loc), ("fly",)])
         control.append(rnd.choice(illegal if rnd.random() < 0.04 else legal))
@@ -189,7 +191,7 @@ def broken_copy(rnd, state, control, arrivals, graph, fault):
     """A copy of a consistent state and its arrival batch with one fault: an
     occupied taxi that stands on its dropoff ("on-its-dropoff"), an occupied
     taxi's dropoff below 1 ("negative-dropoff") or above n
-    ("dropoff-above-n"), a taxi below node 1 ("taxi-below-1") or above n
+    ("dropoff-above-n"), a taxi on node 0 or below ("taxi-below-1") or above n
     ("taxi-above-n"), an arrival whose id is already outstanding or in the
     batch ("repeat"), one off the graph ("off-graph"), or an outstanding
     request, one the control picks up if it can, kept under another key
@@ -204,19 +206,19 @@ def broken_copy(rnd, state, control, arrivals, graph, fault):
     if fault == "negative-dropoff" and busy:
         state.dropoffs[rnd.choice(busy)] = -rnd.randint(1, 3)
     if fault == "repeat":
-        rid = rnd.choice([*state.outstanding, *(r.id for r in arrivals), 950])
-        arrivals += [Request(rid, 1, 1)] * 2
+        rid = rnd.choice([*state.outstanding, *(r[0] for r in arrivals), 950])
+        arrivals += [(rid, 1, 1)] * 2
     if fault == "off-graph":
-        arrivals.append(Request(950, rnd.choice([0, graph.n + 1, 1]),
-                                rnd.choice([-1, graph.n + 1])))
+        arrivals.append((950, rnd.choice([0, graph.n + 1, 1]),
+                         rnd.choice([-1, graph.n + 1])))
     if fault == "key" and state.outstanding:
         picked = [act[1] for act in control if act[0] == PICKUP and act[1] in state.outstanding]
         rid = rnd.choice(picked or list(state.outstanding))
-        state.outstanding[rid] = state.outstanding[rid]._replace(id=rid + 1000)
+        state.outstanding[rid] = (rid + 1000, *state.outstanding[rid][1:])
     if fault == "taxi-above-n":
         state.locations[rnd.randrange(state.m)] = graph.n + rnd.randint(1, 3)
     if fault == "taxi-below-1":
-        state.locations[rnd.randrange(state.m)] = -rnd.randint(1, 3)
+        state.locations[rnd.randrange(state.m)] = -rnd.randint(0, 2)  # node 0 included
     if fault == "dropoff-above-n" and busy:
         state.dropoffs[rnd.choice(busy)] = graph.n + rnd.randint(1, 3)
     return state, arrivals
@@ -245,7 +247,7 @@ def test_transition_equals_reference_on_random_controls(make_graph):
         control = random_joint_control(rnd, state, graph)
         if case % 50 == 0:
             control = control[:-1]  # one action short
-        arrivals = [Request(900 + i, rnd.randint(1, graph.n), rnd.randint(1, graph.n))
+        arrivals = [(900 + i, rnd.randint(1, graph.n), rnd.randint(1, graph.n))
                     for i in range(rnd.randint(0, 3))]
         exc = compare_with_reference(state, control, arrivals, graph)
         if exc is None:
@@ -276,7 +278,7 @@ def test_transition_equals_reference_on_random_controls(make_graph):
 
 def test_arrivals_enter_outstanding(grid3):
     s = make_state([1])
-    r = Request(4, 2, 3)
+    r = (4, 2, 3)
     s2 = transition(s, [(STAY,)], [r], grid3)
     assert s2.outstanding == {4: r}
 
@@ -325,10 +327,10 @@ def test_outstanding_matches_arrival_times(grid5, model5_unit):
     seen = [(r, state.clock) for state, _, _ in policy.log for r in state.outstanding.values()]
     assert seen
     for r, clock in seen:
-        assert 2 <= arrival[r.id - 1] <= clock <= 40
+        assert 2 <= arrival[r[0] - 1] <= clock <= 40
     first = {}
     for r, clock in seen:
-        first.setdefault(r.id, clock)
+        first.setdefault(r[0], clock)
     assert first == {rid: t for rid, t in enumerate(arrival, start=1) if t < 40}
 
 
@@ -344,7 +346,7 @@ def test_taxi_moves_at_most_one_edge(grid5, model5_unit):
         ctrl, _ = policy.control(state)
         arrivals = []
         for _ in range(demand.eta.draw(rng)):
-            arrivals.append(Request(rid, *demand.request(rng_req)))
+            arrivals.append((rid, *demand.request(rng_req)))
             rid += 1
         nxt = transition(state, ctrl, arrivals, grid5)
         for a, b in zip(state.locations, nxt.locations):
@@ -379,8 +381,8 @@ def test_episode_draws_equal_scalar_reference(grid5):
             locations, requests, counts = scalar_episode_draws(model, m, T, seed)
             assert policy.start == locations
             assert list(requests) == list(range(1, len(requests) + 1))
-            assert trace.request_pickups == [r.pickup for r in requests.values()]
-            assert trace.request_dropoffs == [r.dropoff for r in requests.values()]
+            assert trace.request_pickups == [r[1] for r in requests.values()]
+            assert trace.request_dropoffs == [r[2] for r in requests.values()]
             # the count drawn in step t arrives at clock t+1
             assert [rec.arrivals for rec in trace.steps] == [0] + counts
 
@@ -394,6 +396,7 @@ def test_service_distance_equals_the_event_history_rule(grid5):
     from_log = estimate_from_trips(generate_trips(synthetic, horizon=300, seed=8), grid5)
     m, T, cfg = 6, 40, RolloutConfig(t_h=2, num_mc=2)
     returned = 0  # requests reassigned away from a taxi and back to it
+    picked = 0
     for model in (synthetic, from_log):
         for inner in (GreedyPolicy(grid5), RandomIAPolicy(grid5), IACommitPolicy(grid5),
                       IARAPolicy(grid5), RolloutPolicy(grid5, model, cfg),
@@ -408,10 +411,16 @@ def test_service_distance_equals_the_event_history_rule(grid5):
                 assert (report.total, report.unassigned) == (total, unassigned), \
                     (inner.name, seed)
                 assert len(unassigned) < len(requests)
+                # each request's entry is its last event's (taxi, node)
+                assert {rid: evs[-1][1:] for rid, evs in events.items()} == trace.assigned
+                # a step's pickups are its control's PICKUP actions
+                assert [rec.pickups for rec in trace.steps] == [
+                    sum(act[0] == PICKUP for act in control) for control in trace.controls] + [0]
+                picked += trace.summary()["pickups"]
                 for evs in events.values():
                     taxis = [taxi for _, taxi, _ in evs]
                     returned += any(taxis[i] in taxis[:i - 1] for i in range(2, len(taxis)))
-    assert returned > 0
+    assert returned > 0 and picked > 1000
 
 
 def test_trace_keeps_at_most_24_bytes_per_request():
