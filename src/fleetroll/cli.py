@@ -78,38 +78,33 @@ def _write_json(path, obj):
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-# The flags each build depends on; a model depends on its graph's, a policy
-# on its model's.
-_BUILD_INPUTS = {"graph": ("graph", "grid")}
-_BUILD_INPUTS["model"] = _BUILD_INPUTS["graph"] + ("trips", "e_eta", "hotspot", "hotspot_mass")
-_BUILD_INPUTS["policy"] = _BUILD_INPUTS["model"] + ("policy", "m", "m_lim", "t_h", "num_mc")
-# build kind -> (its inputs, the latest build of it). Module state, because a
-# worker process runs _run_one by name and keeps its builds between tasks.
+# "graph", "model" and each (policy, m) -> its build in this process. Module
+# state, because a worker process runs _run_one by name and keeps its builds
+# between tasks. Every task of one main() call shares its graph and model
+# flags, and main() empties the memo, so these keys tell the builds apart.
 _built = {}
 
 
-def _memo(kind, args, build):
-    """The latest `kind` built in this process if it had the same inputs,
-    else `build()`. The builds are deterministic, so reuse changes no result;
-    main() empties the memo, so a file rewritten between calls is read again."""
-    inputs = tuple(args.get(k) for k in _BUILD_INPUTS[kind])
-    held = _built.get(kind)
-    if held is None or held[0] != inputs:
-        held = _built[kind] = (inputs, build())
-    return held[1]
+def _memo(key, build):
+    """The `key` built earlier in this process, else `build()`. The builds
+    are deterministic, so reuse changes no result; main() empties the memo,
+    so a file rewritten between calls is read again."""
+    if key not in _built:
+        _built[key] = build()
+    return _built[key]
 
 
 def _graph_and_model(args):
-    g = _memo("graph", args, lambda: resolve_graph(args))
-    return g, _memo("model", args, lambda: resolve_model(g, args))
+    g = _memo("graph", lambda: resolve_graph(args))
+    return g, _memo("model", lambda: resolve_model(g, args))
 
 
 def _run_one(task):
     """One (policy, m, seed) episode; executed possibly in a worker process.
-    The graph, model and policy are built once per process for the same
-    inputs; run_episode resets the policy with the run's seed."""
+    The graph, the model and each (policy, m) policy are built once per
+    process; run_episode resets the policy with the run's seed."""
     g, model = _graph_and_model(task)
-    policy = _memo("policy", task,
+    policy = _memo((task["policy"], task["m"]),
                    lambda: make_policy(task["policy"], g, model, task["m"], task))
     trace = run_episode(g, model, policy, task["m"], task["T"], task["run_seed"])
     z = service_distance(trace, g)

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .graph import SameNode
 from .matching import auction_match
-from .sim import HOP, MOVE, PICKUP, STAY, IllegalControl, substream, NS_POLICY
+from .sim import HOP, MOVE, PICKUP, STAY, IllegalControl, SimError, substream, NS_POLICY
 
 
 @lru_cache(maxsize=8)
@@ -33,7 +33,10 @@ def _controls(state, graph, choose):
     as ascending (taxi index, node) pairs and returns targets ({taxi index:
     request}), each entered in the map as {request id: taxi index}: a free
     taxi picks its target up when co-located, else moves one hop toward it.
-    Hops override targets of occupied taxis; both read the next-hop rows."""
+    Hops override targets of occupied taxis; both read the next-hop rows. A
+    free taxi or an outstanding pickup above n, which the policies' reads
+    meet as an IndexError, is an IllegalControl naming the taxi or a
+    SimError naming the request."""
     nxt, n = graph._next, graph.n
     hops, moves = _node_actions(n)
     locs, dropoffs = state.locations, state.dropoffs
@@ -51,12 +54,21 @@ def _controls(state, graph, choose):
             raise
         raise IllegalControl(l, f"node {loc} or dropoff {dropoff} is outside 1..{n}") from None
     assigned = {}
-    if state.outstanding:
-        for l, (rid, pickup, _) in choose(free).items():
-            assigned[rid] = l
-            if not dropoffs[l]:
-                loc = locs[l]
-                control[l] = (PICKUP, rid) if loc == pickup else moves[nxt[loc][pickup]]
+    try:
+        if state.outstanding:
+            for l, (rid, pickup, _) in choose(free).items():
+                assigned[rid] = l
+                if not dropoffs[l]:
+                    loc = locs[l]
+                    control[l] = (PICKUP, rid) if loc == pickup else moves[nxt[loc][pickup]]
+    except IndexError:
+        for l, loc in free:
+            if not 0 < loc <= n:
+                raise IllegalControl(l, f"node {loc} is outside 1..{n}") from None
+        for rid, pickup, _ in state.outstanding.values():
+            if not 0 < pickup <= n:
+                raise SimError(f"request {rid}: pickup {pickup} is outside 1..{n}") from None
+        raise
     return control, assigned
 
 

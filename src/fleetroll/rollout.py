@@ -13,8 +13,7 @@ stream as an episode reads its own, every step's arrival count first, then a
 pickup and a dropoff uniform per request. The j-th free taxi scores every
 candidate on the j-th block of num_mc, so candidates of one taxi share
 common random numbers, no two taxis share a scenario, and results never
-depend on evaluation order or parallelism. A taxi's block is turned into
-request tuples only when the taxi is scored.
+depend on evaluation order or parallelism.
 
 A sector planner passes its region. The region confines candidate moves to
 its nodes and selects the lookahead's requests: each scenario keeps only the
@@ -84,8 +83,8 @@ class RolloutConfig:
 
 
 def _sample_scenario(model, t_h, num_mc, rng, region=None):
-    """Arrival batches of num_mc scenarios, each for the candidate step plus
-    t_h base policy steps, kept as arrays until read (see _Scenarios).
+    """Arrival batches of num_mc scenarios, as a list of num_mc lists of t_h+1
+    batches: the candidate step, then t_h base policy steps.
 
     Batch i of a scenario holds (id, pickup, dropoff) tuples that appear i+1
     steps after the planning step; ids are negative and scenario-local, so
@@ -107,45 +106,21 @@ def _sample_scenario(model, t_h, num_mc, rng, region=None):
         slot = np.repeat(np.arange(len(counts)), counts)  # each request's (scenario, step)
         counts = np.bincount(slot[keep], minlength=len(counts))
         pick_us, drop_us = pick_us[keep], drop_us[keep]
-    pickups, dropoffs = model.requests_at(pick_us, drop_us)
-    return _Scenarios(counts.reshape(num_mc, t_h + 1), pickups, dropoffs)
-
-
-class _Scenarios:
-    """Scenarios of one draw as arrays: row s of `counts` holds scenario s's
-    arrivals per step, and `pickups` and `dropoffs` hold its requests after
-    those of the scenarios before it. A slice builds the arrival batches of
-    its scenarios only; iterating builds them all."""
-
-    def __init__(self, counts, pickups, dropoffs):
-        self.counts = counts
-        self.firsts = [0] + np.cumsum(counts.sum(axis=1)).tolist()
-        self.pickups, self.dropoffs = pickups, dropoffs
-
-    def __len__(self):
-        return len(self.counts)
-
-    def __iter__(self):
-        return iter(self[:])
-
-    def __getitem__(self, span):
-        a, b, _ = span.indices(len(self))
-        lo, hi = self.firsts[a], self.firsts[b]
-        pickups, dropoffs = self.pickups[lo:hi].tolist(), self.dropoffs[lo:hi].tolist()
-        scenarios = []
-        first = 0
-        for per_step in self.counts[a:b].tolist():
-            total = sum(per_step)
-            reqs = list(zip(range(-1, -total - 1, -1), pickups[first:first + total],
-                            dropoffs[first:first + total]))
-            first += total
-            batches = []
-            at = 0
-            for c in per_step:
-                batches.append(reqs[at:at + c])
-                at += c
-            scenarios.append(batches)
-        return scenarios
+    pickups, dropoffs = (a.tolist() for a in model.requests_at(pick_us, drop_us))
+    scenarios = []
+    first = 0
+    for per_step in counts.reshape(num_mc, t_h + 1).tolist():
+        total = sum(per_step)
+        reqs = list(zip(range(-1, -total - 1, -1), pickups[first:first + total],
+                        dropoffs[first:first + total]))
+        first += total
+        batches = []
+        at = 0
+        for c in per_step:
+            batches.append(reqs[at:at + c])
+            at += c
+        scenarios.append(batches)
+    return scenarios
 
 
 def _candidate_costs(state, joint, l, cands, scenarios, graph, t_h, inbound=()):

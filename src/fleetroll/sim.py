@@ -155,8 +155,6 @@ def transition(state: FleetState, control, arrivals, graph) -> FleetState:
 
 @dataclass
 class StepRecord:
-    t: int
-    outstanding: int
     arrivals: int
     pickups: int
     free_taxis: int
@@ -165,7 +163,8 @@ class StepRecord:
 @dataclass
 class EpisodeTrace:
     """One episode's record, each fact kept once. `steps` holds a StepRecord
-    per clock 1..T; `stage_costs` the outstanding count at each clock, and
+    per clock 1..T, with the arrivals that became visible at it, its pickups
+    and its free taxis; `stage_costs` the outstanding count at each clock, and
     `cost` their sum; `controls` each step's joint control; `request_pickups`
     and `request_dropoffs` the drawn requests' nodes, request id r at index
     r-1; `assigned` maps a request id to (taxi, that taxi's node) as of the
@@ -186,12 +185,12 @@ class EpisodeTrace:
     plan_ms: list = field(default_factory=list)
 
     def outstanding_series(self):
-        return [rec.outstanding for rec in self.steps]
+        return list(self.stage_costs)
 
     def trace_rows(self):
         yield ["t", "outstanding", "arrivals", "pickups", "free_taxis"]
-        for rec in self.steps:
-            yield [rec.t, rec.outstanding, rec.arrivals, rec.pickups, rec.free_taxis]
+        for t, (n_out, rec) in enumerate(zip(self.stage_costs, self.steps), start=1):
+            yield [t, n_out, rec.arrivals, rec.pickups, rec.free_taxis]
 
     def timing_rows(self):
         yield ["t", "plan_ms"]
@@ -246,7 +245,7 @@ def run_episode(graph, model, policy, m: int, T: int, seed: int) -> EpisodeTrace
         free = state.dropoffs.count(0)
         stage_costs.append(n_out)
         if t == T:
-            steps.append(StepRecord(t, n_out, arrived_now, 0, free))
+            steps.append(StepRecord(arrived_now, 0, free))
             break
 
         t0 = time.perf_counter()
@@ -273,7 +272,7 @@ def run_episode(graph, model, policy, m: int, T: int, seed: int) -> EpisodeTrace
         trace.controls.append(list(control))
         state = transition(state, control, batch, graph)
         # each pickup left the outstanding set, each arrival joined it
-        steps.append(StepRecord(t, n_out, arrived_now, n_out + eta - len(state.outstanding), free))
+        steps.append(StepRecord(arrived_now, n_out + eta - len(state.outstanding), free))
         arrived_now = eta
 
     trace.cost = sum(trace.stage_costs)

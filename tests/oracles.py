@@ -259,7 +259,7 @@ def taxi_scenarios(state, taxi, model, cfg, seed, region=None, taxi_keys=None):
     free = [l for l in range(state.m) if state.dropoffs[l] == 0]
     key = min(taxi_keys) if taxi_keys is not None else 0
     rng = substream(seed, NS_LOOKAHEAD, state.clock, key)
-    draw = list(_sample_scenario(model, cfg.t_h, len(free) * cfg.num_mc, rng, region))
+    draw = _sample_scenario(model, cfg.t_h, len(free) * cfg.num_mc, rng, region)
     j = free.index(taxi)
     return draw[j * cfg.num_mc:(j + 1) * cfg.num_mc]
 

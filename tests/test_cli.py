@@ -565,7 +565,7 @@ def test_builds_are_reused_without_changing_any_output(tmp_path, monkeypatch):
     assert main(TWO_PHASE_SWEEP + ["--jobs", "1", "--out-dir", str(dirs["one"])]) == 0
     assert main(TWO_PHASE_SWEEP + ["--jobs", "2", "--out-dir", str(dirs["two"])]) == 0
     with monkeypatch.context() as mp:
-        mp.setattr(cli, "_memo", lambda kind, args, build: build())
+        mp.setattr(cli, "_memo", lambda key, build: build())
         assert main(TWO_PHASE_SWEEP + ["--jobs", "1", "--out-dir", str(dirs["fresh"])]) == 0
     assert len(list(dirs["one"].glob("*.trace.csv"))) == 6
     digests = {name: non_timing_digest(d) for name, d in dirs.items()}

@@ -402,7 +402,7 @@ def test_batched_scenarios_reproduce_sequential_draws(grid5):
                 ids = iter(range(-1, -sum(counts) - 1, -1))
                 want.append([[(next(ids), *next(requests)) for _ in range(c)]
                              for c in counts[s:s + t_h + 1]])
-            assert list(got) == want
+            assert got == want
 
 
 def test_region_keeps_the_unfiltered_draws_in_region_requests(grid5):
@@ -417,8 +417,8 @@ def test_region_keeps_the_unfiltered_draws_in_region_requests(grid5):
     dropped = 0
     for model in (synthetic, from_log, bursty, zero_model()):
         for trial, (t_h, num_mc) in enumerate([(1, 1), (3, 4), (5, 10), (10, 30)]):
-            want = list(_sample_scenario(model, t_h, num_mc, substream(22, trial)))
-            assert list(_sample_scenario(model, t_h, num_mc, substream(22, trial), every)) == want
+            want = _sample_scenario(model, t_h, num_mc, substream(22, trial))
+            assert _sample_scenario(model, t_h, num_mc, substream(22, trial), every) == want
             for size in (0, 1, 5, 12, 24):
                 nodes = rng.choice(np.arange(1, grid5.n + 1), size=size, replace=False)
                 region = np.zeros(grid5.n + 1, dtype=bool)

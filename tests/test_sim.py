@@ -302,16 +302,16 @@ def test_episode_deterministic(grid5, model5_light):
 def test_episode_cost_identity(grid5, model5_light):
     tr = run_episode(grid5, model5_light, IARAPolicy(grid5), 3, 60, 5)
     assert tr.cost == sum(tr.stage_costs)
-    assert tr.cost == sum(r.outstanding for r in tr.steps)
 
 
 def test_request_lifecycle_conservation(grid5, model5_unit):
     tr = run_episode(grid5, model5_unit, IARAPolicy(grid5), 4, 80, 3)
     arrived = 0
     picked = 0
-    for rec in tr.steps:
+    assert len(tr.stage_costs) == len(tr.steps) == 80
+    for n_out, rec in zip(tr.stage_costs, tr.steps):
         arrived += rec.arrivals
-        assert arrived - picked == rec.outstanding
+        assert arrived - picked == n_out
         picked += rec.pickups
     assert arrived == len(tr.request_pickups) == len(tr.request_dropoffs)
     assert picked == sum(act[0] == PICKUP for ctrl in tr.controls for act in ctrl)
@@ -323,7 +323,7 @@ def test_outstanding_matches_arrival_times(grid5, model5_unit):
     trace = run_episode(grid5, model5_unit, policy, 2, 40, 9)
     # ids are consecutive, and each clock's record counts the requests that
     # became visible at it
-    arrival = [rec.t for rec in trace.steps for _ in range(rec.arrivals)]
+    arrival = [t for t, rec in enumerate(trace.steps, start=1) for _ in range(rec.arrivals)]
     seen = [(r, state.clock) for state, _, _ in policy.log for r in state.outstanding.values()]
     assert seen
     for r, clock in seen:
