@@ -14,7 +14,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
@@ -29,7 +28,7 @@ from .partition import get_partitions
 from .planner import TwoPhasePolicy
 from .policies import GreedyPolicy, IACommitPolicy, IARAPolicy, RandomIAPolicy
 from .rollout import RolloutConfig, RolloutPolicy
-from .sim import REQUEST_BYTES, run_episode, service_distance
+from .sim import REQUEST_BYTES, EpisodeTrace, run_episode, service_distance
 from .stability import MIN_HORIZON, MIN_TRACES, compute_bounds, empirical_stability
 
 _BASE_POLICIES = {cls.name: cls for cls in (GreedyPolicy, RandomIAPolicy, IACommitPolicy,
@@ -119,7 +118,7 @@ def _run_one(task):
         _write_csv(outdir / f"{label}.sector_timing.csv", [["t", "sector", "plan_ms"]]
                    + [[t, k, f"{ms:.3f}"] for t, k, ms in sector_timing])
     return dict(summary, mean_plan_ms=trace.mean_plan_ms(),
-                outstanding_series=trace.outstanding_series())
+                stage_costs=trace.stage_costs)
 
 
 def _execute(tasks, jobs):
@@ -252,7 +251,8 @@ def cmd_stability(args):
                          "last_window_mean", "slope", "slope_p"]]
         results = _execute(_tasks_for(args, [args["policy"]], m_values), args["jobs"])
         for m in m_values:
-            traces = [_SeriesTrace(r["outstanding_series"]) for r in results if r["m"] == m]
+            traces = [EpisodeTrace(r["policy"], m, r["T"], r["seed"], stage_costs=r["stage_costs"])
+                      for r in results if r["m"] == m]
             v = empirical_stability(traces, window=max(1, args["T"] // 4))
             verdict_rows.append([m, args["policy"], v.verdict,
                                  f"{v.first_window_mean:.3f}", f"{v.last_window_mean:.3f}",
@@ -260,16 +260,6 @@ def cmd_stability(args):
             print(f"m={m} {args['policy']}: {v.verdict}")
         _write_csv(outdir / "verdicts.csv", verdict_rows)
     return 0
-
-
-class _SeriesTrace:
-    """Adapter: a bare outstanding series viewed as a trace."""
-
-    def __init__(self, series):
-        self._series = series
-
-    def outstanding_series(self):
-        return self._series
 
 
 def cmd_gen_graph(args):
@@ -308,9 +298,9 @@ def _comma_list(item):
 class Flag(namedtuple("Flag", "name kind default commands help least required excludes",
                       defaults=(None, (), ()))):
     """One CLI flag. `kind` is int, float, str, bool (a switch), a tuple of
-    choices or [item type] for a comma-separated list. `least` is the smallest
-    value allowed, `required` the subcommands that need the flag, and
-    `excludes` the flags that may not be set together with it."""
+    choices or [item type] for a comma-separated list of distinct items.
+    `least` is the smallest value or item allowed, `required` the subcommands
+    that need the flag, and `excludes` the flags that may not be set with it."""
 
     @property
     def dest(self):
@@ -333,9 +323,9 @@ FLAGS = (
     Flag("hotspot", int, None, _MODEL, "synthetic model: high-demand pickup node"),
     Flag("hotspot-mass", float, None, _MODEL, "synthetic model: extra pickup mass on the hotspot"),
     Flag("seed", int, 0, _MODEL, "master seed"),
-    Flag("jobs", int, None, _RUNS, "parallel runs (default $FLEETROLL_JOBS or 1)", least=1),
+    Flag("jobs", int, 1, _RUNS, "parallel runs", least=1),
     Flag("m", int, None, _RUNS + ("partition",), "fleet size", least=1, required=("partition",)),
-    Flag("m-sweep", [int], None, _RUNS, "comma-separated fleet sizes"),
+    Flag("m-sweep", [int], None, _RUNS, "comma-separated fleet sizes", least=1),
     Flag("T", int, 60, _RUNS + ("gen-trips",), "horizon in steps", least=1),
     Flag("seeds", int, 1, _RUNS, "number of seeded runs", least=1),
     Flag("m-lim", int, 10, _RUNS + ("partition",), "taxis per sector", least=1),
@@ -401,28 +391,23 @@ def _validate(command, args, given):
     first each of its flags by its FLAGS row, then the rules across flags,
     last the run flags given on the command line (`given`, the parsed
     namespace's values) to stability without --verify, which reads none of
-    them; a config file may still hold them. Resolves an unset --jobs from
-    $FLEETROLL_JOBS."""
+    them; a config file may still hold them."""
     for flag in FLAGS:
         val = args.get(flag.dest)
         if val is None:
             continue
-        if isinstance(val, float) and not math.isfinite(val):  # e.g. --e-eta nan
-            raise CLIError(f"--{flag.name} must be a finite number, got {val}")
-        if flag.least is not None and val < flag.least:
-            raise CLIError(f"--{flag.name} must be >= {flag.least}, got {val}")
+        for v in val if isinstance(val, list) else [val]:
+            if isinstance(v, float) and not math.isfinite(v):  # e.g. --e-eta nan
+                raise CLIError(f"--{flag.name} must be a finite number, got {v}")
+            if flag.least is not None and v < flag.least:
+                raise CLIError(f"--{flag.name} must be >= {flag.least}, got {v}")
+            if isinstance(val, list) and val.count(v) > 1:  # a run paired with itself
+                raise CLIError(f"--{flag.name} names {v!r} more than once")
         for other in flag.excludes:
             if args.get(other.replace("-", "_")) is not None:
                 raise CLIError(f"--{flag.name} and --{other} cannot be used together")
     if args.get("grid") is not None:
         graphmod.check_size(args["grid"] ** 2)
-    for key in ("m_sweep", "policies"):  # a repeated fleet size or policy pairs a run with itself
-        values = args.get(key) or []
-        for v in values:
-            if key == "m_sweep" and v < 1:
-                raise CLIError(f"--m-sweep values must be >= 1, got {v}")
-            if values.count(v) > 1:
-                raise CLIError(f"--{key.replace('_', '-')} names {v!r} more than once")
     if args.get("verify") and args["seeds"] < MIN_TRACES:
         raise CLIError(f"--seeds must be >= {MIN_TRACES} with --verify, got {args['seeds']}")
     if args.get("verify") and args["T"] < MIN_HORIZON:
@@ -438,14 +423,6 @@ def _validate(command, args, given):
                 raise CLIError(f"unknown policy '{name}' (expected one of {', '.join(POLICIES)})")
         if args["seeds"] < 2:
             raise CLIError(f"--seeds must be >= 2 for compare, got {args['seeds']}")
-    if "jobs" in args and args["jobs"] is None:
-        jobs = os.environ.get("FLEETROLL_JOBS", "1")
-        try:
-            args["jobs"] = int(jobs)
-        except ValueError:
-            raise CLIError(f"FLEETROLL_JOBS must be an integer, got {jobs!r}") from None
-        if args["jobs"] < 1:
-            raise CLIError(f"FLEETROLL_JOBS must be >= 1, got {jobs!r}")
     if command == "stability" and not args["verify"]:
         for name in ("m", "m-sweep", "seeds", "seed", "policy", "T", "t-h", "num-mc", "m-lim",
                      "jobs"):

@@ -5,8 +5,8 @@ because the planners query them millions of times. Both tables are built in
 blocks (hop distances by a bit-parallel BFS from all sources at once, then one
 vectorised pass over each block's edges for its next hops), so no build
 temporary is n x n. `dist_array` holds the distances and `next_array` the
-next hops, both as unsigned shorts (unsigned ints from 65,536 nodes on);
-cost matrices are built from `dist_array` by indexing. For scalar lookups,
+next hops, both as unsigned shorts (check_size keeps n below 65,536); cost
+matrices are built from `dist_array` by indexing. For scalar lookups,
 `_dist` and `_next` hold one `memoryview` per row of each table: a read
 `_dist[i][j]` is a Python int and copies nothing. The tables never change
 after the build, so a graph is safe to share.
@@ -157,7 +157,7 @@ class CityGraph:
 
 
 def _all_pairs_distances(adj):
-    """Hop distances between all node pairs as unsigned ints, the largest
+    """Hop distances between all node pairs as unsigned shorts, the largest
     value of the dtype in the padding row and column.
 
     A BFS from all sources at once on bitsets of targets (the bit-parallel BFS
@@ -170,8 +170,8 @@ def _all_pairs_distances(adj):
     n = len(adj) - 1
     # slot x node; padded slots take row 0, which stays empty
     nbr = np.array(list(zip_longest([0], *adj[1:], fillvalue=0)), dtype=np.intp)
-    # A distance is at most n - 1, so it always fits below the padding value.
-    dist = np.zeros((n + 1, n + 1), dtype=np.uint16 if n < 2 ** 16 else np.uint32)
+    # check_size keeps n below 2 ** 16: a distance, at most n - 1, fits below the padding value.
+    dist = np.zeros((n + 1, n + 1), dtype=np.uint16)
     step = 64 * max(1, _BUILD_BLOCK_CELLS // (64 * (n + 1)))  # target columns per block
     for c0 in range(0, n + 1, step):
         c1 = min(c0 + step, n + 1)

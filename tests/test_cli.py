@@ -297,23 +297,39 @@ def test_too_small_count_flag_is_a_usage_error(tmp_path, capsys, argv, message):
     assert not out.exists()  # rejected before any work
 
 
+def _argv(argv, tmp_path, out):
+    """`argv` with "{out}" replaced by `out`, and a dict by a config file that holds it."""
+    args = []
+    for a in argv:
+        if isinstance(a, dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(a))
+            a = str(cfg)
+        args.append(a.replace("{out}", str(out)))
+    return args
+
+
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "--policy", "ia-ra", "--m", "0", "--T", "5", "--out-dir", "{out}"],
      "error: --m must be >= 1, got 0\n"),
     (["simulate", "--policy", "ia-ra", "--m", "2", "--T", "0", "--out-dir", "{out}"],
      "error: --T must be >= 1, got 0\n"),
     (["simulate", "--policy", "ia-ra", "--m-sweep", "2,0", "--T", "5", "--out-dir", "{out}"],
-     "error: --m-sweep values must be >= 1, got 0\n"),
+     "error: --m-sweep must be >= 1, got 0\n"),
+    (["simulate", "--policy", "ia-ra", "--config", {"m-sweep": [2, 0]}, "--T", "5",
+      "--out-dir", "{out}"],
+     "error: --m-sweep must be >= 1, got 0\n"),
     (["compare", "--policies", "ia-ra,greedy", "--m", "-1", "--seeds", "2",
       "--out-dir", "{out}"],
      "error: --m must be >= 1, got -1\n"),
     (["gen-trips", "--T", "-1", "--out", "{out}"], "error: --T must be >= 1, got -1\n"),
     (["partition", "--m", "0", "--out", "{out}"], "error: --m must be >= 1, got 0\n"),
-], ids=["simulate-m", "simulate-T", "simulate-sweep", "compare-m", "gen-trips-T", "partition-m"])
+], ids=["simulate-m", "simulate-T", "simulate-sweep", "simulate-sweep-config", "compare-m",
+        "gen-trips-T", "partition-m"])
 def test_fleet_size_or_horizon_below_one_is_rejected_before_any_output(tmp_path, capsys,
                                                                         argv, message):
     out = tmp_path / "o"
-    rc = main([a.replace("{out}", str(out)) for a in argv] + ["--grid", "3", "--e-eta", "0.4"])
+    rc = main(_argv(argv, tmp_path, out) + ["--grid", "3", "--e-eta", "0.4"])
     assert rc == 1
     assert capsys.readouterr().err == message
     assert not out.exists()
@@ -321,12 +337,14 @@ def test_fleet_size_or_horizon_below_one_is_rejected_before_any_output(tmp_path,
 
 @pytest.mark.parametrize("argv, repeated", [
     (["simulate", "--policy", "ia-ra", "--m-sweep", "2,3,2"], 2),
+    (["simulate", "--policy", "ia-ra", "--config", {"m-sweep": [3, 3]}], 3),
     (["compare", "--policies", "ia-ra,greedy", "--m-sweep", "2,2", "--seeds", "2"], 2),
     (["stability", "--policy", "ia-ra", "--verify", "--m-sweep", "3,2,3", "--seeds", "5"], 3),
-], ids=["simulate", "compare", "stability"])
+], ids=["simulate", "simulate-config", "compare", "stability"])
 def test_repeated_fleet_size_is_rejected_before_any_run(tmp_path, capsys, argv, repeated):
     out = tmp_path / "o"
-    rc = main(argv + ["--grid", "3", "--e-eta", "0.4", "--T", "5", "--out-dir", str(out)])
+    rc = main(_argv(argv, tmp_path, out)
+              + ["--grid", "3", "--e-eta", "0.4", "--T", "5", "--out-dir", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == f"error: --m-sweep names {repeated} more than once\n"
     assert not out.exists()
@@ -447,25 +465,6 @@ def test_shared_config_verify_checks_apply_to_stability_only(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err == "error: --seeds must be >= 5 with --verify, got 2\n"
     assert not (tmp_path / "s").exists()
-
-
-def test_bad_jobs_variable_is_a_one_line_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FLEETROLL_JOBS", "abc")
-    rc = main(["simulate", "--grid", "4", "--e-eta", "1.0", "--policy", "greedy",
-               "--m", "2", "--out-dir", str(tmp_path / "o")])
-    assert rc == 1
-    assert capsys.readouterr().err == "error: FLEETROLL_JOBS must be an integer, got 'abc'\n"
-
-
-@pytest.mark.parametrize("value", ["0", "-2"])
-def test_jobs_variable_below_one_is_a_one_line_error(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("FLEETROLL_JOBS", value)
-    out = tmp_path / "o"
-    rc = main(["simulate", "--grid", "4", "--e-eta", "1.0", "--policy", "greedy",
-               "--m", "2", "--out-dir", str(out)])
-    assert rc == 1
-    assert capsys.readouterr().err == f"error: FLEETROLL_JOBS must be >= 1, got '{value}'\n"
-    assert not out.exists()
 
 
 def test_zero_grid_is_a_usage_error(tmp_path, capsys):
@@ -750,6 +749,12 @@ def test_table_estimate_is_the_built_tables_size():
         row.itemsize * len(row) for row in g._next)
     assert graphmod.table_bytes(10000) < graphmod.BYTES_MAX // 5  # 100x100 fits
     assert graphmod.table_bytes(2 ** 16) == 2 * (2 ** 16 + 1) ** 2 * 4
+    # The largest graph check_size accepts has fewer than 2**16 nodes, so
+    # the tables are unsigned shorts at every size that can be built.
+    graphmod.check_size(23169)
+    with pytest.raises(graphmod.GraphError):
+        graphmod.check_size(23170)
+    assert 23169 < 2 ** 16
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
