@@ -6,7 +6,7 @@ from .graph import CityGraph, grid_graph, load_graph
 from .demand import (DemandModel, estimate_from_trips, expectation_terms,
                      sample_arrivals, sample_request, certainty_equivalence_requests,
                      synthetic_model)
-from .sim import FleetState, EpisodeTrace, transition, run_episode, service_distance
+from .sim import FleetState, EpisodeTrace, transition, run_episode
 from .policies import GreedyPolicy, IARAPolicy, IACommitPolicy, RandomIAPolicy
 from .rollout import RolloutConfig, RolloutPolicy, one_at_a_time_control
 from .partition import PartitionSpec, get_partitions

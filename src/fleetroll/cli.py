@@ -28,7 +28,7 @@ from .partition import get_partitions
 from .planner import TwoPhasePolicy
 from .policies import GreedyPolicy, IACommitPolicy, IARAPolicy, RandomIAPolicy
 from .rollout import RolloutConfig, RolloutPolicy
-from .sim import REQUEST_BYTES, EpisodeTrace, run_episode, service_distance
+from .sim import REQUEST_BYTES, EpisodeTrace, run_episode
 from .stability import MIN_HORIZON, MIN_TRACES, compute_bounds, empirical_stability
 
 _BASE_POLICIES = {cls.name: cls for cls in (GreedyPolicy, RandomIAPolicy, IACommitPolicy,
@@ -106,11 +106,10 @@ def _run_one(task):
     policy = _memo((task["policy"], task["m"]),
                    lambda: make_policy(task["policy"], g, model, task["m"], task))
     trace = run_episode(g, model, policy, task["m"], task["T"], task["run_seed"])
-    z = service_distance(trace, g)
     label = f"{task['policy']}_m{task['m']}_seed{task['run_seed']}"
     outdir = Path(task["out_dir"])
     _write_csv(outdir / f"{label}.trace.csv", trace.trace_rows())
-    summary = dict(trace.summary(), z_total=z.total, z_unassigned=len(z.unassigned))
+    summary = trace.summary()
     _write_json(outdir / f"{label}.summary.json", summary)
     _write_csv(outdir / f"{label}.timing.csv", trace.timing_rows())
     sector_timing = getattr(policy, "sector_timing", None)
@@ -172,7 +171,7 @@ def _run_all(args, policies, m_values):
 
 def cmd_simulate(args):
     outdir, results = _run_all(args, [args["policy"]], args["m_sweep"] or [args["m"]])
-    columns = ["policy", "m", "T", "seed", "cost", "z_total", "z_unassigned"]
+    columns = ["policy", "m", "T", "seed", "cost", "z_total"]
     _write_csv(outdir / "summary.csv", [columns] + [[r[c] for c in columns] for r in results])
     timing = [["policy", "m", "seed", "mean_plan_ms"]]
     timing += [[r["policy"], r["m"], r["seed"], f"{r['mean_plan_ms']:.3f}"] for r in results]

@@ -169,4 +169,4 @@ class TwoPhasePolicy:
         ctrl, self.plan = two_phase_control(state, self.graph, self.model,
                                             self.pspec, self.cfg, self.plan,
                                             self._seed, sector_timing=self.sector_timing)
-        return ctrl, None
+        return ctrl

@@ -2,10 +2,7 @@
 instantaneous assignment with commitment, and instantaneous assignment with
 reassignment (IA-RA).
 
-Each policy maps a fleet state to one joint control. The matching-based
-policies report their request->taxi pairing, naming every request the
-control picks up, so the episode runner can record each request's latest
-assignee for service distances; greedy reports None.
+Each policy maps a fleet state to one joint control.
 """
 
 from __future__ import annotations
@@ -26,12 +23,11 @@ def _node_actions(n):
 
 
 def _controls(state, graph, choose):
-    """Joint control and assignment map from one pass over the fleet: each
-    occupied taxi takes its forced hop toward its dropoff (an IllegalControl
-    names one on a node or toward a dropoff outside 1..n), each free taxi
-    stays. While requests are outstanding, choose(free) gets the free taxis
-    as ascending (taxi index, node) pairs and returns targets ({taxi index:
-    request}), each entered in the map as {request id: taxi index}: a free
+    """Joint control from one pass over the fleet: each occupied taxi takes
+    its forced hop toward its dropoff (an IllegalControl names one on a node
+    or toward a dropoff outside 1..n), each free taxi stays. While requests
+    are outstanding, choose(free) gets the free taxis as ascending (taxi
+    index, node) pairs and returns targets ({taxi index: request}): a free
     taxi picks its target up when co-located, else moves one hop toward it.
     Hops override targets of occupied taxis; both read the next-hop rows. A
     free taxi or an outstanding pickup above n, which the policies' reads
@@ -53,11 +49,9 @@ def _controls(state, graph, choose):
         if 0 < loc == dropoff <= n:
             raise
         raise IllegalControl(l, f"node {loc} or dropoff {dropoff} is outside 1..{n}") from None
-    assigned = {}
     try:
         if state.outstanding:
             for l, (rid, pickup, _) in choose(free).items():
-                assigned[rid] = l
                 if not dropoffs[l]:
                     loc = locs[l]
                     control[l] = (PICKUP, rid) if loc == pickup else moves[nxt[loc][pickup]]
@@ -69,7 +63,7 @@ def _controls(state, graph, choose):
             if not 0 < pickup <= n:
                 raise SimError(f"request {rid}: pickup {pickup} is outside 1..{n}") from None
         raise
-    return control, assigned
+    return control
 
 
 def match_free_to_requests(graph, free, requests):
@@ -96,8 +90,7 @@ def greedy_control(state, graph):
 
     No coordination: several taxis may converge on one request. Ties go to the
     smallest request id; a co-located request already claimed by a
-    lower-indexed taxi this step leaves the later taxi in place. The map is
-    None: the runner attributes each pickup to its taxi.
+    lower-indexed taxi this step leaves the later taxi in place.
     """
     requests = sorted(state.outstanding.values())
     dist = graph._dist
@@ -114,7 +107,7 @@ def greedy_control(state, graph):
             targets[l] = best
         return targets
 
-    return _controls(state, graph, nearest)[0], None
+    return _controls(state, graph, nearest)
 
 
 def ia_ra_control(state, graph):

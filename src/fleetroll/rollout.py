@@ -354,7 +354,7 @@ def one_at_a_time_control(state, graph, model, cfg: RolloutConfig, seed: int,
     only the requests picked up in the region.
     """
     key = min(taxi_keys or (0,))  # global rollout keys its taxis 0..m-1
-    base_joint, _ = policies.ia_ra_control(state, graph)
+    base_joint = policies.ia_ra_control(state, graph)
     num_mc = cfg.num_mc
     draw = None
     chosen = list(base_joint)  # the choices before l, the base controls from l on
@@ -397,5 +397,4 @@ class RolloutPolicy:
         self._seed = seed
 
     def control(self, state):
-        ctrl = one_at_a_time_control(state, self.graph, self.model, self.cfg, self._seed)
-        return ctrl, None
+        return one_at_a_time_control(state, self.graph, self.model, self.cfg, self._seed)

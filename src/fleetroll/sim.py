@@ -1,5 +1,5 @@
 """Discrete-time episode engine: fleet state, transition, stage cost, runner,
-and the episode's service distance.
+and the episode's service work (its moving taxi-steps).
 
 Timeline convention: the state at clock t is observed, the policy acts, the
 arrival batch for t+1 is sampled, and the transition advances the clock. A
@@ -37,9 +37,9 @@ NS_LOOKAHEAD = 4
 NS_CE = 5
 
 # Bytes an episode can hold per request, every request outstanding at once:
-# its drawn nodes, its (id, pickup, dropoff) tuple in the state and in the
-# transition's copy, and its `assigned` entry; tests/test_sim.py measures it.
-REQUEST_BYTES = 512
+# its drawn nodes and its (id, pickup, dropoff) tuple in the state and in the
+# transition's copy; tests/test_sim.py measures it (at most 250).
+REQUEST_BYTES = 300
 
 
 class SimError(FleetrollError):
@@ -167,9 +167,7 @@ class EpisodeTrace:
     and its free taxis; `stage_costs` the outstanding count at each clock, and
     `cost` their sum; `controls` each step's joint control; `request_pickups`
     and `request_dropoffs` the drawn requests' nodes, request id r at index
-    r-1; `assigned` maps a request id to (taxi, that taxi's node) as of the
-    step its latest assignee took it, or as of its pickup if no policy
-    assigned it; `plan_ms` each step's planning time."""
+    r-1; `plan_ms` each step's planning time."""
 
     policy: str
     m: int
@@ -181,7 +179,6 @@ class EpisodeTrace:
     controls: list = field(default_factory=list)
     request_pickups: list = field(default_factory=list)
     request_dropoffs: list = field(default_factory=list)
-    assigned: dict = field(default_factory=dict)
     plan_ms: list = field(default_factory=list)
 
     def outstanding_series(self):
@@ -209,17 +206,16 @@ class EpisodeTrace:
             "cost": self.cost,
             "requests": len(self.request_pickups),
             "pickups": sum(rec.pickups for rec in self.steps),
+            # service work: the taxi-steps in which a taxi moved, empty or loaded
+            "z_total": sum(act[0] in (MOVE, HOP) for ctrl in self.controls for act in ctrl),
         }
 
 
 def run_episode(graph, model, policy, m: int, T: int, seed: int) -> EpisodeTrace:
     """Run one seeded episode and capture the full trace.
 
-    `policy` implements reset(seed) and control(state) -> (joint control,
-    assignment map or None). The map (request id -> taxi) feeds the trace's
-    `assigned` record, so it must name every request the control picks up;
-    with None, each pickup is attributed to its taxi. Identical seeds give
-    bit-identical traces apart from wall-clock timings.
+    `policy` implements reset(seed) and control(state) -> joint control.
+    Identical seeds give bit-identical traces apart from wall-clock timings.
     """
     if m < 1 or T < 1:
         raise SimError("fleet size and horizon must be >= 1")
@@ -236,7 +232,6 @@ def run_episode(graph, model, policy, m: int, T: int, seed: int) -> EpisodeTrace
     trace = EpisodeTrace(policy=getattr(policy, "name", "policy"), m=m, T=T, seed=seed,
                          request_pickups=origins, request_dropoffs=dests)
     stage_costs, steps, plan_ms = trace.stage_costs, trace.steps, trace.plan_ms
-    assigned = trace.assigned
     arrived = 0  # requests that have arrived; request id r is at index r-1
     arrived_now = 0
 
@@ -249,20 +244,8 @@ def run_episode(graph, model, policy, m: int, T: int, seed: int) -> EpisodeTrace
             break
 
         t0 = time.perf_counter()
-        control, assignments = policy.control(state)
+        control = policy.control(state)
         plan_ms.append((time.perf_counter() - t0) * 1000.0)
-
-        locations = state.locations
-        if assignments is None:
-            # greedy, rollout and two-phase: the assignment is made at pickup
-            for l, act in enumerate(control):
-                if act[0] == PICKUP and act[1] not in assigned:
-                    assigned[act[1]] = (l, locations[l])
-        else:
-            for rid, taxi in assignments.items():
-                # planning phantoms (negative ids) never enter the record
-                if rid >= 0 and (rid not in assigned or assigned[rid][0] != taxi):
-                    assigned[rid] = (taxi, locations[taxi])
 
         eta = counts[t - 1]
         batch = list(zip(range(arrived + 1, arrived + eta + 1),
@@ -277,26 +260,3 @@ def run_episode(graph, model, policy, m: int, T: int, seed: int) -> EpisodeTrace
 
     trace.cost = sum(trace.stage_costs)
     return trace
-
-
-@dataclass
-class ServiceDistanceReport:
-    total: int
-    unassigned: list
-
-
-def service_distance(trace, graph) -> ServiceDistanceReport:
-    """Total service distance Z: for each request that was ever assigned, the
-    distance from its latest assignee's node (`trace.assigned`) to the
-    pickup, plus the trip length. Requests that never received an assignment
-    are excluded from the total and listed by id."""
-    total = 0
-    unassigned = []
-    for rid, (pickup, dropoff) in enumerate(zip(trace.request_pickups,
-                                                trace.request_dropoffs), start=1):
-        entry = trace.assigned.get(rid)
-        if entry is None:
-            unassigned.append(rid)
-        else:
-            total += graph.distance(entry[1], pickup) + graph.distance(pickup, dropoff)
-    return ServiceDistanceReport(total, unassigned)

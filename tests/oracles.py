@@ -224,7 +224,7 @@ def lookahead_cost(state, joint, batches, graph, t_h, inbound=()):
             if when == cur.clock:
                 cur = FleetState(cur.locations + [node], cur.dropoffs + [0],
                                  cur.outstanding, cur.clock)
-        ctrl, _ = ia_ra_control(cur, graph)
+        ctrl = ia_ra_control(cur, graph)
         cur = transition(cur, ctrl, batches[i], graph)
         cost += len(cur.outstanding)
     return cost
@@ -278,7 +278,7 @@ def rollout_control_reference(state, graph, model, cfg, seed, region=None, inbou
     each composed candidate joint on its own block of the call's scenarios and
     takes its base control when that is among the least scores, else the first
     least."""
-    base_joint, _ = ia_ra_control(state, graph)
+    base_joint = ia_ra_control(state, graph)
     chosen, claimed = list(base_joint), set()
     for l in range(state.m):
         if state.dropoffs[l] != 0:
@@ -737,8 +737,7 @@ def ia_ra_control_reference(state, graph):
     requests = [state.outstanding[rid] for rid in sorted(state.outstanding)]
     free = [(l, state.locations[l]) for l in range(state.m) if state.dropoffs[l] == 0]
     matched = match_free_to_requests_reference(graph, free, requests)
-    assignments = {req[0]: taxi for taxi, req in matched.items()}
-    return controls_reference(state, graph, matched), assignments
+    return controls_reference(state, graph, matched)
 
 
 def greedy_control_reference(state, graph):
@@ -767,51 +766,69 @@ def greedy_control_reference(state, graph):
                 control.append((PICKUP, best[0]))
         else:
             control.append((MOVE, graph.next_hop(loc, best[1])))
-    return control, None
+    return control
 
 
 class RecordingPolicy:
-    """Wraps a policy and logs, per step, the state it saw, the assignment
-    map it reported (request id -> taxi, or None) and its joint control."""
+    """Wraps a policy and logs, per step, the state it saw and its joint
+    control; `memories` keeps, per step, a copy of the inner policy's
+    `memory` (taxi -> request id) as the call left it, {} for a policy
+    without one."""
 
     def __init__(self, inner):
         self.inner = inner
         self.name = inner.name
         self.log = []
+        self.memories = []
 
     def reset(self, seed):
         self.log = []
+        self.memories = []
         self.inner.reset(seed)
 
     def control(self, state):
-        control, assignments = self.inner.control(state)
-        self.log.append((state, dict(assignments or {}), list(control)))
-        return control, assignments
+        control = self.inner.control(state)
+        self.log.append((state, list(control)))
+        self.memories.append(dict(getattr(self.inner, "memory", {})))
+        return control
 
 
-def service_distance_reference(graph, requests, log):
-    """(total, unassigned ids, assignment events) of the service distance by
-    the event-history rule, replayed from a RecordingPolicy's log over
-    `requests` (id -> (id, pickup, dropoff)). A request gets an event (step,
-    taxi, the taxi's node) whenever its reported assignee differs from the
-    last one reported; a request picked up without any event gets one at its
+def service_distance_reference(graph, requests, policy):
+    """(total, assignment events) of the service distance by the
+    event-history rule, the travel measure of an assignment record,
+    replayed from a RecordingPolicy over `requests` (id -> (id, pickup,
+    dropoff)). A request's assignee at a step is the taxi whose memory names
+    it after that step's call, while the request is outstanding. A request
+    gets an event (step, taxi, the taxi's node) whenever its assignee differs
+    from the last one; a request picked up without any event gets one at its
     pickup. Each assigned request counts the distance from its last event's
     node to its pickup, plus its trip."""
     events, assignee = {}, {}
-    for t, (state, assignments, control) in enumerate(log, start=1):
-        for rid, taxi in assignments.items():
-            if rid >= 0 and assignee.get(rid) != taxi:
+    for t, ((state, control), memory) in enumerate(zip(policy.log, policy.memories), start=1):
+        for taxi, rid in memory.items():
+            if rid in state.outstanding and assignee.get(rid) != taxi:
                 assignee[rid] = taxi
                 events.setdefault(rid, []).append((t, taxi, state.locations[taxi]))
         for l, act in enumerate(control):
             if act[0] == PICKUP and act[1] not in events:
                 events[act[1]] = [(t, l, state.locations[l])]
-    total, unassigned = 0, []
-    for rid in sorted(requests):
+    total = 0
+    for rid, evs in events.items():
         _, pickup, dropoff = requests[rid]
+        total += graph.distance(evs[-1][2], pickup) + graph.distance(pickup, dropoff)
+    return total, events
+
+
+def travel_left(graph, state, events):
+    """The travel the event-history rule counts that the fleet has not made
+    by `state`: each occupied taxi's distance to its dropoff, and for each
+    outstanding request with an event, its last assignee's distance to the
+    pickup plus the trip."""
+    left = sum(graph.distance(loc, dropoff)
+               for loc, dropoff in zip(state.locations, state.dropoffs) if dropoff)
+    for rid, pickup, dropoff in state.outstanding.values():
         if rid in events:
-            node = events[rid][-1][2]
-            total += graph.distance(node, pickup) + graph.distance(pickup, dropoff)
-        else:
-            unassigned.append(rid)
-    return total, unassigned, events
+            taxi = events[rid][-1][1]
+            left += graph.distance(state.locations[taxi], pickup) + graph.distance(pickup,
+                                                                                   dropoff)
+    return left

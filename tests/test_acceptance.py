@@ -22,7 +22,7 @@ from fleetroll.cli import main as cli_main
 from fleetroll.planner import TwoPhasePolicy
 from fleetroll.policies import IACommitPolicy, IARAPolicy, RandomIAPolicy
 from fleetroll.rollout import RolloutConfig, RolloutPolicy
-from fleetroll.sim import run_episode, service_distance
+from fleetroll.sim import run_episode
 from fleetroll.stability import (bounds_from_expectations, compute_bounds,
                                  empirical_stability, wasserstein_discrete)
 from oracles import (AssignmentProblem, brute_force_assignment, grid_aligned_pmf,
@@ -137,7 +137,7 @@ def test_criterion_4_policy_ordering():
         for name, cls in (("ia-ra", IARAPolicy), ("ia-commit", IACommitPolicy),
                           ("random-ia", RandomIAPolicy)):
             tr = run_episode(g, model, cls(g), m=3, T=50, seed=seed)
-            zs[name].append(service_distance(tr, g).total)
+            zs[name].append(tr.summary()["z_total"])
     mean = {k: sum(v) / len(v) for k, v in zs.items()}
     assert mean["ia-ra"] <= mean["ia-commit"] <= mean["random-ia"]
     p1 = one_sided_paired_p([a - b for a, b in zip(zs["ia-ra"], zs["ia-commit"])])

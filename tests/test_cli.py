@@ -59,7 +59,7 @@ def test_simulate_outputs(tmp_path):
                  "--m", "2", "--T", "30", "--seeds", "2", "--seed", "7",
                  "--out-dir", str(out)]) == 0
     summary = read_csv(out / "summary.csv")
-    assert summary[0] == ["policy", "m", "T", "seed", "cost", "z_total", "z_unassigned"]
+    assert summary[0] == ["policy", "m", "T", "seed", "cost", "z_total"]
     assert len(summary) == 3
     run = json.loads((out / "greedy_m2_seed7.summary.json").read_text())
     assert run["policy"] == "greedy" and run["m"] == 2

@@ -8,9 +8,9 @@ from fleetroll.errors import FleetrollError
 from fleetroll.graph import SameNode
 from fleetroll.policies import (GreedyPolicy, IACommitPolicy, IARAPolicy,
                                 RandomIAPolicy, _controls, greedy_control, ia_commit_control,
-                                ia_ra_control, random_ia_control)
+                                ia_ra_control, match_free_to_requests, random_ia_control)
 from fleetroll.sim import (HOP, MOVE, PICKUP, STAY, FleetState, IllegalControl, run_episode,
-                           service_distance, substream, transition)
+                           substream, transition)
 from conftest import line_graph, random_fleet_state, random_strong_digraph, ring_graph
 from oracles import controls_reference, greedy_control_reference, ia_ra_control_reference
 
@@ -24,13 +24,13 @@ def make_state(locs, outstanding=None, dropoffs=None, clock=1):
 
 def test_greedy_pickup_when_colocated(grid3):
     s = make_state([5], outstanding={1: (1, 5, 9)})
-    ctrl, _ = greedy_control(s, grid3)
+    ctrl = greedy_control(s, grid3)
     assert ctrl == [(PICKUP, 1)]
 
 
 def test_greedy_no_coordination(grid3):
     s = make_state([1, 3], outstanding={1: (1, 5, 9)})
-    ctrl, _ = greedy_control(s, grid3)
+    ctrl = greedy_control(s, grid3)
     assert ctrl[0][0] == MOVE and ctrl[1][0] == MOVE
     assert grid3.distance(ctrl[0][1], 5) == 1
     assert grid3.distance(ctrl[1][1], 5) == 1
@@ -39,18 +39,18 @@ def test_greedy_no_coordination(grid3):
 def test_greedy_tie_breaks_smallest_request_id(grid5):
     # taxi at 13 (center), requests 3 and 7 both two hops away
     s = make_state([13], outstanding={7: (7, 3, 1), 3: (3, 23, 1)})
-    ctrl, _ = greedy_control(s, grid5)
+    ctrl = greedy_control(s, grid5)
     assert ctrl[0] == (MOVE, grid5.next_hop(13, 23))  # request id 3 wins
 
 
 def test_greedy_stays_without_requests(grid3):
-    ctrl, _ = greedy_control(make_state([4, 8]), grid3)
+    ctrl = greedy_control(make_state([4, 8]), grid3)
     assert ctrl == [(STAY,), (STAY,)]
 
 
 def test_greedy_duplicate_pickup_resolved(grid3):
     s = make_state([5, 5], outstanding={1: (1, 5, 9)})
-    ctrl, _ = greedy_control(s, grid3)
+    ctrl = greedy_control(s, grid3)
     assert ctrl == [(PICKUP, 1), (STAY,)]
 
 
@@ -70,10 +70,10 @@ def test_greedy_control_equals_reference_on_random_states(make_graph):
                                    colocated=0.5)
         got = greedy_control(state, graph)
         assert got == greedy_control_reference(state, graph)
-        picked = [a[1] for a in got[0] if a[0] == PICKUP]
+        picked = [a[1] for a in got if a[0] == PICKUP]
         assert len(picked) == len(set(picked))
         left_in_place += sum(
-            1 for l, a in enumerate(got[0]) if a == (STAY,) and state.dropoffs[l] == 0
+            1 for l, a in enumerate(got) if a == (STAY,) and state.dropoffs[l] == 0
             and any(r[1] == state.locations[l] for r in state.outstanding.values()))
     assert left_in_place > 10
 
@@ -83,27 +83,27 @@ def test_greedy_control_equals_reference_on_random_states(make_graph):
 def test_ia_ra_straight_matching_on_line():
     g = line_graph(4)
     s = make_state([1, 4], outstanding={1: (1, 2, 2), 2: (2, 3, 3)})
-    ctrl, assigned = ia_ra_control(s, g)
-    assert assigned == {1: 0, 2: 1}  # 1->2 and 4->3, total 2, no crossing
+    ctrl = ia_ra_control(s, g)
+    # 1->2 and 4->3, total 2, no crossing
+    assert match_free_to_requests(g, [(0, 1), (1, 4)], sorted(s.outstanding.values())) == {
+        0: (1, 2, 2), 1: (2, 3, 3)}
     assert ctrl == [(MOVE, 2), (MOVE, 3)]
 
 
 def test_ia_ra_stays_without_requests(grid3):
-    ctrl, assigned = ia_ra_control(make_state([1, 9]), grid3)
-    assert ctrl == [(STAY,), (STAY,)] and assigned == {}
+    ctrl = ia_ra_control(make_state([1, 9]), grid3)
+    assert ctrl == [(STAY,), (STAY,)]
 
 
 def test_ia_ra_reassigns_when_closer_request_appears():
     g = line_graph(6)
     # taxi 0 at node 1 walking toward request 1 at node 5
     s = make_state([1, 6], outstanding={1: (1, 5, 1)}, dropoffs=[0, 3])
-    ctrl, a1 = ia_ra_control(s, g)
-    assert a1 == {1: 0}
+    assert ia_ra_control(s, g) == [(MOVE, 2), (HOP, 5)]  # taxi 0 toward request 1
     s2 = make_state([2, 6], outstanding={1: (1, 5, 1), 2: (2, 1, 1)})
-    # new request at node 1; fresh matching sends taxi 1 (at 6) to 5 and taxi 0 back
-    ctrl2, a2 = ia_ra_control(s2, g)
-    assert a2 == {2: 0, 1: 1}
-    assert a2[1] != a1[1]  # reassignment happened
+    # new request at node 1; fresh matching sends taxi 1 (at 6) to 5 and taxi 0
+    # back toward request 2: request 1 was reassigned
+    assert ia_ra_control(s2, g) == [(MOVE, 1), (MOVE, 5)]
 
 
 def test_ia_ra_matches_on_taxi_to_pickup_distance_on_one_way_streets():
@@ -113,8 +113,7 @@ def test_ia_ra_matches_on_taxi_to_pickup_distance_on_one_way_streets():
     # against the one-way direction).
     g = ring_graph(5)
     s = make_state([4, 2], outstanding={1: (1, 3, 5)})
-    ctrl, assigned = ia_ra_control(s, g)
-    assert assigned == {1: 1}
+    ctrl = ia_ra_control(s, g)
     assert ctrl == [(STAY,), (MOVE, 3)]
 
 
@@ -122,19 +121,19 @@ def test_ia_commit_keeps_initial_pairing():
     g = line_graph(6)
     memory = {}
     s = make_state([2, 6], outstanding={1: (1, 5, 1)})
-    ctrl, a1 = ia_commit_control(s, g, memory)
-    assert a1 == {1: 1}  # taxi at 6 is closer to 5
+    ctrl = ia_commit_control(s, g, memory)
+    assert memory == {1: 1} and ctrl == [(STAY,), (MOVE, 5)]  # taxi at 6 is closer to 5
     s2 = make_state([2, 5], outstanding={1: (1, 5, 1), 2: (2, 1, 1)})
-    ctrl2, a2 = ia_commit_control(s2, g, memory)
-    assert a2[1] == 1  # commitment intact under the new request
-    assert a2[2] == 0
+    ia_commit_control(s2, g, memory)
+    assert memory[1] == 1  # commitment intact under the new request
+    assert memory[0] == 2
 
 
 def test_ia_commit_releases_on_pickup():
     g = line_graph(4)
     memory = {}
     s = make_state([2], outstanding={1: (1, 2, 4)})
-    ctrl, _ = ia_commit_control(s, g, memory)
+    ctrl = ia_commit_control(s, g, memory)
     assert ctrl == [(PICKUP, 1)] and memory == {0: 1}
     s2 = transition(s, ctrl, [], g)
     ia_commit_control(s2, g, memory)
@@ -145,9 +144,9 @@ def test_ia_commit_new_request_waits_when_all_committed():
     g = line_graph(4)
     memory = {0: 1}
     s = make_state([2], outstanding={1: (1, 4, 1), 2: (2, 1, 1)})
-    ctrl, assigned = ia_commit_control(s, g, memory)
-    assert assigned == {1: 0}
-    assert 2 not in assigned
+    ctrl = ia_commit_control(s, g, memory)
+    assert memory == {0: 1} and ctrl == [(MOVE, 3)]
+    assert 2 not in memory.values()
 
 
 # --- random IA ---
@@ -155,8 +154,8 @@ def test_ia_commit_new_request_waits_when_all_committed():
 def test_random_ia_single_taxi_always_chosen(grid3):
     memory = {}
     s = make_state([1], outstanding={1: (1, 9, 1)})
-    _, assigned = random_ia_control(s, grid3, substream(0, 0), memory)
-    assert assigned == {1: 0}
+    random_ia_control(s, grid3, substream(0, 0), memory)
+    assert memory == {0: 1}
 
 
 def test_random_ia_uniform_choice(grid3):
@@ -164,8 +163,9 @@ def test_random_ia_uniform_choice(grid3):
     for trial in range(10000):
         memory = {}
         s = make_state([1, 9], outstanding={1: (1, 5, 1)})
-        _, assigned = random_ia_control(s, grid3, substream(17, trial), memory)
-        picks[assigned[1]] += 1
+        random_ia_control(s, grid3, substream(17, trial), memory)
+        [taxi] = [l for l, rid in memory.items() if rid == 1]
+        picks[taxi] += 1
     frac = picks[0] / 10000
     assert abs(frac - 0.5) < 0.02
 
@@ -173,24 +173,24 @@ def test_random_ia_uniform_choice(grid3):
 def test_random_ia_no_free_taxis(grid3):
     memory = {}
     s = make_state([1], dropoffs=[9], outstanding={1: (1, 5, 1)})
-    ctrl, assigned = random_ia_control(s, grid3, substream(0, 0), memory)
-    assert assigned == {} and ctrl[0][0] == "hop"
+    ctrl = random_ia_control(s, grid3, substream(0, 0), memory)
+    assert memory == {} and ctrl[0][0] == "hop"
 
 
 def test_random_ia_holds_through_dropoff(grid3):
     memory = {}
     s = make_state([5], outstanding={1: (1, 5, 4)})  # d(5,4)=1
-    ctrl, _ = random_ia_control(s, grid3, substream(1, 0), memory)
+    ctrl = random_ia_control(s, grid3, substream(1, 0), memory)
     assert ctrl == [(PICKUP, 1)]
     s2 = transition(s, ctrl, [(2, 5, 6)], grid3)
     # taxi occupied: still bound, request 2 must wait
-    ctrl2, assigned2 = random_ia_control(s2, grid3, substream(1, 1), memory)
+    ctrl2 = random_ia_control(s2, grid3, substream(1, 1), memory)
     assert memory == {0: 1}
-    assert assigned2 == {}
+    assert ctrl2 == [(HOP, 4)]
     s3 = transition(s2, ctrl2, [], grid3)
     # dropoff done: released, taxi now takes request 2
-    _, assigned3 = random_ia_control(s3, grid3, substream(1, 2), memory)
-    assert memory == {0: 2} and assigned3 == {2: 0}
+    ctrl3 = random_ia_control(s3, grid3, substream(1, 2), memory)
+    assert memory == {0: 2} and ctrl3 == [(MOVE, 5)]
 
 
 @pytest.mark.parametrize("dropoff, k", [(1, 0), (2, 1), (9, 4)],
@@ -202,17 +202,17 @@ def test_random_ia_binds_a_taxi_for_exactly_its_trip(grid3, dropoff, k):
     the request that waited."""
     memory = {}
     s = make_state([1], outstanding={1: (1, 1, dropoff)})
-    ctrl, _ = random_ia_control(s, grid3, substream(1, 0), memory)
+    ctrl = random_ia_control(s, grid3, substream(1, 0), memory)
     assert ctrl == [(PICKUP, 1)]
     s = transition(s, ctrl, [(2, 5, 6)], grid3)
     for step in range(1, k + 1):
         assert s.dropoffs == [dropoff]
-        ctrl, assigned = random_ia_control(s, grid3, substream(1, step), memory)
-        assert ctrl[0][0] == HOP and memory == {0: 1} and assigned == {}
+        ctrl = random_ia_control(s, grid3, substream(1, step), memory)
+        assert ctrl[0][0] == HOP and memory == {0: 1}
         s = transition(s, ctrl, [], grid3)
     assert s.locations == [dropoff] and s.dropoffs == [0]
-    _, assigned = random_ia_control(s, grid3, substream(1, k + 1), memory)
-    assert memory == {0: 2} and assigned == {2: 0}
+    ctrl = random_ia_control(s, grid3, substream(1, k + 1), memory)
+    assert memory == {0: 2} and ctrl[0] in ((PICKUP, 2), (MOVE, grid3.next_hop(dropoff, 5)))
 
 
 # --- legality of emitted controls ---
@@ -238,7 +238,7 @@ def test_state_breaking_the_in_service_invariant_is_a_fleetroll_error(grid3, loc
     transition, with a FleetrollError; an IllegalControl names taxi 1."""
     s = make_state(locs, outstanding={3: (3, 2, 9)}, dropoffs=dropoffs)
     with pytest.raises(FleetrollError) as exc:
-        transition(s, IARAPolicy(grid3).control(s)[0], [], grid3)
+        transition(s, IARAPolicy(grid3).control(s), [], grid3)
     assert isinstance(exc.value, error)
     if error is IllegalControl:
         assert str(exc.value) == f"taxi 1: node {locs[1]} or dropoff {dropoffs[1]} is outside 1..9"
@@ -261,40 +261,11 @@ def test_free_taxi_or_pickup_off_the_graph_is_a_fleetroll_error(grid3, cls, loc,
     policy.reset(0)
     s = make_state([1, loc], outstanding={3: (3, pickup, 9)})
     with pytest.raises(FleetrollError) as exc:
-        transition(s, policy.control(s)[0], [], grid3)
+        transition(s, policy.control(s), [], grid3)
     assert str(exc.value) == message
 
 
-# --- service distance ---
-
-def test_service_distance_single_request(grid5, model5_light):
-    from fleetroll.sim import EpisodeTrace
-
-    tr = EpisodeTrace(policy="x", m=1, T=10, seed=0)
-    tr.request_pickups, tr.request_dropoffs = [3], [23]  # request 1: d(3,23) = 4
-    tr.assigned = {1: (0, 1)}  # taxi 0 assigned while at node 1
-    rep = service_distance(tr, grid5)
-    assert rep.total == grid5.distance(1, 3) + grid5.distance(3, 23)
-    assert rep.unassigned == []
-
-
-def test_service_distance_zero_requests(grid5):
-    from fleetroll.sim import EpisodeTrace
-
-    rep = service_distance(EpisodeTrace(policy="x", m=1, T=5, seed=0), grid5)
-    assert rep.total == 0 and rep.unassigned == []
-
-
-def test_service_distance_unassigned_reported(grid5):
-    from fleetroll.sim import EpisodeTrace
-
-    tr = EpisodeTrace(policy="x", m=1, T=5, seed=0)
-    tr.request_pickups, tr.request_dropoffs = [2, 4], [3, 5]
-    tr.assigned = {1: (0, 2)}
-    rep = service_distance(tr, grid5)
-    assert rep.unassigned == [2]
-    assert rep.total == grid5.distance(2, 3)  # request 2 adds nothing
-
+# --- service work ---
 
 def test_z_ordering_on_scripted_seeds(grid5, model5_light):
     # small-scale analogue of the expected ordering; the acceptance suite
@@ -304,7 +275,7 @@ def test_z_ordering_on_scripted_seeds(grid5, model5_light):
         for name, cls in (("ia-ra", IARAPolicy), ("ia-commit", IACommitPolicy),
                           ("random-ia", RandomIAPolicy)):
             tr = run_episode(grid5, model5_light, cls(grid5), 3, 50, seed)
-            zs[name].append(service_distance(tr, grid5).total)
+            zs[name].append(tr.summary()["z_total"])
     mean = {k: sum(v) / len(v) for k, v in zs.items()}
     assert mean["ia-ra"] <= mean["ia-commit"] <= mean["random-ia"]
 
@@ -344,9 +315,9 @@ def test_min_expectation_inequality_samples():
     lambda: random_strong_digraph(random.Random(8), 20),
 ], ids=["grid", "one-way-ring", "random-digraph"])
 def test_ia_ra_control_equals_reference_on_random_states(make_graph):
-    """Same joint control and the same assignments, in the same order, as
-    IA-RA built taxi by taxi on the taxi-by-request matrix; with more free
-    taxis than requests and with fewer. The joint builder alone also matches
+    """Same joint control as IA-RA built taxi by taxi on the taxi-by-request
+    matrix, with more free taxis than requests and with fewer. The joint
+    builder alone also matches
     the taxi-by-taxi reference on targets drawn for any taxi (occupied ones
     included), with targets in shuffled dict order, with no targets, and on
     an all-occupied fleet that has taxis one hop from their dropoffs."""
@@ -359,7 +330,6 @@ def test_ia_ra_control_equals_reference_on_random_states(make_graph):
         got = ia_ra_control(state, graph)
         want = ia_ra_control_reference(state, graph)
         assert got == want
-        assert list(got[1].items()) == list(want[1].items())
         free = state.dropoffs.count(0)
         shapes.add((free > len(state.outstanding), free < len(state.outstanding)))
         targets = {l: rnd.choice(list(state.outstanding.values()))
@@ -387,7 +357,7 @@ def controls(state, graph, targets):
                         if state.dropoffs[l] == 0]
         return targets
 
-    return _controls(state, graph, choose)[0]
+    return _controls(state, graph, choose)
 
 
 def shuffled(rnd, d):

@@ -91,7 +91,7 @@ def per_candidate_costs(state, joint, l, cands, scenarios, graph, t_h, inbound=(
 def candidate_joints(state, graph, l):
     """The base joint, free taxi l's candidates against it and each
     candidate's composed joint."""
-    base_joint, _ = ia_ra_control(state, graph)
+    base_joint = ia_ra_control(state, graph)
     claimed = {a[1] for a in base_joint[:l] if a[0] == PICKUP}
     cands = _candidate_actions(state, graph, l, claimed)
     return base_joint, cands, [compose_joint(base_joint, cand, l, base_joint, claimed)
@@ -163,7 +163,7 @@ def test_plain_joints_score_as_composed_joints(grid3):
         if not free:
             continue
         l = rnd.choice(free)
-        base_joint, _ = ia_ra_control(s, g)
+        base_joint = ia_ra_control(s, g)
         chosen = list(base_joint)
         claimed = set()
         for i in range(l):
@@ -202,7 +202,7 @@ def test_a_base_pickup_that_repeats_the_candidate_pickup_is_a_stay():
     for drop_1, drop_2, want in cases:
         s = make_state([2, 2], outstanding={1: (1, 2, drop_1),
                                             2: (2, 2, drop_2)})
-        base_joint, _ = ia_ra_control(s, g)
+        base_joint = ia_ra_control(s, g)
         assert base_joint == [(PICKUP, 1), (PICKUP, 2)]
         cands = _candidate_actions(s, g, 0, set())
         assert cands == [(PICKUP, 1), (PICKUP, 2), (STAY,), (MOVE, 1), (MOVE, 3)]
@@ -585,7 +585,7 @@ def test_all_candidates_tie_and_the_base_control_is_a_move():
     # moves the taxi toward the request, and rollout does as its base does.
     g = line_graph(8)
     s = make_state([2], outstanding={1: (1, 8, 1)})
-    base_joint, _ = ia_ra_control(s, g)
+    base_joint = ia_ra_control(s, g)
     assert base_joint == [(MOVE, 3)]
     cands = _candidate_actions(s, g, 0, set())
     assert cands == [(STAY,), (MOVE, 1), (MOVE, 3)]
@@ -617,7 +617,7 @@ def test_a_base_control_among_the_least_totals_is_chosen(monkeypatch):
         cfg = RolloutConfig(t_h=rnd.randint(1, 3), num_mc=rnd.randint(1, 3))
         scored.clear()
         chosen = one_at_a_time_control(s, g, model, cfg, seed=trial)
-        base_joint, _ = ia_ra_control(s, g)
+        base_joint = ia_ra_control(s, g)
         for l, cands, totals in scored:
             least = [cand for cand, t in zip(cands, totals) if t == min(totals)]
             if base_joint[l] in least:

@@ -13,10 +13,10 @@ from fleetroll.policies import (GreedyPolicy, IACommitPolicy, IARAPolicy, Random
                                 ia_ra_control)
 from fleetroll.rollout import RolloutConfig, RolloutPolicy
 from fleetroll.sim import (HOP, MOVE, PICKUP, REQUEST_BYTES, STAY, FleetState, IllegalControl,
-                           SimError, run_episode, service_distance, substream, transition)
+                           SimError, run_episode, substream, transition)
 from conftest import random_fleet_state, random_strong_digraph, ring_graph
 from oracles import (RecordingPolicy, ScalarDemand, scalar_episode_draws,
-                     service_distance_reference, transition_reference)
+                     service_distance_reference, transition_reference, travel_left)
 
 
 def make_state(locs, dropoffs=None, outstanding=None, clock=1):
@@ -324,7 +324,7 @@ def test_outstanding_matches_arrival_times(grid5, model5_unit):
     # ids are consecutive, and each clock's record counts the requests that
     # became visible at it
     arrival = [t for t, rec in enumerate(trace.steps, start=1) for _ in range(rec.arrivals)]
-    seen = [(r, state.clock) for state, _, _ in policy.log for r in state.outstanding.values()]
+    seen = [(r, state.clock) for state, _ in policy.log for r in state.outstanding.values()]
     assert seen
     for r, clock in seen:
         assert 2 <= arrival[r[0] - 1] <= clock <= 40
@@ -343,7 +343,7 @@ def test_taxi_moves_at_most_one_edge(grid5, model5_unit):
     rng_req = substream(4, 2)
     rid = 1
     for t in range(1, 40):
-        ctrl, _ = policy.control(state)
+        ctrl = policy.control(state)
         arrivals = []
         for _ in range(demand.eta.draw(rng)):
             arrivals.append((rid, *demand.request(rng_req)))
@@ -364,7 +364,7 @@ class StayAndRecord:
     def control(self, state):
         if self.start is None:
             self.start = list(state.locations)
-        return [(STAY,)] * state.m, None
+        return [(STAY,)] * state.m
 
 
 def test_episode_draws_equal_scalar_reference(grid5):
@@ -389,13 +389,41 @@ def test_episode_draws_equal_scalar_reference(grid5):
 
 # --- the episode record ---
 
-def test_service_distance_equals_the_event_history_rule(grid5):
+def test_z_total_agrees_with_the_old_service_distance(grid5):
+    """z_total counts the taxi-steps in which a taxi moves. Under random-ia
+    and ia-commit a taxi never changes request before its pickup, so z_total
+    equals the service distance of the assignment record that their memories
+    give (the event-history rule) less the travel that rule counts and the
+    fleet has not made by T. For all six policies, z_total counts the taxis
+    whose node changed at each step, and a step's pickups are its control's
+    PICKUP actions."""
     from fleetroll.demand import estimate_from_trips, generate_trips
 
     synthetic = synthetic_model(grid5, 2.0, hotspot=7, hotspot_mass=0.3)
     from_log = estimate_from_trips(generate_trips(synthetic, horizon=300, seed=8), grid5)
+    digraph = random_strong_digraph(random.Random(5), 12)  # one-way streets
+    cases = left_over = 0
+    for graph, model in ((grid5, synthetic), (grid5, from_log),
+                         (digraph, synthetic_model(digraph, 1.2))):
+        for m, T in ((1, 1), (2, 2), (3, 25), (6, 40)):
+            for seed in range(30):
+                for inner in (RandomIAPolicy(graph), IACommitPolicy(graph)):
+                    policy = RecordingPolicy(inner)
+                    trace = run_episode(graph, model, policy, m, T, seed)
+                    requests = {rid: (rid, p, d) for rid, (p, d) in enumerate(
+                        zip(trace.request_pickups, trace.request_dropoffs), start=1)}
+                    total, events = service_distance_reference(graph, requests, policy)
+                    left = 0
+                    if policy.log:
+                        state, control = policy.log[-1]
+                        left = travel_left(graph, transition(state, control, [], graph),
+                                           events)
+                    assert trace.summary()["z_total"] == total - left, (inner.name, m, T, seed)
+                    cases += 1
+                    left_over += left > 0
+    assert cases == 720 and left_over > 100
+
     m, T, cfg = 6, 40, RolloutConfig(t_h=2, num_mc=2)
-    returned = 0  # requests reassigned away from a taxi and back to it
     picked = 0
     for model in (synthetic, from_log):
         for inner in (GreedyPolicy(grid5), RandomIAPolicy(grid5), IACommitPolicy(grid5),
@@ -404,23 +432,16 @@ def test_service_distance_equals_the_event_history_rule(grid5):
             for seed in (1, 2, 3):
                 policy = RecordingPolicy(inner)
                 trace = run_episode(grid5, model, policy, m, T, seed)
-                _, requests, _ = scalar_episode_draws(model, m, T, seed)
-                total, unassigned, events = service_distance_reference(grid5, requests,
-                                                                       policy.log)
-                report = service_distance(trace, grid5)
-                assert (report.total, report.unassigned) == (total, unassigned), \
-                    (inner.name, seed)
-                assert len(unassigned) < len(requests)
-                # each request's entry is its last event's (taxi, node)
-                assert {rid: evs[-1][1:] for rid, evs in events.items()} == trace.assigned
+                state, control = policy.log[-1]
+                states = [s for s, _ in policy.log] + [transition(state, control, [], grid5)]
+                moved = sum(a != b for s0, s1 in zip(states, states[1:])
+                            for a, b in zip(s0.locations, s1.locations))
+                assert trace.summary()["z_total"] == moved > 0, (inner.name, seed)
                 # a step's pickups are its control's PICKUP actions
                 assert [rec.pickups for rec in trace.steps] == [
                     sum(act[0] == PICKUP for act in control) for control in trace.controls] + [0]
                 picked += trace.summary()["pickups"]
-                for evs in events.values():
-                    taxis = [taxi for _, taxi, _ in evs]
-                    returned += any(taxis[i] in taxis[:i - 1] for i in range(2, len(taxis)))
-    assert returned > 0 and picked > 1000
+    assert picked > 1000
 
 
 def test_trace_keeps_at_most_24_bytes_per_request():
@@ -441,21 +462,6 @@ def test_trace_keeps_at_most_24_bytes_per_request():
     assert kept / 58000 <= 24
 
 
-class StayAndAssignArrivals:
-    """Every taxi stays, and each request is assigned once, at its arrival:
-    all requests stay outstanding, each with an `assigned` entry. Ids are
-    consecutive, so the ids above the last one assigned have just arrived."""
-    name = "stay-assign"
-
-    def reset(self, seed):
-        self.last = 0
-
-    def control(self, state):
-        new = {rid: rid % state.m for rid in state.outstanding if rid > self.last}
-        self.last = max(new, default=self.last)
-        return [(STAY,)] * state.m, new
-
-
 @pytest.mark.parametrize("e_eta, T", [(20.0, 600), (200.0, 61), (333.3, 40)])
 def test_request_bytes_bound_an_episode_whose_requests_stay_outstanding(e_eta, T):
     # A 20x20 grid: node numbers and request ids above 256 are int objects
@@ -466,11 +472,11 @@ def test_request_bytes_bound_an_episode_whose_requests_stay_outstanding(e_eta, T
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        trace = run_episode(g, model, StayAndAssignArrivals(), 2, T, 1)
+        trace = run_episode(g, model, StayAndRecord(), 2, T, 1)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     requests = len(trace.request_pickups)
-    assert requests > 10000 and len(trace.assigned) == requests - trace.steps[-1].arrivals
+    assert requests > 10000
     assert trace.stage_costs[-1] == requests
     assert peak / requests < REQUEST_BYTES
