@@ -28,7 +28,7 @@ from .partition import get_partitions
 from .planner import TwoPhasePolicy
 from .policies import GreedyPolicy, IACommitPolicy, IARAPolicy, RandomIAPolicy
 from .rollout import RolloutConfig, RolloutPolicy
-from .sim import REQUEST_BYTES, EpisodeTrace, run_episode
+from .sim import REQUEST_BYTES, TAXI_STEP_BYTES, EpisodeTrace, run_episode
 from .stability import MIN_HORIZON, MIN_TRACES, compute_bounds, empirical_stability
 
 _BASE_POLICIES = {cls.name: cls for cls in (GreedyPolicy, RandomIAPolicy, IACommitPolicy,
@@ -121,8 +121,8 @@ def _run_one(task):
 
 
 def _execute(tasks, jobs):
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if (workers := min(jobs, len(tasks))) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_one, tasks))
     return [_run_one(t) for t in tasks]
 
@@ -145,16 +145,18 @@ def _check_run(g, model, args, policies, m_values):
     step) and m locations up front, and a rollout planning call num_mc
     scenarios for each of up to m free taxis, read as an episode's draws are:
     a count per step, then 2 uniforms per arrival, ceil(E[eta]) expected.
-    Every arrival of an episode may be outstanding at once, REQUEST_BYTES each."""
+    Every arrival of an episode may be outstanding at once, REQUEST_BYTES each,
+    while its trace keeps TAXI_STEP_BYTES for each of m taxis a step."""
     m = max(m_values)
     if "two-phase" in policies and (K := math.ceil(m / args["m_lim"])) > g.n:
         raise CLIError(f"two-phase with --m {m} and --m-lim {args['m_lim']} opens "
                        f"{K} sectors, more than the graph's {g.n} nodes")
     eta_max = max(k for k, p in model.eta_pmf.items() if p > 0)
     _check_draws("an episode", (args["T"] - 1) * (1 + 2 * eta_max) + m)
-    if (held := (args["T"] - 1) * eta_max * REQUEST_BYTES) > graphmod.BYTES_MAX:
-        raise CLIError(f"an episode can hold {held / 2 ** 30:.3g} GiB of requests at once, "
-                       f"more than the {graphmod.BYTES_MAX / 2 ** 30:.3g} GiB allowed")
+    held = (args["T"] - 1) * (eta_max * REQUEST_BYTES + m * TAXI_STEP_BYTES)
+    if held > graphmod.BYTES_MAX:
+        raise CLIError(f"an episode can hold {held / 2 ** 30:.3g} GiB of requests and controls "
+                       f"at once, more than the {graphmod.BYTES_MAX / 2 ** 30:.3g} GiB allowed")
     if {"rollout", "two-phase"} & set(policies):
         _check_draws("a rollout planning call", m * args["num_mc"] * (args["t_h"] + 1)
                      * (1 + 2 * math.ceil(model.e_eta)))

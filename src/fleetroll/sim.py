@@ -38,8 +38,9 @@ NS_CE = 5
 
 # Bytes an episode can hold per request, every request outstanding at once:
 # its drawn nodes and its (id, pickup, dropoff) tuple in the state and in the
-# transition's copy; tests/test_sim.py measures it (at most 250).
-REQUEST_BYTES = 300
+# transition's copy; and per taxi-step, a pointer in the control the trace
+# keeps. tests/test_sim.py measures both (at most 250 and 13).
+REQUEST_BYTES, TAXI_STEP_BYTES = 300, 16
 
 
 class SimError(FleetrollError):
@@ -154,40 +155,44 @@ def transition(state: FleetState, control, arrivals, graph) -> FleetState:
 
 
 @dataclass
-class StepRecord:
-    arrivals: int
-    pickups: int
-    free_taxis: int
-
-
-@dataclass
 class EpisodeTrace:
-    """One episode's record, each fact kept once. `steps` holds a StepRecord
-    per clock 1..T, with the arrivals that became visible at it, its pickups
-    and its free taxis; `stage_costs` the outstanding count at each clock, and
-    `cost` their sum; `controls` each step's joint control; `request_pickups`
-    and `request_dropoffs` the drawn requests' nodes, request id r at index
-    r-1; `plan_ms` each step's planning time."""
+    """One episode's record, each fact kept once: the outstanding count at
+    each clock 1..T (`cost` is their sum), each step's joint control, the
+    free taxis at T, the drawn requests' nodes (request id r at index r-1)
+    and each step's planning time. `trace_rows()` derives the rest: step t's
+    pickups are its control's PICKUP actions (0 at T), its free taxis m less
+    its HOP actions (an occupied taxi gets a hop and only a hop), and the
+    arrivals at clock t >= 2 the outstanding count at t less that at t-1
+    plus the pickups at t-1 (0 at t = 1)."""
 
     policy: str
     m: int
     T: int
     seed: int
-    steps: list = field(default_factory=list)
     stage_costs: list = field(default_factory=list)
-    cost: int = 0
     controls: list = field(default_factory=list)
+    free_at_T: int = 0
     request_pickups: list = field(default_factory=list)
     request_dropoffs: list = field(default_factory=list)
     plan_ms: list = field(default_factory=list)
 
+    @property
+    def cost(self) -> int:
+        return sum(self.stage_costs)
+
     def outstanding_series(self):
         return list(self.stage_costs)
 
+    def _counts(self, kinds):  # each step's count of actions of these kinds
+        return [sum(act[0] in kinds for act in ctrl) for ctrl in self.controls]
+
     def trace_rows(self):
         yield ["t", "outstanding", "arrivals", "pickups", "free_taxis"]
-        for t, (n_out, rec) in enumerate(zip(self.stage_costs, self.steps), start=1):
-            yield [t, n_out, rec.arrivals, rec.pickups, rec.free_taxis]
+        pickups = self._counts((PICKUP,)) + [0]
+        free = [self.m - hops for hops in self._counts((HOP,))] + [self.free_at_T]
+        for t, n_out in enumerate(self.stage_costs, start=1):
+            arrivals = n_out - self.stage_costs[t - 2] + pickups[t - 2] if t > 1 else 0
+            yield [t, n_out, arrivals, pickups[t - 1], free[t - 1]]
 
     def timing_rows(self):
         yield ["t", "plan_ms"]
@@ -205,9 +210,9 @@ class EpisodeTrace:
             "seed": self.seed,
             "cost": self.cost,
             "requests": len(self.request_pickups),
-            "pickups": sum(rec.pickups for rec in self.steps),
+            "pickups": sum(self._counts((PICKUP,))),
             # service work: the taxi-steps in which a taxi moved, empty or loaded
-            "z_total": sum(act[0] in (MOVE, HOP) for ctrl in self.controls for act in ctrl),
+            "z_total": sum(self._counts((MOVE, HOP))),
         }
 
 
@@ -231,18 +236,11 @@ def run_episode(graph, model, policy, m: int, T: int, seed: int) -> EpisodeTrace
     state = FleetState(locations, [0] * m, {}, 1)
     trace = EpisodeTrace(policy=getattr(policy, "name", "policy"), m=m, T=T, seed=seed,
                          request_pickups=origins, request_dropoffs=dests)
-    stage_costs, steps, plan_ms = trace.stage_costs, trace.steps, trace.plan_ms
+    stage_costs, controls, plan_ms = trace.stage_costs, trace.controls, trace.plan_ms
     arrived = 0  # requests that have arrived; request id r is at index r-1
-    arrived_now = 0
 
-    for t in range(1, T + 1):
-        n_out = len(state.outstanding)
-        free = state.dropoffs.count(0)
-        stage_costs.append(n_out)
-        if t == T:
-            steps.append(StepRecord(arrived_now, 0, free))
-            break
-
+    for t in range(1, T):
+        stage_costs.append(len(state.outstanding))
         t0 = time.perf_counter()
         control = policy.control(state)
         plan_ms.append((time.perf_counter() - t0) * 1000.0)
@@ -252,11 +250,9 @@ def run_episode(graph, model, policy, m: int, T: int, seed: int) -> EpisodeTrace
                          origins[arrived:arrived + eta], dests[arrived:arrived + eta]))
         arrived += eta
 
-        trace.controls.append(list(control))
+        controls.append(list(control))
         state = transition(state, control, batch, graph)
-        # each pickup left the outstanding set, each arrival joined it
-        steps.append(StepRecord(arrived_now, n_out + eta - len(state.outstanding), free))
-        arrived_now = eta
 
-    trace.cost = sum(trace.stage_costs)
+    stage_costs.append(len(state.outstanding))
+    trace.free_at_T = state.dropoffs.count(0)
     return trace

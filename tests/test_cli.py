@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -736,11 +737,60 @@ def test_an_episode_that_could_hold_too_many_requests_is_rejected_before_any_dra
                "--T", "60", "--out-dir", str(out)])
     assert rc == 1
     captured = capsys.readouterr()
-    held = 59 * 10 ** 6 * sim.REQUEST_BYTES / 2 ** 30
+    held = 59 * (10 ** 6 * sim.REQUEST_BYTES + 2 * sim.TAXI_STEP_BYTES) / 2 ** 30
     assert captured.out == ""
-    assert captured.err == (f"error: an episode can hold {held:.3g} GiB of requests at once, "
-                            f"more than the 2 GiB allowed\n")
+    assert captured.err == (f"error: an episode can hold {held:.3g} GiB of requests and controls "
+                            f"at once, more than the 2 GiB allowed\n")
     assert not out.exists() and runs == []
+
+
+def test_an_episode_whose_controls_would_not_fit_is_rejected_before_any_run(
+        tmp_path, capsys, monkeypatch):
+    # No requests, but the trace keeps a pointer for each of 10^6 taxis over
+    # 299 steps: 299 * 10^6 * TAXI_STEP_BYTES bytes.
+    def no_run(tasks, jobs):
+        raise AssertionError("ran before the check")
+
+    monkeypatch.setattr(cli, "_execute", no_run)
+    out = tmp_path / "o"
+    rc = main(["simulate", "--grid", "3", "--e-eta", "0", "--policy", "greedy",
+               "--m", "1000000", "--T", "300", "--out-dir", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    held = 299 * 10 ** 6 * sim.TAXI_STEP_BYTES / 2 ** 30
+    assert captured.out == ""
+    assert captured.err == (f"error: an episode can hold {held:.3g} GiB of requests and controls "
+                            f"at once, more than the 2 GiB allowed\n")
+    assert not out.exists()
+
+
+def test_process_pool_has_no_more_workers_than_runs(tmp_path, monkeypatch):
+    # The pool is a stand-in that maps in this process, so no worker starts
+    # whatever --jobs asks for.
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    argv = ["simulate", "--grid", "3", "--e-eta", "0.5", "--policy", "greedy", "--m", "2",
+            "--T", "5", "--seeds", "2"]
+    assert main(argv + ["--jobs", "64", "--out-dir", str(tmp_path / "a")]) == 0
+    assert sizes == [2]
+    assert main(argv + ["--jobs", "1", "--out-dir", str(tmp_path / "b")]) == 0
+    assert sizes == [2]  # one job runs in this process, with no pool
+    assert multiprocessing.active_children() == []
+    assert non_timing_digest(tmp_path / "a") == non_timing_digest(tmp_path / "b")
 
 
 def test_table_estimate_is_the_built_tables_size():

@@ -232,7 +232,7 @@ def test_k1_reduces_to_global_rollout(grid5):
             tr = run_episode(grid5, model, RolloutPolicy(grid5, model, cfg), 3, 40, seed)
             assert t2.controls == tr.controls
             assert t2.stage_costs == tr.stage_costs
-            assert [r.__dict__ for r in t2.steps] == [r.__dict__ for r in tr.steps]
+            assert list(t2.trace_rows()) == list(tr.trace_rows())
 
 
 def test_two_phase_merged_control_always_legal(grid5):

@@ -12,8 +12,8 @@ from fleetroll.planner import TwoPhasePolicy
 from fleetroll.policies import (GreedyPolicy, IACommitPolicy, IARAPolicy, RandomIAPolicy,
                                 ia_ra_control)
 from fleetroll.rollout import RolloutConfig, RolloutPolicy
-from fleetroll.sim import (HOP, MOVE, PICKUP, REQUEST_BYTES, STAY, FleetState, IllegalControl,
-                           SimError, run_episode, substream, transition)
+from fleetroll.sim import (HOP, MOVE, PICKUP, REQUEST_BYTES, STAY, TAXI_STEP_BYTES, FleetState,
+                           IllegalControl, SimError, run_episode, substream, transition)
 from conftest import random_fleet_state, random_strong_digraph, ring_graph
 from oracles import (RecordingPolicy, ScalarDemand, scalar_episode_draws,
                      service_distance_reference, transition_reference, travel_left)
@@ -295,8 +295,7 @@ def test_episode_deterministic(grid5, model5_light):
     b = run_episode(grid5, model5_light, IARAPolicy(grid5), 3, 50, 11)
     assert a.stage_costs == b.stage_costs
     assert a.controls == b.controls
-    assert [tuple(r.__dict__.values()) for r in a.steps] == \
-           [tuple(r.__dict__.values()) for r in b.steps]
+    assert list(a.trace_rows()) == list(b.trace_rows())
 
 
 def test_episode_cost_identity(grid5, model5_light):
@@ -308,11 +307,12 @@ def test_request_lifecycle_conservation(grid5, model5_unit):
     tr = run_episode(grid5, model5_unit, IARAPolicy(grid5), 4, 80, 3)
     arrived = 0
     picked = 0
-    assert len(tr.stage_costs) == len(tr.steps) == 80
-    for n_out, rec in zip(tr.stage_costs, tr.steps):
-        arrived += rec.arrivals
+    rows = list(tr.trace_rows())[1:]
+    assert len(tr.stage_costs) == len(rows) == 80
+    for _, n_out, arrivals, pickups, _ in rows:
+        arrived += arrivals
         assert arrived - picked == n_out
-        picked += rec.pickups
+        picked += pickups
     assert arrived == len(tr.request_pickups) == len(tr.request_dropoffs)
     assert picked == sum(act[0] == PICKUP for ctrl in tr.controls for act in ctrl)
 
@@ -321,9 +321,10 @@ def test_outstanding_matches_arrival_times(grid5, model5_unit):
     # requests sampled during step t are first visible (and actionable) at t+1
     policy = RecordingPolicy(GreedyPolicy(grid5))
     trace = run_episode(grid5, model5_unit, policy, 2, 40, 9)
-    # ids are consecutive, and each clock's record counts the requests that
+    # ids are consecutive, and each clock's row counts the requests that
     # became visible at it
-    arrival = [t for t, rec in enumerate(trace.steps, start=1) for _ in range(rec.arrivals)]
+    arrival = [t for t, _, arrivals, _, _ in list(trace.trace_rows())[1:]
+               for _ in range(arrivals)]
     seen = [(r, state.clock) for state, _ in policy.log for r in state.outstanding.values()]
     assert seen
     for r, clock in seen:
@@ -384,7 +385,7 @@ def test_episode_draws_equal_scalar_reference(grid5):
             assert trace.request_pickups == [r[1] for r in requests.values()]
             assert trace.request_dropoffs == [r[2] for r in requests.values()]
             # the count drawn in step t arrives at clock t+1
-            assert [rec.arrivals for rec in trace.steps] == [0] + counts
+            assert [row[2] for row in list(trace.trace_rows())[1:]] == [0] + counts
 
 
 # --- the episode record ---
@@ -438,10 +439,44 @@ def test_z_total_agrees_with_the_old_service_distance(grid5):
                             for a, b in zip(s0.locations, s1.locations))
                 assert trace.summary()["z_total"] == moved > 0, (inner.name, seed)
                 # a step's pickups are its control's PICKUP actions
-                assert [rec.pickups for rec in trace.steps] == [
+                assert [row[3] for row in list(trace.trace_rows())[1:]] == [
                     sum(act[0] == PICKUP for act in control) for control in trace.controls] + [0]
                 picked += trace.summary()["pickups"]
     assert picked > 1000
+
+
+def test_trace_rows_derive_each_count_from_the_states(grid5):
+    """Each trace row's counts, derived from the controls and stage costs,
+    are those of the states the policy saw: the outstanding requests, those
+    that became visible at the clock, those picked up by its step and the
+    free taxis. The row at T reads the state after the final transition."""
+    model = synthetic_model(grid5, 1.5, hotspot=7, hotspot_mass=0.3)
+    cfg = RolloutConfig(t_h=2, num_mc=2)
+    for m, T in ((1, 1), (3, 2), (6, 30)):
+        for inner in (GreedyPolicy(grid5), RandomIAPolicy(grid5), IACommitPolicy(grid5),
+                      IARAPolicy(grid5), RolloutPolicy(grid5, model, cfg),
+                      TwoPhasePolicy(grid5, model, m, 2, cfg)):
+            for seed in (1, 2):
+                policy = RecordingPolicy(inner)
+                trace = run_episode(grid5, model, policy, m, T, seed)
+                states = [s for s, _ in policy.log]
+                if states:  # the last batch is every request not yet seen
+                    seen = max((rid for s in states for rid in s.outstanding), default=0)
+                    batch = [(rid, trace.request_pickups[rid - 1], trace.request_dropoffs[rid - 1])
+                             for rid in range(seen + 1, len(trace.request_pickups) + 1)]
+                    states.append(transition(states[-1], policy.log[-1][1], batch, grid5))
+                else:
+                    states = [FleetState([1] * m, [0] * m, {}, 1)]
+                rows = list(trace.trace_rows())[1:]
+                assert len(rows) == len(states) == T
+                before = {}
+                for t, (row, s) in enumerate(zip(rows, states), start=1):
+                    after = states[t].outstanding if t < T else s.outstanding
+                    assert row == [t, len(s.outstanding), len(s.outstanding.keys() - before),
+                                   len(s.outstanding.keys() - after), s.dropoffs.count(0)], \
+                        (inner.name, m, T, seed, t)
+                    before = s.outstanding
+                assert trace.summary()["pickups"] == sum(row[3] for row in rows)
 
 
 def test_trace_keeps_at_most_24_bytes_per_request():
@@ -480,3 +515,23 @@ def test_request_bytes_bound_an_episode_whose_requests_stay_outstanding(e_eta, T
     assert requests > 10000
     assert trace.stage_costs[-1] == requests
     assert peak / requests < REQUEST_BYTES
+
+
+@pytest.mark.parametrize("policy, e_eta", [(GreedyPolicy, 0.0), (IARAPolicy, 2.0)])
+def test_taxi_step_bytes_bound_the_controls_an_episode_keeps(policy, e_eta):
+    # 2000 taxis for 199 steps on a 20x20 grid: the trace keeps a pointer
+    # per taxi-step, and the peak adds one step's working copies.
+    g = grid_graph(20)
+    model = synthetic_model(g, e_eta)
+    pol = policy(g)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        trace = run_episode(g, model, pol, 2000, 200, 1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    taxi_steps = sum(len(ctrl) for ctrl in trace.controls)
+    assert taxi_steps == 2000 * 199
+    assert peak / taxi_steps < TAXI_STEP_BYTES
