@@ -28,7 +28,7 @@ from .partition import get_partitions
 from .planner import TwoPhasePolicy
 from .policies import GreedyPolicy, IACommitPolicy, IARAPolicy, RandomIAPolicy
 from .rollout import RolloutConfig, RolloutPolicy
-from .sim import REQUEST_BYTES, TAXI_STEP_BYTES, EpisodeTrace, run_episode
+from .sim import REQUEST_BYTES, TAXI_BYTES, TAXI_STEP_BYTES, EpisodeTrace, run_episode
 from .stability import MIN_HORIZON, MIN_TRACES, compute_bounds, empirical_stability
 
 _BASE_POLICIES = {cls.name: cls for cls in (GreedyPolicy, RandomIAPolicy, IACommitPolicy,
@@ -146,17 +146,19 @@ def _check_run(g, model, args, policies, m_values):
     scenarios for each of up to m free taxis, read as an episode's draws are:
     a count per step, then 2 uniforms per arrival, ceil(E[eta]) expected.
     Every arrival of an episode may be outstanding at once, REQUEST_BYTES each,
-    while its trace keeps TAXI_STEP_BYTES for each of m taxis a step."""
+    while its trace keeps TAXI_STEP_BYTES for each of m taxis a step and its
+    fleet state TAXI_BYTES a taxi."""
     m = max(m_values)
     if "two-phase" in policies and (K := math.ceil(m / args["m_lim"])) > g.n:
         raise CLIError(f"two-phase with --m {m} and --m-lim {args['m_lim']} opens "
                        f"{K} sectors, more than the graph's {g.n} nodes")
     eta_max = max(k for k, p in model.eta_pmf.items() if p > 0)
     _check_draws("an episode", (args["T"] - 1) * (1 + 2 * eta_max) + m)
-    held = (args["T"] - 1) * (eta_max * REQUEST_BYTES + m * TAXI_STEP_BYTES)
+    held = (args["T"] - 1) * (eta_max * REQUEST_BYTES + m * TAXI_STEP_BYTES) + m * TAXI_BYTES
     if held > graphmod.BYTES_MAX:
-        raise CLIError(f"an episode can hold {held / 2 ** 30:.3g} GiB of requests and controls "
-                       f"at once, more than the {graphmod.BYTES_MAX / 2 ** 30:.3g} GiB allowed")
+        raise CLIError(f"an episode can hold {held / 2 ** 30:.3g} GiB of requests, controls "
+                       f"and taxis at once, more than the "
+                       f"{graphmod.BYTES_MAX / 2 ** 30:.3g} GiB allowed")
     if {"rollout", "two-phase"} & set(policies):
         _check_draws("a rollout planning call", m * args["num_mc"] * (args["t_h"] + 1)
                      * (1 + 2 * math.ceil(model.e_eta)))

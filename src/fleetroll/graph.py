@@ -1,20 +1,22 @@
 """Street network as a directed unit-weight graph with exact all-pairs distances.
 
 Nodes are 1-indexed. Distances and next hops are precomputed once per graph
-because the planners query them millions of times. Both tables are built in
-blocks (hop distances by a bit-parallel BFS from all sources at once, then one
-vectorised pass over each block's edges for its next hops), so no build
-temporary is n x n. `dist_array` holds the distances and `next_array` the
-next hops, both as unsigned shorts (check_size keeps n below 65,536); cost
-matrices are built from `dist_array` by indexing. For scalar lookups,
-`_dist` and `_next` hold one `memoryview` per row of each table: a read
-`_dist[i][j]` is a Python int and copies nothing. The tables never change
-after the build, so a graph is safe to share.
+because the planners query them millions of times. A grid's tables are
+written in closed form; any other graph's are built in blocks (hop distances
+by a bit-parallel BFS from all sources at once, then one vectorised pass over
+each block's edges for its next hops). No build temporary is n x n.
+`dist_array` holds the distances and `next_array` the next hops, both as
+unsigned shorts (check_size keeps n below 65,536); cost matrices are built
+from `dist_array` by indexing. For scalar lookups, `_dist` and `_next` hold
+one `memoryview` per row of each table: a read `_dist[i][j]` is a Python int
+and copies nothing. The tables never change after the build, so a graph is
+safe to share.
 """
 
 from __future__ import annotations
 
 from itertools import zip_longest
+from math import isqrt
 from pathlib import Path
 
 import numpy as np
@@ -78,11 +80,14 @@ class CityGraph:
         self._dist_to = None
         self.adj = self._build_adjacency()
         # (n+1) x (n+1) tables; row and column 0 are unused padding.
-        self.dist_array = _all_pairs_distances(self.adj)
-        self.next_array = _next_hop_rows(self.adj, self.dist_array)
+        self.dist_array, self.next_array = self._build_tables()
         self.dist_array.flags.writeable = self.next_array.flags.writeable = False
         self._dist = [memoryview(row) for row in self.dist_array]
         self._next = [memoryview(row) for row in self.next_array]
+
+    def _build_tables(self):
+        dist = _all_pairs_distances(self.adj)
+        return dist, _next_hop_rows(self.adj, dist)
 
     def _build_adjacency(self):
         adj = [[] for _ in range(self.n + 1)]
@@ -244,8 +249,37 @@ def grid_edges(k: int) -> list:
     return edges
 
 
+class _Grid(CityGraph):
+    """The k x k grid of `grid_edges(k)`, whose tables need no search: node
+    v = r*k + c + 1, at 0-based (r, c), is |r - r'| + |c - c'| from (r', c'),
+    and its smallest neighbor one hop closer is v - k for a target in a row
+    above, else v - 1 or v + 1 for one in a column to the left or right, else
+    v + k. The tables are those the BFS builds."""
+
+    def _build_tables(self):
+        k = isqrt(self.n)
+        dist = np.empty((self.n + 1, self.n + 1), dtype=np.uint16)
+        nxt = np.zeros_like(dist)
+        dist[0] = dist[:, 0] = np.iinfo(dist.dtype).max
+        line = np.arange(k)
+        delta = line - line[:, None]  # source column x target column
+        side, across = np.sign(delta), np.abs(delta).astype(dist.dtype)
+        for r in range(k):  # sources in grid row r, as (source column, target row, target column)
+            rows = slice(r * k + 1, r * k + k + 1)
+            v = np.arange(rows.start, rows.stop)[:, None]
+            dist[rows, 1:] = (np.abs(line - r).astype(dist.dtype)[:, None]
+                              + across[:, None]).reshape(k, -1)
+            hop = np.empty((k, k, k), dtype=dist.dtype)
+            hop[:, :r] = (v - k)[:, None]
+            hop[:, r] = np.where(side, v + side, 0)
+            hop[:, r + 1:] = (v + np.where(side, side, k))[:, None]
+            nxt[rows, 1:] = hop.reshape(k, -1)
+        self._dist_to = dist  # distances on a grid are symmetric
+        return dist, nxt
+
+
 def grid_graph(k: int) -> CityGraph:
-    """k x k grid graph of `grid_edges(k)`.
+    """k x k grid graph of `grid_edges(k)`, its tables in closed form.
 
     Integer coordinates (col, row) are attached so the Euclidean transport
     metric is available on generated grids.
@@ -253,7 +287,7 @@ def grid_graph(k: int) -> CityGraph:
     edges = grid_edges(k)
     axis = [float(i) for i in range(k)]
     coords = dict(enumerate(((col, row) for row in axis for col in axis), start=1))
-    return CityGraph(k * k, edges, coords=coords)
+    return _Grid(k * k, edges, coords=coords)
 
 
 def load_graph(path) -> CityGraph:

@@ -32,7 +32,8 @@ def _controls(state, graph, choose):
     Hops override targets of occupied taxis; both read the next-hop rows. A
     free taxi or an outstanding pickup above n, which the policies' reads
     meet as an IndexError, is an IllegalControl naming the taxi or a
-    SimError naming the request."""
+    SimError naming the request; so is a targeted pickup below 1, which the
+    reads would take."""
     nxt, n = graph._next, graph.n
     hops, moves = _node_actions(n)
     locs, dropoffs = state.locations, state.dropoffs
@@ -53,6 +54,8 @@ def _controls(state, graph, choose):
         if state.outstanding:
             for l, (rid, pickup, _) in choose(free).items():
                 if not dropoffs[l]:
+                    if pickup < 1:  # a row read takes 0 or a negative index: fail as above n
+                        raise IndexError(pickup)
                     loc = locs[l]
                     control[l] = (PICKUP, rid) if loc == pickup else moves[nxt[loc][pickup]]
     except IndexError:

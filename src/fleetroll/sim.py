@@ -38,9 +38,11 @@ NS_CE = 5
 
 # Bytes an episode can hold per request, every request outstanding at once:
 # its drawn nodes and its (id, pickup, dropoff) tuple in the state and in the
-# transition's copy; and per taxi-step, a pointer in the control the trace
-# keeps. tests/test_sim.py measures both (at most 250 and 13).
-REQUEST_BYTES, TAXI_STEP_BYTES = 300, 16
+# transition's copy; per taxi-step, a pointer in the control the trace keeps;
+# and per taxi, its entries in the state, in the transition's copy and in a
+# step's working lists. tests/test_sim.py measures all three (at most 250, 13
+# and 131).
+REQUEST_BYTES, TAXI_STEP_BYTES, TAXI_BYTES = 300, 16, 160
 
 
 class SimError(FleetrollError):

@@ -737,17 +737,18 @@ def test_an_episode_that_could_hold_too_many_requests_is_rejected_before_any_dra
                "--T", "60", "--out-dir", str(out)])
     assert rc == 1
     captured = capsys.readouterr()
-    held = 59 * (10 ** 6 * sim.REQUEST_BYTES + 2 * sim.TAXI_STEP_BYTES) / 2 ** 30
+    held = (59 * (10 ** 6 * sim.REQUEST_BYTES + 2 * sim.TAXI_STEP_BYTES)
+            + 2 * sim.TAXI_BYTES) / 2 ** 30
     assert captured.out == ""
-    assert captured.err == (f"error: an episode can hold {held:.3g} GiB of requests and controls "
-                            f"at once, more than the 2 GiB allowed\n")
+    assert captured.err == (f"error: an episode can hold {held:.3g} GiB of requests, controls "
+                            f"and taxis at once, more than the 2 GiB allowed\n")
     assert not out.exists() and runs == []
 
 
 def test_an_episode_whose_controls_would_not_fit_is_rejected_before_any_run(
         tmp_path, capsys, monkeypatch):
     # No requests, but the trace keeps a pointer for each of 10^6 taxis over
-    # 299 steps: 299 * 10^6 * TAXI_STEP_BYTES bytes.
+    # 299 steps: 299 * 10^6 * TAXI_STEP_BYTES bytes, and the state TAXI_BYTES a taxi.
     def no_run(tasks, jobs):
         raise AssertionError("ran before the check")
 
@@ -757,10 +758,30 @@ def test_an_episode_whose_controls_would_not_fit_is_rejected_before_any_run(
                "--m", "1000000", "--T", "300", "--out-dir", str(out)])
     assert rc == 1
     captured = capsys.readouterr()
-    held = 299 * 10 ** 6 * sim.TAXI_STEP_BYTES / 2 ** 30
+    held = 10 ** 6 * (299 * sim.TAXI_STEP_BYTES + sim.TAXI_BYTES) / 2 ** 30
     assert captured.out == ""
-    assert captured.err == (f"error: an episode can hold {held:.3g} GiB of requests and controls "
-                            f"at once, more than the 2 GiB allowed\n")
+    assert captured.err == (f"error: an episode can hold {held:.3g} GiB of requests, controls "
+                            f"and taxis at once, more than the 2 GiB allowed\n")
+    assert not out.exists()
+
+
+def test_a_one_step_episode_whose_fleet_would_not_fit_is_rejected_before_any_run(
+        tmp_path, capsys, monkeypatch):
+    # One step of 3 * 10^7 taxis: the draws (0.22 GiB) and the one step's
+    # controls (0.45 GiB) fit, but the fleet state takes TAXI_BYTES a taxi.
+    def no_run(tasks, jobs):
+        raise AssertionError("ran before the check")
+
+    monkeypatch.setattr(cli, "_execute", no_run)
+    out = tmp_path / "o"
+    rc = main(["simulate", "--grid", "3", "--e-eta", "0", "--policy", "greedy",
+               "--m", "30000000", "--T", "2", "--out-dir", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    held = 3 * 10 ** 7 * (sim.TAXI_STEP_BYTES + sim.TAXI_BYTES) / 2 ** 30
+    assert captured.out == ""
+    assert captured.err == (f"error: an episode can hold {held:.3g} GiB of requests, controls "
+                            f"and taxis at once, more than the 2 GiB allowed\n")
     assert not out.exists()
 
 

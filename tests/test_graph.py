@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fleetroll import graph as graph_module
 from fleetroll.graph import (CityGraph, InvalidEdge, NotStronglyConnected, SameNode,
-                             grid_graph, load_graph, save_edges)
+                             grid_edges, grid_graph, load_graph, save_edges)
 from conftest import random_strong_digraph, ring_graph
 from oracles import csgraph_tables, weighted_distance_sums_reference
 
@@ -192,7 +192,7 @@ def tables(graph):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: grid_graph(12),
+    lambda: CityGraph(144, grid_edges(12)),  # the BFS build; grid_graph takes the closed form
     lambda: ring_graph(9),
     lambda: random_strong_digraph(random.Random(11), 40),
 ], ids=["grid12", "ring9", "random40"])
@@ -216,9 +216,10 @@ def hub_graph(n, hub):
       for n in (63, 64, 65, 127, 128, 129)],
     lambda: ring_graph(300),  # diameter 299: nine bit-planes
     lambda: hub_graph(41, 17),  # out-degree 40
+    lambda: CityGraph(400, grid_edges(20)),
     lambda: grid_graph(20),
 ], ids=["random63", "random64", "random65", "random127", "random128", "random129",
-        "ring300", "hub40", "grid20"])
+        "ring300", "hub40", "grid20", "grid_graph20"])
 def test_tables_equal_per_source_bfs_and_csgraph(make):
     g = make()
     adj = adjacency(g)
@@ -229,6 +230,21 @@ def test_tables_equal_per_source_bfs_and_csgraph(make):
     ref_dist, ref_next = csgraph_tables(g)
     assert np.array_equal(dist, ref_dist)
     assert [row.tolist() for row in g._next] == ref_next.tolist()
+
+
+@pytest.mark.parametrize("k", [*range(1, 13), 20, 33, 64])
+def test_grid_tables_in_closed_form_equal_the_bfs_tables(k):
+    grid, bfs = grid_graph(k), CityGraph(k * k, grid_edges(k))
+    for got, want in ((grid.dist_array, bfs.dist_array), (grid.next_array, bfs.next_array)):
+        assert got.dtype == want.dtype == np.uint16 and got.shape == want.shape
+        assert np.array_equal(got, want)  # the padding row and column included
+        assert not got.flags.writeable and not want.flags.writeable
+    for rows, table in ((grid._dist, grid.dist_array), (grid._next, grid.next_array)):
+        assert len(rows) == k * k + 1
+        assert all(row.readonly and row.format == "H" and np.shares_memory(np.asarray(row), line)
+                   for row, line in zip(rows, table))
+    assert grid.adj == bfs.adj
+    assert grid._distances_to() is grid.dist_array and bfs._distances_to() is bfs.dist_array
 
 
 @pytest.mark.parametrize("cells", [1, 1 << 30])

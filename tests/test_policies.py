@@ -250,13 +250,18 @@ def test_state_breaking_the_in_service_invariant_is_a_fleetroll_error(grid3, loc
     (0, 2, "taxi 1: node 0 is outside 1..9"),
     (-1, 2, "taxi 1: node -1 is outside 1..9"),
     (5, 20, "request 3: pickup 20 is outside 1..9"),
-], ids=["free-above-n", "free-on-node-0", "free-below-1", "pickup-above-n"])
+    (5, 0, "request 3: pickup 0 is outside 1..9"),
+    (5, -1, "request 3: pickup -1 is outside 1..9"),
+], ids=["free-above-n", "free-on-node-0", "free-below-1", "pickup-above-n", "pickup-on-node-0",
+        "pickup-below-1"])
 def test_free_taxi_or_pickup_off_the_graph_is_a_fleetroll_error(grid3, cls, loc, pickup,
                                                                  message):
     """A free taxi or a pickup above n is an index past the end of the rows
     and blocks that every base policy reads; the joint builder names the
-    taxi or the request instead of letting the IndexError through. A free
-    taxi below node 1 reads a row that exists, and transition names it."""
+    taxi or the request instead of letting the IndexError through. A pickup
+    below 1 reads padding or a row from its end, so the builder checks it
+    before it reads. A free taxi below node 1 reads a row that exists, and
+    transition names it."""
     policy = cls(grid3)
     policy.reset(0)
     s = make_state([1, loc], outstanding={3: (3, pickup, 9)})

@@ -12,8 +12,8 @@ from fleetroll.planner import TwoPhasePolicy
 from fleetroll.policies import (GreedyPolicy, IACommitPolicy, IARAPolicy, RandomIAPolicy,
                                 ia_ra_control)
 from fleetroll.rollout import RolloutConfig, RolloutPolicy
-from fleetroll.sim import (HOP, MOVE, PICKUP, REQUEST_BYTES, STAY, TAXI_STEP_BYTES, FleetState,
-                           IllegalControl, SimError, run_episode, substream, transition)
+from fleetroll.sim import (HOP, MOVE, PICKUP, REQUEST_BYTES, STAY, TAXI_BYTES, TAXI_STEP_BYTES,
+                           FleetState, IllegalControl, SimError, run_episode, substream, transition)
 from conftest import random_fleet_state, random_strong_digraph, ring_graph
 from oracles import (RecordingPolicy, ScalarDemand, scalar_episode_draws,
                      service_distance_reference, transition_reference, travel_left)
@@ -535,3 +535,23 @@ def test_taxi_step_bytes_bound_the_controls_an_episode_keeps(policy, e_eta):
     taxi_steps = sum(len(ctrl) for ctrl in trace.controls)
     assert taxi_steps == 2000 * 199
     assert peak / taxi_steps < TAXI_STEP_BYTES
+
+
+@pytest.mark.parametrize("policy, e_eta", [(GreedyPolicy, 0.0), (IARAPolicy, 2.0)])
+@pytest.mark.parametrize("m", [20000, 100000])
+def test_taxi_bytes_bound_the_fleet_state_of_a_one_step_episode(policy, e_eta, m):
+    # A 20x20 grid: taxi indices and nodes above 256 are int objects of their
+    # own. One step holds the state, the transition's copy, the step's working
+    # lists and its control, with few requests.
+    g = grid_graph(20)
+    model = synthetic_model(g, e_eta)
+    pol = policy(g)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_episode(g, model, pol, m, 2, 1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / m < TAXI_BYTES
