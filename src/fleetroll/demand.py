@@ -14,8 +14,10 @@ import math
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain
+from functools import reduce
+from itertools import chain, compress
 from numbers import Integral
+from operator import add
 
 import numpy as np
 
@@ -49,24 +51,36 @@ class ExpectationTerms:
     e_eta: float         # expected arrivals per step
 
 
+def _ascending(keys, what, least):
+    """`keys` sorted, or a DemandError naming a key that is no integer if they do not compare."""
+    try:
+        return sorted(keys)
+    except TypeError:
+        bad = next(k for k in keys if not isinstance(k, Integral))
+        raise DemandError(f"{what}: key {bad!r} is not an integer >= {least}") from None
+
+
 def _checked(pmf, what, least=1, zeros=False):
     """A pmf's positive masses (all of them with `zeros`) as floats, support
-    ascending, from one walk over it. Keys must be integers >= `least` (1
-    for nodes, 0 for counts), masses finite and nonnegative with sum 1."""
-    total = 0.0
-    out = {}
-    for k, p in sorted(pmf.items()):
-        # type() first: an isinstance check against the ABC costs about 0.3 us
-        if type(k) is not int and not isinstance(k, Integral) or k < least:
-            raise DemandError(f"{what}: key {k!r} is not an integer >= {least}")
-        if not 0 <= p < math.inf:
-            raise DemandError(f"{what}: negative or non-finite mass {p} at {k}")
-        total += p
-        if p > 0 or zeros:
-            out[int(k)] = float(p)
+    ascending. Keys must be integers >= `least` (1 for nodes, 0 for counts),
+    masses finite and nonnegative with sum 1: C-level passes check them all,
+    and only a failed check walks the entries, to name the first bad one."""
+    keys = _ascending(pmf, what, least)
+    masses = list(map(pmf.__getitem__, keys))
+    key_types, mass_types = set(map(type, keys)), set(map(type, masses))
+    if not (all(issubclass(t, Integral) for t in key_types) and (not keys or keys[0] >= least)
+            and all(map(math.isfinite, masses)) and min(masses, default=0) >= 0):
+        for k, p in zip(keys, masses):
+            if not isinstance(k, Integral) or k < least:
+                raise DemandError(f"{what}: key {k!r} is not an integer >= {least}")
+            if not 0 <= p < math.inf:
+                raise DemandError(f"{what}: negative or non-finite mass {p} at {k}")
+    total = reduce(add, masses, 0.0)  # a running total on every Python: sum() compensates from 3.12
     if abs(total - 1.0) > _SUM_TOL:
         raise DemandError(f"{what}: masses sum to {total}, expected 1")
-    return out
+    pairs = zip(keys if key_types == {int} else map(int, keys),
+                masses if mass_types == {float} else map(float, masses))
+    return dict(pairs if zeros else compress(pairs, masses))  # masses >= 0: kept if truthy
 
 
 def _relabel(keys):
@@ -136,7 +150,7 @@ class DemandModel:
     def __init__(self, eta_pmf, pickup_pmf, dropoff_given_pickup, initial_pmf=None):
         self.eta_pmf = _checked(eta_pmf, "eta pmf", least=0, zeros=True)
         self.pickup_pmf = _checked(pickup_pmf, "pickup pmf")
-        pickups = sorted(dropoff_given_pickup)
+        pickups = _ascending(dropoff_given_pickup, "dropoff pmfs by pickup", 1)
         conds = [dropoff_given_pickup[u] for u in pickups]
         group_of = {}  # id of a conditional pmf object -> its group index
         self._dropoff_pmfs = []  # distinct conditional pmfs, normalized

@@ -75,10 +75,9 @@ class CityGraph:
             raise InvalidEdge(f"node count must be >= 1, got {n}")
         check_size(n)
         self.n = n
-        self.edges = tuple((int(i), int(j)) for i, j in edges)
         self.coords = dict(coords) if coords else None
         self._dist_to = None
-        self.adj = self._build_adjacency()
+        self.edges, self.adj = self._build_adjacency(edges)
         # (n+1) x (n+1) tables; row and column 0 are unused padding.
         self.dist_array, self.next_array = self._build_tables()
         self.dist_array.flags.writeable = self.next_array.flags.writeable = False
@@ -89,10 +88,12 @@ class CityGraph:
         dist = _all_pairs_distances(self.adj)
         return dist, _next_hop_rows(self.adj, dist)
 
-    def _build_adjacency(self):
+    def _build_adjacency(self, edges):
+        """The edges as a tuple of int pairs, and each node's out-neighbors ascending."""
+        edges = tuple((int(i), int(j)) for i, j in edges)
         adj = [[] for _ in range(self.n + 1)]
         seen = set()
-        for i, j in self.edges:
+        for i, j in edges:
             if not (1 <= i <= self.n) or not (1 <= j <= self.n):
                 raise InvalidEdge(f"edge ({i}, {j}) has an endpoint outside 1..{self.n}")
             if (i, j) in seen:
@@ -101,7 +102,7 @@ class CityGraph:
             adj[i].append(j)
         for row in adj:
             row.sort()
-        return adj
+        return edges, adj
 
     def distance(self, i: int, j: int) -> int:
         return self._dist[i][j]
@@ -121,9 +122,10 @@ class CityGraph:
 
         Zero-weight targets are skipped (x + 0.0 == x). Few sources are summed
         per source by a cumulative sum along each row; many sources are summed
-        target by target for all of them at once (`out += w * d(sources, t)`),
-        which runs along rows of the distances-to table. Both take rows in
-        blocks of bounded size.
+        for all of them at once by one reduce per block of targets, down the
+        columns of the running total over the rows `w * d(sources, t)`; numpy
+        adds them row after row (pairwise only along the fast axis). Both take
+        rows in blocks of bounded size.
         """
         sources = np.asarray(sources, dtype=np.intp)
         targets = np.asarray(targets, dtype=np.intp)
@@ -142,11 +144,13 @@ class CityGraph:
         table = self._distances_to()
         everyone = len(sources) == self.n and np.array_equal(sources, np.arange(1, self.n + 1))
         rows = max(1, _BLOCK_CELLS // len(sources))
+        buf = np.empty((min(rows, len(targets)) + 1, len(sources)))  # row 0: the running total
         for at in range(0, len(targets), rows):
             block = table[targets[at:at + rows]]
             block = block[:, 1:] if everyone else block[:, sources]
-            for row in block * weights[at:at + rows, None]:
-                out += row
+            buf[0] = out
+            np.multiply(block, weights[at:at + rows, None], out=buf[1:len(block) + 1])
+            np.add.reduce(buf[:len(block) + 1], axis=0, out=out)
         return out
 
     def _distances_to(self):
@@ -254,7 +258,21 @@ class _Grid(CityGraph):
     v = r*k + c + 1, at 0-based (r, c), is |r - r'| + |c - c'| from (r', c'),
     and its smallest neighbor one hop closer is v - k for a target in a row
     above, else v - 1 or v + 1 for one in a column to the left or right, else
-    v + k. The tables are those the BFS builds."""
+    v + k. The tables and `adj` are those the BFS builds."""
+
+    def _build_adjacency(self, edges):
+        n, k = self.n, isqrt(self.n)
+        adj = [[]]
+        for v in range(1, n + 1):  # neighbors ascending: up, left, right, down
+            row = [v - k] if v > k else []
+            if (v - 1) % k:
+                row.append(v - 1)
+            if v % k:
+                row.append(v + 1)
+            if v <= n - k:
+                row.append(v + k)
+            adj.append(row)
+        return tuple(edges), adj  # grid_edges lists pairs of ints
 
     def _build_tables(self):
         k = isqrt(self.n)

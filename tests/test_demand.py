@@ -83,6 +83,37 @@ def test_support_key_that_is_no_count_or_node_rejected(eta, pickup, dropoff, ini
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("pickup, message", [
+    ({1: 0.5, 2.5: 0.5}, "pickup pmf: key 2.5 is not an integer >= 1"),
+    ({0: 0.5, 1: 0.5}, "pickup pmf: key 0 is not an integer >= 1"),
+    ({1: 1.5, 2: -0.5}, "pickup pmf: negative or non-finite mass -0.5 at 2"),
+    ({2: 1.0, 1: math.nan}, "pickup pmf: negative or non-finite mass nan at 1"),
+    ({1: 1.0, 2: math.inf}, "pickup pmf: negative or non-finite mass inf at 2"),
+    ({1: 0.5, 2: 0.25 + 2e-9}, "pickup pmf: masses sum to 0.7500000019999999, expected 1"),
+    ({}, "pickup pmf: masses sum to 0.0, expected 1"),
+    ({3: 0.5, -1: 0.25, -2: 0.25}, "pickup pmf: key -2 is not an integer >= 1"),
+], ids=["non-integer-key", "key-below-least", "negative-mass", "nan-mass", "infinite-mass",
+        "sum-off", "empty", "two-bad-keys"])
+def test_bad_pmf_message_names_the_first_bad_entry_in_key_order(pickup, message):
+    # The messages of an entry-by-entry walk in ascending key order (a key
+    # checked before its mass, the sum last), word for word.
+    with pytest.raises(DemandError) as err:
+        DemandModel({1: 1.0}, pickup, {1: {1: 1.0}})
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("pickup, dropoff, message", [
+    ({1: 0.5, "a": 0.5}, {1: {1: 1.0}}, "pickup pmf: key 'a' is not an integer >= 1"),
+    ({1: 1.0}, {1: {1: 1.0}, "x": {1: 1.0}},
+     "dropoff pmfs by pickup: key 'x' is not an integer >= 1"),
+], ids=["pickup-pmf", "dropoff-pmfs-by-pickup"])
+def test_keys_of_types_that_do_not_compare_rejected(pickup, dropoff, message):
+    # Sorting a string key among integers raises TypeError; the model names the key instead.
+    with pytest.raises(DemandError) as err:
+        DemandModel({1: 1.0}, pickup, dropoff)
+    assert str(err.value) == message
+
+
 def test_integer_keys_of_any_integer_type_keep_the_model():
     # numpy integers are integers; zero eta masses stay in eta_pmf, and only
     # positive masses enter the node pmfs.

@@ -243,7 +243,9 @@ def test_grid_tables_in_closed_form_equal_the_bfs_tables(k):
         assert len(rows) == k * k + 1
         assert all(row.readonly and row.format == "H" and np.shares_memory(np.asarray(row), line)
                    for row, line in zip(rows, table))
-    assert grid.adj == bfs.adj
+    assert grid.adj == bfs.adj and grid.edges == bfs.edges and type(grid.edges) is tuple
+    assert all(type(e) is tuple and type(e[0]) is type(e[1]) is int for e in grid.edges)
+    assert all(type(row) is list and all(type(v) is int for v in row) for row in grid.adj)
     assert grid._distances_to() is grid.dist_array and bfs._distances_to() is bfs.dist_array
 
 
