@@ -17,7 +17,9 @@ import math
 import sys
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
+from functools import reduce
 from itertools import combinations
+from operator import add
 from pathlib import Path
 
 from scipy.special import stdtr
@@ -189,7 +191,7 @@ def _paired_t(deltas):
     t CDF as scipy.stats computes it, stdtr(n - 1, t). Needs n >= 2."""
     n = len(deltas)
     mean = sum(deltas) / n
-    var = sum((d - mean) ** 2 for d in deltas) / (n - 1)
+    var = reduce(add, ((d - mean) ** 2 for d in deltas), 0.0) / (n - 1)  # left to right
     if var == 0:
         return 0.0, (0.0 if mean < 0 else 1.0)
     t = mean / math.sqrt(var / n)
@@ -212,7 +214,7 @@ def cmd_compare(args):
         for policy in policies:
             rs = runs[(policy, m)]
             mean = _mean(rs, "cost")
-            std = math.sqrt(sum((r["cost"] - mean) ** 2 for r in rs) / (len(rs) - 1))
+            std = math.sqrt(reduce(add, ((r["cost"] - mean) ** 2 for r in rs), 0.0) / (len(rs) - 1))
             rows.append([policy, m, f"{mean:.3f}", f"{std:.3f}", f"{_mean(rs, 'z_total'):.3f}"])
             timing_rows.append([policy, m, f"{_mean(rs, 'mean_plan_ms'):.3f}"])
     _write_csv(outdir / "compare.csv", rows)

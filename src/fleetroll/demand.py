@@ -184,7 +184,7 @@ class DemandModel:
         else:
             self.initial_location_pmf = dict(self.marginal_dropoff_pmf)
 
-        self.e_eta = sum(k * p for k, p in self.eta_pmf.items())
+        self.e_eta = reduce(add, (k * p for k, p in self.eta_pmf.items()), 0.0)
         self._eta_sampler = _Sampler(self.eta_pmf)
         self._pickup_sampler = _Sampler(self.pickup_pmf)
         self._initial_sampler = _Sampler(self.initial_location_pmf)

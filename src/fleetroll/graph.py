@@ -116,9 +116,9 @@ class CityGraph:
 
     def weighted_distance_sums(self, sources, targets, weights) -> np.ndarray:
         """For each source s, the sum over j of weights[j] * distance(s, targets[j]),
-        accumulated left to right over the targets: the same float operations
-        as a sequential Python `sum()` (3.11), so orderings built on it are
-        reproducible.
+        accumulated left to right over the targets, as a running total
+        (`functools.reduce(operator.add, ...)`, not `sum()`, which compensates
+        from Python 3.12), so orderings built on it are reproducible.
 
         Zero-weight targets are skipped (x + 0.0 == x). Few sources are summed
         per source by a cumulative sum along each row; many sources are summed

@@ -25,16 +25,17 @@ that is one of them: with a truncated lookahead, ties are where rollout
 would otherwise lose on its base policy.
 
 The base policy is IA-RA (`policies.ia_ra_control`). A taxi's candidates are
-scored in one call, `_candidate_costs`, which steps the other taxis once, adds
-each candidate's own action and continues per scenario on flat lists
-(`_trajectory_cost`): free taxis and outstanding requests, the state's own
-and the scenarios', all (id, pickup, dropoff) tuples, are kept sorted as
-events change them, and an occupied taxi is only looked at again when its
-trip ends. Matchings are IA-RA's, solved by linear_sum_assignment
-(`auction_match`) on a cost block gathered from the distance table, and
-skipped only where the answer is certain: a matching with a single taxi or
-request, and a last step in which no free taxi stands on an outstanding
-pickup. The tests check this path against `sim.transition`.
+scored in one call, `_candidate_costs`: it starts each candidate from its
+whole joint, applied in index order (`_candidate_step`), and continues per
+scenario on flat lists (`_trajectory_cost`): free taxis and outstanding
+requests, the state's own and the scenarios', all (id, pickup, dropoff)
+tuples, are kept sorted as events change them, and an occupied taxi is only
+looked at again when its trip ends. Matchings are IA-RA's, solved by
+linear_sum_assignment (`auction_match`) on a cost block gathered from the
+distance table, and skipped only where the answer is certain: a matching
+with a single taxi or request, and a last step in which no free taxi stands
+on an outstanding pickup. The tests check this path against
+`sim.transition`.
 
 A taxi's stay and move candidates start from states that differ only in
 where that taxi stands, so they are scored as one trajectory per scenario
@@ -131,81 +132,65 @@ def _candidate_costs(state, joint, l, cands, scenarios, graph, t_h, inbound=()):
     Immediate cost, then t_h IA-RA stage costs, then the terminal outstanding
     count, per scenario. `inbound` lists (arrival clock, node) pairs of taxis
     scheduled to enter this state's region; each becomes a free taxi when its
-    clock comes up. The candidate step takes the taxis in index order, and a
-    pickup of a request that an earlier taxi took is a stay. No scenario
-    changes that step, so the other taxis' part of it is simulated once and
-    each candidate applies only l's action to it. Occupied taxis are put on
-    their dropoffs and rejoin the free taxis in the step their trips end, the
-    distance from where they stand to the dropoff.
-
-    The stay and move candidates differ only in where l stands, so they run as
-    one group until l could be matched (see _trajectory_cost); pickups alone.
+    clock comes up. Each pickup's start is the joint with that pickup as l's
+    control, applied by _candidate_step. The stay and move candidates differ
+    only in where l stands, so they share the start of the first of them and
+    run as one group until l could be matched (see _trajectory_cost).
     """
-    dist = graph._dist
     arriving = {}
     for when, node in inbound:
         if 0 < when - state.clock <= t_h:
             arriving.setdefault(when - state.clock, []).append(node)
-    locs = list(state.locations) + arriving.get(1, [])
-    free = []
-    reqs = sorted(state.outstanding.values())
-    released = {}  # step -> taxis whose trip ends in that step
-    taken = {}  # request id -> the taxi whose pickup took it
-    for k, act in enumerate(joint):
-        dropoff = state.dropoffs[k]
-        if dropoff:
-            left = dist[locs[k]][dropoff]  # steps left on its trip
-            locs[k] = dropoff
-            if left == 1:
-                free.append(k)
-            elif left <= t_h:
-                released[left - 1] = released.get(left - 1, ()) + (k,)
-        elif k == l:
-            continue
-        elif act[0] == PICKUP and (req := next((r for r in reqs if r[0] == act[1]), None)):
-            reqs.remove(req)
-            taken[req[0]] = k
-            trip = dist[req[1]][req[2]]
-            locs[k] = req[2]
-            if trip == 0:
-                free.append(k)
-            elif trip < t_h:
-                released[trip] = released.get(trip, ()) + (k,)
-        else:
-            if act[0] == MOVE:
-                locs[k] = act[1]
-            free.append(k)
-    free += range(state.m, len(locs))
-
-    nodes = [locs[l] if act[0] == STAY else act[1] for act in cands if act[0] != PICKUP]
-    starts = []  # (start, group) of each pickup, then of the stays and moves
-    for _, rid in cands[:len(cands) - len(nodes)]:
-        _, pickup, dropoff = state.outstanding[rid]
-        trip = dist[pickup][dropoff]
-        k = taken.get(rid)  # a later taxi that took it is free where it stands
-        after_locs, after_free, after_released = list(locs), list(free), dict(released)
-        after_locs[l] = dropoff
-        if k is not None:
-            after_locs[k] = state.locations[k]
-        if (joins := l if trip == 0 else k) is not None:
-            insort(after_free, joins)
-        if 0 < trip < t_h:
-            after_released[trip] = tuple(x for x in released.get(trip, ()) if x != k) + (l,)
-        after_reqs = reqs if k is not None else [r for r in reqs if r[0] != rid]
-        starts.append(((after_locs, after_free, after_reqs, after_released), None))
+    nodes = [state.locations[l] if act[0] == STAY else act[1] for act in cands if act[0] != PICKUP]
+    starts = [(act, None) for act in cands if act[0] == PICKUP]
     if nodes:
-        locs[l] = nodes[0]
-        insort(free, l)
-        starts.append(((locs, free, reqs, released), (l, nodes) if nodes[1:] else None))
-
+        starts.append((cands[len(starts)], (l, nodes) if nodes[1:] else None))
     totals = []
-    for (locs, free, reqs, released), group in starts:
+    for act, group in starts:
+        locs, free, reqs, released = _candidate_step(
+            state, [*joint[:l], act, *joint[l + 1:]], graph, t_h, arriving.get(1, ()))
         costs = [_trajectory_cost((locs, free, batches[0][::-1] + reqs, released,
                                    len(state.outstanding) + len(reqs) + len(batches[0])),
                                   1, batches, graph, t_h, arriving, group)
                  for batches in scenarios]
         totals += map(sum, zip(*costs))  # each member's total over the scenarios
     return totals
+
+
+def _candidate_step(state, joint, graph, t_h, inbound):
+    """The lookahead's start after the candidate step: taxi locations, free
+    taxis (ascending, the nodes `inbound` at step 1 among them), outstanding
+    requests (ascending id) and the taxis released per later step.
+
+    The joint is applied in index order, so a pickup of a request that an
+    earlier taxi took is a stay. A taxi on a trip, riding or picking up now,
+    is put on its dropoff with the steps of its trip left after this one: it
+    is free at 0, else released in that step if it comes before t_h.
+    """
+    dist = graph._dist
+    locs = [*state.locations, *inbound]
+    free = []
+    outstanding = dict(state.outstanding)
+    released = {}  # step -> taxis whose trip ends in that step
+    for k, act in enumerate(joint):
+        dropoff = state.dropoffs[k]
+        if dropoff:
+            left = dist[locs[k]][dropoff] - 1  # after this step's hop
+        elif act[0] == PICKUP and (req := outstanding.pop(act[1], None)):
+            _, pickup, dropoff = req
+            left = dist[pickup][dropoff]
+        else:
+            if act[0] == MOVE:
+                locs[k] = act[1]
+            free.append(k)
+            continue
+        locs[k] = dropoff
+        if left == 0:
+            free.append(k)
+        elif left < t_h:
+            released[left] = released.get(left, ()) + (k,)
+    free += range(state.m, len(locs))
+    return locs, free, sorted(outstanding.values()), released
 
 
 def _trajectory_cost(start, first, batches, graph, t_h, arriving, group=None):

@@ -5,6 +5,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import numpy as np
 from scipy.optimize import linprog
@@ -388,19 +390,27 @@ def reference_model_tables(eta_pmf, pickup_pmf, dropoff_given_pickup, initial_pm
     }
 
 
+def running_sum(xs):
+    """Floats added left to right from 0.0, as the code under test adds them.
+    The built-in `sum()` is no reference for that: from Python 3.12 on it
+    compensates float sums (tests/py312_sum.py)."""
+    return reduce(add, xs, 0.0)
+
+
 def expectation_terms_reference(model, graph):
     """The three distance expectations of `expectation_terms` as nested
-    Python sums: pmf supports ascending, inner sums left to right."""
+    running totals: pmf supports ascending, every sum left to right."""
     dist = graph._dist
 
     def cross(pa, pb):
-        return sum(qa * sum(qb * dist[a][b] for b, qb in pb.items())
-                   for a, qa in pa.items())
+        return running_sum(qa * running_sum(qb * dist[a][b] for b, qb in pb.items())
+                           for a, qa in pa.items())
 
     return (cross(model.initial_location_pmf, model.pickup_pmf),
             cross(model.marginal_dropoff_pmf, model.pickup_pmf),
-            sum(pu * sum(pv * dist[u][v] for v, pv in model.dropoff_given_pickup[u].items())
-                for u, pu in model.pickup_pmf.items()))
+            running_sum(pu * running_sum(pv * dist[u][v]
+                                         for v, pv in model.dropoff_given_pickup[u].items())
+                        for u, pu in model.pickup_pmf.items()))
 
 
 class ScalarSampler:
@@ -509,21 +519,21 @@ def per_pickup_dropoffs(model, pickups, us):
 
 def reference_partition(graph, model, K, max_iter=100):
     """(centers, assignment) of `get_partitions` computed with nested lists
-    and Python's `sum()`, one candidate at a time: greedy capacitated facility
+    and running totals, one candidate at a time: greedy capacitated facility
     location, then weighted k-medoid to a fixed point."""
     dist = graph._dist
     nodes = range(1, graph.n + 1)
     weights = {v: model.pickup_pmf.get(v, 0.0) for v in nodes}
 
     def score(c, vs):
-        return sum(weights[v] * dist[c][v] for v in vs)
+        return running_sum(weights[v] * dist[c][v] for v in vs)
 
-    capacity = sum(weights.values()) / K
+    capacity = running_sum(weights.values()) / K
     unserved = dict(weights)
     centers = []
     for _ in range(K):
         best = min((c for c in nodes if c not in centers), key=lambda c: (
-            sum(w * dist[c][v] for v, w in unserved.items() if w > 0), c))
+            running_sum(w * dist[c][v] for v, w in unserved.items() if w > 0), c))
         centers.append(best)
         room = capacity
         for v in sorted(unserved, key=lambda v: (dist[best][v], v)):
@@ -600,9 +610,10 @@ def next_hop_in_partition_reference(graph, pspec, v_start, v_end):
 
 
 def weighted_distance_sums_reference(graph, sources, targets, weights):
-    """For each source, Python's sequential `sum()` of weight times distance
-    over the targets in the given order."""
-    return [sum(w * graph.distance(s, t) for t, w in zip(targets, weights)) for s in sources]
+    """For each source, the running total of weight times distance over the
+    targets in the given order."""
+    return [running_sum(w * graph.distance(s, t) for t, w in zip(targets, weights))
+            for s in sources]
 
 
 def transition_reference(state, control, arrivals, graph):

@@ -282,11 +282,14 @@ def test_graph_carries_no_sectors(grid3):
         assert not hasattr(grid3, name), name
 
 
-@pytest.mark.parametrize("make, symmetric", [
-    (lambda: grid_graph(20), True),
-    (lambda: ring_graph(300), False),
-    (lambda: random_strong_digraph(random.Random(4), 300), False),
-], ids=["grid20", "ring300", "random300"])
+SUM_GRAPHS = [  # (make, symmetric); tests/test_exact_sums.py runs them too
+    pytest.param(lambda: grid_graph(20), True, id="grid20"),
+    pytest.param(lambda: ring_graph(300), False, id="ring300"),
+    pytest.param(lambda: random_strong_digraph(random.Random(4), 300), False, id="random300"),
+]
+
+
+@pytest.mark.parametrize("make, symmetric", SUM_GRAPHS)
 def test_weighted_distance_sums_equal_nested_python_sums(monkeypatch, make, symmetric):
     g = make()
     assert (g._distances_to() is g.dist_array) == symmetric  # else the transposed copy
@@ -300,10 +303,11 @@ def test_weighted_distance_sums_equal_nested_python_sums(monkeypatch, make, symm
         "interleaved zeros": np.where(rng.random(g.n) < 0.5, 0.0, w),
         "all zero": np.zeros(g.n),
     }
-    sources = {  # all nodes; subsets above and below the row-loop threshold
+    sources = {  # all nodes; subsets above and below the row-loop threshold; one node
         "all": nodes,
         "many": np.sort(rng.choice(nodes, graph_module._ROW_LOOP_SOURCES + 10, replace=False)),
         "few": rng.permutation(nodes)[:40],
+        "one": nodes[g.n // 2:g.n // 2 + 1],
     }
     shuffled = rng.permutation(nodes)[:3 * g.n // 4]
     for wname, wts in weights.items():
